@@ -30,6 +30,7 @@ Every simulation subcommand accepts the shared network flags
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -40,6 +41,7 @@ from repro.core import Atlahs
 from repro.goal.binary import read_goal_binary
 from repro.goal.parser import parse_goal_file
 from repro.network.config import SimulationConfig
+from repro.network.congestion import congestion_control_names
 from repro.network.routing import ROUTING_STRATEGIES, routing_names
 from repro.network.topology import TOPOLOGY_DESCRIPTIONS, topology_names
 from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_microbenchmark
@@ -61,58 +63,68 @@ def _parse_dims(text: str) -> tuple:
 
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
+    # every default below is the SimulationConfig field default, so the CLI
+    # cannot drift from the library (tests/test_core_and_cli.py checks it)
+    d = {f.name: f.default for f in dataclasses.fields(SimulationConfig)}
     group = parser.add_argument_group("network")
     group.add_argument("--backend", choices=["lgs", "htsim"], default="lgs", help="network backend")
     group.add_argument(
-        "--topology", choices=list(topology_names()), default="fat_tree", help="network topology"
+        "--topology", choices=list(topology_names()), default=d["topology"], help="network topology"
     )
     group.add_argument(
-        "--routing", choices=list(routing_names()), default="minimal", help="routing strategy"
-    )
-    group.add_argument("--nodes-per-tor", type=int, default=16, help="fat tree: hosts per ToR")
-    group.add_argument(
-        "--oversubscription", type=float, default=1.0, help="fat tree: ToR downlink:uplink ratio"
+        "--routing", choices=list(routing_names()), default=d["routing"], help="routing strategy"
     )
     group.add_argument(
-        "--fattree-planes", type=int, default=2,
+        "--nodes-per-tor", type=int, default=d["nodes_per_tor"], help="fat tree: hosts per ToR"
+    )
+    group.add_argument(
+        "--oversubscription", type=float, default=d["oversubscription"],
+        help="fat tree: ToR downlink:uplink ratio",
+    )
+    group.add_argument(
+        "--fattree-planes", type=int, default=d["fattree_planes"],
         help="fat_tree_multiplane: number of drainable core planes",
     )
     group.add_argument(
-        "--fattree-rails", type=int, default=4,
+        "--fattree-rails", type=int, default=d["fattree_rails"],
         help="fat_tree_rail: GPUs (rails) per server",
     )
     group.add_argument(
-        "--torus-dims", type=_parse_dims, default=(4, 4), metavar="X,Y[,Z]",
+        "--torus-dims", type=_parse_dims, default=d["torus_dims"], metavar="X,Y[,Z]",
         help="torus: ring length per dimension (e.g. 4,4 or 4,4,2)",
     )
-    group.add_argument("--torus-hosts-per-node", type=int, default=1, help="torus: hosts per switch")
     group.add_argument(
-        "--slimfly-q", type=int, default=5, help="slim fly: prime q = 1 mod 4 (5, 13, 17, ...)"
+        "--torus-hosts-per-node", type=int, default=d["torus_hosts_per_node"],
+        help="torus: hosts per switch",
     )
     group.add_argument(
-        "--slimfly-hosts-per-router", type=int, default=0,
+        "--slimfly-q", type=int, default=d["slimfly_q"],
+        help="slim fly: prime q = 1 mod 4 (5, 13, 17, ...)",
+    )
+    group.add_argument(
+        "--slimfly-hosts-per-router", type=int, default=d["slimfly_hosts_per_router"],
         help="slim fly: hosts per router (0 = balanced concentration)",
     )
     group.add_argument(
-        "--cc", choices=["mprdma", "swift", "dctcp", "ndp", "fixed"], default="mprdma",
+        "--cc", choices=list(congestion_control_names()), default=d["cc_algorithm"],
         help="congestion control (packet backend)",
     )
     group.add_argument(
-        "--route-cache-entries", type=int, default=16384,
+        "--route-cache-entries", type=int, default=d["route_cache_entries"],
         help="LRU budget per route-table cache (0 = unbounded; see docs/scaling.md)",
     )
     group.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=int, default=d["shards"],
         help="parallel shards for the packet backend (1 = single-process; "
         "requires --backend htsim; see docs/scaling.md for the "
         "conservative-window engine)",
     )
     group.add_argument(
-        "--load-snapshot-ns", type=int, default=0,
+        "--load-snapshot-ns", type=int, default=d["load_snapshot_ns"],
         help="sharded adaptive routing: barrier load-snapshot cadence in ns "
         "(0 = auto: the topology's minimum link latency)",
     )
-    group.add_argument("--seed", type=int, default=0, help="seed for stochastic choices")
+    group.add_argument("--seed", type=int, default=d["seed"], help="seed for stochastic choices")
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:

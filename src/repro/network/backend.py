@@ -19,10 +19,20 @@ Two backends implement this API: the message-level LogGOPS backend
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+import heapq
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.network.config import SimulationConfig
+from repro.network.control_plane import create_control_plane
+from repro.network.events import EventQueue
+from repro.network.faults import LINK_DOWN, SWITCH_DRAIN
+from repro.network.host import HostCompute
+from repro.network.matching import MessageMatcher
+from repro.network.routing import create_routing
+from repro.network.topology import build_topology
 
 
 class OpCompletion(NamedTuple):
@@ -97,32 +107,38 @@ class NetworkStats:
     queue_drop_events: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "NetworkStats") -> "NetworkStats":
-        """Return element-wise sum of two stats objects (max for max fields)."""
-        merged = NetworkStats(
-            messages_delivered=self.messages_delivered + other.messages_delivered,
-            bytes_delivered=self.bytes_delivered + other.bytes_delivered,
-            packets_sent=self.packets_sent + other.packets_sent,
-            packets_delivered=self.packets_delivered + other.packets_delivered,
-            packets_dropped=self.packets_dropped + other.packets_dropped,
-            packets_trimmed=self.packets_trimmed + other.packets_trimmed,
-            packets_ecn_marked=self.packets_ecn_marked + other.packets_ecn_marked,
-            retransmissions=self.retransmissions + other.retransmissions,
-            acks_sent=self.acks_sent + other.acks_sent,
-            max_queue_bytes=max(self.max_queue_bytes, other.max_queue_bytes),
-            packets_rerouted=self.packets_rerouted + other.packets_rerouted,
-            packets_lost_to_faults=self.packets_lost_to_faults
-            + other.packets_lost_to_faults,
-            packets_blackholed=self.packets_blackholed + other.packets_blackholed,
-            time_to_recover_ns=max(self.time_to_recover_ns, other.time_to_recover_ns),
-            route_cache_hits=self.route_cache_hits + other.route_cache_hits,
-            route_cache_misses=self.route_cache_misses + other.route_cache_misses,
-            route_cache_evictions=self.route_cache_evictions
-            + other.route_cache_evictions,
-        )
-        merged.queue_drop_events = dict(self.queue_drop_events)
-        for k, v in other.queue_drop_events.items():
-            merged.queue_drop_events[k] = merged.queue_drop_events.get(k, 0) + v
-        return merged
+        """Field-wise fold of two stats objects: counters sum, peaks take the max."""
+        return _fold_counters(self, other, max_fields=_STATS_MAX_FIELDS)
+
+
+#: :class:`NetworkStats` fields that are peaks rather than counters: merging
+#: two shards' stats takes their max.  Every other field sums, so a newly
+#: added counter is carried through sharded runs without touching ``merge``.
+_STATS_MAX_FIELDS = frozenset({"max_queue_bytes", "time_to_recover_ns"})
+
+
+def _fold_counters(a, b, max_fields=frozenset(), key_fields=frozenset()):
+    """Fold two instances of one stats dataclass, field by field.
+
+    Integer counters sum, per-name counter dicts sum per key (``a``'s keys
+    first, then ``b``'s new ones), ``max_fields`` take the max and
+    ``key_fields`` identify the record (``a``'s value is kept).
+    """
+    out = {}
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name in key_fields:
+            out[f.name] = x
+        elif f.name in max_fields:
+            out[f.name] = max(x, y)
+        elif isinstance(x, dict):
+            summed = dict(x)
+            for k, v in y.items():
+                summed[k] = summed.get(k, 0) + v
+            out[f.name] = summed
+        else:
+            out[f.name] = x + y
+    return type(a)(**out)
 
 
 @dataclass
@@ -152,6 +168,10 @@ class JobStats:
     messages_delivered: int = 0
     bytes_delivered: int = 0
     link_bytes: Dict[str, int] = field(default_factory=dict)
+
+    def merge(self, other: "JobStats") -> "JobStats":
+        """Sum two partial records of the same job (one per shard)."""
+        return _fold_counters(self, other, key_fields=frozenset({"job"}))
 
 
 def assemble_job_stats(
@@ -261,17 +281,170 @@ CompletionCallback = Callable[[int, int, int], None]
 
 
 class NetworkBackend(abc.ABC):
-    """Abstract base class of all network simulation backends."""
+    """Base class of all network simulation backends.
+
+    A backend is only its timing model.  Everything around the five-call
+    API is shared and lives here: the :meth:`setup` preamble (event queue,
+    host compute, message matching, stats, records, per-rank finish times,
+    job attribution), the fabric bring-up (:meth:`_bring_up_fabric`), timed
+    fault application (:meth:`_apply_fault`), ``calc`` ops, op completion,
+    delivered-message accounting and the stats fold.  A subclass implements
+    :meth:`issue_send`, :meth:`issue_recv` and :meth:`run`, and extends
+    :meth:`setup` / :meth:`_apply_fault` / :meth:`collect_stats` with
+    whatever its model adds (see ``docs/architecture.md``).
+    """
 
     name: str = "abstract"
 
-    @abc.abstractmethod
-    def setup(self, num_ranks: int, config: SimulationConfig) -> None:
-        """Configure the backend (``simulationSetup``): topology, parameters, state."""
+    def __init__(self) -> None:
+        self._configured = False
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------ setup
+    def setup(self, num_ranks: int, config: SimulationConfig) -> None:
+        """Configure the backend (``simulationSetup``): shared state only.
+
+        Subclasses extend this: call ``super().setup(...)``, bring up the
+        fabric if the model needs one, then build their own state.
+        """
+        if num_ranks <= 0:
+            raise ValueError("num_ranks must be positive")
+        self.num_ranks = num_ranks
+        self.config = config
+        self.events = EventQueue()
+        self.host = HostCompute()
+        self.matcher = MessageMatcher()
+        self.rng = np.random.default_rng(config.seed)
+        self.stats = NetworkStats()
+        self.records: List[MessageRecord] = []
+        self.rank_finish: List[int] = [0] * num_ranks
+        self.topology = None
+        self.routing = None
+        self._faults_enabled = bool(config.faults)
+        self._cp = None
+        self.convergence_events: List = []
+        # multi-job attribution (observational only; see SimulationConfig):
+        # job id -> [messages_delivered, bytes_delivered], and job id ->
+        # per-link bytes array (None when attribution is off, so per-packet
+        # hot paths pay a single predicate)
+        self._job_stride = config.job_tag_stride
+        self._job_msgs: Dict[int, List[int]] = {}
+        self._job_link_bytes: Optional[Dict[int, "np.ndarray"]] = (
+            {} if self._job_stride else None
+        )
+        self._on_complete: Optional[CompletionCallback] = None
+        self._configured = True
+
+    def _require_setup(self) -> None:
+        if not self._configured:
+            raise RuntimeError("backend used before setup() was called")
+
+    def _bring_up_fabric(self) -> None:
+        """Build ``self.topology`` / ``self.routing`` and apply the fault schedule.
+
+        One order, relied on by every backend: topology (route-cache budget
+        and synthesis applied by :func:`build_topology`) → routing strategy
+        → :meth:`_fabric_built` → static degradations (before any backend
+        captures link bandwidths) → static failures (before any route is
+        picked) → timed fault events (scheduled ahead of every GOAL
+        operation, so same-time ties apply the fault first) → control
+        plane.  With an empty schedule everything past the routing strategy
+        is gated off.
+
+        A control plane exists exactly when ``control_plane != "oracle"``
+        *and* the fault schedule is non-empty — without faults no
+        advertisement wave can ever originate, so the run is the oracle run.
+        It is created after the static failures so switch views boot
+        converged.
+        """
+        config = self.config
+        topology = self.topology = build_topology(config, self.num_ranks)
+        self.routing = create_routing(
+            config.routing, topology, self.rng, use_cache=config.route_caching
+        )
+        if not self._faults_enabled:
+            return
+        self._fabric_built()
+        faults = config.faults
+        for link_id, factor in faults.static_degradations(topology).items():
+            topology.degrade_link(link_id, factor)
+        static = faults.static_failed_ids(topology)
+        if static:
+            topology.fail_links(static)
+        self._schedule_fault_events()
+        if config.control_plane != "oracle":
+            self._cp = create_control_plane(
+                config.control_plane,
+                topology,
+                propagation_delay_ns=config.cp_propagation_ns,
+                processing_delay_ns=config.cp_processing_ns,
+            )
+
+    def _fabric_built(self) -> None:
+        """Hook: the fabric exists and is still healthy (faulted runs only)."""
+
+    def _schedule_fault_events(self) -> None:
+        """Self-schedule every timed fault event on the local event queue.
+
+        Overridable: the sharded engine's driver owns the fault clock
+        instead, folding epoch times into the lookahead-window bounds and
+        applying each epoch at the barrier on every shard (see
+        :mod:`repro.network.packet.sharded`).
+        """
+        for time_ns, kind, ids in self.config.faults.resolved_events(self.topology):
+            self.events.schedule(time_ns, self._apply_fault, (kind, ids))
+
+    def _apply_fault(
+        self, time: int, payload: Tuple[str, Sequence[int]]
+    ) -> Optional[List[Tuple[int, Tuple[int, ...]]]]:
+        """Apply one timed fault event to the fabric; backends extend this.
+
+        Flips the link state (failing links bumps the topology's fault
+        epoch, dropping its memoized alive tables).  Under a convergent
+        control plane the advertisement wave is then originated over the
+        post-event surviving switch graph, its
+        :class:`~repro.network.control_plane.ConvergenceRecord` is logged,
+        and the wave is returned as ``[(learn_time, switches), ...]`` in
+        time order for the backend to schedule; under the oracle the
+        return value is ``None`` (every switch already knows).
+        """
+        kind, ids = payload
+        if kind in (LINK_DOWN, SWITCH_DRAIN):
+            self.topology.fail_links(ids)
+        else:
+            self.topology.restore_links(ids)
+        cp = self._cp
+        if cp is None:
+            return None
+        record, learn = cp.originate(time, kind, ids)
+        self.convergence_events.append(record)
+        groups: Dict[int, List[int]] = {}
+        for switch, t in learn.items():
+            groups.setdefault(t, []).append(switch)
+        return [(t, tuple(groups[t])) for t in sorted(groups)]
+
+    # ----------------------------------------------------------------- issuing
     def issue_calc(self, rank: int, stream: int, duration_ns: int, op_id: int, ready_time: int) -> None:
         """Post a computation of ``duration_ns`` on ``(rank, stream)``, ready at ``ready_time``."""
+        # inlined HostCompute.reserve — one call frame and one tuple less on
+        # the single hottest path of calc-dominated workloads
+        if duration_ns < 0:
+            raise ValueError("duration must be non-negative")
+        host = self.host
+        free = host._free_at
+        key = (rank, stream)
+        start = free.get(key, 0)
+        if start < ready_time:
+            start = ready_time
+        end = start + duration_ns
+        free[key] = end
+        if duration_ns:
+            busy = host.busy_ns
+            busy[rank] = busy.get(rank, 0) + duration_ns
+        # inlined EventQueue.schedule (end >= ready_time >= now by
+        # construction, so the past-check cannot fire)
+        events = self.events
+        heapq.heappush(events._heap, (end, 0, events._seq, self._complete_op, (rank, op_id)))
+        events._seq += 1
 
     @abc.abstractmethod
     def issue_send(
@@ -289,21 +462,74 @@ class NetworkBackend(abc.ABC):
     def run(self, on_complete: CompletionCallback) -> int:
         """Run the event loop to completion; call ``on_complete`` for every op.
 
-        ``on_complete(time, rank, op_id)`` is invoked once per finished
-        operation.  Returns the final simulation time in nanoseconds.
+        Implementations store ``on_complete`` as ``self._on_complete``;
+        :meth:`_complete_op` invokes it as ``on_complete(time, rank, op_id)``
+        once per finished operation.  Returns the final simulation time in
+        nanoseconds.
         """
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------- completions
+    def _complete_op(self, time: int, payload: Tuple[int, int]) -> None:
+        """Event handler: op ``(rank, op_id)`` finished at ``time`` (``eventOver``)."""
+        rank, op_id = payload
+        if time > self.rank_finish[rank]:
+            self.rank_finish[rank] = time
+        on_complete = self._on_complete
+        if on_complete is not None:
+            on_complete(time, rank, op_id)
+
+    def _message_delivered(
+        self, src: int, dst: int, size: int, tag: int, post_time: int, time: int
+    ) -> None:
+        """Account one fully delivered message: stats, job attribution, record."""
+        stats = self.stats
+        stats.messages_delivered += 1
+        stats.bytes_delivered += size
+        if self._job_stride:
+            per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
+            per_job[0] += 1
+            per_job[1] += size
+        if self.config.collect_message_records:
+            self.records.append(MessageRecord(src, dst, size, tag, post_time, time))
+
+    # ----------------------------------------------------------------- results
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
+        self._require_setup()
+        return self.events.now
 
-    @abc.abstractmethod
     def collect_stats(self) -> NetworkStats:
-        """Return aggregate statistics for the run so far."""
+        """Return aggregate statistics for the run so far (idempotent).
+
+        Folds in the worst convergence window and the fabric's route-cache
+        counters; backends with more counters fold theirs, then defer here.
+        """
+        self._require_setup()
+        stats = self.stats
+        if self.convergence_events:
+            stats.time_to_recover_ns = max(
+                r.time_to_recover_ns for r in self.convergence_events
+            )
+        if self.topology is not None:
+            cache = self.topology.route_cache_stats()
+            stats.route_cache_hits = cache["hits"]
+            stats.route_cache_misses = cache["misses"]
+            stats.route_cache_evictions = cache["evictions"]
+        return stats
+
+    def convergence_report(self) -> List:
+        """Per-fault-event :class:`~repro.network.control_plane.ConvergenceRecord` list.
+
+        Empty under ``control_plane="oracle"`` (no convergence windows
+        exist) and whenever no timed fault event fired.
+        """
+        self._require_setup()
+        return self.convergence_events
 
     def collect_message_records(self) -> List[MessageRecord]:
-        """Return per-message records (backends may return an empty list)."""
-        return []
+        """Per-message records (empty unless ``collect_message_records`` is set)."""
+        self._require_setup()
+        return self.records
 
     def per_job_stats(self) -> Dict[int, JobStats]:
         """Per-job attribution keyed by job id.
@@ -311,7 +537,18 @@ class NetworkBackend(abc.ABC):
         Empty unless the backend was configured with a non-zero
         ``job_tag_stride`` (see :class:`JobStats`).
         """
-        return {}
+        self._require_setup()
+        if not self._job_stride:
+            return {}
+        links = self.topology.links if self.topology is not None else []
+        return assemble_job_stats(self._job_msgs, self._job_link_bytes, links)
+
+    def unmatched_state(self) -> Dict[str, int]:
+        """Diagnostics for unmatched communication (should be all zero)."""
+        return {
+            "pending_recvs": self.matcher.pending_recv_count(),
+            "unexpected_messages": self.matcher.pending_arrival_count(),
+        }
 
 
 def create_backend(name: str) -> NetworkBackend:

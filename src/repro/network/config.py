@@ -82,10 +82,12 @@ class SimulationConfig:
     --------------------
     topology:
         Name of a registered topology: ``"single_switch"``, ``"fat_tree"``
-        (two-level, with ``oversubscription``), ``"dragonfly"``, ``"torus"``
-        or ``"slimfly"`` (see
+        (two-level, with ``oversubscription``), ``"fat_tree_multiplane"``
+        (core tier split into ``fattree_planes`` drainable planes),
+        ``"fat_tree_rail"`` (rail-optimized, ``fattree_rails`` GPUs per
+        server), ``"dragonfly"``, ``"torus"`` or ``"slimfly"`` (see
         :data:`repro.network.topology.TOPOLOGY_BUILDERS`).
-    nodes_per_tor / oversubscription / dragonfly_* / torus_* / slimfly_* :
+    nodes_per_tor / oversubscription / fattree_* / dragonfly_* / torus_* / slimfly_* :
         Shape parameters of the chosen topology (ignored by the others).
     routing:
         Routing strategy selecting one route per message: ``"minimal"``
@@ -116,7 +118,8 @@ class SimulationConfig:
         the paper).
     cc_algorithm:
         One of ``"mprdma"``, ``"swift"``, ``"dctcp"``, ``"ndp"``,
-        ``"fixed"``.
+        ``"fixed"`` (see
+        :func:`repro.network.congestion.congestion_control_names`).
     host_overhead:
         Per-message host processing overhead (ns) charged by the packet
         backend before injection and after delivery (plays the role of
@@ -322,7 +325,9 @@ class SimulationConfig:
             raise ValueError("buffer_size must hold at least one MTU")
         if not (0.0 <= self.ecn_kmin_frac <= self.ecn_kmax_frac <= 1.0):
             raise ValueError("require 0 <= ecn_kmin_frac <= ecn_kmax_frac <= 1")
-        if self.cc_algorithm not in ("mprdma", "swift", "dctcp", "ndp", "fixed"):
+        from repro.network.congestion import congestion_control_names
+
+        if self.cc_algorithm not in congestion_control_names():
             raise ValueError(f"unknown cc_algorithm {self.cc_algorithm!r}")
         if self.host_overhead < 0 or self.link_latency < 0:
             raise ValueError("latencies must be non-negative")

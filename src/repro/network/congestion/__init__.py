@@ -35,13 +35,23 @@ _ALGORITHMS = {
 }
 
 
+def congestion_control_names() -> tuple:
+    """Names of all registered algorithms, in registration order.
+
+    The single source for ``SimulationConfig.cc_algorithm`` validation and
+    the CLI ``--cc`` choices: a new algorithm registers in ``_ALGORITHMS``
+    and becomes selectable everywhere.
+    """
+    return tuple(_ALGORITHMS)
+
+
 def create_congestion_control(name: str, mtu: int, initial_window_packets: int, base_rtt_ns: int) -> CongestionControl:
     """Instantiate the congestion-control algorithm ``name``.
 
     Parameters
     ----------
     name:
-        One of ``mprdma``, ``swift``, ``dctcp``, ``ndp``, ``fixed``.
+        One of :func:`congestion_control_names`.
     mtu:
         Packet payload size in bytes (window arithmetic is in packets of this
         size).
@@ -65,5 +75,6 @@ __all__ = [
     "DCTCP",
     "NDPReceiverDriven",
     "FixedWindow",
+    "congestion_control_names",
     "create_congestion_control",
 ]

@@ -70,21 +70,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.backend import (
-    CompletionCallback,
-    JobStats,
-    MessageRecord,
-    NetworkBackend,
-    NetworkStats,
-    assemble_job_stats,
-)
+from repro.network.backend import CompletionCallback, NetworkBackend
 from repro.network.config import SimulationConfig
-from repro.network.events import EventQueue
 from repro.network.faults import LINK_DOWN, SWITCH_DRAIN, NetworkPartitionError
-from repro.network.host import HostCompute
-from repro.network.matching import MessageMatcher
-from repro.network.routing import create_routing
-from repro.network.topology import build_topology
 
 
 class _PendingRecv:
@@ -133,19 +121,10 @@ class LogGOPSBackend(NetworkBackend):
 
     name = "lgs"
 
-    def __init__(self) -> None:
-        self._configured = False
-
     # ------------------------------------------------------------------ setup
     def setup(self, num_ranks: int, config: SimulationConfig) -> None:
-        if num_ranks <= 0:
-            raise ValueError("num_ranks must be positive")
-        self.num_ranks = num_ranks
-        self.config = config
+        super().setup(num_ranks, config)
         self.params = config.loggops
-        self.events = EventQueue()
-        self.host = HostCompute()
-        self.matcher = MessageMatcher()
         self._send_nic_free: List[int] = [0] * num_ranks
         self._recv_nic_free: List[int] = [0] * num_ranks
         self._batching = config.loggops_batching
@@ -156,124 +135,46 @@ class LogGOPSBackend(NetworkBackend):
         self._start_send_cb = self._start_send
         # CPU cost fast path: with O == 0 the per-message cost is just o
         self._o_int = int(round(self.params.o))
-        # topology-aware wire latency (hop-count model); see module docstring
-        self.topology = None
-        self.routing = None
+        # topology-aware wire latency (hop-count model; see module docstring)
+        # routes every message; _link_bytes — cumulative bytes routed per
+        # link — is the load signal handed to the routing strategy
+        self._routed = config.loggops_topology_enabled()
         self._link_bytes: Optional[np.ndarray] = None
-        if config.loggops_topology_enabled():
-            self.topology = build_topology(config, num_ranks)
-            self.topology.set_route_cache_budget(config.route_cache_entries)
-            self.topology.use_synthesis = config.route_synthesis
-            self.routing = create_routing(
-                config.routing,
-                self.topology,
-                np.random.default_rng(config.seed),
-                use_cache=config.route_caching,
-            )
-            # cumulative bytes routed per link, indexed by link id — the
-            # load signal handed to the routing strategy as an array view
-            self._link_bytes = np.zeros(len(self.topology.links), dtype=np.int64)
-        # fault injection (see repro.network.faults): faults degrade this
-        # backend through a capacity factor gamma — the surviving fraction of
-        # fabric bandwidth over the switch-to-switch links (or all links on
-        # switchless topologies) — which inflates the per-byte serialisation
-        # term of every transfer by 1/gamma.  In topology-aware mode the
-        # same failed-link state also filters per-message route selection.
-        # A topology is built here even in flat-L mode, purely to resolve
-        # link references and account capacity; it never affects latency.
-        self._faults = config.faults
-        self._faults_enabled = bool(self._faults)
+        # faults degrade this backend through a capacity factor gamma — the
+        # surviving fraction of fabric bandwidth over the switch-to-switch
+        # links (or all links on switchless topologies) — which inflates the
+        # per-byte serialisation term of every transfer by 1/gamma; in
+        # topology-aware mode the same failed-link state also filters
+        # per-message route selection.  A faulted flat-L run builds the
+        # fabric too, purely to resolve link references and account
+        # capacity; it never affects latency.
         self._gamma = 1.0
-        if self._faults_enabled:
-            fault_topo = self.topology
-            if fault_topo is None:
-                fault_topo = build_topology(config, num_ranks)
-                fault_topo.set_route_cache_budget(config.route_cache_entries)
-                fault_topo.use_synthesis = config.route_synthesis
-            self._fault_topology = fault_topo
-            domain = [
-                link.link_id
-                for link in fault_topo.links
-                if not (fault_topo.is_host(link.src) or fault_topo.is_host(link.dst))
-            ] or [link.link_id for link in fault_topo.links]
-            self._fault_domain = domain
-            # healthy capacity is captured before degradations are applied,
-            # so a derated link counts as lost capacity
-            self._domain_total_bw = sum(
-                fault_topo.links[i].bandwidth for i in domain
-            )
-            for link_id, factor in self._faults.static_degradations(fault_topo).items():
-                fault_topo.degrade_link(link_id, factor)
-            static = self._faults.static_failed_ids(fault_topo)
-            if static:
-                fault_topo.fail_links(static)
-            self._recompute_gamma()
-            for time_ns, kind, ids in self._faults.resolved_events(fault_topo):
-                self.events.schedule(time_ns, self._apply_fault, (kind, ids))
-        # control-plane convergence (see repro.network.control_plane): under
-        # "oracle" gamma steps instantaneously at each fault event (the
-        # legacy behaviour, bit-identical).  Under "dv"/"ls" the analytic
-        # counterpart of stale-table forwarding is a capacity-derate *ramp*:
-        # gamma starts below its post-convergence value at the event (down:
-        # the stale fraction of traffic is wasted into the failed region;
-        # up: the restored capacity is invisible to stale switches) and
-        # steps toward the true value as each learn-time group of switches
-        # converges.  Created after static failures so views boot converged.
-        self._cp = None
         self._gamma_gen = 0
-        self.convergence_events: List = []
-        if config.control_plane != "oracle" and self._faults_enabled:
-            from repro.network.control_plane import create_control_plane
-
-            self._cp = create_control_plane(
-                config.control_plane,
-                self._fault_topology,
-                propagation_delay_ns=config.cp_propagation_ns,
-                processing_delay_ns=config.cp_processing_ns,
-            )
-        # multi-job attribution (observational only; see SimulationConfig).
-        # Per-link attribution needs routed paths, so it is collected only in
-        # topology-aware mode; message counts are collected in either mode.
-        self._job_stride = config.job_tag_stride
-        self._job_msgs: Dict[int, List[int]] = {}
-        self._job_link_bytes: Dict[int, np.ndarray] = {}
+        if self._routed or self._faults_enabled:
+            self._bring_up_fabric()
+        if self._routed:
+            self._link_bytes = np.zeros(len(self.topology.links), dtype=np.int64)
+        if self._faults_enabled:
+            self._recompute_gamma()
         # channel -> list of rendezvous sends awaiting a receive (FIFO)
         self._pending_rndv: Dict[Tuple[int, int, int], List[_PendingRendezvous]] = {}
         # channel -> list of receive post times available for rendezvous matching
         self._rndv_recv_posts: Dict[Tuple[int, int, int], List[_PendingRecv]] = {}
-        self.stats = NetworkStats()
-        self.records: List[MessageRecord] = []
-        self.rank_finish: List[int] = [0] * num_ranks
-        self._on_complete: Optional[CompletionCallback] = None
-        self._configured = True
 
-    def _require_setup(self) -> None:
-        if not self._configured:
-            raise RuntimeError("backend used before setup() was called")
+    def _fabric_built(self) -> None:
+        # healthy capacity is captured before degradations are applied, so
+        # a derated link counts as lost capacity
+        topo = self.topology
+        self._fault_domain = [
+            link.link_id
+            for link in topo.links
+            if not (topo.is_host(link.src) or topo.is_host(link.dst))
+        ] or [link.link_id for link in topo.links]
+        self._domain_total_bw = sum(
+            topo.links[i].bandwidth for i in self._fault_domain
+        )
 
     # ----------------------------------------------------------------- issuing
-    def issue_calc(self, rank: int, stream: int, duration_ns: int, op_id: int, ready_time: int) -> None:
-        # inlined HostCompute.reserve — one call frame and one tuple less on
-        # the single hottest path of calc-dominated workloads
-        if duration_ns < 0:
-            raise ValueError("duration must be non-negative")
-        host = self.host
-        free = host._free_at
-        key = (rank, stream)
-        start = free.get(key, 0)
-        if start < ready_time:
-            start = ready_time
-        end = start + duration_ns
-        free[key] = end
-        if duration_ns:
-            busy = host.busy_ns
-            busy[rank] = busy.get(rank, 0) + duration_ns
-        # inlined EventQueue.schedule (end >= ready_time >= now by
-        # construction, so the past-check cannot fire)
-        events = self.events
-        heapq.heappush(events._heap, (end, 0, events._seq, self._complete_op, (rank, op_id)))
-        events._seq += 1
-
     def issue_send(
         self, rank: int, dst: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
     ) -> None:
@@ -297,7 +198,7 @@ class LogGOPSBackend(NetworkBackend):
     # ------------------------------------------------------------------ faults
     def _recompute_gamma(self) -> None:
         """Refresh the surviving-capacity factor after a fault-state change."""
-        topo = self._fault_topology
+        topo = self.topology
         failed = topo._failed_links
         alive_bw = sum(
             topo.links[i].bandwidth for i in self._fault_domain if i not in failed
@@ -317,23 +218,22 @@ class LogGOPSBackend(NetworkBackend):
         In topology-aware mode the failed-link state is shared with the
         routing strategy, so subsequent messages also route around the
         failure (or raise the partition error when no route survives).
+
+        Under "oracle" gamma steps instantaneously.  Under a convergent
+        control plane ("dv"/"ls") the analytic counterpart of stale-table
+        forwarding is a capacity-derate *ramp*: gamma starts below its
+        post-convergence value at the event and steps toward the true value
+        as each learn-time group of switches converges.
         """
         kind, ids = payload
-        topo = self._fault_topology
         gamma_old = self._gamma
-        if kind in (LINK_DOWN, SWITCH_DRAIN):
-            topo.fail_links(ids)
-        else:
-            topo.restore_links(ids)
+        wave = super()._apply_fault(time, payload)
         self._recompute_gamma()
-        cp = self._cp
-        if cp is None:
+        if wave is None:
             return
         # convergent control plane: ramp gamma to its new truth across the
         # event's learn-time groups instead of stepping instantaneously
         gamma_new = self._gamma
-        record, learn = cp.originate(time, kind, ids)
-        self.convergence_events.append(record)
         if kind in (LINK_DOWN, SWITCH_DRAIN):
             # during convergence, the stale share of traffic is injected
             # toward the failed region and wasted, so effective capacity
@@ -345,17 +245,13 @@ class LogGOPSBackend(NetworkBackend):
         self._gamma = start
         self._gamma_gen += 1
         gen = self._gamma_gen
-        if not learn:
+        if not wave:
             self._gamma = gamma_new
             return
-        counts: Dict[int, int] = {}
-        for t in learn.values():
-            counts[t] = counts.get(t, 0) + 1
-        total = len(learn)
+        total = sum(len(group) for _, group in wave)
         cum = 0
-        for t in sorted(counts):
-            group = tuple(sw for sw, lt in learn.items() if lt == t)
-            cum += counts[t]
+        for t, group in wave:
+            cum += len(group)
             # the final step lands exactly on gamma_new (no float residue)
             target = (
                 gamma_new if cum == total else start + (gamma_new - start) * cum / total
@@ -412,7 +308,7 @@ class LogGOPSBackend(NetworkBackend):
     def _wire_latency(self, src: int, dst: int, size: int, tag: int = 0) -> int:
         """Wire latency for one message: flat ``L``, or the routed path's
         propagation delay when topology-aware latency is enabled."""
-        if self.routing is None:
+        if not self._routed:
             return self.params.L
         loads = self._link_bytes
         route = self.routing.select_route(src, dst, size, loads)
@@ -451,15 +347,7 @@ class LogGOPSBackend(NetworkBackend):
     def _on_arrival(self, time: int, payload: Tuple[int, int, int, int, int]) -> None:
         """An eager message fully arrived; record it and run matching."""
         src, dst, size, tag, post_time = payload
-        stats = self.stats
-        stats.messages_delivered += 1
-        stats.bytes_delivered += size
-        if self._job_stride:
-            per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
-            per_job[0] += 1
-            per_job[1] += size
-        if self.config.collect_message_records:
-            self.records.append(MessageRecord(src, dst, size, tag, post_time, time))
+        self._message_delivered(src, dst, size, tag, post_time, time)
         matched = self.matcher.post_arrival(src, dst, tag, _Arrival(time, size))
         if matched is not None:
             self._complete_recv(matched, time)
@@ -505,7 +393,7 @@ class LogGOPSBackend(NetworkBackend):
         # the handshake control message pays the topology's minimal path
         # latency in topology-aware mode, the flat L otherwise (consistent
         # with the data transfer's _wire_latency)
-        if self.topology is not None:
+        if self._routed:
             if self.topology.faulty:
                 handshake_latency = int(self.topology.alive_table(dst, src).latency[0])
             else:
@@ -514,14 +402,7 @@ class LogGOPSBackend(NetworkBackend):
             handshake_latency = self.params.L
         handshake_done = max(sender_ready, recv.post_time + handshake_latency)
         arrival = self._transfer(src, dst, size, handshake_done, tag)
-        self.stats.messages_delivered += 1
-        self.stats.bytes_delivered += size
-        if self._job_stride:
-            per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
-            per_job[0] += 1
-            per_job[1] += size
-        if self.config.collect_message_records:
-            self.records.append(MessageRecord(src, dst, size, tag, sender_post_time, arrival))
+        self._message_delivered(src, dst, size, tag, sender_post_time, arrival)
         # The send op completes when the transfer completes (sender blocks).
         self.events.schedule(arrival, self._complete_op, (src, send_op_id))
         self._complete_recv(recv, arrival)
@@ -531,14 +412,6 @@ class LogGOPSBackend(NetworkBackend):
         earliest = max(arrival_time, recv.post_time)
         _, end = self.host.reserve(recv.rank, recv.stream, earliest, self._cpu_cost(recv.size))
         self.events.schedule(end, self._complete_op, (recv.rank, recv.op_id))
-
-    def _complete_op(self, time: int, payload: Any) -> None:
-        rank, op_id = payload
-        if time > self.rank_finish[rank]:
-            self.rank_finish[rank] = time
-        on_complete = self._on_complete
-        if on_complete is not None:
-            on_complete(time, rank, op_id)
 
     # -------------------------------------------------------------------- run
     def run(self, on_complete: CompletionCallback) -> int:
@@ -599,7 +472,7 @@ class LogGOPSBackend(NetworkBackend):
         n = len(payloads)
         if (
             n >= 4
-            and self.routing is None
+            and not self._routed
             and not self._faults_enabled  # gamma may change mid-run
             and (p.S == 0 or all(pl[2] <= p.S for pl in payloads))
         ):
@@ -659,50 +532,10 @@ class LogGOPSBackend(NetworkBackend):
             schedule(end, complete, (rank, op_id))
             schedule(int(arrival[i]), on_arrival, (rank, dst, size, tag, int(cpu_start[i])))
 
-    def now(self) -> int:
-        self._require_setup()
-        return self.events.now
-
-    def collect_stats(self) -> NetworkStats:
-        self._require_setup()
-        if self.convergence_events:
-            self.stats.time_to_recover_ns = max(
-                r.time_to_recover_ns for r in self.convergence_events
-            )
-        topo = self.topology
-        if topo is None:
-            topo = getattr(self, "_fault_topology", None)
-        if topo is not None:
-            cache = topo.route_cache_stats()
-            self.stats.route_cache_hits = cache["hits"]
-            self.stats.route_cache_misses = cache["misses"]
-            self.stats.route_cache_evictions = cache["evictions"]
-        return self.stats
-
-    def convergence_report(self) -> List:
-        """Per-fault-event :class:`~repro.network.control_plane.ConvergenceRecord` list.
-
-        Empty under ``control_plane="oracle"`` and whenever no timed fault
-        event fired (mirrors the packet backend's report).
-        """
-        self._require_setup()
-        return self.convergence_events
-
-    def collect_message_records(self) -> List[MessageRecord]:
-        self._require_setup()
-        return self.records
-
-    def per_job_stats(self) -> Dict[int, JobStats]:
-        self._require_setup()
-        if not self._job_stride:
-            return {}
-        links = self.topology.links if self.topology is not None else []
-        return assemble_job_stats(self._job_msgs, self._job_link_bytes, links)
-
     # ---------------------------------------------------------------- queries
     def link_loads(self) -> Dict[str, int]:
         """Cumulative bytes routed over each link (topology-aware mode only)."""
-        if self.topology is None:
+        if not self._routed:
             return {}
         return {
             self.topology.links[link].name: int(load)
@@ -717,8 +550,7 @@ class LogGOPSBackend(NetworkBackend):
         deadlocked or mismatched GOAL program.
         """
         return {
-            "pending_recvs": self.matcher.pending_recv_count(),
-            "unexpected_messages": self.matcher.pending_arrival_count(),
+            **super().unmatched_state(),
             "pending_rendezvous_sends": sum(len(v) for v in self._pending_rndv.values()),
             "pending_rendezvous_recvs": sum(len(v) for v in self._rndv_recv_posts.values()),
         }

@@ -43,25 +43,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.backend import (
-    CompletionCallback,
-    JobStats,
-    MessageRecord,
-    NetworkBackend,
-    NetworkStats,
-    assemble_job_stats,
-)
+from repro.network.backend import CompletionCallback, NetworkBackend, NetworkStats
 from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
-from repro.network.events import EventQueue
-from repro.network.faults import LINK_DOWN, SWITCH_DRAIN, NetworkPartitionError
-from repro.network.host import HostCompute
-from repro.network.matching import MessageMatcher
+from repro.network.faults import NetworkPartitionError
 from repro.network.packet.flow import Flow
 from repro.network.packet.linkqueue import BurstLinkQueue, LinkQueue
 from repro.network.packet.packet import ACK, DATA, NACK, PULL, Packet
-from repro.network.routing import create_routing
-from repro.network.topology import build_topology
 
 
 class _PendingRecv:
@@ -102,63 +90,25 @@ class PacketBackend(NetworkBackend):
 
     name = "htsim"
 
-    def __init__(self) -> None:
-        self._configured = False
-
     # ------------------------------------------------------------------ setup
     def setup(self, num_ranks: int, config: SimulationConfig) -> None:
-        if num_ranks <= 0:
-            raise ValueError("num_ranks must be positive")
-        self.num_ranks = num_ranks
-        self.config = config
-        self.events = EventQueue()
-        self.host = HostCompute()
-        self.matcher = MessageMatcher()
-        self.rng = np.random.default_rng(config.seed)
-        self.topology = build_topology(config, num_ranks)
-        self.topology.set_route_cache_budget(config.route_cache_entries)
-        self.topology.use_synthesis = config.route_synthesis
-        self.routing = create_routing(
-            config.routing, self.topology, self.rng, use_cache=config.route_caching
-        )
-        # fault injection (see repro.network.faults): static degradations are
-        # applied before the link queues capture bandwidths, static failures
-        # before any route is picked, and timed events are scheduled ahead of
-        # every GOAL operation so same-time ties apply the fault first.  With
-        # an empty schedule every fault path below is gated off entirely.
-        self._faults = config.faults
-        self._faults_enabled = bool(self._faults)
-        self._fault_mask: Optional["np.ndarray"] = None
-        if self._faults_enabled:
-            for link_id, factor in self._faults.static_degradations(self.topology).items():
-                self.topology.degrade_link(link_id, factor)
-            static = self._faults.static_failed_ids(self.topology)
-            if static:
-                self.topology.fail_links(static)
-                self._fault_mask = self.topology.alive_mask()
-            self._schedule_fault_events()
+        super().setup(num_ranks, config)
+        self._bring_up_fabric()
+        # per-link alive flags shared with the topology (None while every
+        # link is up): refreshed by every fault event, read per forwarded
+        # DATA packet.  With an empty schedule every fault path below is
+        # gated off entirely.
+        self._fault_mask: Optional["np.ndarray"] = self.topology.alive_mask()
         # control-plane convergence (see repro.network.control_plane): under
         # "oracle" (the default) no ControlPlane object exists and every
         # fault path below is byte-identical to the legacy instantaneous
-        # behaviour.  Under "dv"/"ls" the control plane is created *after*
-        # static failures so switch views boot converged, and fault events
-        # take the stale-table path instead.
-        self._cp = None
+        # behaviour.  Under "dv"/"ls" fault events take the stale-table
+        # path instead: _cp_stale counts learn-time groups still in flight.
         self._cp_stale = 0
-        self.convergence_events: List = []
-        if config.control_plane != "oracle":
-            from repro.network.control_plane import create_control_plane
-
-            self._cp = create_control_plane(
-                config.control_plane,
-                self.topology,
-                propagation_delay_ns=config.cp_propagation_ns,
-                processing_delay_ns=config.cp_processing_ns,
-            )
+        if self._cp is not None:
             self._host_attach = [
                 self.topology.attachment(h) for h in range(num_ranks)
             ]
-        self.stats = NetworkStats()
         self._batching = config.packet_batching
         kmin = int(config.ecn_kmin_frac * config.buffer_size)
         kmax = int(config.ecn_kmax_frac * config.buffer_size)
@@ -193,8 +143,6 @@ class PacketBackend(NetworkBackend):
                 for link in self.topology.links
             ]
         self.flows: List[Flow] = []
-        self.records: List[MessageRecord] = []
-        self.rank_finish: List[int] = [0] * num_ranks
         self.pull_pacers: Dict[int, _PullPacer] = {}
         self._pull_bytes = config.mtu
         self._pull_bandwidth = config.link_bandwidth
@@ -209,44 +157,12 @@ class PacketBackend(NetworkBackend):
 
         self._rtt_cache = LruCache(config.route_cache_entries)
         self._packet_free: List[Packet] = []
-        # multi-job attribution (observational only; see SimulationConfig)
-        self._job_stride = config.job_tag_stride
-        # job id -> [messages_delivered, bytes_delivered]
-        self._job_msgs: Dict[int, List[int]] = {}
-        # job id -> per-link bytes array (None when attribution is off, so
-        # the per-packet hot path pays a single predicate)
-        self._job_link_bytes: Optional[Dict[int, "np.ndarray"]] = (
-            {} if self._job_stride else None
-        )
         # hot counters kept as plain ints and folded into stats on collect
         self._n_sent = 0
         self._n_delivered = 0
         self._n_acks = 0
-        self._on_complete: Optional[CompletionCallback] = None
-        self._configured = True
-
-    def _require_setup(self) -> None:
-        if not self._configured:
-            raise RuntimeError("backend used before setup() was called")
 
     # ----------------------------------------------------------------- issuing
-    def issue_calc(self, rank: int, stream: int, duration_ns: int, op_id: int, ready_time: int) -> None:
-        # inlined HostCompute.reserve (see the LogGOPS backend's issue_calc)
-        if duration_ns < 0:
-            raise ValueError("duration must be non-negative")
-        host = self.host
-        free = host._free_at
-        key = (rank, stream)
-        start = free.get(key, 0)
-        if start < ready_time:
-            start = ready_time
-        end = start + duration_ns
-        free[key] = end
-        if duration_ns:
-            busy = host.busy_ns
-            busy[rank] = busy.get(rank, 0) + duration_ns
-        self.events.schedule(end, self._complete_op, (rank, op_id))
-
     def issue_send(
         self, rank: int, dst: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
     ) -> None:
@@ -472,17 +388,6 @@ class PacketBackend(NetworkBackend):
                     self._send_data_packet(flow, seq_to_send, now, retransmission=True)
 
     # ------------------------------------------------------------------ faults
-    def _schedule_fault_events(self) -> None:
-        """Self-schedule every timed fault event on the local event queue.
-
-        Overridable: the sharded engine's driver owns the fault clock
-        instead, folding epoch times into the lookahead-window bounds and
-        applying each epoch at the barrier on every shard (see
-        :mod:`repro.network.packet.sharded`).
-        """
-        for time_ns, kind, ids in self._faults.resolved_events(self.topology):
-            self.events.schedule(time_ns, self._apply_fault, (kind, ids))
-
     def _fault_flow_live(self, flow: Flow) -> bool:
         """Whether a fault/learn event should re-pick ``flow``'s route.
 
@@ -515,37 +420,24 @@ class PacketBackend(NetworkBackend):
     def _apply_fault(self, time: int, payload: Tuple[str, List[int]]) -> None:
         """Apply one timed fault event and invalidate every affected route.
 
-        Failing links bumps the topology's fault epoch (dropping its
-        memoized alive tables), refreshes the shared alive mask, and
-        re-picks the cached route of every live flow whose current route
+        On top of the shared link-state flip this refreshes the alive mask
+        and re-picks the cached route of every live flow whose current route
         crosses a failed link — so retransmissions and still-unsent packets
         immediately use surviving candidates.  A live flow whose pair has no
         surviving candidate raises
         :class:`~repro.network.faults.NetworkPartitionError`.
         """
-        kind, ids = payload
-        topology = self.topology
-        if kind in (LINK_DOWN, SWITCH_DRAIN):
-            topology.fail_links(ids)
-        else:
-            topology.restore_links(ids)
-        mask = topology.alive_mask()
-        self._fault_mask = mask
-        cp = self._cp
-        if cp is not None:
-            # convergent control plane: no flow learns anything yet.  The
-            # advertisement wave is originated over the post-event surviving
-            # switch graph and every switch's view (plus its sources' flows)
-            # updates only when the wave reaches it.
-            record, learn = cp.originate(time, kind, ids)
-            self.convergence_events.append(record)
-            groups: Dict[int, List[int]] = {}
-            for sw, t in learn.items():
-                groups.setdefault(t, []).append(sw)
-            for t in sorted(groups):
+        wave = super()._apply_fault(time, payload)
+        mask = self._fault_mask = self.topology.alive_mask()
+        if wave is not None:
+            # convergent control plane: no flow learns anything yet — every
+            # switch's view (plus its sources' flows) updates only when the
+            # advertisement wave reaches it.
+            kind, ids = payload
+            for t, switches in wave:
                 self._cp_stale += 1
                 self.events.schedule(
-                    t, self._cp_switch_learn, (kind, tuple(ids), tuple(groups[t]))
+                    t, self._cp_switch_learn, (kind, tuple(ids), switches)
                 )
             return
         if mask is None:
@@ -669,16 +561,9 @@ class PacketBackend(NetworkBackend):
 
         if new and flow.fully_received() and not flow.message_delivered:
             flow.message_delivered = True
-            self.stats.messages_delivered += 1
-            self.stats.bytes_delivered += flow.size
-            if self._job_stride:
-                per_job = self._job_msgs.setdefault(flow.job, [0, 0])
-                per_job[0] += 1
-                per_job[1] += flow.size
-            if cfg.collect_message_records:
-                self.records.append(
-                    MessageRecord(flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now)
-                )
+            self._message_delivered(
+                flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now
+            )
             matched = self.matcher.post_arrival(flow.src, flow.dst, flow.tag, now)
             if matched is not None:
                 self._complete_recv(matched, now)
@@ -761,15 +646,6 @@ class PacketBackend(NetworkBackend):
     def _send_control(self, flow: Flow, kind: int, seq: int, route: Tuple[int, ...], now: int) -> None:
         pkt = self._alloc_packet(flow, kind, seq, self.config.ack_size, route, now)
         self.queues[route[0]].enqueue(pkt, now)
-
-    # ------------------------------------------------------------- completions
-    def _complete_op(self, time: int, payload: Tuple[int, int]) -> None:
-        rank, op_id = payload
-        if time > self.rank_finish[rank]:
-            self.rank_finish[rank] = time
-        on_complete = self._on_complete
-        if on_complete is not None:
-            on_complete(time, rank, op_id)
 
     # -------------------------------------------------------------------- run
     def run(self, on_complete: CompletionCallback) -> int:
@@ -901,10 +777,6 @@ class PacketBackend(NetworkBackend):
         events.executed += executed
         return events._now
 
-    def now(self) -> int:
-        self._require_setup()
-        return self.events.now
-
     def collect_stats(self) -> NetworkStats:
         self._require_setup()
         # fold the hot plain-int counters back in (assignment, so repeated
@@ -912,40 +784,10 @@ class PacketBackend(NetworkBackend):
         self.stats.packets_sent = self._n_sent
         self.stats.packets_delivered = self._n_delivered
         self.stats.acks_sent = self._n_acks
-        drops = {
+        self.stats.queue_drop_events = {
             q.link.name: q.drops for q in self.queues if q.drops
         }
-        self.stats.queue_drop_events = drops
-        if self.convergence_events:
-            self.stats.time_to_recover_ns = max(
-                r.time_to_recover_ns for r in self.convergence_events
-            )
-        cache = self.topology.route_cache_stats()
-        self.stats.route_cache_hits = cache["hits"]
-        self.stats.route_cache_misses = cache["misses"]
-        self.stats.route_cache_evictions = cache["evictions"]
-        return self.stats
-
-    def convergence_report(self) -> List:
-        """Per-fault-event :class:`~repro.network.control_plane.ConvergenceRecord` list.
-
-        Empty under ``control_plane="oracle"`` (no convergence windows
-        exist) and whenever no timed fault event fired.
-        """
-        self._require_setup()
-        return self.convergence_events
-
-    def collect_message_records(self) -> List[MessageRecord]:
-        self._require_setup()
-        return self.records
-
-    def per_job_stats(self) -> Dict[int, JobStats]:
-        self._require_setup()
-        if not self._job_stride:
-            return {}
-        return assemble_job_stats(
-            self._job_msgs, self._job_link_bytes, self.topology.links
-        )
+        return super().collect_stats()
 
     # ---------------------------------------------------------------- queries
     def queue_statistics(self) -> List[Dict[str, object]]:
@@ -962,10 +804,3 @@ class PacketBackend(NetworkBackend):
             }
             for q in self.queues
         ]
-
-    def unmatched_state(self) -> Dict[str, int]:
-        """Diagnostics for unmatched communication (should be all zero)."""
-        return {
-            "pending_recvs": self.matcher.pending_recv_count(),
-            "unexpected_messages": self.matcher.pending_arrival_count(),
-        }

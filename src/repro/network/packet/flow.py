@@ -48,6 +48,7 @@ class Flow:
         "header_size",
         "pulls_outstanding",
         "job",
+        "key",
     )
 
     def __init__(
@@ -108,6 +109,9 @@ class Flow:
         # multi-job attribution: tag window this flow belongs to (set by the
         # backend when job_tag_stride is configured; 0 otherwise)
         self.job = 0
+        # sharded engine only: the globally unique (src, dst, pair
+        # occurrence) identity boundary packets resolve their flow by
+        self.key = None
 
     # -------------------------------------------------------------- sender side
     def packet_size(self, seq: int) -> int:

@@ -306,9 +306,7 @@ class ShardPacketBackend(PacketBackend):
                         outbox=self._out_packets,
                     )
                 self.queues[link.link_id] = nq
-        # flow identity and replica registry (Flow is slotted, so keys are
-        # tracked in side tables rather than on the object)
-        self._key_by_flow: Dict[int, _FlowKey] = {}
+        # flow identity (carried on ``Flow.key``) and replica registry
         self._flow_by_key: Dict[_FlowKey, Flow] = {}
         self._pair_seq: Dict[Tuple[int, int], int] = {}
         self._spec_sent: set = set()
@@ -320,11 +318,11 @@ class ShardPacketBackend(PacketBackend):
         # a deferred drop could land in the past)
         self._defer_drops = plan.num_cut_links > 0
         self._seed = seed
-        # flows whose route was re-picked after a fault/learn event: their
-        # replicas hold the originally shipped route, so boundary packets of
-        # these flows always carry an explicit route tuple (identity against
-        # ``flow.route`` no longer proves the peer would decode the same)
-        self._repicked: set = set()
+        # flow key -> number of post-fault/learn route re-picks.  A flow
+        # present here has replicas still holding the originally shipped
+        # route, so its boundary packets always carry an explicit route
+        # tuple (identity against ``flow.route`` no longer proves the peer
+        # would decode the same)
         self._repick_seq: Dict[_FlowKey, int] = {}
         # once any fault epoch has applied, a replica's ``flow.route`` may
         # silently disagree with the owner's (owners re-pick, replicas keep
@@ -362,8 +360,7 @@ class ShardPacketBackend(PacketBackend):
         finally:
             routing.rng = saved
         flow = self.flows[-1]
-        key = (rank, dst, occurrence)
-        self._key_by_flow[id(flow)] = key
+        flow.key = key = (rank, dst, occurrence)
         self._flow_by_key[key] = flow
 
     def _flow_spec(self, flow: Flow) -> Tuple:
@@ -417,7 +414,7 @@ class ShardPacketBackend(PacketBackend):
         flow.route_q0 = self.queues[route[0]]
         flow.ack_q0 = self.queues[ack_route[0]]
         flow.job = job
-        self._key_by_flow[id(flow)] = key
+        flow.key = key
         self._flow_by_key[key] = flow
         return flow
 
@@ -431,11 +428,10 @@ class ShardPacketBackend(PacketBackend):
         # min_retransmit_timeout > lookahead guarantees the fire time lies
         # beyond the current window edge
         flow = packet.flow
-        key = self._key_by_flow[id(flow)]
         self._loss_out.append(
             (
                 self.plan.rank_owner[flow.src],
-                key,
+                flow.key,
                 packet.seq,
                 now + self.config.min_retransmit_timeout,
             )
@@ -460,7 +456,7 @@ class ShardPacketBackend(PacketBackend):
         return not flow.all_acked()
 
     def _fault_repick(self, flow: Flow) -> None:
-        key = self._key_by_flow[id(flow)]
+        key = flow.key
         nth = self._repick_seq.get(key, 0)
         self._repick_seq[key] = nth + 1
         routing = self.routing
@@ -472,12 +468,11 @@ class ShardPacketBackend(PacketBackend):
             super()._fault_repick(flow)
         finally:
             routing.rng = saved
-        self._repicked.add(id(flow))
 
     def _reroute_pick(self, pkt: Packet, hop: int, now: int, n: int) -> int:
         # keyed by the packet's simulated identity: whichever shard holds
         # the packet when the reroute happens draws the same index
-        key = self._key_by_flow[id(pkt.flow)]
+        key = pkt.flow.key
         rng = np.random.default_rng(
             (self._seed, _REROUTE_STREAM, key[0], key[1], key[2], pkt.seq, hop, now)
         )
@@ -592,12 +587,11 @@ class ShardPacketBackend(PacketBackend):
         msgs: List[Tuple[int, Tuple]] = []
         links = self.topology.links
         spec_sent = self._spec_sent
-        key_of = self._key_by_flow
-        repicked = self._repicked
+        repicked = self._repick_seq
         for link_id, pkt in self._out_packets:
             dest = self._boundary_dest[link_id]
             flow = pkt.flow
-            key = key_of[id(flow)]
+            key = flow.key
             spec = None
             sk = (key, dest)
             if sk not in spec_sent:
@@ -615,7 +609,7 @@ class ShardPacketBackend(PacketBackend):
                 rf: Any = 1
             elif (
                 route is flow.route
-                and id(flow) not in repicked
+                and key not in repicked
                 and (flow.flow_id >= 0 or not self._epochs_applied)
             ):
                 rf = 0
@@ -982,18 +976,7 @@ def _merge_results(
                 groups[g] = t
         for job, js in r.job_stats.items():
             agg = jobs.get(job)
-            if agg is None:
-                jobs[job] = JobStats(
-                    job=job,
-                    messages_delivered=js.messages_delivered,
-                    bytes_delivered=js.bytes_delivered,
-                    link_bytes=dict(js.link_bytes),
-                )
-            else:
-                agg.messages_delivered += js.messages_delivered
-                agg.bytes_delivered += js.bytes_delivered
-                for name, b in js.link_bytes.items():
-                    agg.link_bytes[name] = agg.link_bytes.get(name, 0) + b
+            jobs[job] = js if agg is None else agg.merge(js)
         records.extend(r.message_records)
     records.sort(key=lambda m: (m.completion_time, m.src, m.dst, m.tag))
     return SimulationResult(

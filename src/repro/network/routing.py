@@ -148,12 +148,11 @@ class RoutingStrategy:
         if not candidates:
             return candidates
         if view is not None:
-            filtered = tuple(
+            # a view that kills every detour yields no Valiant candidates:
+            # the caller falls back to the pair's minimal candidates
+            return tuple(
                 r for r in candidates if not any(link in view for link in r)
             )
-            # a view that kills every detour keeps the unfiltered set (the
-            # caller falls back to minimal candidates if those also vanish)
-            return filtered if filtered else ()
         if topology.faulty:
             candidates = tuple(r for r in candidates if topology.route_alive(r))
         return candidates

@@ -154,6 +154,11 @@ def build_topology(config, num_hosts: int) -> Topology:
         A :class:`repro.network.config.SimulationConfig`.
     num_hosts:
         Number of simulated endpoints (GOAL ranks).
+
+    The route-table memory model of ``config`` (``route_cache_entries``,
+    ``route_synthesis``; see ``docs/scaling.md``) is applied here, so every
+    caller — backends, the sharded driver, sweeps, placement — gets the
+    same correctly configured topology.
     """
     try:
         builder = TOPOLOGY_BUILDERS[config.topology]
@@ -161,7 +166,10 @@ def build_topology(config, num_hosts: int) -> Topology:
         raise ValueError(
             f"unknown topology {config.topology!r} (registered: {', '.join(topology_names())})"
         ) from None
-    return builder(config, num_hosts)
+    topology = builder(config, num_hosts)
+    topology.set_route_cache_budget(config.route_cache_entries)
+    topology.use_synthesis = config.route_synthesis
+    return topology
 
 
 __all__ = [

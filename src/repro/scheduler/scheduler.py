@@ -130,10 +130,10 @@ class GoalScheduler:
             # the driver builds one rank-restricted scheduler per shard and
             # steps their event loops in lookahead windows via start()/
             # finish() — never run(), so this dispatch cannot recurse.
-            if getattr(self.backend, "name", "") != "htsim":
+            if self.backend.name != "htsim":
                 raise ValueError(
                     f"shards > 1 requires the packet backend ('htsim'), got "
-                    f"{getattr(self.backend, 'name', '?')!r}; the message-level "
+                    f"{self.backend.name!r}; the message-level "
                     "backend is already fast enough single-process"
                 )
             from repro.network.packet.sharded import run_sharded
@@ -180,14 +180,9 @@ class GoalScheduler:
                 stuck,
             )
 
-        rank_finish = [0] * self.schedule.num_ranks
-        backend_finish = getattr(self.backend, "rank_finish", None)
-        if backend_finish is not None:
-            rank_finish = list(backend_finish)
-
         return SimulationResult(
             finish_time_ns=self._finish_time,
-            rank_finish_times_ns=rank_finish,
+            rank_finish_times_ns=list(self.backend.rank_finish),
             stats=self.backend.collect_stats(),
             message_records=self.backend.collect_message_records(),
             ops_completed=self._completed,
@@ -195,7 +190,7 @@ class GoalScheduler:
             wall_clock_s=wall_elapsed,
             job_stats=self.backend.per_job_stats(),
             group_finish_times_ns=dict(self._group_finish),
-            convergence_records=list(getattr(self.backend, "convergence_events", ())),
+            convergence_records=list(self.backend.convergence_events),
         )
 
     @property
@@ -203,8 +198,7 @@ class GoalScheduler:
         """Events executed by the backend's loop(s); sharded runs sum shards."""
         if self._sharded_events is not None:
             return self._sharded_events
-        events = getattr(self.backend, "events", None)
-        return getattr(events, "executed", 0)
+        return self.backend.events.executed
 
     # ---------------------------------------------------------------- internals
     def _issue(self, rank: int, vertex: int, ready_time: int) -> None:

@@ -1,0 +1,251 @@
+"""What a backend inherits from :class:`NetworkBackend` (docs/architecture.md).
+
+A backend is only its timing model.  The toy backend below models nothing
+but a fixed per-message latency, yet — built solely on the shared base — it
+replays collectives through the scheduler, reports per-rank finish times,
+message records and per-job stats, honours static and timed faults on its
+fabric (including a convergent control plane) and folds route-cache
+counters.  The remaining tests pin the pieces of the contract that used to
+be written once per backend: the control-plane construction condition and
+the field-wise stats folds sharded runs depend on.
+"""
+import dataclasses
+
+import pytest
+
+from repro.goal import GoalBuilder
+from repro.network import FaultEvent, FaultSchedule, SimulationConfig
+from repro.network.backend import (
+    JobStats,
+    NetworkBackend,
+    NetworkStats,
+    SimulationResult,
+)
+from repro.network.faults import LINK_DOWN, resolve_link_ids
+from repro.schedgen import all_to_all, ring_allreduce_microbenchmark
+from repro.scheduler import GoalScheduler, simulate
+
+LATENCY = 1_000
+
+
+class FixedLatencyBackend(NetworkBackend):
+    """Every message arrives ``LATENCY`` ns after its send; nothing else is modelled."""
+
+    name = "toy"
+
+    def setup(self, num_ranks, config):
+        super().setup(num_ranks, config)
+        self._bring_up_fabric()
+
+    def issue_send(self, rank, dst, size, tag, stream, op_id, ready_time):
+        self.events.schedule(ready_time, self._complete_op, (rank, op_id))
+        self.events.schedule(
+            ready_time + LATENCY, self._arrive, (rank, dst, size, tag, ready_time)
+        )
+
+    def issue_recv(self, rank, src, size, tag, stream, op_id, ready_time):
+        self.events.schedule(ready_time, self._post_recv, (src, rank, tag, op_id))
+
+    def _arrive(self, time, payload):
+        src, dst, size, tag, post_time = payload
+        self.routing.select_route(src, dst, size)  # timing ignores it; caches count it
+        self._message_delivered(src, dst, size, tag, post_time, time)
+        recv_op = self.matcher.post_arrival(src, dst, tag, time)
+        if recv_op is not None:
+            self._complete_op(time, (dst, recv_op))
+
+    def _post_recv(self, time, payload):
+        src, rank, tag, op_id = payload
+        if self.matcher.post_recv(src, rank, tag, op_id) is not None:
+            self._complete_op(time, (rank, op_id))
+
+    def run(self, on_complete):
+        self._require_setup()
+        self._on_complete = on_complete
+        return self.events.run()
+
+
+def _config(**kwargs) -> SimulationConfig:
+    return SimulationConfig(topology="fat_tree", nodes_per_tor=4, **kwargs)
+
+
+class TestToyBackend:
+    def test_replays_a_collective_schedule(self):
+        schedule = ring_allreduce_microbenchmark(8, 1 << 16)
+        result = simulate(schedule, backend=FixedLatencyBackend(), config=_config())
+        assert result.backend == "toy"
+        assert result.ops_completed == schedule.num_ops()
+        assert len(result.rank_finish_times_ns) == 8
+        assert all(t > 0 for t in result.rank_finish_times_ns)
+        assert max(result.rank_finish_times_ns) == result.finish_time_ns
+        assert result.finish_time_ns % LATENCY == 0
+        assert len(result.message_records) == result.stats.messages_delivered > 0
+        assert {m.completion_latency for m in result.message_records} == {LATENCY}
+        assert result.stats.bytes_delivered == sum(m.size for m in result.message_records)
+
+    def test_requires_setup_and_positive_ranks(self):
+        backend = FixedLatencyBackend()
+        with pytest.raises(RuntimeError, match="before setup"):
+            backend.now()
+        with pytest.raises(ValueError, match="num_ranks"):
+            backend.setup(0, _config())
+
+    def test_per_job_stats_under_job_tag_stride(self):
+        stride = 1 << 20
+        b = GoalBuilder(4, name="two-jobs")
+        b.rank(0).send(100, dst=1, tag=7)
+        b.rank(1).recv(100, src=0, tag=7)
+        for _ in range(2):
+            b.rank(2).send(30, dst=3, tag=stride + 7)
+            b.rank(3).recv(30, src=2, tag=stride + 7)
+        result = simulate(
+            b.build(), backend=FixedLatencyBackend(), config=_config(job_tag_stride=stride)
+        )
+        assert result.job_stats == {
+            0: JobStats(job=0, messages_delivered=1, bytes_delivered=100),
+            1: JobStats(job=1, messages_delivered=2, bytes_delivered=60),
+        }
+        # attribution is off (and costs nothing) without a stride
+        assert simulate(b.build(), backend=FixedLatencyBackend(), config=_config()).job_stats == {}
+
+    def test_honours_static_and_timed_faults_on_its_topology(self):
+        faults = FaultSchedule(
+            failed_links=("tor0->core0", "core0->tor0"),
+            degraded_links=(("tor1->core1", 0.5),),
+            events=(FaultEvent(LATENCY // 2, LINK_DOWN, "tor0->core1"),),
+        )
+        backend = FixedLatencyBackend()
+        healthy = FixedLatencyBackend()
+        GoalScheduler(all_to_all(8, 1 << 10), backend=healthy, config=_config()).run()
+        result = GoalScheduler(
+            all_to_all(8, 1 << 10),
+            backend=backend,
+            config=_config(faults=faults, control_plane="ls"),
+        ).run()
+        topo = backend.topology
+        down = {
+            resolve_link_ids(topo, name)[0]
+            for name in ("tor0->core0", "core0->tor0", "tor0->core1")
+        }
+        assert topo.failed_links == down
+        derated = resolve_link_ids(topo, "tor1->core1")[0]
+        assert topo.links[derated].bandwidth == healthy.topology.links[derated].bandwidth / 2
+        # the convergent control plane rode along: one wave, one record
+        assert len(result.convergence_records) == 1
+        assert result.convergence_records == backend.convergence_report()
+        assert result.stats.time_to_recover_ns == result.convergence_records[0].time_to_recover_ns > 0
+        assert result.stats.messages_delivered == 8 * 7
+
+    def test_folds_route_cache_counters(self):
+        backend = FixedLatencyBackend()
+        result = GoalScheduler(
+            all_to_all(8, 1 << 10), backend=backend, config=_config(route_cache_entries=4)
+        ).run()
+        cache = backend.topology.route_cache_stats()
+        assert cache["misses"] > 0 and cache["evictions"] > 0
+        assert backend.topology.route_cache_budget == 4
+        assert result.stats.route_cache_hits == cache["hits"]
+        assert result.stats.route_cache_misses == cache["misses"]
+        assert result.stats.route_cache_evictions == cache["evictions"]
+
+
+class TestControlPlaneCondition:
+    """One rule on every backend: a control plane exists iff the protocol is
+    convergent *and* the fault schedule is non-empty (NetworkBackend._bring_up_fabric)."""
+
+    @pytest.mark.parametrize("backend", ["lgs", "htsim"])
+    def test_empty_schedule_under_ls_is_the_oracle_run(self, backend):
+        schedule = all_to_all(8, 1 << 14)
+        runs = {}
+        for cp in ("oracle", "ls"):
+            scheduler = GoalScheduler(
+                schedule, backend=backend, config=_config(control_plane=cp, seed=3)
+            )
+            runs[cp] = scheduler.run()
+            assert scheduler.backend._cp is None
+        oracle, ls = runs["oracle"], runs["ls"]
+        assert ls.finish_time_ns == oracle.finish_time_ns
+        assert ls.rank_finish_times_ns == oracle.rank_finish_times_ns
+        assert ls.stats == oracle.stats
+        assert ls.message_records == oracle.message_records
+        assert ls.convergence_records == []
+
+    @pytest.mark.parametrize("backend", ["lgs", "htsim"])
+    def test_faulted_schedule_under_ls_builds_one(self, backend):
+        faults = FaultSchedule(events=(FaultEvent(10_000, LINK_DOWN, "tor0->core0"),))
+        scheduler = GoalScheduler(
+            all_to_all(8, 1 << 14),
+            backend=backend,
+            config=_config(control_plane="ls", faults=faults),
+        )
+        result = scheduler.run()
+        assert scheduler.backend._cp is not None
+        assert len(result.convergence_records) == 1
+
+
+class TestStatsFolds:
+    """A counter added to the stats dataclasses must survive sharded merges."""
+
+    MAX_FIELDS = {"max_queue_bytes", "time_to_recover_ns"}
+
+    def _filled(self, offset):
+        values = {}
+        for i, f in enumerate(dataclasses.fields(NetworkStats)):
+            n = offset * (i + 1)
+            values[f.name] = {"a->b": n, f"only{offset}": n} if f.name == "queue_drop_events" else n
+        return NetworkStats(**values)
+
+    def test_network_stats_merge_covers_every_field(self):
+        a, b = self._filled(3), self._filled(1000)
+        merged = a.merge(b)
+        for f in dataclasses.fields(NetworkStats):
+            x, y, got = getattr(a, f.name), getattr(b, f.name), getattr(merged, f.name)
+            if f.name in self.MAX_FIELDS:
+                assert got == max(x, y), f.name
+            elif isinstance(x, dict):
+                assert got == {"a->b": x["a->b"] + y["a->b"], "only3": x["only3"], "only1000": y["only1000"]}
+            else:
+                assert got == x + y, f.name
+        assert self.MAX_FIELDS <= {f.name for f in dataclasses.fields(NetworkStats)}
+        # pure: the operands are untouched
+        assert a == self._filled(3) and b == self._filled(1000)
+
+    def test_job_stats_merge_covers_every_field(self):
+        a = JobStats(job=2, messages_delivered=3, bytes_delivered=50, link_bytes={"x": 5, "y": 7})
+        b = JobStats(job=2, messages_delivered=40, bytes_delivered=600, link_bytes={"y": 1, "z": 9})
+        assert a.merge(b) == JobStats(
+            job=2, messages_delivered=43, bytes_delivered=650, link_bytes={"x": 5, "y": 8, "z": 9}
+        )
+        assert {f.name for f in dataclasses.fields(JobStats)} == {
+            "job", "messages_delivered", "bytes_delivered", "link_bytes"
+        }, "new JobStats field: extend this test"
+
+    def test_sharded_merge_folds_stats_and_jobs(self):
+        from repro.network.packet.sharded import _merge_results
+
+        def shard(offset, jobs):
+            return (
+                SimulationResult(
+                    finish_time_ns=offset,
+                    rank_finish_times_ns=[offset, 0],
+                    stats=self._filled(offset),
+                    ops_completed=offset,
+                    job_stats=jobs,
+                ),
+                offset,
+            )
+
+        merged = _merge_results(
+            [
+                shard(3, {0: JobStats(0, 1, 10, {"l": 1}), 1: JobStats(1, 2, 20)}),
+                shard(1000, {1: JobStats(1, 5, 50, {"l": 4})}),
+            ],
+            ring_allreduce_microbenchmark(2, 64),
+            wall=0.0,
+        )
+        assert merged.stats == self._filled(3).merge(self._filled(1000))
+        assert merged.job_stats == {
+            0: JobStats(0, 1, 10, {"l": 1}),
+            1: JobStats(1, 7, 70, {"l": 4}),
+        }
+        assert merged.finish_time_ns == 1000 and merged.ops_completed == 1003

@@ -117,3 +117,22 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["gpus"] == 2
+
+    def test_network_arg_defaults_are_the_config_defaults(self):
+        """Every network flag left unset must yield SimulationConfig's default."""
+        import argparse
+        import dataclasses
+
+        from repro.cli import _add_network_args, _config_from_args
+
+        parser = argparse.ArgumentParser()
+        _add_network_args(parser)
+        args = parser.parse_args([])
+        assert _config_from_args(args) == SimulationConfig()
+        # and each exposed flag individually names a config field's default
+        defaults = {f.name: f.default for f in dataclasses.fields(SimulationConfig)}
+        for dest, value in vars(args).items():
+            field = {"cc": "cc_algorithm"}.get(dest, dest)
+            if field == "backend":  # not a SimulationConfig field
+                continue
+            assert value == defaults[field], f"--{dest.replace('_', '-')} drifted"
