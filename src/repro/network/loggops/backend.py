@@ -154,6 +154,7 @@ class LogGOPSBackend(NetworkBackend):
             self._bring_up_fabric()
         if self._routed:
             self._link_bytes = np.zeros(len(self.topology.links), dtype=np.int64)
+            self._link_ns = self.topology.link_delays()
         if self._faults_enabled:
             self._recompute_gamma()
         # channel -> list of rendezvous sends awaiting a receive (FIFO)
@@ -322,7 +323,7 @@ class LogGOPSBackend(NetworkBackend):
                 arr = jlb[job] = np.zeros(len(self.topology.links), dtype=np.int64)
             for link in route:
                 arr[link] += size
-        return self.topology.route_latency(route)
+        return sum(map(self._link_ns.__getitem__, route))
 
     def _transfer(self, src: int, dst: int, size: int, sender_ready: int, tag: int = 0) -> int:
         """Charge NIC resources for one message and return its arrival time.
@@ -394,10 +395,9 @@ class LogGOPSBackend(NetworkBackend):
         # latency in topology-aware mode, the flat L otherwise (consistent
         # with the data transfer's _wire_latency)
         if self._routed:
-            if self.topology.faulty:
-                handshake_latency = int(self.topology.alive_table(dst, src).latency[0])
-            else:
-                handshake_latency = self.topology.min_path_latency(dst, src)
+            # alive_table is the full table while the fabric is healthy
+            first = self.topology.alive_table(dst, src).candidates[0]
+            handshake_latency = sum(map(self._link_ns.__getitem__, first))
         else:
             handshake_latency = self.params.L
         handshake_done = max(sender_ready, recv.post_time + handshake_latency)

@@ -32,9 +32,11 @@ One scheduler event (a window opening on an ACK, a flow becoming ready)
 advances a flow's whole contiguous packet train: the injection loop enqueues
 every packet the window allows, and the burst queue turns each into a single
 delivery event with an arithmetically computed timestamp.  Packet objects
-are pooled (``__slots__`` records reused through a free list), per-pair
-routes and RTTs are cached, and per-size serialisation times are memoized —
-see ``docs/performance.md`` for measurements.
+are pooled (``__slots__`` records reused through a free list), a flow's
+ECMP route is drawn in closed form and its base RTT summed from per-link
+delay lists (no per-pair table or cache on a healthy fat tree), and per-size
+serialisation times are memoized — see ``docs/performance.md`` for
+measurements.
 """
 from __future__ import annotations
 
@@ -142,7 +144,12 @@ class PacketBackend(NetworkBackend):
                 )
                 for link in self.topology.links
             ]
-        self.flows: List[Flow] = []
+        # flows a fault can still affect, by flow id in start order; a flow
+        # leaves once _fault_flow_live turns false (see _handle_data_arrival).
+        # Only fault and learn events read it, so it stays empty without a
+        # fault schedule.
+        self.live_flows: Dict[int, Flow] = {}
+        self._n_flows = 0
         self.pull_pacers: Dict[int, _PullPacer] = {}
         self._pull_bytes = config.mtu
         self._pull_bandwidth = config.link_bandwidth
@@ -151,11 +158,10 @@ class PacketBackend(NetworkBackend):
         self._load_view = (
             np.zeros(len(self.topology.links), dtype=np.int64) if self._needs_load else None
         )
-        # (route, ack_route) -> base RTT, bounded like the per-pair route
-        # caches: its key space is O(pairs x candidates)
-        from repro.network.topology.base import LruCache
-
-        self._rtt_cache = LruCache(config.route_cache_entries)
+        # per-link one-way delay of a full data packet / an ACK; link
+        # bandwidths are final here (static degradations already applied)
+        self._data_ns = self.topology.link_delays(config.mtu)
+        self._ack_ns = self.topology.link_delays(config.ack_size)
         self._packet_free: List[Packet] = []
         # hot counters kept as plain ints and folded into stats on collect
         self._n_sent = 0
@@ -211,21 +217,10 @@ class PacketBackend(NetworkBackend):
         return self.routing.select_route(src, dst, size, self._link_load)
 
     def _base_rtt(self, route: Tuple[int, ...], ack_route: Tuple[int, ...]) -> int:
-        key = (route, ack_route)
-        rtt = self._rtt_cache.get(key)
-        if rtt is not None:
-            return rtt
-        cfg = self.config
-        links = self.topology.links
-        prop = self.topology.route_latency(route)
-        prop_back = self.topology.route_latency(ack_route)
-        ser = sum(max(1, int(round(cfg.mtu / links[l].bandwidth))) for l in route)
-        ser_back = sum(
-            max(1, int(round(cfg.ack_size / links[l].bandwidth))) for l in ack_route
+        """Unloaded RTT: one MTU packet out along ``route``, its ACK back."""
+        return sum(map(self._data_ns.__getitem__, route)) + sum(
+            map(self._ack_ns.__getitem__, ack_route)
         )
-        rtt = prop + prop_back + ser + ser_back
-        self._rtt_cache.put(key, rtt)
-        return rtt
 
     def _alloc_packet(
         self, flow: Flow, kind: int, seq: int, size: int, route: Tuple[int, ...], sent_time: int
@@ -235,7 +230,7 @@ class PacketBackend(NetworkBackend):
             return free.pop().reset(flow, kind, seq, size, route, sent_time)
         return Packet(flow, kind, seq, size, route, sent_time=sent_time)
 
-    def _start_flow(self, time: int, payload: Any) -> None:
+    def _start_flow(self, time: int, payload: Any) -> Flow:
         rank, dst, size, tag, stream, op_id = payload
         cfg = self.config
         _, overhead_end = self.host.reserve(rank, stream, time, cfg.host_overhead)
@@ -248,7 +243,7 @@ class PacketBackend(NetworkBackend):
             base_rtt_ns=self._base_rtt(route, ack_route),
         )
         flow = Flow(
-            flow_id=len(self.flows),
+            flow_id=self._n_flows,
             src=rank,
             dst=dst,
             size=size,
@@ -265,8 +260,11 @@ class PacketBackend(NetworkBackend):
         flow.ack_q0 = self.queues[ack_route[0]]
         if self._job_stride:
             flow.job = tag // self._job_stride
-        self.flows.append(flow)
+        if self._faults_enabled:
+            self.live_flows[flow.flow_id] = flow
+        self._n_flows += 1
         self.events.schedule(overhead_end, self._flow_ready, flow)
+        return flow
 
     def _flow_ready(self, time: int, flow: Flow) -> None:
         if flow.cc.receiver_driven:
@@ -398,6 +396,18 @@ class PacketBackend(NetworkBackend):
         """
         return not flow.message_delivered
 
+    def _repickable_flows(self) -> List[Flow]:
+        """The live flows in start order, releasing any that retired since.
+
+        Serial flows leave the registry the instant they are delivered; the
+        sharded engine's sender-observed liveness ends on an ACK (hot path),
+        so its retired flows are swept here, at the next fault/learn event.
+        """
+        live = self.live_flows
+        for flow in [f for f in live.values() if not self._fault_flow_live(f)]:
+            del live[flow.flow_id]
+        return list(live.values())
+
     def _fault_repick(self, flow: Flow) -> None:
         """Re-pick ``flow``'s route after a fabric change (fault or learn).
 
@@ -442,9 +452,7 @@ class PacketBackend(NetworkBackend):
             return
         if mask is None:
             return
-        for flow in self.flows:
-            if not self._fault_flow_live(flow):
-                continue
+        for flow in self._repickable_flows():
             for link in flow.route:
                 if not mask[link]:
                     self._fault_repick(flow)
@@ -465,9 +473,7 @@ class PacketBackend(NetworkBackend):
         self._cp_stale -= 1
         learned = set(switches)
         attach = self._host_attach
-        for flow in self.flows:
-            if not self._fault_flow_live(flow):
-                continue
+        for flow in self._repickable_flows():
             if attach[flow.src] in learned:
                 self._fault_repick(flow)
 
@@ -561,6 +567,8 @@ class PacketBackend(NetworkBackend):
 
         if new and flow.fully_received() and not flow.message_delivered:
             flow.message_delivered = True
+            if self._faults_enabled and not self._fault_flow_live(flow):
+                self.live_flows.pop(flow.flow_id, None)
             self._message_delivered(
                 flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now
             )

@@ -91,9 +91,11 @@ class Flow:
         self.next_new_seq = 0
         self.inflight_bytes = 0
         self.acked: Set[int] = set()
-        self.sent_times: Dict[int, int] = {}
-        self.retransmit_queue: Deque[int] = deque()
-        self.retransmit_pending: Set[int] = set()
+        # allocated on first need: most flows never lose a packet, and only
+        # the NDP pull path reads per-seq send times
+        self.sent_times: Optional[Dict[int, int]] = {} if cc.receiver_driven else None
+        self.retransmit_queue: Optional[Deque[int]] = None
+        self.retransmit_pending: Optional[Set[int]] = None
         self.send_op_completed = False
 
         # receiver-side state
@@ -142,7 +144,12 @@ class Flow:
 
     def mark_for_retransmission(self, seq: int) -> bool:
         """Queue ``seq`` for retransmission unless already acked or queued."""
-        if seq in self.acked or seq in self.retransmit_pending:
+        if seq in self.acked:
+            return False
+        if self.retransmit_queue is None:
+            self.retransmit_queue = deque()
+            self.retransmit_pending = set()
+        elif seq in self.retransmit_pending:
             return False
         self.retransmit_pending.add(seq)
         self.retransmit_queue.append(seq)

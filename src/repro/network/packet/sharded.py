@@ -127,6 +127,28 @@ _MSG_LOSS = 1
 _FlowKey = Tuple[int, int, int]
 
 
+class _KeyedRng:
+    """A keyed generator built on its first use.
+
+    Seeding a ``default_rng`` costs ~14 µs and most route picks never draw
+    (single-candidate pairs), so the route-pick streams stand in for the
+    strategy's generator as this and materialise only when asked.
+    """
+
+    __slots__ = ("_key", "_gen")
+
+    def __init__(self, *key: int) -> None:
+        self._key = key
+        self._gen = None
+
+    def __getattr__(self, name: str) -> Any:
+        # reached for the Generator API only: the two slots resolve first
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = np.random.default_rng(self._key)
+        return getattr(gen, name)
+
+
 # ---------------------------------------------------------------------- plan
 @dataclass(frozen=True)
 class ShardPlan:
@@ -343,7 +365,7 @@ class ShardPacketBackend(PacketBackend):
             ]
 
     # ------------------------------------------------------------- keyed flows
-    def _start_flow(self, time: int, payload: Any) -> None:
+    def _start_flow(self, time: int, payload: Any) -> Flow:
         rank, dst = payload[0], payload[1]
         pair = (rank, dst)
         occurrence = self._pair_seq.get(pair, 0)
@@ -352,16 +374,14 @@ class ShardPacketBackend(PacketBackend):
         # shard count, independent of global event interleaving
         routing = self.routing
         saved = routing.rng
-        routing.rng = np.random.default_rng(
-            (int(self.config.seed), _FLOW_STREAM, rank, dst, occurrence)
-        )
+        routing.rng = _KeyedRng(self._seed, _FLOW_STREAM, rank, dst, occurrence)
         try:
-            super()._start_flow(time, payload)
+            flow = super()._start_flow(time, payload)
         finally:
             routing.rng = saved
-        flow = self.flows[-1]
         flow.key = key = (rank, dst, occurrence)
         self._flow_by_key[key] = flow
+        return flow
 
     def _flow_spec(self, flow: Flow) -> Tuple:
         """Picklable flow description a peer shard can build a replica from."""
@@ -375,8 +395,8 @@ class ShardPacketBackend(PacketBackend):
             flow.route,
             flow.ack_route,
             flow.job,
-            # shipped, not recomputed: replica shards must not touch their
-            # route/RTT caches for foreign pairs (counter parity)
+            # shipped, not recomputed: a replica never looks up anything
+            # for a foreign pair (route-cache counter parity)
             flow.cc.base_rtt_ns,
         )
 
@@ -461,9 +481,7 @@ class ShardPacketBackend(PacketBackend):
         self._repick_seq[key] = nth + 1
         routing = self.routing
         saved = routing.rng
-        routing.rng = np.random.default_rng(
-            (self._seed, _REPICK_STREAM, key[0], key[1], key[2], nth)
-        )
+        routing.rng = _KeyedRng(self._seed, _REPICK_STREAM, *key, nth)
         try:
             super()._fault_repick(flow)
         finally:

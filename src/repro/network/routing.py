@@ -37,11 +37,13 @@ healthy fabric the filter is a single boolean read, and the selected routes
 
 Hot path
 --------
-Strategies read the topology's lazily built, LRU-bounded
+Minimal routing on a healthy fabric draws its route through
+:meth:`~repro.network.topology.base.Topology.pick_minimal` — on a fat tree a
+closed form that touches no table.  Otherwise strategies read the topology's lazily built, LRU-bounded
 :class:`~repro.network.topology.base.RouteTable` caches instead of
 rebuilding the candidate tuples per message, and the UGAL cost of all
 candidates is evaluated in one numpy gather + ``reduceat`` instead of one
-Python call per link per candidate.  Both optimizations are exact:
+Python call per link per candidate.  All of it is exact:
 candidate order and RNG consumption are unchanged, so results are
 bit-identical to the legacy scalar path
 (``SimulationConfig.route_caching=False``), which the determinism tests
@@ -173,7 +175,15 @@ class RoutingStrategy:
 
 
 class MinimalRouting(RoutingStrategy):
-    """ECMP over the topology's minimal candidate routes."""
+    """ECMP over the topology's minimal candidate routes.
+
+    On a healthy fabric (no failed link, no control-plane view) with caching
+    and synthesis on — the default — the draw is table-free:
+    :meth:`Topology.pick_minimal` computes the chosen candidate alone (fat
+    trees; other topologies' hook still indexes the pair's table).  Every
+    other configuration reads the candidate tables, which are the
+    bit-identical reference for the closed form.
+    """
 
     name = "minimal"
 
@@ -185,6 +195,9 @@ class MinimalRouting(RoutingStrategy):
         link_load: Optional[LinkLoad] = None,
         view: Optional[frozenset] = None,
     ) -> Route:
+        topology = self.topology
+        if view is None and self.use_cache and topology.use_synthesis and not topology.faulty:
+            return topology.pick_minimal(src, dst, self.rng)
         return self._pick(self._candidates(src, dst, view))
 
 

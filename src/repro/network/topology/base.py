@@ -10,9 +10,11 @@ link.  Regular topologies additionally provide *structural synthesis*
 (:meth:`Topology.synthesized_routes`): candidates derived from coordinates
 in closed form, so route lookup needs no per-pair precomputation at all.
 
-Derived per-pair state (route tables, alive/view-filtered tables, latency
-sums) lives in bounded LRU caches — an unbounded memo is O(N²) in hosts and
-does not survive datacenter-scale runs (see docs/scaling.md).
+Derived per-pair state (route tables, alive/view-filtered tables) lives in
+bounded LRU caches — an unbounded memo is O(N²) in hosts and does not
+survive datacenter-scale runs — and ECMP on a healthy fabric needs no table
+at all: :meth:`Topology.pick_minimal` draws one candidate in closed form
+(see docs/scaling.md).
 """
 from __future__ import annotations
 
@@ -114,9 +116,10 @@ class RouteTable:
     """Precomputed candidate-route table for one ``(src, dst)`` host pair.
 
     Built lazily by :meth:`Topology.route_table` and memoized, so routing
-    strategies stop re-deriving candidate tuples (and their per-link sums)
-    once per message.  Besides the candidate tuples themselves the table
-    carries flat numpy views used by the vectorized UGAL cost:
+    strategies stop re-deriving candidate tuples once per message.  Besides
+    the candidate tuples themselves the table offers flat numpy views,
+    built on first read because only the vectorized UGAL cost consults
+    them:
 
     * ``hops`` — path length per candidate,
     * ``latency`` — summed propagation latency per candidate (ns),
@@ -124,22 +127,31 @@ class RouteTable:
       so per-candidate queued-bytes sums are one gather + ``reduceat``.
     """
 
-    __slots__ = ("candidates", "hops", "latency", "links_flat", "offsets")
+    __slots__ = ("candidates", "_links", "_views")
 
     def __init__(self, candidates: Tuple[Tuple[int, ...], ...], links: Sequence[Link]) -> None:
+        self.candidates = candidates
+        self._links = links
+        self._views = None
+
+    def _build_views(self) -> tuple:
         import numpy as np
 
-        self.candidates = candidates
-        self.hops = np.array([len(r) for r in candidates], dtype=np.int64)
-        self.latency = np.array(
+        candidates, links = self.candidates, self._links
+        hops = np.array([len(r) for r in candidates], dtype=np.int64)
+        latency = np.array(
             [sum(links[l].latency for l in r) for r in candidates], dtype=np.int64
         )
-        self.links_flat = np.array(
-            [l for r in candidates for l in r], dtype=np.intp
-        )
+        links_flat = np.array([l for r in candidates for l in r], dtype=np.intp)
         offsets = np.zeros(len(candidates) + 1, dtype=np.intp)
-        np.cumsum(self.hops, out=offsets[1:])
-        self.offsets = offsets
+        np.cumsum(hops, out=offsets[1:])
+        self._views = views = (hops, latency, links_flat, offsets)
+        return views
+
+    hops = property(lambda self: (self._views or self._build_views())[0])
+    latency = property(lambda self: (self._views or self._build_views())[1])
+    links_flat = property(lambda self: (self._views or self._build_views())[2])
+    offsets = property(lambda self: (self._views or self._build_views())[3])
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -186,11 +198,10 @@ class Topology:
         # enumeration reference :meth:`routes`.  Both must be bit-identical
         # (check_routes / tests/test_route_synthesis.py enforce it).
         self.use_synthesis = True
-        # Lazily built per-pair candidate tables and per-route latency sums,
-        # all bounded LRU caches — the per-pair key space is O(N²) in hosts.
+        # Lazily built per-pair candidate tables, all bounded LRU caches —
+        # the per-pair key space is O(N²) in hosts.
         self.route_cache_budget = DEFAULT_ROUTE_CACHE_BUDGET
         self._route_tables = LruCache()
-        self._route_latency = LruCache()
         # fault state (see repro.network.faults): failure counts per link id
         # (a link can be failed by several overlapping causes — a static
         # failure plus a drain of either endpoint — and stays down until
@@ -212,20 +223,15 @@ class Topology:
         # the live truth into an entry, and long convergence runs would
         # otherwise accumulate stale believed-sets without bound.
         self._view_tables = LruCache()
-        # caches included in the configurable budget; subclasses append
-        # their own per-pair memos (e.g. torus DOR path cache).  The first
-        # three also feed the hit/miss/eviction stats.
+        # the table caches feeding the hit/miss/eviction stats, and every
+        # cache included in the configurable budget: subclasses append their
+        # own per-pair memos (e.g. torus DOR path cache) to the latter
         self._stat_caches: List[LruCache] = [
             self._route_tables,
             self._alive_tables,
             self._view_tables,
         ]
-        self._bounded_caches: List[LruCache] = [
-            self._route_tables,
-            self._alive_tables,
-            self._view_tables,
-            self._route_latency,
-        ]
+        self._bounded_caches: List[LruCache] = list(self._stat_caches)
 
     # -- construction helpers (used by subclasses) ---------------------------
     def _new_device(self) -> int:
@@ -297,14 +303,33 @@ class Topology:
             self._route_tables.put(key, table)
         return table
 
-    def route_latency(self, route: Tuple[int, ...]) -> int:
-        """LRU-cached propagation latency (ns) summed along ``route``."""
-        latency = self._route_latency.get(route)
-        if latency is None:
-            links = self.links
-            latency = sum(links[l].latency for l in route)
-            self._route_latency.put(route, latency)
-        return latency
+    def pick_minimal(self, src_host: int, dst_host: int, rng: "np.random.Generator") -> Tuple[int, ...]:
+        """ECMP draw: one uniformly chosen minimal candidate of the pair.
+
+        Exactly ``pick_route(route_table(src, dst).candidates, rng)`` — same
+        route, same randomness (one ``integers(n)`` iff ``n > 1``) — which is
+        all the base implementation does.  The fat-tree family overrides it
+        with the closed form of the drawn candidate alone, so a healthy
+        fat tree builds and caches no table to start a flow.  Valid only
+        while no link is failed and synthesis is on; :class:`~repro.network.
+        routing.MinimalRouting` checks both and otherwise reads the tables.
+        """
+        return pick_route(self.route_table(src_host, dst_host).candidates, rng)
+
+    def link_delays(self, size: int = 0) -> List[int]:
+        """Per-link delay (ns) of one ``size``-byte packet, indexed by link id.
+
+        Propagation latency plus the serialisation time of ``size`` bytes
+        (none for 0).  Backends build these once per run, after static
+        degradations, and sum them along a route instead of memoizing
+        per-route totals.
+        """
+        if not size:
+            return [link.latency for link in self.links]
+        return [
+            link.latency + max(1, int(round(size / link.bandwidth)))
+            for link in self.links
+        ]
 
     def min_link_latency(self) -> int:
         """Minimum propagation latency (ns) over every link of the fabric.
@@ -319,11 +344,11 @@ class Topology:
     def set_route_cache_budget(self, budget: int) -> None:
         """Bound every per-pair route cache to ``budget`` entries (0 = unbounded).
 
-        Applies to the route/alive/view table caches, the per-route latency
-        memo, and any subclass-registered per-pair memo (e.g. the torus DOR
-        path cache).  Shrinking trims least-recently-used entries
-        immediately.  Eviction never changes results — evicted tables are
-        rebuilt bit-identically on the next lookup.
+        Applies to the route/alive/view table caches and any
+        subclass-registered per-pair memo (e.g. the torus DOR path cache).
+        Shrinking trims least-recently-used entries immediately.  Eviction
+        never changes results — evicted tables are rebuilt bit-identically
+        on the next lookup.
         """
         self.route_cache_budget = budget
         for cache in self._bounded_caches:
@@ -639,8 +664,8 @@ class Topology:
 
     def min_path_latency(self, src_host: int, dst_host: int) -> int:
         """Propagation latency along the first candidate route (ns)."""
-        table = self.route_table(src_host, dst_host)
-        return int(table.latency[0])
+        links = self.links
+        return sum(links[l].latency for l in self.route_table(src_host, dst_host).candidates[0])
 
     def describe(self) -> Dict[str, object]:
         """Summary of the topology (device/link counts) for reports."""

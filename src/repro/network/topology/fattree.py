@@ -138,6 +138,23 @@ class FatTreeTopology(Topology):
             (up, src_up + 2 * c, dst_down + 2 * c, down) for c in range(num_cores)
         )
 
+    def pick_minimal(self, src_host: int, dst_host: int, rng) -> Tuple[int, ...]:
+        """Closed-form ECMP draw: the core index is drawn, never the candidate set."""
+        if src_host == dst_host:
+            raise ValueError("no route from a host to itself")
+        src_tor = self.tor_of(src_host)
+        dst_tor = self.tor_of(dst_host)
+        if src_tor == dst_tor:
+            return (2 * src_host, 2 * dst_host + 1)
+        n = self.num_cores
+        core = 2 * (self.num_hosts + (int(rng.integers(n)) if n > 1 else 0))
+        return (
+            2 * src_host,
+            core + 2 * src_tor * n,
+            core + 2 * dst_tor * n + 1,
+            2 * dst_host + 1,
+        )
+
     def core_uplinks(self, tor: int) -> List[int]:
         """Link ids of the uplinks of ToR ``tor`` (useful for drop statistics)."""
         return [self._tor_up[(tor, c)] for c in range(self.num_cores)]

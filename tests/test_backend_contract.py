@@ -138,8 +138,12 @@ class TestToyBackend:
 
     def test_folds_route_cache_counters(self):
         backend = FixedLatencyBackend()
+        # healthy minimal routing draws table-free (no cache traffic at all);
+        # route_synthesis=False keeps the picks on the table path
         result = GoalScheduler(
-            all_to_all(8, 1 << 10), backend=backend, config=_config(route_cache_entries=4)
+            all_to_all(8, 1 << 10),
+            backend=backend,
+            config=_config(route_cache_entries=4, route_synthesis=False),
         ).run()
         cache = backend.topology.route_cache_stats()
         assert cache["misses"] > 0 and cache["evictions"] > 0

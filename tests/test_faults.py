@@ -415,14 +415,22 @@ class TestPacketBackendFaults:
         from repro.network.packet.backend import PacketBackend
         from repro.scheduler import GoalScheduler
 
-        backend = PacketBackend()
+        started = []
+
+        class Recording(PacketBackend):
+            # flows leave ``live_flows`` on delivery, so keep them as they start
+            def _start_flow(self, time, payload):
+                started.append(super()._start_flow(time, payload))
+
+        backend = Recording()
         result = GoalScheduler(schedule, backend=backend, config=config).run()
         assert result.stats.messages_delivered == 8 * 7
         dead = {
             _link_id(backend.topology, "tor0->core0"),
             _link_id(backend.topology, "core0->tor0"),
         }
-        for flow in backend.flows:
+        assert len(started) == 8 * 7 and not backend.live_flows
+        for flow in started:
             assert not dead & set(flow.route)
             assert not dead & set(flow.ack_route)
 

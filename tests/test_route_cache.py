@@ -273,13 +273,23 @@ class TestAliveMaskInvalidation:
 # ------------------------------------------------------------- stats plumbing
 class TestRouteCacheStatsPlumbing:
     def test_packet_backend_reports_cache_stats(self):
+        config = SimulationConfig(topology="fat_tree", nodes_per_tor=4)
+        schedule = all_to_all(8, 1 << 12)
+        # the counters cover table-path lookups only: a healthy minimal run
+        # draws every route table-free and reads 0 across the board
+        healthy = simulate(schedule, backend="htsim", config=config).stats
+        assert healthy.route_cache_hits == healthy.route_cache_misses == 0
         result = simulate(
-            all_to_all(8, 1 << 12),
-            backend="htsim",
-            config=SimulationConfig(topology="fat_tree", nodes_per_tor=4),
+            schedule, backend="htsim", config=config.replace(route_synthesis=False)
         )
         assert result.stats.route_cache_misses > 0
         assert result.stats.route_cache_evictions == 0  # budget is roomy
+        faulted = simulate(
+            schedule,
+            backend="htsim",
+            config=config.replace(faults=FaultSchedule(failed_links=("tor0->core0",))),
+        )
+        assert faulted.stats.route_cache_misses > 0
 
     def test_loggops_backend_reports_cache_stats(self):
         result = simulate(

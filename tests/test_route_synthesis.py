@@ -10,6 +10,8 @@ bit-identical with synthesis on and off across every routing strategy.
 This file runs in the CI flake-guard job under two PYTHONHASHSEEDs: the
 closed-form link-id arithmetic must not depend on dict/set iteration order.
 """
+import dataclasses
+
 import pytest
 
 from repro.network.config import SimulationConfig
@@ -149,7 +151,15 @@ def test_simulation_bit_identical_across_synthesis(topology, routing):
         schedule, backend="htsim", config=config.replace(route_synthesis=False)
     )
     assert on.finish_time_ns == off.finish_time_ns
-    assert on.stats == off.stats
+    expected = off.stats
+    if routing == "minimal" and topology.startswith("fat_tree"):
+        # the cache counters describe the lookup path, not the simulation: a
+        # healthy minimal fat-tree run with synthesis on builds no table
+        assert off.stats.route_cache_misses > 0
+        expected = dataclasses.replace(
+            off.stats, route_cache_hits=0, route_cache_misses=0, route_cache_evictions=0
+        )
+    assert on.stats == expected
 
 
 @pytest.mark.parametrize("topology", ["torus", "slimfly"])
