@@ -38,8 +38,7 @@ from typing import List, Optional
 from repro.apps.ai import MODEL_PRESETS, ParallelismConfig
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
 from repro.core import Atlahs
-from repro.goal.binary import read_goal_binary
-from repro.goal.parser import parse_goal_file
+from repro.goal import read_goal
 from repro.network.config import SimulationConfig
 from repro.network.congestion import congestion_control_names
 from repro.network.routing import ROUTING_STRATEGIES, routing_names
@@ -177,16 +176,9 @@ def _print_result(name: str, result, extra: Optional[dict] = None) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _read_goal_any(path: str):
-    """Read a GOAL file, textual (.goal) or binary (.bin/.goalbin) by extension."""
-    if path.endswith(".bin") or path.endswith(".goalbin"):
-        return read_goal_binary(path)
-    return parse_goal_file(path)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    """Replay a GOAL file (textual .goal or binary .bin/.goalbin) on a backend."""
-    schedule = _read_goal_any(args.goal_file)
+    """Replay a GOAL file (textual or binary, whatever its name) on a backend."""
+    schedule = read_goal(args.goal_file)
     atlahs = Atlahs(_config_from_args(args))
     result = atlahs.simulate_goal(schedule, backend=args.backend)
     _print_result(schedule.name, result)
@@ -296,7 +288,7 @@ def _load_job_schedule(spec: str):
         schedule.name = spec
         return schedule
     try:
-        return _read_goal_any(spec)
+        return read_goal(spec)
     except FileNotFoundError:
         raise SystemExit(
             f"job spec {spec!r} is neither an existing GOAL file nor a "
@@ -993,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
         "jobs",
         nargs="+",
         metavar="JOB",
-        help="GOAL file (.goal/.bin) or synthetic spec pattern:ranks:size "
+        help="GOAL file (textual or binary) or synthetic spec pattern:ranks:size "
         "(e.g. alltoall:8:65536)",
     )
     p.add_argument(
@@ -1039,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "workload",
         metavar="WORKLOAD",
-        help="GOAL file (.goal/.bin) or synthetic spec pattern:ranks:size "
+        help="GOAL file (textual or binary) or synthetic spec pattern:ranks:size "
         "(e.g. alltoall:16:65536)",
     )
     p.add_argument(

@@ -19,6 +19,9 @@ Public surface
     Textual GOAL format (the human-readable format shown in the paper's Fig. 3).
 :func:`~repro.goal.binary.encode_goal` / :func:`~repro.goal.binary.decode_goal`
     Compact binary format used for storage/execution efficiency.
+:func:`read_goal`
+    Read a GOAL file of either format, told apart by the binary magic (not by
+    the file name).
 :func:`~repro.goal.validate.validate_schedule`
     Structural validation (acyclicity, matching sends/recvs, bounds).
 :mod:`~repro.goal.merge`
@@ -29,7 +32,7 @@ from repro.goal.schedule import GoalSchedule, RankSchedule
 from repro.goal.builder import GoalBuilder, RankBuilder
 from repro.goal.parser import parse_goal, parse_goal_file, GoalParseError
 from repro.goal.writer import write_goal, write_goal_file
-from repro.goal.binary import encode_goal, decode_goal, write_goal_binary, read_goal_binary
+from repro.goal.binary import MAGIC, encode_goal, decode_goal, write_goal_binary, read_goal_binary
 from repro.goal.validate import validate_schedule, GoalValidationError
 from repro.goal.merge import (
     remap_ranks,
@@ -38,6 +41,25 @@ from repro.goal.merge import (
     relabel_tags,
     delay_schedule,
 )
+
+
+def read_goal(path: str) -> GoalSchedule:
+    """Read the GOAL file at ``path``, binary or textual.
+
+    The format is decided by the content -- a binary file starts with the
+    4-byte ``GOAL`` magic, which no textual schedule can -- so a mis-named
+    file still loads.  A textual schedule is named after ``path``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] == MAGIC:
+        return decode_goal(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GoalParseError(f"{path}: neither a GOAL binary nor UTF-8 text ({exc})") from None
+    return parse_goal(text, name=path)
+
 
 __all__ = [
     "Op",
@@ -55,6 +77,7 @@ __all__ = [
     "decode_goal",
     "write_goal_binary",
     "read_goal_binary",
+    "read_goal",
     "validate_schedule",
     "GoalValidationError",
     "remap_ranks",

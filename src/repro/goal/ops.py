@@ -34,6 +34,10 @@ class OpType(enum.IntEnum):
 
 
 _SHORT_NAMES = {OpType.SEND: "send", OpType.RECV: "recv", OpType.CALC: "calc"}
+# Enum members as module constants (also for the codecs and the validator):
+# an ``OpType.X`` lookup goes through the enum metaclass, which is measurable
+# on per-op paths.
+_SEND, _RECV, _CALC = OpType.SEND, OpType.RECV, OpType.CALC
 
 
 class Op:
@@ -75,22 +79,25 @@ class Op:
         cpu: int = 0,
         label: Optional[str] = None,
     ) -> None:
-        if size < 0:
-            raise ValueError(f"op size must be non-negative, got {size}")
-        if kind in (OpType.SEND, OpType.RECV):
-            if peer is None:
-                raise ValueError(f"{kind.short()} requires a peer rank")
-            if peer < 0:
-                raise ValueError(f"peer rank must be non-negative, got {peer}")
-        elif peer is not None:
-            raise ValueError("calc ops must not specify a peer")
-        if tag < 0:
-            raise ValueError(f"tag must be non-negative, got {tag}")
-        if cpu < 0:
-            raise ValueError(f"cpu (compute stream) must be non-negative, got {cpu}")
+        if kind == _CALC:
+            if peer is not None:
+                raise ValueError("calc ops must not specify a peer")
+        elif peer is None:
+            raise ValueError(f"{OpType(kind).short()} requires a peer rank")
+        else:
+            peer = int(peer)
+        if size < 0 or tag < 0 or cpu < 0 or (peer is not None and peer < 0):
+            for what, value in (
+                ("op size", size),
+                ("peer rank", peer or 0),
+                ("tag", tag),
+                ("cpu (compute stream)", cpu),
+            ):
+                if value < 0:
+                    raise ValueError(f"{what} must be non-negative, got {value}")
         self.kind = kind
         self.size = int(size)
-        self.peer = None if peer is None else int(peer)
+        self.peer = peer
         self.tag = int(tag)
         self.cpu = int(cpu)
         self.label = label
@@ -99,22 +106,22 @@ class Op:
     @classmethod
     def send(cls, size: int, dst: int, tag: int = 0, cpu: int = 0, label: Optional[str] = None) -> "Op":
         """Create a ``send`` op of ``size`` bytes to rank ``dst``."""
-        return cls(OpType.SEND, size, peer=dst, tag=tag, cpu=cpu, label=label)
+        return cls(_SEND, size, peer=dst, tag=tag, cpu=cpu, label=label)
 
     @classmethod
     def recv(cls, size: int, src: int, tag: int = 0, cpu: int = 0, label: Optional[str] = None) -> "Op":
         """Create a ``recv`` op of ``size`` bytes from rank ``src``."""
-        return cls(OpType.RECV, size, peer=src, tag=tag, cpu=cpu, label=label)
+        return cls(_RECV, size, peer=src, tag=tag, cpu=cpu, label=label)
 
     @classmethod
     def calc(cls, duration_ns: int, cpu: int = 0, label: Optional[str] = None) -> "Op":
         """Create a ``calc`` op costing ``duration_ns`` nanoseconds."""
-        return cls(OpType.CALC, duration_ns, peer=None, cpu=cpu, label=label)
+        return cls(_CALC, duration_ns, peer=None, cpu=cpu, label=label)
 
     @classmethod
     def dummy(cls, cpu: int = 0, label: Optional[str] = None) -> "Op":
         """Create a zero-cost synchronisation vertex (``calc 0``)."""
-        return cls(OpType.CALC, 0, peer=None, cpu=cpu, label=label)
+        return cls(_CALC, 0, peer=None, cpu=cpu, label=label)
 
     # -- predicates --------------------------------------------------------
     @property
@@ -167,11 +174,23 @@ class Op:
 
     def copy(self) -> "Op":
         """Return a shallow copy of this op."""
-        op = Op.__new__(Op)
-        op.kind = self.kind
-        op.size = self.size
-        op.peer = self.peer
-        op.tag = self.tag
-        op.cpu = self.cpu
-        op.label = self.label
-        return op
+        return _trusted_op(self.kind, self.size, self.peer, self.tag, self.cpu, self.label)
+
+
+def _trusted_op(
+    kind: OpType, size: int, peer: Optional[int], tag: int, cpu: int, label: Optional[str] = None
+) -> Op:
+    """Build an :class:`Op` without validation.
+
+    For callers inside :mod:`repro.goal` whose fields are already checked
+    plain ints: the two decoders (unsigned varints; ``str.isdecimal`` tokens)
+    and :meth:`Op.copy`.
+    """
+    op = Op.__new__(Op)
+    op.kind = kind
+    op.size = size
+    op.peer = peer
+    op.tag = tag
+    op.cpu = cpu
+    op.label = label
+    return op

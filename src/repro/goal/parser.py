@@ -32,14 +32,23 @@ Rules
 * ``X requires Y`` adds a dependency edge Y -> X.  Both labels must already be
   defined in the current rank block.
 * ``#`` and ``//`` start comments; blank lines are ignored.
+
+Implementation
+--------------
+One pass, one ``str.split`` per line.  A line whose whitespace tokens already
+form one statement -- every line :func:`repro.goal.writer.write_goal` emits --
+is applied as is.  Only a line that does not (a comment, a one-line
+``rank 0 { a: calc 1 }``, ``a:calc 1``) is cut at ``#`` / ``//``, split at its
+braces and re-tokenised, so the common line never pays for the rare one.
 """
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from bisect import insort
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.goal.ops import Op
-from repro.goal.schedule import GoalSchedule, RankSchedule
+from repro.goal.ops import _CALC, _RECV, _SEND, Op, _trusted_op
+from repro.goal.schedule import GoalSchedule, RankSchedule, _gc_paused
 
 
 class GoalParseError(ValueError):
@@ -58,49 +67,90 @@ class GoalParseError(ValueError):
         super().__init__(prefix + message)
 
 
-_COMMENT_RE = re.compile(r"(#|//).*$")
-_NUM_RANKS_RE = re.compile(r"^num_ranks\s+(\d+)$")
-_RANK_OPEN_RE = re.compile(r"^rank\s+(\d+)\s*\{$")
-_LABELLED_OP_RE = re.compile(r"^(?P<label>[A-Za-z_][\w.-]*)\s*:\s*(?P<body>.+)$")
-_REQUIRES_RE = re.compile(r"^(?P<succ>[A-Za-z_][\w.-]*)\s+(requires|irequires)\s+(?P<pred>[A-Za-z_][\w.-]*)$")
-_SEND_RE = re.compile(
-    r"^send\s+(?P<size>\d+)\s*b?\s+to\s+(?P<peer>\d+)"
-    r"(?:\s+tag\s+(?P<tag>\d+))?(?:\s+cpu\s*(?P<cpu>\d+))?$"
-)
-_RECV_RE = re.compile(
-    r"^recv\s+(?P<size>\d+)\s*b?\s+from\s+(?P<peer>\d+)"
-    r"(?:\s+tag\s+(?P<tag>\d+))?(?:\s+cpu\s*(?P<cpu>\d+))?$"
-)
-_CALC_RE = re.compile(r"^calc\s+(?P<size>\d+)(?:\s+cpu\s*(?P<cpu>\d+))?$")
+#: The label grammar, shared with the writer (which renames labels outside it).
+LABEL_RE = re.compile(r"[A-Za-z_][\w.-]*")
+
+# keyword -> (kind, the word that introduces the peer)
+_COMM = {"send": (_SEND, "to"), "recv": (_RECV, "from")}
+_REQUIRES = ("requires", "irequires")
 
 
-def _parse_op_body(body: str, label: Optional[str], line_no: int) -> Op:
-    """Parse the part of an op line after the ``label:`` prefix."""
-    body = body.strip()
-    m = _SEND_RE.match(body)
-    if m:
-        return Op.send(
-            int(m.group("size")),
-            dst=int(m.group("peer")),
-            tag=int(m.group("tag") or 0),
-            cpu=int(m.group("cpu") or 0),
-            label=label,
+def _is_label(word: str) -> bool:
+    # ASCII identifiers are the common case and need no regex.
+    return (word.isascii() and word.isidentifier()) or LABEL_RE.fullmatch(word) is not None
+
+
+def _parse_op(toks: List[str], i: int, label: Optional[str]) -> Optional[Op]:
+    """Build the op spelled by ``toks[i:]``, or ``None`` if they spell none.
+
+    ``calc N [cpu K]`` or ``send|recv N[b] to|from P [tag T] [cpu K]``; the
+    ``b`` may stand alone and ``cpu K`` may be written ``cpuK``.
+    """
+    n = len(toks)
+    try:
+        word = toks[i]
+        size = toks[i + 1]
+        i += 2
+        peer = tag = cpu = "0"
+        if word == "calc":
+            kind = _CALC
+        else:
+            kind, peer_word = _COMM[word]
+            if size[-1] == "b":
+                size = size[:-1]
+            elif toks[i] == "b":
+                i += 1
+            if toks[i] != peer_word:
+                return None
+            peer = toks[i + 1]
+            i += 2
+            if i < n and toks[i] == "tag":
+                tag = toks[i + 1]
+                i += 2
+        if i < n:
+            if toks[i] == "cpu":
+                cpu = toks[i + 1]
+                i += 2
+            elif toks[i].startswith("cpu"):
+                cpu = toks[i][3:]
+                i += 1
+        # Numbers are what ``\d+`` accepted: one isdecimal() over all four
+        # refuses the signs, underscores and blanks int() would let through,
+        # and int() itself refuses an empty one.
+        if i != n or not (size + peer + tag + cpu).isdecimal():
+            return None
+        return _trusted_op(
+            kind, int(size), None if kind is _CALC else int(peer), int(tag), int(cpu), label
         )
-    m = _RECV_RE.match(body)
-    if m:
-        return Op.recv(
-            int(m.group("size")),
-            src=int(m.group("peer")),
-            tag=int(m.group("tag") or 0),
-            cpu=int(m.group("cpu") or 0),
-            label=label,
-        )
-    m = _CALC_RE.match(body)
-    if m:
-        return Op.calc(int(m.group("size")), cpu=int(m.group("cpu") or 0), label=label)
-    raise GoalParseError(f"unrecognised op syntax: {body!r}", line_no)
+    except (IndexError, KeyError, ValueError):
+        return None
 
 
+def _statements(raw: str) -> Iterator[Tuple[str, List[str]]]:
+    """Cut ``raw`` into ``(text, tokens)`` statements.
+
+    For a line that is not one statement as it stands: drops the comment,
+    ends a statement after ``{`` and around ``}`` (so one-line rank blocks
+    parse like multi-line ones), and puts the tokens in the canonical
+    spelling -- ``{`` alone, ``label:`` in one piece.
+    """
+    for mark in ("#", "//"):
+        cut = raw.find(mark)
+        if cut >= 0:
+            raw = raw[:cut]
+    for text in raw.replace("{", "{\n").replace("}", "\n}\n").split("\n"):
+        text = text.strip()
+        if not text:
+            continue
+        core, brace = (text[:-1], ["{"]) if text[-1] == "{" else (text, [])
+        label, colon, body = core.partition(":")
+        if colon:
+            yield text, [label.strip() + ":"] + body.split() + brace
+        else:
+            yield text, core.split() + brace
+
+
+@_gc_paused()
 def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
     """Parse textual GOAL ``text`` into a :class:`GoalSchedule`.
 
@@ -111,70 +161,115 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
         blocks, dependencies on not-yet-defined labels, ...).
     """
     declared_ranks: Optional[int] = None
-    # rank id -> (list of (op, deps-as-labels), label->index map)
     blocks: Dict[int, RankSchedule] = {}
-    pending_deps: List[Tuple[int, str, str, int]] = []  # (rank, succ_label, pred_label, line)
+    line_no = 0
 
-    current_rank: Optional[int] = None
-    current_sched: Optional[RankSchedule] = None
+    # The open rank block (``rank is None`` between blocks).
+    rank: Optional[int] = None
+    ops: List[Op] = []
+    preds: List[List[int]] = []
+    labels: Dict[str, int] = {}
+    # ``requires`` lines naming a label not defined above them: (succ, pred, line)
+    pending: List[Tuple[str, str, int]] = []
 
-    # Pre-split lines so that single-line rank blocks ("rank 0 { a: calc 1 }")
-    # parse the same way as the multi-line form: braces end logical lines.
-    logical_lines: List[Tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = _COMMENT_RE.sub("", raw)
-        for part in stripped.replace("{", "{\n").replace("}", "\n}\n").split("\n"):
-            part = part.strip()
-            if part:
-                logical_lines.append((line_no, part))
+    def add_edge(succ: int, pred: int) -> None:
+        deps = preds[succ]
+        if not deps or deps[-1] < pred:
+            deps.append(pred)
+        elif pred not in deps:
+            insort(deps, pred)
 
-    for line_no, line in logical_lines:
-        if current_rank is None:
-            m = _NUM_RANKS_RE.match(line)
-            if m:
-                if declared_ranks is not None:
-                    raise GoalParseError("num_ranks declared more than once", line_no)
-                declared_ranks = int(m.group(1))
-                if declared_ranks <= 0:
-                    raise GoalParseError("num_ranks must be positive", line_no)
-                continue
-            m = _RANK_OPEN_RE.match(line)
-            if m:
-                rank = int(m.group(1))
+    def close_block() -> None:
+        nonlocal rank
+        for succ_label, pred_label, at in pending:
+            for label in (succ_label, pred_label):
+                if label not in labels:
+                    raise GoalParseError(f"unknown label {label!r} in rank {rank}", at)
+            succ, pred = labels[succ_label], labels[pred_label]
+            if pred >= succ:
+                raise GoalParseError(
+                    f"dependency {succ_label} requires {pred_label} points forward "
+                    f"(vertex {pred} >= {succ}); GOAL requires definition before use",
+                    at,
+                )
+            add_edge(succ, pred)
+        blocks[rank] = RankSchedule._from_parts(rank, ops, preds, labels)
+        rank = None
+
+    def statement(toks: List[str]) -> bool:
+        """Apply the statement ``toks`` spell; ``False`` if they spell none."""
+        nonlocal declared_ranks, rank, ops, preds, labels, pending
+        n = len(toks)
+        head = toks[0]
+        if rank is None:
+            if head == "rank" and n == 3 and toks[2] == "{" and toks[1].isdecimal():
+                rank = int(toks[1])
                 if rank in blocks:
                     raise GoalParseError(f"duplicate block for rank {rank}", line_no)
-                current_rank = rank
-                current_sched = RankSchedule(rank)
-                blocks[rank] = current_sched
+                ops, preds, labels, pending = [], [], {}, []
+                return True
+            if head == "num_ranks" and n == 2 and toks[1].isdecimal():
+                if declared_ranks is not None:
+                    raise GoalParseError("num_ranks declared more than once", line_no)
+                declared_ranks = int(toks[1])
+                if declared_ranks <= 0:
+                    raise GoalParseError("num_ranks must be positive", line_no)
+                return True
+            return False
+
+        if n == 3 and toks[1] in _REQUIRES:
+            succ = labels.get(head)
+            pred = labels.get(toks[2])
+            if succ is not None and pred is not None and pred < succ:
+                add_edge(succ, pred)
+                return True
+            # Not both defined yet, or a forward edge: settled (or refused,
+            # with this line's number) when the block closes.
+            if _is_label(head) and _is_label(toks[2]):
+                pending.append((head, toks[2], line_no))
+                return True
+            return False
+
+        label = None
+        if head[-1] == ":":
+            label = head[:-1]
+            if not _is_label(label):
+                return False
+        elif head == "}":
+            if n != 1:
+                return False
+            close_block()
+            return True
+        op = _parse_op(toks, 0 if label is None else 1, label)
+        if op is None:
+            return False
+        if label is not None:
+            if label in labels:
+                raise GoalParseError(f"duplicate label {label!r} in rank {rank}", line_no)
+            labels[label] = len(ops)
+        ops.append(op)
+        preds.append([])
+        return True
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if not toks or statement(toks):
+            continue
+        for part, toks in _statements(raw):
+            if statement(toks):
                 continue
-            raise GoalParseError(f"expected 'num_ranks' or 'rank N {{', got {line!r}", line_no)
+            if rank is None:
+                raise GoalParseError(
+                    f"expected 'num_ranks' or 'rank N {{', got {part!r}", line_no
+                )
+            # as the labelled form reports it: the part after a well-formed "label:"
+            label, _, body = part.partition(":")
+            if body.strip() and LABEL_RE.fullmatch(label.strip()):
+                part = body.strip()
+            raise GoalParseError(f"unrecognised op syntax: {part!r}", line_no)
 
-        # inside a rank block
-        if line == "}":
-            current_rank = None
-            current_sched = None
-            continue
-
-        m = _REQUIRES_RE.match(line)
-        if m:
-            pending_deps.append((current_rank, m.group("succ"), m.group("pred"), line_no))
-            continue
-
-        m = _LABELLED_OP_RE.match(line)
-        if m:
-            op = _parse_op_body(m.group("body"), m.group("label"), line_no)
-            try:
-                current_sched.add_op(op)
-            except ValueError as exc:
-                raise GoalParseError(str(exc), line_no) from exc
-            continue
-
-        # unlabelled op (allowed; cannot be referenced by requires)
-        op = _parse_op_body(line, None, line_no)
-        current_sched.add_op(op)
-
-    if current_rank is not None:
-        raise GoalParseError(f"rank {current_rank} block not closed (missing '}}')")
+    if rank is not None:
+        raise GoalParseError(f"rank {rank} block not closed (missing '}}')")
 
     if not blocks:
         raise GoalParseError("no rank blocks found")
@@ -186,28 +281,9 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
             f"rank {max_rank} defined but num_ranks is {num_ranks}"
         )
 
-    # resolve label-based dependencies
-    for rank, succ_label, pred_label, line_no in pending_deps:
-        sched = blocks[rank]
-        try:
-            succ = sched.vertex_by_label(succ_label)
-        except KeyError:
-            raise GoalParseError(f"unknown label {succ_label!r} in rank {rank}", line_no)
-        try:
-            pred = sched.vertex_by_label(pred_label)
-        except KeyError:
-            raise GoalParseError(f"unknown label {pred_label!r} in rank {rank}", line_no)
-        if pred >= succ:
-            raise GoalParseError(
-                f"dependency {succ_label} requires {pred_label} points forward "
-                f"(vertex {pred} >= {succ}); GOAL requires definition before use",
-                line_no,
-            )
-        sched.add_dependency(succ, pred)
-
     schedule = GoalSchedule(num_ranks, name=name)
-    for rank, sched in blocks.items():
-        schedule.ranks[rank] = sched
+    for rank_id, sched in blocks.items():
+        schedule.ranks[rank_id] = sched
     return schedule
 
 

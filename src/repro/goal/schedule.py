@@ -13,9 +13,31 @@ lazily and cached.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.goal.ops import Op, OpType
+
+
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Suspend the cyclic garbage collector while a decoder builds a schedule.
+
+    A decoder allocates two containers per op (the :class:`Op`, its
+    predecessor list), frees none and creates no cycle, so every collection
+    its allocations trigger scans the heap and finds nothing -- and the full
+    ones scan whatever else the process holds.  Measured with three 58 880-op
+    schedules alive, those scans were about half of parse and decode time.
+    The previous state is restored on exit (also when the decoder raises).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class RankSchedule:
@@ -57,16 +79,16 @@ class RankSchedule:
         """
         idx = len(self.ops)
         deps: List[int] = []
-        for dep in requires:
-            dep = int(dep)
-            if dep < 0 or dep >= idx:
+        if requires:
+            deps = sorted(set(requires))
+            if deps and (deps[0] < 0 or deps[-1] >= idx):
+                bad = deps[0] if deps[0] < 0 else deps[-1]
                 raise ValueError(
-                    f"dependency {dep} of new vertex {idx} is out of range "
+                    f"dependency {bad} of new vertex {idx} is out of range "
                     f"(must reference an earlier vertex)"
                 )
-            deps.append(dep)
         self.ops.append(op)
-        self.preds.append(sorted(set(deps)))
+        self.preds.append(deps)
         if op.label is not None:
             if op.label in self._labels:
                 raise ValueError(f"duplicate label {op.label!r} in rank {self.rank}")
@@ -175,10 +197,28 @@ class RankSchedule:
 
     def copy(self) -> "RankSchedule":
         """Deep-copy this rank schedule (ops are copied; labels preserved)."""
-        new = RankSchedule(self.rank)
-        new.ops = [op.copy() for op in self.ops]
-        new.preds = [list(p) for p in self.preds]
-        new._labels = dict(self._labels)
+        return RankSchedule._from_parts(
+            self.rank,
+            [op.copy() for op in self.ops],
+            [list(p) for p in self.preds],
+            dict(self._labels),
+        )
+
+    @classmethod
+    def _from_parts(
+        cls, rank: int, ops: List[Op], preds: List[List[int]], labels: Dict[str, int]
+    ) -> "RankSchedule":
+        """Adopt already-checked lists as rank ``rank`` (no copy, no validation).
+
+        The trusted entry for the two decoders and :meth:`copy`.  The caller
+        guarantees what :meth:`add_op` would have enforced: ``preds[i]`` is
+        sorted, duplicate-free and references only vertices ``< i``, and
+        ``labels`` maps every non-``None`` ``ops[i].label`` to ``i``.
+        """
+        new = cls(rank)
+        new.ops = ops
+        new.preds = preds
+        new._labels = labels
         return new
 
     def __repr__(self) -> str:

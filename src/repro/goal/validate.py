@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Dict, List, Tuple
 
-from repro.goal.ops import OpType
+from repro.goal.ops import _CALC, _SEND
 from repro.goal.schedule import GoalSchedule
 
 
@@ -52,64 +52,68 @@ def validate_schedule(
     """
     errors: List[str] = []
 
-    def report(msg: str) -> bool:
+    def report(msg: str) -> None:
         errors.append(msg)
-        return len(errors) >= max_errors
+        if len(errors) >= max_errors:
+            raise GoalValidationError(errors)
 
     num_ranks = schedule.num_ranks
+    # (src, dst, tag, size) -> message count, filled in the same pass
+    sends: Counter = Counter()
+    recvs: Counter = Counter()
     for rank in schedule.ranks:
+        me = rank.rank
         n = len(rank.ops)
-        for vertex, deps in enumerate(rank.preds):
+        for vertex, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
             for dep in deps:
-                if dep < 0 or dep >= n:
-                    if report(f"rank {rank.rank}: vertex {vertex} depends on out-of-range vertex {dep}"):
-                        raise GoalValidationError(errors)
-                elif dep >= vertex:
-                    if report(
-                        f"rank {rank.rank}: vertex {vertex} depends on later/equal vertex {dep} "
-                        "(forward edge; schedule is not in definition order)"
-                    ):
-                        raise GoalValidationError(errors)
-        for vertex, op in enumerate(rank.ops):
+                if not 0 <= dep < vertex:
+                    if not 0 <= dep < n:
+                        report(f"rank {me}: vertex {vertex} depends on out-of-range vertex {dep}")
+                    else:
+                        report(
+                            f"rank {me}: vertex {vertex} depends on later/equal vertex {dep} "
+                            "(forward edge; schedule is not in definition order)"
+                        )
             if op.size < 0:
-                if report(f"rank {rank.rank}: vertex {vertex} has negative size {op.size}"):
-                    raise GoalValidationError(errors)
+                report(f"rank {me}: vertex {vertex} has negative size {op.size}")
             if op.cpu < 0:
-                if report(f"rank {rank.rank}: vertex {vertex} has negative cpu {op.cpu}"):
-                    raise GoalValidationError(errors)
-            if op.is_comm:
-                if op.peer is None or not (0 <= op.peer < num_ranks):
-                    if report(
-                        f"rank {rank.rank}: vertex {vertex} ({op.kind.short()}) has invalid peer "
-                        f"{op.peer} (num_ranks={num_ranks})"
-                    ):
-                        raise GoalValidationError(errors)
-                elif op.peer == rank.rank:
-                    if report(
-                        f"rank {rank.rank}: vertex {vertex} ({op.kind.short()}) targets its own rank; "
-                        "self-messages must be modelled as calc ops"
-                    ):
-                        raise GoalValidationError(errors)
+                report(f"rank {me}: vertex {vertex} has negative cpu {op.cpu}")
+            kind = op.kind
+            if kind == _CALC:
+                continue
+            peer = op.peer
+            if peer is None or not 0 <= peer < num_ranks:
+                report(
+                    f"rank {me}: vertex {vertex} ({kind.short()}) has invalid peer "
+                    f"{peer} (num_ranks={num_ranks})"
+                )
+            elif peer == me:
+                report(
+                    f"rank {me}: vertex {vertex} ({kind.short()}) targets its own rank; "
+                    "self-messages must be modelled as calc ops"
+                )
+            elif kind == _SEND:
+                sends[(me, peer, op.tag, op.size)] += 1
+            else:
+                recvs[(peer, me, op.tag, op.size)] += 1
 
-    if check_matching and not errors:
-        _check_message_matching(schedule, errors, max_errors)
+    if check_matching and not errors and sends != recvs:
+        _report_mismatched_channels(sends, recvs, errors, max_errors)
 
     if errors:
         raise GoalValidationError(errors)
 
 
-def _check_message_matching(schedule: GoalSchedule, errors: List[str], max_errors: int) -> None:
-    """Verify that sends and receives pair up per (src, dst, tag) channel."""
-    # channel -> Counter of message sizes (sends positive, recvs negative)
+def _report_mismatched_channels(
+    send_counts: Counter, recv_counts: Counter, errors: List[str], max_errors: int
+) -> None:
+    """Describe, per (src, dst, tag) channel, how sends and receives fail to pair up."""
+    # channel -> Counter of message sizes
     send_sizes: Dict[Tuple[int, int, int], Counter] = defaultdict(Counter)
     recv_sizes: Dict[Tuple[int, int, int], Counter] = defaultdict(Counter)
-
-    for rank in schedule.ranks:
-        for op in rank.ops:
-            if op.kind == OpType.SEND:
-                send_sizes[(rank.rank, op.peer, op.tag)][op.size] += 1
-            elif op.kind == OpType.RECV:
-                recv_sizes[(op.peer, rank.rank, op.tag)][op.size] += 1
+    for by_channel, counts in ((send_sizes, send_counts), (recv_sizes, recv_counts)):
+        for (src, dst, tag, size), count in counts.items():
+            by_channel[(src, dst, tag)][size] = count
 
     channels = set(send_sizes) | set(recv_sizes)
     for channel in sorted(channels):

@@ -6,60 +6,58 @@ dependencies can be expressed).
 """
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Set
 
-from repro.goal.ops import Op, OpType
-from repro.goal.schedule import GoalSchedule, RankSchedule
-
-
-def _op_line(op: Op, label: str) -> str:
-    """Render one op as a textual GOAL line (without indentation)."""
-    if op.kind == OpType.CALC:
-        body = f"calc {op.size}"
-    elif op.kind == OpType.SEND:
-        body = f"send {op.size}b to {op.peer}"
-        if op.tag:
-            body += f" tag {op.tag}"
-    else:
-        body = f"recv {op.size}b from {op.peer}"
-        if op.tag:
-            body += f" tag {op.tag}"
-    if op.cpu:
-        body += f" cpu {op.cpu}"
-    return f"{label}: {body}"
-
-
-def _rank_labels(rank: RankSchedule) -> List[str]:
-    """Assign a unique textual label to every vertex of ``rank``.
-
-    Existing labels are kept when they do not collide with the generated
-    ``opN`` namespace; otherwise vertices fall back to ``opN``.
-    """
-    used = set()
-    labels: List[str] = []
-    for idx, op in enumerate(rank.ops):
-        label = op.label
-        if not label or label in used:
-            label = f"op{idx}"
-        # guard against user labels that collide with generated ones
-        while label in used:
-            label = f"{label}_"
-        used.add(label)
-        labels.append(label)
-    return labels
+from repro.goal.ops import _CALC, _SEND
+from repro.goal.parser import LABEL_RE
+from repro.goal.schedule import GoalSchedule
 
 
 def write_goal(schedule: GoalSchedule) -> str:
-    """Serialise ``schedule`` to the textual GOAL format and return the string."""
+    """Serialise ``schedule`` to the textual GOAL format and return the string.
+
+    Every vertex gets a unique label: its own when that is a label the parser
+    accepts (:data:`~repro.goal.parser.LABEL_RE`) and not yet taken in its
+    rank, else the generated ``opN``.
+    """
     lines: List[str] = [f"num_ranks {schedule.num_ranks}", ""]
     for rank in schedule.ranks:
         lines.append(f"rank {rank.rank} {{")
-        labels = _rank_labels(rank)
-        for idx, op in enumerate(rank.ops):
-            lines.append("    " + _op_line(op, labels[idx]))
-        for vertex, deps in enumerate(rank.preds):
+        labels: List[str] = []
+        # Labels taken so far; only tracked from the rank's first user label
+        # on, because generated ``opN`` labels cannot collide with each other.
+        used: Optional[Set[str]] = None
+        requires: List[str] = []
+        for idx, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
+            label = op.label
+            if label:
+                if used is None:
+                    used = set(labels)
+                if label in used or not LABEL_RE.fullmatch(label):
+                    label = None
+            if not label:
+                label = f"op{idx}"
+                # guard against user labels that collide with generated ones
+                while used is not None and label in used:
+                    label += "_"
+            if used is not None:
+                used.add(label)
+            labels.append(label)
+
+            kind = op.kind
+            if kind == _CALC:
+                line = f"    {label}: calc {op.size}"
+            else:
+                verb, word = ("send", "to") if kind == _SEND else ("recv", "from")
+                line = f"    {label}: {verb} {op.size}b {word} {op.peer}"
+                if op.tag:
+                    line += f" tag {op.tag}"
+            if op.cpu:
+                line += f" cpu {op.cpu}"
+            lines.append(line)
             for dep in deps:
-                lines.append(f"    {labels[vertex]} requires {labels[dep]}")
+                requires.append(f"    {label} requires {labels[dep]}")
+        lines += requires
         lines.append("}")
         lines.append("")
     return "\n".join(lines)

@@ -400,6 +400,50 @@ class TestMissingFileSpecs:
         assert "nonexistent.goal" in message and "pattern:ranks:size" in message
 
 
+class TestMisnamedGoalFiles:
+    """The codec is picked by the file's content (the ``GOAL`` magic), not its name."""
+
+    @staticmethod
+    def _pingpong():
+        from repro.goal import GoalBuilder
+
+        b = GoalBuilder(2, name="pingpong")
+        b.rank(0).send(4096, dst=1, tag=3)
+        b.rank(1).recv(4096, src=0, tag=3)
+        return b.build()
+
+    def _write(self, tmp_path, name, binary):
+        from repro.goal import encode_goal, write_goal
+
+        path = tmp_path / name
+        if binary:
+            path.write_bytes(encode_goal(self._pingpong()))
+        else:
+            path.write_text(write_goal(self._pingpong()), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "name, binary",
+        [("trace.goal", True), ("trace.bin", False), ("trace.goalbin", False), ("trace", True)],
+    )
+    def test_simulate_reads_either_codec_under_any_name(self, tmp_path, capsys, name, binary):
+        import json
+
+        assert main(["simulate", self._write(tmp_path, name, binary), "--backend", "lgs"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ops_completed"] == 2 and payload["messages"] == 1
+
+    def test_cotenant_job_specs_read_either_codec(self, tmp_path, capsys):
+        import json
+
+        jobs = [self._write(tmp_path, "a.goal", True), self._write(tmp_path, "b.bin", False)]
+        assert main(["cotenant", *jobs, "--backend", "lgs"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["workload"] == "cotenant-2job"
+        for strategy in payload["strategies"].values():
+            assert [job["messages"] for job in strategy["jobs"]] == [1, 1]
+
+
 class TestShardingFlagErrors:
     def test_shards_rejected_on_loggops_backend(self):
         # --shards used to be silently ignored off the packet backend,
