@@ -696,7 +696,7 @@ def _emit_schedule(
 
     schedule = builder.build()
     for rank_sched, rank_groups in zip(schedule.ranks, groups):
-        assert len(rank_groups) == len(rank_sched.ops)
+        assert len(rank_groups) == len(rank_sched)
     return schedule, groups
 
 

@@ -36,6 +36,7 @@ from repro.goal.merge import (
     merge_onto_shared_nodes,
     remap_ranks,
 )
+from repro.goal.ops import _CALC
 from repro.goal.schedule import GoalSchedule
 from repro.goal.validate import validate_schedule
 from repro.network.backend import JobStats, SimulationResult
@@ -169,12 +170,13 @@ def _delayed_schedules(jobs: Sequence[ClusterJob]) -> List[GoalSchedule]:
 def _check_tags(jobs: Sequence[ClusterJob], tag_stride: int) -> None:
     for job in jobs:
         for rank in job.schedule.ranks:
-            for op in rank.ops:
-                if op.is_comm and op.tag >= tag_stride:
-                    raise ValueError(
-                        f"job {job.label!r} uses tag {op.tag} >= tag_stride "
-                        f"{tag_stride}; raise tag_stride so job tag windows stay disjoint"
-                    )
+            kind, _, _, tag, _ = rank.columns()
+            wide = tag[(kind != _CALC) & (tag >= tag_stride)]
+            if wide.size:
+                raise ValueError(
+                    f"job {job.label!r} uses tag {int(wide[0])} >= tag_stride "
+                    f"{tag_stride}; raise tag_stride so job tag windows stay disjoint"
+                )
 
 
 def _mappings_overlap(mappings: Sequence[Mapping[int, int]]) -> bool:
@@ -257,7 +259,7 @@ def build_cotenant_schedule(
         # fragments are appended per tenant in job order — mirror that walk
         for job_idx, (sched, mapping) in enumerate(zip(delayed, placement.mappings)):
             for rank in sched.ranks:
-                op_groups[mapping[rank.rank]].extend([job_idx] * len(rank.ops))
+                op_groups[mapping[rank.rank]].extend([job_idx] * len(rank))
     else:
         merged = concatenate_schedules(
             delayed,
@@ -267,7 +269,7 @@ def build_cotenant_schedule(
         )
         for job_idx, (sched, mapping) in enumerate(zip(delayed, placement.mappings)):
             for rank in sched.ranks:
-                op_groups[mapping[rank.rank]] = [job_idx] * len(rank.ops)
+                op_groups[mapping[rank.rank]] = [job_idx] * len(rank)
     return CoTenantPlan(
         schedule=merged,
         placement=placement,

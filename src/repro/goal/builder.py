@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.goal.ops import Op, OpType
+from repro.goal.ops import _CALC, _RECV, _SEND, Op
 from repro.goal.schedule import GoalSchedule, RankSchedule
 
 VertexHandle = int
@@ -34,6 +34,8 @@ class RankBuilder:
 
     def __init__(self, schedule: RankSchedule) -> None:
         self._sched = schedule
+        # ops go into the rank's columns as scalars; no Op object is built
+        self._append = schedule.append_op
 
     @property
     def rank(self) -> int:
@@ -53,7 +55,7 @@ class RankBuilder:
         label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a ``send`` of ``size`` bytes to rank ``dst``; return its handle."""
-        return self._sched.add_op(Op.send(size, dst, tag=tag, cpu=cpu, label=label), requires)
+        return self._append(_SEND, size, dst, tag, cpu, requires, label)
 
     def recv(
         self,
@@ -65,7 +67,7 @@ class RankBuilder:
         label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a ``recv`` of ``size`` bytes from rank ``src``; return its handle."""
-        return self._sched.add_op(Op.recv(size, src, tag=tag, cpu=cpu, label=label), requires)
+        return self._append(_RECV, size, src, tag, cpu, requires, label)
 
     def calc(
         self,
@@ -75,7 +77,7 @@ class RankBuilder:
         label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a ``calc`` of ``duration_ns`` nanoseconds; return its handle."""
-        return self._sched.add_op(Op.calc(duration_ns, cpu=cpu, label=label), requires)
+        return self._append(_CALC, duration_ns, None, 0, cpu, requires, label)
 
     def dummy(
         self,
@@ -84,7 +86,7 @@ class RankBuilder:
         label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a zero-cost synchronisation vertex; return its handle."""
-        return self._sched.add_op(Op.dummy(cpu=cpu, label=label), requires)
+        return self._append(_CALC, 0, None, 0, cpu, requires, label)
 
     def add(self, op: Op, requires: Iterable[VertexHandle] = ()) -> VertexHandle:
         """Add an arbitrary pre-constructed :class:`Op`."""
@@ -115,11 +117,11 @@ class RankBuilder:
         This is the "dummy node" construction used in Stages 2 and 4 of the
         NCCL pipeline and in multi-tenant merging to synchronise streams.
         """
-        return self._sched.add_op(Op.dummy(cpu=cpu, label=label), deps)
+        return self._append(_CALC, 0, None, 0, cpu, deps, label)
 
     def fork(self, dep: VertexHandle, count: int, cpu: int = 0) -> List[VertexHandle]:
         """Insert ``count`` dummy vertices all depending on ``dep``."""
-        return [self._sched.add_op(Op.dummy(cpu=cpu), (dep,)) for _ in range(count)]
+        return [self._append(_CALC, 0, None, 0, cpu, (dep,)) for _ in range(count)]
 
     def last(self) -> Optional[VertexHandle]:
         """Handle of the most recently added vertex, or ``None`` if empty."""

@@ -22,10 +22,54 @@ keeps single-job co-tenant runs bit-identical to the plain simulation path.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-from repro.goal.ops import Op, OpType
+import numpy as np
+
+from repro.goal.ops import _CALC, VALUE_LIMIT, checked_value
 from repro.goal.schedule import GoalSchedule, RankSchedule
+
+
+def _targets(mapping: Mapping[int, int], num_ranks: int) -> np.ndarray:
+    """``mapping`` over ranks ``0 .. num_ranks - 1`` as a lookup column."""
+    return np.array([mapping[r] for r in range(num_ranks)], dtype=np.uint64)
+
+
+def _place(
+    rank: RankSchedule,
+    onto: RankSchedule,
+    targets: np.ndarray,
+    tag_offset: int = 0,
+    cpu_offset: int = 0,
+) -> None:
+    """Append ``rank``'s vertices to ``onto``: peers looked up in ``targets``, tags and
+    streams shifted, labels dropped, dependencies kept (relative to the block)."""
+    kind, size, peer, tag, cpu = rank.columns()
+    comm = kind != _CALC
+    if peer.size and int(peer.max()) >= len(targets):
+        raise ValueError(
+            f"rank {rank.rank} addresses peer {int(peer.max())}, outside the "
+            f"schedule's {len(targets)} ranks"
+        )
+    onto.extend(
+        kind,
+        size,
+        np.where(comm, targets[peer.astype(np.intp)], 0),
+        _shifted("tag", tag, tag_offset, comm),
+        _shifted("cpu (compute stream)", cpu, cpu_offset),
+        *rank.pred_csr(),
+    )
+
+
+def _shifted(what: str, values: np.ndarray, offset: int, where: Optional[np.ndarray] = None) -> np.ndarray:
+    """``values + offset`` (only ``where`` given), refusing a result past 64 bits."""
+    moved = values if where is None else values[where]
+    if not offset or not moved.size:
+        return values
+    if int(moved.max()) + offset >= VALUE_LIMIT:
+        raise ValueError(f"{what} {int(moved.max())} + {offset} does not fit 64 bits")
+    shifted = values + np.uint64(offset)
+    return shifted if where is None else np.where(where, shifted, values)
 
 
 def remap_ranks(
@@ -64,14 +108,9 @@ def remap_ranks(
         )
 
     merged = GoalSchedule(out_ranks, name=name or schedule.name)
+    lookup = _targets(mapping, schedule.num_ranks)
     for rank in schedule.ranks:
-        new_rank = merged.ranks[mapping[rank.rank]]
-        for idx, op in enumerate(rank.ops):
-            new_op = op.copy()
-            new_op.label = None
-            if new_op.is_comm:
-                new_op.peer = mapping[op.peer]
-            new_rank.add_op(new_op, rank.preds[idx])
+        _place(rank, merged.ranks[mapping[rank.rank]], lookup)
     return merged
 
 
@@ -85,9 +124,8 @@ def relabel_tags(schedule: GoalSchedule, tag_offset: int) -> GoalSchedule:
         raise ValueError("tag_offset must be non-negative")
     out = schedule.copy()
     for rank in out.ranks:
-        for op in rank.ops:
-            if op.is_comm:
-                op.tag += tag_offset
+        kind, _, _, tag, _ = rank.columns()
+        tag[:] = _shifted("tag", tag, tag_offset, kind != _CALC)
     return out
 
 
@@ -107,22 +145,34 @@ def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
         raise ValueError(f"delay_ns must be non-negative, got {delay_ns}")
     if delay_ns == 0:
         return schedule
+    delay = np.array([checked_value("delay_ns", delay_ns)], dtype=np.uint64)
+    zero = np.zeros(1, dtype=np.uint64)
     out = GoalSchedule(schedule.num_ranks, name=schedule.name)
     for rank in schedule.ranks:
-        new_rank = out.ranks[rank.rank]
-        if not rank.ops:
+        if not len(rank):
             continue
-        roots = set(rank.roots())
-        new_rank.add_op(Op.calc(delay_ns))
-        for idx, op in enumerate(rank.ops):
-            # labels survive (only the unlabeled delay vertex is new); the
-            # multi-job merges strip labels themselves when composing
-            new_op = op.copy()
-            # all original indices shift by one past the delay vertex
-            deps = [d + 1 for d in rank.preds[idx]]
-            if idx in roots:
-                deps.append(0)
-            new_rank.add_op(new_op, deps)
+        kind, size, peer, tag, cpu = rank.columns()
+        ptr, idx = rank.pred_csr()
+        # Vertex 0 is the delay, every original index shifts by one past it,
+        # and a former root (empty row) gets the one-entry row [0].
+        degree = np.diff(ptr)
+        new_ptr = np.concatenate(([0, 0], np.cumsum(np.maximum(degree, 1))))
+        new_idx = np.zeros(new_ptr[-1], dtype=np.int64)
+        kept = np.ones(len(new_idx), dtype=bool)
+        kept[new_ptr[1:-1][degree == 0]] = False
+        new_idx[kept] = idx + 1
+        # labels survive (only the unlabeled delay vertex is new); the
+        # multi-job merges strip labels themselves when composing
+        out.ranks[rank.rank].extend(
+            np.concatenate(([_CALC], kind)),
+            np.concatenate((delay, size)),
+            np.concatenate((zero, peer)),
+            np.concatenate((zero, tag)),
+            np.concatenate((zero, cpu)),
+            new_ptr,
+            new_idx,
+            {label: vertex + 1 for label, vertex in rank.labels.items()},
+        )
     return out
 
 
@@ -196,20 +246,15 @@ def concatenate_schedules(
     merged = GoalSchedule(total, name=name)
     for job_idx, (sched, placement) in enumerate(zip(schedules, placements)):
         offset = job_idx * tag_stride
+        lookup = _targets(placement, sched.num_ranks)
         for rank in sched.ranks:
             dst_rank = merged.ranks[placement[rank.rank]]
-            if len(dst_rank.ops):
+            if len(dst_rank):
                 raise ValueError(
                     f"node {placement[rank.rank]} already hosts another job; "
                     "use merge_onto_shared_nodes for multi-tenancy"
                 )
-            for idx, op in enumerate(rank.ops):
-                new_op = op.copy()
-                new_op.label = None
-                if new_op.is_comm:
-                    new_op.peer = placement[op.peer]
-                    new_op.tag += offset
-                dst_rank.add_op(new_op, rank.preds[idx])
+            _place(rank, dst_rank, lookup, tag_offset=offset)
     return merged
 
 
@@ -260,21 +305,17 @@ def merge_onto_shared_nodes(
     for tenant_idx, (sched, placement) in enumerate(zip(schedules, placements)):
         tag_offset = tenant_idx * tag_stride
         cpu_offset = tenant_idx * stream_stride
+        lookup = _targets(placement, sched.num_ranks)
         for rank in sched.ranks:
-            for op in rank.ops:
-                if op.cpu >= stream_stride:
-                    raise ValueError(
-                        f"schedule {sched.name!r} uses compute stream {op.cpu} >= "
-                        f"stream_stride {stream_stride}; increase stream_stride"
-                    )
-            dst_rank = merged.ranks[placement[rank.rank]]
-            base = len(dst_rank.ops)
-            for idx, op in enumerate(rank.ops):
-                new_op = op.copy()
-                new_op.label = None
-                new_op.cpu = op.cpu + cpu_offset
-                if new_op.is_comm:
-                    new_op.peer = placement[op.peer]
-                    new_op.tag += tag_offset
-                dst_rank.add_op(new_op, [base + d for d in rank.preds[idx]])
+            streams = rank.columns()[4]
+            if (streams >= stream_stride).any():
+                raise ValueError(
+                    f"schedule {sched.name!r} uses compute stream "
+                    f"{int(streams[streams >= stream_stride][0])} >= "
+                    f"stream_stride {stream_stride}; increase stream_stride"
+                )
+            _place(
+                rank, merged.ranks[placement[rank.rank]], lookup,
+                tag_offset=tag_offset, cpu_offset=cpu_offset,
+            )
     return merged

@@ -14,11 +14,17 @@ three kinds (paper §2.1):
 Each op may be pinned to a *compute stream* (``cpu``); ops on distinct
 streams may overlap in time even within one rank, which is how GOAL models
 concurrent CUDA streams or OpenMP sections.  Ops default to stream 0.
+
+A schedule does not store ``Op`` objects: :class:`~repro.goal.schedule.RankSchedule`
+keeps one array per field, and an ``Op`` is the value handed in and out at its
+API (``add_op``, ``rank.ops[i]``).  Every field is an unsigned 64-bit integer,
+the range of the binary format.
 """
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from operator import index as _index
+from typing import Optional, Tuple
 
 
 class OpType(enum.IntEnum):
@@ -39,6 +45,49 @@ _SHORT_NAMES = {OpType.SEND: "send", OpType.RECV: "recv", OpType.CALC: "calc"}
 # on per-op paths.
 _SEND, _RECV, _CALC = OpType.SEND, OpType.RECV, OpType.CALC
 
+#: Every op field satisfies ``0 <= value < VALUE_LIMIT``.
+VALUE_LIMIT = 1 << 64
+
+
+def checked_value(what: str, value: object) -> int:
+    """Return ``value`` as a plain int in the 64-bit unsigned range, or raise naming ``what``."""
+    try:
+        value = _index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    if value >= VALUE_LIMIT:
+        raise ValueError(f"{what} {value} does not fit 64 bits (must be < 2**64)")
+    return value
+
+
+def checked_fields(
+    kind: object, size: object, peer: object, tag: object, cpu: object
+) -> Tuple[OpType, int, Optional[int], int, int]:
+    """Validate one op's fields and return them normalised.
+
+    ``kind`` becomes an :class:`OpType` (``ValueError`` for an unknown one),
+    a ``calc`` must have ``peer is None`` and a ``send``/``recv`` must not, and
+    every number must be integral (``operator.index``, so numpy integers pass
+    and ``3.7`` does not) within ``0 <= value < 2**64``.
+    """
+    kind = OpType(kind)
+    if kind is _CALC:
+        if peer is not None:
+            raise ValueError("calc ops must not specify a peer")
+    elif peer is None:
+        raise ValueError(f"{kind.short()} requires a peer rank")
+    else:
+        peer = checked_value("peer rank", peer)
+    return (
+        kind,
+        checked_value("op size", size),
+        peer,
+        checked_value("tag", tag),
+        checked_value("cpu (compute stream)", cpu),
+    )
+
 
 class Op:
     """A single GOAL task (a vertex of a rank's dependency DAG).
@@ -46,11 +95,11 @@ class Op:
     Parameters
     ----------
     kind:
-        One of :class:`OpType`.
+        One of :class:`OpType` (or its integer value).
     size:
         Bytes for ``send``/``recv``; nanoseconds of computation for ``calc``.
-        Must be a non-negative integer.  A ``calc 0`` is a *dummy* vertex used
-        purely to express synchronisation (e.g. joining CUDA streams).
+        A ``calc 0`` is a *dummy* vertex used purely to express
+        synchronisation (e.g. joining CUDA streams).
     peer:
         Destination rank (for ``send``) or source rank (for ``recv``).
         ``None`` for ``calc``.
@@ -61,11 +110,9 @@ class Op:
     label:
         Optional human-readable label (the ``lN`` names in textual GOAL).
 
-    Notes
-    -----
-    ``Op`` is deliberately a ``__slots__`` class: large AI traces contain
-    millions of vertices, and per-instance ``__dict__``s would roughly triple
-    memory usage.
+    All numbers must be integers in ``0 <= value < 2**64``; anything else is
+    refused here with a ``ValueError`` (``TypeError`` for a non-integer)
+    naming the field.
     """
 
     __slots__ = ("kind", "size", "peer", "tag", "cpu", "label")
@@ -79,27 +126,9 @@ class Op:
         cpu: int = 0,
         label: Optional[str] = None,
     ) -> None:
-        if kind == _CALC:
-            if peer is not None:
-                raise ValueError("calc ops must not specify a peer")
-        elif peer is None:
-            raise ValueError(f"{OpType(kind).short()} requires a peer rank")
-        else:
-            peer = int(peer)
-        if size < 0 or tag < 0 or cpu < 0 or (peer is not None and peer < 0):
-            for what, value in (
-                ("op size", size),
-                ("peer rank", peer or 0),
-                ("tag", tag),
-                ("cpu (compute stream)", cpu),
-            ):
-                if value < 0:
-                    raise ValueError(f"{what} must be non-negative, got {value}")
-        self.kind = kind
-        self.size = int(size)
-        self.peer = peer
-        self.tag = int(tag)
-        self.cpu = int(cpu)
+        self.kind, self.size, self.peer, self.tag, self.cpu = checked_fields(
+            kind, size, peer, tag, cpu
+        )
         self.label = label
 
     # -- constructors -----------------------------------------------------
@@ -173,24 +202,5 @@ class Op:
         return hash((self.kind, self.size, self.peer, self.tag, self.cpu))
 
     def copy(self) -> "Op":
-        """Return a shallow copy of this op."""
-        return _trusted_op(self.kind, self.size, self.peer, self.tag, self.cpu, self.label)
-
-
-def _trusted_op(
-    kind: OpType, size: int, peer: Optional[int], tag: int, cpu: int, label: Optional[str] = None
-) -> Op:
-    """Build an :class:`Op` without validation.
-
-    For callers inside :mod:`repro.goal` whose fields are already checked
-    plain ints: the two decoders (unsigned varints; ``str.isdecimal`` tokens)
-    and :meth:`Op.copy`.
-    """
-    op = Op.__new__(Op)
-    op.kind = kind
-    op.size = size
-    op.peer = peer
-    op.tag = tag
-    op.cpu = cpu
-    op.label = label
-    return op
+        """Return a free-standing copy of this op (also of one read from ``rank.ops``)."""
+        return Op(self.kind, self.size, self.peer, self.tag, self.cpu, self.label)

@@ -39,16 +39,22 @@ One pass, one ``str.split`` per line.  A line whose whitespace tokens already
 form one statement -- every line :func:`repro.goal.writer.write_goal` emits --
 is applied as is.  Only a line that does not (a comment, a one-line
 ``rank 0 { a: calc 1 }``, ``a:calc 1``) is cut at ``#`` / ``//``, split at its
-braces and re-tokenised, so the common line never pays for the rare one.
+braces and re-tokenised, so the common line never pays for the rare one.  An
+op line appends its five numbers to the open block's op array and a
+``requires`` line its two vertices to the edge array; the closing brace cuts
+the first into field columns, sorts the second into the dependency index and
+hands both to the rank.
 """
 from __future__ import annotations
 
 import re
-from bisect import insort
+from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.goal.ops import _CALC, _RECV, _SEND, Op, _trusted_op
-from repro.goal.schedule import GoalSchedule, RankSchedule, _gc_paused
+import numpy as np
+
+from repro.goal.ops import _CALC, _RECV, _SEND
+from repro.goal.schedule import GoalSchedule, RankSchedule, csr_from_edges
 
 
 class GoalParseError(ValueError):
@@ -80,8 +86,8 @@ def _is_label(word: str) -> bool:
     return (word.isascii() and word.isidentifier()) or LABEL_RE.fullmatch(word) is not None
 
 
-def _parse_op(toks: List[str], i: int, label: Optional[str]) -> Optional[Op]:
-    """Build the op spelled by ``toks[i:]``, or ``None`` if they spell none.
+def _parse_op(toks: List[str], i: int) -> Optional[Tuple[int, int, int, int, int]]:
+    """``(kind, size, peer, tag, cpu)`` of the op spelled by ``toks[i:]``, or ``None``.
 
     ``calc N [cpu K]`` or ``send|recv N[b] to|from P [tag T] [cpu K]``; the
     ``b`` may stand alone and ``cpu K`` may be written ``cpuK``.
@@ -119,9 +125,7 @@ def _parse_op(toks: List[str], i: int, label: Optional[str]) -> Optional[Op]:
         # and int() itself refuses an empty one.
         if i != n or not (size + peer + tag + cpu).isdecimal():
             return None
-        return _trusted_op(
-            kind, int(size), None if kind is _CALC else int(peer), int(tag), int(cpu), label
-        )
+        return kind, int(size), int(peer), int(tag), int(cpu)
     except (IndexError, KeyError, ValueError):
         return None
 
@@ -150,7 +154,6 @@ def _statements(raw: str) -> Iterator[Tuple[str, List[str]]]:
             yield text, core.split() + brace
 
 
-@_gc_paused()
 def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
     """Parse textual GOAL ``text`` into a :class:`GoalSchedule`.
 
@@ -164,20 +167,14 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
     blocks: Dict[int, RankSchedule] = {}
     line_no = 0
 
-    # The open rank block (``rank is None`` between blocks).
+    # The open rank block (``rank is None`` between blocks): five numbers per
+    # op (kind, size, peer, tag, cpu) and two per edge (vertex, required
+    # vertex), both in the order the file states them.
     rank: Optional[int] = None
-    ops: List[Op] = []
-    preds: List[List[int]] = []
+    ops, edges = array("Q"), array("q")
     labels: Dict[str, int] = {}
     # ``requires`` lines naming a label not defined above them: (succ, pred, line)
     pending: List[Tuple[str, str, int]] = []
-
-    def add_edge(succ: int, pred: int) -> None:
-        deps = preds[succ]
-        if not deps or deps[-1] < pred:
-            deps.append(pred)
-        elif pred not in deps:
-            insort(deps, pred)
 
     def close_block() -> None:
         nonlocal rank
@@ -192,13 +189,18 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
                     f"(vertex {pred} >= {succ}); GOAL requires definition before use",
                     at,
                 )
-            add_edge(succ, pred)
-        blocks[rank] = RankSchedule._from_parts(rank, ops, preds, labels)
+            edges.extend((succ, pred))
+        fields = np.frombuffer(ops, dtype=np.uint64).reshape(-1, 5)
+        pairs = np.frombuffer(edges, dtype=np.int64).reshape(-1, 2)
+        blocks[rank] = RankSchedule(rank)
+        blocks[rank].extend(
+            *fields.T, *csr_from_edges(len(fields), pairs[:, 0], pairs[:, 1]), labels
+        )
         rank = None
 
     def statement(toks: List[str]) -> bool:
         """Apply the statement ``toks`` spell; ``False`` if they spell none."""
-        nonlocal declared_ranks, rank, ops, preds, labels, pending
+        nonlocal declared_ranks, rank, ops, edges, labels, pending
         n = len(toks)
         head = toks[0]
         if rank is None:
@@ -206,7 +208,7 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
                 rank = int(toks[1])
                 if rank in blocks:
                     raise GoalParseError(f"duplicate block for rank {rank}", line_no)
-                ops, preds, labels, pending = [], [], {}, []
+                ops, edges, labels, pending = array("Q"), array("q"), {}, []
                 return True
             if head == "num_ranks" and n == 2 and toks[1].isdecimal():
                 if declared_ranks is not None:
@@ -221,7 +223,7 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
             succ = labels.get(head)
             pred = labels.get(toks[2])
             if succ is not None and pred is not None and pred < succ:
-                add_edge(succ, pred)
+                edges.extend((succ, pred))
                 return True
             # Not both defined yet, or a forward edge: settled (or refused,
             # with this line's number) when the block closes.
@@ -240,15 +242,19 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
                 return False
             close_block()
             return True
-        op = _parse_op(toks, 0 if label is None else 1, label)
-        if op is None:
+        fields = _parse_op(toks, 0 if label is None else 1)
+        if fields is None:
             return False
         if label is not None:
             if label in labels:
                 raise GoalParseError(f"duplicate label {label!r} in rank {rank}", line_no)
-            labels[label] = len(ops)
-        ops.append(op)
-        preds.append([])
+            labels[label] = len(ops) // 5
+        try:
+            ops.extend(fields)
+        except OverflowError:
+            raise GoalParseError(
+                "a number of this op does not fit 64 bits (must be < 2**64)", line_no
+            ) from None
         return True
 
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -1,43 +1,317 @@
 """Rank-level and program-level GOAL schedules.
 
-A :class:`RankSchedule` is a dependency DAG over :class:`~repro.goal.ops.Op`
-vertices for one rank (one network endpoint: an MPI rank, a node, or a GPU,
-depending on the granularity chosen during GOAL generation).  A
-:class:`GoalSchedule` is the ordered collection of rank schedules that makes
-up a whole simulated program.
+A :class:`RankSchedule` is a dependency DAG over GOAL ops for one rank (one
+network endpoint: an MPI rank, a node, or a GPU, depending on the granularity
+chosen during GOAL generation).  A :class:`GoalSchedule` is the ordered
+collection of rank schedules that makes up a whole simulated program.
 
-Vertices are addressed by their integer index within the rank (insertion
-order); dependencies are stored as predecessor lists.  Successor lists and
-in-degrees — the representation the scheduler actually consumes — are derived
-lazily and cached.
+Layout
+------
+A rank is a struct of arrays, not a list of objects.  Vertex ``i`` (insertion
+order) is row ``i`` of five :class:`array.array` columns::
+
+    kind  'B'   0 send, 1 recv, 2 calc (the OpType values)
+    size  'Q'   bytes, or nanoseconds for a calc
+    peer  'Q'   destination / source rank; 0 for a calc (the kind column,
+                not a sentinel, says that a calc has no peer)
+    tag   'Q'
+    cpu   'Q'
+
+and its dependencies are rows ``pred_ptr[i] : pred_ptr[i + 1]`` of
+``pred_idx`` (CSR, both ``'q'``), each row sorted, duplicate-free and pointing
+at earlier vertices only.  That is 33 bytes per vertex plus 8 per vertex and
+per edge, against the ~260 of an ``Op`` object with its predecessor list, and
+it is the shape the binary format already has.  ``array`` gives amortised
+O(1) ``append`` for the builders; numpy reads the same memory through the
+buffer protocol (``np.frombuffer(rank.size, dtype=np.uint64)``, no copy) for
+everything that works on whole columns -- codecs, validation, merging.  Such
+a view must not be kept: an ``array`` that exports a buffer cannot grow.
+
+Labels (a debugging aid of the textual format) live in a dict beside the
+columns.  :class:`~repro.goal.ops.Op` remains the value type of the API:
+``rank.ops`` and ``rank.preds`` are sequence views that build an ``Op`` / a
+list per access.
 """
 from __future__ import annotations
 
-import contextlib
-import gc
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.goal.ops import Op, OpType
+import numpy as np
+
+from repro.goal.ops import _CALC, _RECV, _SEND, Op, OpType, checked_fields
+
+_KINDS = (_SEND, _RECV, _CALC)
+_OP_FIELDS = Op.__slots__
+_set_slot = object.__setattr__
 
 
-@contextlib.contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Suspend the cyclic garbage collector while a decoder builds a schedule.
+def _column(typecode: str, values: np.ndarray) -> array:
+    """``values`` (already of the matching dtype) as a fresh ``array``."""
+    return array(typecode, values.tobytes())
 
-    A decoder allocates two containers per op (the :class:`Op`, its
-    predecessor list), frees none and creates no cycle, so every collection
-    its allocations trigger scans the heap and finds nothing -- and the full
-    ones scan whatever else the process holds.  Measured with three 58 880-op
-    schedules alive, those scans were about half of parse and decode time.
-    The previous state is restored on exit (also when the decoder raises).
+
+def _as_u64(what: str, values: object) -> np.ndarray:
+    """``values`` as a uint64 array; refuses non-integers and negatives."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint64:
+        return arr
+    if arr.size == 0:
+        return np.empty(0, dtype=np.uint64)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} column must hold integers in 0 <= v < 2**64, got dtype {arr.dtype}")
+    if arr.dtype.kind == "i" and int(arr.min()) < 0:
+        raise ValueError(f"{what} must be non-negative, got {int(arr.min())}")
+    return arr.astype(np.uint64)
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """Sum of a uint64 array as a Python int (a plain ``.sum()`` wraps at 2**64)."""
+    return (int((values >> np.uint64(32)).sum()) << 32) + int((values & np.uint64(0xFFFFFFFF)).sum())
+
+
+def edge_owners(degree: np.ndarray) -> np.ndarray:
+    """Per entry of a CSR index, the row it belongs to (``degree[r]`` entries for row ``r``)."""
+    return np.repeat(np.arange(len(degree)), degree)
+
+
+def index_within(counts: object) -> np.ndarray:
+    """``0 .. c - 1`` for every ``c`` of ``counts``, end to end: an entry's place in its row,
+    a vertex's index in its rank."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def csr_from_edges(n: int, row: object, col: object) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(ptr, idx)`` over ``n`` rows from the pairs ``(row[k], col[k])``.
+
+    Rows come out sorted and duplicate-free whatever the order of the pairs;
+    pairs already in ``(row, col)`` order (what both writers emit) skip the
+    sort.  With ``row`` the dependent vertex and ``col`` the required one this
+    is the predecessor index; the other way round, the successor index.  The
+    caller has checked ``0 <= row, col < n``.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+    row = np.asarray(row, dtype=np.int64)
+    col = np.asarray(col, dtype=np.int64)
+    if len(row) > 1:
+        step = np.diff(row)
+        if not ((step > 0) | ((step == 0) & (np.diff(col) > 0))).all():
+            order = np.lexsort((col, row))
+            row, col = row[order], col[order]
+            keep = np.ones(len(row), dtype=bool)
+            keep[1:] = (np.diff(row) != 0) | (np.diff(col) != 0)
+            row, col = row[keep], col[keep]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr, col
+
+
+def _checked_columns(
+    kind: object,
+    size: object,
+    peer: object,
+    tag: object,
+    cpu: object,
+    degree: object,
+    dep: object,
+    vertex: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Check whole columns as :meth:`RankSchedule.append_op` checks one vertex.
+
+    The columns may span several ranks end to end: ``vertex`` is each row's
+    index within its rank, ``degree`` its number of dependencies and ``dep``
+    the required vertices (rank-local indices), row after row.  Returns the
+    columns in their storage dtypes; raises ``ValueError`` on the first fault.
+    """
+    kind = np.asarray(kind)
+    n = len(vertex)
+    if kind.size and (kind.dtype.kind not in "iu" or int(kind.max()) > _CALC or int(kind.min()) < 0):
+        raise ValueError("kind column must hold OpType values (0 send, 1 recv, 2 calc)")
+    kind = kind.astype(np.uint8)
+    size = _as_u64("op size", size)
+    peer = _as_u64("peer rank", peer)
+    tag = _as_u64("tag", tag)
+    cpu = _as_u64("cpu (compute stream)", cpu)
+    degree = np.asarray(degree, dtype=np.int64)
+    dep = np.asarray(dep, dtype=np.int64)
+    if not len(kind) == len(size) == len(peer) == len(tag) == len(cpu) == len(degree) == n:
+        raise ValueError("columns must have one entry per vertex")
+    if peer[kind == _CALC].any():
+        raise ValueError("calc ops must not specify a peer")
+    if (degree < 0).any() or int(degree.sum()) != len(dep):
+        raise ValueError("dependency counts do not add up to the dependency column")
+    owner = edge_owners(degree)
+    bad = (dep < 0) | (dep >= vertex[owner])
+    bad[1:] |= (owner[1:] == owner[:-1]) & (dep[1:] <= dep[:-1])
+    if bad.any():
+        at = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"dependency {int(dep[at])} of vertex {int(vertex[owner[at]])} is out of range or "
+            "out of order (rows must be sorted, duplicate-free and point backwards)"
+        )
+    return kind, size, peer, tag, cpu, degree, dep
+
+
+class StackedRanks(NamedTuple):
+    """The columns of several ranks end to end (see :func:`stack_ranks`)."""
+
+    kind: np.ndarray
+    size: np.ndarray
+    peer: np.ndarray
+    tag: np.ndarray
+    cpu: np.ndarray
+    #: dependencies per vertex, and the required vertices (rank-local) row after row
+    degree: np.ndarray
+    dep: np.ndarray
+    #: per vertex: position of its rank in the stacked sequence, index within that rank
+    rank_of: np.ndarray
+    vertex: np.ndarray
+
+
+def stack_ranks(ranks: Sequence["RankSchedule"]) -> StackedRanks:
+    """Concatenate the columns of ``ranks`` (copies), for whole-schedule array passes.
+
+    One pass over the stack costs the same few numpy calls whether the
+    schedule is 8 ranks of 100 000 vertices or 2048 of 30.
+    """
+    kind, size, peer, tag, cpu = (
+        np.concatenate(column) for column in zip(*(rank.columns() for rank in ranks))
+    )
+    csrs = [rank.pred_csr() for rank in ranks]
+    counts = np.array([len(rank) for rank in ranks])
+    return StackedRanks(
+        kind, size, peer, tag, cpu,
+        np.concatenate([np.diff(ptr) for ptr, _ in csrs]),
+        np.concatenate([idx for _, idx in csrs]),
+        edge_owners(counts), index_within(counts),
+    )
+
+
+class _OpRef(Op):
+    """The ``Op`` that ``rank.ops[i]`` hands out: assigning a field writes the columns."""
+
+    __slots__ = ("_rank", "_vertex")
+
+    def __init__(self, rank: "RankSchedule", vertex: int) -> None:
+        kind = rank.kind[vertex]
+        for name, value in (
+            ("kind", _KINDS[kind]),
+            ("size", rank.size[vertex]),
+            ("peer", None if kind == _CALC else rank.peer[vertex]),
+            ("tag", rank.tag[vertex]),
+            ("cpu", rank.cpu[vertex]),
+            ("label", rank.label_of(vertex)),
+            ("_rank", rank),
+            ("_vertex", vertex),
+        ):
+            _set_slot(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        fields = {field: getattr(self, field) for field in _OP_FIELDS}
+        fields[name] = value
+        checked = Op(**fields)
+        self._rank._write(self._vertex, checked)
+        _set_slot(self, name, getattr(checked, name))
+
+
+class OpsView(Sequence):
+    """``rank.ops``: the rank's vertices as a read-mostly sequence of :class:`Op`.
+
+    Indexing and iteration build an ``Op`` from the columns; assigning to a
+    field of such an op (``rank.ops[i].size = 8``) is checked like a new op
+    and written back.  ``==`` compares field columns (labels are ignored, as
+    by ``Op.__eq__``) against another view, or op by op against a list.
+    """
+
+    __slots__ = ("_rank",)
+
+    def __init__(self, rank: "RankSchedule") -> None:
+        self._rank = rank
+
+    def __len__(self) -> int:
+        return len(self._rank.kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_OpRef(self._rank, v) for v in range(*index.indices(len(self)))]
+        n = len(self)
+        vertex = index + n if index < 0 else index
+        if not 0 <= vertex < n:
+            raise IndexError("op index out of range")
+        return _OpRef(self._rank, vertex)
+
+    def __iter__(self) -> Iterator[Op]:
+        rank = self._rank
+        return (_OpRef(rank, vertex) for vertex in range(len(rank.kind)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OpsView):
+            a, b = self._rank, other._rank
+            return (
+                a.kind == b.kind
+                and a.size == b.size
+                and a.peer == b.peer
+                and a.tag == b.tag
+                and a.cpu == b.cpu
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class PredsView(Sequence):
+    """``rank.preds``: per vertex, the sorted list of vertices it requires.
+
+    ``preds[i]`` is a fresh list (changing it changes nothing);
+    ``preds[i] = [...]`` replaces row ``i`` as given, unchecked -- the way to
+    build a deliberately broken schedule for :func:`validate_schedule`.
+    """
+
+    __slots__ = ("_rank",)
+
+    def __init__(self, rank: "RankSchedule") -> None:
+        self._rank = rank
+
+    def __len__(self) -> int:
+        return len(self._rank.kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._rank._pred_rows()[index]
+        n = len(self)
+        vertex = index + n if index < 0 else index
+        if not 0 <= vertex < n:
+            raise IndexError("vertex index out of range")
+        ptr = self._rank.pred_ptr
+        return self._rank.pred_idx[ptr[vertex] : ptr[vertex + 1]].tolist()
+
+    def __setitem__(self, vertex: int, deps: Iterable[int]) -> None:
+        rank = self._rank
+        ptr, idx = rank.pred_ptr, rank.pred_idx
+        row = array("q", deps)
+        grow = len(row) - (ptr[vertex + 1] - ptr[vertex])
+        idx[ptr[vertex] : ptr[vertex + 1]] = row
+        for later in range(vertex + 1, len(ptr)):
+            ptr[later] += grow
+        rank._succ = None
+
+    def __iter__(self) -> Iterator[List[int]]:
+        return iter(self._rank._pred_rows())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PredsView):
+            a, b = self._rank, other._rank
+            return a.pred_ptr == b.pred_ptr and a.pred_idx == b.pred_idx
+        if isinstance(other, (list, tuple)):
+            return self._rank._pred_rows() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._rank._pred_rows())
 
 
 class RankSchedule:
@@ -50,36 +324,111 @@ class RankSchedule:
 
     Notes
     -----
-    The class maintains, per vertex ``i``:
-
-    * ``ops[i]`` — the :class:`Op`,
-    * ``preds[i]`` — sorted list of predecessor vertex indices
-      (``i requires p`` for every ``p`` in ``preds[i]``).
-
-    Successors and in-degrees are computed on demand by :meth:`successors`
-    and :meth:`in_degrees` and invalidated by any mutation.
+    The field columns ``kind``, ``size``, ``peer``, ``tag``, ``cpu`` and the
+    dependency index ``pred_ptr`` / ``pred_idx`` are described in the module
+    docstring; ``ops`` and ``preds`` present them as sequences of
+    :class:`Op` / lists.  Grow a rank through :meth:`append_op` (scalars),
+    :meth:`add_op` (an ``Op``) or :meth:`extend` (whole columns): each checks
+    what it is given, so the columns always hold a valid DAG.
     """
 
     def __init__(self, rank: int) -> None:
         if rank < 0:
             raise ValueError(f"rank must be non-negative, got {rank}")
         self.rank = int(rank)
-        self.ops: List[Op] = []
-        self.preds: List[List[int]] = []
-        self._succs: Optional[List[List[int]]] = None
+        self.kind = array("B")
+        self.size = array("Q")
+        self.peer = array("Q")
+        self.tag = array("Q")
+        self.cpu = array("Q")
+        self._pred_ptr = array("q", (0,))
+        self._pred_idx = array("q")
+        # add_dependency edges (vertex, requires) not yet folded into the CSR
+        self._late: List[Tuple[int, int]] = []
+        self._succ: Optional[Tuple[array, array]] = None
         self._labels: Dict[str, int] = {}
+        # vertex -> label, derived from _labels when first asked for
+        self._names: Optional[Dict[int, str]] = None
+
+    # -- views ---------------------------------------------------------------
+    @property
+    def ops(self) -> OpsView:
+        """The vertices as a sequence of :class:`Op` (see :class:`OpsView`)."""
+        return OpsView(self)
+
+    @property
+    def preds(self) -> PredsView:
+        """Per vertex, the list of vertices it requires (see :class:`PredsView`)."""
+        return PredsView(self)
+
+    @property
+    def pred_ptr(self) -> array:
+        """CSR row starts: vertex ``i`` requires ``pred_idx[pred_ptr[i]:pred_ptr[i + 1]]``."""
+        if self._late:
+            self._fold()
+        return self._pred_ptr
+
+    @property
+    def pred_idx(self) -> array:
+        """CSR rows: the required vertices, row by row."""
+        if self._late:
+            self._fold()
+        return self._pred_idx
+
+    @property
+    def labels(self) -> Mapping[str, int]:
+        """Label -> vertex, for the labelled vertices only."""
+        return self._labels
+
+    def _fold(self) -> None:
+        """Merge the edges :meth:`add_dependency` queued into the CSR."""
+        n = len(self.kind)
+        late_succ, late_pred = zip(*self._late)
+        degrees = np.diff(np.frombuffer(self._pred_ptr, dtype=np.int64))
+        ptr, idx = csr_from_edges(
+            n,
+            np.concatenate([edge_owners(degrees), late_succ]),
+            np.concatenate([np.frombuffer(self._pred_idx, dtype=np.int64), late_pred]),
+        )
+        # new arrays, not resized ones: the old may still export a buffer
+        self._pred_ptr = _column("q", ptr)
+        self._pred_idx = _column("q", idx)
+        self._late = []
+
+    def _pred_rows(self) -> List[List[int]]:
+        ptr = self.pred_ptr.tolist()
+        idx = self.pred_idx.tolist()
+        return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
     # -- construction ------------------------------------------------------
-    def add_op(self, op: Op, requires: Iterable[int] = ()) -> int:
-        """Append ``op`` and return its vertex index.
+    def append_op(
+        self,
+        kind: int,
+        size: int,
+        peer: Optional[int] = None,
+        tag: int = 0,
+        cpu: int = 0,
+        requires: Iterable[int] = (),
+        label: Optional[str] = None,
+    ) -> int:
+        """Append one vertex given by its fields and return its index.
 
-        ``requires`` lists vertex indices that must complete before ``op``
-        may start.  Indices must refer to already-added vertices, which keeps
-        the graph acyclic by construction.
+        The scalar form of :meth:`add_op` (same checks, no ``Op`` is built);
+        what :class:`~repro.goal.builder.RankBuilder` calls.
         """
-        idx = len(self.ops)
-        deps: List[int] = []
-        if requires:
+        idx = len(self.kind)
+        if kind == _CALC:
+            if peer is not None:
+                raise ValueError("calc ops must not specify a peer")
+            stored_peer = 0
+        elif kind == _SEND or kind == _RECV:
+            if peer is None:
+                raise ValueError(f"{_KINDS[kind].short()} requires a peer rank")
+            stored_peer = peer
+        else:
+            raise ValueError(f"{kind!r} is not a valid OpType")
+        # the default () costs nothing; anything else may be any iterable
+        if type(requires) is not tuple or requires:
             deps = sorted(set(requires))
             if deps and (deps[0] < 0 or deps[-1] >= idx):
                 bad = deps[0] if deps[0] < 0 else deps[-1]
@@ -87,22 +436,113 @@ class RankSchedule:
                     f"dependency {bad} of new vertex {idx} is out of range "
                     f"(must reference an earlier vertex)"
                 )
-        self.ops.append(op)
-        self.preds.append(deps)
-        if op.label is not None:
-            if op.label in self._labels:
-                raise ValueError(f"duplicate label {op.label!r} in rank {self.rank}")
-            self._labels[op.label] = idx
-        self._succs = None
+        else:
+            deps = ()
+        if label is not None and label in self._labels:
+            raise ValueError(f"duplicate label {label!r} in rank {self.rank}")
+        edges = len(self._pred_idx)
+        try:
+            # the arrays refuse what an Op would: non-integers, negatives, >= 2**64
+            self.size.append(size)
+            self.peer.append(stored_peer)
+            self.tag.append(tag)
+            self.cpu.append(cpu)
+            self.kind.append(kind)
+            if deps:
+                self._pred_idx.extend(deps)
+        except (OverflowError, TypeError):
+            for column in (self.kind, self.size, self.peer, self.tag, self.cpu):
+                del column[idx:]
+            del self._pred_idx[edges:]
+            checked_fields(kind, size, peer, tag, cpu)  # raises, naming the field
+            raise
+        self._pred_ptr.append(edges + len(deps))
+        if label is not None:
+            self._labels[label] = idx
+            self._names = None
+        self._succ = None
         return idx
+
+    def add_op(self, op: Op, requires: Iterable[int] = ()) -> int:
+        """Append ``op`` and return its vertex index.
+
+        ``requires`` lists vertex indices that must complete before ``op``
+        may start (any iterable of integers).  Indices must refer to
+        already-added vertices, which keeps the graph acyclic by
+        construction.  The op's fields are copied into the columns; ``op``
+        itself is not kept.
+        """
+        return self.append_op(op.kind, op.size, op.peer, op.tag, op.cpu, requires, op.label)
+
+    def extend(
+        self,
+        kind: object,
+        size: object,
+        peer: object,
+        tag: object,
+        cpu: object,
+        pred_ptr: object,
+        pred_idx: object,
+        labels: Optional[Mapping[str, int]] = None,
+    ) -> int:
+        """Append a block of vertices given as whole columns; return its first index.
+
+        The column form of :meth:`append_op`, with the same checks at array
+        speed.  ``pred_ptr`` / ``pred_idx`` is the block's dependency CSR
+        with indices *relative to the block* (a vertex of the block can only
+        require earlier vertices of the block); ``labels`` maps label ->
+        block-relative vertex.
+        """
+        ptr = np.asarray(pred_ptr, dtype=np.int64)
+        n = len(ptr) - 1
+        if n < 0 or ptr[0] != 0 or ptr[-1] != len(pred_idx):
+            raise ValueError("pred_ptr must rise from 0 to len(pred_idx), one entry per vertex and one more")
+        block = _checked_columns(kind, size, peer, tag, cpu, np.diff(ptr), pred_idx, np.arange(n))
+        if labels:
+            taken = self._labels.keys() & labels.keys()
+            if taken:
+                raise ValueError(f"duplicate label {min(taken)!r} in rank {self.rank}")
+            named = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
+            if named.min() < 0 or named.max() >= n:
+                raise ValueError("a label names a vertex outside the block")
+        base = self._append_columns(*block)
+        if labels:
+            self._labels.update(
+                {label: base + vertex for label, vertex in labels.items()} if base else labels
+            )
+            self._names = None
+        return base
+
+    def _append_columns(
+        self,
+        kind: np.ndarray,
+        size: np.ndarray,
+        peer: np.ndarray,
+        tag: np.ndarray,
+        cpu: np.ndarray,
+        degree: np.ndarray,
+        dep: np.ndarray,
+    ) -> int:
+        """Append columns :func:`_checked_columns` has passed; return the first new index."""
+        base = len(self.kind)
+        edges = len(self.pred_idx)  # (folds any queued edge first)
+        self.kind.frombytes(kind.tobytes())
+        self.size.frombytes(size.tobytes())
+        self.peer.frombytes(peer.tobytes())
+        self.tag.frombytes(tag.tobytes())
+        self.cpu.frombytes(cpu.tobytes())
+        self._pred_ptr.frombytes((np.cumsum(degree) + edges).tobytes())
+        self._pred_idx.frombytes((dep + base).tobytes())
+        self._succ = None
+        return base
 
     def add_dependency(self, vertex: int, requires: int) -> None:
         """Add an edge ``requires -> vertex`` after the fact.
 
         Only backward edges (``requires < vertex``) are allowed so the DAG
-        stays acyclic by construction.
+        stays acyclic by construction.  An edge already present is ignored.
         """
-        n = len(self.ops)
+        n = len(self.kind)
         if not (0 <= vertex < n) or not (0 <= requires < n):
             raise ValueError(f"vertex index out of range (n={n})")
         if requires == vertex:
@@ -112,66 +552,121 @@ class RankSchedule:
                 f"dependency {requires} -> {vertex} would point forward; "
                 "GOAL schedules only allow edges from earlier to later vertices"
             )
-        if requires not in self.preds[vertex]:
-            self.preds[vertex].append(requires)
-            self.preds[vertex].sort()
-            self._succs = None
+        # Edges rarely arrive out of vertex order, so they are queued and
+        # merged (sorted, de-duplicated) when the index is next read.
+        self._late.append((vertex, requires))
+        self._succ = None
+
+    def _write(self, vertex: int, op: Op) -> None:
+        """Overwrite row ``vertex`` with the (checked) fields of ``op``."""
+        old = self.label_of(vertex)
+        if op.label != old:
+            if op.label in self._labels:
+                raise ValueError(f"duplicate label {op.label!r} in rank {self.rank}")
+            if old is not None:
+                del self._labels[old]
+            if op.label is not None:
+                self._labels[op.label] = vertex
+            self._names = None
+        self.kind[vertex] = op.kind
+        self.size[vertex] = op.size
+        self.peer[vertex] = op.peer or 0
+        self.tag[vertex] = op.tag
+        self.cpu[vertex] = op.cpu
 
     def vertex_by_label(self, label: str) -> int:
         """Return the vertex index for ``label``; raises ``KeyError`` if absent."""
         return self._labels[label]
 
+    def label_of(self, vertex: int) -> Optional[str]:
+        """Return the label of ``vertex``, or ``None`` if it has none."""
+        if self._names is None:
+            self._names = {vertex: label for label, vertex in self._labels.items()}
+        return self._names.get(vertex)
+
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.kind)
 
     def __iter__(self) -> Iterator[Op]:
         return iter(self.ops)
 
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(kind, size, peer, tag, cpu)`` as numpy views of the columns (no copy).
+
+        Drop the views before the rank grows again: an ``array`` that exports
+        a buffer refuses to resize.
+        """
+        return (
+            np.frombuffer(self.kind, dtype=np.uint8),
+            np.frombuffer(self.size, dtype=np.uint64),
+            np.frombuffer(self.peer, dtype=np.uint64),
+            np.frombuffer(self.tag, dtype=np.uint64),
+            np.frombuffer(self.cpu, dtype=np.uint64),
+        )
+
+    def pred_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pred_ptr, pred_idx)`` as numpy views (no copy; see :meth:`columns`)."""
+        return (
+            np.frombuffer(self.pred_ptr, dtype=np.int64),
+            np.frombuffer(self.pred_idx, dtype=np.int64),
+        )
+
+    def succ_csr(self) -> Tuple[array, array]:
+        """Successor CSR ``(succ_ptr, succ_idx)``, cached until the rank changes.
+
+        Vertex ``v`` unlocks ``succ_idx[succ_ptr[v]:succ_ptr[v + 1]]``, in
+        ascending order: the predecessor index with its pairs turned round,
+        which is what the scheduler walks.
+        """
+        if self._succ is None:
+            ptr, idx = self.pred_csr()
+            succ_ptr, succ_idx = csr_from_edges(len(self.kind), idx, edge_owners(np.diff(ptr)))
+            self._succ = _column("q", succ_ptr), _column("q", succ_idx)
+        return self._succ
+
     def successors(self) -> List[List[int]]:
-        """Return (cached) successor adjacency lists."""
-        if self._succs is None:
-            succs: List[List[int]] = [[] for _ in self.ops]
-            for v, deps in enumerate(self.preds):
-                for d in deps:
-                    succs[d].append(v)
-            self._succs = succs
-        return self._succs
+        """Return successor adjacency lists (built from :meth:`succ_csr`)."""
+        ptr, idx = (column.tolist() for column in self.succ_csr())
+        return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def in_degrees(self) -> List[int]:
         """Return the in-degree (number of unmet dependencies) of each vertex."""
-        return [len(deps) for deps in self.preds]
+        return np.diff(self.pred_csr()[0]).tolist()
 
     def roots(self) -> List[int]:
         """Vertices with no dependencies (eligible to start at time zero)."""
-        return [v for v, deps in enumerate(self.preds) if not deps]
+        return np.flatnonzero(np.diff(self.pred_csr()[0]) == 0).tolist()
 
     def leaves(self) -> List[int]:
         """Vertices with no successors."""
-        succs = self.successors()
-        return [v for v, s in enumerate(succs) if not s]
+        return np.flatnonzero(np.diff(np.frombuffer(self.succ_csr()[0], dtype=np.int64)) == 0).tolist()
 
     def comm_ops(self) -> Iterator[Tuple[int, Op]]:
         """Iterate ``(vertex, op)`` over send/recv vertices."""
-        for v, op in enumerate(self.ops):
-            if op.is_comm:
-                yield v, op
+        ops = self.ops
+        for v in np.flatnonzero(self.columns()[0] != _CALC).tolist():
+            yield v, ops[v]
+
+    def _total(self, kind: OpType) -> int:
+        kinds, sizes = self.columns()[:2]
+        return exact_sum(sizes[kinds == kind])
 
     def total_bytes_sent(self) -> int:
         """Sum of sizes over all send ops."""
-        return sum(op.size for op in self.ops if op.is_send)
+        return self._total(_SEND)
 
     def total_bytes_received(self) -> int:
         """Sum of sizes over all recv ops."""
-        return sum(op.size for op in self.ops if op.is_recv)
+        return self._total(_RECV)
 
     def total_calc_ns(self) -> int:
         """Sum of calc durations (nanoseconds)."""
-        return sum(op.size for op in self.ops if op.is_calc)
+        return self._total(_CALC)
 
     def compute_streams(self) -> List[int]:
         """Sorted list of distinct compute stream ids used by this rank."""
-        return sorted({op.cpu for op in self.ops})
+        return np.unique(self.columns()[4]).tolist()
 
     def topological_order(self) -> List[int]:
         """Return vertices in a valid topological order.
@@ -179,7 +674,7 @@ class RankSchedule:
         Because :meth:`add_op` only allows backward dependencies, insertion
         order is already topological; this is returned directly.
         """
-        return list(range(len(self.ops)))
+        return list(range(len(self.kind)))
 
     def critical_path_ns(self) -> int:
         """Length (in ns of calc cost) of the longest calc-weighted path.
@@ -187,42 +682,27 @@ class RankSchedule:
         Communication ops are treated as zero-cost; this is a lower bound on
         the rank's completion time used by analytic sanity checks and tests.
         """
-        n = len(self.ops)
-        dist = [0] * n
-        for v in range(n):
-            base = max((dist[p] for p in self.preds[v]), default=0)
-            cost = self.ops[v].size if self.ops[v].is_calc else 0
-            dist[v] = base + cost
+        dist: List[int] = []
+        for kind, size, deps in zip(self.kind, self.size, self._pred_rows()):
+            base = max([dist[p] for p in deps], default=0)
+            dist.append(base + size if kind == _CALC else base)
         return max(dist, default=0)
 
     def copy(self) -> "RankSchedule":
-        """Deep-copy this rank schedule (ops are copied; labels preserved)."""
-        return RankSchedule._from_parts(
-            self.rank,
-            [op.copy() for op in self.ops],
-            [list(p) for p in self.preds],
-            dict(self._labels),
-        )
-
-    @classmethod
-    def _from_parts(
-        cls, rank: int, ops: List[Op], preds: List[List[int]], labels: Dict[str, int]
-    ) -> "RankSchedule":
-        """Adopt already-checked lists as rank ``rank`` (no copy, no validation).
-
-        The trusted entry for the two decoders and :meth:`copy`.  The caller
-        guarantees what :meth:`add_op` would have enforced: ``preds[i]`` is
-        sorted, duplicate-free and references only vertices ``< i``, and
-        ``labels`` maps every non-``None`` ``ops[i].label`` to ``i``.
-        """
-        new = cls(rank)
-        new.ops = ops
-        new.preds = preds
-        new._labels = labels
+        """Deep-copy this rank schedule (labels preserved)."""
+        new = RankSchedule(self.rank)
+        new.kind = self.kind[:]
+        new.size = self.size[:]
+        new.peer = self.peer[:]
+        new.tag = self.tag[:]
+        new.cpu = self.cpu[:]
+        new._pred_ptr = self.pred_ptr[:]
+        new._pred_idx = self.pred_idx[:]
+        new._labels = dict(self._labels)
         return new
 
     def __repr__(self) -> str:
-        return f"RankSchedule(rank={self.rank}, ops={len(self.ops)})"
+        return f"RankSchedule(rank={self.rank}, ops={len(self.kind)})"
 
 
 class GoalSchedule:
@@ -241,6 +721,47 @@ class GoalSchedule:
             raise ValueError(f"num_ranks must be positive, got {num_ranks}")
         self.name = name
         self.ranks: List[RankSchedule] = [RankSchedule(r) for r in range(num_ranks)]
+
+    @classmethod
+    def from_stacked(
+        cls,
+        name: str,
+        counts: Sequence[int],
+        kind: object,
+        size: object,
+        peer: object,
+        tag: object,
+        cpu: object,
+        degree: object,
+        dep: object,
+    ) -> "GoalSchedule":
+        """Build a schedule from its ranks' columns end to end (the inverse of :func:`stack_ranks`).
+
+        ``counts[r]`` vertices belong to rank ``r``; ``degree`` is the number
+        of dependencies per vertex and ``dep`` the required vertices
+        (rank-local indices), row after row, each row sorted and
+        duplicate-free.  Checked in one array pass, like
+        :meth:`RankSchedule.extend`; what the binary decoder calls.
+        """
+        schedule = cls(len(counts), name=name)
+        op_ends = np.cumsum(counts)
+        first = op_ends - counts
+        kind, size, peer, tag, cpu, degree, dep = _checked_columns(
+            kind, size, peer, tag, cpu, degree, dep, index_within(counts)
+        )
+        edge_ends = np.concatenate(([0], np.cumsum(degree)))[op_ends].tolist()
+        edge_start = 0
+        for rank, start, end, edge_end in zip(
+            schedule.ranks, first.tolist(), op_ends.tolist(), edge_ends
+        ):
+            if end > start:
+                ops = slice(start, end)
+                rank._append_columns(
+                    kind[ops], size[ops], peer[ops], tag[ops], cpu[ops], degree[ops],
+                    dep[edge_start:edge_end],
+                )
+            edge_start = edge_end
+        return schedule
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -263,7 +784,7 @@ class GoalSchedule:
 
     def num_edges(self) -> int:
         """Total number of dependency edges across all ranks."""
-        return sum(len(deps) for r in self.ranks for deps in r.preds)
+        return sum(len(r.pred_idx) for r in self.ranks)
 
     def total_bytes(self) -> int:
         """Total bytes sent across all ranks."""
@@ -275,11 +796,10 @@ class GoalSchedule:
 
     def op_counts(self) -> Dict[str, int]:
         """Return ``{"send": n, "recv": n, "calc": n}`` counts."""
-        counts = {"send": 0, "recv": 0, "calc": 0}
+        totals = np.zeros(3, dtype=np.int64)
         for r in self.ranks:
-            for op in r.ops:
-                counts[op.kind.short()] += 1
-        return counts
+            totals += np.bincount(r.columns()[0], minlength=3)
+        return {kind.short(): int(totals[kind]) for kind in _KINDS}
 
     def summary(self) -> Dict[str, object]:
         """Return a dictionary of headline statistics for reports."""

@@ -9,16 +9,20 @@ early with actionable errors instead of deadlocking a simulation:
 * message matching is consistent: for every ``(src, dst, tag)`` triple the
   total number of sends equals the total number of receives and the byte
   multiset matches (otherwise the simulation would deadlock waiting for a
-  message that never arrives),
-* op sizes and stream ids are non-negative.
+  message that never arrives).
+
+Op sizes, tags and stream ids need no check: the schedule's columns cannot
+hold a negative or non-integer value.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.goal.ops import _CALC, _SEND
-from repro.goal.schedule import GoalSchedule
+from repro.goal.schedule import GoalSchedule, RankSchedule, edge_owners, stack_ranks
 
 
 class GoalValidationError(ValueError):
@@ -49,6 +53,9 @@ def validate_schedule(
         but can be skipped for partially constructed schedules.
     max_errors:
         Stop collecting after this many problems.
+
+    The checks are array passes over the whole schedule's columns; only a
+    vertex that fails one is looked at individually, to word its message.
     """
     errors: List[str] = []
 
@@ -58,50 +65,62 @@ def validate_schedule(
             raise GoalValidationError(errors)
 
     num_ranks = schedule.num_ranks
-    # (src, dst, tag, size) -> message count, filled in the same pass
-    sends: Counter = Counter()
-    recvs: Counter = Counter()
-    for rank in schedule.ranks:
-        me = rank.rank
-        n = len(rank.ops)
-        for vertex, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
-            for dep in deps:
-                if not 0 <= dep < vertex:
-                    if not 0 <= dep < n:
-                        report(f"rank {me}: vertex {vertex} depends on out-of-range vertex {dep}")
-                    else:
-                        report(
-                            f"rank {me}: vertex {vertex} depends on later/equal vertex {dep} "
-                            "(forward edge; schedule is not in definition order)"
-                        )
-            if op.size < 0:
-                report(f"rank {me}: vertex {vertex} has negative size {op.size}")
-            if op.cpu < 0:
-                report(f"rank {me}: vertex {vertex} has negative cpu {op.cpu}")
-            kind = op.kind
-            if kind == _CALC:
-                continue
-            peer = op.peer
-            if peer is None or not 0 <= peer < num_ranks:
-                report(
-                    f"rank {me}: vertex {vertex} ({kind.short()}) has invalid peer "
-                    f"{peer} (num_ranks={num_ranks})"
-                )
-            elif peer == me:
-                report(
-                    f"rank {me}: vertex {vertex} ({kind.short()}) targets its own rank; "
-                    "self-messages must be modelled as calc ops"
-                )
-            elif kind == _SEND:
-                sends[(me, peer, op.tag, op.size)] += 1
-            else:
-                recvs[(peer, me, op.tag, op.size)] += 1
+    ranks = schedule.ranks
+    kind, size, peer, tag, _, degree, dep, rank_of, vertex = stack_ranks(ranks)
+    me = np.array([rank.rank for rank in ranks], dtype=np.uint64)[rank_of]
+    owner = edge_owners(degree)
+    comm = kind != _CALC
+    suspect = comm & ((peer >= num_ranks) | (peer == me))
+    suspect[owner[(dep < 0) | (dep >= vertex[owner])]] = True
+    for at in np.flatnonzero(suspect).tolist():
+        _report_vertex(ranks[rank_of[at]], int(vertex[at]), num_ranks, report)
 
-    if check_matching and not errors and sends != recvs:
-        _report_mismatched_channels(sends, recvs, errors, max_errors)
+    if check_matching and not errors:
+        # a message is (src, dst, tag, size); both sides sorted must agree
+        is_send = kind == _SEND
+        pair = np.where(is_send, me * num_ranks + peer, peer * num_ranks + me)
+        sides = []
+        for side in (is_send, comm & ~is_send):
+            rows = pair[side], tag[side], size[side]
+            order = np.lexsort(rows[::-1])
+            sides.append([column[order] for column in rows])
+        sends, recvs = sides
+        if len(sends[0]) != len(recvs[0]) or any((a != b).any() for a, b in zip(sends, recvs)):
+            counters = []
+            for pairs, tags, sizes in sides:
+                src, dst = divmod(pairs, num_ranks)
+                counters.append(Counter(zip(src.tolist(), dst.tolist(), tags.tolist(), sizes.tolist())))
+            _report_mismatched_channels(*counters, errors, max_errors)
 
     if errors:
         raise GoalValidationError(errors)
+
+
+def _report_vertex(rank: RankSchedule, vertex: int, num_ranks: int, report) -> None:
+    """Word the problems of one vertex that failed an array check."""
+    me = rank.rank
+    op = rank.ops[vertex]
+    for dep in rank.preds[vertex]:
+        if not 0 <= dep < vertex:
+            if not 0 <= dep < len(rank):
+                report(f"rank {me}: vertex {vertex} depends on out-of-range vertex {dep}")
+            else:
+                report(
+                    f"rank {me}: vertex {vertex} depends on later/equal vertex {dep} "
+                    "(forward edge; schedule is not in definition order)"
+                )
+    if op.is_calc:
+        return
+    if not 0 <= op.peer < num_ranks:
+        report(
+            f"rank {me}: vertex {vertex} ({op.kind.short()}) has invalid peer "
+            f"{op.peer} (num_ranks={num_ranks})"
+        )
+    elif op.peer == me:
+        report(
+            f"rank {me}: vertex {vertex} ({op.kind.short()}) targets its own rank; "
+            "self-messages must be modelled as calc ops"
+        )
 
 
 def _report_mismatched_channels(

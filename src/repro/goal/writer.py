@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
+import numpy as np
+
 from repro.goal.ops import _CALC, _SEND
 from repro.goal.parser import LABEL_RE
-from repro.goal.schedule import GoalSchedule
+from repro.goal.schedule import GoalSchedule, edge_owners
 
 
 def write_goal(schedule: GoalSchedule) -> str:
@@ -27,9 +29,11 @@ def write_goal(schedule: GoalSchedule) -> str:
         # Labels taken so far; only tracked from the rank's first user label
         # on, because generated ``opN`` labels cannot collide with each other.
         used: Optional[Set[str]] = None
-        requires: List[str] = []
-        for idx, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
-            label = op.label
+        named = bool(rank.labels)
+        for idx, (kind, size, peer, tag, cpu) in enumerate(
+            zip(rank.kind, rank.size, rank.peer, rank.tag, rank.cpu)
+        ):
+            label = named and rank.label_of(idx)
             if label:
                 if used is None:
                     used = set(labels)
@@ -44,20 +48,21 @@ def write_goal(schedule: GoalSchedule) -> str:
                 used.add(label)
             labels.append(label)
 
-            kind = op.kind
             if kind == _CALC:
-                line = f"    {label}: calc {op.size}"
+                line = f"    {label}: calc {size}"
             else:
                 verb, word = ("send", "to") if kind == _SEND else ("recv", "from")
-                line = f"    {label}: {verb} {op.size}b {word} {op.peer}"
-                if op.tag:
-                    line += f" tag {op.tag}"
-            if op.cpu:
-                line += f" cpu {op.cpu}"
+                line = f"    {label}: {verb} {size}b {word} {peer}"
+                if tag:
+                    line += f" tag {tag}"
+            if cpu:
+                line += f" cpu {cpu}"
             lines.append(line)
-            for dep in deps:
-                requires.append(f"    {label} requires {labels[dep]}")
-        lines += requires
+        ptr, idx = rank.pred_csr()
+        owners = edge_owners(np.diff(ptr)).tolist()
+        lines += [
+            f"    {labels[vertex]} requires {labels[dep]}" for vertex, dep in zip(owners, idx.tolist())
+        ]
         lines.append("}")
         lines.append("")
     return "\n".join(lines)

@@ -16,6 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.goal.ops import _CALC, VALUE_LIMIT
 from repro.goal.schedule import GoalSchedule
 from repro.network.config import SimulationConfig
 from repro.scheduler import simulate
@@ -63,9 +64,9 @@ def non_overlapped_compute_fraction(schedule: GoalSchedule, runtime_ns: float) -
     fractions = []
     for rank in schedule.ranks:
         per_stream = {}
-        for op in rank.ops:
-            if op.is_calc:
-                per_stream[op.cpu] = per_stream.get(op.cpu, 0) + op.size
+        for kind, cpu, size in zip(rank.kind, rank.cpu, rank.size):
+            if kind == _CALC:
+                per_stream[cpu] = per_stream.get(cpu, 0) + size
         busiest = max(per_stream.values(), default=0)
         fractions.append(min(1.0, busiest / runtime_ns))
     return float(np.mean(fractions)) if fractions else 0.0
@@ -122,9 +123,13 @@ def _scale_computation(schedule: GoalSchedule, factor: float) -> GoalSchedule:
     """Return a copy of ``schedule`` with every calc duration scaled by ``factor``."""
     scaled = schedule.copy()
     for rank in scaled.ranks:
-        for op in rank.ops:
-            if op.is_calc and op.size:
-                op.size = max(0, int(round(op.size * factor)))
+        kind, size = rank.columns()[:2]
+        calc = kind == _CALC
+        # (what int(round(size * factor)) gives op by op: float64, half to even)
+        stretched = np.rint(size[calc].astype(np.float64) * factor)
+        if stretched.size and stretched.max() >= VALUE_LIMIT:
+            raise ValueError(f"a calc scaled by {factor} does not fit 64 bits")
+        size[calc] = np.maximum(stretched, 0).astype(np.uint64)
     return scaled
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.goal.ops import Op, OpType
+from repro.goal.ops import _CALC, _RECV, _SEND
 from repro.goal.schedule import GoalSchedule
 
 
@@ -76,12 +76,12 @@ def group_ranks_into_nodes(
     num_nodes = max(node_of) + 1
 
     for rank in schedule.ranks:
-        for op in rank.ops:
-            if op.cpu >= stream_stride:
-                raise ValueError(
-                    f"rank {rank.rank} uses compute stream {op.cpu} >= stream_stride "
-                    f"{stream_stride}; increase stream_stride"
-                )
+        if len(rank) and max(rank.cpu) >= stream_stride:
+            raise ValueError(
+                f"rank {rank.rank} uses compute stream "
+                f"{next(cpu for cpu in rank.cpu if cpu >= stream_stride)} >= stream_stride "
+                f"{stream_stride}; increase stream_stride"
+            )
 
     # per node: member ranks in order, and each rank's local index
     members: Dict[int, List[int]] = defaultdict(list)
@@ -125,13 +125,14 @@ def _pair_intra_node_messages(
     sends: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
     recvs: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
     for rank in schedule.ranks:
-        for vertex, op in enumerate(rank.ops):
-            if not op.is_comm or node_of[rank.rank] != node_of[op.peer]:
+        me = rank.rank
+        for vertex, (kind, peer, tag) in enumerate(zip(rank.kind, rank.peer, rank.tag)):
+            if kind == _CALC or node_of[me] != node_of[peer]:
                 continue
-            if op.kind == OpType.SEND:
-                sends[(rank.rank, op.peer, op.tag)].append(vertex)
+            if kind == _SEND:
+                sends[(me, peer, tag)].append(vertex)
             else:
-                recvs[(op.peer, rank.rank, op.tag)].append(vertex)
+                recvs[(peer, me, tag)].append(vertex)
 
     pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for channel, send_list in sends.items():
@@ -163,21 +164,19 @@ def _emit_node(
     indegree: Dict[Tuple[int, int], int] = {}
     successors: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
 
+    ranks = schedule.ranks
+    preds = {r: list(ranks[r].preds) for r in node_ranks}
+
     for r in node_ranks:
-        rank_sched = schedule.ranks[r]
-        for vertex in range(len(rank_sched.ops)):
+        for vertex, deps in enumerate(preds[r]):
             key = (r, vertex)
-            deps = list(rank_sched.preds[vertex])
             indegree[key] = len(deps)
             for d in deps:
                 successors[(r, d)].append(key)
 
     # cross edges from intra-node send -> matching recv
     for (r, vertex), (peer_rank, peer_vertex) in intra_pairs.items():
-        if r not in node_set:
-            continue
-        op = schedule.ranks[r].ops[vertex]
-        if op.kind != OpType.SEND:
+        if r not in node_set or ranks[r].kind[vertex] != _SEND:
             continue
         key = (peer_rank, peer_vertex)
         if key in indegree:
@@ -187,39 +186,34 @@ def _emit_node(
     # Kahn's algorithm with deterministic ordering (rank, vertex)
     ready = sorted(key for key, deg in indegree.items() if deg == 0)
     ready_q = deque(ready)
-    out_rank = merged.ranks[node]
+    append_op = merged.ranks[node].append_op
     new_index: Dict[Tuple[int, int], int] = {}
     emitted = 0
 
     while ready_q:
         key = ready_q.popleft()
         r, vertex = key
-        op = schedule.ranks[r].ops[vertex]
+        rank = ranks[r]
+        kind, size, peer = rank.kind[vertex], rank.size[vertex], rank.peer[vertex]
         # translate dependencies (original preds + cross edge for paired recvs)
-        dep_keys = [(r, d) for d in schedule.ranks[r].preds[vertex]]
+        dep_keys = [(r, d) for d in preds[r][vertex]]
         pair = intra_pairs.get(key)
-        is_intra = op.is_comm and node_of[op.peer] == node
-        if is_intra and pair is not None and op.kind == OpType.RECV:
+        is_intra = kind != _CALC and node_of[peer] == node
+        if is_intra and pair is not None and kind == _RECV:
             dep_keys.append(pair)
         new_deps = [new_index[d] for d in dep_keys if d in new_index]
 
-        new_cpu = local_index[r] * stream_stride + op.cpu
-        if op.is_comm and is_intra:
-            if op.kind == OpType.SEND:
-                cost = latency_ns + int(round(op.size * ns_per_byte))
-                new_op = Op.calc(cost, cpu=new_cpu)
-            else:
-                new_op = Op.calc(0, cpu=new_cpu)
-        elif op.is_comm:
-            new_op = op.copy()
-            new_op.label = None
-            new_op.cpu = new_cpu
-            new_op.peer = node_of[op.peer]
+        new_cpu = local_index[r] * stream_stride + rank.cpu[vertex]
+        if is_intra:
+            # the send pays the intra-node transfer, the receive only waits for it
+            cost = latency_ns + int(round(size * ns_per_byte)) if kind == _SEND else 0
+            new_index[key] = append_op(_CALC, cost, None, 0, new_cpu, new_deps)
+        elif kind == _CALC:
+            new_index[key] = append_op(_CALC, size, None, 0, new_cpu, new_deps)
         else:
-            new_op = op.copy()
-            new_op.label = None
-            new_op.cpu = new_cpu
-        new_index[key] = out_rank.add_op(new_op, new_deps)
+            new_index[key] = append_op(
+                kind, size, node_of[peer], rank.tag[vertex], new_cpu, new_deps
+            )
         emitted += 1
 
         for succ in successors.get(key, ()):  # unlock successors
@@ -227,7 +221,7 @@ def _emit_node(
             if indegree[succ] == 0:
                 ready_q.append(succ)
 
-    total = sum(len(schedule.ranks[r].ops) for r in node_ranks)
+    total = sum(len(schedule.ranks[r]) for r in node_ranks)
     if emitted != total:
         raise RuntimeError(
             f"node {node}: grouping produced a cyclic dependency "

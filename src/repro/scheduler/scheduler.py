@@ -22,6 +22,12 @@ from repro.network.backend import NetworkBackend, SimulationResult, create_backe
 from repro.network.config import SimulationConfig
 
 
+# plain ints: the kind column holds ints, and comparing two of those is the
+# interpreter's fast path (an IntEnum member on one side is not)
+_SEND = int(OpType.SEND)
+_CALC = int(OpType.CALC)
+
+
 class SchedulerDeadlockError(RuntimeError):
     """Raised when the simulation drains without executing every vertex.
 
@@ -99,15 +105,21 @@ class GoalScheduler:
             else sum(len(schedule.ranks[r]) for r in self._ranks)
         )
 
-        self._indegree: List[List[int]] = [rank.in_degrees() for rank in schedule.ranks]
-        self._successors: List[List[List[int]]] = [rank.successors() for rank in schedule.ranks]
-        self._ops = [rank.ops for rank in schedule.ranks]
+        # Per owned rank (``None`` for a rank another shard owns): the
+        # rank's own columns and cached successor index, read in place, then
+        # this run's issued marks and countdown of unmet dependencies.
+        self._tables: List[Optional[tuple]] = [None] * schedule.num_ranks
+        for r in self._ranks:
+            rank = schedule.ranks[r]
+            self._tables[r] = (
+                rank.kind, rank.size, rank.peer, rank.tag, rank.cpu,
+                *rank.succ_csr(), bytearray(len(rank)), rank.in_degrees(),
+            )
         # bound issue methods, resolved once instead of twice per operation
         self._issue_calc = self.backend.issue_calc
         self._issue_send = self.backend.issue_send
         self._issue_recv = self.backend.issue_recv
         self._completed = 0
-        self._issued: List[List[bool]] = [[False] * len(rank) for rank in schedule.ranks]
         self._finish_time = 0
         self._sharded_events: Optional[int] = None
 
@@ -161,7 +173,7 @@ class GoalScheduler:
         for r in self._ranks:
             rank = ranks[r]
             for vertex in rank.roots():
-                self._issue(rank.rank, vertex, ready_time=0)
+                self._issue(rank.rank, vertex, 0)
 
     def completion_callback(self):
         """The ``eventOver`` callback the backend must call per finished op."""
@@ -202,19 +214,22 @@ class GoalScheduler:
 
     # ---------------------------------------------------------------- internals
     def _issue(self, rank: int, vertex: int, ready_time: int) -> None:
-        issued = self._issued[rank]
+        kinds, sizes, peers, tags, cpus, _, _, issued, _ = self._tables[rank]
         if issued[vertex]:
             raise RuntimeError(f"vertex {vertex} of rank {rank} issued twice")
-        issued[vertex] = True
-        op = self._ops[rank][vertex]
+        issued[vertex] = 1
         op_id = self._offsets[rank] + vertex
-        kind = op.kind
-        if kind is OpType.CALC:
-            self._issue_calc(rank, op.cpu, op.size, op_id, ready_time)
-        elif kind is OpType.SEND:
-            self._issue_send(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
+        kind = kinds[vertex]
+        if kind == _CALC:
+            self._issue_calc(rank, cpus[vertex], sizes[vertex], op_id, ready_time)
+        elif kind == _SEND:
+            self._issue_send(
+                rank, peers[vertex], sizes[vertex], tags[vertex], cpus[vertex], op_id, ready_time
+            )
         else:
-            self._issue_recv(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
+            self._issue_recv(
+                rank, peers[vertex], sizes[vertex], tags[vertex], cpus[vertex], op_id, ready_time
+            )
 
     def _on_complete(self, time: int, rank: int, op_id: int) -> None:
         """``eventOver``: unlock and issue successors of a finished vertex."""
@@ -222,12 +237,12 @@ class GoalScheduler:
         self._completed += 1
         if time > self._finish_time:
             self._finish_time = time
-        indegree = self._indegree[rank]
-        for succ in self._successors[rank][vertex]:
+        _, _, _, _, _, succ_ptr, succ_idx, _, indegree = self._tables[rank]
+        for succ in succ_idx[succ_ptr[vertex] : succ_ptr[vertex + 1]]:
             left = indegree[succ] - 1
             indegree[succ] = left
             if left == 0:
-                self._issue(rank, succ, ready_time=time)
+                self._issue(rank, succ, time)
 
     def _on_complete_grouped(self, time: int, rank: int, op_id: int) -> None:
         """``eventOver`` variant that additionally tracks per-group finish times."""
@@ -239,7 +254,7 @@ class GoalScheduler:
     def _stuck_per_rank(self) -> Dict[int, int]:
         stuck: Dict[int, int] = {}
         for r in self._ranks:
-            count = sum(1 for issued in self._issued[r] if not issued)
+            count = self._tables[r][7].count(0)
             if count:
                 stuck[r] = count
         return stuck

@@ -274,35 +274,49 @@ class TestMalformedBinary:
             pass
 
 
-class TestEncoderBound:
-    """The encoder refuses what the decoder would: anything outside 64 bits."""
+class TestValueBound:
+    """Nothing outside 64 bits gets into a schedule, so the encoder never meets it."""
 
     @pytest.mark.parametrize(
-        "op, field",
+        "build, field",
         [
-            (Op.calc(1 << 70), "size"),
-            (Op.send(1, dst=1 << 64), "peer"),
-            (Op.recv(1, src=0, tag=1 << 64), "tag"),
-            (Op.calc(1, cpu=1 << 65), "cpu"),
+            (lambda: Op.calc(1 << 70), "op size"),
+            (lambda: Op.send(1, dst=1 << 64), "peer rank"),
+            (lambda: Op.recv(1, src=0, tag=1 << 64), "tag"),
+            (lambda: Op.calc(1, cpu=1 << 65), r"cpu \(compute stream\)"),
         ],
     )
-    def test_names_rank_vertex_and_field(self, op, field):
+    def test_construction_names_the_field(self, build, field):
+        with pytest.raises(ValueError, match=rf"{field} \d+ does not fit"):
+            build()
+
+    def test_add_op_names_the_field_and_leaves_the_rank_unchanged(self):
         sched = GoalSchedule(3)
-        sched.ranks[2].add_op(Op.calc(7))
-        sched.ranks[2].add_op(op)
-        with pytest.raises(GoalBinaryError, match=rf"rank 2 vertex 1: {field} \d+ does not fit"):
-            encode_goal(sched)
+        rank = sched.ranks[2]
+        rank.add_op(Op.calc(7))
+        with pytest.raises(ValueError, match=r"tag \d+ does not fit"):
+            rank.append_op(OpType.SEND, 1, peer=0, tag=1 << 64, requires=[0])
+        assert rank.ops == [Op.calc(7)] and rank.preds == [[]]
+        assert decode_goal(encode_goal(sched)).ranks[2].ops == [Op.calc(7)]
 
     def test_largest_value_round_trips(self):
         sched = GoalSchedule(1)
         sched.ranks[0].add_op(Op.calc((1 << 64) - 1))
         assert decode_goal(encode_goal(sched)).ranks[0].ops[0].size == (1 << 64) - 1
 
-    def test_negative_value_smuggled_past_the_constructor(self):
+    def test_negative_value_cannot_be_smuggled_past_the_constructor(self):
         sched = GoalSchedule(1)
         sched.ranks[0].add_op(Op.calc(1))
-        sched.ranks[0].ops[0].size = -1
-        with pytest.raises(GoalBinaryError, match="rank 0 vertex 0: size -1"):
+        with pytest.raises(ValueError, match="op size must be non-negative, got -1"):
+            sched.ranks[0].ops[0].size = -1
+        assert sched.ranks[0].ops[0].size == 1
+
+    def test_forward_dependency_names_rank_and_vertex(self):
+        sched = GoalSchedule(2)
+        sched.ranks[1].add_op(Op.calc(1))
+        sched.ranks[1].add_op(Op.calc(1))
+        sched.ranks[1].preds[0] = [1]  # bypasses add_dependency
+        with pytest.raises(GoalBinaryError, match="rank 1 vertex 0: dependency delta -1"):
             encode_goal(sched)
 
 

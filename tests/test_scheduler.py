@@ -115,3 +115,32 @@ class TestBackendSelection:
         lgs = simulate(b.build(), backend="lgs", config=cfg)
         pkt = simulate(b.build(), backend="htsim", config=cfg)
         assert lgs.finish_time_ns == pkt.finish_time_ns == 20_000
+
+
+class TestRankRestriction:
+    """A shard's scheduler pays for the ranks it owns, not for the whole schedule."""
+
+    def _ring(self, ranks=6):
+        b = GoalBuilder(ranks)
+        for r in range(ranks):
+            c = b.rank(r).calc(100)
+            b.rank(r).send(64, dst=(r + 1) % ranks, tag=1, requires=[c])
+            b.rank(r).recv(64, src=(r - 1) % ranks, tag=1, requires=[c])
+        return b.build()
+
+    def test_no_table_for_a_foreign_rank(self):
+        sched = self._ring()
+        restricted = GoalScheduler(sched, "htsim", validate=False, ranks=[4, 1])
+        assert [table is not None for table in restricted._tables] == [
+            False, True, False, False, True, False
+        ]
+        assert restricted._total_ops == 6
+        # op ids stay those of the whole schedule
+        assert restricted._offsets == GoalScheduler(sched, "htsim", validate=False)._offsets
+
+    def test_restricted_schedulers_cover_the_schedule_between_them(self):
+        sched = self._ring()
+        whole = simulate(sched, backend="htsim", config=SimulationConfig(seed=2))
+        split = simulate(sched, backend="htsim", config=SimulationConfig(seed=2, shards=2))
+        assert split.finish_time_ns == whole.finish_time_ns
+        assert split.ops_completed == whole.ops_completed == sched.num_ops()
