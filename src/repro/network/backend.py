@@ -358,9 +358,7 @@ class NetworkBackend(abc.ABC):
         """
         config = self.config
         topology = self.topology = build_topology(config, self.num_ranks)
-        self.routing = create_routing(
-            config.routing, topology, self.rng, use_cache=config.route_caching
-        )
+        self.routing = create_routing(config.routing, topology, self.rng)
         if not self._faults_enabled:
             return
         self._fabric_built()

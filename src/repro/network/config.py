@@ -11,6 +11,7 @@ in bytes per nanosecond (1 B/ns = 1 GB/s); ``G`` and ``O`` are ns per byte.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -146,13 +147,7 @@ class SimulationConfig:
         advertisement wire delay and ``cp_processing_ns`` the per-switch
         update processing cost.
     seed:
-        Seed for any stochastic choice (ECMP hashing, jitter).
-    route_caching / packet_batching / loggops_batching:
-        Performance-engine toggles (see ``docs/performance.md``).  All three
-        default on and are *exact*: disabling one falls back to the slower
-        legacy code path but must produce bit-identical simulated results
-        for the same seed.  They exist for A/B determinism tests and for
-        bisecting perf regressions, not as accuracy knobs.
+        Seed for any stochastic choice (ECMP hashing, jitter); non-negative.
     route_cache_entries / route_synthesis:
         Route-table memory model (see ``docs/scaling.md``).  Per-pair
         route/alive/view tables live in LRU caches bounded to
@@ -212,20 +207,13 @@ class SimulationConfig:
     min_retransmit_timeout: int = 100_000  # ns
     ack_size: int = 64
 
-    # performance engine toggles (all exact: flipping one must not change
-    # simulated results — the determinism tests in
-    # tests/test_perf_determinism.py run both settings and compare)
-    route_caching: bool = True
-    packet_batching: bool = True
-    loggops_batching: bool = True
-
     # route-table memory model (see docs/scaling.md): per-pair route/alive/
     # view tables live in LRU caches bounded to this many entries per cache
     # (0 = unbounded, the pre-bounded memo behaviour).  Eviction is exact —
     # evicted tables are rebuilt bit-identically on the next lookup.
     # route_synthesis selects structural candidate synthesis (closed-form
     # link ids from coordinates) over the enumeration reference; both are
-    # bit-identical by construction and A/B-tested.
+    # bit-identical by construction and tested against each other.
     route_cache_entries: int = 16384
     route_synthesis: bool = True
 
@@ -233,13 +221,11 @@ class SimulationConfig:
     # shards > 1 partitions hosts/switches into that many shards, runs one
     # event loop per shard (in worker processes when spawnable, serially
     # in-process otherwise) and exchanges boundary-crossing packets at
-    # lookahead barriers.  shards=1 (the default) is today's single-process
-    # engine, bit-identical to previous releases — the same A/B-flag
-    # contract as packet_batching/route_caching/route_synthesis.  Sharded
-    # runs are deterministic and shard-count-invariant (stochastic choices
-    # are keyed by flow / queue identity rather than drawn from one global
-    # stream), and coincide with shards=1 exactly on configurations that
-    # consume no randomness.  Fault schedules and convergent control planes
+    # lookahead barriers.  shards=1 (the default) is the single-process
+    # engine.  Sharded runs are deterministic and shard-count-invariant
+    # (stochastic choices are keyed by flow / queue identity rather than
+    # drawn from one global stream), and coincide with shards=1 exactly on
+    # configurations that consume no randomness.  Fault schedules and convergent control planes
     # replay exactly under sharding (epochs and advertisement waves are
     # globally scheduled, locally applied); load-adaptive routing reads
     # barrier load snapshots at the load_snapshot_ns cadence — exact across
@@ -317,8 +303,10 @@ class SimulationConfig:
             raise ValueError(
                 f"slimfly_q must be a prime with q % 4 == 1 (5, 13, 17, ...), got {self.slimfly_q}"
             )
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+        if not (math.isfinite(self.link_bandwidth) and self.link_bandwidth > 0):
+            raise ValueError(
+                f"link_bandwidth must be finite and positive, got {self.link_bandwidth}"
+            )
         if self.mtu <= 0:
             raise ValueError("mtu must be positive")
         if self.buffer_size < self.mtu:
@@ -333,6 +321,14 @@ class SimulationConfig:
             raise ValueError("latencies must be non-negative")
         if self.initial_window_packets <= 0:
             raise ValueError("initial_window_packets must be positive")
+        if self.min_retransmit_timeout <= 0:
+            raise ValueError(
+                f"min_retransmit_timeout must be positive, got {self.min_retransmit_timeout}"
+            )
+        if self.ack_size <= 0:
+            raise ValueError(f"ack_size must be positive, got {self.ack_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.job_tag_stride < 0:
             raise ValueError("job_tag_stride must be non-negative (0 disables attribution)")
         if self.shards < 1:

@@ -35,7 +35,7 @@ in :data:`CONTROL_PLANES` exactly like routing strategies in
   model: every switch learns at the event time, zero messages, zero
   time-to-recover.  ``SimulationConfig.control_plane`` defaults to it, and
   both backends keep their pre-control-plane code paths bit-identical under
-  it (regression-locked the same way ``packet_batching`` is).
+  it (regression-locked in ``tests/test_faults.py``).
 
 Each event yields a :class:`ConvergenceRecord` whose
 ``time_to_recover_ns`` is the span from the event to the instant the last

@@ -1,23 +1,19 @@
 """Discrete-event machinery shared by both simulation backends.
 
-A minimal binary-heap event queue with a *canonical* ordering: entries are
-keyed on ``(time, klass, a, b)`` where same-time events sort by event class
-first and by a class-specific key within it:
+A minimal binary-heap event queue of *handler* events — completions, flow
+setup, timeouts, pacer ticks, fault applications, control-plane
+"switch-learn" events — keyed ``(time, 0, sequence)``: same-time events run
+in insertion order.
 
-* klass 0 — ordinary handler events (completions, flow setup, timeouts,
-  pacer ticks, fault applications and control-plane convergence
-  "switch-learn" events, ...), ordered by insertion sequence,
-* klass 1 — packet deliveries, ordered by ``(departure time, link id)``,
-* klass 2 — legacy transmission-completion bookkeeping, ordered by link id.
-
-The class-specific keys are physical properties of the simulated network
-rather than artifacts of when an engine happened to push the event, which
-makes the order of same-timestamp events — and therefore whole simulations —
-*engine-invariant*: the batched link engine (one delivery event per packet,
-scheduled at enqueue time) and the legacy engine (per-transmission events,
-deliveries scheduled at departure time) pop the exact same event sequence.
-That invariance is what lets ``SimulationConfig.packet_batching`` be an
-exact A/B toggle (see ``tests/test_perf_determinism.py``).
+Packet deliveries (event class 1) are not on this heap.  The packet
+backend's merge loop
+(:meth:`~repro.network.packet.backend.PacketBackend._run_merged`) interleaves
+the per-link delivery streams in ``(time, departure time, link id)`` order
+and runs same-time handler events first.  Those keys are physical properties
+of the simulated network, so the order of same-timestamp events — and with
+it a whole simulation — does not depend on how an engine happened to
+schedule them; the event-per-transmission oracle in ``tests/packet_oracle.py``
+pushes the same keys onto this heap and pops the same sequence.
 
 The queue stores flat tuples rather than event objects; in the hot
 per-packet path this avoids one attribute lookup and one allocation per
@@ -30,9 +26,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 EventCallback = Callable[[int, Any], None]
 
-# entry layouts: handler/finish events are (time, klass, key, callback,
-# payload); deliveries carry their two-part key: (time, 1, depart, link_id,
-# callback, payload)
+# entry layout: (time, klass, key..., callback, payload); everything this
+# module pushes is (time, 0, sequence, callback, payload)
 _Entry = Tuple[int, ...]
 
 
@@ -64,7 +59,7 @@ class EventQueue:
         """Schedule ``callback(time, payload)`` at simulation time ``time``.
 
         Same-time handler events run in insertion order, before any
-        same-time delivery.  Scheduling in the past (before the current
+        same-time packet delivery.  Scheduling in the past (before the current
         time) is a logic error in a discrete-event simulation and raises
         ``ValueError``.
         """
@@ -74,41 +69,6 @@ class EventQueue:
             )
         heapq.heappush(self._heap, (int(time), 0, self._seq, callback, payload))
         self._seq += 1
-
-    def schedule_delivery(
-        self, time: int, depart: int, link_id: int, callback: EventCallback, payload: Any
-    ) -> None:
-        """Schedule a packet delivery, canonically keyed by ``(depart, link_id)``.
-
-        ``depart`` is the instant the packet left its link's transmitter;
-        per link departures are strictly increasing, so the key is unique
-        and identical no matter which engine computed it.  Like
-        :meth:`schedule`, delivery times must not lie in the past —
-        ``pop()`` would silently move the simulation clock backwards.
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule delivery (link {link_id}) at {time} ns "
-                f"before current time {self._now} ns"
-            )
-        heapq.heappush(self._heap, (int(time), 1, depart, link_id, callback, payload))
-
-    def schedule_finish(
-        self, time: int, link_id: int, callback: EventCallback, payload: Any
-    ) -> None:
-        """Schedule a transmission-completion (legacy engine bookkeeping).
-
-        Runs after every same-time handler and delivery event, which is
-        exactly when the batched engine's lazy occupancy ledger retires a
-        departed packet — keeping both engines' occupancy views aligned.
-        Past-time scheduling raises like the other entry kinds.
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule transmission-finish (link {link_id}) at "
-                f"{time} ns before current time {self._now} ns"
-            )
-        heapq.heappush(self._heap, (int(time), 2, link_id, callback, payload))
 
     def schedule_after(self, delay: int, callback: EventCallback, payload: Any = None) -> None:
         """Schedule an event ``delay`` ns after the current time."""

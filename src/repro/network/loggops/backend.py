@@ -34,23 +34,10 @@ locally.
 
 Hot path
 --------
-Two exact optimizations keep the per-message cost low
-(``SimulationConfig.loggops_batching``, on by default):
-
-* runs of ``send`` events with the same timestamp — the shape every
-  collective produces — are popped together and their eager timing
-  recurrence is evaluated with numpy across the whole batch whenever the
-  batch is *dependency-free* (each sender rank and each destination appears
-  at most once, so no ``max``-chain couples two members); coupled or
-  rendezvous batches fall back to the per-message path, member by member,
-  in the exact event order,
-* arrivals are scheduled as a method plus a tuple payload instead of a
-  closure per message, and the per-message CPU cost short-circuits to the
-  integer ``o`` when ``O == 0``.
-
-Disabling the flag replays every send through the per-message path;
-simulated results are bit-identical either way (see
-``tests/test_perf_determinism.py``).
+One event per send evaluates the recurrence above in scalar Python.
+Arrivals are scheduled as a method plus a tuple payload instead of a
+closure per message, and the per-message CPU cost short-circuits to the
+integer ``o`` when ``O == 0`` (see ``docs/performance.md``).
 
 Topology-aware latency
 ----------------------
@@ -127,12 +114,6 @@ class LogGOPSBackend(NetworkBackend):
         self.params = config.loggops
         self._send_nic_free: List[int] = [0] * num_ranks
         self._recv_nic_free: List[int] = [0] * num_ranks
-        self._batching = config.loggops_batching
-        # one stable bound-method object for send events: accessing
-        # self._start_send creates a fresh bound method each time, so the
-        # batch loop's identity check must compare against this single
-        # reference (tests assert batching actually engages)
-        self._start_send_cb = self._start_send
         # CPU cost fast path: with O == 0 the per-message cost is just o
         self._o_int = int(round(self.params.o))
         # topology-aware wire latency (hop-count model; see module docstring)
@@ -182,7 +163,7 @@ class LogGOPSBackend(NetworkBackend):
         events = self.events
         heapq.heappush(
             events._heap,
-            (ready_time, 0, events._seq, self._start_send_cb, (rank, dst, size, tag, stream, op_id)),
+            (ready_time, 0, events._seq, self._start_send, (rank, dst, size, tag, stream, op_id)),
         )
         events._seq += 1
 
@@ -417,120 +398,7 @@ class LogGOPSBackend(NetworkBackend):
     def run(self, on_complete: CompletionCallback) -> int:
         self._require_setup()
         self._on_complete = on_complete
-        if not self._batching:
-            return self.events.run()
-        return self._run_batched()
-
-    def _run_batched(self) -> int:
-        """Event loop that pops same-time runs of sends as one batch.
-
-        Collectives issue whole fronts of sends with identical ready times;
-        popping the run in one go lets :meth:`_start_send_batch` evaluate
-        the eager LogGOPS recurrence with numpy across the batch.  Only
-        *consecutive* same-time send events are grouped, so the global
-        event order — and therefore every timing — is exactly that of the
-        one-event-at-a-time loop.
-        """
-        events = self.events
-        heap = events._heap
-        pop = heapq.heappop
-        start_send = self._start_send_cb
-        executed = 0
-        while heap:
-            entry = pop(heap)
-            time = entry[0]
-            events._now = time
-            callback = entry[3]
-            if (
-                callback is start_send
-                and heap
-                and heap[0][0] == time
-                and heap[0][3] is start_send
-            ):
-                batch = [entry[4]]
-                append = batch.append
-                while heap and heap[0][0] == time and heap[0][3] is start_send:
-                    append(pop(heap)[4])
-                executed += len(batch)
-                self._start_send_batch(time, batch)
-                continue
-            callback(time, entry[4])
-            executed += 1
-        events.executed += executed
-        return events._now
-
-    def _start_send_batch(self, time: int, payloads: List[Any]) -> None:
-        """Process a same-time run of sends, vectorizing when dependency-free.
-
-        The numpy path requires flat-``L`` mode (no per-message routing), a
-        purely eager batch, and no intra-batch coupling: each sender rank
-        and each destination at most once, so none of the ``max``-chains
-        (CPU stream, sender NIC, receiver NIC) links two members.  Anything
-        else replays the exact per-message path in event order.
-        """
-        p = self.params
-        n = len(payloads)
-        if (
-            n >= 4
-            and not self._routed
-            and not self._faults_enabled  # gamma may change mid-run
-            and (p.S == 0 or all(pl[2] <= p.S for pl in payloads))
-        ):
-            ranks = [pl[0] for pl in payloads]
-            dsts = [pl[1] for pl in payloads]
-            if len(set(ranks)) == n and len(set(dsts)) == n:
-                self._eager_batch_vectorized(time, payloads)
-                return
-        start_send = self._start_send
-        for payload in payloads:
-            start_send(time, payload)
-
-    def _eager_batch_vectorized(self, time: int, payloads: List[Any]) -> None:
-        """Numpy evaluation of the eager recurrence for a decoupled batch.
-
-        Mirrors ``_start_send`` + ``_transfer`` element-wise: identical
-        float operations (``round`` and ``np.rint`` both round half-even)
-        and identical state write-back, so results are bit-equal to the
-        scalar path.
-        """
-        p = self.params
-        host_free = self.host._free_at
-        busy = self.host.busy_ns
-        send_free = self._send_nic_free
-        recv_free = self._recv_nic_free
-
-        sizes = np.array([pl[2] for pl in payloads], dtype=np.int64)
-        if p.O != 0.0:
-            costs = np.rint(p.o + sizes * p.O).astype(np.int64)
-        else:
-            costs = np.full(len(payloads), self._o_int, dtype=np.int64)
-        wire = np.rint(sizes * p.G).astype(np.int64)
-        cpu_free = np.array(
-            [host_free.get((pl[0], pl[4]), 0) for pl in payloads], dtype=np.int64
-        )
-        cpu_start = np.maximum(cpu_free, time)
-        cpu_end = cpu_start + costs
-        snd = np.array([send_free[pl[0]] for pl in payloads], dtype=np.int64)
-        inj = np.maximum(cpu_end, snd)
-        new_snd = inj + p.g + wire
-        rcv = np.array([recv_free[pl[1]] for pl in payloads], dtype=np.int64)
-        recv_start = np.maximum(inj + p.L, rcv)
-        arrival = recv_start + wire
-        new_rcv = arrival + p.g
-
-        schedule = self.events.schedule
-        complete = self._complete_op
-        on_arrival = self._on_arrival
-        for i, (rank, dst, size, tag, stream, op_id) in enumerate(payloads):
-            end = int(cpu_end[i])
-            host_free[(rank, stream)] = end
-            cost = int(costs[i])
-            if cost:
-                busy[rank] = busy.get(rank, 0) + cost
-            send_free[rank] = int(new_snd[i])
-            recv_free[dst] = int(new_rcv[i])
-            schedule(end, complete, (rank, op_id))
-            schedule(int(arrival[i]), on_arrival, (rank, dst, size, tag, int(cpu_start[i])))
+        return self.events.run()
 
     # ---------------------------------------------------------------- queries
     def link_loads(self) -> Dict[str, int]:

@@ -2,12 +2,9 @@
 
 The backend owns
 
-* the topology and one link queue per directed link — by default the
-  :class:`~repro.network.packet.linkqueue.BurstLinkQueue`, which serialises
-  a burst of packets arithmetically and fires exactly one event per packet
-  (its delivery); ``SimulationConfig.packet_batching=False`` selects the
-  legacy event-per-transmission :class:`~repro.network.packet.linkqueue.
-  LinkQueue` used by the A/B determinism tests,
+* the topology and one :class:`~repro.network.packet.linkqueue.
+  BurstLinkQueue` per directed link, which serialises a burst of packets
+  arithmetically and fires exactly one event per packet (its delivery),
 * a :class:`~repro.network.routing.RoutingStrategy` that picks each flow's
   route at injection time from the topology's memoized route tables
   (minimal/ECMP, Valiant, or UGAL-style adaptive fed by live queue
@@ -50,7 +47,7 @@ from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.faults import NetworkPartitionError
 from repro.network.packet.flow import Flow
-from repro.network.packet.linkqueue import BurstLinkQueue, LinkQueue
+from repro.network.packet.linkqueue import BurstLinkQueue
 from repro.network.packet.packet import ACK, DATA, NACK, PULL, Packet
 
 
@@ -111,39 +108,22 @@ class PacketBackend(NetworkBackend):
             self._host_attach = [
                 self.topology.attachment(h) for h in range(num_ranks)
             ]
-        self._batching = config.packet_batching
         kmin = int(config.ecn_kmin_frac * config.buffer_size)
         kmax = int(config.ecn_kmax_frac * config.buffer_size)
         self._stream_heads: List[Tuple[int, int, int]] = []
-        if self._batching:
-            self.queues = [
-                BurstLinkQueue(
-                    link,
-                    self.events,
-                    self.stats,
-                    capacity=config.buffer_size,
-                    kmin=kmin,
-                    kmax=kmax,
-                    rng=self.rng,
-                )
-                for link in self.topology.links
-            ]
-            for q in self.queues:
-                q._streams = self._stream_heads
-        else:
-            self.queues = [
-                LinkQueue(
-                    link,
-                    self.events,
-                    self.stats,
-                    self._on_link_delivery,
-                    capacity=config.buffer_size,
-                    kmin=kmin,
-                    kmax=kmax,
-                    rng=self.rng,
-                )
-                for link in self.topology.links
-            ]
+        self.queues = [
+            BurstLinkQueue(
+                link,
+                self.stats,
+                capacity=config.buffer_size,
+                kmin=kmin,
+                kmax=kmax,
+                rng=self.rng,
+            )
+            for link in self.topology.links
+        ]
+        for q in self.queues:
+            q._streams = self._stream_heads
         # flows a fault can still affect, by flow id in start order; a flow
         # leaves once _fault_flow_live turns false (see _handle_data_arrival).
         # Only fault and learn events read it, so it stays empty without a
@@ -180,10 +160,6 @@ class PacketBackend(NetworkBackend):
         self.events.schedule(ready_time, self._post_recv, (rank, src, size, tag, stream, op_id))
 
     # ------------------------------------------------------------------- flows
-    def _link_load(self, link_id: int) -> int:
-        """Live queue occupancy of a link (legacy callable form)."""
-        return self.queues[link_id].queued_bytes
-
     def _link_load_view(self) -> "np.ndarray":
         """Queue occupancy of every link as an array indexed by link id.
 
@@ -204,17 +180,11 @@ class PacketBackend(NetworkBackend):
         if cp is not None and self._cp_stale:
             view = cp.view_key(self._host_attach[src])
             if view != self.topology.failed_links:
-                load = None
-                if self._needs_load:
-                    load = (
-                        self._link_load_view() if self._batching else self._link_load
-                    )
+                load = self._link_load_view() if self._needs_load else None
                 return self.routing.select_route(src, dst, size, load, view)
         if not self._needs_load:
             return self.routing.select_route(src, dst, size, None)
-        if self._batching:
-            return self.routing.select_route(src, dst, size, self._link_load_view())
-        return self.routing.select_route(src, dst, size, self._link_load)
+        return self.routing.select_route(src, dst, size, self._link_load_view())
 
     def _base_rtt(self, route: Tuple[int, ...], ack_route: Tuple[int, ...]) -> int:
         """Unloaded RTT: one MTU packet out along ``route``, its ACK back."""
@@ -281,8 +251,8 @@ class PacketBackend(NetworkBackend):
     def _try_send(self, flow: Flow, now: int) -> None:
         """Advance the flow's packet train as far as the window allows.
 
-        With the burst queue this whole loop costs one heap operation per
-        injected packet — the train is serialised arithmetically, so a
+        This whole loop costs one heap operation per injected packet — the
+        burst queue serialises the train arithmetically, so a
         single ACK event can open the window and launch a contiguous burst
         without any per-packet transmission events.
         """
@@ -327,8 +297,7 @@ class PacketBackend(NetworkBackend):
         accepted = flow.route_q0.enqueue(pkt, now)
         if not accepted:
             self._handle_data_drop(pkt, now)
-            if self._batching:
-                self._packet_free.append(pkt)
+            self._packet_free.append(pkt)
         if (
             not flow.send_op_completed
             and flow.all_injected()
@@ -338,31 +307,6 @@ class PacketBackend(NetworkBackend):
             self._complete_op(now, (flow.src, flow.op_id))
 
     # --------------------------------------------------------------- forwarding
-    def _on_link_delivery(self, packet: Packet, now: int) -> None:
-        """Legacy-mode delivery; forward or consume ``packet`` (no pooling)."""
-        packet.hop += 1
-        if packet.hop < len(packet.route):
-            if (
-                self._faults_enabled
-                and packet.kind == DATA
-                and self._masked(packet.route, packet.hop)
-                and not self._fault_forward(packet, packet.hop, now)
-            ):
-                return
-            next_queue = self.queues[packet.route[packet.hop]]
-            accepted = next_queue.enqueue(packet, now)
-            if not accepted:
-                self._handle_data_drop(packet, now)
-            return
-        if packet.kind == DATA:
-            self._handle_data_arrival(packet, now)
-        elif packet.kind == ACK:
-            self._handle_ack(packet, now)
-        elif packet.kind == NACK:
-            self._handle_nack(packet, now)
-        elif packet.kind == PULL:
-            self._handle_pull(packet, now)
-
     def _handle_data_drop(self, packet: Packet, now: int) -> None:
         """A data packet was dropped: notify the sender after a timeout."""
         flow = packet.flow
@@ -589,14 +533,6 @@ class PacketBackend(NetworkBackend):
         self.events.schedule(end, self._complete_op, (recv.rank, recv.op_id))
 
     # -------------------------------------------------------------- sender side
-    def _handle_ack(self, packet: Packet, now: int) -> None:
-        flow = packet.flow
-        freed = flow.on_ack(packet.seq)
-        if freed:
-            rtt = now - packet.sent_time
-            flow.cc.on_ack(freed, packet.ecn, rtt if rtt > 0 else 1)
-            self._try_send(flow, now)
-
     def _handle_nack(self, packet: Packet, now: int) -> None:
         flow = packet.flow
         size = flow.packet_size(packet.seq)
@@ -659,22 +595,21 @@ class PacketBackend(NetworkBackend):
     def run(self, on_complete: CompletionCallback) -> int:
         self._require_setup()
         self._on_complete = on_complete
-        if not self._batching:
-            return self.events.run()
         return self._run_merged()
 
     def _run_merged(self, until: Optional[int] = None) -> int:
-        """Specialized event loop for the burst engine.
+        """The packet engine's event loop.
 
         Per-queue deliveries are already time-sorted FIFOs, so instead of
         funnelling every delivery through the global heap the loop merges
         the per-queue streams with a heap of at most one head entry per
         link, and drains consecutive same-queue deliveries with no heap
         traffic at all.  Handler events stay on the (now tiny) EventQueue
-        heap.  The interleaving realised here is exactly the canonical
-        ``(time, klass, depart, link)`` order of
-        :class:`~repro.network.events.EventQueue`, which the A/B
-        determinism tests verify against the legacy engine.
+        heap.  The interleaving realised here *is* the canonical order:
+        ``(time, depart, link)`` among deliveries, handler events first on
+        timestamp ties (see :mod:`repro.network.events`); the
+        event-per-transmission oracle in ``tests/packet_oracle.py`` checks
+        it differentially.
 
         When ``until`` is given the loop stops *before* executing any event
         scheduled after it (events at exactly ``until`` still run), leaving
@@ -743,8 +678,8 @@ class PacketBackend(NetworkBackend):
                     if kind == DATA:
                         handle_arrival(pkt, t)
                     elif kind == ACK:
-                        # inlined _handle_ack / Flow.on_ack (hot: one per
-                        # delivered data packet)
+                        # inlined ACK handling (hot: one per delivered data
+                        # packet)
                         flow = pkt.flow
                         seq = pkt.seq
                         acked = flow.acked

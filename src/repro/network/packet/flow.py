@@ -155,15 +155,6 @@ class Flow:
         self.retransmit_queue.append(seq)
         return True
 
-    def on_ack(self, seq: int) -> int:
-        """Process an acknowledgement for ``seq``; returns the freed bytes."""
-        if seq in self.acked:
-            return 0
-        self.acked.add(seq)
-        freed = self.packet_size(seq)
-        self.inflight_bytes = max(0, self.inflight_bytes - freed)
-        return freed
-
     def all_acked(self) -> bool:
         return len(self.acked) == self.num_packets
 

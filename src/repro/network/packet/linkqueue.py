@@ -10,41 +10,27 @@ Each directed link owns one FIFO output queue with
 * store-and-forward serialisation at the link bandwidth followed by the
   link's propagation latency.
 
-Two implementations share this model:
-
-:class:`BurstLinkQueue` (the default, ``SimulationConfig.packet_batching``)
-    Serialises *arithmetically*: because the queue is FIFO and
-    work-conserving, the departure time of a packet is fully determined at
-    enqueue time (``depart = max(free_at, now) + tx``), so the queue
-    schedules exactly **one** event per packet — its delivery at the far
-    end — and keeps occupancy as a lazily-drained ledger of
-    ``(depart, size)`` records.  A whole congestion window enqueued in one
-    burst therefore advances with one heap operation per packet instead of
-    the legacy three (enqueue bookkeeping + transmission completion +
-    propagation arrival), with identical departure timestamps, drop/trim
-    decisions, and ECN draws.
-
-:class:`LinkQueue` (legacy, ``packet_batching=False``)
-    The original event-per-transmission implementation: it schedules its own
-    transmission-completion events on the backend's shared
-    :class:`~repro.network.events.EventQueue` and hands arriving packets
-    back to the backend via the ``deliver`` callback.  Kept as the reference
-    for the A/B determinism tests (``tests/test_perf_determinism.py``).
+:class:`BurstLinkQueue` serialises *arithmetically*: because the queue is
+FIFO and work-conserving, the departure time of a packet is fully determined
+at enqueue time (``depart = max(free_at, now) + tx``), so the queue schedules
+exactly **one** event per packet — its delivery at the far end — and keeps
+occupancy as a lazily-drained ledger of ``(depart, size)`` records.  A whole
+congestion window enqueued in one burst therefore advances with one heap
+operation per packet.  The event-per-transmission formulation of the same
+model (enqueue bookkeeping + transmission completion + propagation arrival)
+lives in ``tests/packet_oracle.py`` as the differential oracle.
 """
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 import numpy as np
 
 from repro.network.backend import NetworkStats
-from repro.network.events import EventQueue
 from repro.network.packet.packet import Packet
 from repro.network.topology.base import Link
-
-DeliverCallback = Callable[[Packet, int], None]
 
 _NEVER = (1 << 62)  # "no pending departure" sentinel for the drain fast path
 
@@ -59,19 +45,16 @@ class BurstLinkQueue:
     deliveries — the queue itself never fires transmission-completion
     events.
 
-    Occupancy semantics match the legacy queue under its dominant
-    event-ordering: a packet occupies the buffer from its enqueue until
-    *strictly after* its departure instant, i.e. an enqueue happening at
-    exactly another packet's departure time still sees that packet queued
-    (in the legacy engine the arrival event at such a tie was inserted
-    before the transmission-completion event whenever propagation latency
-    exceeds serialisation time, which holds for every shipped
-    configuration).
+    Occupancy is defined by the ledger's tie rule: a packet occupies the
+    buffer from its enqueue until *strictly after* its departure instant, so
+    an enqueue happening at exactly another packet's departure time still
+    sees that packet queued.  The rule depends on nothing but the two
+    timestamps — in particular not on link ids or on the order same-time
+    events were scheduled in — for every ``link_latency``, zero included.
     """
 
     __slots__ = (
         "link",
-        "events",
         "stats",
         "capacity",
         "kmin",
@@ -98,7 +81,6 @@ class BurstLinkQueue:
     def __init__(
         self,
         link: Link,
-        events: EventQueue,
         stats: NetworkStats,
         capacity: int,
         kmin: int,
@@ -106,7 +88,6 @@ class BurstLinkQueue:
         rng: np.random.Generator,
     ) -> None:
         self.link = link
-        self.events = events
         self.stats = stats
         self.capacity = capacity
         self.kmin = kmin
@@ -222,143 +203,6 @@ class BurstLinkQueue:
         return True
 
     # ---------------------------------------------------------------- queries
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of ``elapsed_ns`` this link spent transmitting."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self.busy_ns / elapsed_ns)
-
-
-class LinkQueue:
-    """FIFO output queue + transmitter of one directed link (legacy engine)."""
-
-    __slots__ = (
-        "link",
-        "events",
-        "stats",
-        "deliver",
-        "capacity",
-        "kmin",
-        "kmax",
-        "rng",
-        "queue",
-        "queued_bytes",
-        "busy",
-        "drops",
-        "trims",
-        "ecn_marks",
-        "max_queued_bytes",
-        "busy_ns",
-    )
-
-    def __init__(
-        self,
-        link: Link,
-        events: EventQueue,
-        stats: NetworkStats,
-        deliver: DeliverCallback,
-        capacity: int,
-        kmin: int,
-        kmax: int,
-        rng: np.random.Generator,
-    ) -> None:
-        self.link = link
-        self.events = events
-        self.stats = stats
-        self.deliver = deliver
-        self.capacity = capacity
-        self.kmin = kmin
-        self.kmax = kmax
-        self.rng = rng
-        self.queue: Deque[Packet] = deque()
-        self.queued_bytes = 0
-        self.busy = False
-        self.drops = 0
-        self.trims = 0
-        self.ecn_marks = 0
-        self.max_queued_bytes = 0
-        self.busy_ns = 0
-
-    # ------------------------------------------------------------------ enqueue
-    def enqueue(self, packet: Packet, now: int) -> bool:
-        """Offer ``packet`` to the queue at time ``now``.
-
-        Returns ``True`` when the packet was accepted (possibly trimmed) and
-        ``False`` when it was dropped.  Control packets (ACK/NACK/PULL) and
-        already-trimmed headers are never dropped — they are tiny and
-        modelling their loss only adds retransmission corner cases without
-        changing any of the studied behaviours.
-        """
-        if packet.is_data and not packet.trimmed:
-            if self.queued_bytes + packet.size > self.capacity:
-                if packet.flow.trimmable:
-                    # NDP: trim the payload, keep the header.
-                    packet.trimmed = True
-                    packet.size = packet.flow.header_size
-                    self.trims += 1
-                    self.stats.packets_trimmed += 1
-                else:
-                    self.drops += 1
-                    self.stats.packets_dropped += 1
-                    return False
-            else:
-                self._maybe_mark_ecn(packet)
-
-        self.queue.append(packet)
-        self.queued_bytes += packet.size
-        if self.queued_bytes > self.max_queued_bytes:
-            self.max_queued_bytes = self.queued_bytes
-            if self.queued_bytes > self.stats.max_queue_bytes:
-                self.stats.max_queue_bytes = self.queued_bytes
-        if not self.busy:
-            self._start_transmission(now)
-        return True
-
-    def _maybe_mark_ecn(self, packet: Packet) -> None:
-        """RED-style ECN marking based on the instantaneous queue depth."""
-        q = self.queued_bytes
-        if q <= self.kmin:
-            return
-        if q >= self.kmax:
-            mark = True
-        else:
-            prob = (q - self.kmin) / max(1, (self.kmax - self.kmin))
-            mark = self.rng.random() < prob
-        if mark and not packet.ecn:
-            packet.ecn = True
-            self.ecn_marks += 1
-            self.stats.packets_ecn_marked += 1
-
-    # ------------------------------------------------------------- transmission
-    def _start_transmission(self, now: int) -> None:
-        packet = self.queue[0]
-        self.busy = True
-        tx_ns = max(1, int(round(packet.size / self.link.bandwidth)))
-        self.busy_ns += tx_ns
-        self.events.schedule_finish(now + tx_ns, self.link.link_id, self._finish_transmission, packet)
-
-    def _finish_transmission(self, now: int, packet: Packet) -> None:
-        popped = self.queue.popleft()
-        assert popped is packet, "link queue transmitted out of order"
-        self.queued_bytes -= packet.size
-        # propagation to the other end of the link (delivery keyed by the
-        # canonical (departure, link) pair — see EventQueue.schedule_delivery)
-        self.events.schedule_delivery(
-            now + self.link.latency, now, self.link.link_id, self._arrive, packet
-        )
-        if self.queue:
-            self._start_transmission(now)
-        else:
-            self.busy = False
-
-    def _arrive(self, now: int, packet: Packet) -> None:
-        self.deliver(packet, now)
-
-    # ---------------------------------------------------------------- queries
-    def occupancy(self, now: int) -> int:
-        """Queued bytes at ``now`` (uniform query API with the burst queue)."""
-        return self.queued_bytes
-
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` this link spent transmitting."""
         if elapsed_ns <= 0:

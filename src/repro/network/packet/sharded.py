@@ -101,7 +101,7 @@ from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.packet.backend import PacketBackend
 from repro.network.packet.flow import Flow
-from repro.network.packet.linkqueue import BurstLinkQueue, LinkQueue
+from repro.network.packet.linkqueue import BurstLinkQueue
 from repro.network.packet.packet import Packet
 from repro.network.topology import build_topology
 from repro.network.topology.base import Topology
@@ -240,27 +240,6 @@ class _BoundaryBurstQueue(BurstLinkQueue):
         return True
 
 
-class _BoundaryLinkQueue(LinkQueue):
-    """Legacy-engine variant: transmission completes into the outbox."""
-
-    __slots__ = ("outbox",)
-
-    def __init__(self, *args: Any, outbox: List[Tuple[int, Packet]], **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.outbox = outbox
-
-    def _finish_transmission(self, now: int, packet: Packet) -> None:
-        popped = self.queue.popleft()
-        assert popped is packet, "link queue transmitted out of order"
-        self.queued_bytes -= packet.size
-        packet.depart = now
-        self.outbox.append((self.link.link_id, packet))
-        if self.queue:
-            self._start_transmission(now)
-        else:
-            self.busy = False
-
-
 # ----------------------------------------------------------------- the shard
 class ShardPacketBackend(PacketBackend):
     """Packet backend of one shard: keyed RNGs, boundary diversion, replicas.
@@ -303,30 +282,16 @@ class ShardPacketBackend(PacketBackend):
             if owner[link.src] == me and owner[link.dst] != me:
                 self._boundary_dest[link.link_id] = owner[link.dst]
                 old = self.queues[link.link_id]
-                if self._batching:
-                    nq: Any = _BoundaryBurstQueue(
-                        link,
-                        self.events,
-                        self.stats,
-                        capacity=old.capacity,
-                        kmin=old.kmin,
-                        kmax=old.kmax,
-                        rng=old.rng,
-                        outbox=self._out_packets,
-                    )
-                    nq._streams = self._stream_heads
-                else:
-                    nq = _BoundaryLinkQueue(
-                        link,
-                        self.events,
-                        self.stats,
-                        self._on_link_delivery,
-                        capacity=old.capacity,
-                        kmin=old.kmin,
-                        kmax=old.kmax,
-                        rng=old.rng,
-                        outbox=self._out_packets,
-                    )
+                nq = _BoundaryBurstQueue(
+                    link,
+                    self.stats,
+                    capacity=old.capacity,
+                    kmin=old.kmin,
+                    kmax=old.kmax,
+                    rng=old.rng,
+                    outbox=self._out_packets,
+                )
+                nq._streams = self._stream_heads
                 self.queues[link.link_id] = nq
         # flow identity (carried on ``Flow.key``) and replica registry
         self._flow_by_key: Dict[_FlowKey, Flow] = {}
@@ -497,9 +462,6 @@ class ShardPacketBackend(PacketBackend):
         return int(rng.integers(n))
 
     # ----------------------------------------------------------- load snapshots
-    def _link_load(self, link_id: int) -> int:
-        return int(self._snap_view[link_id])
-
     def _link_load_view(self) -> "np.ndarray":
         return self._snap_view
 
@@ -515,7 +477,7 @@ class ShardPacketBackend(PacketBackend):
     def next_event_time(self) -> Optional[int]:
         """Timestamp of this shard's earliest pending event (None when idle)."""
         t = self.events.peek_time()
-        if self._batching and self._stream_heads:
+        if self._stream_heads:
             st = self._stream_heads[0][0]
             if t is None or st < t:
                 return st
@@ -549,10 +511,7 @@ class ShardPacketBackend(PacketBackend):
         for time, transitions in epochs:
             for kind, ids in transitions:
                 self._apply_fault(time, (kind, ids))
-        if self._batching:
-            self._run_merged(until)
-        else:
-            self.events.run(until=until)
+        self._run_merged(until)
         if snap_at is None:
             return None
         return self._collect_load_snapshot(snap_at)
@@ -567,7 +526,6 @@ class ShardPacketBackend(PacketBackend):
         for key, seq, fire in losses:
             self.events.schedule(fire, self._on_loss_timeout, (self._flow_by_key[key], seq))
         packets.sort(key=lambda p: (p[1], p[0]))  # (depart, link)
-        batching = self._batching
         streams = self._stream_heads
         for payload in packets:
             link_id, depart, pkind, seq, size, rf, hop, sent, ecn, trimmed, key, spec = payload
@@ -578,22 +536,13 @@ class ShardPacketBackend(PacketBackend):
             pkt.ecn = ecn
             pkt.trimmed = trimmed
             pkt.depart = depart
-            latency = self.topology.links[link_id].latency
-            if batching:
-                # the cut link's local queue object is the mailbox: per-link
-                # departures are monotone, so appends keep ``out`` sorted
-                q = self.queues[link_id]
-                q.out.append(pkt)
-                if not q.live:
-                    q.live = True
-                    heappush(streams, (depart + latency, depart, link_id))
-            else:
-                self.events.schedule_delivery(
-                    depart + latency, depart, link_id, self._boundary_arrive, pkt
-                )
-
-    def _boundary_arrive(self, now: int, packet: Packet) -> None:
-        self._on_link_delivery(packet, now)
+            # the cut link's local queue object is the mailbox: per-link
+            # departures are monotone, so appends keep ``out`` sorted
+            q = self.queues[link_id]
+            q.out.append(pkt)
+            if not q.live:
+                q.live = True
+                heappush(streams, (depart + q.latency, depart, link_id))
 
     def drain_outbox(self) -> List[Tuple[int, Tuple]]:
         """Encode and clear the window's boundary traffic as (dest, message).

@@ -21,10 +21,9 @@ Three strategies ship with the toolchain:
 Strategies are registered in :data:`ROUTING_STRATEGIES` and constructed via
 :func:`create_routing`; ``SimulationConfig.routing`` selects one by name.
 
-Link load is supplied by the backend either as a numpy array indexed by link
-id (the fast path: the packet backend exposes queue occupancy as an array
-view, the LogGOPS backend an array of cumulative bytes routed) or, for
-backward compatibility, as a callable ``link_id -> queued bytes``.
+Link load is supplied by the backend as a numpy array indexed by link id:
+the packet backend exposes queue occupancy as an array view, the LogGOPS
+backend an array of cumulative bytes routed.
 
 Fault awareness
 ---------------
@@ -39,31 +38,27 @@ Hot path
 --------
 Minimal routing on a healthy fabric draws its route through
 :meth:`~repro.network.topology.base.Topology.pick_minimal` — on a fat tree a
-closed form that touches no table.  Otherwise strategies read the topology's lazily built, LRU-bounded
-:class:`~repro.network.topology.base.RouteTable` caches instead of
-rebuilding the candidate tuples per message, and the UGAL cost of all
-candidates is evaluated in one numpy gather + ``reduceat`` instead of one
-Python call per link per candidate.  All of it is exact:
-candidate order and RNG consumption are unchanged, so results are
-bit-identical to the legacy scalar path
-(``SimulationConfig.route_caching=False``), which the determinism tests
-verify.  Cache eviction is equally invisible here — an evicted table is
-rebuilt bit-identically (from structural synthesis or the enumeration
-reference, per ``SimulationConfig.route_synthesis``) on the next lookup,
-so strategies never observe cache state (see docs/scaling.md).
+closed form that touches no table.  Otherwise strategies read the
+topology's lazily built, LRU-bounded
+:class:`~repro.network.topology.base.RouteTable` caches, and the UGAL cost
+of all candidates is evaluated in one numpy gather + ``reduceat`` (a scalar
+per-link formulation is the oracle in ``tests/test_routing.py``).  Cache
+eviction is invisible here — an evicted table is rebuilt bit-identically
+(from structural synthesis or the enumeration reference, per
+``SimulationConfig.route_synthesis``) on the next lookup, so strategies
+never observe cache state (see docs/scaling.md).
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.network.topology.base import Topology, pick_route
 
 Route = Tuple[int, ...]
-#: Link load as a numpy array indexed by link id, or a ``link_id -> bytes``
-#: callable (legacy form).
-LinkLoad = Union["np.ndarray", Callable[[int], int]]
+#: Link load in bytes as a numpy array indexed by link id.
+LinkLoad = np.ndarray
 
 
 class RoutingStrategy:
@@ -75,10 +70,6 @@ class RoutingStrategy:
         The :class:`~repro.network.topology.base.Topology` to route on.
     rng:
         Shared ``numpy`` generator (tie-breaking and random intermediates).
-    use_cache:
-        Read candidates through the topology's memoized route tables
-        (default).  ``False`` re-derives candidates per call — the legacy
-        behaviour, kept for A/B determinism tests.
     """
 
     name = "base"
@@ -87,12 +78,9 @@ class RoutingStrategy:
     #: building the load view for strategies that never read it.
     needs_link_load = False
 
-    def __init__(
-        self, topology: Topology, rng: np.random.Generator, use_cache: bool = True
-    ) -> None:
+    def __init__(self, topology: Topology, rng: np.random.Generator) -> None:
         self.topology = topology
         self.rng = rng
-        self.use_cache = use_cache
 
     def select_route(
         self,
@@ -104,38 +92,40 @@ class RoutingStrategy:
     ) -> Route:
         """Return the route (tuple of link ids) a ``size``-byte message takes.
 
-        ``link_load`` maps a link id to its current load in bytes (array or
-        callable); strategies that ignore congestion may disregard it.
+        ``link_load`` holds every link's current load in bytes, indexed by
+        link id; strategies that ignore congestion may disregard it.
         ``view``, when given, is the source's first-hop switch's *believed*
         failed-link set (control-plane convergence: the selection filters by
         the stale belief instead of the topology's true fault state, so the
         chosen route may cross an actually-dead link).  ``None`` — the only
-        value ever passed outside ``control_plane="dv"|"ls"`` runs — keeps
-        selection and RNG consumption bit-identical to the legacy paths.
+        value ever passed outside ``control_plane="dv"|"ls"`` runs — selects
+        against the true fault state.
         """
         raise NotImplementedError
 
     # -- helpers shared by subclasses ---------------------------------------
-    def _candidates(
-        self, src: int, dst: int, view: Optional[frozenset] = None
-    ) -> Sequence[Route]:
-        """Minimal candidates of the pair (cached unless ``use_cache=False``).
+    def _table(self, src: int, dst: int, view: Optional[frozenset] = None):
+        """The pair's minimal-candidate :class:`RouteTable` under the fault state.
 
         On a faulty fabric (failed links present) the candidates are read
-        through the topology's alive-filtered tables regardless of the cache
-        setting — candidate order is preserved, and a fully disconnected
-        pair raises :class:`~repro.network.faults.NetworkPartitionError`.
+        through the topology's alive-filtered tables — candidate order is
+        preserved, and a fully disconnected pair raises
+        :class:`~repro.network.faults.NetworkPartitionError`.
         With a control-plane ``view`` the believed-failed filter replaces
         the truth filter (see :meth:`Topology.view_table`).
         """
         topology = self.topology
         if view is not None:
-            return topology.view_table(src, dst, view).candidates
+            return topology.view_table(src, dst, view)
         if topology.faulty:
-            return topology.alive_table(src, dst).candidates
-        if self.use_cache:
-            return topology.route_table(src, dst).candidates
-        return topology.routes(src, dst)
+            return topology.alive_table(src, dst)
+        return topology.route_table(src, dst)
+
+    def _candidates(
+        self, src: int, dst: int, view: Optional[frozenset] = None
+    ) -> Sequence[Route]:
+        """Minimal candidates of the pair (see :meth:`_table`)."""
+        return self._table(src, dst, view).candidates
 
     def _alive_valiant(
         self, src: int, dst: int, count: int, view: Optional[frozenset] = None
@@ -163,22 +153,12 @@ class RoutingStrategy:
         """Uniform random choice, consuming randomness only on real choices."""
         return pick_route(candidates, self.rng)
 
-    def _route_cost(self, route: Route, link_load: Optional[LinkLoad]) -> int:
-        """UGAL cost of a candidate: (1 + queued bytes along it) x hops."""
-        if link_load is None:
-            load = 0
-        elif callable(link_load):
-            load = sum(link_load(l) for l in route)
-        else:
-            load = sum(int(link_load[l]) for l in route)
-        return (1 + load) * len(route)
-
 
 class MinimalRouting(RoutingStrategy):
     """ECMP over the topology's minimal candidate routes.
 
-    On a healthy fabric (no failed link, no control-plane view) with caching
-    and synthesis on — the default — the draw is table-free:
+    On a healthy fabric (no failed link, no control-plane view) with route
+    synthesis on — the default — the draw is table-free:
     :meth:`Topology.pick_minimal` computes the chosen candidate alone (fat
     trees; other topologies' hook still indexes the pair's table).  Every
     other configuration reads the candidate tables, which are the
@@ -196,7 +176,7 @@ class MinimalRouting(RoutingStrategy):
         view: Optional[frozenset] = None,
     ) -> Route:
         topology = self.topology
-        if view is None and self.use_cache and topology.use_synthesis and not topology.faulty:
+        if view is None and topology.use_synthesis and not topology.faulty:
             return topology.pick_minimal(src, dst, self.rng)
         return self._pick(self._candidates(src, dst, view))
 
@@ -214,13 +194,9 @@ class ValiantRouting(RoutingStrategy):
     name = "valiant"
 
     def __init__(
-        self,
-        topology: Topology,
-        rng: np.random.Generator,
-        count: int = 4,
-        use_cache: bool = True,
+        self, topology: Topology, rng: np.random.Generator, count: int = 4
     ) -> None:
-        super().__init__(topology, rng, use_cache=use_cache)
+        super().__init__(topology, rng)
         self.count = count
 
     def select_route(
@@ -246,10 +222,10 @@ class AdaptiveRouting(RoutingStrategy):
     minimally and a congested one spills onto non-minimal paths exactly when
     the detour is cheaper than the queueing.
 
-    With an array ``link_load`` and route caching enabled, the cost of every
-    minimal candidate is evaluated in a single numpy gather over the route
-    table's CSR link index — one ``reduceat`` per decision instead of one
-    ``link_load`` call per link per candidate per message.
+    The cost of every minimal candidate is evaluated in a single numpy
+    gather over the route table's CSR link index — one ``reduceat`` per
+    decision.  Cost-tied minimal candidates are drawn from at random, which
+    keeps ECMP spreading alive when loads are equal (e.g. at an idle start).
 
     Under the sharded packet engine (``SimulationConfig.shards > 1``) the
     live ``link_load`` array is replaced by **barrier load snapshots**
@@ -265,13 +241,9 @@ class AdaptiveRouting(RoutingStrategy):
     needs_link_load = True
 
     def __init__(
-        self,
-        topology: Topology,
-        rng: np.random.Generator,
-        count: int = 2,
-        use_cache: bool = True,
+        self, topology: Topology, rng: np.random.Generator, count: int = 2
     ) -> None:
-        super().__init__(topology, rng, use_cache=use_cache)
+        super().__init__(topology, rng)
         self.count = count
 
     def select_route(
@@ -282,66 +254,24 @@ class AdaptiveRouting(RoutingStrategy):
         link_load: Optional[LinkLoad] = None,
         view: Optional[frozenset] = None,
     ) -> Route:
-        if self.use_cache and not callable(link_load):
-            return self._select_vectorized(src, dst, link_load, view)
-        return self._select_scalar(src, dst, link_load, view)
-
-    # -- legacy scalar path (use_cache=False, or callable link loads) --------
-    def _select_scalar(
-        self,
-        src: int,
-        dst: int,
-        link_load: Optional[LinkLoad],
-        view: Optional[frozenset] = None,
-    ) -> Route:
-        minimal = self._candidates(src, dst, view)
-        # random choice among cost-tied minimal candidates keeps ECMP
-        # spreading alive when loads are equal (e.g. at an idle start)
-        costs = [self._route_cost(r, link_load) for r in minimal]
-        min_cost = min(costs)
-        best_min = self._pick([r for r, c in zip(minimal, costs) if c == min_cost])
+        table = self._table(src, dst, view)
+        candidates = table.candidates
+        if link_load is None:
+            route_loads = np.zeros(len(candidates), dtype=np.int64)
+        else:
+            route_loads = np.add.reduceat(link_load[table.links_flat], table.offsets[:-1])
+        costs = (1 + route_loads) * table.hops
+        min_cost = int(costs.min())
+        tied = [candidates[i] for i in np.nonzero(costs == min_cost)[0]]
+        best_min = self._pick(tied)
         if link_load is None:
             return best_min
         valiant = self._alive_valiant(src, dst, self.count, view)
         if not valiant:
             return best_min
-        best_val = min(valiant, key=lambda r: self._route_cost(r, link_load))
-        if self._route_cost(best_val, link_load) < min_cost:
-            return best_val
-        return best_min
-
-    # -- vectorized path (route table + array loads) -------------------------
-    def _select_vectorized(
-        self,
-        src: int,
-        dst: int,
-        loads: Optional["np.ndarray"],
-        view: Optional[frozenset] = None,
-    ) -> Route:
-        topology = self.topology
-        if view is not None:
-            table = topology.view_table(src, dst, view)
-        elif topology.faulty:
-            table = topology.alive_table(src, dst)
-        else:
-            table = topology.route_table(src, dst)
-        candidates = table.candidates
-        if loads is None:
-            route_loads = np.zeros(len(candidates), dtype=np.int64)
-        else:
-            route_loads = np.add.reduceat(loads[table.links_flat], table.offsets[:-1])
-        costs = (1 + route_loads) * table.hops
-        min_cost = int(costs.min())
-        tied = [candidates[i] for i in np.nonzero(costs == min_cost)[0]]
-        best_min = self._pick(tied)
-        if loads is None:
-            return best_min
-        valiant = self._alive_valiant(src, dst, self.count, view)
-        if not valiant:
-            return best_min
-        # first minimum, matching the scalar path's min(..., key=...)
+        # the first minimum wins among Valiant candidates
         val_costs = [
-            (1 + sum(int(loads[l]) for l in r)) * len(r) for r in valiant
+            (1 + sum(int(link_load[l]) for l in r)) * len(r) for r in valiant
         ]
         best_i = min(range(len(valiant)), key=val_costs.__getitem__)
         if val_costs[best_i] < min_cost:

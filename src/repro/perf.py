@@ -13,8 +13,8 @@ The suite:
 
 * ``fig8_ai_lgs`` / ``fig8_ai_htsim`` — the paper's §5.2 simulator-runtime
   workload (Llama-7B data-parallel training trace) on each backend,
-* ``alltoall_lgs`` — a send-dense collective front, the shape the LogGOPS
-  batched/vectorized eager path targets,
+* ``alltoall_lgs`` — a send-dense collective front on the message backend
+  (the scalar LogGOPS recurrence plus the scheduler),
 * ``alltoall_htsim_adaptive`` — the packet backend under adaptive (UGAL)
   routing, exercising the cached route tables and the vectorized route
   costs,

@@ -497,3 +497,23 @@ class TestShardingFlagErrors:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["messages"] > 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ack_size", -5),  # used to simulate: negative-size ACKs shrank the queues
+        ("ack_size", 0),
+        ("min_retransmit_timeout", -1),  # used to die mid-run, scheduling in the past
+        ("min_retransmit_timeout", 0),
+        ("link_bandwidth", float("nan")),  # used to die on int(nan) in set-up
+        ("link_bandwidth", float("inf")),
+        ("link_bandwidth", 0.0),
+        ("seed", -1),  # used to surface numpy's bare seeding error
+    ],
+)
+def test_simulation_config_rejects_values_that_fail_late_or_simulate_wrongly(field, value):
+    from repro.network.config import SimulationConfig
+
+    with pytest.raises(ValueError, match=field):
+        SimulationConfig(**{field: value})

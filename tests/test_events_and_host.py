@@ -38,27 +38,6 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             q.run()
 
-    def test_schedule_delivery_in_past_rejected(self):
-        # regression: deliveries used to be pushed unchecked, so a stale
-        # timestamp silently moved the clock backwards on pop()
-        q = EventQueue()
-        q.schedule(10, lambda t, p: q.schedule_delivery(5, 4, 0, lambda *_: None, None))
-        with pytest.raises(ValueError, match="delivery"):
-            q.run()
-
-    def test_schedule_finish_in_past_rejected(self):
-        q = EventQueue()
-        q.schedule(10, lambda t, p: q.schedule_finish(5, 0, lambda *_: None, None))
-        with pytest.raises(ValueError, match="finish"):
-            q.run()
-
-    def test_schedule_delivery_at_current_time_allowed(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(10, lambda t, p: q.schedule_delivery(10, 9, 0, lambda t2, p2: seen.append(t2), None))
-        q.run()
-        assert seen == [10]
-
     def test_schedule_after_uses_current_time(self):
         q = EventQueue()
         seen = []

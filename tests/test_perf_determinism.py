@@ -1,56 +1,60 @@
-"""Determinism of the performance engines.
+"""Determinism of the engines.
 
-The hot-path optimizations — cached route tables with vectorized UGAL
-costs (``route_caching``), the arithmetic burst link engine
-(``packet_batching``) and the batched/vectorized LogGOPS eager path
-(``loggops_batching``) — are required to be *exact*: for a fixed seed,
-the optimized and legacy code paths must produce bit-identical simulated
-results (finish times, per-rank finish times, message records, drop/trim/
-ECN counts).  These tests run both settings across backends, routing
-strategies and congestion regimes (including drops, ECN marking and NDP
-trimming) and compare everything.
+Each backend ships one engine.  The packet engine — arithmetic burst link
+queues merged from per-link delivery streams — is required to be *exact*
+against the textbook event-per-transmission formulation of the same link
+model, which lives in ``tests/packet_oracle.py``: for a fixed seed both must
+produce bit-identical simulated results (finish times, per-rank finish
+times, message records, drop/trim/ECN/retransmission counts, queue peaks).
+These tests run engine and oracle across routing strategies and congestion
+regimes (drops, ECN marking, NDP trimming and pull pacing) and compare
+everything; a deliberately broken ledger shows the comparison can fail.
 
-The parallel sweep engine gets the same treatment: worker processes must
-return entries identical to the serial engine.
+The oracle is scoped to ``link_latency >= 1`` (see its module docstring);
+at ``link_latency=0`` the engine's tie rule is the definition, so there the
+tests check the packet ledger's conservation and repeatability instead.
+
+The LogGOPS backend has a single scalar recurrence and nothing to compare it
+with; its scenarios are kept as same-seed-twice determinism checks.
+
+The parallel sweep engine gets the differential treatment too: worker
+processes must return entries identical to the serial engine.
+
+This file runs in the CI flake-guard job under two PYTHONHASHSEEDs.
 """
 from __future__ import annotations
 
 import pytest
 
+from packet_oracle import PerTransmissionBackend
 from repro.network.config import LogGOPSParams, SimulationConfig
+from repro.network.packet import linkqueue
 from repro.scheduler import simulate
 from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_microbenchmark
+from test_sharded_parity import _inline_pools  # shards in-process: no spawn per cell
 
 
 def _run(schedule, backend, config):
+    """Everything a run simulated: times, records and every statistic."""
     result = simulate(schedule, backend=backend, config=config, validate=False)
-    stats = result.stats
     return {
         "finish": result.finish_time_ns,
         "rank_finish": tuple(result.rank_finish_times_ns),
         "records": tuple(result.message_records),
-        "messages": stats.messages_delivered,
-        "bytes": stats.bytes_delivered,
-        "drops": stats.packets_dropped,
-        "trims": stats.packets_trimmed,
-        "ecn": stats.packets_ecn_marked,
-        "retransmissions": stats.retransmissions,
-        "max_queue": stats.max_queue_bytes,
+        **vars(result.stats),
     }
 
 
-def _assert_exact(schedule, backend, config):
-    legacy = _run(
-        schedule,
-        backend,
-        config.replace(route_caching=False, packet_batching=False, loggops_batching=False),
-    )
-    optimized = _run(
-        schedule,
-        backend,
-        config.replace(route_caching=True, packet_batching=True, loggops_batching=True),
-    )
-    assert legacy == optimized
+def _assert_exact(schedule, config):
+    """The engine reproduces the event-per-transmission oracle bit for bit."""
+    assert config.link_latency >= 1  # the oracle's scope
+    engine = _run(schedule, "htsim", config)
+    oracle = _run(schedule, PerTransmissionBackend(), config)
+    assert engine == oracle
+    return engine
+
+
+_LOSSY = dict(nodes_per_tor=4, buffer_size=1 << 16)
 
 
 class TestPacketBackendExactness:
@@ -58,23 +62,32 @@ class TestPacketBackendExactness:
     def test_alltoall_all_routings(self, routing):
         _assert_exact(
             all_to_all(8, 1 << 14),
-            "htsim",
             SimulationConfig(nodes_per_tor=4, routing=routing, seed=3),
         )
 
     @pytest.mark.parametrize("cc", ["mprdma", "dctcp", "swift", "fixed"])
     def test_contended_incast_with_drops_and_ecn(self, cc):
         # small buffers force drops and ECN marks; all must match exactly
-        config = SimulationConfig(nodes_per_tor=4, buffer_size=1 << 16, cc_algorithm=cc)
-        results = _run(incast(12, 1 << 19), "htsim", config)
-        assert results["drops"] > 0 or results["ecn"] > 0  # regime sanity
-        _assert_exact(incast(12, 1 << 19), "htsim", config)
+        results = _assert_exact(
+            incast(12, 1 << 19), SimulationConfig(cc_algorithm=cc, **_LOSSY)
+        )
+        assert results["packets_dropped"] > 0 or results["packets_ecn_marked"] > 0  # regime sanity
 
     def test_ndp_trimming_and_pull_pacing(self):
-        config = SimulationConfig(nodes_per_tor=4, buffer_size=1 << 16, cc_algorithm="ndp")
-        results = _run(incast(12, 1 << 19), "htsim", config)
-        assert results["trims"] > 0  # trimming regime actually exercised
-        _assert_exact(incast(12, 1 << 19), "htsim", config)
+        results = _assert_exact(
+            incast(12, 1 << 19), SimulationConfig(cc_algorithm="ndp", **_LOSSY)
+        )
+        assert results["packets_trimmed"] > 0  # trimming regime actually exercised
+
+    @pytest.mark.parametrize("cc", ["dctcp", "ndp"])
+    def test_one_nanosecond_links(self, cc):
+        # the edge of the oracle's scope: deliveries land 1 ns after the
+        # transmission completes, so same-instant ties are everywhere
+        results = _assert_exact(
+            incast(12, 1 << 19),
+            SimulationConfig(cc_algorithm=cc, link_latency=1, **_LOSSY),
+        )
+        assert results["packets_dropped"] > 0 or results["packets_trimmed"] > 0
 
     @pytest.mark.parametrize(
         "topology,extra",
@@ -86,7 +99,6 @@ class TestPacketBackendExactness:
     def test_adaptive_on_path_diverse_topologies(self, topology, extra):
         _assert_exact(
             permutation(16, 1 << 16, seed=5),
-            "htsim",
             SimulationConfig(topology=topology, routing="adaptive", **extra),
         )
 
@@ -96,62 +108,99 @@ class TestPacketBackendExactness:
         b = _run(all_to_all(8, 1 << 15), "htsim", config)
         assert a == b
 
+    def test_oracle_catches_a_ledger_that_retires_at_the_departure_instant(
+        self, monkeypatch
+    ):
+        """Break the tie rule (``<=`` for ``<``): the differential must fail."""
+        enqueue = linkqueue.BurstLinkQueue.enqueue
 
-class TestLogGOPSExactness:
-    def test_eager_flat_latency(self):
-        _assert_exact(all_to_all(16, 1 << 16), "lgs", SimulationConfig())
+        def early_retire(self, packet, now):
+            pending = self.pending
+            while pending and pending[0][0] <= now:
+                self.queued_bytes -= pending.popleft()[1]
+            self.head_depart = pending[0][0] if pending else linkqueue._NEVER
+            return enqueue(self, packet, now)
 
-    def test_rendezvous_protocol(self):
-        _assert_exact(
-            all_to_all(16, 1 << 16),
-            "lgs",
-            SimulationConfig(loggops=LogGOPSParams.hpc_cluster()),
+        monkeypatch.setattr(linkqueue.BurstLinkQueue, "enqueue", early_retire)
+        with pytest.raises(AssertionError):
+            _assert_exact(
+                incast(12, 1 << 19), SimulationConfig(cc_algorithm="dctcp", **_LOSSY)
+            )
+
+
+class TestZeroLatencyLinks:
+    """``link_latency=0``: outside the oracle's scope, the ledger is the rule."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("cc", ["dctcp", "ndp"])
+    def test_ledger_conserved_and_repeatable(self, cc, shards):
+        config = SimulationConfig(
+            cc_algorithm=cc, link_latency=0, shards=shards, **_LOSSY
         )
+        schedule = incast(12, 1 << 19)
+        with _inline_pools():
+            first = simulate(schedule, backend="htsim", config=config)
+            again = simulate(schedule, backend="htsim", config=config)
+        stats = first.stats
+        assert stats.packets_trimmed > 0 if cc == "ndp" else stats.packets_dropped > 0
+        # every injected DATA packet ends exactly one way (a trimmed header
+        # arrives, but as a NACK trigger, not as a delivery)
+        assert stats.packets_sent == (
+            stats.packets_delivered
+            + stats.packets_dropped
+            + stats.packets_trimmed
+            + stats.packets_lost_to_faults
+            + stats.packets_blackholed
+        )
+        assert stats.messages_delivered == 11
+        assert stats.bytes_delivered == 11 * (1 << 19)
+        assert (first.finish_time_ns, first.rank_finish_times_ns, vars(stats)) == (
+            again.finish_time_ns, again.rank_finish_times_ns, vars(again.stats)
+        )
+        assert sorted(first.message_records) == sorted(again.message_records)
 
-    def test_coupled_batches_incast(self):
-        # every batch member shares the destination: the vector path must
-        # bail out to the scalar chain and still match exactly
-        _assert_exact(incast(16, 1 << 18), "lgs", SimulationConfig())
 
-    @pytest.mark.parametrize("routing", ["minimal", "valiant", "adaptive"])
-    def test_topology_aware_latency(self, routing):
-        _assert_exact(
-            all_to_all(8, 1 << 14),
-            "lgs",
-            SimulationConfig(
-                topology="torus", torus_dims=(2, 2), torus_hosts_per_node=2, routing=routing
+class TestLogGOPSDeterminism:
+    """Same inputs twice: the scalar recurrence has no hidden state."""
+
+    _TORUS = dict(topology="torus", torus_dims=(2, 2), torus_hosts_per_node=2)
+
+    @pytest.mark.parametrize(
+        "schedule,config",
+        [
+            pytest.param(all_to_all(16, 1 << 16), SimulationConfig(), id="eager-flat-L"),
+            pytest.param(
+                all_to_all(16, 1 << 16),
+                SimulationConfig(loggops=LogGOPSParams.hpc_cluster()),
+                id="rendezvous",
             ),
-        )
-
-    def test_ring_allreduce(self):
-        _assert_exact(ring_allreduce_microbenchmark(8, 1 << 20), "lgs", SimulationConfig())
-
-    def test_vectorized_batch_path_actually_engages(self):
-        # guards against the A/B test passing vacuously because the batch
-        # loop never groups anything (e.g. a broken callback identity
-        # check).  Chained permutation rounds unlock one send per rank at
-        # the same completion instant, producing 16-wide consecutive runs
-        # (first-round fronts do not batch: their send events interleave
-        # with same-time recv posts, which share CPU streams and therefore
-        # may not be reordered past).
-        from repro.network.loggops.backend import LogGOPSBackend
-        from repro.scheduler import GoalScheduler
-
-        backend = LogGOPSBackend()
-        scheduler = GoalScheduler(
-            permutation(16, 1 << 12, seed=1, messages_per_rank=3),
-            backend=backend,
-            config=SimulationConfig(),
-        )
-        calls = []
-        original = backend._eager_batch_vectorized
-        backend._eager_batch_vectorized = lambda time, payloads: (
-            calls.append(len(payloads)),
-            original(time, payloads),
-        )[1]
-        scheduler.run()
-        assert calls, "no send batch ever took the vectorized path"
-        assert max(calls) >= 8
+            pytest.param(incast(16, 1 << 18), SimulationConfig(), id="coupled-incast"),
+            pytest.param(
+                all_to_all(8, 1 << 14),
+                SimulationConfig(routing="minimal", **_TORUS),
+                id="routed-minimal",
+            ),
+            pytest.param(
+                all_to_all(8, 1 << 14),
+                SimulationConfig(routing="valiant", **_TORUS),
+                id="routed-valiant",
+            ),
+            pytest.param(
+                all_to_all(8, 1 << 14),
+                SimulationConfig(routing="adaptive", **_TORUS),
+                id="routed-adaptive",
+            ),
+            pytest.param(
+                ring_allreduce_microbenchmark(8, 1 << 20),
+                SimulationConfig(),
+                id="ring-allreduce",
+            ),
+        ],
+    )
+    def test_same_seed_twice(self, schedule, config):
+        first = _run(schedule, "lgs", config)
+        assert first["messages_delivered"] > 0
+        assert first == _run(schedule, "lgs", config)
 
 
 def _sweep_key(entry):
@@ -231,3 +280,26 @@ class TestPullPacing:
     def test_monotone_emissions(self):
         times = self._emission_times(bandwidth=25.0)
         assert all(b >= a for a, b in zip(times, times[1:]))
+
+
+def test_one_engine_per_backend_tripwire():
+    """A second engine must not come back behind a flag unnoticed."""
+    import dataclasses
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    banned = re.compile(
+        r"packet_batching|loggops_batching|route_caching|use_cache|\bLinkQueue\("
+    )
+    hits = [
+        f"{path.relative_to(root)}:{n}: {line.strip()}"
+        for top in ("src", "docs")
+        for path in sorted((root / top).rglob("*"))
+        if path.suffix in (".py", ".md")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "\n".join(hits)
+    fields = [f.name for f in dataclasses.fields(SimulationConfig)]
+    assert not [f for f in fields if f.endswith("_batching") or f == "route_caching"]

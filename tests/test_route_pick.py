@@ -10,9 +10,9 @@ the tree as the reference, so every test here is differential:
   route, same generator state afterwards — on every registered topology,
   the extra fat-tree/torus/dragonfly shapes, and sampled pairs at 2048
   hosts x 32 cores,
-* whole simulations are bit-identical with ``route_synthesis`` /
-  ``route_caching`` off (the table paths), serial and sharded, and across a
-  timed LINK_DOWN -> LINK_UP that crosses closed form -> table -> closed form,
+* whole simulations are bit-identical with ``route_synthesis`` off (the
+  table path), serial and sharded, and across a timed LINK_DOWN -> LINK_UP
+  that crosses closed form -> table -> closed form,
 * the per-link RTT sum equals the formula it replaced, under degradations,
 * the live-flow registry (kept on fault-scheduled runs only) drains, and
   stays far below the flows started.
@@ -131,14 +131,12 @@ def test_closed_forms_build_no_table_and_the_base_hook_does():
 def test_minimal_routing_takes_the_hook_only_when_it_is_exact():
     config, num_hosts = SMALL_INSTANCES["fat_tree"]
 
-    def lookups(**kwargs):
+    def lookups(view=None, fail=(), use_synthesis=True):
         topo = build_topology(config, num_hosts)
-        view = kwargs.pop("view", None)
-        fail = kwargs.pop("fail", ())
-        topo.use_synthesis = kwargs.pop("use_synthesis", True)
+        topo.use_synthesis = use_synthesis
         if fail:
             topo.fail_links(fail)
-        routing = MinimalRouting(topo, np.random.default_rng(0), **kwargs)
+        routing = MinimalRouting(topo, np.random.default_rng(0))
         routing.select_route(0, 11, view=view)
         stats = topo.route_cache_stats()
         return stats["hits"] + stats["misses"]
@@ -147,7 +145,6 @@ def test_minimal_routing_takes_the_hook_only_when_it_is_exact():
     assert lookups(use_synthesis=False) > 0
     assert lookups(fail=(24,)) > 0
     assert lookups(view=frozenset({24})) > 0
-    assert lookups(use_cache=False) == 0  # enumerates routes(), no table either
 
 
 def test_route_table_views_are_lazy_and_unchanged():
@@ -170,11 +167,7 @@ def test_route_table_views_are_lazy_and_unchanged():
 _GRID_BASE = SimulationConfig(
     topology="fat_tree", nodes_per_tor=4, seed=3, min_retransmit_timeout=50_000
 )
-_TABLE_PATHS = [
-    dict(route_synthesis=False),
-    dict(route_caching=False),
-    dict(route_synthesis=False, route_caching=False),
-]
+_TABLE_PATHS = [dict(route_synthesis=False)]
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -189,8 +182,7 @@ def test_table_paths_reproduce_the_closed_form_run(cc, shards):
         for knobs in _TABLE_PATHS:
             other = simulate(schedule, backend="htsim", config=config.replace(**knobs))
             assert _simulated(other) == _simulated(default), knobs
-            if knobs.get("route_caching", True):
-                assert other.stats.route_cache_misses > 0
+            assert other.stats.route_cache_misses > 0
 
 
 @pytest.mark.parametrize("topology", ["fat_tree_multiplane", "fat_tree_rail", "dragonfly", "torus"])
@@ -225,10 +217,9 @@ def test_link_flap_crosses_closed_form_table_closed_form(shards):
         for knobs in _TABLE_PATHS:
             other = simulate(schedule, backend="htsim", config=config.replace(**knobs))
             assert _simulated(other) == _simulated(default), knobs
-            if knobs.get("route_caching", True):
-                # tables all run long there; here only during the outage
-                stats = other.stats
-                assert 0 < lookups < stats.route_cache_hits + stats.route_cache_misses
+            # tables all run long there; here only during the outage
+            stats = other.stats
+            assert 0 < lookups < stats.route_cache_hits + stats.route_cache_misses
 
 
 def test_loggops_routed_latency_unchanged_by_the_table_paths():

@@ -149,15 +149,6 @@ SERIAL_EXACT = [
         SimulationConfig(topology="torus", routing="minimal", cc_algorithm="ndp"),
         id="torus-minimal-ndp",
     ),
-    pytest.param(
-        SimulationConfig(
-            topology="fat_tree",
-            routing="minimal",
-            cc_algorithm="dctcp",
-            packet_batching=False,
-        ),
-        id="fat_tree-legacy-engine",
-    ),
 ]
 
 
