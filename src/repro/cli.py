@@ -38,13 +38,15 @@ from typing import List, Optional
 from repro.apps.ai import MODEL_PRESETS, ParallelismConfig
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
 from repro.core import Atlahs
-from repro.goal import read_goal
+from repro.goal import GoalParseError, GoalValidationError, read_goal
+from repro.goal.binary import GoalBinaryError
 from repro.network.config import SimulationConfig
 from repro.network.congestion import congestion_control_names
 from repro.network.routing import ROUTING_STRATEGIES, routing_names
 from repro.network.topology import TOPOLOGY_DESCRIPTIONS, topology_names
 from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_microbenchmark
 from repro.schedgen.storage import DirectDriveConfig
+from repro.scheduler import SchedulerDeadlockError
 from repro.tracers.storage import FinancialWorkloadGenerator
 
 
@@ -178,9 +180,22 @@ def _print_result(name: str, result, extra: Optional[dict] = None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Replay a GOAL file (textual or binary, whatever its name) on a backend."""
-    schedule = read_goal(args.goal_file)
+    path = args.goal_file
+    try:
+        schedule = read_goal(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read GOAL file {path!r}: {exc.strerror}") from None
+    except (GoalParseError, GoalBinaryError) as exc:
+        raise SystemExit(f"{path!r} is not a valid GOAL file: {exc}") from None
     atlahs = Atlahs(_config_from_args(args))
-    result = atlahs.simulate_goal(schedule, backend=args.backend)
+    try:
+        result = atlahs.simulate_goal(schedule, backend=args.backend)
+    except GoalValidationError as exc:
+        shown = "; ".join(exc.errors[:3])
+        more = f"; +{len(exc.errors) - 3} more" if len(exc.errors) > 3 else ""
+        raise SystemExit(f"{path!r} fails validation: {shown}{more}") from None
+    except SchedulerDeadlockError as exc:
+        raise SystemExit(f"{path!r}: {exc}") from None
     _print_result(schedule.name, result)
     return 0
 

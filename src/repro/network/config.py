@@ -53,12 +53,17 @@ class LogGOPSParams:
     S: int = 0
 
     def __post_init__(self) -> None:
-        if self.L < 0 or self.o < 0 or self.g < 0:
-            raise ValueError("L, o and g must be non-negative")
-        if self.G < 0 or self.O < 0:
-            raise ValueError("G and O must be non-negative")
-        if self.S < 0:
-            raise ValueError("S must be non-negative")
+        for name in ("L", "o", "g", "G", "O", "S"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        # L, g and S enter the NIC recurrence and the event times as they
+        # are: a fraction would leave float clocks behind
+        for name in ("L", "g", "S"):
+            value = getattr(self, name)
+            if value != int(value):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @classmethod
     def ai_cluster(cls) -> "LogGOPSParams":
@@ -319,6 +324,11 @@ class SimulationConfig:
             raise ValueError(f"unknown cc_algorithm {self.cc_algorithm!r}")
         if self.host_overhead < 0 or self.link_latency < 0:
             raise ValueError("latencies must be non-negative")
+        # routed LogGOPS latencies are sums of link latencies and become
+        # event times as they are
+        if not (math.isfinite(self.link_latency) and self.link_latency == int(self.link_latency)):
+            raise ValueError(f"link_latency must be a whole number of ns, got {self.link_latency!r}")
+        self.link_latency = int(self.link_latency)
         if self.initial_window_packets <= 0:
             raise ValueError("initial_window_packets must be positive")
         if self.min_retransmit_timeout <= 0:

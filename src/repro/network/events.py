@@ -5,6 +5,18 @@ setup, timeouts, pacer ticks, fault applications, control-plane
 "switch-learn" events — keyed ``(time, 0, sequence)``: same-time events run
 in insertion order.
 
+Same-instant ready queue.  An event that is due *now* need not go through
+the heap at all: a backend may append ``(now, 0, sequence, callback,
+payload)`` to ``_ready`` instead of pushing it, taking the next sequence
+number exactly as :meth:`EventQueue.schedule` would.  :meth:`EventQueue.run`
+runs the oldest ready entry unless the heap holds an entry at ``now`` with a
+smaller sequence number, so every event still runs in ``(time, sequence)``
+order — the order a heap holding both would pop — whatever else is pushed at
+``now`` meanwhile.  Ready entries count in :attr:`EventQueue.executed` like
+any other event.  The LogGOPS backend posts every send and receive this way
+(the scheduler issues an op at its last predecessor's completion time, which
+is the current time); the packet backend never uses the ready queue.
+
 Packet deliveries (event class 1) are not on this heap.  The packet
 backend's merge loop
 (:meth:`~repro.network.packet.backend.PacketBackend._run_merged`) interleaves
@@ -22,26 +34,29 @@ event (see the hpc-parallel guides on keeping inner loops allocation-light).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 EventCallback = Callable[[int, Any], None]
 
 # entry layout: (time, klass, key..., callback, payload); everything this
-# module pushes is (time, 0, sequence, callback, payload)
+# module pushes or queues as ready is (time, 0, sequence, callback, payload)
 _Entry = Tuple[int, ...]
 
 
 class EventQueue:
     """Deterministic discrete-event queue with integer-nanosecond timestamps."""
 
-    __slots__ = ("_heap", "_seq", "_now", "executed")
+    __slots__ = ("_heap", "_ready", "_seq", "_now", "executed")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
+        #: Entries due at :attr:`now`, oldest first (see the module docstring).
+        self._ready: Deque[_Entry] = deque()
         self._seq = 0
         self._now = 0
-        #: Events executed so far (by :meth:`run` or a backend's own loop);
-        #: the bench harness reports this as events/sec.
+        #: Events executed so far (by :meth:`run` or a backend's own loop),
+        #: ready entries included; the benchmark reports this as events/sec.
         self.executed = 0
 
     @property
@@ -50,10 +65,7 @@ class EventQueue:
         return self._now
 
     def __len__(self) -> int:
-        return len(self._heap)
-
-    def empty(self) -> bool:
-        return not self._heap
+        return len(self._heap) + len(self._ready)
 
     def schedule(self, time: int, callback: EventCallback, payload: Any = None) -> None:
         """Schedule ``callback(time, payload)`` at simulation time ``time``.
@@ -70,19 +82,11 @@ class EventQueue:
         heapq.heappush(self._heap, (int(time), 0, self._seq, callback, payload))
         self._seq += 1
 
-    def schedule_after(self, delay: int, callback: EventCallback, payload: Any = None) -> None:
-        """Schedule an event ``delay`` ns after the current time."""
-        self.schedule(self._now + int(delay), callback, payload)
-
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next event, or ``None`` if the queue is empty."""
+        if self._ready:
+            return self._now
         return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Tuple[int, EventCallback, Any]:
-        """Pop and return the next ``(time, callback, payload)``; advances the clock."""
-        entry = heapq.heappop(self._heap)
-        self._now = entry[0]
-        return entry[0], entry[-2], entry[-1]
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains (or a limit is hit).
@@ -102,30 +106,49 @@ class EventQueue:
         """
         executed = 0
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
+        popleft = ready.popleft
         if until is None and max_events is None:
-            # hot path: no limit checks inside the loop
-            while heap:
-                entry = pop(heap)
-                time = entry[0]
-                self._now = time
-                entry[-2](time, entry[-1])
+            # hot path: no limit checks inside the loop.  A ready entry is
+            # due now, and so is a heap top that sorts before it.
+            while True:
+                if ready:
+                    entry = ready[0]
+                    if heap and heap[0] < entry:
+                        entry = pop(heap)
+                    else:
+                        popleft()
+                elif heap:
+                    entry = pop(heap)
+                    self._now = entry[0]
+                else:
+                    break
+                entry[-2](entry[0], entry[-1])
                 executed += 1
             self.executed += executed
             return self._now
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
+        while ready or heap:
+            if ready:
+                entry = ready[0]
+                from_heap = bool(heap) and heap[0] < entry
+            else:
+                entry = heap[0]
+                from_heap = True
+                if until is not None and entry[0] > until:
+                    break
             if max_events is not None and executed >= max_events:
                 self.executed += executed
                 raise RuntimeError(
                     f"event limit exceeded ({max_events} events); "
                     "simulation is likely livelocked"
                 )
-            entry = pop(heap)
-            time = entry[0]
-            self._now = time
-            entry[-2](time, entry[-1])
+            if from_heap:
+                entry = pop(heap)
+                self._now = entry[0]
+            else:
+                popleft()
+            entry[-2](entry[0], entry[-1])
             executed += 1
         self.executed += executed
         return self._now

@@ -50,13 +50,6 @@ class HostCompute:
             self.busy_ns[rank] = self.busy_ns.get(rank, 0) + duration
         return start, end
 
-    def rank_finish_time(self, rank: int) -> int:
-        """Latest time any stream of ``rank`` is busy until."""
-        return max(
-            (t for (r, _), t in self._free_at.items() if r == rank),
-            default=0,
-        )
-
     def reset(self) -> None:
         """Forget all reservations (used when a backend is reused)."""
         self._free_at.clear()

@@ -34,10 +34,20 @@ locally.
 
 Hot path
 --------
-One event per send evaluates the recurrence above in scalar Python.
-Arrivals are scheduled as a method plus a tuple payload instead of a
-closure per message, and the per-message CPU cost short-circuits to the
-integer ``o`` when ``O == 0`` (see ``docs/performance.md``).
+An eager message is five events — post the send, the send completes, the
+message arrives, post the receive, the receive completes — of which only
+three go through the heap: ``issue_send`` / ``issue_recv`` are called at the
+current time, so they append ``_start_send`` / ``_post_recv`` to the event
+queue's same-instant ready queue (see :mod:`repro.network.events`), which
+runs them in the order the heap would have.  The four handlers are flat:
+each reserves its CPU stream, computes the cost (the integer ``o`` when
+``O == 0``), evaluates the flat-``L`` recurrence above, matches on the
+shared matcher's FIFOs, counts the delivery and pushes its heap tuples
+itself; a posted receive is a plain tuple and an unexpected arrival just its
+arrival time.  Rendezvous, routed latency, the fault derate ``gamma`` and
+per-job attribution stay behind their own branches.
+``tests/loggops_oracle.py`` keeps the five-heap-event formulation as the
+oracle this engine is held to (see ``docs/performance.md``).
 
 Topology-aware latency
 ----------------------
@@ -52,37 +62,15 @@ links that earlier messages loaded even though this backend has no queues.
 """
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.backend import CompletionCallback, NetworkBackend
+from repro.network.backend import CompletionCallback, MessageRecord, NetworkBackend
 from repro.network.config import SimulationConfig
 from repro.network.faults import LINK_DOWN, SWITCH_DRAIN, NetworkPartitionError
-
-
-class _PendingRecv:
-    """Bookkeeping for a posted receive waiting for its message."""
-
-    __slots__ = ("op_id", "rank", "stream", "post_time", "size")
-
-    def __init__(self, op_id: int, rank: int, stream: int, post_time: int, size: int) -> None:
-        self.op_id = op_id
-        self.rank = rank
-        self.stream = stream
-        self.post_time = post_time
-        self.size = size
-
-
-class _Arrival:
-    """Bookkeeping for a message that arrived before its receive was posted."""
-
-    __slots__ = ("arrival_time", "size")
-
-    def __init__(self, arrival_time: int, size: int) -> None:
-        self.arrival_time = arrival_time
-        self.size = size
 
 
 class _PendingRendezvous:
@@ -116,6 +104,10 @@ class LogGOPSBackend(NetworkBackend):
         self._recv_nic_free: List[int] = [0] * num_ranks
         # CPU cost fast path: with O == 0 the per-message cost is just o
         self._o_int = int(round(self.params.o))
+        self._collect_records = config.collect_message_records
+        # the eager path matches on the shared matcher's FIFOs in place
+        self._pending_recvs = self.matcher._pending_recvs
+        self._pending_arrivals = self.matcher._pending_arrivals
         # topology-aware wire latency (hop-count model; see module docstring)
         # routes every message; _link_bytes — cumulative bytes routed per
         # link — is the load signal handed to the routing strategy
@@ -140,8 +132,8 @@ class LogGOPSBackend(NetworkBackend):
             self._recompute_gamma()
         # channel -> list of rendezvous sends awaiting a receive (FIFO)
         self._pending_rndv: Dict[Tuple[int, int, int], List[_PendingRendezvous]] = {}
-        # channel -> list of receive post times available for rendezvous matching
-        self._rndv_recv_posts: Dict[Tuple[int, int, int], List[_PendingRecv]] = {}
+        # channel -> list of posted receives available for rendezvous matching
+        self._rndv_recv_posts: Dict[Tuple[int, int, int], List[tuple]] = {}
 
     def _fabric_built(self) -> None:
         # healthy capacity is captured before degradations are applied, so
@@ -161,20 +153,23 @@ class LogGOPSBackend(NetworkBackend):
         self, rank: int, dst: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
     ) -> None:
         events = self.events
-        heapq.heappush(
-            events._heap,
-            (ready_time, 0, events._seq, self._start_send, (rank, dst, size, tag, stream, op_id)),
-        )
+        entry = (ready_time, 0, events._seq, self._start_send, (rank, dst, size, tag, stream, op_id))
+        # the scheduler issues at the current time: onto the ready queue
+        if ready_time == events._now:
+            events._ready.append(entry)
+        else:
+            heappush(events._heap, entry)
         events._seq += 1
 
     def issue_recv(
         self, rank: int, src: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
     ) -> None:
         events = self.events
-        heapq.heappush(
-            events._heap,
-            (ready_time, 0, events._seq, self._post_recv, (rank, src, size, tag, stream, op_id)),
-        )
+        entry = (ready_time, 0, events._seq, self._post_recv, (rank, src, size, tag, stream, op_id))
+        if ready_time == events._now:
+            events._ready.append(entry)
+        else:
+            heappush(events._heap, entry)
         events._seq += 1
 
     # ------------------------------------------------------------------ faults
@@ -255,23 +250,27 @@ class LogGOPSBackend(NetworkBackend):
             self._gamma = target
 
     # --------------------------------------------------------------- internals
-    def _cpu_cost(self, size: int) -> int:
-        p = self.params
-        if p.O == 0.0:
-            return self._o_int
-        return int(round(p.o + size * p.O))
+    # A posted receive is the tuple (rank, stream, post time, CPU cost, op
+    # id); an unexpected eager message is its arrival time.
 
     def _start_send(self, time: int, payload: Any) -> None:
         rank, dst, size, tag, stream, op_id = payload
         p = self.params
-        cpu_start, cpu_end = self.host.reserve(rank, stream, time, self._cpu_cost(size))
+        cost = self._o_int if p.O == 0.0 else int(round(p.o + size * p.O))
+        # inlined HostCompute.reserve
+        host = self.host
+        free = host._free_at
+        key = (rank, stream)
+        cpu_start = free.get(key, 0)
+        if cpu_start < time:
+            cpu_start = time
+        cpu_end = cpu_start + cost
+        free[key] = cpu_end
+        if cost:
+            busy = host.busy_ns
+            busy[rank] = busy.get(rank, 0) + cost
 
-        if size <= p.S or p.S == 0:
-            # Eager protocol: transfer proceeds regardless of the receive.
-            arrival = self._transfer(rank, dst, size, cpu_end, tag)
-            self.events.schedule(cpu_end, self._complete_op, (rank, op_id))
-            self.events.schedule(arrival, self._on_arrival, (rank, dst, size, tag, cpu_start))
-        else:
+        if size > p.S and p.S != 0:
             # Rendezvous: wait for the matching receive before transferring.
             channel = (rank, dst, tag)
             waiting = self._rndv_recv_posts.get(channel)
@@ -286,12 +285,38 @@ class LogGOPSBackend(NetworkBackend):
                 self._pending_rndv.setdefault(channel, []).append(
                     _PendingRendezvous(op_id, rank, dst, tag, stream, size, cpu_end, cpu_start)
                 )
+            return
 
-    def _wire_latency(self, src: int, dst: int, size: int, tag: int = 0) -> int:
-        """Wire latency for one message: flat ``L``, or the routed path's
-        propagation delay when topology-aware latency is enabled."""
-        if not self._routed:
-            return self.params.L
+        # Eager protocol: transfer proceeds regardless of the receive
+        # (inlined _transfer; the send op completes locally at cpu_end).
+        if self._gamma != 1.0:
+            wire_bytes_ns = int(round(size * p.G / self._gamma))
+        else:
+            wire_bytes_ns = int(round(size * p.G))
+        send_free = self._send_nic_free
+        inj_start = send_free[rank]
+        if inj_start < cpu_end:
+            inj_start = cpu_end
+        send_free[rank] = inj_start + p.g + wire_bytes_ns
+        if self._routed:
+            recv_start = inj_start + self._wire_latency(rank, dst, size, tag)
+        else:
+            recv_start = inj_start + p.L
+        recv_free = self._recv_nic_free
+        if recv_start < recv_free[dst]:
+            recv_start = recv_free[dst]
+        arrival = recv_start + wire_bytes_ns
+        recv_free[dst] = arrival + p.g
+        events = self.events
+        heap = events._heap
+        seq = events._seq
+        heappush(heap, (cpu_end, 0, seq, self._complete_op, (rank, op_id)))
+        heappush(heap, (arrival, 0, seq + 1, self._on_arrival, (rank, dst, size, tag, cpu_start)))
+        events._seq = seq + 2
+
+    def _wire_latency(self, src: int, dst: int, size: int, tag: int) -> int:
+        """The routed path's propagation delay for one message (topology-aware
+        latency only; the flat ``L`` needs no call)."""
         loads = self._link_bytes
         route = self.routing.select_route(src, dst, size, loads)
         for link in route:
@@ -306,13 +331,14 @@ class LogGOPSBackend(NetworkBackend):
                 arr[link] += size
         return sum(map(self._link_ns.__getitem__, route))
 
-    def _transfer(self, src: int, dst: int, size: int, sender_ready: int, tag: int = 0) -> int:
-        """Charge NIC resources for one message and return its arrival time.
+    def _transfer(self, src: int, dst: int, size: int, sender_ready: int, tag: int) -> int:
+        """Charge NIC resources for one rendezvous message; return its arrival time.
 
         Under an active fault schedule the per-byte serialisation is
         inflated by the degraded-capacity factor (``G / gamma``); with the
         fabric fully up (``gamma == 1``) the arithmetic is exactly the
-        healthy expression.
+        healthy expression.  ``_start_send`` inlines the same recurrence for
+        eager messages.
         """
         p = self.params
         if self._gamma != 1.0:
@@ -321,7 +347,8 @@ class LogGOPSBackend(NetworkBackend):
             wire_bytes_ns = int(round(size * p.G))
         inj_start = max(sender_ready, self._send_nic_free[src])
         self._send_nic_free[src] = inj_start + p.g + wire_bytes_ns
-        recv_start = max(inj_start + self._wire_latency(src, dst, size, tag), self._recv_nic_free[dst])
+        latency = self._wire_latency(src, dst, size, tag) if self._routed else p.L
+        recv_start = max(inj_start + latency, self._recv_nic_free[dst])
         arrival = recv_start + wire_bytes_ns
         self._recv_nic_free[dst] = arrival + p.g
         return arrival
@@ -329,15 +356,36 @@ class LogGOPSBackend(NetworkBackend):
     def _on_arrival(self, time: int, payload: Tuple[int, int, int, int, int]) -> None:
         """An eager message fully arrived; record it and run matching."""
         src, dst, size, tag, post_time = payload
-        self._message_delivered(src, dst, size, tag, post_time, time)
-        matched = self.matcher.post_arrival(src, dst, tag, _Arrival(time, size))
-        if matched is not None:
-            self._complete_recv(matched, time)
+        # inlined NetworkBackend._message_delivered
+        stats = self.stats
+        stats.messages_delivered += 1
+        stats.bytes_delivered += size
+        if self._job_stride:
+            per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
+            per_job[0] += 1
+            per_job[1] += size
+        if self._collect_records:
+            self.records.append(MessageRecord(src, dst, size, tag, post_time, time))
+        # inlined MessageMatcher.post_arrival
+        channel = (src, dst, tag)
+        recvs = self._pending_recvs.get(channel)
+        if recvs:
+            recv = recvs.popleft()
+            if not recvs:
+                del self._pending_recvs[channel]
+            self._complete_recv(recv, time)
+            return
+        arrivals = self._pending_arrivals.get(channel)
+        if arrivals is None:
+            self._pending_arrivals[channel] = deque((time,))
+        else:
+            arrivals.append(time)
 
     def _post_recv(self, time: int, payload: Any) -> None:
         rank, src, size, tag, stream, op_id = payload
         p = self.params
-        recv = _PendingRecv(op_id, rank, stream, time, size)
+        cost = self._o_int if p.O == 0.0 else int(round(p.o + size * p.O))
+        recv = (rank, stream, time, cost, op_id)
 
         if size > p.S and p.S != 0:
             # Rendezvous path: the receive may unblock a waiting send.
@@ -355,9 +403,20 @@ class LogGOPSBackend(NetworkBackend):
             self._rndv_recv_posts.setdefault(channel, []).append(recv)
             return
 
-        matched = self.matcher.post_recv(src, rank, tag, recv)
-        if matched is not None:
-            self._complete_recv(recv, matched.arrival_time)
+        # inlined MessageMatcher.post_recv
+        channel = (src, rank, tag)
+        arrivals = self._pending_arrivals.get(channel)
+        if arrivals:
+            arrival_time = arrivals.popleft()
+            if not arrivals:
+                del self._pending_arrivals[channel]
+            self._complete_recv(recv, arrival_time)
+            return
+        recvs = self._pending_recvs.get(channel)
+        if recvs is None:
+            self._pending_recvs[channel] = deque((recv,))
+        else:
+            recvs.append(recv)
 
     def _start_rendezvous_transfer(
         self,
@@ -369,7 +428,7 @@ class LogGOPSBackend(NetworkBackend):
         send_stream: int,
         sender_ready: int,
         sender_post_time: int,
-        recv: _PendingRecv,
+        recv: Tuple[int, int, int, int, int],
     ) -> None:
         """Run the rendezvous handshake and transfer once both sides are ready."""
         # the handshake control message pays the topology's minimal path
@@ -381,18 +440,33 @@ class LogGOPSBackend(NetworkBackend):
             handshake_latency = sum(map(self._link_ns.__getitem__, first))
         else:
             handshake_latency = self.params.L
-        handshake_done = max(sender_ready, recv.post_time + handshake_latency)
+        handshake_done = max(sender_ready, recv[2] + handshake_latency)
         arrival = self._transfer(src, dst, size, handshake_done, tag)
         self._message_delivered(src, dst, size, tag, sender_post_time, arrival)
         # The send op completes when the transfer completes (sender blocks).
         self.events.schedule(arrival, self._complete_op, (src, send_op_id))
         self._complete_recv(recv, arrival)
 
-    def _complete_recv(self, recv: _PendingRecv, arrival_time: int) -> None:
+    def _complete_recv(self, recv: Tuple[int, int, int, int, int], arrival_time: int) -> None:
         """Charge the receiver-side overhead and report the recv op complete."""
-        earliest = max(arrival_time, recv.post_time)
-        _, end = self.host.reserve(recv.rank, recv.stream, earliest, self._cpu_cost(recv.size))
-        self.events.schedule(end, self._complete_op, (recv.rank, recv.op_id))
+        rank, stream, post_time, cost, op_id = recv
+        # inlined HostCompute.reserve, from the later of arrival and post
+        host = self.host
+        free = host._free_at
+        key = (rank, stream)
+        start = free.get(key, 0)
+        if start < arrival_time:
+            start = arrival_time
+        if start < post_time:
+            start = post_time
+        end = start + cost
+        free[key] = end
+        if cost:
+            busy = host.busy_ns
+            busy[rank] = busy.get(rank, 0) + cost
+        events = self.events
+        heappush(events._heap, (end, 0, events._seq, self._complete_op, (rank, op_id)))
+        events._seq += 1
 
     # -------------------------------------------------------------------- run
     def run(self, on_complete: CompletionCallback) -> int:

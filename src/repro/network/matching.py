@@ -60,11 +60,6 @@ class MessageMatcher:
         self._pending_arrivals.setdefault(channel, deque()).append(info)
         return None
 
-    def peek_recv(self, src: int, dst: int, tag: int) -> Optional[Any]:
-        """Return (without consuming) the oldest posted receive on a channel."""
-        recvs = self._pending_recvs.get((src, dst, tag))
-        return recvs[0] if recvs else None
-
     def pending_recv_count(self) -> int:
         """Total receives still waiting for a message (used to detect deadlock)."""
         return sum(len(q) for q in self._pending_recvs.values())

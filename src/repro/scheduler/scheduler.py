@@ -27,13 +27,23 @@ from repro.network.config import SimulationConfig
 _SEND = int(OpType.SEND)
 _CALC = int(OpType.CALC)
 
+# a vertex's state in the per-run ``issued`` bytearray: 0 not issued yet,
+# then issued, then done
+_ISSUED = 1
+_DONE = 2
+#: Ranks whose first blocked vertex a deadlock report names.
+_REPORT_RANKS = 8
+
 
 class SchedulerDeadlockError(RuntimeError):
     """Raised when the simulation drains without executing every vertex.
 
     This indicates a structural problem in the GOAL schedule (e.g. a receive
     whose matching send never happens, or a dependency cycle across ranks via
-    messages).  The exception carries per-rank counts of stuck vertices.
+    messages).  The message names the first blocked (issued, never
+    completed) vertex of the first few stuck ranks and the backend's
+    :meth:`~repro.network.backend.NetworkBackend.unmatched_state`;
+    ``stuck_per_rank`` counts every incomplete vertex per rank.
     """
 
     def __init__(self, message: str, stuck_per_rank: Dict[int, int]) -> None:
@@ -184,13 +194,7 @@ class GoalScheduler:
     def finish(self, wall_elapsed: float = 0.0) -> SimulationResult:
         """Verify completion after the event loop drained; assemble the result."""
         if self._completed != self._total_ops:
-            stuck = self._stuck_per_rank()
-            raise SchedulerDeadlockError(
-                f"simulation deadlocked: {self._total_ops - self._completed} of "
-                f"{self._total_ops} operations never completed "
-                f"(stuck vertices per rank: {stuck})",
-                stuck,
-            )
+            raise self._deadlock_error()
 
         return SimulationResult(
             finish_time_ns=self._finish_time,
@@ -217,7 +221,7 @@ class GoalScheduler:
         kinds, sizes, peers, tags, cpus, _, _, issued, _ = self._tables[rank]
         if issued[vertex]:
             raise RuntimeError(f"vertex {vertex} of rank {rank} issued twice")
-        issued[vertex] = 1
+        issued[vertex] = _ISSUED
         op_id = self._offsets[rank] + vertex
         kind = kinds[vertex]
         if kind == _CALC:
@@ -233,16 +237,40 @@ class GoalScheduler:
 
     def _on_complete(self, time: int, rank: int, op_id: int) -> None:
         """``eventOver``: unlock and issue successors of a finished vertex."""
-        vertex = op_id - self._offsets[rank]
         self._completed += 1
         if time > self._finish_time:
             self._finish_time = time
-        _, _, _, _, _, succ_ptr, succ_idx, _, indegree = self._tables[rank]
-        for succ in succ_idx[succ_ptr[vertex] : succ_ptr[vertex + 1]]:
+        table = self._tables[rank]
+        offset = self._offsets[rank]
+        vertex = op_id - offset
+        issued = table[7]
+        issued[vertex] = _DONE
+        succ_ptr = table[5]
+        first = succ_ptr[vertex]
+        last = succ_ptr[vertex + 1]
+        if first == last:
+            return
+        kinds, sizes, peers, tags, cpus, _, succ_idx, _, indegree = table
+        # inlined _issue, same issue order
+        for succ in succ_idx[first:last]:
             left = indegree[succ] - 1
             indegree[succ] = left
-            if left == 0:
-                self._issue(rank, succ, time)
+            if left:
+                continue
+            if issued[succ]:
+                raise RuntimeError(f"vertex {succ} of rank {rank} issued twice")
+            issued[succ] = _ISSUED
+            kind = kinds[succ]
+            if kind == _CALC:
+                self._issue_calc(rank, cpus[succ], sizes[succ], offset + succ, time)
+            elif kind == _SEND:
+                self._issue_send(
+                    rank, peers[succ], sizes[succ], tags[succ], cpus[succ], offset + succ, time
+                )
+            else:
+                self._issue_recv(
+                    rank, peers[succ], sizes[succ], tags[succ], cpus[succ], offset + succ, time
+                )
 
     def _on_complete_grouped(self, time: int, rank: int, op_id: int) -> None:
         """``eventOver`` variant that additionally tracks per-group finish times."""
@@ -251,13 +279,38 @@ class GoalScheduler:
             self._group_finish[group] = time
         self._on_complete(time, rank, op_id)
 
-    def _stuck_per_rank(self) -> Dict[int, int]:
+    def _deadlock_error(self) -> SchedulerDeadlockError:
         stuck: Dict[int, int] = {}
         for r in self._ranks:
-            count = self._tables[r][7].count(0)
+            issued = self._tables[r][7]
+            count = len(issued) - issued.count(_DONE)
             if count:
                 stuck[r] = count
-        return stuck
+        blocked = []
+        for r in list(stuck)[:_REPORT_RANKS]:
+            kinds, sizes, peers, tags, _, _, _, issued, _ = self._tables[r]
+            v = issued.find(_ISSUED)
+            if v < 0:
+                continue
+            kind = kinds[v]
+            if kind == _CALC:
+                what = f"calc {sizes[v]} ns"
+            elif kind == _SEND:
+                what = f"send {sizes[v]} B to {peers[v]} tag {tags[v]}"
+            else:
+                what = f"recv {sizes[v]} B from {peers[v]} tag {tags[v]}"
+            blocked.append(f"rank {r} vertex {v} ({what})")
+        if len(stuck) > _REPORT_RANKS:
+            blocked.append(f"+{len(stuck) - _REPORT_RANKS} more ranks")
+        unmatched = ", ".join(
+            f"{key}={value}" for key, value in self.backend.unmatched_state().items()
+        )
+        return SchedulerDeadlockError(
+            f"simulation deadlocked: {self._total_ops - self._completed} of "
+            f"{self._total_ops} operations never completed on {len(stuck)} "
+            f"ranks; blocked: {', '.join(blocked)}; unmatched: {unmatched}",
+            stuck,
+        )
 
 
 def simulate(

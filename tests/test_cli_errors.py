@@ -400,6 +400,45 @@ class TestMissingFileSpecs:
         assert "nonexistent.goal" in message and "pattern:ranks:size" in message
 
 
+class TestSimulateErrors:
+    """``atlahs simulate FILE`` ends in one line naming the file, not a traceback."""
+
+    CYCLIC = (
+        "num_ranks 2\n"
+        "rank 0 {\n  r: recv 8b from 1 tag 0\n  s: send 8b to 1 tag 0\n  s requires r\n}\n"
+        "rank 1 {\n  r: recv 8b from 0 tag 0\n  s: send 8b to 0 tag 0\n  s requires r\n}\n"
+    )
+
+    def _simulate(self, path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(path)])
+        message = _exit_message(excinfo)
+        assert str(path) in message and "\n" not in message
+        return message
+
+    def test_missing_file(self, tmp_path):
+        message = self._simulate(tmp_path / "nonexistent.goal")
+        assert "cannot read GOAL file" in message and "No such file" in message
+
+    def test_parse_error(self, tmp_path):
+        path = tmp_path / "bad.goal"
+        path.write_text("num_ranks 1\nrank 0 {\n  a: frobnicate 3\n}\n")
+        message = self._simulate(path)
+        assert "not a valid GOAL file" in message and "line 3" in message
+
+    def test_unmatched_channel(self, tmp_path):
+        path = tmp_path / "unmatched.goal"
+        path.write_text("num_ranks 2\nrank 0 {\n  a: send 8b to 1 tag 4\n}\nrank 1 {\n}\n")
+        message = self._simulate(path)
+        assert "fails validation" in message and "tag=4" in message
+
+    def test_deadlock(self, tmp_path):
+        path = tmp_path / "cyclic.goal"
+        path.write_text(self.CYCLIC)
+        message = self._simulate(path)
+        assert "deadlocked" in message and "rank 1 vertex 0 (recv 8 B from 0 tag 0)" in message
+
+
 class TestMisnamedGoalFiles:
     """The codec is picked by the file's content (the ``GOAL`` magic), not its name."""
 
@@ -510,6 +549,8 @@ class TestShardingFlagErrors:
         ("link_bandwidth", float("inf")),
         ("link_bandwidth", 0.0),
         ("seed", -1),  # used to surface numpy's bare seeding error
+        ("link_latency", 2.5),  # routed LogGOPS latencies are event times
+        ("link_latency", float("inf")),
     ],
 )
 def test_simulation_config_rejects_values_that_fail_late_or_simulate_wrongly(field, value):
@@ -517,3 +558,32 @@ def test_simulation_config_rejects_values_that_fail_late_or_simulate_wrongly(fie
 
     with pytest.raises(ValueError, match=field):
         SimulationConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("G", float("nan")),  # used to die mid-run: cannot convert float NaN to integer
+        ("O", float("nan")),
+        ("G", float("inf")),  # used to die mid-run with OverflowError
+        ("O", float("inf")),
+        ("o", float("nan")),
+        ("L", 2.5),  # used to leave float NIC clocks behind
+        ("g", 0.5),
+        ("S", 1024.5),
+        ("L", float("inf")),
+    ],
+)
+def test_loggops_params_reject_values_that_fail_late_or_are_truncated(field, value):
+    from repro.network.config import LogGOPSParams
+
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        LogGOPSParams(**{field: value})
+
+
+def test_loggops_params_take_whole_floats_as_ints():
+    from repro.network.config import LogGOPSParams
+
+    params = LogGOPSParams(L=3000.0, g=5.0, S=256000.0)
+    assert (params.L, params.g, params.S) == (3000, 5, 256000)
+    assert all(type(v) is int for v in (params.L, params.g, params.S))

@@ -38,13 +38,6 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             q.run()
 
-    def test_schedule_after_uses_current_time(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(10, lambda t, p: q.schedule_after(5, lambda t2, p2: seen.append(t2)))
-        q.run()
-        assert seen == [15]
-
     def test_until_limit(self):
         q = EventQueue()
         seen = []
@@ -58,7 +51,7 @@ class TestEventQueue:
         q = EventQueue()
 
         def rearm(t, p):
-            q.schedule_after(1, rearm)
+            q.schedule(t + 1, rearm)
 
         q.schedule(0, rearm)
         with pytest.raises(RuntimeError):
@@ -71,7 +64,7 @@ class TestEventQueue:
 
         def rearm(t, p):
             executed.append(t)
-            q.schedule_after(1, rearm)
+            q.schedule(t + 1, rearm)
 
         q.schedule(0, rearm)
         with pytest.raises(RuntimeError):
@@ -93,11 +86,62 @@ class TestEventQueue:
         q.run()
         assert seen == ["nested"]
 
-    def test_peek_and_empty(self):
+    def test_peek_time(self):
         q = EventQueue()
-        assert q.empty() and q.peek_time() is None
+        assert q.peek_time() is None and len(q) == 0
         q.schedule(4, lambda t, p: None)
-        assert q.peek_time() == 4 and not q.empty()
+        assert q.peek_time() == 4 and len(q) == 1
+
+
+def _ready(q, callback, payload=None):
+    """Queue ``callback`` as due now, the way the LogGOPS backend posts ops."""
+    q._ready.append((q.now, 0, q._seq, callback, payload))
+    q._seq += 1
+
+
+class TestReadyQueue:
+    """Ready entries run in the order a heap holding them would pop them."""
+
+    def test_ready_entry_waits_for_older_heap_entry_at_now(self):
+        q = EventQueue()
+        seen = []
+
+        def first(t, p):
+            q.schedule(t, lambda t2, p2: seen.append("heap, older"))
+            _ready(q, lambda t2, p2: seen.append(("ready", t2)))
+            q.schedule(t, lambda t2, p2: seen.append("heap, younger"))
+
+        q.schedule(10, first)
+        q.run()
+        assert seen == ["heap, older", ("ready", 10), "heap, younger"]
+
+    def test_ready_entries_run_before_later_heap_entries(self):
+        q = EventQueue()
+        seen = []
+        q.schedule(5, lambda t, p: seen.append(t))
+        _ready(q, lambda t, p: seen.append(("ready", t)))
+        _ready(q, lambda t, p: _ready(q, lambda t2, p2: seen.append(("nested", t2))))
+        assert len(q) == 3 and q.peek_time() == 0
+        assert q.run() == 5
+        assert seen == [("ready", 0), ("nested", 0), 5]
+        assert q.executed == 4
+
+    def test_limited_run_honours_the_same_order(self):
+        q = EventQueue()
+        seen = []
+
+        def first(t, p):
+            _ready(q, lambda t2, p2: seen.append("ready"))
+            q.schedule(t, lambda t2, p2: seen.append("heap"))
+
+        q.schedule(3, first)
+        q.schedule(100, lambda t, p: seen.append("late"))
+        q.run(until=50)
+        assert seen == ["ready", "heap"] and len(q) == 1
+        _ready(q, lambda t, p: None)
+        with pytest.raises(RuntimeError):
+            q.run(max_events=1)
+        assert q.executed == 4
 
 
 class TestHostCompute:
@@ -134,13 +178,6 @@ class TestHostCompute:
         host.reserve(3, 0, 0, 70)
         host.reserve(3, 1, 0, 30)
         assert host.busy_ns[3] == 100
-
-    def test_rank_finish_time(self):
-        host = HostCompute()
-        host.reserve(2, 0, 0, 100)
-        host.reserve(2, 5, 400, 100)
-        assert host.rank_finish_time(2) == 500
-        assert host.rank_finish_time(9) == 0
 
     def test_reset(self):
         host = HostCompute()

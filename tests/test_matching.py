@@ -48,10 +48,3 @@ class TestMessageMatcher:
         m.post_recv(2, 3, 0, "y")
         assert m.pending_recv_count() == 0
         assert m.pending_arrival_count() == 0
-
-    def test_peek_recv_does_not_consume(self):
-        m = MessageMatcher()
-        m.post_recv(0, 1, 0, "r")
-        assert m.peek_recv(0, 1, 0) == "r"
-        assert m.pending_recv_count() == 1
-        assert m.peek_recv(9, 9, 9) is None

@@ -14,8 +14,9 @@ The oracle is scoped to ``link_latency >= 1`` (see its module docstring);
 at ``link_latency=0`` the engine's tie rule is the definition, so there the
 tests check the packet ledger's conservation and repeatability instead.
 
-The LogGOPS backend has a single scalar recurrence and nothing to compare it
-with; its scenarios are kept as same-seed-twice determinism checks.
+The LogGOPS backend is held to its own oracle in
+``tests/test_loggops_oracle.py``; its scenarios here are same-seed-twice
+determinism checks.
 
 The parallel sweep engine gets the differential treatment too: worker
 processes must return entries identical to the serial engine.

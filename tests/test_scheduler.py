@@ -43,6 +43,39 @@ class TestDependencies:
             simulate(b.build(), backend="lgs", validate=False)
         assert 1 in exc.value.stuck_per_rank or exc.value.stuck_per_rank == {}
 
+    @staticmethod
+    def _cyclic(ranks):
+        """Every rank receives from its left neighbour before sending right."""
+        b = GoalBuilder(ranks)
+        for r in range(ranks):
+            recv = b.rank(r).recv(8, src=(r - 1) % ranks, tag=0)
+            b.rank(r).send(8, dst=(r + 1) % ranks, tag=0, requires=[recv])
+        return b.build()
+
+    @pytest.mark.parametrize(
+        "backend, config",
+        [("lgs", SimulationConfig()), ("htsim", SimulationConfig(topology="single_switch"))],
+    )
+    def test_deadlock_report_names_the_blocked_receives(self, backend, config):
+        with pytest.raises(SchedulerDeadlockError) as exc:
+            simulate(self._cyclic(2), backend=backend, config=config)
+        message = str(exc.value)
+        # every incomplete vertex counts, the never-issued sends included
+        assert exc.value.stuck_per_rank == {0: 2, 1: 2}
+        assert "4 of 4 operations never completed on 2 ranks" in message
+        assert "rank 0 vertex 0 (recv 8 B from 1 tag 0)" in message
+        assert "rank 1 vertex 0 (recv 8 B from 0 tag 0)" in message
+        assert "pending_recvs=2" in message and "unexpected_messages=0" in message
+
+    def test_deadlock_report_stays_short_at_scale(self):
+        with pytest.raises(SchedulerDeadlockError) as exc:
+            simulate(self._cyclic(512), backend="lgs")
+        message = str(exc.value)
+        assert sum(exc.value.stuck_per_rank.values()) == 1024
+        assert "rank 7 vertex 0" in message and "rank 8 vertex" not in message
+        assert "+504 more ranks" in message
+        assert len(message) < 1000
+
     def test_validation_enabled_by_default(self):
         from repro.goal import GoalValidationError
 
