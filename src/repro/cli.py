@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -48,6 +49,7 @@ from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_micro
 from repro.schedgen.storage import DirectDriveConfig
 from repro.scheduler import SchedulerDeadlockError
 from repro.tracers.storage import FinancialWorkloadGenerator
+from repro.workers import WorkerError
 
 
 def _parse_dims(text: str) -> tuple:
@@ -128,6 +130,26 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--seed", type=int, default=d["seed"], help="seed for stochastic choices")
 
 
+# SimulationConfig field -> the argparse dest of its network flag
+_NETWORK_FLAGS = {
+    "topology": "topology",
+    "routing": "routing",
+    "nodes_per_tor": "nodes_per_tor",
+    "oversubscription": "oversubscription",
+    "fattree_planes": "fattree_planes",
+    "fattree_rails": "fattree_rails",
+    "route_cache_entries": "route_cache_entries",
+    "torus_dims": "torus_dims",
+    "torus_hosts_per_node": "torus_hosts_per_node",
+    "slimfly_q": "slimfly_q",
+    "slimfly_hosts_per_router": "slimfly_hosts_per_router",
+    "cc_algorithm": "cc",
+    "shards": "shards",
+    "load_snapshot_ns": "load_snapshot_ns",
+    "seed": "seed",
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     if args.shards > 1 and args.backend != "htsim":
         # the analytic LogGOPS backend has no packet events to shard; a
@@ -138,28 +160,18 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             f"--backend htsim (the {args.backend!r} backend is analytic "
             "and runs single-process)"
         )
-    if args.load_snapshot_ns < 0:
-        raise SystemExit(
-            f"--load-snapshot-ns must be non-negative, got {args.load_snapshot_ns} "
-            "(0 = auto: the topology's minimum link latency)"
+    try:
+        return SimulationConfig(
+            **{field: getattr(args, dest) for field, dest in _NETWORK_FLAGS.items()}
         )
-    return SimulationConfig(
-        topology=args.topology,
-        routing=args.routing,
-        nodes_per_tor=args.nodes_per_tor,
-        oversubscription=args.oversubscription,
-        fattree_planes=args.fattree_planes,
-        fattree_rails=args.fattree_rails,
-        route_cache_entries=args.route_cache_entries,
-        torus_dims=args.torus_dims,
-        torus_hosts_per_node=args.torus_hosts_per_node,
-        slimfly_q=args.slimfly_q,
-        slimfly_hosts_per_router=args.slimfly_hosts_per_router,
-        cc_algorithm=args.cc,
-        shards=args.shards,
-        load_snapshot_ns=args.load_snapshot_ns,
-        seed=args.seed,
-    )
+    except ValueError as exc:
+        # the config names the field it rejected; name the flag and value
+        flags = [
+            f"--{dest.replace('_', '-')} {getattr(args, dest)}"
+            for field, dest in _NETWORK_FLAGS.items()
+            if re.search(rf"\b{field}\b", str(exc))
+        ]
+        raise SystemExit(f"bad {', '.join(flags) or 'network flags'}: {exc}") from None
 
 
 def _print_result(name: str, result, extra: Optional[dict] = None) -> None:
@@ -1250,7 +1262,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except WorkerError as exc:  # --shards / --parallel worker processes
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -224,8 +224,9 @@ class SimulationConfig:
 
     # conservative-window parallel packet engine (see docs/scaling.md):
     # shards > 1 partitions hosts/switches into that many shards, runs one
-    # event loop per shard (in worker processes when spawnable, serially
-    # in-process otherwise) and exchanges boundary-crossing packets at
+    # event loop per shard, each in its own worker process (repro.workers:
+    # a worker that dies, or processes that cannot start, fail the run
+    # with one WorkerError), and exchanges boundary-crossing packets at
     # lookahead barriers.  shards=1 (the default) is the single-process
     # engine.  Sharded runs are deterministic and shard-count-invariant
     # (stochastic choices are keyed by flow / queue identity rather than

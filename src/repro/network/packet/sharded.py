@@ -88,13 +88,13 @@ computed values).
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass
 from heapq import heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import workers
 from repro.goal.schedule import GoalSchedule
 from repro.network.backend import JobStats, NetworkStats, SimulationResult
 from repro.network.config import SimulationConfig
@@ -614,76 +614,37 @@ class ShardPacketBackend(PacketBackend):
         return msgs
 
 
-# ---------------------------------------------------------------- the runner
-class ShardRunner:
-    """One shard's scheduler + backend, driven window-by-window."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        plan: ShardPlan,
-        schedule: GoalSchedule,
-        config: SimulationConfig,
-        op_groups: Optional[List[List[int]]],
-    ) -> None:
-        self.backend = ShardPacketBackend(plan, shard_id)
-        self.scheduler = GoalScheduler(
-            schedule,
-            backend=self.backend,
-            config=config,
-            validate=False,  # the driving scheduler already validated
-            op_groups=op_groups,
-            ranks=plan.shard_ranks[shard_id],
-        )
-
-    def start(self) -> Optional[int]:
-        self.scheduler.start()
-        self.backend._on_complete = self.scheduler.completion_callback()
-        return self.backend.next_event_time()
-
-    def advance(
-        self,
-        until: int,
-        inbox: Sequence[Tuple],
-        epochs: Sequence[Tuple] = (),
-        snap_at: Optional[int] = None,
-        load_view: Optional["np.ndarray"] = None,
-    ) -> Tuple[List[Tuple[int, Tuple]], Optional[int], Optional["np.ndarray"]]:
-        snap = self.backend.advance_window(until, inbox, epochs, snap_at, load_view)
-        return self.backend.drain_outbox(), self.backend.next_event_time(), snap
-
-    def collect(self) -> Tuple[SimulationResult, int]:
-        return self.scheduler.finish(0.0), self.backend.events.executed
+# ------------------------------------------------------------ shard tasks
+# Each runs in the worker process pinned to one shard (repro.workers):
+# ``state.payload`` is ``(plan, schedule, config, op_groups)``, and
+# _shard_start leaves the shard's backend and scheduler on ``state`` for
+# the window and collect tasks.
+def _shard_start(state: Any, shard_id: int) -> Optional[int]:
+    plan, schedule, config, op_groups = state.payload
+    backend = state.backend = ShardPacketBackend(plan, shard_id)
+    scheduler = state.scheduler = GoalScheduler(
+        schedule,
+        backend=backend,
+        config=config,
+        validate=False,  # the driving scheduler already validated
+        op_groups=op_groups,
+        ranks=plan.shard_ranks[shard_id],
+    )
+    scheduler.start()
+    backend._on_complete = scheduler.completion_callback()
+    return backend.next_event_time()
 
 
-# worker-process entry points: one ShardRunner pinned per single-worker pool
-_RUNNER: Optional[ShardRunner] = None
-
-# Boot payload for fork-started workers.  A GoalSchedule can be tens of MB
-# pickled; on platforms with fork() the children inherit this module global
-# at fork time (copy-on-write) so the driver never serialises the schedule
-# at all.  Spawn-based platforms pass the payload through ``submit`` instead.
-_BOOT: Optional[Tuple] = None
-
-
-def _worker_start(args: Tuple) -> Optional[int]:
-    global _RUNNER
-    shard_id, boot = args
-    if boot is None:
-        boot = _BOOT  # inherited from the driver process at fork() time
-    plan, schedule, config, op_groups = boot
-    _RUNNER = ShardRunner(shard_id, plan, schedule, config, op_groups)
-    return _RUNNER.start()
-
-
-def _worker_advance(
-    args: Tuple,
+def _shard_advance(
+    state: Any, *window: Any
 ) -> Tuple[List[Tuple[int, Tuple]], Optional[int], Optional["np.ndarray"]]:
-    return _RUNNER.advance(*args)
+    backend = state.backend
+    snap = backend.advance_window(*window)
+    return backend.drain_outbox(), backend.next_event_time(), snap
 
 
-def _worker_collect(_arg: Any) -> Tuple[SimulationResult, int]:
-    return _RUNNER.collect()
+def _shard_collect(state: Any) -> Tuple[SimulationResult, int]:
+    return state.scheduler.finish(0.0), state.backend.events.executed
 
 
 # ---------------------------------------------------------------- the driver
@@ -696,11 +657,12 @@ def run_sharded(
     """Simulate ``schedule`` across ``config.shards`` processes.
 
     Returns ``(result, events_executed)`` where the event count sums every
-    shard's loop.  Spawns one single-worker process pool per shard (the
-    same infrastructure — and fallback error set — as the sweep executor);
-    when worker processes cannot be spawned the shards run round-robin in
-    this process, which preserves results exactly (the window protocol is
-    deterministic either way) at single-core speed.
+    shard's loop.  Each shard runs in its own worker process
+    (:mod:`repro.workers`, the substrate the sweeps use too), which
+    inherits the schedule under ``fork`` instead of unpickling it.  There
+    is no in-process fallback: a worker that dies raises one
+    :class:`~repro.workers.WorkerError` naming its shard and exit code, and
+    where processes cannot start the error says to pass ``shards=1``.
 
     ``window_log``, when given a list, receives one
     ``(floor, until, epoch_times)`` triple per barrier window —
@@ -709,7 +671,6 @@ def run_sharded(
     unconsumed fault epoch and that every edge respects the lookahead.
     """
     from repro.network.routing import ROUTING_STRATEGIES
-    from repro.sweep import pool_fallback_errors
 
     wall_start = _time.perf_counter()
     topology = build_topology(config, schedule.num_ranks)
@@ -727,52 +688,6 @@ def run_sharded(
         )
         result = scheduler.run()
         return result, scheduler.events_executed
-
-    global _BOOT
-    runners: Optional[List[ShardRunner]] = None
-    pools: List[Any] = []
-    next_times: List[Optional[int]]
-    boot = (plan, schedule, config, op_groups)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        fork_ctx = None
-        try:
-            import multiprocessing
-
-            fork_ctx = multiprocessing.get_context("fork")
-        except (ImportError, ValueError):
-            fork_ctx = None
-        if fork_ctx is not None:
-            # fork-started workers read _BOOT from their copy-on-write image
-            _BOOT = boot
-            pools = [
-                ProcessPoolExecutor(max_workers=1, mp_context=fork_ctx)
-                for _ in range(shards)
-            ]
-            futures = [
-                pools[i].submit(_worker_start, (i, None)) for i in range(shards)
-            ]
-        else:
-            pools = [ProcessPoolExecutor(max_workers=1) for _ in range(shards)]
-            futures = [
-                pools[i].submit(_worker_start, (i, boot)) for i in range(shards)
-            ]
-        next_times = [f.result() for f in futures]
-    except (ImportError,) + pool_fallback_errors() as exc:
-        for pool in pools:
-            pool.shutdown(wait=False)
-        pools = []
-        warnings.warn(
-            f"sharded packet engine: worker pool unavailable ({exc!r}); "
-            "running shards in-process",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        runners = [
-            ShardRunner(i, plan, schedule, config, op_groups) for i in range(shards)
-        ]
-        next_times = [r.start() for r in runners]
 
     lookahead = plan.lookahead
     inboxes: List[List[Tuple]] = [[] for _ in range(shards)]
@@ -792,37 +707,34 @@ def run_sharded(
     snap_time = 0  # cadence boundary of the view the shards currently hold
     pending_view: Optional["np.ndarray"] = None  # merged, awaiting broadcast
 
-    def _advance_all(
-        until: int, window_epochs: Tuple, snap_at: Optional[int]
-    ) -> List["np.ndarray"]:
-        nonlocal inboxes, next_times, pending_view
-        if runners is not None:
-            outs = [
-                r.advance(until, inboxes[i], window_epochs, snap_at, pending_view)
-                for i, r in enumerate(runners)
-            ]
-        else:
-            futs = [
-                pools[i].submit(
-                    _worker_advance,
-                    (until, inboxes[i], window_epochs, snap_at, pending_view),
-                )
-                for i in range(shards)
-            ]
-            outs = [f.result() for f in futs]
-        pending_view = None
-        inboxes = [[] for _ in range(shards)]
-        next_times = []
-        views: List["np.ndarray"] = []
-        for out_msgs, nt, snap in outs:
-            next_times.append(nt)
-            if snap is not None:
-                views.append(snap)
-            for dest, msg in out_msgs:
-                inboxes[dest].append(msg)
-        return views
+    with workers.Workers(
+        shards, (plan, schedule, config, op_groups), "shard", "shards=1"
+    ) as pool:
+        next_times = pool.each(_shard_start, [(i,) for i in range(shards)])
 
-    try:
+        def _advance_all(
+            until: int, window_epochs: Tuple, snap_at: Optional[int]
+        ) -> List["np.ndarray"]:
+            nonlocal inboxes, next_times, pending_view
+            outs = pool.each(
+                _shard_advance,
+                [
+                    (until, inboxes[i], window_epochs, snap_at, pending_view)
+                    for i in range(shards)
+                ],
+            )
+            pending_view = None
+            inboxes = [[] for _ in range(shards)]
+            next_times = []
+            views: List["np.ndarray"] = []
+            for out_msgs, nt, snap in outs:
+                next_times.append(nt)
+                if snap is not None:
+                    views.append(snap)
+                for dest, msg in out_msgs:
+                    inboxes[dest].append(msg)
+            return views
+
         while True:
             window_floor: Optional[int] = None
             for t in next_times:
@@ -880,17 +792,7 @@ def run_sharded(
             if snap_at is not None:
                 snap_time = snap_at
                 pending_view = _merge_views(views)
-        if runners is not None:
-            collected = [r.collect() for r in runners]
-        else:
-            futures = [pools[i].submit(_worker_collect, None) for i in range(shards)]
-            collected = [f.result() for f in futures]
-    finally:
-        # always reap the children: their peak RSS must be visible to
-        # RUSAGE_CHILDREN by the time the bench harness measures
-        for pool in pools:
-            pool.shutdown()
-        _BOOT = None
+        collected = pool.each(_shard_collect, [()] * shards)
 
     wall = _time.perf_counter() - wall_start
     return _merge_results(collected, schedule, wall), sum(c[1] for c in collected)

@@ -48,16 +48,17 @@ Typical use::
 
 Parallel execution
 ------------------
-``parallel=N`` runs the grid's cells on a :class:`concurrent.futures.
-ProcessPoolExecutor` with ``N`` workers.  Results are *identical* to the
-serial engine: every cell's configuration — including its seed — is
-derived deterministically before any worker starts, each simulation owns
-its private RNG seeded only from that configuration, and entries are
+``parallel=N`` runs the grid's cells on ``N`` worker processes
+(:mod:`repro.workers`, shared with the sharded packet engine), which get
+the cell list once and are handed cell indices.  Results are *identical*
+to the serial engine: every cell's configuration — including its seed —
+is derived deterministically before any worker starts, each simulation
+owns its private RNG seeded only from that configuration, and entries are
 returned in grid order regardless of which worker finished first.
 ``tests/test_perf_determinism.py`` asserts the parallel/serial equality.
-When worker processes cannot be spawned (restricted sandboxes, missing
-``fork`` support), the sweep falls back to the serial engine with a
-warning rather than failing.  Both sweeps share the same executor.
+Failures are loud, never a serial rerun: a cell's exception keeps its
+type, a dead worker is one :class:`~repro.workers.WorkerError` naming its
+cell, and where processes cannot start the error says ``parallel=None``.
 
 ``examples/topology_comparison.py`` demonstrates the API on a small LLM
 training workload; ``benchmarks/test_topology_routing_sweep.py`` uses it for
@@ -67,10 +68,10 @@ the oversubscription comparison, and
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import workers
 from repro.goal.schedule import GoalSchedule
 from repro.network.config import SimulationConfig
 from repro.scheduler import simulate
@@ -152,55 +153,26 @@ def default_topology_configs(
     }
 
 
-def pool_fallback_errors() -> Tuple[type, ...]:
-    """Exception types that mean "worker processes are unavailable here".
-
-    Shared by the sweep executor and the sharded packet engine
-    (:mod:`repro.network.packet.sharded`): both fall back to in-process
-    execution when spawning — or talking to — pool workers fails for
-    environmental reasons (sandboxed spawn, missing POSIX semaphores,
-    OOM-killed workers, unpicklable work).  The sharded differential test
-    grids lean on this fallback deliberately (it is exercised by
-    ``tests/test_sharded_parity.py`` and produces identical results) to
-    run 3–4 shard counts per cell without process spawn costs.
-    """
-    import pickle
-
-    errors: List[type] = [NotImplementedError, OSError, pickle.PicklingError]
-    try:
-        from concurrent.futures import BrokenExecutor
-    except (ImportError, NotImplementedError):
-        pass
-    else:
-        errors.append(BrokenExecutor)  # workers died (sandboxed spawn, OOM, ...)
-    return tuple(errors)
-
-
 def _execute_cells(fn: Callable, cells: List, parallel: Optional[int]) -> List:
-    """Map ``fn`` over ``cells``, optionally on a process pool.
+    """``[fn(cell) for cell in cells]``, on ``parallel`` worker processes.
 
-    The shared sweep executor: grid-order results, per-cell deterministic
-    inputs, graceful serial fallback when worker processes cannot be spawned.
-    ``fn`` must be a module-level callable (workers pickle it by name).
+    The shared sweep executor; ``parallel`` of ``None``, 0 or 1 runs in
+    this process.  The workers' payload is ``(fn, cells)``; each is handed
+    cell indices whenever it is free, and results come back in grid order.
     """
-    if parallel is not None and parallel > 1 and len(cells) > 1:
-        exc: Optional[BaseException] = None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-        except (ImportError, NotImplementedError) as imp_exc:
-            exc = imp_exc
-        else:
-            try:
-                with ProcessPoolExecutor(max_workers=min(parallel, len(cells))) as pool:
-                    return list(pool.map(fn, cells))
-            except pool_fallback_errors() as pool_exc:
-                exc = pool_exc
-        warnings.warn(
-            f"parallel sweep unavailable ({exc!r}); falling back to serial",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return [fn(cell) for cell in cells]
+    if parallel is not None and parallel < 0:
+        raise ValueError(f"parallel must be >= 0 (None, 0 or 1: in-process), got {parallel}")
+    if (parallel or 0) < 2 or len(cells) < 2:
+        return [fn(cell) for cell in cells]
+    count = min(parallel, len(cells))
+    with workers.Workers(count, (fn, cells), "sweep cell", "parallel=None") as pool:
+        return pool.map(_cell_at, len(cells))
+
+
+def _cell_at(state, k: int):
+    """Run cell ``k`` of the payload's grid, inside a sweep worker."""
+    fn, cells = state.payload
+    return fn(cells[k])
 
 
 def _run_cell(args: Tuple[GoalSchedule, str, str, SimulationConfig, str]) -> SweepEntry:
@@ -248,9 +220,10 @@ def topology_routing_sweep(
         ``loggops_use_topology=True`` to compare routing on any topology.
     parallel:
         Number of worker processes; ``None``, ``0`` or ``1`` runs serially
-        in-process.  Cells are independent simulations with per-cell seeds
-        fixed up front, so the parallel engine returns entries identical to
-        the serial one, in the same grid order.
+        in-process, a negative count raises :class:`ValueError`.  Cells are
+        independent simulations with per-cell seeds fixed up front, so the
+        parallel engine returns entries identical to the serial one, in the
+        same grid order.
     """
     cells = [
         (schedule, label, routing, config.replace(routing=routing), backend)
@@ -373,7 +346,7 @@ def collective_sweep(
     backend / parallel:
         As for :func:`topology_routing_sweep`; cells run on the shared
         :func:`_execute_cells` executor (grid order — configs x algorithms
-        x sizes — with per-cell deterministic inputs and serial fallback).
+        x sizes — with per-cell deterministic inputs).
     """
     import dataclasses
 
@@ -533,7 +506,7 @@ def inference_sweep(
     backend / parallel:
         As for :func:`topology_routing_sweep`; cells run on the shared
         :func:`_execute_cells` executor (grid order — configs x rates —
-        with per-cell deterministic inputs and serial fallback).
+        with per-cell deterministic inputs).
     num_requests / process / tenants / cluster / seed / process_kwargs:
         Forwarded to :func:`~repro.apps.inference.build_inference_workload`.
     slo:
@@ -669,10 +642,11 @@ def resilience_sweep(
 
     Parameters mirror :func:`topology_routing_sweep`; cells run on the
     shared :func:`_execute_cells` executor (grid order, per-cell
-    deterministic inputs, serial fallback).  Cells whose failure draw
-    partitions a communicating pair raise
-    :class:`~repro.network.faults.NetworkPartitionError` — pick rates that
-    leave the fabric connected, or catch the error per scenario.
+    deterministic inputs).  Cells whose failure draw partitions a
+    communicating pair raise
+    :class:`~repro.network.faults.NetworkPartitionError`, from a worker as
+    well — pick rates that leave the fabric connected, or catch the error
+    per scenario.
 
     ``control_planes`` adds a convergence-model axis (see
     :mod:`repro.network.control_plane`): every (topology, routing, rate)

@@ -5,7 +5,9 @@ Covers ``atlahs cotenant``, ``atlahs faults`` and ``atlahs inference``: bad
 ``pattern:ranks:size`` job specs, malformed/overlapping arrival lists,
 unknown placement strategies, bad failure rates, unknown link names,
 malformed timed-event specs, malformed tenant-mix specs, negative offered
-rates and unknown arrival processes.  Every case asserts a
+rates and unknown arrival processes; for every subcommand, network flags
+``SimulationConfig`` rejects, a negative ``--parallel`` and worker
+processes that cannot start.  Every case asserts a
 :class:`SystemExit` whose message names the offending input, which is what
 separates a diagnosable CLI error from a stack trace.
 """
@@ -536,6 +538,54 @@ class TestShardingFlagErrors:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["messages"] > 0
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        # each used to end in a SimulationConfig.__post_init__ traceback
+        (["--shards", "0"], "--shards 0"),
+        (["--seed", "-1"], "--seed -1"),
+        (["--oversubscription", "0"], "--oversubscription 0.0"),
+        (["--nodes-per-tor", "0"], "--nodes-per-tor 0"),
+        (["--fattree-planes", "0"], "--fattree-planes 0"),
+        (["--route-cache-entries", "-1"], "--route-cache-entries -1"),
+        (["--torus-hosts-per-node", "0"], "--torus-hosts-per-node 0"),
+        (["--slimfly-q", "7"], "--slimfly-q 7"),
+        (["--slimfly-hosts-per-router", "-1"], "--slimfly-hosts-per-router -1"),
+    ],
+)
+def test_rejected_network_flag_is_one_line_naming_the_flag(flags, named):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synthetic", "incast", "--ranks", "4", *flags])
+    message = _exit_message(excinfo)
+    assert message.startswith(f"bad {named}: ") and "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "command", [["inference"], ["collectives", "--sweep", "--ranks", "4"]]
+)
+def test_negative_parallel_is_one_line(command):
+    # used to run the sweep serially, as if --parallel had not been given
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--parallel", "-2"])
+    message = _exit_message(excinfo)
+    assert "parallel must be" in message and "got -2" in message
+    assert "\n" not in message
+
+
+def test_worker_error_is_one_line(monkeypatch):
+    import concurrent.futures
+
+    class NoProcesses:
+        def __init__(self, *args, **kwargs):
+            raise OSError("fork refused")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synthetic", "allreduce", "--ranks", "8", "--backend", "htsim", "--shards", "2"])
+    message = _exit_message(excinfo)
+    assert "fork refused" in message and "shards=1" in message and "\n" not in message
 
 
 @pytest.mark.parametrize(

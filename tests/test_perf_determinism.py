@@ -32,7 +32,7 @@ from repro.network.config import LogGOPSParams, SimulationConfig
 from repro.network.packet import linkqueue
 from repro.scheduler import simulate
 from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_microbenchmark
-from test_sharded_parity import _inline_pools  # shards in-process: no spawn per cell
+from inline_workers import inline_workers  # shards in-process: no spawn per cell
 
 
 def _run(schedule, backend, config):
@@ -139,7 +139,7 @@ class TestZeroLatencyLinks:
             cc_algorithm=cc, link_latency=0, shards=shards, **_LOSSY
         )
         schedule = incast(12, 1 << 19)
-        with _inline_pools():
+        with inline_workers():
             first = simulate(schedule, backend="htsim", config=config)
             again = simulate(schedule, backend="htsim", config=config)
         stats = first.stats

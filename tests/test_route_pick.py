@@ -34,7 +34,7 @@ from repro.network.topology.base import Topology, pick_route
 from repro.schedgen import all_to_all
 from repro.scheduler import GoalScheduler, simulate
 from test_route_synthesis import EXTRA_INSTANCES, SMALL_INSTANCES
-from test_sharded_parity import _inline_pools  # shards in-process: no spawn per cell
+from inline_workers import inline_workers  # shards in-process: no spawn per cell
 
 _PATH_ONLY = dict(route_cache_hits=0, route_cache_misses=0, route_cache_evictions=0)
 
@@ -175,7 +175,7 @@ _TABLE_PATHS = [dict(route_synthesis=False)]
 def test_table_paths_reproduce_the_closed_form_run(cc, shards):
     schedule = all_to_all(16, 1 << 14)
     config = _GRID_BASE.replace(cc_algorithm=cc, shards=shards)
-    with _inline_pools():
+    with inline_workers():
         default = simulate(schedule, backend="htsim", config=config)
         assert default.stats.route_cache_hits == default.stats.route_cache_misses == 0
         assert default.stats.messages_delivered == 16 * 15
@@ -209,7 +209,7 @@ def test_link_flap_crosses_closed_form_table_closed_form(shards):
     )
     schedule = build_collective_schedule("allreduce", "ring", 16, 1 << 18)
     config = _GRID_BASE.replace(faults=flap, shards=shards)
-    with _inline_pools():
+    with inline_workers():
         default = simulate(schedule, backend="htsim", config=config)
         posted = [m.post_time for m in default.message_records]
         assert min(posted) < 20_000 < sorted(posted)[len(posted) // 2] < 60_000 < max(posted)

@@ -16,14 +16,12 @@ The determinism contract under test (see ``repro.network.packet.sharded``):
   approximation (barrier snapshots vs live queue depths), so only
   conserved totals are compared there;
 * the packet ledger ``sent == delivered + dropped + lost_to_faults +
-  blackholed`` balances for every shard count, drops and faults included;
-* when worker pools cannot be spawned the engine falls back to running
-  shards in-process with a ``RuntimeWarning`` and the *same* results.
+  blackholed`` balances for every shard count, drops and faults included.
+
+The heavyweight grids run their shards in-process (``inline_workers``);
+the worker processes themselves are under test in ``tests/test_workers.py``.
 """
 from __future__ import annotations
-
-import contextlib
-import warnings
 
 import pytest
 
@@ -45,6 +43,7 @@ from repro.network.packet.sharded import (
 from repro.network.topology import build_topology
 from repro.scheduler import GoalScheduler
 from repro.schedgen.synthetic import all_to_all
+from inline_workers import inline_workers
 
 
 def _allreduce(ranks=16, size=4096):
@@ -59,31 +58,6 @@ def _run(schedule, config):
     )
     result = scheduler.run()
     return result, scheduler.events_executed
-
-
-@contextlib.contextmanager
-def _inline_pools():
-    """Run shards in-process (results are identical, pools are just slower).
-
-    The fallback is itself under test in :class:`TestSerialFallback`; the
-    differential grids below lean on it so a 4-point shard sweep does not
-    pay process spawn costs per cell.
-    """
-    import concurrent.futures
-
-    real = concurrent.futures.ProcessPoolExecutor
-
-    class _NoPool:
-        def __init__(self, *args, **kwargs):
-            raise NotImplementedError("inline shards for test speed")
-
-    concurrent.futures.ProcessPoolExecutor = _NoPool
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            yield
-    finally:
-        concurrent.futures.ProcessPoolExecutor = real
 
 
 def _flap(link, down_ns, up_ns):
@@ -312,61 +286,6 @@ class TestMergePaths:
         assert result.finish_time_ns == direct.finish_time_ns
         assert events == direct_events
 
-    def test_spawned_pools_match_forked_pools(self, monkeypatch):
-        # platforms without fork() ship the boot payload through submit();
-        # results must not depend on which transport the workers used
-        import multiprocessing
-
-        schedule = _allreduce()
-        config = SimulationConfig(
-            topology="fat_tree", routing="minimal", cc_algorithm="mprdma", shards=2
-        )
-        forked, forked_events = _run(schedule, config)
-
-        real = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("fork start method unavailable")
-            return real(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        spawned, spawned_events = run_sharded(schedule, config)
-        assert _fingerprint(spawned) == _fingerprint(forked)
-        assert spawned_events == forked_events
-
-
-class TestSerialFallback:
-    def test_broken_pool_falls_back_in_process(self, monkeypatch):
-        import concurrent.futures
-
-        class _NoPool:
-            def __init__(self, *args, **kwargs):
-                raise NotImplementedError("no process support on this platform")
-
-        schedule = _allreduce()
-        config = SimulationConfig(
-            topology="fat_tree", routing="minimal", cc_algorithm="mprdma", shards=2
-        )
-        pooled, pooled_events = _run(schedule, config)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-        with pytest.warns(RuntimeWarning, match="running shards in-process"):
-            inline, inline_events = run_sharded(schedule, config)
-        assert _fingerprint(inline) == _fingerprint(pooled)
-        assert _stats_tuple(inline.stats) == _stats_tuple(pooled.stats)
-        assert inline_events == pooled_events
-
-    def test_pool_fallback_error_set_shared_with_sweep(self):
-        import pickle
-
-        from repro.sweep import pool_fallback_errors
-
-        errs = pool_fallback_errors()
-        assert NotImplementedError in errs
-        assert OSError in errs
-        assert pickle.PicklingError in errs
-
 
 class TestValidation:
     def _scheduler(self, config):
@@ -578,7 +497,7 @@ class TestFaultedShardInvariance:
         config = config.replace(seed=seed)
         serial, _ = _run(schedule, config)
         reference = None
-        with _inline_pools():
+        with inline_workers():
             for shards in (2, 3, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
                 _assert_ledger(result.stats)
@@ -617,7 +536,7 @@ class TestFaultSerialExactControlPlane:
             assert serial.stats.packets_blackholed == expect_blackholed
         if expect_lost is not None:
             assert serial.stats.packets_lost_to_faults == expect_lost
-        with _inline_pools():
+        with inline_workers():
             for shards in (2, 3, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
                 _assert_ledger(result.stats)
@@ -665,7 +584,7 @@ class TestFaultSerialExactControlPlane:
         config = _ONE_PATH_TREE.replace(
             control_plane=protocol, faults=_flap("tor0->core0", 3000, 3300)
         )
-        with _inline_pools():
+        with inline_workers():
             result, _ = _run(schedule, config.replace(shards=2))
         kinds = [record.kind for record in result.convergence_records]
         assert kinds == ["link_down", "link_up"]
@@ -721,7 +640,7 @@ class TestControlPlaneShardInvariance:
         assert serial.stats.time_to_recover_ns > 0
         assert len(serial.convergence_records) == 2
         reference = None
-        with _inline_pools():
+        with inline_workers():
             for shards in (2, 3, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
                 _assert_ledger(result.stats)
@@ -760,7 +679,7 @@ class TestAdaptiveSnapshots:
             load_snapshot_ns=cadence,
         )
         reference = None
-        with _inline_pools():
+        with inline_workers():
             for shards in (2, 3, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
                 _assert_ledger(result.stats)
@@ -783,7 +702,7 @@ class TestAdaptiveSnapshots:
             seed=3,
         )
         serial, _ = _run(schedule, config)
-        with _inline_pools():
+        with inline_workers():
             sharded, _ = _run(schedule, config.replace(shards=4))
         assert sharded.stats.messages_delivered == serial.stats.messages_delivered
         assert sharded.stats.bytes_delivered == serial.stats.bytes_delivered
@@ -800,7 +719,7 @@ class TestAdaptiveSnapshots:
             load_snapshot_ns=1500,
             faults=_flap("tor0->core0", 3000, 9000),
         )
-        with _inline_pools():
+        with inline_workers():
             probes = []
             for shards in (2, 3, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
@@ -830,7 +749,7 @@ class TestFaultLedgerAndCaches:
         serial, _ = _run(schedule, config)
         assert serial.stats.packets_dropped > 0
         _assert_ledger(serial.stats)
-        with _inline_pools():
+        with inline_workers():
             for shards in (2, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
                 _assert_ledger(result.stats)
@@ -849,7 +768,7 @@ class TestFaultLedgerAndCaches:
         schedule = _allreduce(size=1 << 15)
         config = _ONE_PATH_TREE.replace(faults=_flap("tor0->core0", 3000, 3300))
         serial, _ = _run(schedule, config)
-        with _inline_pools():
+        with inline_workers():
             sharded, _ = _run(schedule, config.replace(shards=4))
         assert (
             serial.stats.route_cache_hits + serial.stats.route_cache_misses
@@ -864,7 +783,7 @@ class TestFaultLedgerAndCaches:
         config = _ONE_PATH_TREE.replace(faults=_flap("tor0->core0", 3000, 3300))
         serial, _ = _run(schedule, config)
         _assert_ledger(serial.stats)
-        with _inline_pools():
+        with inline_workers():
             for shards in (2, 3, 4):
                 result, _ = _run(schedule, config.replace(shards=shards))
                 assert _fingerprint(result) == _fingerprint(serial)

@@ -17,9 +17,7 @@ schedules these tests check the invariants the determinism proof leans on:
 """
 from __future__ import annotations
 
-import contextlib
 import random
-import warnings
 
 import pytest
 
@@ -28,26 +26,7 @@ from repro.network.config import SimulationConfig
 from repro.network.faults import LINK_DOWN, LINK_UP, FaultEvent, FaultSchedule
 from repro.network.packet.sharded import plan_shards, run_sharded
 from repro.network.topology import build_topology
-
-
-@contextlib.contextmanager
-def _inline_pools():
-    """Run shards in-process: identical results, no spawn cost per case."""
-    import concurrent.futures
-
-    real = concurrent.futures.ProcessPoolExecutor
-
-    class _NoPool:
-        def __init__(self, *args, **kwargs):
-            raise NotImplementedError("inline shards for test speed")
-
-    concurrent.futures.ProcessPoolExecutor = _NoPool
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            yield
-    finally:
-        concurrent.futures.ProcessPoolExecutor = real
+from inline_workers import inline_workers
 
 
 def _schedule(size=4096):
@@ -137,7 +116,7 @@ class TestWindowInvariants:
         topology = build_topology(config, schedule.num_ranks)
         plan = plan_shards(topology, schedule.num_ranks, shards)
         log = []
-        with _inline_pools():
+        with inline_workers():
             result, _ = run_sharded(schedule, config, window_log=log)
         assert result.ops_completed > 0
         _check_window_invariants(log, plan.lookahead, expected)
@@ -154,7 +133,7 @@ class TestWindowInvariants:
         topology = build_topology(config, schedule.num_ranks)
         plan = plan_shards(topology, schedule.num_ranks, 2)
         log = []
-        with _inline_pools():
+        with inline_workers():
             run_sharded(schedule, config, window_log=log)
         assert all(epochs == () for _, _, epochs in log)
         assert all(until == floor + plan.lookahead for floor, until, _ in log)
@@ -179,7 +158,7 @@ class TestWindowInvariants:
         schedule = _schedule()
         expected = _epoch_times(config)
         log = []
-        with _inline_pools():
+        with inline_workers():
             result, _ = run_sharded(schedule, config, window_log=log)
         applied = [t for _, _, epochs in log for t in epochs]
         assert applied == expected
@@ -206,7 +185,7 @@ class TestWindowInvariants:
         schedule = _schedule()
         assert _epoch_times(config) == [3000, 9000]
         log = []
-        with _inline_pools():
+        with inline_workers():
             run_sharded(schedule, config, window_log=log)
         applied = [t for _, _, epochs in log for t in epochs]
         assert applied == [3000, 9000]
@@ -228,7 +207,7 @@ class TestWindowInvariants:
         plan = plan_shards(topology, schedule.num_ranks, 2)
         interval = cadence or topology.min_link_latency()
         log = []
-        with _inline_pools():
+        with inline_workers():
             run_sharded(schedule, config, window_log=log)
         _check_window_invariants(log, plan.lookahead, expected)
         for floor, until, epochs in log:
@@ -269,6 +248,6 @@ class TestShardedValidation:
         topology = build_topology(config, schedule.num_ranks)
         plan = plan_shards(topology, schedule.num_ranks, 2)
         ok = config.replace(min_retransmit_timeout=plan.lookahead + 1)
-        with _inline_pools():
+        with inline_workers():
             result, _ = run_sharded(schedule, ok)
         assert result.ops_completed > 0
