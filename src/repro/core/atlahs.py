@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.ai import DlrmTrainer, LlmTrainer, ModelConfig, ParallelismConfig
+from repro.apps.ai import LlmTrainer, ModelConfig, ParallelismConfig
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
 from repro.baselines.astrasim import AstraSimBaseline, nsys_to_chakra
 from repro.collectives.nccl import NcclConfig
@@ -81,6 +81,29 @@ class Atlahs:
         """Replay an existing GOAL schedule on the chosen backend."""
         return simulate(schedule, backend=backend, config=config or self.config, validate=validate)
 
+    def _pipeline(
+        self,
+        schedule: GoalSchedule,
+        backend: str,
+        config: Optional[SimulationConfig],
+        simulate_schedule: bool = True,
+        op_groups=None,
+        **fields,
+    ) -> PipelineResult:
+        """Every pipeline's tail: validate, simulate unless told not to, and measure the GOAL."""
+        validate_schedule(schedule)
+        result = (
+            simulate(
+                schedule, backend=backend, config=config or self.config,
+                validate=False, op_groups=op_groups,
+            )
+            if simulate_schedule
+            else None
+        )
+        return PipelineResult(
+            schedule=schedule, result=result, goal_bytes=len(encode_goal(schedule)), **fields
+        )
+
     # --------------------------------------------------------------------- HPC
     def run_hpc(
         self,
@@ -99,19 +122,12 @@ class Atlahs:
                 f"unknown HPC application {app_name!r}; available: {sorted(HPC_APPLICATIONS)}"
             ) from None
         trace = app.trace(run_config)
-        schedule = mpi_trace_to_goal(trace, compute_scale=compute_scale)
-        validate_schedule(schedule)
-        sim_config = config or self.config.replace(loggops=LogGOPSParams.hpc_cluster())
-        result = (
-            simulate(schedule, backend=backend, config=sim_config, validate=False)
-            if simulate_schedule
-            else None
-        )
-        return PipelineResult(
-            schedule=schedule,
-            result=result,
+        return self._pipeline(
+            mpi_trace_to_goal(trace, compute_scale=compute_scale),
+            backend,
+            config or self.config.replace(loggops=LogGOPSParams.hpc_cluster()),
+            simulate_schedule,
             trace_bytes=trace.size_bytes(),
-            goal_bytes=len(encode_goal(schedule)),
             extras={"trace": trace},
         )
 
@@ -149,46 +165,13 @@ class Atlahs:
             gpus_per_node=gpus_per_node,
             collective_algorithm=collective_algorithm,
         )
-        validate_schedule(schedule)
-        sim_config = config or self.config.replace(loggops=LogGOPSParams.ai_cluster())
-        result = (
-            simulate(schedule, backend=backend, config=sim_config, validate=False)
-            if simulate_schedule
-            else None
-        )
-        return PipelineResult(
-            schedule=schedule,
-            result=result,
+        return self._pipeline(
+            schedule,
+            backend,
+            config or self.config.replace(loggops=LogGOPSParams.ai_cluster()),
+            simulate_schedule,
             trace_bytes=report.size_bytes(),
-            goal_bytes=len(encode_goal(schedule)),
             extras={"report": report, "iterations": iterations},
-        )
-
-    def run_dlrm(
-        self,
-        num_gpus: int,
-        gpus_per_node: int = 4,
-        iterations: int = 2,
-        backend: str = "lgs",
-        config: Optional[SimulationConfig] = None,
-        simulate_schedule: bool = True,
-    ) -> PipelineResult:
-        """Trace the DLRM model and simulate it."""
-        trainer = DlrmTrainer(num_gpus=num_gpus, gpus_per_node=gpus_per_node, iterations=iterations)
-        report = trainer.trace()
-        schedule = nccl_trace_to_goal(report, gpus_per_node=gpus_per_node)
-        validate_schedule(schedule)
-        result = (
-            simulate(schedule, backend=backend, config=config or self.config, validate=False)
-            if simulate_schedule
-            else None
-        )
-        return PipelineResult(
-            schedule=schedule,
-            result=result,
-            trace_bytes=report.size_bytes(),
-            goal_bytes=len(encode_goal(schedule)),
-            extras={"report": report},
         )
 
     def compare_with_astrasim(self, report, chakra_name: Optional[str] = None) -> Dict[str, object]:
@@ -220,18 +203,12 @@ class Atlahs:
     ) -> PipelineResult:
         """Replay an SPC block-I/O trace against the Direct Drive model."""
         dd = direct_drive or DirectDriveConfig()
-        schedule = storage_trace_to_goal(trace, dd)
-        validate_schedule(schedule)
-        result = (
-            simulate(schedule, backend=backend, config=config or self.config, validate=False)
-            if simulate_schedule
-            else None
-        )
-        return PipelineResult(
-            schedule=schedule,
-            result=result,
+        return self._pipeline(
+            storage_trace_to_goal(trace, dd),
+            backend,
+            config,
+            simulate_schedule,
             trace_bytes=trace.size_bytes(),
-            goal_bytes=len(encode_goal(schedule)),
             extras={"direct_drive": dd},
         )
 
@@ -269,21 +246,11 @@ class Atlahs:
             seed=seed,
             **process_kwargs,
         )
-        validate_schedule(plan.schedule)
-        result = simulate(
-            plan.schedule,
-            backend=backend,
-            config=config or self.config,
-            validate=False,
-            op_groups=plan.op_groups,
+        out = self._pipeline(
+            plan.schedule, backend, config, op_groups=plan.op_groups, extras={"plan": plan}
         )
-        metrics = compute_serving_metrics(plan, result, slo=slo)
-        return PipelineResult(
-            schedule=plan.schedule,
-            result=result,
-            goal_bytes=len(encode_goal(plan.schedule)),
-            extras={"plan": plan, "metrics": metrics},
-        )
+        out.extras["metrics"] = compute_serving_metrics(plan, out.result, slo=slo)
+        return out
 
     # --------------------------------------------------------------- multi-job
     def run_cotenant(
@@ -327,12 +294,6 @@ class Atlahs:
         """Place several jobs on one cluster and simulate them together."""
         jobs = [JobRequest(schedule=s) for s in schedules]
         placement = place_jobs(jobs, cluster_nodes, strategy=strategy, **strategy_kwargs)
-        merged = placement.merged_schedule(jobs)
-        validate_schedule(merged)
-        result = simulate(merged, backend=backend, config=config or self.config, validate=False)
-        return PipelineResult(
-            schedule=merged,
-            result=result,
-            goal_bytes=len(encode_goal(merged)),
-            extras={"placement": placement},
+        return self._pipeline(
+            placement.merged_schedule(jobs), backend, config, extras={"placement": placement}
         )

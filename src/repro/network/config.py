@@ -355,10 +355,9 @@ class SimulationConfig:
                 f"unknown control plane {self.control_plane!r} "
                 f"(registered: {', '.join(sorted(CONTROL_PLANES))})"
             )
-        if self.cp_propagation_ns < 0 or self.cp_processing_ns < 0:
-            raise ValueError(
-                "cp_propagation_ns and cp_processing_ns must be non-negative"
-            )
+        for name in ("cp_propagation_ns", "cp_processing_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.faults is None:
             self.faults = FaultSchedule()
         elif not isinstance(self.faults, FaultSchedule):

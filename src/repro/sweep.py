@@ -67,6 +67,7 @@ the oversubscription comparison, and
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -175,21 +176,21 @@ def _cell_at(state, k: int):
     return fn(cells[k])
 
 
+def _entry(cls, result, **given):
+    """A ``cls`` record: ``given`` fields, every other one read by name from
+    the :class:`~repro.network.backend.SimulationResult` or its ``stats``."""
+    for f in dataclasses.fields(cls):
+        if f.name not in given:
+            source = result if hasattr(result, f.name) else result.stats
+            given[f.name] = getattr(source, f.name)
+    return cls(**given)
+
+
 def _run_cell(args: Tuple[GoalSchedule, str, str, SimulationConfig, str]) -> SweepEntry:
     """Simulate one sweep cell (module-level so worker processes can pickle it)."""
     schedule, label, routing, config, backend = args
     result = simulate(schedule, backend=backend, config=config)
-    return SweepEntry(
-        topology=label,
-        routing=routing,
-        backend=result.backend,
-        finish_time_ns=result.finish_time_ns,
-        wall_clock_s=result.wall_clock_s,
-        messages_delivered=result.stats.messages_delivered,
-        packets_dropped=result.stats.packets_dropped,
-        packets_ecn_marked=result.stats.packets_ecn_marked,
-        max_queue_bytes=result.stats.max_queue_bytes,
-    )
+    return _entry(SweepEntry, result, topology=label, routing=routing)
 
 
 def topology_routing_sweep(
@@ -274,41 +275,37 @@ class CollectiveSweepEntry:
         return self.finish_time_ns / 1e3
 
 
-def _run_collective_cell(args) -> CollectiveSweepEntry:
-    """Simulate one collective cell (module-level so workers can pickle it)."""
-    from repro.collectives import (
-        build_collective_schedule,
-        groups_from_topology,
-        select_algorithm,
-    )
+def _autotuner_pick(collective: str, config: SimulationConfig, size: int, num_ranks: int):
+    """What the LogGOPS autotuner picks for one collective cell, and the
+    cell's locality groups (ranks packed onto hosts in order)."""
+    from repro.collectives import groups_from_topology, select_algorithm
     from repro.network.topology import build_topology
 
-    collective, algorithm, label, config, size, num_ranks, backend = args
     topology = build_topology(config, num_ranks)
     groups = groups_from_topology(range(num_ranks), topology)
     choice = select_algorithm(
         collective, size, num_ranks,
         params=config.loggops, topology=topology, groups=groups,
     )
-    resolved = choice.name if algorithm == "auto" else algorithm
+    return choice.name, groups
+
+
+def _run_collective_cell(args) -> CollectiveSweepEntry:
+    """Simulate one collective cell (module-level so workers can pickle it)."""
+    from repro.collectives import build_collective_schedule
+
+    collective, algorithm, label, config, size, num_ranks, backend = args
+    pick, groups = _autotuner_pick(collective, config, size, num_ranks)
+    resolved = pick if algorithm == "auto" else algorithm
     schedule = build_collective_schedule(
         collective, resolved, num_ranks, size, groups=groups,
         name=f"{collective}-{resolved}-{label}-{size}",
     )
     result = simulate(schedule, backend=backend, config=config)
-    return CollectiveSweepEntry(
-        topology=label,
-        collective=collective,
-        algorithm=algorithm,
-        resolved=resolved,
-        autotuner_pick=choice.name,
-        size=size,
+    return _entry(
+        CollectiveSweepEntry, result, topology=label, collective=collective,
+        algorithm=algorithm, resolved=resolved, autotuner_pick=pick, size=size,
         num_ranks=num_ranks,
-        backend=result.backend,
-        finish_time_ns=result.finish_time_ns,
-        wall_clock_s=result.wall_clock_s,
-        messages_delivered=result.stats.messages_delivered,
-        bytes_delivered=result.stats.bytes_delivered,
     )
 
 
@@ -348,12 +345,12 @@ def collective_sweep(
         :func:`_execute_cells` executor (grid order — configs x algorithms
         x sizes — with per-cell deterministic inputs).
     """
-    import dataclasses
-
     from repro.collectives import get_algorithm
 
     if num_ranks <= 1:
         raise ValueError("collective sweeps need at least 2 ranks")
+    if not sizes:
+        raise ValueError("need at least one message size")
     for name in algorithms:
         if name != "auto":
             get_algorithm(collective, name)  # validate early, raises ValueError
@@ -361,17 +358,6 @@ def collective_sweep(
     # resolve "auto" up front (same derivation the cell performs) so an
     # auto cell that lands on an algorithm already in the grid reuses that
     # cell's simulation instead of re-running an identical schedule
-    def _resolve(label, config, size):
-        from repro.collectives import groups_from_topology, select_algorithm
-        from repro.network.topology import build_topology
-
-        topology = build_topology(config, num_ranks)
-        groups = groups_from_topology(range(num_ranks), topology)
-        return select_algorithm(
-            collective, size, num_ranks,
-            params=config.loggops, topology=topology, groups=groups,
-        ).name
-
     grid = []  # (requested algorithm, unique-cell key) in grid order
     unique: Dict[Tuple[str, str, int], Tuple] = {}
     for label, config in configs.items():
@@ -379,7 +365,9 @@ def collective_sweep(
             for size in sizes:
                 size = int(size)
                 resolved = (
-                    _resolve(label, config, size) if algorithm == "auto" else algorithm
+                    _autotuner_pick(collective, config, size, num_ranks)[0]
+                    if algorithm == "auto"
+                    else algorithm
                 )
                 key = (label, resolved, size)
                 grid.append((algorithm, key))
@@ -600,21 +588,10 @@ def _run_resilience_cell(args) -> ResilienceEntry:
         routing=routing, faults=faults, control_plane=control_plane
     )
     result = simulate(schedule, backend=backend, config=cell_config)
-    return ResilienceEntry(
-        topology=label,
-        routing=routing,
-        backend=result.backend,
-        failure_rate=rate,
-        failed_links=failed,
-        finish_time_ns=result.finish_time_ns,
-        wall_clock_s=result.wall_clock_s,
-        messages_delivered=result.stats.messages_delivered,
-        packets_dropped=result.stats.packets_dropped,
-        packets_rerouted=result.stats.packets_rerouted,
-        packets_lost_to_faults=result.stats.packets_lost_to_faults,
-        control_plane=control_plane,
-        time_to_recover_ns=result.stats.time_to_recover_ns,
-        packets_blackholed=result.stats.packets_blackholed,
+    # the slowdown baseline is filled in once the whole grid has run
+    return _entry(
+        ResilienceEntry, result, topology=label, routing=routing, failure_rate=rate,
+        failed_links=failed, control_plane=control_plane, baseline_finish_ns=0,
     )
 
 
@@ -674,7 +651,7 @@ def resilience_sweep(
                 f"(registered: {', '.join(sorted(CONTROL_PLANES))})"
             )
     if fail_time_ns is not None and fail_time_ns < 0:
-        raise ValueError("fail_time_ns must be non-negative")
+        raise ValueError(f"fail_time_ns must be non-negative, got {fail_time_ns}")
     rates = sorted({0.0} | {float(r) for r in failure_rates})
     # failed-link counts depend only on (topology config, rate, seed):
     # resolve them once per (label, rate) instead of once per cell
@@ -711,8 +688,6 @@ def resilience_sweep(
         for e in entries
         if e.failure_rate == 0.0
     }
-    import dataclasses
-
     return [
         dataclasses.replace(
             e, baseline_finish_ns=baselines[(e.topology, e.routing, e.control_plane)]
@@ -765,26 +740,22 @@ def _run_interference_cell(args) -> List[InterferenceEntry]:
         **kwargs,
     )
     contended = res.contended_links()
-    entries = []
-    for out in res.outcomes:
-        entries.append(
-            InterferenceEntry(
-                topology=label,
-                strategy=strategy,
-                backend=backend,
-                job=out.name,
-                arrival_ns=out.arrival_ns,
-                finish_time_ns=out.finish_ns,
-                runtime_ns=out.runtime_ns,
-                isolated_runtime_ns=out.isolated_runtime_ns or 0,
-                messages_delivered=out.messages_delivered,
-                bytes_delivered=out.bytes_delivered,
-                contended_link_count=sum(
-                    1 for links in contended.values() if out.name in links
-                ),
-            )
+    return [
+        InterferenceEntry(
+            topology=label,
+            strategy=strategy,
+            backend=backend,
+            job=out.name,
+            arrival_ns=out.arrival_ns,
+            finish_time_ns=out.finish_ns,
+            runtime_ns=out.runtime_ns,
+            isolated_runtime_ns=out.isolated_runtime_ns or 0,
+            messages_delivered=out.messages_delivered,
+            bytes_delivered=out.bytes_delivered,
+            contended_link_count=sum(1 for links in contended.values() if out.name in links),
         )
-    return entries
+        for out in res.outcomes
+    ]
 
 
 def interference_sweep(

@@ -78,13 +78,13 @@ class TestFaultsErrors:
     def test_empty_rates(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["faults", "incast:4:1024", "--rates", ","])
-        assert "no failure rates" in _exit_message(excinfo)
+        assert "need at least one failure rate" in _exit_message(excinfo)
 
     def test_out_of_range_rate(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["faults", "incast:4:1024", "--rates", "0,1.5"])
         message = _exit_message(excinfo)
-        assert "bad resilience sweep" in message and "link_failure_rate" in message
+        assert "link_failure_rate" in message and "got 1.5" in message
 
     def test_unknown_routing(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -132,7 +132,7 @@ class TestFaultsErrors:
     def test_empty_control_plane_list(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["faults", "incast:4:1024", "--control-plane", ","])
-        assert "no protocols" in _exit_message(excinfo)
+        assert "need at least one control plane" in _exit_message(excinfo)
 
     def test_negative_propagation_delay(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -150,7 +150,7 @@ class TestFaultsErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["faults", "incast:4:1024", "--fail-time-ns", "-10"])
         message = _exit_message(excinfo)
-        assert "--fail-time-ns" in message and "non-negative" in message
+        assert "fail_time_ns must be non-negative" in message and "got -10" in message
 
     def test_scenario_mode_accepts_only_one_protocol(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -297,6 +297,40 @@ class TestFaultsHappyPaths:
                 assert cell["time_to_recover_ns"] > 0
 
 
+class TestFaultsOnAnEmptySchedule:
+    """A schedule with empty rank blocks finishes at t=0 on a healthy fabric,
+    so its slowdown is 0/0: reported as JSON null, never a crash or NaN."""
+
+    @staticmethod
+    def _empty_goal(tmp_path) -> str:
+        path = tmp_path / "empty.goal"
+        path.write_text("num_ranks 2\nrank 0 {\n}\nrank 1 {\n}\n")
+        return str(path)
+
+    @staticmethod
+    def _strict_json(text):
+        import json
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_scenario_slowdown_is_null(self, tmp_path, capsys):
+        # used to die with ZeroDivisionError
+        argv = ["faults", self._empty_goal(tmp_path), "--backend", "htsim",
+                "--link-down", "tor0->core0@100"]
+        assert main(argv) == 0
+        payload = self._strict_json(capsys.readouterr().out)
+        assert payload["healthy_time_ms"] == 0 and payload["slowdown"] is None
+
+    def test_sweep_output_is_strict_json(self, tmp_path, capsys):
+        # used to print "slowdown": NaN, which jq and JSON.parse reject
+        assert main(["faults", self._empty_goal(tmp_path), "--rates", "0,0.1"]) == 0
+        payload = self._strict_json(capsys.readouterr().out)
+        assert [cell["slowdown"] for cell in payload["cells"]] == [None, None]
+
+
 class TestInferenceErrors:
     def test_unknown_arrival_process(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -314,13 +348,13 @@ class TestInferenceErrors:
     def test_empty_rates(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["inference", "--rates", ","])
-        assert "no offered rates" in _exit_message(excinfo)
+        assert "need at least one offered rate" in _exit_message(excinfo)
 
     def test_negative_rate(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["inference", "--rates", "200,-50"])
         message = _exit_message(excinfo)
-        assert "bad --rates" in message and "positive" in message
+        assert "rate_rps must be a positive" in message and "got -50.0" in message
 
     def test_tenant_spec_with_wrong_arity(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -355,7 +389,7 @@ class TestInferenceErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["inference", "--prefill-ranks", "0"])
         message = _exit_message(excinfo)
-        assert "bad serving cluster" in message and "prefill_ranks" in message
+        assert "prefill_ranks must be positive" in message
 
     def test_bad_slo_deadline(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -553,6 +587,8 @@ class TestShardingFlagErrors:
         (["--torus-hosts-per-node", "0"], "--torus-hosts-per-node 0"),
         (["--slimfly-q", "7"], "--slimfly-q 7"),
         (["--slimfly-hosts-per-router", "-1"], "--slimfly-hosts-per-router -1"),
+        # the ring-count rule is the config's alone; the flag only parses integers
+        (["--torus-dims", "4"], "--torus-dims (4,)"),
     ],
 )
 def test_rejected_network_flag_is_one_line_naming_the_flag(flags, named):
