@@ -11,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_table, run_once
-from repro.collectives import CollectiveContext
-from repro.collectives import mpi as cmpi
+from repro.collectives import COLLECTIVE_ALGORITHMS, CollectiveContext, build_collective_schedule
 from repro.collectives import nccl as cnccl
 from repro.goal import GoalBuilder
 from repro.network import SimulationConfig
@@ -21,15 +20,17 @@ from repro.scheduler import simulate
 
 
 def test_ablation_allreduce_algorithm(benchmark):
-    """Ring vs recursive-doubling vs reduce+bcast allreduce at two sizes."""
+    """Every flat registered allreduce (ring, recursive doubling, reduce+bcast,
+    Rabenseifner, bucket) at two sizes."""
 
     def run_all():
         rows = []
         for size, label in ((8 << 10, "8 KiB"), (8 << 20, "8 MiB")):
-            for name, fn in cmpi.ALLREDUCE_ALGORITHMS.items():
-                b = GoalBuilder(16)
-                fn(CollectiveContext(b, list(range(16))), size)
-                t = simulate(b.build(), backend="lgs").finish_time_ns
+            for name, alg in COLLECTIVE_ALGORITHMS["allreduce"].items():
+                if alg.hierarchical:
+                    continue
+                schedule = build_collective_schedule("allreduce", name, 16, size)
+                t = simulate(schedule, backend="lgs").finish_time_ns
                 rows.append((label, name, t))
         return rows
 

@@ -10,10 +10,13 @@ model, and documentation metadata — under its collective kind
 
 Three entry points matter to callers:
 
-* :func:`get_algorithm` / :func:`algorithm_names` — the explicit override
-  path: schedule generators (``schedgen/mpi.py``, ``schedgen/nccl.py``),
-  :func:`repro.sweep.collective_sweep` and the ``atlahs collectives`` CLI
-  resolve algorithm names through it,
+* :func:`resolve_algorithm` — the one path from an algorithm name (or
+  ``"auto"``) to a registered :class:`CollectiveAlgorithm`: the schedule
+  generators (``schedgen/mpi.py``, ``schedgen/nccl.py``) and
+  :func:`build_collective_schedule` resolve through it, and
+  :func:`get_algorithm` / :func:`algorithm_names` name and list the
+  registry for :func:`repro.sweep.collective_sweep` and the
+  ``atlahs collectives`` CLI,
 * :func:`select_algorithm` — the autotuner: evaluates every registered
   algorithm's analytic cost for a (collective, message size, group shape)
   and returns the cheapest, optionally aware of the topology's intra- vs
@@ -39,16 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.collectives import hierarchical as halgs
 from repro.collectives import mpi as calgs
-from repro.collectives.context import (
-    CollectiveContext,
-    DepMap,
-    contiguous_groups,
-    groups_from_topology,
-)
+from repro.collectives.context import CollectiveContext, DepMap, groups_from_topology
 
 Groups = Optional[List[List[int]]]
 
@@ -201,8 +199,6 @@ def _intra_reach(groups: Groups) -> int:
 def _cost_ring_allreduce(size: float, n: int, m: CostModel, groups: Groups) -> float:
     # every step's latency is bounded by the boundary pairs; only one pair
     # per group crosses, so no oversubscription penalty
-    if n == 1:
-        return 0.0
     return 2.0 * (n - 1) * m.step(size / n, "inter")
 
 
@@ -230,8 +226,6 @@ def _exchange_rounds_cost(
 
 
 def _cost_recursive_doubling(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     fold = 0 if (n & (n - 1)) == 0 else 2
     return fold * m.step(size, "inter") + _exchange_rounds_cost(
         lambda d: size, n, m, groups
@@ -240,14 +234,10 @@ def _cost_recursive_doubling(size: float, n: int, m: CostModel, groups: Groups) 
 
 def _cost_reduce_bcast(size: float, n: int, m: CostModel, groups: Groups) -> float:
     # binomial trees: at most one sender per group crosses in a round
-    if n == 1:
-        return 0.0
     return 2.0 * math.ceil(math.log2(n)) * m.step(size, "inter")
 
 
 def _cost_rhd(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     pow2 = 1 << (n.bit_length() - 1)
     fold = 0 if pow2 == n else 2
     # halving pass + mirrored doubling pass share the per-distance sizes
@@ -257,8 +247,6 @@ def _cost_rhd(size: float, n: int, m: CostModel, groups: Groups) -> float:
 
 
 def _cost_bucket(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     rows, cols = halgs.grid_shape(n)
     g, _ = _group_shape(n, groups)
     reach = _intra_reach(groups)
@@ -272,8 +260,6 @@ def _cost_bucket(size: float, n: int, m: CostModel, groups: Groups) -> float:
 
 def _cost_hier_rs(size: float, n: int, m: CostModel, groups: Groups) -> float:
     g, num_groups = _group_shape(n, groups)
-    if n == 1:
-        return 0.0
     if num_groups == 1:
         return float("inf")
     cost = 2.0 * (g - 1) * m.step(size / g, "intra")
@@ -284,8 +270,6 @@ def _cost_hier_rs(size: float, n: int, m: CostModel, groups: Groups) -> float:
 
 def _cost_hier_leader(size: float, n: int, m: CostModel, groups: Groups) -> float:
     g, num_groups = _group_shape(n, groups)
-    if n == 1:
-        return 0.0
     if num_groups == 1:
         return float("inf")
     cost = 0.0
@@ -297,14 +281,10 @@ def _cost_hier_leader(size: float, n: int, m: CostModel, groups: Groups) -> floa
 
 
 def _cost_ring_allgather(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     return (n - 1) * m.step(size / n, "inter")
 
 
 def _cost_bruck_allgather(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     g, _ = _group_shape(n, groups)
     reach = _intra_reach(groups)
     cost, dist = 0.0, 1
@@ -317,20 +297,14 @@ def _cost_bruck_allgather(size: float, n: int, m: CostModel, groups: Groups) -> 
 
 
 def _cost_ring_reduce_scatter(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     return (n - 1) * m.step(size / n, "inter")
 
 
 def _cost_binomial_bcast(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     return math.ceil(math.log2(n)) * m.step(size, "inter")
 
 
 def _cost_scatter_allgather(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     cost, mask = 0.0, 1
     while mask < n:
         cost += m.step(size * mask / (2 * n), "inter")  # scatter level sizes halve
@@ -339,14 +313,10 @@ def _cost_scatter_allgather(size: float, n: int, m: CostModel, groups: Groups) -
 
 
 def _cost_dissemination(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     return math.ceil(math.log2(n)) * m.step(1, "inter")
 
 
 def _cost_pairwise_alltoall(size: float, n: int, m: CostModel, groups: Groups) -> float:
-    if n == 1:
-        return 0.0
     g, _ = _group_shape(n, groups)
     return (n - 1) * m.step(size, "inter", concurrent=g)
 
@@ -366,15 +336,16 @@ class CollectiveAlgorithm:
         Kind it decomposes: ``allreduce``, ``allgather``,
         ``reduce_scatter``, ``bcast``, ``barrier`` or ``alltoall``.
     emit:
-        ``emit(ctx, size, deps=None, **kwargs)`` — emits the point-to-point
-        schedule into ``ctx.builder`` and returns a ``DepMap``.  ``size``
-        is the collective's total buffer in bytes (per-pair bytes for
-        ``alltoall``; ignored by ``barrier``); rooted collectives accept a
-        ``root`` keyword.
+        ``emit(ctx, size, deps=None)`` — emits the point-to-point schedule
+        into ``ctx.builder`` and returns a ``DepMap``.  ``size`` is the
+        collective's total buffer in bytes (per-pair bytes for
+        ``alltoall``; ignored by ``barrier``); the rooted ``bcast``
+        algorithms also take a ``root`` keyword.
     cost:
         ``cost(size, num_ranks, model, groups)`` — analytic LogGOPS cost in
         ns (``inf`` when the algorithm is inapplicable, e.g. a hierarchical
-        algorithm without a usable grouping).
+        algorithm without a usable grouping) of a communicator of two or
+        more ranks; :func:`select_algorithm` prices one rank at 0.
     cost_formula:
         Human-readable cost formula, rendered by the CLI and docs.
     description:
@@ -441,61 +412,44 @@ def get_algorithm(collective: str, name: str) -> CollectiveAlgorithm:
         ) from None
 
 
-# -- emit adapters for the flat algorithms (uniform registry signature) ------
-def _emit_allgather_ring(ctx, size, deps=None, **kw):
-    return calgs.ring_allgather(ctx, size, deps)
-
-
-def _emit_barrier(ctx, size, deps=None, **kw):
-    return calgs.dissemination_barrier(ctx, deps)
-
-
-def _emit_alltoall(ctx, size, deps=None, **kw):
-    return calgs.pairwise_alltoall(ctx, size, deps)
-
-
-def _emit_reduce_scatter_ring(ctx, size, deps=None, **kw):
-    return calgs.ring_reduce_scatter(ctx, size, deps)
-
-
 register_collective_algorithm(CollectiveAlgorithm(
     name="ring", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: calgs.ring_allreduce(ctx, size, deps),
+    emit=calgs.ring_allreduce,
     cost=_cost_ring_allreduce,
     cost_formula="2(N-1) * (L_inter + 2o + g + (S/N)G)",
     description="bandwidth-optimal chunked ring (reduce-scatter + allgather passes)",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="recursive_doubling", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: calgs.recursive_doubling_allreduce(ctx, size, deps),
+    emit=calgs.recursive_doubling_allreduce,
     cost=_cost_recursive_doubling,
     cost_formula="(ceil(log2 N) + 2[N not pow2]) * (L + 2o + g + S*G)",
     description="latency-optimal pairwise exchange of the full buffer",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="reduce_bcast", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: calgs.reduce_bcast_allreduce(ctx, size, deps),
+    emit=calgs.reduce_bcast_allreduce,
     cost=_cost_reduce_bcast,
     cost_formula="2*ceil(log2 N) * (L + 2o + g + S*G)",
     description="binomial reduce to rank 0 followed by a binomial broadcast",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="recursive_halving_doubling", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: halgs.recursive_halving_doubling_allreduce(ctx, size, deps),
+    emit=halgs.recursive_halving_doubling_allreduce,
     cost=_cost_rhd,
     cost_formula="2*log2(P)*(L + 2o + g) + 2*((P-1)/P)*S*G (+ fold for non-pow2)",
     description="Rabenseifner: recursive-halving reduce-scatter + recursive-doubling allgather",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="bucket", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: halgs.bucket_allreduce(ctx, size, deps),
+    emit=halgs.bucket_allreduce,
     cost=_cost_bucket,
     cost_formula="2(b-1)*(L + 2o + g + (S/b)G) + 2(a-1)*(L + 2o + g + (S/ab)G), a*b=N",
     description="bucket / 2D-ring allreduce over a near-square virtual grid",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="hier_rs", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: halgs.hierarchical_rs_allreduce(ctx, size, deps),
+    emit=halgs.hierarchical_rs_allreduce,
     cost=_cost_hier_rs,
     cost_formula="2(g-1)*(L_intra + 2o + gap + (S/g)G) + 2(Ng-1)*(L_inter + 2o + gap + (S/(g*Ng))G)",
     description="two-level: intra-group reduce-scatter/allgather, per-shard rings across groups",
@@ -503,7 +457,7 @@ register_collective_algorithm(CollectiveAlgorithm(
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="hier_leader", collective="allreduce",
-    emit=lambda ctx, size, deps=None, **kw: halgs.hierarchical_leader_allreduce(ctx, size, deps),
+    emit=halgs.hierarchical_leader_allreduce,
     cost=_cost_hier_leader,
     cost_formula="2*ceil(log2 g)*(L_intra + 2o + gap + S*G) + 2(Ng-1)*(L_inter + 2o + gap + (S/Ng)G)",
     description="two-level: binomial reduce/bcast within groups, leader ring across groups",
@@ -512,14 +466,14 @@ register_collective_algorithm(CollectiveAlgorithm(
 
 register_collective_algorithm(CollectiveAlgorithm(
     name="ring", collective="allgather",
-    emit=_emit_allgather_ring,
+    emit=calgs.ring_allgather,
     cost=_cost_ring_allgather,
     cost_formula="(N-1) * (L + 2o + g + (S/N)G)",
     description="ring allgather: per-rank blocks circulate once around the ring",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="bruck", collective="allgather",
-    emit=lambda ctx, size, deps=None, **kw: halgs.bruck_allgather(ctx, size, deps),
+    emit=halgs.bruck_allgather,
     cost=_cost_bruck_allgather,
     cost_formula="sum_k (L + 2o + g + min(2^k, N-2^k)*(S/N)*G), k < ceil(log2 N)",
     description="Bruck allgather: doubling block exchange in ceil(log2 N) rounds",
@@ -527,7 +481,7 @@ register_collective_algorithm(CollectiveAlgorithm(
 
 register_collective_algorithm(CollectiveAlgorithm(
     name="ring", collective="reduce_scatter",
-    emit=_emit_reduce_scatter_ring,
+    emit=calgs.ring_reduce_scatter,
     cost=_cost_ring_reduce_scatter,
     cost_formula="(N-1) * (L + 2o + g + (S/N)G)",
     description="ring reduce-scatter: each rank ends owning one reduced chunk",
@@ -535,14 +489,14 @@ register_collective_algorithm(CollectiveAlgorithm(
 
 register_collective_algorithm(CollectiveAlgorithm(
     name="binomial", collective="bcast",
-    emit=lambda ctx, size, deps=None, root=0, **kw: calgs.binomial_bcast(ctx, size, root=root, deps=deps),
+    emit=lambda ctx, size, deps=None, root=0: calgs.binomial_bcast(ctx, size, root, deps),
     cost=_cost_binomial_bcast,
     cost_formula="ceil(log2 N) * (L + 2o + g + S*G)",
     description="binomial-tree broadcast (latency-optimal)",
 ))
 register_collective_algorithm(CollectiveAlgorithm(
     name="scatter_allgather", collective="bcast",
-    emit=lambda ctx, size, deps=None, root=0, **kw: halgs.scatter_allgather_bcast(ctx, size, root=root, deps=deps),
+    emit=lambda ctx, size, deps=None, root=0: halgs.scatter_allgather_bcast(ctx, size, root, deps),
     cost=_cost_scatter_allgather,
     cost_formula="sum_k (L + 2o + g + (S*2^k/2N)G) + (N-1)*(L + 2o + g + (S/N)G)",
     description="van de Geijn: binomial scatter + ring allgather (bandwidth-optimal)",
@@ -550,7 +504,7 @@ register_collective_algorithm(CollectiveAlgorithm(
 
 register_collective_algorithm(CollectiveAlgorithm(
     name="dissemination", collective="barrier",
-    emit=_emit_barrier,
+    emit=lambda ctx, size, deps=None: calgs.dissemination_barrier(ctx, deps),
     cost=_cost_dissemination,
     cost_formula="ceil(log2 N) * (L + 2o + g)",
     description="dissemination barrier: log-round 1-byte notifications",
@@ -558,7 +512,7 @@ register_collective_algorithm(CollectiveAlgorithm(
 
 register_collective_algorithm(CollectiveAlgorithm(
     name="pairwise", collective="alltoall",
-    emit=_emit_alltoall,
+    emit=calgs.pairwise_alltoall,
     cost=_cost_pairwise_alltoall,
     cost_formula="(N-1) * (L + 2o + g + S_pair*G)",
     description="pairwise-exchange all-to-all (linear shift schedule)",
@@ -633,6 +587,8 @@ def select_algorithm(
         The winner plus every candidate's cost (ties break towards the
         earlier-registered algorithm).  Hierarchical algorithms are
         skipped (cost ``inf``) when no non-trivial grouping is available.
+        A one-rank communicator costs 0 under every algorithm (it sends
+        nothing), so the first registered one wins.
         This is the autotuner behind ``algorithm="auto"`` everywhere; pass
         an explicit name to any of those call sites to override it.
     """
@@ -658,7 +614,7 @@ def select_algorithm(
     costs: Dict[str, float] = {}
     best_name, best_cost = None, float("inf")
     for name, alg in candidates.items():
-        cost = alg.cost(float(size), num_ranks, model, groups)
+        cost = alg.cost(float(size), num_ranks, model, groups) if num_ranks > 1 else 0.0
         costs[name] = cost
         if cost < best_cost:
             best_name, best_cost = name, cost
@@ -673,6 +629,31 @@ def select_algorithm(
         cost_ns=best_cost,
         costs=costs,
     )
+
+
+def resolve_algorithm(
+    collective: str,
+    name: str,
+    size: int,
+    num_ranks: int,
+    params=None,
+    topology=None,
+    groups: Groups = None,
+) -> CollectiveAlgorithm:
+    """The one path from an algorithm name to its registered algorithm.
+
+    ``"auto"`` asks :func:`select_algorithm` for the cheapest algorithm of
+    ``collective`` at ``size`` bytes over ``num_ranks`` ranks (priced with
+    ``params``, ``topology`` and ``groups`` as there); any other name goes
+    through :func:`get_algorithm`, which raises :class:`ValueError` naming
+    the registered algorithms when ``name`` is unknown.  The schedule
+    generators and :func:`build_collective_schedule` resolve through here.
+    """
+    if name == "auto":
+        name = select_algorithm(
+            collective, size, num_ranks, params=params, topology=topology, groups=groups
+        ).name
+    return get_algorithm(collective, name)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +688,8 @@ def build_collective_schedule(
     reduce_ns_per_byte:
         Reduction cost inserted as ``calc`` vertices (ns per byte).
     root:
-        Root rank for rooted collectives (``bcast``).
+        Root rank of a rooted collective (``bcast``); a nonzero root for
+        any other collective raises :class:`ValueError`.
     name:
         Schedule name (defaults to ``"<collective>-<algorithm>-<N>"``).
 
@@ -719,11 +701,12 @@ def build_collective_schedule(
     """
     from repro.goal.builder import GoalBuilder
 
-    if algorithm == "auto":
-        algorithm = select_algorithm(collective, size, num_ranks, groups=groups).name
-    alg = get_algorithm(collective, algorithm)
+    rooted = collective == "bcast"
+    if root and not rooted:
+        raise ValueError(f"{collective} takes no root; got root={root}")
+    alg = resolve_algorithm(collective, algorithm, size, num_ranks, groups=groups)
     builder = GoalBuilder(
-        num_ranks, name=name or f"{collective}-{algorithm}-{num_ranks}"
+        num_ranks, name=name or f"{collective}-{alg.name}-{num_ranks}"
     )
     ctx = CollectiveContext(
         builder,
@@ -731,5 +714,5 @@ def build_collective_schedule(
         reduce_ns_per_byte=reduce_ns_per_byte,
         groups=groups,
     )
-    alg.emit(ctx, size, None, root=root)
+    alg.emit(ctx, size, None, **({"root": root} if rooted else {}))
     return builder.build()

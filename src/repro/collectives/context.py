@@ -7,12 +7,20 @@ to emit its point-to-point schedule:
 * the ordered list of *global* rank ids forming the communicator (index in
   the list = rank within the communicator),
 * a :class:`TagAllocator` producing collision-free message tags,
-* cost parameters (reduction cost per byte, copy cost per byte) used to
-  insert ``calc`` vertices where the algorithm performs local work.
+* the reduction cost per byte, used to insert a ``calc`` vertex after every
+  received buffer the algorithm combines.
 
 Dependencies flow through ``DepMap`` dictionaries: ``{global_rank: vertex
 handle}``.  Each algorithm takes the handles its first operations must wait
 on and returns the handles subsequent operations should wait on.
+
+Every algorithm is written on four methods of the context (see
+``docs/collectives.md``, "How an algorithm is written"):
+:meth:`~CollectiveContext.entry` turns the entry ``DepMap`` into one
+``last`` handle per communicator rank, :meth:`~CollectiveContext.exchange`
+emits one round in which ranks send and receive concurrently,
+:meth:`~CollectiveContext.transfer` emits one message, and
+:meth:`~CollectiveContext.exits` turns ``last`` back into a ``DepMap``.
 
 Hierarchy metadata
 ------------------
@@ -28,7 +36,7 @@ from a placement with :func:`groups_from_topology` or
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.goal.builder import GoalBuilder, RankBuilder
 
@@ -199,8 +207,6 @@ class CollectiveContext:
     reduce_ns_per_byte:
         Cost of combining one byte of data in a reduction (inserted as a
         ``calc`` after each received chunk that must be reduced).
-    copy_ns_per_byte:
-        Cost of a local copy (used by algorithms that stage data).
     cpu:
         Compute stream on which the collective's ops are placed.
     groups:
@@ -216,7 +222,6 @@ class CollectiveContext:
         ranks: Sequence[int],
         tags: Optional[TagAllocator] = None,
         reduce_ns_per_byte: float = 0.0,
-        copy_ns_per_byte: float = 0.0,
         cpu: int = 0,
         groups: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
@@ -228,7 +233,6 @@ class CollectiveContext:
         self.ranks = list(ranks)
         self.tags = tags if tags is not None else TagAllocator()
         self.reduce_ns_per_byte = reduce_ns_per_byte
-        self.copy_ns_per_byte = copy_ns_per_byte
         self.cpu = cpu
         self.groups = (
             validate_groups(groups, len(self.ranks)) if groups is not None else None
@@ -261,27 +265,89 @@ class CollectiveContext:
             [self.ranks[r] for r in comm_ranks],
             tags=self.tags,
             reduce_ns_per_byte=self.reduce_ns_per_byte,
-            copy_ns_per_byte=self.copy_ns_per_byte,
             cpu=self.cpu if cpu is None else cpu,
         )
-
-    def global_rank(self, comm_rank: int) -> int:
-        return self.ranks[comm_rank]
-
-    def deps_of(self, deps: Optional[DepMap], comm_rank: int) -> List[int]:
-        """Dependency handles (possibly empty) for a communicator rank."""
-        if not deps:
-            return []
-        handle = deps.get(self.ranks[comm_rank])
-        return [] if handle is None else [handle]
 
     def reduce_cost(self, nbytes: int) -> int:
         """Reduction ``calc`` cost for ``nbytes`` (0 when not configured)."""
         return int(round(self.reduce_ns_per_byte * nbytes))
 
-    def copy_cost(self, nbytes: int) -> int:
-        """Copy ``calc`` cost for ``nbytes`` (0 when not configured)."""
-        return int(round(self.copy_ns_per_byte * nbytes))
+    def next_tag(self) -> int:
+        """A fresh base tag for one collective instance.
+
+        A one-rank communicator exchanges no message, so it draws none (and
+        gets 0): an emitter then runs no round and returns its entries.
+        """
+        return 0 if len(self.ranks) == 1 else self.tags.next_base()
+
+    # -- the emission core -----------------------------------------------------
+    def entry(self, deps: Optional[DepMap]) -> List[Optional[int]]:
+        """Per communicator rank, the handle its first op waits on, or ``None``."""
+        if not deps:
+            return [None] * len(self.ranks)
+        return [deps.get(g) for g in self.ranks]
+
+    def exits(self, last: Sequence[Optional[int]]) -> DepMap:
+        """The ``DepMap`` of ``last``: every rank that holds a handle."""
+        return {g: h for g, h in zip(self.ranks, last) if h is not None}
+
+    def exchange(
+        self,
+        last: List[Optional[int]],
+        tag: int,
+        pairs: Iterable[Tuple[int, int, int, int, int]],
+        reduce: bool = False,
+    ) -> None:
+        """Emit one round in which ranks send and receive concurrently.
+
+        ``pairs`` yields ``(r, dst, src, send_bytes, recv_bytes)`` in
+        communicator ranks, each ``r`` at most once.  Rank ``r`` sends to
+        ``dst`` and receives from ``src``, both after ``last[r]``, joins the
+        two in a dummy vertex and, when ``reduce`` is set and the context
+        prices reductions, combines the received bytes in a ``calc``.
+        ``last[r]`` becomes the rank's final vertex.  Messages are clamped to
+        one byte; the reduction is priced on the unclamped ``recv_bytes``.
+        """
+        cpu, ranks, rank = self.cpu, self.ranks, self.builder.rank
+        price = reduce and self.reduce_ns_per_byte
+        for r, dst, src, send_bytes, recv_bytes in pairs:
+            rb = rank(ranks[r])
+            prev = last[r]
+            reqs = () if prev is None else (prev,)
+            send = rb.send(max(1, send_bytes), ranks[dst], tag, cpu, reqs)
+            recv = rb.recv(max(1, recv_bytes), ranks[src], tag, cpu, reqs)
+            tail = rb.join((send, recv), cpu)
+            if price:
+                tail = rb.calc(self.reduce_cost(recv_bytes), cpu, (tail,))
+            last[r] = tail
+
+    def transfer(
+        self,
+        last: List[Optional[int]],
+        src: int,
+        dst: int,
+        nbytes: int,
+        tag: int,
+        reduce: bool = False,
+    ) -> None:
+        """Emit one ``nbytes`` message from ``src`` to ``dst`` (communicator ranks).
+
+        The send waits on ``last[src]``, the receive on ``last[dst]``; both
+        entries are updated, the receiver's to a reduction ``calc`` after the
+        receive when ``reduce`` is set and the context prices reductions.
+        Same clamp and pricing rule as :meth:`exchange`.
+        """
+        cpu, size = self.cpu, max(1, nbytes)
+        before = last[src]
+        last[src] = self.rank_builder(src).send(
+            size, self.ranks[dst], tag, cpu, () if before is None else (before,)
+        )
+        rb = self.rank_builder(dst)
+        before = last[dst]
+        tail = rb.recv(size, self.ranks[src], tag, cpu, () if before is None else (before,))
+        if reduce and self.reduce_ns_per_byte:
+            tail = rb.calc(self.reduce_cost(nbytes), cpu, (tail,))
+        last[dst] = tail
 
     def join(self, handles_per_rank: Dict[int, List[int]]) -> DepMap:
         """Collapse several handles per global rank into one via dummy vertices.

@@ -41,31 +41,15 @@ from typing import List, Optional
 from repro.collectives import mpi as _mpi
 from repro.collectives.context import CollectiveContext, DepMap, contiguous_groups
 
-_MIN_MSG = 1
-
-
-def _msg(size: int) -> int:
-    """Clamp message sizes to at least one byte (backends need positive sizes)."""
-    return max(_MIN_MSG, size)
-
-
-def _initial_last(ctx: CollectiveContext, deps: Optional[DepMap]) -> List[Optional[int]]:
-    """Per-communicator-rank entry handles (``None`` where a rank has none)."""
-    last: List[Optional[int]] = [None] * ctx.size
-    for r in range(ctx.size):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-    return last
-
 
 def _require_groups(ctx: CollectiveContext, algorithm: str) -> List[List[int]]:
-    if ctx.groups is None:
+    if ctx.groups is None and ctx.size > 1:
         raise ValueError(
             f"{algorithm} is a hierarchical algorithm and needs locality groups; "
             "construct the CollectiveContext with groups= (see "
             "repro.collectives.context.groups_from_topology / contiguous_groups)"
         )
-    return ctx.groups
+    return ctx.groups or [[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -98,73 +82,12 @@ def recursive_halving_doubling_allreduce(
     DepMap
         Exit vertex handle per global rank.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    pow2 = 1
-    while pow2 * 2 <= n:
-        pow2 *= 2
-    rem = n - pow2
-    base_tag = ctx.tags.next_base()
-    last = _initial_last(ctx, deps)
+    def rounds(pow2: int):
+        distances = _mpi._doublings(pow2)
+        halving = [(d, size * d // pow2, True) for d in reversed(distances)]
+        return halving + [(d, size * d // pow2, False) for d in distances]
 
-    def reqs(r: int) -> List[int]:
-        return [last[r]] if last[r] is not None else []
-
-    # fold-in: extra ranks contribute their whole buffer to a partner
-    for extra in range(rem):
-        a, b = pow2 + extra, extra
-        tag = base_tag + extra
-        s = ctx.rank_builder(a).send(_msg(size), dst=ctx.global_rank(b), tag=tag, cpu=ctx.cpu, requires=reqs(a))
-        rcv = ctx.rank_builder(b).recv(_msg(size), src=ctx.global_rank(a), tag=tag, cpu=ctx.cpu, requires=reqs(b))
-        last[a] = s
-        tail = rcv
-        if ctx.reduce_ns_per_byte:
-            tail = ctx.rank_builder(b).calc(ctx.reduce_cost(size), cpu=ctx.cpu, requires=[rcv])
-        last[b] = tail
-
-    round_idx = 0
-
-    def _exchange(distance: int, nbytes: int, reduce_recv: bool) -> None:
-        nonlocal round_idx
-        tag = base_tag + rem + round_idx
-        new_last = list(last)
-        for vr in range(pow2):
-            partner = vr ^ distance
-            if partner >= pow2:
-                continue
-            rb = ctx.rank_builder(vr)
-            s = rb.send(_msg(nbytes), dst=ctx.global_rank(partner), tag=tag, cpu=ctx.cpu, requires=reqs(vr))
-            rcv = rb.recv(_msg(nbytes), src=ctx.global_rank(partner), tag=tag, cpu=ctx.cpu, requires=reqs(vr))
-            tail = rb.join([s, rcv], cpu=ctx.cpu)
-            if reduce_recv and ctx.reduce_ns_per_byte:
-                tail = rb.calc(ctx.reduce_cost(nbytes), cpu=ctx.cpu, requires=[tail])
-            new_last[vr] = tail
-        last[:] = new_last
-        round_idx += 1
-
-    # reduce-scatter by recursive halving: exchanged size halves each round
-    d = pow2 // 2
-    while d >= 1:
-        _exchange(d, size * d // pow2, reduce_recv=True)
-        d //= 2
-
-    # allgather by recursive doubling: mirrored sizes, no reduction
-    d = 1
-    while d < pow2:
-        _exchange(d, size * d // pow2, reduce_recv=False)
-        d *= 2
-
-    # fold-out: partners return the finished result to the extra ranks
-    for extra in range(rem):
-        a, b = extra, pow2 + extra
-        tag = base_tag + rem + round_idx + extra
-        s = ctx.rank_builder(a).send(_msg(size), dst=ctx.global_rank(b), tag=tag, cpu=ctx.cpu, requires=reqs(a))
-        rcv = ctx.rank_builder(b).recv(_msg(size), src=ctx.global_rank(a), tag=tag, cpu=ctx.cpu, requires=reqs(b))
-        last[a] = s
-        last[b] = rcv
-
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    return _mpi._pow2_fold(ctx, size, deps, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +151,8 @@ def bucket_allreduce(ctx: CollectiveContext, size: int, deps: Optional[DepMap] =
     to the flat ring.  The grid is *virtual*: unlike the hierarchical
     variants it ignores placement, trading locality for a regular shape.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    rows, cols = grid_shape(n)
-    return _two_level_allreduce(ctx, size, contiguous_groups(n, cols), deps)
+    rows, cols = grid_shape(ctx.size)
+    return _two_level_allreduce(ctx, size, contiguous_groups(ctx.size, cols), deps)
 
 
 def grid_shape(n: int) -> tuple:
@@ -263,9 +183,6 @@ def hierarchical_rs_allreduce(ctx: CollectiveContext, size: int, deps: Optional[
     inside every group.  Requires ``ctx.groups``; groups of unequal size
     skip the shard positions they lack.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
     return _two_level_allreduce(ctx, size, _require_groups(ctx, "hier_rs"), deps)
 
 
@@ -280,9 +197,6 @@ def hierarchical_leader_allreduce(ctx: CollectiveContext, size: int, deps: Optio
     moves more intra-group bytes than :func:`hierarchical_rs_allreduce`
     but keeps exactly one fabric participant per group.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
     groups = [list(g) for g in _require_groups(ctx, "hier_leader") if g]
 
     mid: DepMap = dict(deps) if deps else {}
@@ -320,28 +234,10 @@ def bruck_allgather(ctx: CollectiveContext, size: int, deps: Optional[DepMap] = 
     rounds but never sends a block twice.
     """
     n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    base_tag = ctx.tags.next_base()
-    last = _initial_last(ctx, deps)
-    k = 0
-    dist = 1
-    while dist < n:
-        tag = base_tag + k
-        nbytes = _msg(min(dist, n - dist) * size // n)
-        new_last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            dst = (r - dist) % n
-            src = (r + dist) % n
-            rb = ctx.rank_builder(r)
-            reqs = [last[r]] if last[r] is not None else []
-            s = rb.send(nbytes, dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu, requires=reqs)
-            rcv = rb.recv(nbytes, src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu, requires=reqs)
-            new_last[r] = rb.join([s, rcv], cpu=ctx.cpu)
-        last = new_last
-        dist *= 2
-        k += 1
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    return _mpi._shift_rounds(
+        ctx, deps,
+        [(k, -d, min(d, n - d) * size // n) for k, d in enumerate(_mpi._doublings(n))],
+    )
 
 
 def binomial_scatter(
@@ -356,42 +252,12 @@ def binomial_scatter(
     tree level.
     """
     n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
     chunks = _mpi._chunk_sizes(size, n)
-    base_tag = ctx.tags.next_base()
-    last = _initial_last(ctx, deps)
-
-    def unrot(vr: int) -> int:
-        return (vr + root) % n
-
-    mask = 1
-    while mask < n:
-        mask <<= 1
-    mask >>= 1
-    round_idx = 0
-    while mask >= 1:
-        tag = base_tag + round_idx
-        for vr in range(mask):
-            peer = vr + mask
-            if peer >= n:
-                continue
-            seg = _msg(sum(chunks[peer : min(peer + mask, n)]))
-            src, dst = unrot(vr), unrot(peer)
-            sb, db = ctx.rank_builder(src), ctx.rank_builder(dst)
-            s = sb.send(
-                seg, dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu,
-                requires=[last[src]] if last[src] is not None else [],
-            )
-            rcv = db.recv(
-                seg, src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu,
-                requires=[last[dst]] if last[dst] is not None else [],
-            )
-            last[src] = s
-            last[dst] = rcv
-        mask >>= 1
-        round_idx += 1
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    tag = ctx.next_tag()
+    last = ctx.entry(deps)
+    for rnd, mask, child_v, parent, child in _mpi._binomial_edges(n, root, descending=True):
+        ctx.transfer(last, parent, child, sum(chunks[child_v : min(child_v + mask, n)]), tag + rnd)
+    return ctx.exits(last)
 
 
 def scatter_allgather_bcast(

@@ -11,16 +11,20 @@ All byte counts refer to the full buffer size of the collective (``count *
 datatype_size`` in MPI terms), except where a parameter name says
 ``per_rank`` / ``per_pair``.
 
-Control messages (barriers, zero-byte collectives) are emitted as 1-byte
-messages because the network backends model only positive-size messages.
+Every algorithm is written on the emission core of
+:class:`~repro.collectives.context.CollectiveContext` and on three shapes
+shared with :mod:`repro.collectives.hierarchical` and
+:mod:`repro.collectives.nccl`: the power-of-two fold (``_pow2_fold``),
+the binomial tree (``_binomial_edges``) and shift rounds
+(``_shift_rounds``).  Control messages (barriers, zero-byte collectives)
+are emitted as 1-byte messages because the network backends model only
+positive-size messages.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.collectives.context import CollectiveContext, DepMap
-
-_MIN_MSG = 1
 
 
 def _chunk_sizes(total: int, parts: int) -> List[int]:
@@ -29,53 +33,84 @@ def _chunk_sizes(total: int, parts: int) -> List[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
-def _msg(size: int) -> int:
-    """Clamp message sizes to at least one byte."""
-    return max(_MIN_MSG, size)
+def _doublings(limit: int) -> List[int]:
+    """The distances ``1, 2, 4, ...`` below ``limit``."""
+    return [1 << k for k in range((limit - 1).bit_length())]
 
 
 # ---------------------------------------------------------------------------
-# point-to-point building blocks
+# the three shared shapes
 # ---------------------------------------------------------------------------
-def send_recv(
+def _pow2_fold(
     ctx: CollectiveContext,
-    src_comm_rank: int,
-    dst_comm_rank: int,
     size: int,
-    deps: Optional[DepMap] = None,
-    tag: Optional[int] = None,
+    deps: Optional[DepMap],
+    rounds: Callable[[int], Iterable[Tuple[int, int, bool]]],
 ) -> DepMap:
-    """A single matched send/recv pair between two communicator ranks.
+    """Exchange rounds over the largest power of two ``p <= N`` ranks.
 
-    Parameters
-    ----------
-    ctx:
-        Collective context (communicator, builder, tags, costs).
-    src_comm_rank / dst_comm_rank:
-        Communicator ranks of sender and receiver (must differ).
-    size:
-        Message size in bytes (clamped to 1 like all emitted messages).
-    deps:
-        Entry dependencies per global rank.
-    tag:
-        Explicit message tag; a fresh collision-free base is drawn from the
-        context's allocator when omitted.
-
-    Returns
-    -------
-    DepMap
-        ``{sender global rank: send handle, receiver global rank: recv handle}``.
+    The ``N - p`` extra ranks first fold their ``size``-byte buffer into
+    partner ``r - p`` (reduced there), the first ``p`` ranks then run
+    ``rounds(p)`` — ``(distance, bytes, reduce)`` exchanges with partner
+    ``r xor distance`` — and the partners finally return the result to the
+    extra ranks.  Tags: fold-in ``base + extra``, round ``k`` at
+    ``base + (N - p) + k``, fold-out after the last round.
     """
-    if src_comm_rank == dst_comm_rank:
-        raise ValueError("send_recv requires distinct ranks")
-    tag = ctx.tags.next_base() if tag is None else tag
-    src_global = ctx.global_rank(src_comm_rank)
-    dst_global = ctx.global_rank(dst_comm_rank)
-    sb = ctx.rank_builder(src_comm_rank)
-    rb = ctx.rank_builder(dst_comm_rank)
-    s = sb.send(_msg(size), dst=dst_global, tag=tag, cpu=ctx.cpu, requires=ctx.deps_of(deps, src_comm_rank))
-    r = rb.recv(_msg(size), src=src_global, tag=tag, cpu=ctx.cpu, requires=ctx.deps_of(deps, dst_comm_rank))
-    return {src_global: s, dst_global: r}
+    n = ctx.size
+    pow2 = 1 << (n.bit_length() - 1)
+    rem = n - pow2
+    tag = ctx.next_tag()
+    last = ctx.entry(deps)
+    for extra in range(rem):
+        ctx.transfer(last, pow2 + extra, extra, size, tag + extra, reduce=True)
+    tag += rem
+    for distance, nbytes, reduce in rounds(pow2):
+        ctx.exchange(
+            last, tag,
+            ((r, r ^ distance, r ^ distance, nbytes, nbytes) for r in range(pow2)),
+            reduce,
+        )
+        tag += 1
+    for extra in range(rem):
+        ctx.transfer(last, extra, pow2 + extra, size, tag + extra)
+    return ctx.exits(last)
+
+
+def _binomial_edges(n: int, root: int, descending: bool = False) -> Iterator[Tuple[int, int, int, int, int]]:
+    """Edges of the binomial tree over ``n`` ranks rooted at ``root``.
+
+    Yields ``(round, mask, virtual_child, parent, child)``: in the round at
+    offset ``mask`` (ascending powers of two, or descending), every virtual
+    rank ``v < mask`` with ``v + mask < n`` is the parent of virtual rank
+    ``virtual_child = v + mask``.  Virtual ranks are rotated so that
+    ``root`` is virtual rank 0; ``parent`` and ``child`` are communicator
+    ranks.
+    """
+    masks = _doublings(n)
+    if descending:
+        masks.reverse()
+    for rnd, mask in enumerate(masks):
+        for v in range(min(mask, n - mask)):
+            yield rnd, mask, v + mask, (v + root) % n, (v + mask + root) % n
+
+
+def _shift_rounds(
+    ctx: CollectiveContext, deps: Optional[DepMap], rounds: Iterable[Tuple[int, int, int]]
+) -> DepMap:
+    """Exchange rounds in which every rank ``r`` sends to ``r + shift``.
+
+    ``rounds`` yields ``(tag_offset, shift, bytes)``; rank ``r`` receives
+    from ``r - shift`` (both modulo ``N``) in the same round.
+    """
+    n = ctx.size
+    tag = ctx.next_tag()
+    last = ctx.entry(deps)
+    for offset, shift, nbytes in rounds:
+        ctx.exchange(
+            last, tag + offset,
+            ((r, (r + shift) % n, (r - shift) % n, nbytes, nbytes) for r in range(n)),
+        )
+    return ctx.exits(last)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +124,7 @@ def ring_reduce_scatter(ctx: CollectiveContext, size: int, deps: Optional[DepMap
     the last step every rank owns one fully reduced chunk.  Returns the
     exit handle per global rank.
     """
-    return _ring_passes(ctx, size, deps, passes=1, reduce_first_pass=True)
+    return _ring(ctx, size, deps, ctx.size - 1, reduce_steps=ctx.size - 1)
 
 
 def ring_allgather(ctx: CollectiveContext, size: int, deps: Optional[DepMap] = None) -> DepMap:
@@ -98,7 +133,7 @@ def ring_allgather(ctx: CollectiveContext, size: int, deps: Optional[DepMap] = N
     Each rank contributes ``size / N`` bytes; chunks circulate around the
     ring for ``N - 1`` steps.  Returns the exit handle per global rank.
     """
-    return _ring_passes(ctx, size, deps, passes=1, reduce_first_pass=False)
+    return _ring(ctx, size, deps, ctx.size - 1, reduce_steps=0)
 
 
 def ring_allreduce(ctx: CollectiveContext, size: int, deps: Optional[DepMap] = None) -> DepMap:
@@ -109,52 +144,23 @@ def ring_allreduce(ctx: CollectiveContext, size: int, deps: Optional[DepMap] = N
     ``2 * size * (N-1) / N`` bytes over ``2 * (N-1)`` steps.  Returns the
     exit handle per global rank.
     """
-    return _ring_passes(ctx, size, deps, passes=2, reduce_first_pass=True)
+    return _ring(ctx, size, deps, 2 * (ctx.size - 1), reduce_steps=ctx.size - 1)
 
 
-def _ring_passes(
-    ctx: CollectiveContext,
-    size: int,
-    deps: Optional[DepMap],
-    passes: int,
-    reduce_first_pass: bool,
-) -> DepMap:
+def _ring(ctx: CollectiveContext, size: int, deps: Optional[DepMap], steps: int, reduce_steps: int) -> DepMap:
+    """``steps`` ring steps; in step ``s`` rank ``r`` passes chunk ``r - s`` on."""
     n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
     chunks = _chunk_sizes(size, n)
-    base_tag = ctx.tags.next_base()
-    # last completed vertex per communicator rank
-    last: List[Optional[int]] = [None for _ in range(n)]
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-
-    total_steps = passes * (n - 1)
-    for step in range(total_steps):
-        in_reduce_pass = reduce_first_pass and step < (n - 1)
-        new_last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            dst = (r + 1) % n
-            src = (r - 1) % n
-            # chunk indices follow the standard ring schedule
-            send_chunk = (r - step) % n
-            recv_chunk = (r - step - 1) % n
-            tag = base_tag + step
-            rb = ctx.rank_builder(r)
-            reqs = [last[r]] if last[r] is not None else []
-            s = rb.send(
-                _msg(chunks[send_chunk]), dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu, requires=reqs
-            )
-            rcv = rb.recv(
-                _msg(chunks[recv_chunk]), src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu, requires=reqs
-            )
-            tail = rb.join([s, rcv], cpu=ctx.cpu)
-            if in_reduce_pass and ctx.reduce_ns_per_byte:
-                tail = rb.calc(ctx.reduce_cost(chunks[recv_chunk]), cpu=ctx.cpu, requires=[tail])
-            new_last[r] = tail
-        last = new_last
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    tag = ctx.next_tag()
+    last = ctx.entry(deps)
+    for step in range(steps):
+        ctx.exchange(
+            last, tag + step,
+            ((r, (r + 1) % n, (r - 1) % n, chunks[(r - step) % n], chunks[(r - step - 1) % n])
+             for r in range(n)),
+            reduce=step < reduce_steps,
+        )
+    return ctx.exits(last)
 
 
 # ---------------------------------------------------------------------------
@@ -165,74 +171,12 @@ def recursive_doubling_allreduce(ctx: CollectiveContext, size: int, deps: Option
 
     ``ceil(log2 N)`` rounds in which every rank exchanges the *full*
     ``size``-byte buffer with a partner at doubling distance.  Non-power-of-
-    two communicator sizes use the standard fold: the first ``2 * r`` ranks
-    pair up so that ``r`` extra ranks fold their data into a partner before
-    the power-of-two exchange and receive the result after it.  Returns the
-    exit handle per global rank.
+    two communicator sizes use the standard fold (``_pow2_fold``): ``r``
+    extra ranks fold their data into a partner before the power-of-two
+    exchange and receive the result after it.  Returns the exit handle per
+    global rank.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    pow2 = 1
-    while pow2 * 2 <= n:
-        pow2 *= 2
-    rem = n - pow2
-    base_tag = ctx.tags.next_base()
-
-    last: List[Optional[int]] = [None] * n
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-
-    def reqs(r: int) -> List[int]:
-        return [last[r]] if last[r] is not None else []
-
-    # fold-in phase: extra ranks send their contribution to their partner
-    for extra in range(rem):
-        a = pow2 + extra  # extra rank
-        b = extra  # partner inside the power-of-two group
-        tag = base_tag + extra
-        s = ctx.rank_builder(a).send(_msg(size), dst=ctx.global_rank(b), tag=tag, cpu=ctx.cpu, requires=reqs(a))
-        rcv = ctx.rank_builder(b).recv(_msg(size), src=ctx.global_rank(a), tag=tag, cpu=ctx.cpu, requires=reqs(b))
-        last[a] = s
-        tail = rcv
-        if ctx.reduce_ns_per_byte:
-            tail = ctx.rank_builder(b).calc(ctx.reduce_cost(size), cpu=ctx.cpu, requires=[rcv])
-        last[b] = tail
-
-    # power-of-two exchange phase: in every round each rank both sends to and
-    # receives from its partner; both ops depend only on the previous round.
-    distance = 1
-    round_idx = 0
-    while distance < pow2:
-        tag = base_tag + rem + round_idx
-        new_last = list(last)
-        for r in range(pow2):
-            partner = r ^ distance
-            if partner >= pow2:
-                continue
-            rb = ctx.rank_builder(r)
-            s = rb.send(_msg(size), dst=ctx.global_rank(partner), tag=tag, cpu=ctx.cpu, requires=reqs(r))
-            rcv = rb.recv(_msg(size), src=ctx.global_rank(partner), tag=tag, cpu=ctx.cpu, requires=reqs(r))
-            tail = rb.join([s, rcv], cpu=ctx.cpu)
-            if ctx.reduce_ns_per_byte:
-                tail = rb.calc(ctx.reduce_cost(size), cpu=ctx.cpu, requires=[tail])
-            new_last[r] = tail
-        last = new_last
-        distance *= 2
-        round_idx += 1
-
-    # fold-out phase: partners send the final result back to the extra ranks
-    for extra in range(rem):
-        a = extra
-        b = pow2 + extra
-        tag = base_tag + rem + round_idx + extra
-        s = ctx.rank_builder(a).send(_msg(size), dst=ctx.global_rank(b), tag=tag, cpu=ctx.cpu, requires=reqs(a))
-        rcv = ctx.rank_builder(b).recv(_msg(size), src=ctx.global_rank(a), tag=tag, cpu=ctx.cpu, requires=reqs(b))
-        last[a] = s
-        last[b] = rcv
-
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    return _pow2_fold(ctx, size, deps, lambda p: [(d, size, True) for d in _doublings(p)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,45 +189,11 @@ def binomial_bcast(ctx: CollectiveContext, size: int, root: int = 0, deps: Optio
     transfer moving the full buffer.  Returns the exit handle per global
     rank.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    base_tag = ctx.tags.next_base()
-    last: List[Optional[int]] = [None] * n
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-
-    # operate in a rotated space where root becomes virtual rank 0
-    def unrot(r: int) -> int:
-        return (r + root) % n
-
-    # round with offset ``mask``: virtual ranks < mask already hold the data
-    # and each forwards it to virtual rank ``vr + mask``.
-    mask = 1
-    round_idx = 0
-    while mask < n:
-        tag = base_tag + round_idx
-        for vr in range(mask):
-            peer = vr + mask
-            if peer >= n:
-                continue
-            src, dst = unrot(vr), unrot(peer)
-            sb = ctx.rank_builder(src)
-            db = ctx.rank_builder(dst)
-            s = sb.send(
-                _msg(size), dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu,
-                requires=[last[src]] if last[src] is not None else [],
-            )
-            rcv = db.recv(
-                _msg(size), src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu,
-                requires=[last[dst]] if last[dst] is not None else [],
-            )
-            last[src] = s
-            last[dst] = rcv
-        mask <<= 1
-        round_idx += 1
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    tag = ctx.next_tag()
+    last = ctx.entry(deps)
+    for rnd, _, _, parent, child in _binomial_edges(ctx.size, root):
+        ctx.transfer(last, parent, child, size, tag + rnd)
+    return ctx.exits(last)
 
 
 def binomial_reduce(ctx: CollectiveContext, size: int, root: int = 0, deps: Optional[DepMap] = None) -> DepMap:
@@ -294,50 +204,11 @@ def binomial_reduce(ctx: CollectiveContext, size: int, root: int = 0, deps: Opti
     buffer when the context prices reductions.  Returns the exit handle per
     global rank.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    base_tag = ctx.tags.next_base()
-    last: List[Optional[int]] = [None] * n
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-
-    def unrot(r: int) -> int:
-        return (r + root) % n
-
-    # reverse of the broadcast tree: children send towards the root
-    mask = 1
-    rounds: List[int] = []
-    while mask < n:
-        rounds.append(mask)
-        mask <<= 1
-    round_idx = 0
-    for mask in reversed(rounds):
-        tag = base_tag + round_idx
-        for vr in range(mask):
-            peer = vr + mask
-            if peer >= n:
-                continue
-            # peer (child) sends to vr (parent)
-            src, dst = unrot(peer), unrot(vr)
-            sb = ctx.rank_builder(src)
-            db = ctx.rank_builder(dst)
-            s = sb.send(
-                _msg(size), dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu,
-                requires=[last[src]] if last[src] is not None else [],
-            )
-            rcv = db.recv(
-                _msg(size), src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu,
-                requires=[last[dst]] if last[dst] is not None else [],
-            )
-            last[src] = s
-            tail = rcv
-            if ctx.reduce_ns_per_byte:
-                tail = db.calc(ctx.reduce_cost(size), cpu=ctx.cpu, requires=[rcv])
-            last[dst] = tail
-        round_idx += 1
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    tag = ctx.next_tag()
+    last = ctx.entry(deps)
+    for rnd, _, _, parent, child in _binomial_edges(ctx.size, root, descending=True):
+        ctx.transfer(last, child, parent, size, tag + rnd, reduce=True)
+    return ctx.exits(last)
 
 
 def reduce_bcast_allreduce(ctx: CollectiveContext, size: int, deps: Optional[DepMap] = None) -> DepMap:
@@ -351,7 +222,7 @@ def reduce_bcast_allreduce(ctx: CollectiveContext, size: int, deps: Optional[Dep
 
 
 # ---------------------------------------------------------------------------
-# allgather / gather / scatter / alltoall / barrier
+# gather / scatter / alltoall / barrier
 # ---------------------------------------------------------------------------
 def linear_gather(ctx: CollectiveContext, size_per_rank: int, root: int = 0, deps: Optional[DepMap] = None) -> DepMap:
     """Linear gather: every non-root rank sends ``size_per_rank`` bytes to the root.
@@ -359,23 +230,7 @@ def linear_gather(ctx: CollectiveContext, size_per_rank: int, root: int = 0, dep
     ``N - 1`` concurrent transfers (distinct tags), serialised only by the
     root's NIC in the backends.  Returns the exit handle per global rank.
     """
-    n = ctx.size
-    base_tag = ctx.tags.next_base()
-    result: Dict[int, List[int]] = {ctx.global_rank(r): list(ctx.deps_of(deps, r)) for r in range(n)}
-    root_global = ctx.global_rank(root)
-    rb_root = ctx.rank_builder(root)
-    for r in range(n):
-        if r == root:
-            continue
-        tag = base_tag + r
-        sb = ctx.rank_builder(r)
-        s = sb.send(_msg(size_per_rank), dst=root_global, tag=tag, cpu=ctx.cpu, requires=ctx.deps_of(deps, r))
-        rcv = rb_root.recv(
-            _msg(size_per_rank), src=ctx.global_rank(r), tag=tag, cpu=ctx.cpu, requires=ctx.deps_of(deps, root)
-        )
-        result[ctx.global_rank(r)].append(s)
-        result[root_global].append(rcv)
-    return ctx.join(result)
+    return _linear(ctx, size_per_rank, root, deps, to_root=True)
 
 
 def linear_scatter(ctx: CollectiveContext, size_per_rank: int, root: int = 0, deps: Optional[DepMap] = None) -> DepMap:
@@ -384,24 +239,23 @@ def linear_scatter(ctx: CollectiveContext, size_per_rank: int, root: int = 0, de
     The dual of :func:`linear_gather`.  Returns the exit handle per global
     rank.
     """
-    n = ctx.size
-    base_tag = ctx.tags.next_base()
-    result: Dict[int, List[int]] = {ctx.global_rank(r): list(ctx.deps_of(deps, r)) for r in range(n)}
-    root_global = ctx.global_rank(root)
-    rb_root = ctx.rank_builder(root)
-    for r in range(n):
-        if r == root:
-            continue
-        tag = base_tag + r
-        s = rb_root.send(
-            _msg(size_per_rank), dst=ctx.global_rank(r), tag=tag, cpu=ctx.cpu, requires=ctx.deps_of(deps, root)
-        )
-        rcv = ctx.rank_builder(r).recv(
-            _msg(size_per_rank), src=root_global, tag=tag, cpu=ctx.cpu, requires=ctx.deps_of(deps, r)
-        )
-        result[root_global].append(s)
-        result[ctx.global_rank(r)].append(rcv)
-    return ctx.join(result)
+    return _linear(ctx, size_per_rank, root, deps, to_root=False)
+
+
+def _linear(ctx: CollectiveContext, nbytes: int, root: int, deps: Optional[DepMap], to_root: bool) -> DepMap:
+    """One message per non-root rank, all after the entries; joined per rank."""
+    tag = ctx.tags.next_base()  # unlike next_tag(), drawn for one rank too
+    entry = ctx.entry(deps)
+    last = list(entry)
+    handles = [[] if h is None else [h] for h in entry]
+    for r in range(ctx.size):
+        if r != root:
+            last[root] = entry[root]
+            src, dst = (r, root) if to_root else (root, r)
+            ctx.transfer(last, src, dst, nbytes, tag + r)
+            handles[r].append(last[r])
+            handles[root].append(last[root])
+    return ctx.join(dict(zip(ctx.ranks, handles)))
 
 
 def pairwise_alltoall(ctx: CollectiveContext, size_per_pair: int, deps: Optional[DepMap] = None) -> DepMap:
@@ -413,27 +267,7 @@ def pairwise_alltoall(ctx: CollectiveContext, size_per_pair: int, deps: Optional
     (``N - 1`` rounds, one exchange per rank per round).  Returns the exit
     handle per global rank.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    base_tag = ctx.tags.next_base()
-    last: List[Optional[int]] = [None] * n
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-    for k in range(1, n):
-        tag = base_tag + k
-        new_last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            dst = (r + k) % n
-            src = (r - k) % n
-            rb = ctx.rank_builder(r)
-            reqs = [last[r]] if last[r] is not None else []
-            s = rb.send(_msg(size_per_pair), dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu, requires=reqs)
-            rcv = rb.recv(_msg(size_per_pair), src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu, requires=reqs)
-            new_last[r] = rb.join([s, rcv], cpu=ctx.cpu)
-        last = new_last
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
+    return _shift_rounds(ctx, deps, [(k, k, size_per_pair) for k in range(1, ctx.size)])
 
 
 def dissemination_barrier(ctx: CollectiveContext, deps: Optional[DepMap] = None) -> DepMap:
@@ -443,50 +277,4 @@ def dissemination_barrier(ctx: CollectiveContext, deps: Optional[DepMap] = None)
     every rank transitively depends on every other.  Returns the exit
     handle per global rank.
     """
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    base_tag = ctx.tags.next_base()
-    last: List[Optional[int]] = [None] * n
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-    k = 0
-    dist = 1
-    while dist < n:
-        tag = base_tag + k
-        new_last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            dst = (r + dist) % n
-            src = (r - dist) % n
-            rb = ctx.rank_builder(r)
-            reqs = [last[r]] if last[r] is not None else []
-            s = rb.send(_MIN_MSG, dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu, requires=reqs)
-            rcv = rb.recv(_MIN_MSG, src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu, requires=reqs)
-            new_last[r] = rb.join([s, rcv], cpu=ctx.cpu)
-        last = new_last
-        dist *= 2
-        k += 1
-    return {ctx.global_rank(r): last[r] for r in range(n) if last[r] is not None}
-
-
-def allgather(ctx: CollectiveContext, size_per_rank: int, deps: Optional[DepMap] = None) -> DepMap:
-    """Allgather via the ring algorithm.
-
-    ``size_per_rank`` is each rank's *contribution* in bytes (the gathered
-    total is ``size_per_rank * N``, which is what :func:`ring_allgather`
-    takes).  Returns the exit handle per global rank.
-    """
-    return ring_allgather(ctx, size_per_rank * ctx.size, deps)
-
-
-# registry used by the MPI schedule generator ---------------------------------
-ALLREDUCE_ALGORITHMS = {
-    "ring": ring_allreduce,
-    "recursive_doubling": recursive_doubling_allreduce,
-    "reduce_bcast": reduce_bcast_allreduce,
-}
-
-BCAST_ALGORITHMS = {
-    "binomial": binomial_bcast,
-}
+    return _shift_rounds(ctx, deps, [(k, d, 1) for k, d in enumerate(_doublings(ctx.size))])

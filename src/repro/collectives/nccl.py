@@ -16,11 +16,10 @@ algorithms in :mod:`repro.collectives.mpi`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.collectives import mpi as _mpi
 from repro.collectives.context import CollectiveContext, DepMap
-
-_MIN_MSG = 1
 
 #: Default chunk size per protocol (bytes).  The Simple protocol moves large
 #: chunks through FIFO buffers; LL/LL128 use small flagged lines, which we
@@ -95,21 +94,38 @@ class NcclConfig:
 
     def wire_size(self, payload: int) -> int:
         """Bytes on the wire for ``payload`` bytes of user data."""
-        return max(_MIN_MSG, int(round(payload / PROTOCOL_EFFICIENCY[self.protocol])))
-
-
-def _split(total: int, parts: int) -> List[int]:
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+        return max(1, int(round(payload / PROTOCOL_EFFICIENCY[self.protocol])))
 
 
 def _pieces(step_bytes: int, cfg: NcclConfig) -> List[int]:
     """Split one ring-step transfer into pipelined chunks."""
     if step_bytes <= 0:
-        return [_MIN_MSG]
+        return [1]
     chunk = cfg.effective_chunk_bytes()
     n = min(cfg.max_chunks_per_step, max(1, (step_bytes + chunk - 1) // chunk))
-    return _split(step_bytes, n)
+    return _mpi._chunk_sizes(step_bytes, n)
+
+
+def _striped(
+    ctx: CollectiveContext,
+    size: int,
+    cfg: NcclConfig,
+    deps: Optional[DepMap],
+    channel: Callable[[int, int], DepMap],
+) -> DepMap:
+    """Stripe ``size`` bytes over the channels; join each rank's channel exits.
+
+    ``channel(nbytes, stream)`` emits one channel's share on its own compute
+    stream (``ctx.cpu + channel index``) and returns its exits.  A one-rank
+    communicator emits nothing and returns its entries.
+    """
+    if ctx.size == 1:
+        return ctx.exits(ctx.entry(deps))
+    exits: Dict[int, List[int]] = {g: [] for g in ctx.ranks}
+    for index, nbytes in enumerate(_mpi._chunk_sizes(size, cfg.effective_channels(size))):
+        for g, handle in channel(nbytes, ctx.cpu + index).items():
+            exits[g].append(handle)
+    return ctx.join(exits)
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +141,26 @@ def allreduce(ctx: CollectiveContext, size: int, cfg: NcclConfig, deps: Optional
     emitted message sizes are wire bytes (payload scaled by the protocol's
     efficiency).  Returns the exit handle per global rank.
     """
-    if ctx.size == 1:
-        return dict(deps) if deps else {}
-    if cfg.algorithm == "tree":
-        return _tree_allreduce(ctx, size, cfg, deps)
-    return _ring_collective(ctx, size, cfg, deps, reduce_pass=True, gather_pass=True)
+    if cfg.algorithm == "ring":
+        return _ring_collective(ctx, size, cfg, deps, reduce_pass=True, gather_pass=True)
+
+    def tree(channel_bytes: int, stream: int) -> DepMap:
+        # one channel: binomial reduce to rank 0, then broadcast back down
+        sub = ctx.sub_context(range(ctx.size), cpu=stream)
+        wire = cfg.wire_size(channel_bytes)
+        mid = _mpi.binomial_reduce(sub, wire, root=0, deps=deps)
+        return _mpi.binomial_bcast(sub, wire, root=0, deps=mid)
+
+    return _striped(ctx, size, cfg, deps, tree)
 
 
 def reduce_scatter(ctx: CollectiveContext, size: int, cfg: NcclConfig, deps: Optional[DepMap] = None) -> DepMap:
     """NCCL reduce-scatter (the reduce pass of the ring)."""
-    if ctx.size == 1:
-        return dict(deps) if deps else {}
     return _ring_collective(ctx, size, cfg, deps, reduce_pass=True, gather_pass=False)
 
 
 def allgather(ctx: CollectiveContext, size: int, cfg: NcclConfig, deps: Optional[DepMap] = None) -> DepMap:
     """NCCL allgather of ``size`` total bytes (the gather pass of the ring)."""
-    if ctx.size == 1:
-        return dict(deps) if deps else {}
     return _ring_collective(ctx, size, cfg, deps, reduce_pass=False, gather_pass=True)
 
 
@@ -155,74 +173,41 @@ def _ring_collective(
     gather_pass: bool,
 ) -> DepMap:
     n = ctx.size
-    per_channel = _split(size, cfg.effective_channels(size))
-    exits: Dict[int, List[int]] = {ctx.global_rank(r): [] for r in range(n)}
+    total_steps = (reduce_pass + gather_pass) * (n - 1)
+    reduce_steps = n - 1 if reduce_pass else 0
 
-    for channel, channel_bytes in enumerate(per_channel):
-        stream = ctx.cpu + channel
+    def channel(channel_bytes: int, stream: int) -> DepMap:
         base_tag = ctx.tags.next_base()
-        step_bytes = _split(channel_bytes, n)  # one slice per ring position
+        # one slice per ring position, each cut into its pipelined pieces
+        pieces = [_pieces(b, cfg) for b in _mpi._chunk_sizes(channel_bytes, n)]
+        wires = [[cfg.wire_size(p) for p in slice_pieces] for slice_pieces in pieces]
         # per-rank serialisation point on this channel (one SM executes in order)
-        last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            handles = ctx.deps_of(deps, r)
-            last[r] = handles[0] if handles else None
-
-        passes = (1 if reduce_pass else 0) + (1 if gather_pass else 0)
-        total_steps = passes * (n - 1)
+        last = ctx.entry(deps)
         for step in range(total_steps):
-            in_reduce = reduce_pass and step < (n - 1)
+            price = step < reduce_steps and ctx.reduce_ns_per_byte
             tag_step = base_tag + step * (cfg.max_chunks_per_step + 1)
-            new_last: List[Optional[int]] = [None] * n
             for r in range(n):
-                dst = (r + 1) % n
-                src = (r - 1) % n
-                send_slice = (r - step) % n
-                recv_slice = (r - step - 1) % n
                 rb = ctx.rank_builder(r)
-                prev = [last[r]] if last[r] is not None else []
-                send_pieces = _pieces(step_bytes[send_slice], cfg)
-                recv_pieces = _pieces(step_bytes[recv_slice], cfg)
-                tail = None
-                prev_piece: Optional[int] = None
-                for p in range(max(len(send_pieces), len(recv_pieces))):
-                    tag = tag_step + p
-                    piece_reqs = list(prev)
-                    if prev_piece is not None:
-                        piece_reqs = [prev_piece]
+                dst = ctx.ranks[(r + 1) % n]
+                src = ctx.ranks[(r - 1) % n]
+                sends = wires[(r - step) % n]
+                recv_slice = (r - step - 1) % n
+                recvs = wires[recv_slice]
+                tail = last[r]
+                for p in range(max(len(sends), len(recvs))):
+                    reqs = () if tail is None else (tail,)
                     ops = []
-                    if p < len(send_pieces):
-                        ops.append(
-                            rb.send(
-                                cfg.wire_size(send_pieces[p]),
-                                dst=ctx.global_rank(dst),
-                                tag=tag,
-                                cpu=stream,
-                                requires=piece_reqs,
-                            )
-                        )
-                    if p < len(recv_pieces):
-                        ops.append(
-                            rb.recv(
-                                cfg.wire_size(recv_pieces[p]),
-                                src=ctx.global_rank(src),
-                                tag=tag,
-                                cpu=stream,
-                                requires=piece_reqs,
-                            )
-                        )
-                    tail = ops[0] if len(ops) == 1 else rb.join(ops, cpu=stream)
-                    if in_reduce and ctx.reduce_ns_per_byte and p < len(recv_pieces):
-                        tail = rb.calc(ctx.reduce_cost(recv_pieces[p]), cpu=stream, requires=[tail])
-                    prev_piece = tail
-                new_last[r] = tail
-            last = new_last
+                    if p < len(sends):
+                        ops.append(rb.send(sends[p], dst, tag_step + p, stream, reqs))
+                    if p < len(recvs):
+                        ops.append(rb.recv(recvs[p], src, tag_step + p, stream, reqs))
+                    tail = ops[0] if len(ops) == 1 else rb.join(ops, stream)
+                    if price and p < len(recvs):
+                        tail = rb.calc(ctx.reduce_cost(pieces[recv_slice][p]), stream, (tail,))
+                last[r] = tail
+        return ctx.exits(last)
 
-        for r in range(n):
-            if last[r] is not None:
-                exits[ctx.global_rank(r)].append(last[r])
-
-    return ctx.join(exits)
+    return _striped(ctx, size, cfg, deps, channel)
 
 
 def broadcast(ctx: CollectiveContext, size: int, cfg: NcclConfig, root: int = 0, deps: Optional[DepMap] = None) -> DepMap:
@@ -233,132 +218,29 @@ def broadcast(ctx: CollectiveContext, size: int, cfg: NcclConfig, root: int = 0,
     rank forwarding a chunk as soon as it has received it.
     """
     n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    per_channel = _split(size, cfg.effective_channels(size))
-    exits: Dict[int, List[int]] = {ctx.global_rank(r): [] for r in range(n)}
+    order = [(root + i) % n for i in range(n)]  # ring order starting from the root
 
-    for channel, channel_bytes in enumerate(per_channel):
-        stream = ctx.cpu + channel
-        base_tag = ctx.tags.next_base()
+    def channel(channel_bytes: int, stream: int) -> DepMap:
+        sub = ctx.sub_context(range(n), cpu=stream)
+        tag = sub.tags.next_base()
         chunk = cfg.effective_chunk_bytes()
-        nchunks = min(
-            max(1, (channel_bytes + chunk - 1) // chunk),
-            cfg.max_chunks_per_step * n,
-        )
-        chunks = _split(channel_bytes, nchunks)
-        last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            handles = ctx.deps_of(deps, r)
-            last[r] = handles[0] if handles else None
+        nchunks = min(max(1, (channel_bytes + chunk - 1) // chunk), cfg.max_chunks_per_step * n)
+        last = sub.entry(deps)
+        for c, chunk_bytes in enumerate(_mpi._chunk_sizes(channel_bytes, nchunks)):
+            for src, dst in zip(order, order[1:]):
+                sub.transfer(last, src, dst, cfg.wire_size(chunk_bytes), tag + c)
+        return sub.exits(last)
 
-        # ring order starting from the root
-        order = [(root + i) % n for i in range(n)]
-        for c, chunk_bytes in enumerate(chunks):
-            tag = base_tag + c
-            recv_handle: Dict[int, int] = {}
-            for pos in range(n - 1):
-                src = order[pos]
-                dst = order[pos + 1]
-                sb = ctx.rank_builder(src)
-                db = ctx.rank_builder(dst)
-                send_reqs: List[int] = []
-                if last[src] is not None:
-                    send_reqs.append(last[src])
-                if pos > 0 and src in recv_handle:
-                    send_reqs.append(recv_handle[src])
-                s = sb.send(cfg.wire_size(chunk_bytes), dst=ctx.global_rank(dst), tag=tag, cpu=stream, requires=send_reqs)
-                r_reqs = [last[dst]] if last[dst] is not None else []
-                rcv = db.recv(cfg.wire_size(chunk_bytes), src=ctx.global_rank(src), tag=tag, cpu=stream, requires=r_reqs)
-                last[src] = s
-                last[dst] = rcv
-                recv_handle[dst] = rcv
-        for r in range(n):
-            if last[r] is not None:
-                exits[ctx.global_rank(r)].append(last[r])
-    return ctx.join(exits)
-
-
-def _tree_allreduce(ctx: CollectiveContext, size: int, cfg: NcclConfig, deps: Optional[DepMap]) -> DepMap:
-    """Tree algorithm: chunked binomial reduce to rank 0, then broadcast down."""
-    from repro.collectives import mpi as _mpi
-
-    n = ctx.size
-    per_channel = _split(size, cfg.effective_channels(size))
-    exits: Dict[int, List[int]] = {ctx.global_rank(r): [] for r in range(n)}
-    for channel, channel_bytes in enumerate(per_channel):
-        sub_ctx = CollectiveContext(
-            ctx.builder,
-            ctx.ranks,
-            tags=ctx.tags,
-            reduce_ns_per_byte=ctx.reduce_ns_per_byte,
-            copy_ns_per_byte=ctx.copy_ns_per_byte,
-            cpu=ctx.cpu + channel,
-        )
-        wire = cfg.wire_size(channel_bytes)
-        mid = _mpi.binomial_reduce(sub_ctx, wire, root=0, deps=deps)
-        out = _mpi.binomial_bcast(sub_ctx, wire, root=0, deps=mid)
-        for global_rank, handle in out.items():
-            exits.setdefault(global_rank, []).append(handle)
-    return ctx.join(exits)
+    return _striped(ctx, size, cfg, deps, channel)
 
 
 # ---------------------------------------------------------------------------
-# point-to-point and alltoall (pipeline / expert parallelism)
+# alltoall (expert parallelism)
 # ---------------------------------------------------------------------------
-def send_recv_pair(
-    ctx: CollectiveContext,
-    src_comm_rank: int,
-    dst_comm_rank: int,
-    size: int,
-    cfg: NcclConfig,
-    deps: Optional[DepMap] = None,
-) -> DepMap:
-    """A chunked NCCL point-to-point transfer (ncclSend / ncclRecv pair)."""
-    if src_comm_rank == dst_comm_rank:
-        raise ValueError("send_recv_pair requires distinct ranks")
-    base_tag = ctx.tags.next_base()
-    src_global = ctx.global_rank(src_comm_rank)
-    dst_global = ctx.global_rank(dst_comm_rank)
-    sb = ctx.rank_builder(src_comm_rank)
-    db = ctx.rank_builder(dst_comm_rank)
-    pieces = _pieces(size, cfg)
-    prev_s = ctx.deps_of(deps, src_comm_rank)
-    prev_r = ctx.deps_of(deps, dst_comm_rank)
-    s = r = None
-    for p, piece in enumerate(pieces):
-        tag = base_tag + p
-        s = sb.send(cfg.wire_size(piece), dst=dst_global, tag=tag, cpu=ctx.cpu, requires=prev_s)
-        r = db.recv(cfg.wire_size(piece), src=src_global, tag=tag, cpu=ctx.cpu, requires=prev_r)
-        prev_s = [s]
-        prev_r = [r]
-    return {src_global: s, dst_global: r}
-
-
 def alltoall(ctx: CollectiveContext, size_per_pair: int, cfg: NcclConfig, deps: Optional[DepMap] = None) -> DepMap:
-    """All-to-all implemented as pairwise ncclSend/ncclRecv (expert parallelism)."""
-    n = ctx.size
-    if n == 1:
-        return dict(deps) if deps else {}
-    base_tag = ctx.tags.next_base()
-    exits: Dict[int, List[int]] = {ctx.global_rank(r): [] for r in range(n)}
-    last: List[Optional[int]] = [None] * n
-    for r in range(n):
-        handles = ctx.deps_of(deps, r)
-        last[r] = handles[0] if handles else None
-    for k in range(1, n):
-        tag = base_tag + k
-        new_last: List[Optional[int]] = [None] * n
-        for r in range(n):
-            dst = (r + k) % n
-            src = (r - k) % n
-            rb = ctx.rank_builder(r)
-            reqs = [last[r]] if last[r] is not None else []
-            s = rb.send(cfg.wire_size(size_per_pair), dst=ctx.global_rank(dst), tag=tag, cpu=ctx.cpu, requires=reqs)
-            rcv = rb.recv(cfg.wire_size(size_per_pair), src=ctx.global_rank(src), tag=tag, cpu=ctx.cpu, requires=reqs)
-            new_last[r] = rb.join([s, rcv], cpu=ctx.cpu)
-        last = new_last
-    for r in range(n):
-        if last[r] is not None:
-            exits[ctx.global_rank(r)].append(last[r])
-    return ctx.join(exits)
+    """All-to-all implemented as pairwise ncclSend/ncclRecv (expert parallelism).
+
+    The pairwise shift schedule of :func:`repro.collectives.mpi.pairwise_alltoall`
+    on the context's stream, every message sized in wire bytes.
+    """
+    return _mpi.pairwise_alltoall(ctx, cfg.wire_size(size_per_pair), deps)

@@ -23,11 +23,11 @@ is emitted and the ranks resume.  A trace in which collectives do not line up
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.collectives import mpi as calgs
-from repro.collectives.algorithms import get_algorithm, select_algorithm
+from repro.collectives.algorithms import COLLECTIVE_ALGORITHMS, resolve_algorithm
 from repro.collectives.context import (
     CollectiveContext,
     TagAllocator,
@@ -50,22 +50,60 @@ class TraceMismatchError(RuntimeError):
     """
 
 
-DEFAULT_ALGORITHMS: Dict[str, str] = {
-    "MPI_Allreduce": "ring",
-    "MPI_Bcast": "binomial",
-    "MPI_Reduce": "binomial",
-    "MPI_Barrier": "dissemination",
-    "MPI_Allgather": "ring",
-    "MPI_Alltoall": "pairwise",
-    "MPI_Gather": "linear",
-    "MPI_Scatter": "linear",
-    "MPI_Reduce_scatter": "ring",
-}
-
 #: Below this size, allreduces default to recursive doubling (latency bound),
 #: above it to the ring algorithm (bandwidth bound) — mirroring common MPI
 #: library switch points.
 ALLREDUCE_RD_THRESHOLD = 16 * 1024
+
+
+# size rules: the traced bytes and the communicator size -> the bytes the
+# decomposition takes
+def _as_traced(size: int, n: int) -> int:
+    return size
+
+
+def _gathered(size: int, n: int) -> int:
+    # allgather traces each rank's contribution; its algorithms take the total
+    return size * n
+
+
+def _one_byte(size: int, n: int) -> int:
+    return 1
+
+
+#: MPI call -> (decomposition, size rule, rooted, default algorithm name).
+#: The decomposition is a registry collective kind, or the one function of a
+#: call the registry does not cover.
+_CALLS = {
+    "MPI_Allreduce": ("allreduce", _as_traced, False, "ring"),
+    "MPI_Bcast": ("bcast", _as_traced, True, "binomial"),
+    "MPI_Reduce": (calgs.binomial_reduce, _as_traced, True, "binomial"),
+    "MPI_Barrier": ("barrier", _one_byte, False, "dissemination"),
+    "MPI_Allgather": ("allgather", _gathered, False, "ring"),
+    "MPI_Alltoall": ("alltoall", _as_traced, False, "pairwise"),
+    "MPI_Gather": (calgs.linear_gather, _as_traced, True, "linear"),
+    "MPI_Scatter": (calgs.linear_scatter, _as_traced, True, "linear"),
+    "MPI_Reduce_scatter": ("reduce_scatter", _as_traced, False, "ring"),
+}
+
+DEFAULT_ALGORITHMS: Dict[str, str] = {call: entry[3] for call, entry in _CALLS.items()}
+
+
+def _check_algorithm(call: str, name: str) -> None:
+    """Reject an ``algorithms`` entry the generator would not use."""
+    if call not in _CALLS:
+        raise ValueError(
+            f"unknown MPI collective {call!r} in algorithms; known: {', '.join(_CALLS)}"
+        )
+    kind, _, _, default = _CALLS[call]
+    if not isinstance(kind, str):
+        if name != default:
+            raise ValueError(f"{call} has one decomposition, {default!r}; got {name!r}")
+    elif name != "auto" and name not in COLLECTIVE_ALGORITHMS[kind]:
+        raise ValueError(
+            f"unknown {kind} algorithm {name!r} for {call}; registered: "
+            f"{', '.join(COLLECTIVE_ALGORITHMS[kind])} (or 'auto')"
+        )
 
 
 @dataclass
@@ -89,7 +127,9 @@ class MpiScheduleGenerator:
         Per-collective algorithm overrides (see :data:`DEFAULT_ALGORITHMS`).
         Values resolve through the :mod:`repro.collectives.algorithms`
         registry; ``"auto"`` engages the LogGOPS autotuner per collective
-        instance.
+        instance.  ``MPI_Reduce``, ``MPI_Gather`` and ``MPI_Scatter`` have
+        one decomposition each and accept only its name.  An unknown call
+        or name raises :class:`ValueError` here, before any conversion.
     compute_scale:
         Multiplier applied to every inferred computation gap (hardware
         retargeting knob).
@@ -122,9 +162,9 @@ class MpiScheduleGenerator:
         if compute_scale < 0:
             raise ValueError("compute_scale must be non-negative")
         self.trace = trace
-        self.algorithms = dict(DEFAULT_ALGORITHMS)
-        if algorithms:
-            self.algorithms.update(algorithms)
+        for call, name in (algorithms or {}).items():
+            _check_algorithm(call, name)
+        self.algorithms = {**DEFAULT_ALGORITHMS, **(algorithms or {})}
         self.compute_scale = compute_scale
         self.reduce_ns_per_byte = reduce_ns_per_byte
         if groups is None and topology is not None:
@@ -278,57 +318,21 @@ class MpiScheduleGenerator:
             return None
         return project_groups(self.groups, members)
 
-    def _resolve(self, collective: str, algo: str, ctx: CollectiveContext, size: int) -> str:
-        """Resolve an ``algorithms`` entry, expanding ``"auto"`` via the autotuner."""
-        if algo != "auto":
-            return algo
-        return select_algorithm(
-            collective,
-            size,
-            ctx.size,
-            params=self.select_params,
-            topology=self.topology,
-            groups=ctx.groups,
-        ).name
-
     def _dispatch_collective(self, ctx: CollectiveContext, call: str, event: MpiEvent, deps) -> Dict[int, int]:
-        size = max(1, event.size)
-        algo = self.algorithms.get(call, "")
-        if call == "MPI_Allreduce":
-            algo = self._resolve("allreduce", algo, ctx, size)
-            if algo == "ring" and size < ALLREDUCE_RD_THRESHOLD:
-                return calgs.recursive_doubling_allreduce(ctx, size, deps)
-            return get_algorithm("allreduce", algo).emit(ctx, size, deps)
-        if call == "MPI_Bcast":
-            root = ctx.ranks.index(event.root) if event.root in ctx.ranks else 0
-            algo = self._resolve("bcast", algo, ctx, size)
-            return get_algorithm("bcast", algo).emit(ctx, size, deps, root=root)
-        if call == "MPI_Reduce":
-            root = ctx.ranks.index(event.root) if event.root in ctx.ranks else 0
-            return calgs.binomial_reduce(ctx, size, root=root, deps=deps)
-        if call == "MPI_Barrier":
-            algo = self._resolve("barrier", algo, ctx, 1)
-            return get_algorithm("barrier", algo).emit(ctx, 1, deps)
-        if call == "MPI_Allgather":
-            # the traced size is each rank's contribution; registry
-            # algorithms take the gathered total
-            algo = self._resolve("allgather", algo, ctx, size * ctx.size)
-            return get_algorithm("allgather", algo).emit(ctx, size * ctx.size, deps)
-        if call == "MPI_Alltoall":
-            algo = self._resolve("alltoall", algo, ctx, size)
-            return get_algorithm("alltoall", algo).emit(ctx, size, deps)
-        if call == "MPI_Gather":
-            # single registered decomposition (linear); kept off the
-            # registry until an alternative exists
-            root = ctx.ranks.index(event.root) if event.root in ctx.ranks else 0
-            return calgs.linear_gather(ctx, size, root=root, deps=deps)
-        if call == "MPI_Scatter":
-            root = ctx.ranks.index(event.root) if event.root in ctx.ranks else 0
-            return calgs.linear_scatter(ctx, size, root=root, deps=deps)
-        if call == "MPI_Reduce_scatter":
-            algo = self._resolve("reduce_scatter", algo, ctx, size)
-            return get_algorithm("reduce_scatter", algo).emit(ctx, size, deps)
-        raise ValueError(f"unsupported collective {call}")
+        kind, size_of, rooted, _ = _CALLS[call]
+        size = size_of(max(1, event.size), ctx.size)
+        args = {}
+        if rooted:
+            args["root"] = ctx.ranks.index(event.root) if event.root in ctx.ranks else 0
+        if not isinstance(kind, str):
+            return kind(ctx, size, deps=deps, **args)
+        alg = resolve_algorithm(
+            kind, self.algorithms[call], size, ctx.size,
+            params=self.select_params, topology=self.topology, groups=ctx.groups,
+        )
+        if call == "MPI_Allreduce" and alg.name == "ring" and size < ALLREDUCE_RD_THRESHOLD:
+            return calgs.recursive_doubling_allreduce(ctx, size, deps)
+        return alg.emit(ctx, size, deps, **args)
 
 
 def mpi_trace_to_goal(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.collectives import nccl as cnccl
-from repro.collectives.algorithms import get_algorithm, select_algorithm
+from repro.collectives.algorithms import COLLECTIVE_ALGORITHMS, resolve_algorithm
 from repro.collectives.context import (
     CollectiveContext,
     TagAllocator,
@@ -94,7 +94,9 @@ class NcclScheduleGenerator:
         hierarchical algorithms optimise for the same node boundary Stage 4
         simulates, including "what-if" regroupings), else the report's
         physical ``gpus_per_node``.  ``None`` (the default) keeps the
-        NCCL-configured decomposition exactly.
+        NCCL-configured decomposition exactly.  A name registered for no
+        kind an NCCL kernel can be (e.g. the barrier's ``"dissemination"``)
+        raises :class:`ValueError`.
     """
 
     def __init__(
@@ -120,6 +122,15 @@ class NcclScheduleGenerator:
         self.intra_node_ns_per_byte = intra_node_ns_per_byte
         self.intra_node_latency_ns = intra_node_latency_ns
         self.stream_stride = stream_stride
+        # only the kinds a kernel can be: a barrier algorithm would never apply
+        registered = list(dict.fromkeys(
+            n for kind, _ in self._OPS.values() for n in COLLECTIVE_ALGORITHMS[kind]
+        ))
+        if collective_algorithm not in (None, "auto", *registered):
+            raise ValueError(
+                f"unknown collective algorithm {collective_algorithm!r}; registered: "
+                f"{', '.join(registered)} (or 'auto')"
+            )
         self.collective_algorithm = collective_algorithm
         self.select_params = select_params
         # locality: consecutive GPU ids share a node, at the node width
@@ -279,22 +290,15 @@ class NcclScheduleGenerator:
             cpu=base_cpu,
             groups=self._comm_groups(members),
         )
-        cfg = self.nccl_config
-        exits = self._registry_emit(ctx, op, size, deps)
-        if exits is not None:
-            pass
-        elif op == "AllReduce":
-            exits = cnccl.allreduce(ctx, size, cfg, deps)
-        elif op == "Broadcast":
-            exits = cnccl.broadcast(ctx, size, cfg, root=0, deps=deps)
-        elif op == "AllGather":
-            exits = cnccl.allgather(ctx, size, cfg, deps)
-        elif op == "ReduceScatter":
-            exits = cnccl.reduce_scatter(ctx, size, cfg, deps)
-        elif op == "AllToAll":
-            exits = cnccl.alltoall(ctx, size, cfg, deps)
-        else:  # pragma: no cover
-            raise NcclTraceMismatchError(f"unsupported collective {op}")
+        kind, nccl_emit = self._OPS[op]
+        name = self.collective_algorithm
+        if name == "auto" or name in COLLECTIVE_ALGORITHMS[kind]:
+            alg = resolve_algorithm(
+                kind, name, size, ctx.size, params=self.select_params, groups=ctx.groups
+            )
+            exits = alg.emit(ctx, size, deps)
+        else:
+            exits = nccl_emit(ctx, size, self.nccl_config, deps=deps)
 
         for gpu, cursor in by_gpu.items():
             if gpu in exits:
@@ -303,42 +307,19 @@ class NcclScheduleGenerator:
             cursor.index += 1
             cursor.blocked_gap_emitted = False
 
-    #: NCCL kernel name -> collective kind of the algorithm registry.
-    _OP_TO_COLLECTIVE = {
-        "AllReduce": "allreduce",
-        "AllGather": "allgather",
-        "ReduceScatter": "reduce_scatter",
-        "Broadcast": "bcast",
-        "AllToAll": "alltoall",
+    #: NCCL kernel name -> (collective kind of the algorithm registry, the
+    #: NCCL-configured decomposition used when no override applies).
+    _OPS = {
+        "AllReduce": ("allreduce", cnccl.allreduce),
+        "AllGather": ("allgather", cnccl.allgather),
+        "ReduceScatter": ("reduce_scatter", cnccl.reduce_scatter),
+        "Broadcast": ("bcast", cnccl.broadcast),
+        "AllToAll": ("alltoall", cnccl.alltoall),
     }
 
     def _comm_groups(self, members: List[int]) -> List[List[int]]:
         """Node-locality groups of one communicator (see ``project_groups``)."""
         return project_groups(self._node_groups, members)
-
-    def _registry_emit(self, ctx: CollectiveContext, op: str, size: int, deps) -> Optional[Dict[int, int]]:
-        """Decompose via the algorithm registry when an override is active.
-
-        Returns ``None`` (NCCL chunked path) when no ``collective_algorithm``
-        override is set, or when the named algorithm is not registered for
-        this collective kind.
-        """
-        if self.collective_algorithm is None:
-            return None
-        kind = self._OP_TO_COLLECTIVE.get(op)
-        if kind is None:
-            return None
-        name = self.collective_algorithm
-        if name == "auto":
-            name = select_algorithm(
-                kind, size, ctx.size, params=self.select_params, groups=ctx.groups
-            ).name
-        else:
-            try:
-                get_algorithm(kind, name)
-            except ValueError:
-                return None
-        return get_algorithm(kind, name).emit(ctx, size, deps, root=0)
 
 
 def nccl_trace_to_goal(

@@ -427,6 +427,16 @@ class TestInferenceHappyPath:
             assert cell["ttft_p50_ms"] <= cell["ttft_p99_ms"] <= cell["ttft_p999_ms"]
 
 
+class TestAiErrors:
+    def test_unknown_collective_algorithm_is_one_line(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ai", "llama-7b", "--scale", "0.02", "--dp", "2", "--backend", "lgs",
+                  "--collective-algorithm", "hier-rs"])
+        message = _exit_message(excinfo)
+        assert message.startswith("atlahs ai: unknown collective algorithm 'hier-rs'")
+        assert "hier_rs" in message and "\n" not in message
+
+
 class TestMissingFileSpecs:
     @pytest.mark.parametrize("command", ["cotenant", "faults"])
     def test_missing_goal_file_is_actionable(self, command):

@@ -20,7 +20,7 @@ from repro.collectives import (
 )
 from repro.collectives.context import CollectiveContext, validate_groups
 from repro.collectives.hierarchical import grid_shape
-from repro.goal import GoalBuilder
+from repro.goal import GoalBuilder, encode_goal
 from repro.goal.validate import validate_schedule
 from repro.network.config import LogGOPSParams, SimulationConfig
 from repro.network.topology import build_topology
@@ -162,6 +162,14 @@ class TestScheduleProperties:
             )
             validate_schedule(sched)
             assert simulate(sched, backend="lgs").ops_completed == sched.num_ops()
+
+    def test_root_is_rejected_for_unrooted_collectives(self):
+        with pytest.raises(ValueError, match="allreduce takes no root; got root=3"):
+            build_collective_schedule("allreduce", "ring", 8, 1024, root=3)
+        rooted = build_collective_schedule("bcast", "binomial", 8, 1024, root=3)
+        assert encode_goal(rooted) != encode_goal(
+            build_collective_schedule("bcast", "binomial", 8, 1024)
+        )
 
     def test_single_group_degenerates_cleanly(self):
         sched = build_collective_schedule(

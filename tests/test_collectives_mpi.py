@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives import CollectiveContext
+from repro.collectives import COLLECTIVE_ALGORITHMS, CollectiveContext, contiguous_groups
 from repro.collectives import mpi as calgs
 from repro.goal import GoalBuilder, validate_schedule
 from repro.scheduler import simulate
@@ -78,11 +78,11 @@ class TestOtherAllreduces:
         validate_schedule(sched)
         assert simulate(sched, backend="lgs").ops_completed == sched.num_ops()
 
-    def test_algorithms_exit_on_every_rank(self):
-        for fn in calgs.ALLREDUCE_ALGORITHMS.values():
-            b, ctx = _ctx(6)
-            out = fn(ctx, 1 << 16)
-            assert sorted(out) == list(range(6))
+    @pytest.mark.parametrize("name", list(COLLECTIVE_ALGORITHMS["allreduce"]))
+    def test_algorithms_exit_on_every_rank(self, name):
+        b, ctx = _ctx(6, groups=contiguous_groups(6, 3))
+        out = COLLECTIVE_ALGORITHMS["allreduce"][name].emit(ctx, 1 << 16)
+        assert sorted(out) == list(range(6))
 
 
 class TestRootedCollectives:
@@ -147,7 +147,7 @@ class TestOtherCollectives:
     def test_allgather_bytes(self):
         n, per_rank = 4, 1000
         b, ctx = _ctx(n)
-        calgs.allgather(ctx, per_rank)
+        calgs.ring_allgather(ctx, per_rank * n)
         total = b.build().total_bytes()
         assert abs(total - (n - 1) * n * per_rank) <= 4 * n * n
 

@@ -120,19 +120,6 @@ class TestBroadcastAndOthers:
         assert b.build().op_counts()["send"] == n * (n - 1)
         validate_schedule(b.build())
 
-    def test_send_recv_pair_chunked(self):
-        b, ctx = _ctx(2)
-        cfg = cnccl.NcclConfig(chunk_bytes=1 << 18, max_chunks_per_step=8)
-        cnccl.send_recv_pair(ctx, 0, 1, 1 << 20, cfg)
-        sched = b.build()
-        assert sched.op_counts()["send"] == 4
-        validate_schedule(sched)
-
-    def test_send_recv_same_rank_rejected(self):
-        b, ctx = _ctx(2)
-        with pytest.raises(ValueError):
-            cnccl.send_recv_pair(ctx, 1, 1, 1024, cnccl.NcclConfig())
-
     def test_deps_are_respected(self):
         b, ctx = _ctx(2)
         first = {0: b.rank(0).calc(100), 1: b.rank(1).calc(100)}
@@ -198,10 +185,3 @@ class TestChunkingEdgeCases:
             cnccl.NcclConfig(chunk_bytes=0)
         with pytest.raises(ValueError, match="chunk_bytes"):
             cnccl.NcclConfig(chunk_bytes=-4)
-
-    def test_zero_byte_send_recv_pair(self):
-        b, ctx = _ctx(2)
-        cnccl.send_recv_pair(ctx, 0, 1, 0, cnccl.NcclConfig())
-        sched = b.build()
-        validate_schedule(sched)
-        assert sched.op_counts()["send"] == 1

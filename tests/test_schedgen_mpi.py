@@ -135,6 +135,56 @@ class TestCollectiveConversion:
         assert counts["send"] == 2 * 3  # reduce tree + bcast tree over 4 ranks
 
 
+class TestAlgorithmOverrides:
+    """Every ``algorithms`` entry is checked when the generator is built."""
+
+    def test_unknown_call_is_rejected(self):
+        with pytest.raises(ValueError, match="MPI_Allredcue.*known: MPI_Allreduce"):
+            MpiScheduleGenerator(_pingpong_trace(), algorithms={"MPI_Allredcue": "ring"})
+
+    @pytest.mark.parametrize("call", ["MPI_Reduce", "MPI_Gather", "MPI_Scatter"])
+    def test_single_decomposition_calls_accept_only_their_name(self, call):
+        with pytest.raises(ValueError, match=f"{call} has one decomposition.*'nonsense'"):
+            MpiScheduleGenerator(_pingpong_trace(), algorithms={call: "nonsense"})
+        with pytest.raises(ValueError, match="one decomposition"):
+            MpiScheduleGenerator(_pingpong_trace(), algorithms={call: "auto"})
+
+    def test_single_decomposition_calls_accept_their_name(self):
+        t = MpiTracer(4)
+        for r in range(4):
+            t.record(r, "MPI_Reduce", size=2048, root=1)
+            t.record(r, "MPI_Gather", size=2048, root=0)
+            t.record(r, "MPI_Scatter", size=2048, root=0)
+        trace = t.finish()
+        named = {"MPI_Reduce": "binomial", "MPI_Gather": "linear", "MPI_Scatter": "linear"}
+        assert mpi_trace_to_goal(trace, algorithms=named).op_counts() == (
+            mpi_trace_to_goal(trace).op_counts()
+        )
+
+    def test_bad_name_fails_before_any_collective_is_reached(self):
+        # the trace has no barrier at all: the name is still checked
+        with pytest.raises(ValueError, match="unknown barrier algorithm 'tree'.*dissemination"):
+            MpiScheduleGenerator(_pingpong_trace(), algorithms={"MPI_Barrier": "tree"})
+
+    def test_name_of_another_kind_is_rejected(self):
+        # "binomial" is a bcast algorithm, not an allreduce one
+        with pytest.raises(ValueError, match="unknown allreduce algorithm 'binomial'"):
+            MpiScheduleGenerator(_pingpong_trace(), algorithms={"MPI_Allreduce": "binomial"})
+
+    def test_registered_names_and_auto_are_accepted(self):
+        algorithms = {
+            "MPI_Allreduce": "recursive_halving_doubling",
+            "MPI_Bcast": "scatter_allgather",
+            "MPI_Barrier": "auto",
+            "MPI_Allgather": "bruck",
+            "MPI_Alltoall": "auto",
+            "MPI_Reduce_scatter": "ring",
+        }
+        gen = MpiScheduleGenerator(_pingpong_trace(), algorithms=algorithms)
+        assert gen.algorithms["MPI_Allgather"] == "bruck"
+        assert gen.algorithms["MPI_Gather"] == "linear"
+
+
 class TestEndToEndApplications:
     @pytest.mark.parametrize("name", ["cloverleaf", "hpcg", "lammps"])
     def test_hpc_apps_convert_and_simulate(self, name):

@@ -3,7 +3,7 @@ import pytest
 
 from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b, mistral_8x7b
 from repro.collectives.nccl import NcclConfig
-from repro.goal import GoalBuilder, validate_schedule
+from repro.goal import GoalBuilder, encode_goal, validate_schedule
 from repro.goal.ops import OpType
 from repro.schedgen.grouping import group_ranks_into_nodes
 from repro.schedgen.nccl import NcclScheduleGenerator, NcclTraceMismatchError, nccl_trace_to_goal
@@ -72,6 +72,41 @@ class TestStage2And3:
             sched, backend="htsim", config=SimulationConfig(topology="fat_tree", nodes_per_tor=4)
         )
         assert lgs.ops_completed == pkt.ops_completed == sched.num_ops()
+
+    def test_send_recv_kernels_are_one_op_each(self):
+        t = NcclTracer(2)
+        t.nccl(0, 0, "Send", 4 << 20, peer=1)
+        t.nccl(1, 0, "Recv", 4 << 20, peer=0)
+        sched = NcclScheduleGenerator(t.finish(), gpus_per_node=1).generate()
+        assert sched.op_counts()["send"] == sched.op_counts()["recv"] == 1
+
+
+class TestCollectiveAlgorithmOverride:
+    def test_unknown_name_is_rejected_with_the_registered_names(self):
+        with pytest.raises(ValueError, match="'hier-rs'; registered: ring, .*hier_rs.*'auto'"):
+            nccl_trace_to_goal(_small_report(dp=2), collective_algorithm="hier-rs")
+
+    def test_name_of_a_kind_no_kernel_is_is_rejected(self):
+        # the barrier's algorithm: registered, but no NCCL kernel is a barrier
+        with pytest.raises(ValueError, match="'dissemination'; registered: ring, "):
+            nccl_trace_to_goal(_small_report(dp=2), collective_algorithm="dissemination")
+
+    def test_name_registered_for_other_kinds_falls_back_per_kind(self):
+        # "bruck" is an allgather algorithm: the trace's allreduces keep the
+        # NCCL decomposition, exactly as without an override
+        report = _small_report(dp=2)
+        plain = nccl_trace_to_goal(report, gpus_per_node=1)
+        bruck = nccl_trace_to_goal(report, gpus_per_node=1, collective_algorithm="bruck")
+        assert encode_goal(bruck) == encode_goal(plain)
+
+    def test_registered_name_replaces_the_decomposition(self):
+        report = _small_report(dp=4)
+        plain = nccl_trace_to_goal(report, gpus_per_node=1)
+        rhd = nccl_trace_to_goal(
+            report, gpus_per_node=1, collective_algorithm="recursive_halving_doubling"
+        )
+        assert encode_goal(rhd) != encode_goal(plain)
+        validate_schedule(rhd)
 
 
 class TestStage4Grouping:
