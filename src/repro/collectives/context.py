@@ -173,11 +173,12 @@ def validate_groups(groups: Sequence[Sequence[int]], size: int) -> List[List[int
 class TagAllocator:
     """Hands out unique message-tag ranges.
 
-    Every collective instance draws a fresh base tag; algorithms add small
-    offsets (round numbers, chunk ids) below ``stride``.  This guarantees
-    that two collectives — even identical ones executing concurrently on the
-    same communicator — can never cross-match their messages under FIFO
-    matching.
+    Every collective instance draws a fresh base tag for the ``span`` tags
+    it uses (offsets ``0 .. span - 1``: round numbers, chunk ids) and the
+    allocator moves past them by whole strides.  This guarantees that two
+    collectives — even identical ones executing concurrently on the same
+    communicator — can never cross-match their messages under FIFO
+    matching, however many tags one of them uses.
     """
 
     def __init__(self, start: int = 1, stride: int = 4096) -> None:
@@ -186,10 +187,14 @@ class TagAllocator:
         self._next = start
         self.stride = stride
 
-    def next_base(self) -> int:
-        """Return a fresh base tag and advance the allocator."""
+    def next_base(self, span: int) -> int:
+        """Reserve ``span`` consecutive tags; return the first.
+
+        The allocator advances by ``ceil(span / stride)`` strides (at least
+        one), so a span up to ``stride`` costs exactly one.
+        """
         base = self._next
-        self._next += self.stride
+        self._next += self.stride * max(1, -(-span // self.stride))
         return base
 
 
@@ -272,13 +277,13 @@ class CollectiveContext:
         """Reduction ``calc`` cost for ``nbytes`` (0 when not configured)."""
         return int(round(self.reduce_ns_per_byte * nbytes))
 
-    def next_tag(self) -> int:
-        """A fresh base tag for one collective instance.
+    def next_tag(self, span: int) -> int:
+        """A fresh base tag for one collective instance using ``span`` tags.
 
         A one-rank communicator exchanges no message, so it draws none (and
         gets 0): an emitter then runs no round and returns its entries.
         """
-        return 0 if len(self.ranks) == 1 else self.tags.next_base()
+        return 0 if len(self.ranks) == 1 else self.tags.next_base(span)
 
     # -- the emission core -----------------------------------------------------
     def entry(self, deps: Optional[DepMap]) -> List[Optional[int]]:

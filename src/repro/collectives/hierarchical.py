@@ -253,7 +253,7 @@ def binomial_scatter(
     """
     n = ctx.size
     chunks = _mpi._chunk_sizes(size, n)
-    tag = ctx.next_tag()
+    tag = ctx.next_tag(len(_mpi._doublings(n)))
     last = ctx.entry(deps)
     for rnd, mask, child_v, parent, child in _mpi._binomial_edges(n, root, descending=True):
         ctx.transfer(last, parent, child, sum(chunks[child_v : min(child_v + mask, n)]), tag + rnd)

@@ -59,12 +59,13 @@ def _pow2_fold(
     n = ctx.size
     pow2 = 1 << (n.bit_length() - 1)
     rem = n - pow2
-    tag = ctx.next_tag()
+    steps = list(rounds(pow2))
+    tag = ctx.next_tag(rem + len(steps) + rem)
     last = ctx.entry(deps)
     for extra in range(rem):
         ctx.transfer(last, pow2 + extra, extra, size, tag + extra, reduce=True)
     tag += rem
-    for distance, nbytes, reduce in rounds(pow2):
+    for distance, nbytes, reduce in steps:
         ctx.exchange(
             last, tag,
             ((r, r ^ distance, r ^ distance, nbytes, nbytes) for r in range(pow2)),
@@ -103,7 +104,8 @@ def _shift_rounds(
     from ``r - shift`` (both modulo ``N``) in the same round.
     """
     n = ctx.size
-    tag = ctx.next_tag()
+    rounds = list(rounds)
+    tag = ctx.next_tag(1 + max((offset for offset, _, _ in rounds), default=0))
     last = ctx.entry(deps)
     for offset, shift, nbytes in rounds:
         ctx.exchange(
@@ -151,7 +153,7 @@ def _ring(ctx: CollectiveContext, size: int, deps: Optional[DepMap], steps: int,
     """``steps`` ring steps; in step ``s`` rank ``r`` passes chunk ``r - s`` on."""
     n = ctx.size
     chunks = _chunk_sizes(size, n)
-    tag = ctx.next_tag()
+    tag = ctx.next_tag(steps)
     last = ctx.entry(deps)
     for step in range(steps):
         ctx.exchange(
@@ -189,7 +191,7 @@ def binomial_bcast(ctx: CollectiveContext, size: int, root: int = 0, deps: Optio
     transfer moving the full buffer.  Returns the exit handle per global
     rank.
     """
-    tag = ctx.next_tag()
+    tag = ctx.next_tag(len(_doublings(ctx.size)))
     last = ctx.entry(deps)
     for rnd, _, _, parent, child in _binomial_edges(ctx.size, root):
         ctx.transfer(last, parent, child, size, tag + rnd)
@@ -204,7 +206,7 @@ def binomial_reduce(ctx: CollectiveContext, size: int, root: int = 0, deps: Opti
     buffer when the context prices reductions.  Returns the exit handle per
     global rank.
     """
-    tag = ctx.next_tag()
+    tag = ctx.next_tag(len(_doublings(ctx.size)))
     last = ctx.entry(deps)
     for rnd, _, _, parent, child in _binomial_edges(ctx.size, root, descending=True):
         ctx.transfer(last, child, parent, size, tag + rnd, reduce=True)
@@ -244,7 +246,7 @@ def linear_scatter(ctx: CollectiveContext, size_per_rank: int, root: int = 0, de
 
 def _linear(ctx: CollectiveContext, nbytes: int, root: int, deps: Optional[DepMap], to_root: bool) -> DepMap:
     """One message per non-root rank, all after the entries; joined per rank."""
-    tag = ctx.tags.next_base()  # unlike next_tag(), drawn for one rank too
+    tag = ctx.tags.next_base(ctx.size)  # unlike next_tag(), drawn for one rank too
     entry = ctx.entry(deps)
     last = list(entry)
     handles = [[] if h is None else [h] for h in entry]

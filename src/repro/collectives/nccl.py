@@ -177,7 +177,7 @@ def _ring_collective(
     reduce_steps = n - 1 if reduce_pass else 0
 
     def channel(channel_bytes: int, stream: int) -> DepMap:
-        base_tag = ctx.tags.next_base()
+        base_tag = ctx.tags.next_base(total_steps * (cfg.max_chunks_per_step + 1))
         # one slice per ring position, each cut into its pipelined pieces
         pieces = [_pieces(b, cfg) for b in _mpi._chunk_sizes(channel_bytes, n)]
         wires = [[cfg.wire_size(p) for p in slice_pieces] for slice_pieces in pieces]
@@ -222,9 +222,9 @@ def broadcast(ctx: CollectiveContext, size: int, cfg: NcclConfig, root: int = 0,
 
     def channel(channel_bytes: int, stream: int) -> DepMap:
         sub = ctx.sub_context(range(n), cpu=stream)
-        tag = sub.tags.next_base()
         chunk = cfg.effective_chunk_bytes()
         nchunks = min(max(1, (channel_bytes + chunk - 1) // chunk), cfg.max_chunks_per_step * n)
+        tag = sub.tags.next_base(nchunks)
         last = sub.entry(deps)
         for c, chunk_bytes in enumerate(_mpi._chunk_sizes(channel_bytes, nchunks)):
             for src, dst in zip(order, order[1:]):

@@ -6,6 +6,8 @@
 * :mod:`repro.schedgen.nccl` — nsys-like NCCL traces → GOAL (the 4-stage
   pipeline of §3.1.2 / Fig. 5), including GPU→node grouping with intra-node
   communication replaced by ``calc`` vertices,
+* :mod:`repro.schedgen.walk` — the trace walk both of them run on (lanes,
+  the gap rule, collective matching and the one ``TraceMismatchError``),
 * :mod:`repro.schedgen.grouping` — the Stage-4 / multi-tenant DAG grouping
   transformation, usable on any GOAL schedule,
 * :mod:`repro.schedgen.storage` — SPC block-I/O traces → GOAL for the Azure

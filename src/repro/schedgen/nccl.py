@@ -3,19 +3,24 @@
 Stage 1 (profiling) is performed by :class:`repro.tracers.nccl.NcclTracer`
 or by loading an nsys-like report from disk.  This module implements:
 
-* **Stage 2** — per GPU and per CUDA stream, NCCL kernels are linked in
-  order, the computation between consecutive kernels is inferred from their
-  timestamps, and the streams of a GPU are tied together with zero-cost
-  dummy vertices so that they can execute concurrently on distinct compute
-  streams.
-* **Stage 3** — every NCCL collective is decomposed into its point-to-point
-  algorithm according to the NCCL configuration (algorithm, protocol,
-  channels) via :mod:`repro.collectives.nccl`; ncclSend/ncclRecv pairs are
-  matched by their per-(source, destination) order.  A
-  ``collective_algorithm`` override substitutes an algorithm from the
-  :mod:`repro.collectives.algorithms` registry instead — including the
+* **Stage 2** — every (GPU, CUDA stream) kernel list is one
+  :class:`~repro.schedgen.walk.Lane`, walked in order by
+  :func:`~repro.schedgen.walk.walk`: the computation between consecutive
+  kernels is inferred from their timestamps, compute kernels become
+  ``calc`` vertices, and each stream of a GPU keeps its own compute stream
+  (a slot numbered by sorted CUDA stream id) so that they execute
+  concurrently.
+* **Stage 3** — once every member GPU has reached an NCCL collective, it is
+  decomposed into its point-to-point algorithm according to the NCCL
+  configuration (algorithm, protocol, channels) via
+  :mod:`repro.collectives.nccl`, on the stream it was launched on;
+  ncclSend/ncclRecv pairs are matched by their per-(source, destination)
+  order.  A ``collective_algorithm`` override substitutes an algorithm from
+  the :mod:`repro.collectives.algorithms` registry instead — including the
   hierarchical two-level variants over the report's physical node grouping
-  and ``"auto"``, the LogGOPS autotuner.
+  and ``"auto"``, the LogGOPS autotuner.  The GPUs of one collective must
+  agree on its size; collectives that do not line up raise
+  :class:`~repro.schedgen.walk.TraceMismatchError`.
 * **Stage 4** — the per-GPU DAGs are grouped into per-node DAGs with
   intra-node transfers replaced by ``calc`` vertices
   (:func:`repro.schedgen.grouping.group_ranks_into_nodes`); alternative
@@ -23,47 +28,26 @@ or by loading an nsys-like report from disk.  This module implements:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.collectives import nccl as cnccl
 from repro.collectives.algorithms import COLLECTIVE_ALGORITHMS, resolve_algorithm
-from repro.collectives.context import (
-    CollectiveContext,
-    TagAllocator,
-    contiguous_groups,
-    project_groups,
-)
+from repro.collectives.context import CollectiveContext, contiguous_groups
 from repro.goal.builder import GoalBuilder
 from repro.goal.schedule import GoalSchedule
 from repro.schedgen.grouping import group_ranks_into_nodes
+from repro.schedgen.walk import Lane, scaled_ns, walk
 from repro.tracers.nccl import NCCL_COLLECTIVES, GpuKernel, NsysReport
 
 #: Offset separating point-to-point (ncclSend/ncclRecv) tags from collective tags.
 P2P_TAG_BASE = 1 << 29
 
 
-class NcclTraceMismatchError(RuntimeError):
-    """Raised when collective calls cannot be correlated across GPUs."""
-
-
-@dataclass
-class _StreamCursor:
-    """Progress of one (gpu, stream) kernel list."""
-
-    gpu: int
-    stream: int
-    kernels: List[GpuKernel]
-    index: int = 0
-    last_handle: Optional[int] = None
-    prev_end_ns: int = 0
-    blocked_gap_emitted: bool = False
-
-    def done(self) -> bool:
-        return self.index >= len(self.kernels)
-
-    def head(self) -> GpuKernel:
-        return self.kernels[self.index]
+def _collective(kernel: GpuKernel):
+    """``None`` for a compute or Send/Recv kernel, else (op, what its GPUs agree on)."""
+    if kernel.kind == "nccl" and kernel.op in NCCL_COLLECTIVES:
+        return kernel.op, {"size": kernel.size}
+    return None
 
 
 class NcclScheduleGenerator:
@@ -138,44 +122,36 @@ class NcclScheduleGenerator:
         # hierarchy and the grouping agree; see the class docstring)
         node_width = self.gpus_per_node if gpus_per_node is not None else report.gpus_per_node
         self._node_groups = contiguous_groups(report.num_gpus, max(1, node_width))
-        self.tags = TagAllocator()
 
     # ------------------------------------------------------------------ public
     def generate_gpu_schedule(self, name: Optional[str] = None) -> GoalSchedule:
         """Stages 2–3: produce the GOAL schedule with one rank per GPU."""
         report = self.report
         builder = GoalBuilder(report.num_gpus, name=name or report.name)
+        compute_scale = self.compute_scale
+        # ncclSend/ncclRecv pairs are matched by their order per (source, destination)
+        matched: Dict[Tuple[str, int, int], int] = {}
 
-        # stream indices are remapped to small consecutive ints per GPU so the
-        # stream_stride bound of Stage 4 holds regardless of CUDA stream ids
-        cursors: List[_StreamCursor] = []
-        self._stream_slot: Dict[Tuple[int, int], int] = {}
-        for gpu in range(report.num_gpus):
-            for slot, stream_id in enumerate(sorted(report.streams[gpu])):
-                self._stream_slot[(gpu, stream_id)] = slot
-                cursors.append(
-                    _StreamCursor(gpu=gpu, stream=stream_id, kernels=report.streams[gpu][stream_id].kernels)
-                )
+        def emit(rb, lane: Lane, kernel: GpuKernel, reqs) -> int:
+            if kernel.kind == "compute":
+                return rb.calc(scaled_ns(kernel.end_ns - kernel.start_ns, compute_scale), lane.cpu, reqs)
+            key = (kernel.op, lane.rank, kernel.peer)
+            count = matched.get(key, 0)
+            matched[key] = count + 1
+            post = rb.send if kernel.op == "Send" else rb.recv
+            return post(max(1, kernel.size), kernel.peer, P2P_TAG_BASE + count, lane.cpu, reqs)
 
-        # per-(src,dst) point-to-point order counters for send/recv correlation
-        self._p2p_send_count: Dict[Tuple[int, int], int] = {}
-        self._p2p_recv_count: Dict[Tuple[int, int], int] = {}
-
-        progressed = True
-        while progressed:
-            progressed = False
-            for cursor in cursors:
-                if self._advance_stream(builder, cursor):
-                    progressed = True
-            if self._emit_ready_collectives(builder, cursors):
-                progressed = True
-
-        unconsumed = [(c.gpu, c.stream, len(c.kernels) - c.index) for c in cursors if not c.done()]
-        if unconsumed:
-            raise NcclTraceMismatchError(
-                "NCCL collectives do not line up across GPUs; unconsumed kernels "
-                f"(gpu, stream, remaining): {unconsumed[:10]}"
-            )
+        # one lane per (GPU, stream); stream ids become consecutive slots per
+        # GPU so the stream_stride bound of Stage 4 holds whatever the CUDA ids
+        lanes = [
+            Lane(gpu, slot, report.streams[gpu][stream].kernels)
+            for gpu in range(report.num_gpus)
+            for slot, stream in enumerate(sorted(report.streams[gpu]))
+        ]
+        walk(
+            builder, lanes, report.communicators, compute_scale, _collective, emit,
+            self._decompose, self._node_groups,
+        )
         return builder.build()
 
     def generate(self, name: Optional[str] = None) -> GoalSchedule:
@@ -193,119 +169,20 @@ class NcclScheduleGenerator:
         )
 
     # --------------------------------------------------------------- internals
-    def _stream_cpu(self, gpu: int, stream: int) -> int:
-        return self._stream_slot[(gpu, stream)]
+    def _decompose(self, ctx: CollectiveContext, op: str, kernel: GpuKernel, deps) -> Dict[int, int]:
+        """Stage 3 for one collective, on the stream it was launched on.
 
-    def _emit_gap(self, builder: GoalBuilder, cursor: _StreamCursor, kernel: GpuKernel) -> None:
-        gap = max(0, kernel.start_ns - cursor.prev_end_ns)
-        gap = int(round(gap * self.compute_scale))
-        if gap > 0:
-            handle = builder.rank(cursor.gpu).calc(
-                gap,
-                cpu=self._stream_cpu(cursor.gpu, cursor.stream),
-                requires=[cursor.last_handle] if cursor.last_handle is not None else [],
-            )
-            cursor.last_handle = handle
-
-    def _advance_stream(self, builder: GoalBuilder, cursor: _StreamCursor) -> bool:
-        """Emit compute/P2P kernels until the stream blocks on a collective."""
-        progressed = False
-        cpu = self._stream_cpu(cursor.gpu, cursor.stream)
-        rb = builder.rank(cursor.gpu)
-        while not cursor.done():
-            kernel = cursor.head()
-            if kernel.kind == "nccl" and kernel.op in NCCL_COLLECTIVES:
-                if not cursor.blocked_gap_emitted:
-                    self._emit_gap(builder, cursor, kernel)
-                    cursor.blocked_gap_emitted = True
-                return progressed
-            self._emit_gap(builder, cursor, kernel)
-            reqs = [cursor.last_handle] if cursor.last_handle is not None else []
-            if kernel.kind == "compute":
-                duration = int(round((kernel.end_ns - kernel.start_ns) * self.compute_scale))
-                cursor.last_handle = rb.calc(max(0, duration), cpu=cpu, requires=reqs)
-            elif kernel.op == "Send":
-                key = (cursor.gpu, kernel.peer)
-                count = self._p2p_send_count.get(key, 0)
-                self._p2p_send_count[key] = count + 1
-                tag = P2P_TAG_BASE + count
-                cursor.last_handle = rb.send(max(1, kernel.size), dst=kernel.peer, tag=tag, cpu=cpu, requires=reqs)
-            elif kernel.op == "Recv":
-                key = (kernel.peer, cursor.gpu)
-                count = self._p2p_recv_count.get(key, 0)
-                self._p2p_recv_count[key] = count + 1
-                tag = P2P_TAG_BASE + count
-                cursor.last_handle = rb.recv(max(1, kernel.size), src=kernel.peer, tag=tag, cpu=cpu, requires=reqs)
-            else:  # pragma: no cover - collectives handled above
-                raise NcclTraceMismatchError(f"unexpected NCCL op {kernel.op}")
-            cursor.prev_end_ns = kernel.end_ns
-            cursor.index += 1
-            progressed = True
-        return progressed
-
-    def _emit_ready_collectives(self, builder: GoalBuilder, cursors: List[_StreamCursor]) -> bool:
-        """Emit collectives once every member GPU has blocked on the same one."""
-        report = self.report
-        blocked: Dict[Tuple[int, int, str], List[_StreamCursor]] = {}
-        for cursor in cursors:
-            if cursor.done():
-                continue
-            kernel = cursor.head()
-            if kernel.kind == "nccl" and kernel.op in NCCL_COLLECTIVES:
-                blocked.setdefault((kernel.comm, kernel.seq, kernel.op), []).append(cursor)
-
-        emitted = False
-        for (comm, seq, op), waiting in sorted(blocked.items(), key=lambda kv: kv[0]):
-            members = report.communicators.get(comm)
-            if members is None:
-                raise NcclTraceMismatchError(f"kernel references unknown communicator {comm}")
-            waiting_gpus = sorted(c.gpu for c in waiting)
-            if waiting_gpus != sorted(members):
-                continue
-            self._emit_collective(builder, comm, members, op, waiting)
-            emitted = True
-        return emitted
-
-    def _emit_collective(
-        self,
-        builder: GoalBuilder,
-        comm: int,
-        members: List[int],
-        op: str,
-        waiting: List[_StreamCursor],
-    ) -> None:
-        by_gpu = {c.gpu: c for c in waiting}
-        sample = by_gpu[members[0]].head()
-        size = max(1, sample.size)
-        deps = {
-            gpu: cursor.last_handle for gpu, cursor in by_gpu.items() if cursor.last_handle is not None
-        }
-        # place the decomposition on the stream each collective was launched on
-        # (channels add further streams on top of this base)
-        base_cpu = self._stream_cpu(members[0], by_gpu[members[0]].stream)
-        ctx = CollectiveContext(
-            builder,
-            members,
-            tags=self.tags,
-            cpu=base_cpu,
-            groups=self._comm_groups(members),
-        )
+        Channels add further streams on top of ``ctx.cpu``.
+        """
+        size = max(1, kernel.size)
         kind, nccl_emit = self._OPS[op]
         name = self.collective_algorithm
         if name == "auto" or name in COLLECTIVE_ALGORITHMS[kind]:
             alg = resolve_algorithm(
                 kind, name, size, ctx.size, params=self.select_params, groups=ctx.groups
             )
-            exits = alg.emit(ctx, size, deps)
-        else:
-            exits = nccl_emit(ctx, size, self.nccl_config, deps=deps)
-
-        for gpu, cursor in by_gpu.items():
-            if gpu in exits:
-                cursor.last_handle = exits[gpu]
-            cursor.prev_end_ns = cursor.head().end_ns
-            cursor.index += 1
-            cursor.blocked_gap_emitted = False
+            return alg.emit(ctx, size, deps)
+        return nccl_emit(ctx, size, self.nccl_config, deps=deps)
 
     #: NCCL kernel name -> (collective kind of the algorithm registry, the
     #: NCCL-configured decomposition used when no override applies).
@@ -316,10 +193,6 @@ class NcclScheduleGenerator:
         "Broadcast": ("bcast", cnccl.broadcast),
         "AllToAll": ("alltoall", cnccl.alltoall),
     }
-
-    def _comm_groups(self, members: List[int]) -> List[List[int]]:
-        """Node-locality groups of one communicator (see ``project_groups``)."""
-        return project_groups(self._node_groups, members)
 
 
 def nccl_trace_to_goal(

@@ -14,16 +14,23 @@ an exit handle changes one of them.
 The communicator lists its global ranks in reverse order, so a confusion of
 communicator and global rank ids cannot hide.  The generator cases run six
 HPC skeletons through ``mpi_trace_to_goal`` (defaults, and the autotuner
-over a four-node grouping with priced reductions) and one Llama trace through
-``nccl_trace_to_goal`` with each kind of ``collective_algorithm``.
+over a four-node grouping with priced reductions) and HPCG at half compute
+scale; one Llama trace through ``nccl_trace_to_goal`` with each kind of
+``collective_algorithm``, the Mistral expert-parallel report (AllToAll) and
+the Llama data-parallel report at four GPUs per node.  Those generator
+digests were recorded before both front ends were rewritten on the one trace
+walk (``repro.schedgen.walk``), which the last tests here hold to one
+mismatch error and to giving the same bytes on every ``generate()``.
 """
 from __future__ import annotations
 
 import hashlib
+import pathlib
 
 import pytest
 
-from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b
+import repro
+from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b, mistral_8x7b
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
 from repro.collectives import (
     COLLECTIVE_ALGORITHMS,
@@ -33,7 +40,15 @@ from repro.collectives import (
     nccl,
 )
 from repro.goal import GoalBuilder, encode_goal
-from repro.schedgen import mpi_trace_to_goal, nccl_trace_to_goal
+from repro.schedgen import (
+    MpiScheduleGenerator,
+    NcclScheduleGenerator,
+    mpi_trace_to_goal,
+    nccl_trace_to_goal,
+)
+from repro.schedgen.walk import TraceMismatchError
+from repro.tracers.mpi import MpiTracer
+from repro.tracers.nccl import NcclTracer
 
 RANK_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17)
 DEPS_MODES = ("none", "all", "even")
@@ -129,10 +144,18 @@ def _nccl(entry, algorithm, protocol):
     return h.hexdigest()
 
 
+def _digest(goal):
+    return hashlib.sha256(encode_goal(goal)).hexdigest()
+
+
+def _hpc_trace(app):
+    return HPC_APPLICATIONS[app].trace(HpcRunConfig(num_ranks=16, iterations=3, seed=0))
+
+
 def _hpc(app, tuned):
-    trace = HPC_APPLICATIONS[app].trace(HpcRunConfig(num_ranks=16, iterations=3, seed=0))
+    trace = _hpc_trace(app)
     if not tuned:
-        return hashlib.sha256(encode_goal(mpi_trace_to_goal(trace))).hexdigest()
+        return _digest(mpi_trace_to_goal(trace))
     auto = {
         call: "auto"
         for call in ("MPI_Allreduce", "MPI_Bcast", "MPI_Barrier", "MPI_Allgather",
@@ -142,16 +165,31 @@ def _hpc(app, tuned):
         trace, algorithms=auto, reduce_ns_per_byte=0.125,
         groups=contiguous_groups(16, 4),
     )
-    return hashlib.sha256(encode_goal(goal)).hexdigest()
+    return _digest(goal)
+
+
+def _report(model, par, gpus_per_node):
+    return LlmTrainer(model, par, gpus_per_node=gpus_per_node, iterations=1, seed=0).trace()
+
+
+def _llama_report():
+    par = ParallelismConfig(tp=2, pp=2, dp=2, microbatches=2, global_batch=8)
+    return _report(llama_7b().scaled(0.05), par, 4)
 
 
 def _llama(collective_algorithm):
-    par = ParallelismConfig(tp=2, pp=2, dp=2, microbatches=2, global_batch=8)
-    report = LlmTrainer(
-        llama_7b().scaled(0.05), par, gpus_per_node=4, iterations=1, seed=0
-    ).trace()
-    goal = nccl_trace_to_goal(report, collective_algorithm=collective_algorithm)
-    return hashlib.sha256(encode_goal(goal)).hexdigest()
+    return _digest(nccl_trace_to_goal(_llama_report(), collective_algorithm=collective_algorithm))
+
+
+def _mistral_ep2():
+    par = ParallelismConfig(tp=1, pp=2, dp=4, ep=2, microbatches=2, global_batch=16)
+    return _digest(nccl_trace_to_goal(_report(mistral_8x7b().scaled(0.05), par, 2)))
+
+
+def _llama_dp16():
+    # the shape of the benchmark's ai_train_htsim workload, at its smoke scale
+    par = ParallelismConfig(tp=1, pp=1, dp=16, microbatches=2, global_batch=32)
+    return _digest(nccl_trace_to_goal(_report(llama_7b().scaled(0.02), par, 4), gpus_per_node=4))
 
 
 def _cases():
@@ -170,8 +208,13 @@ def _cases():
     for app in sorted(HPC_APPLICATIONS):
         cases[f"mpi_trace/{app}"] = lambda a=app: _hpc(a, tuned=False)
         cases[f"mpi_trace/{app}/auto"] = lambda a=app: _hpc(a, tuned=True)
+    cases["mpi_trace/hpcg/compute_scale"] = lambda: _digest(
+        mpi_trace_to_goal(_hpc_trace("hpcg"), compute_scale=0.5)
+    )
     for override in (None, "auto", "hier_rs"):
         cases[f"nccl_trace/llama/{override}"] = lambda o=override: _llama(o)
+    cases["nccl_trace/mistral_ep2"] = _mistral_ep2
+    cases["nccl_trace/llama_dp16/gpn4"] = _llama_dp16
     return cases
 
 
@@ -216,6 +259,8 @@ DIGESTS = {
         "935e0d8f7ea98593dcb4a1dd900e48f1fb4d29115ce9defbcf3524401002f5cc",
     "mpi_trace/hpcg":
         "d0b3deb8de4d6ed61c63dc950776124a0905b60deff34f43c9b90c71f81e092e",
+    "mpi_trace/hpcg/compute_scale":
+        "a6785e244615249dbb64272408c2d6f99a31d26c6fd4105359f65ead1bfd5539",
     "mpi_trace/hpcg/auto":
         "cfc006ca1215d90a1c0df5613aca360981e5e84ced85e80043ee469b6c706841",
     "mpi_trace/icon":
@@ -300,6 +345,10 @@ DIGESTS = {
         "b1a718deada8f1630843e2f2433fc1920a567aa06a4f1fd248101854876cd013",
     "nccl_trace/llama/hier_rs":
         "b37e4d60498257cafd9c917a0ca6b5a9cf2386025c0df467da5a85622100f0e7",
+    "nccl_trace/llama_dp16/gpn4":
+        "c129191f9a095c092540b7022bf0036b9e777167b234ff53473e78942f448156",
+    "nccl_trace/mistral_ep2":
+        "d2b399503363082056740be410ee9c49deca566ea272dc6c9aea3779665d1f39",
     "reduce_scatter/ring":
         "dc43317f02cceba323f62a9c18b87cbc812db4618c3b13f365a6fc677a074e87",
 }
@@ -312,3 +361,55 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_emission_is_byte_identical(case):
     assert CASES[case]() == DIGESTS[case]
+
+
+def _crossed_mpi():
+    t = MpiTracer(2)
+    t.record(0, "MPI_Allreduce", size=64)
+    t.record(0, "MPI_Bcast", size=64)
+    t.record(1, "MPI_Bcast", size=64)
+    t.record(1, "MPI_Allreduce", size=64)
+    return MpiScheduleGenerator(t.finish())
+
+
+def _crossed_nccl():
+    t = NcclTracer(2)
+    t.nccl(0, 0, "AllReduce", 4096)
+    t.nccl(0, 0, "AllGather", 4096)
+    t.nccl(1, 0, "AllGather", 4096)
+    t.nccl(1, 0, "AllReduce", 4096)
+    return NcclScheduleGenerator(t.finish(), gpus_per_node=1)
+
+
+@pytest.mark.parametrize("crossed", [_crossed_mpi, _crossed_nccl], ids=["mpi", "nccl"])
+def test_crossed_collectives_raise_the_one_mismatch_error(crossed):
+    # each rank waits in the other's first collective: a real run deadlocks
+    with pytest.raises(
+        TraceMismatchError,
+        match=r"do not line up across ranks: (\w+ \(comm 0, seq 0\) reached by ranks \[[01]\] of \[0, 1\](; )?){2}$",
+    ):
+        crossed().generate()
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        lambda: MpiScheduleGenerator(_hpc_trace("hpcg")),
+        lambda: NcclScheduleGenerator(_llama_report()),
+    ],
+    ids=["mpi", "nccl"],
+)
+def test_a_generator_gives_the_same_bytes_every_run(generator):
+    gen = generator()
+    assert encode_goal(gen.generate()) == encode_goal(gen.generate())
+
+
+def test_one_trace_walk():
+    retired = ("_RankCursor", "_StreamCursor", "_emit_ready_collectives", "NcclTraceMismatchError")
+    found = [
+        (path.name, name)
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
+        for name in retired
+        if name in path.read_text()
+    ]
+    assert found == []

@@ -1,9 +1,10 @@
 """Tests for the NCCL-style collective decompositions."""
 import pytest
 
-from repro.collectives import CollectiveContext
+from repro.collectives import CollectiveContext, TagAllocator
 from repro.collectives import nccl as cnccl
 from repro.goal import GoalBuilder, validate_schedule
+from repro.goal.ops import OpType
 from repro.scheduler import simulate
 
 
@@ -185,3 +186,24 @@ class TestChunkingEdgeCases:
             cnccl.NcclConfig(chunk_bytes=0)
         with pytest.raises(ValueError, match="chunk_bytes"):
             cnccl.NcclConfig(chunk_bytes=-4)
+
+
+class TestTagSpans:
+    """A collective instance reserves every tag it uses, past one stride too."""
+
+    def test_ring_beyond_one_stride_never_reuses_a_tag(self):
+        # 2 * 63 ring steps of 41 tag slots run past the 4096-tag stride:
+        # channel 0's late steps must not land on channel 1's tags
+        b, ctx = _ctx(64)
+        cnccl.allreduce(ctx, 64 << 20, cnccl.NcclConfig(protocol="LL", max_chunks_per_step=40))
+        for rank in b.build().ranks:
+            sends = [(c, p, t) for k, c, p, t in zip(rank.kind, rank.cpu, rank.peer, rank.tag) if k == OpType.SEND]
+            channel0 = [t for c, _, t in sends if c == 0]
+            assert max(channel0) - min(channel0) >= 4096
+            assert len({(p, t) for _, p, t in sends}) == len(sends)
+
+    def test_span_within_one_stride_costs_one_stride(self):
+        tags = TagAllocator()
+        assert [tags.next_base(span) for span in (1, 4096, 4097, 1, 8193, 0)] == [
+            1, 4097, 8193, 16385, 20481, 32769,
+        ]

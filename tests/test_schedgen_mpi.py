@@ -106,6 +106,43 @@ class TestCollectiveConversion:
         with pytest.raises(TraceMismatchError):
             MpiScheduleGenerator(t.finish()).generate()
 
+    def test_members_must_agree_on_the_size(self):
+        t = MpiTracer(2)
+        t.record(0, "MPI_Allreduce", size=64)
+        t.record(1, "MPI_Allreduce", size=1 << 20)
+        with pytest.raises(
+            TraceMismatchError,
+            match=r"MPI_Allreduce \(comm 0, seq 0\): members disagree: "
+            r"size=64 on ranks \[0\]; size=1048576 on ranks \[1\]",
+        ):
+            mpi_trace_to_goal(t.finish())
+
+    def test_members_must_agree_on_the_root(self):
+        t = MpiTracer(2)
+        for r in range(2):
+            t.record(r, "MPI_Bcast", size=64, root=r)
+        with pytest.raises(TraceMismatchError, match=r"size=64 root=0 on ranks \[0\]; size=64 root=1 on ranks \[1\]"):
+            mpi_trace_to_goal(t.finish())
+
+    def test_root_must_be_a_member(self):
+        t = MpiTracer(4)
+        t.define_communicator(1, [0, 1])
+        for r in (0, 1):
+            t.record(r, "MPI_Bcast", size=64, root=3, comm=1)
+        with pytest.raises(
+            TraceMismatchError,
+            match=r"MPI_Bcast \(comm 1, seq 0\): root 3 is not a member of communicator \[0, 1\]",
+        ):
+            mpi_trace_to_goal(t.finish())
+
+    def test_unrooted_call_ignores_the_root(self):
+        # an allreduce on a communicator without rank 0 keeps the default root 0
+        t = MpiTracer(4)
+        t.define_communicator(1, [2, 3])
+        for r in (2, 3):
+            t.record(r, "MPI_Allreduce", size=64, comm=1)
+        validate_schedule(mpi_trace_to_goal(t.finish()))
+
     def test_every_collective_kind_supported(self):
         calls = [
             ("MPI_Allreduce", {}),

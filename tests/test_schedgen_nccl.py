@@ -6,7 +6,8 @@ from repro.collectives.nccl import NcclConfig
 from repro.goal import GoalBuilder, encode_goal, validate_schedule
 from repro.goal.ops import OpType
 from repro.schedgen.grouping import group_ranks_into_nodes
-from repro.schedgen.nccl import NcclScheduleGenerator, NcclTraceMismatchError, nccl_trace_to_goal
+from repro.schedgen.nccl import NcclScheduleGenerator, nccl_trace_to_goal
+from repro.schedgen.walk import TraceMismatchError
 from repro.scheduler import simulate
 from repro.tracers.nccl import NcclTracer
 
@@ -54,8 +55,32 @@ class TestStage2And3:
         t = NcclTracer(2)
         t.nccl(0, 0, "AllReduce", 4096, comm=0)
         # GPU 1 never issues the collective
-        with pytest.raises(NcclTraceMismatchError):
+        with pytest.raises(TraceMismatchError):
             NcclScheduleGenerator(t.finish(), gpus_per_node=1).generate()
+
+    def test_gpus_must_agree_on_the_size(self):
+        t = NcclTracer(2)
+        t.nccl(0, 0, "AllReduce", 4096)
+        t.nccl(1, 0, "AllReduce", 8192)
+        with pytest.raises(
+            TraceMismatchError,
+            match=r"AllReduce \(comm 0, seq 0\): members disagree: "
+            r"size=4096 on ranks \[0\]; size=8192 on ranks \[1\]",
+        ):
+            NcclScheduleGenerator(t.finish(), gpus_per_node=1).generate()
+
+    def test_streams_of_one_gpu_resume_in_stream_order(self):
+        # both streams of each GPU leave a collective in the same round; what
+        # they emit next shares the GPU's vertex ids, in sorted stream order
+        t = NcclTracer(2)
+        t.define_communicator(1, [0, 1])
+        for gpu in range(2):
+            for stream, comm, work in ((7, 1, 222), (3, 0, 111)):
+                t.nccl(gpu, stream, "AllReduce", 4096, comm=comm)
+                t.compute(gpu, stream, work)
+        rank = NcclScheduleGenerator(t.finish(), gpus_per_node=1).generate().ranks[0]
+        assert list(rank.size[-2:]) == [111, 222]
+        assert list(rank.cpu[-2:]) == [0, 1]
 
     def test_nccl_config_changes_schedule_shape(self):
         report = _small_report(dp=2)
