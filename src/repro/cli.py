@@ -55,7 +55,7 @@ from repro.network.routing import ROUTING_STRATEGIES, routing_names
 from repro.network.topology import TOPOLOGY_DESCRIPTIONS, topology_names
 from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_microbenchmark
 from repro.schedgen.storage import DirectDriveConfig
-from repro.scheduler import SchedulerDeadlockError
+from repro.scheduler import SchedulerDeadlockError, check_shards
 from repro.tracers.storage import FinancialWorkloadGenerator
 from repro.workers import WorkerError
 
@@ -145,15 +145,11 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace, *fields: str) -> SimulationConfig:
     """The run's config: the network flags plus ``fields`` set by the subcommand's own flags."""
-    if args.shards > 1 and args.backend != "htsim":
-        # the analytic LogGOPS backend has no packet events to shard; a
-        # silently ignored --shards would misreport single-process runs as
-        # parallel ones, so reject the combination up front
-        raise SystemExit(
-            f"--shards {args.shards} requires the packet backend: pass "
-            f"--backend htsim (the {args.backend!r} backend is analytic "
-            "and runs single-process)"
-        )
+    try:
+        # up front: before the subcommand spends time generating a schedule
+        check_shards(args.shards, args.backend)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     flags = {field: flag for field, flag, _ in _NETWORK_FLAGS}
     flags.update((field, "--" + field.replace("_", "-")) for field in fields)
     values = {field: getattr(args, _dest(flag)) for field, flag in flags.items()}

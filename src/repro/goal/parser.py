@@ -35,11 +35,13 @@ Rules
 
 Implementation
 --------------
-One pass, one ``str.split`` per line.  A line whose whitespace tokens already
-form one statement -- every line :func:`repro.goal.writer.write_goal` emits --
-is applied as is.  Only a line that does not (a comment, a one-line
-``rank 0 { a: calc 1 }``, ``a:calc 1``) is cut at ``#`` / ``//``, split at its
-braces and re-tokenised, so the common line never pays for the rare one.  An
+One pass, one ``str.split`` per line, over ~1 MiB slices of the text
+(:func:`_lines`), so only one slice's lines are alive at once.  A line whose
+whitespace tokens already form one statement -- every line
+:func:`repro.goal.writer.write_goal` emits -- is applied as is.  Only a line
+that does not (a comment, a one-line ``rank 0 { a: calc 1 }``, ``a:calc 1``)
+is cut at ``#`` / ``//``, split at its braces and re-tokenised, so the common
+line never pays for the rare one.  An
 op line appends its five numbers to the open block's op array and a
 ``requires`` line its two vertices to the edge array; the closing brace cuts
 the first into field columns, sorts the second into the dependency index and
@@ -154,6 +156,24 @@ def _statements(raw: str) -> Iterator[Tuple[str, List[str]]]:
             yield text, core.split() + brace
 
 
+#: Characters per slice :func:`_lines` splits at once (a slice runs on to the next ``"\n"``).
+_SLICE_CHARS = 1 << 20
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one slice of about :data:`_SLICE_CHARS` at a time.
+
+    Each slice ends just after a ``"\n"`` (or at the end of ``text``), so no
+    ``"\r\n"`` straddles a cut and the slices' lines, end to end, are exactly
+    the whole text's; only one slice's lines are alive at once.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _SLICE_CHARS) + 1 or end
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
     """Parse textual GOAL ``text`` into a :class:`GoalSchedule`.
 
@@ -257,7 +277,7 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
             ) from None
         return True
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         toks = raw.split()
         if not toks or statement(toks):
             continue

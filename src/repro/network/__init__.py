@@ -42,6 +42,7 @@ from repro.network.backend import (
     OpCompletion,
     SimulationResult,
     MessageRecord,
+    MessageRecords,
     NetworkStats,
     create_backend,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "OpCompletion",
     "SimulationResult",
     "MessageRecord",
+    "MessageRecords",
     "NetworkStats",
     "create_backend",
     "ROUTING_STRATEGIES",

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import abc
 import heapq
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.goal.schedule import exact_sum
 from repro.network.config import SimulationConfig
 from repro.network.control_plane import create_control_plane
 from repro.network.events import EventQueue
@@ -63,6 +66,74 @@ class MessageRecord(NamedTuple):
     def completion_latency(self) -> int:
         """Message completion time: delivery time minus the time the send was posted."""
         return self.completion_time - self.post_time
+
+
+_RECORD_WIDTH = len(MessageRecord._fields)
+
+
+class MessageRecords(Sequence):
+    """Every delivered message's :class:`MessageRecord`, stored flat.
+
+    One ``array('Q')`` holds six values per message in ``MessageRecord``
+    field order: 48 bytes a message, where a list of namedtuples and the
+    ints only they keep alive cost 170-210.  A backend appends a message with
+    one ``extend`` of its six fields.  Read, the store is a sequence of
+    ``MessageRecord``: indexing (negative too), slices (a list), iteration,
+    ``sorted``, ``tuple`` and ``repr`` read as the list did, and ``==``
+    compares with another store or, record by record, with a list or tuple.
+    :meth:`columns` is the ``(n, 6)`` numpy view for whole-column work.  It
+    pickles as the array's raw bytes.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: Optional[array] = None) -> None:
+        self._flat = array("Q") if flat is None else flat
+
+    @classmethod
+    def from_columns(cls, columns: np.ndarray) -> "MessageRecords":
+        """A store holding the rows of an ``(n, 6)`` integer array."""
+        return cls(array("Q", np.ascontiguousarray(columns, dtype=np.uint64).tobytes()))
+
+    def columns(self) -> np.ndarray:
+        """The records as a read-only ``(n, 6)`` uint64 view, one row per message.
+
+        The store cannot grow while a view is alive (an exporting ``array``
+        refuses to resize); a finished run's store never grows again.
+        """
+        view = np.frombuffer(self._flat, dtype=np.uint64).reshape(-1, _RECORD_WIDTH)
+        view.flags.writeable = False
+        return view
+
+    def __len__(self) -> int:
+        return len(self._flat) // _RECORD_WIDTH
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("message record index out of range")
+        start = i * _RECORD_WIDTH
+        return MessageRecord._make(self._flat[start : start + _RECORD_WIDTH])
+
+    def __iter__(self) -> Iterator[MessageRecord]:
+        fields_ = iter(self._flat)
+        return map(MessageRecord._make, zip(*[fields_] * _RECORD_WIDTH))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MessageRecords):
+            return self._flat == other._flat
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return MessageRecords, (self._flat,)
 
 
 @dataclass
@@ -219,8 +290,8 @@ class SimulationResult:
     stats:
         Aggregate :class:`NetworkStats`.
     message_records:
-        Per-message records (only when
-        :attr:`SimulationConfig.collect_message_records` is enabled).
+        Per-message records as a :class:`MessageRecords` store (empty
+        unless :attr:`SimulationConfig.collect_message_records` is enabled).
     ops_completed:
         Total GOAL operations executed.
     backend:
@@ -245,7 +316,7 @@ class SimulationResult:
     finish_time_ns: int
     rank_finish_times_ns: List[int]
     stats: NetworkStats
-    message_records: List[MessageRecord] = field(default_factory=list)
+    message_records: MessageRecords = field(default_factory=MessageRecords)
     ops_completed: int = 0
     backend: str = ""
     wall_clock_s: float = 0.0
@@ -265,11 +336,12 @@ class SimulationResult:
         """
         if not self.message_records:
             raise ValueError("no message records were collected")
-        latencies = sorted(m.completion_latency for m in self.message_records)
+        columns = self.message_records.columns()
+        latencies = np.sort(columns[:, 5] - columns[:, 4])
         n = len(latencies)
         p99_index = min(n - 1, int(round(0.99 * (n - 1))))
         return {
-            "mean": sum(latencies) / n,
+            "mean": exact_sum(latencies) / n,
             "p99": float(latencies[p99_index]),
             "max": float(latencies[-1]),
             "count": float(n),
@@ -315,7 +387,9 @@ class NetworkBackend(abc.ABC):
         self.matcher = MessageMatcher()
         self.rng = np.random.default_rng(config.seed)
         self.stats = NetworkStats()
-        self.records: List[MessageRecord] = []
+        self.records = MessageRecords()
+        # one extend of six fields per delivered message; None when off
+        self._record = self.records._flat.extend if config.collect_message_records else None
         self.rank_finish: List[int] = [0] * num_ranks
         self.topology = None
         self.routing = None
@@ -487,8 +561,8 @@ class NetworkBackend(abc.ABC):
             per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
             per_job[0] += 1
             per_job[1] += size
-        if self.config.collect_message_records:
-            self.records.append(MessageRecord(src, dst, size, tag, post_time, time))
+        if self._record is not None:
+            self._record((src, dst, size, tag, post_time, time))
 
     # ----------------------------------------------------------------- results
     def now(self) -> int:
@@ -524,8 +598,8 @@ class NetworkBackend(abc.ABC):
         self._require_setup()
         return self.convergence_events
 
-    def collect_message_records(self) -> List[MessageRecord]:
-        """Per-message records (empty unless ``collect_message_records`` is set)."""
+    def collect_message_records(self) -> MessageRecords:
+        """The :class:`MessageRecords` store (empty unless ``collect_message_records`` is set)."""
         self._require_setup()
         return self.records
 

@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.backend import CompletionCallback, MessageRecord, NetworkBackend
+from repro.network.backend import CompletionCallback, NetworkBackend
 from repro.network.config import SimulationConfig
 from repro.network.faults import LINK_DOWN, SWITCH_DRAIN, NetworkPartitionError
 
@@ -104,7 +104,6 @@ class LogGOPSBackend(NetworkBackend):
         self._recv_nic_free: List[int] = [0] * num_ranks
         # CPU cost fast path: with O == 0 the per-message cost is just o
         self._o_int = int(round(self.params.o))
-        self._collect_records = config.collect_message_records
         # the eager path matches on the shared matcher's FIFOs in place
         self._pending_recvs = self.matcher._pending_recvs
         self._pending_arrivals = self.matcher._pending_arrivals
@@ -364,8 +363,8 @@ class LogGOPSBackend(NetworkBackend):
             per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
             per_job[0] += 1
             per_job[1] += size
-        if self._collect_records:
-            self.records.append(MessageRecord(src, dst, size, tag, post_time, time))
+        if self._record is not None:
+            self._record((src, dst, size, tag, post_time, time))
         # inlined MessageMatcher.post_arrival
         channel = (src, dst, tag)
         recvs = self._pending_recvs.get(channel)

@@ -42,8 +42,8 @@ Results are therefore bit-identical across *any* shard count >= 2, and
 coincide with ``shards=1`` exactly on configurations that consume no
 randomness (single-candidate routes, traffic outside the probabilistic ECN
 band) — which is what ``tests/test_sharded_parity.py`` locks in.  Merged
-``message_records`` are sorted by ``(completion_time, src, dst, tag)``;
-the relative order of same-instant records is unspecified.
+``message_records`` are stably sorted by ``(completion_time, src, dst, tag)``:
+records equal on that key keep shard order, then delivery order.
 
 Faults, adaptive routing, and convergent control planes (v2)
 ------------------------------------------------------------
@@ -96,7 +96,7 @@ import numpy as np
 
 from repro import workers
 from repro.goal.schedule import GoalSchedule
-from repro.network.backend import JobStats, NetworkStats, SimulationResult
+from repro.network.backend import JobStats, MessageRecords, NetworkStats, SimulationResult
 from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.packet.backend import PacketBackend
@@ -830,7 +830,6 @@ def _merge_results(
     rank_finish = [0] * schedule.num_ranks
     groups: Dict[int, int] = {}
     jobs: Dict[int, JobStats] = {}
-    records: List = []
     finish = 0
     ops = 0
     for r in results:
@@ -846,13 +845,14 @@ def _merge_results(
         for job, js in r.job_stats.items():
             agg = jobs.get(job)
             jobs[job] = js if agg is None else agg.merge(js)
-        records.extend(r.message_records)
-    records.sort(key=lambda m: (m.completion_time, m.src, m.dst, m.tag))
+    # a stable sort on (completion_time, src, dst, tag): lexsort's last key is the primary one
+    records = np.concatenate([r.message_records.columns() for r in results])
+    order = np.lexsort((records[:, 3], records[:, 1], records[:, 0], records[:, 5]))
     return SimulationResult(
         finish_time_ns=finish,
         rank_finish_times_ns=rank_finish,
         stats=stats,
-        message_records=records,
+        message_records=MessageRecords.from_columns(records[order]),
         ops_completed=ops,
         backend="htsim",
         wall_clock_s=wall,

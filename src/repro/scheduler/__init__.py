@@ -1,4 +1,4 @@
 """GOAL scheduler: replays GOAL schedules on a network backend."""
-from repro.scheduler.scheduler import GoalScheduler, SchedulerDeadlockError, simulate
+from repro.scheduler.scheduler import GoalScheduler, SchedulerDeadlockError, check_shards, simulate
 
-__all__ = ["GoalScheduler", "SchedulerDeadlockError", "simulate"]
+__all__ = ["GoalScheduler", "SchedulerDeadlockError", "check_shards", "simulate"]

@@ -51,6 +51,20 @@ class SchedulerDeadlockError(RuntimeError):
         self.stuck_per_rank = stuck_per_rank
 
 
+def check_shards(shards: int, backend: str) -> None:
+    """Reject ``shards > 1`` on any backend but the packet one (``"htsim"``).
+
+    The analytic LogGOPS backend has no packet events to shard; a silently
+    ignored shard count would report single-process runs as parallel ones.
+    """
+    if shards > 1 and backend != "htsim":
+        raise ValueError(
+            f"--shards {shards} requires the packet backend: pass "
+            f"--backend htsim (the {backend!r} backend is analytic "
+            "and runs single-process)"
+        )
+
+
 class GoalScheduler:
     """Replays a :class:`~repro.goal.schedule.GoalSchedule` on a backend.
 
@@ -152,12 +166,7 @@ class GoalScheduler:
             # the driver builds one rank-restricted scheduler per shard and
             # steps their event loops in lookahead windows via start()/
             # finish() — never run(), so this dispatch cannot recurse.
-            if self.backend.name != "htsim":
-                raise ValueError(
-                    f"shards > 1 requires the packet backend ('htsim'), got "
-                    f"{self.backend.name!r}; the message-level "
-                    "backend is already fast enough single-process"
-                )
+            check_shards(self.config.shards, self.backend.name)
             from repro.network.packet.sharded import run_sharded
 
             result, self._sharded_events = run_sharded(

@@ -33,7 +33,7 @@ COLLECTIVE_CALLS = {
 KNOWN_CALLS = P2P_CALLS | COLLECTIVE_CALLS
 
 
-@dataclass
+@dataclass(slots=True)
 class MpiEvent:
     """One traced MPI call on one rank.
 

@@ -31,7 +31,7 @@ NCCL_P2P = {"Send", "Recv"}
 NCCL_OPS = NCCL_COLLECTIVES | NCCL_P2P
 
 
-@dataclass
+@dataclass(slots=True)
 class GpuKernel:
     """One kernel execution on one CUDA stream of one GPU.
 

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.goal import GoalBuilder, GoalParseError, parse_goal, write_goal
+from repro.goal import parser
 from repro.goal.ops import OpType
 
 EXAMPLE = """
@@ -104,6 +105,42 @@ class TestParser:
         text = "rank 0 { a: calc 1\n b: calc 1\n a requires b }"
         with pytest.raises(GoalParseError):
             parse_goal(text)
+
+
+# line breaks str.splitlines() knows besides "\n": a slice cut must not change
+# where any of them splits
+ODD_BREAKS = [
+    EXAMPLE.replace("\n", "\r\n"),
+    EXAMPLE.replace("\n", "\r"),
+    "num_ranks 2\r\nrank 0 {\x0cl1: calc 5\u2028}\n\nrank 1 {\x1cr1: calc 7\r\n}",
+    "rank 0 {\r\nl1: calc 5\x1d\x1el2: bogus 3\n}\n",
+    "rank 0 {\nl1: calc 5\r\nl2 requires l9\x85}\v",
+    "rank 0 {\r\n\r\nl1: calc 5",
+]
+
+
+def _outcome(text):
+    try:
+        return write_goal(parse_goal(text))
+    except GoalParseError as exc:
+        return str(exc), exc.line_no
+
+
+class TestSlicedLines:
+    """``parse_goal`` walks the text in slices cut just after a "\\n"."""
+
+    @pytest.mark.parametrize("text", ODD_BREAKS)
+    def test_slices_are_splitlines(self, text, monkeypatch):
+        for size in range(len(text) + 2):
+            monkeypatch.setattr(parser, "_SLICE_CHARS", size)
+            assert list(parser._lines(text)) == text.splitlines()
+
+    def test_parse_is_the_same_for_every_slice_size(self, monkeypatch):
+        outcomes = [_outcome(text) for text in ODD_BREAKS]
+        assert [type(o) for o in outcomes] == [str, str, str, tuple, tuple, tuple]
+        for size in (0, 1, 2, 3, 5, 8, 13):
+            monkeypatch.setattr(parser, "_SLICE_CHARS", size)
+            assert [_outcome(text) for text in ODD_BREAKS] == outcomes
 
 
 class TestWriterRoundTrip:
