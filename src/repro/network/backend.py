@@ -624,17 +624,16 @@ class NetworkBackend(abc.ABC):
 
 
 def create_backend(name: str) -> NetworkBackend:
-    """Instantiate a backend by name (``"lgs"`` / ``"loggops"`` or ``"htsim"`` / ``"packet"``).
+    """Instantiate a backend by the name its results report: ``"lgs"`` or ``"htsim"``.
 
     The import is local so that importing :mod:`repro.network` does not pull
     in both backends eagerly.
     """
-    key = name.lower()
-    if key in ("lgs", "loggops", "loggopsim", "message"):
+    if name == "lgs":
         from repro.network.loggops import LogGOPSBackend
 
         return LogGOPSBackend()
-    if key in ("htsim", "packet", "ns3"):
+    if name == "htsim":
         from repro.network.packet import PacketBackend
 
         return PacketBackend()

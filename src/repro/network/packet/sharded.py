@@ -41,9 +41,10 @@ interleaving:
 Results are therefore bit-identical across *any* shard count >= 2, and
 coincide with ``shards=1`` exactly on configurations that consume no
 randomness (single-candidate routes, traffic outside the probabilistic ECN
-band) — which is what ``tests/test_sharded_parity.py`` locks in.  Merged
-``message_records`` are stably sorted by ``(completion_time, src, dst, tag)``:
-records equal on that key keep shard order, then delivery order.
+band) — which is what ``tests/differential.py``'s ``sharded/*`` rows lock
+in.  Merged ``message_records`` are stably sorted by
+``(completion_time, src, dst, tag)``: records equal on that key keep shard
+order, then delivery order.
 
 Faults, adaptive routing, and convergent control planes (v2)
 ------------------------------------------------------------
@@ -71,7 +72,7 @@ barriers on a fixed cadence (``SimulationConfig.load_snapshot_ns``; 0 =
 the topology's min link latency — layout-independent either way).  The
 snapshot at ``S`` governs every route draw in ``(S, S + cadence]``, so the
 semantics are shard-count-invariant — but they deliberately *approximate*
-serial's live queue depths; ``tests/test_sharded_parity.py`` locks
+serial's live queue depths; ``tests/differential.py`` locks
 invariance across shard counts with an A/B test instead of serial parity.
 
 Serial equality under faults additionally assumes the run has no

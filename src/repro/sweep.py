@@ -55,7 +55,7 @@ to the serial engine: every cell's configuration — including its seed —
 is derived deterministically before any worker starts, each simulation
 owns its private RNG seeded only from that configuration, and entries are
 returned in grid order regardless of which worker finished first.
-``tests/test_perf_determinism.py`` asserts the parallel/serial equality.
+``tests/differential.py``'s ``sweep/*`` rows assert the parallel/serial equality.
 Failures are loud, never a serial rerun: a cell's exception keeps its
 type, a dead worker is one :class:`~repro.workers.WorkerError` naming its
 cell, and where processes cannot start the error says ``parallel=None``.

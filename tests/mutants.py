@@ -1,0 +1,127 @@
+"""Recorded mutants: deliberate breaks, each with the check that must catch it.
+
+A comparison that has never failed proves nothing, so every exactness claim
+the suite makes is paired with a broken variant of the code it guards.  A
+:class:`Mutant` applies its break through a ``pytest.MonkeyPatch`` (never to
+a file) and names its check: a zero-argument call that raises ``raises``
+under the break and passes without it.  For a registry check that is
+:class:`differential.Mismatch`, the engine-against-reference comparison
+itself, not a regime ``expect`` or the packet ledger.  ``tests/test_differential.py::test_mutant_is_caught`` runs each
+one; every :class:`differential.Pair` that names a mutant, and every check in
+that file's ``GUARDED``, needs it here
+(``test_every_named_mutant_is_registered``).
+
+To add one: write the break as a ``patch`` function, point ``caught_by`` at
+the registry input (``differential.check(name)``) or test that catches it
+(a test outside the registry also sets ``raises``), and name it in the
+pair's ``mutant`` field.
+"""
+from __future__ import annotations
+
+import heapq
+from typing import Callable, NamedTuple, Type
+
+import numpy as np
+import pytest
+
+import differential
+import test_collective_emission as emission
+import test_workers
+from repro import sweep
+from repro.collectives import CollectiveContext
+from repro.network.events import EventQueue
+from repro.network.packet import linkqueue
+from repro.workers import WorkerError
+
+
+class Mutant(NamedTuple):
+    patch: Callable[[pytest.MonkeyPatch], None]
+    caught_by: Callable[[], None]
+    raises: Type[BaseException] = differential.Mismatch
+
+
+def _retire_at_departure(patch):
+    """Break the ledger's tie rule (``<=`` for ``<``): a packet leaves the
+    buffer *at* its departure instant instead of strictly after it."""
+    enqueue = linkqueue.BurstLinkQueue.enqueue
+
+    def early_retire(self, packet, now):
+        pending = self.pending
+        while pending and pending[0][0] <= now:
+            self.queued_bytes -= pending.popleft()[1]
+        self.head_depart = pending[0][0] if pending else linkqueue._NEVER
+        return enqueue(self, packet, now)
+
+    patch.setattr(linkqueue.BurstLinkQueue, "enqueue", early_retire)
+
+
+def _seq_blind_run(self, until=None, max_events=None):
+    """``EventQueue.run`` that runs every ready entry before any heap entry."""
+    heap, ready = self._heap, self._ready
+    while ready or heap:
+        if ready:
+            entry = ready.popleft()
+        else:
+            entry = heapq.heappop(heap)
+            self._now = entry[0]
+        entry[-2](entry[0], entry[-1])
+        self.executed += 1
+    return self._now
+
+
+def _unstable_merge(patch):
+    """``np.lexsort`` that breaks ties backwards: a sort that is not stable."""
+    lexsort = np.lexsort
+    patch.setattr(np, "lexsort", lambda keys: lexsort((-np.arange(len(keys[0])),) + tuple(keys)))
+
+
+def _recv_before_send(patch):
+    """``CollectiveContext.exchange`` emitting each round's receive before its send."""
+
+    def exchange(self, last, tag, pairs, reduce=False):
+        rank, ranks = self.builder.rank, self.ranks
+        for r, dst, src, send_bytes, recv_bytes in pairs:
+            rb = rank(ranks[r])
+            reqs = () if last[r] is None else (last[r],)
+            recv = rb.recv(max(1, recv_bytes), ranks[src], tag, self.cpu, reqs)
+            send = rb.send(max(1, send_bytes), ranks[dst], tag, self.cpu, reqs)
+            tail = rb.join((send, recv), self.cpu)
+            if reduce and self.reduce_ns_per_byte:
+                tail = rb.calc(self.reduce_cost(recv_bytes), self.cpu, (tail,))
+            last[r] = tail
+
+    patch.setattr(CollectiveContext, "exchange", exchange)
+
+
+def _serial_rerun(patch):
+    """``_execute_cells`` that reruns the grid in this process when a worker dies."""
+    execute = sweep._execute_cells
+
+    def rerun_on_worker_error(fn, cells, parallel):
+        try:
+            return execute(fn, cells, parallel)
+        except WorkerError:
+            return [fn(cell) for cell in cells]
+
+    patch.setattr(sweep, "_execute_cells", rerun_on_worker_error)
+
+
+def _emission_pins():
+    for case in sorted(emission.CASES):
+        emission.test_emission_is_byte_identical(case)
+
+
+MUTANTS = {
+    "ledger-retires-at-departure": Mutant(
+        _retire_at_departure, lambda: differential.check("packet/incast12-dctcp")
+    ),
+    "seq-blind-ready-queue": Mutant(
+        lambda patch: patch.setattr(EventQueue, "run", _seq_blind_run),
+        lambda: [differential.check(name) for name in ("loggops/tie-heavy-fuzz-0", "loggops/hpcg-rendezvous")],
+    ),
+    "unstable-merge-sort": Mutant(_unstable_merge, lambda: differential.check("records/tied-merge-0")),
+    "exchange-swaps-send-recv": Mutant(_recv_before_send, _emission_pins, AssertionError),
+    "serial-rerun-on-worker-error": Mutant(
+        _serial_rerun, test_workers.test_dead_sweep_worker_names_its_cell_and_nothing_reruns, pytest.fail.Exception
+    ),
+}

@@ -1,0 +1,353 @@
+"""The object-list schedule, its scalar codecs and its scheduling walk (test-only).
+
+``RankSchedule`` used to hold one ``Op`` object and one predecessor list per
+vertex; it now holds one array per field and a CSR dependency index.  The old
+representation lives on here as the oracle the columnar schedule is compared
+against: :class:`ListSchedule` and the transforms on it, the text writer and
+the scalar (one varint at a time) binary encoder and decoder, and
+:class:`ListScheduler`, the old walk of Op objects and nested successor
+lists.  The writer and the encoder read only ``name``, ``num_ranks`` and each
+rank's ``rank`` / ``ops`` / ``preds``, so they take a columnar schedule as
+well.  :func:`views` is everything compared of a schedule, as plain values.
+
+Nothing in ``src/`` knows about it.  The comparisons are rows of
+``tests/differential.py`` and the property tests of
+``tests/test_goal_columnar.py`` and ``tests/test_goal_codec.py``.
+"""
+from __future__ import annotations
+
+import pytest
+
+from repro.goal import Op, OpType
+from repro.goal.binary import GoalBinaryError
+from repro.goal.schedule import RankSchedule
+from repro.scheduler import GoalScheduler
+
+
+class ListRank:
+    """``RankSchedule`` as it stood before the columnar rewrite (what is compared of it)."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self.ops = []
+        self.preds = []
+
+    def add_op(self, op, requires=()):
+        idx = len(self.ops)
+        deps = sorted(set(requires))
+        assert not deps or (deps[0] >= 0 and deps[-1] < idx)
+        self.ops.append(op)
+        self.preds.append(deps)
+        return idx
+
+    def add_dependency(self, vertex, requires):
+        assert 0 <= requires < vertex < len(self.ops)
+        if requires not in self.preds[vertex]:
+            self.preds[vertex].append(requires)
+            self.preds[vertex].sort()
+
+    def successors(self):
+        succs = [[] for _ in self.ops]
+        for v, deps in enumerate(self.preds):
+            for d in deps:
+                succs[d].append(v)
+        return succs
+
+    def in_degrees(self):
+        return [len(deps) for deps in self.preds]
+
+    def roots(self):
+        return [v for v, deps in enumerate(self.preds) if not deps]
+
+    def leaves(self):
+        return [v for v, s in enumerate(self.successors()) if not s]
+
+    def critical_path_ns(self):
+        dist = [0] * len(self.ops)
+        for v, op in enumerate(self.ops):
+            base = max((dist[p] for p in self.preds[v]), default=0)
+            dist[v] = base + (op.size if op.is_calc else 0)
+        return max(dist, default=0)
+
+    def copy(self):
+        new = ListRank(self.rank)
+        new.ops = [op.copy() for op in self.ops]
+        new.preds = [list(p) for p in self.preds]
+        return new
+
+
+class ListSchedule:
+    def __init__(self, num_ranks, name="goal"):
+        self.name = name
+        self.ranks = [ListRank(r) for r in range(num_ranks)]
+
+    @property
+    def num_ranks(self):
+        return len(self.ranks)
+
+    def copy(self):
+        new = ListSchedule(self.num_ranks, self.name)
+        new.ranks = [r.copy() for r in self.ranks]
+        return new
+
+    def summary(self):
+        ops = [op for r in self.ranks for op in r.ops]
+        return {
+            "name": self.name,
+            "num_ranks": self.num_ranks,
+            "num_ops": len(ops),
+            "num_edges": sum(len(d) for r in self.ranks for d in r.preds),
+            "sends": sum(op.is_send for op in ops),
+            "recvs": sum(op.is_recv for op in ops),
+            "calcs": sum(op.is_calc for op in ops),
+            "total_bytes": sum(op.size for op in ops if op.is_send),
+            "total_calc_ns": sum(op.size for op in ops if op.is_calc),
+        }
+
+
+def _unlabelled(op):
+    new = op.copy()
+    new.label = None
+    return new
+
+
+def list_remap_ranks(schedule, mapping, num_ranks):
+    merged = ListSchedule(num_ranks, schedule.name)
+    for rank in schedule.ranks:
+        new_rank = merged.ranks[mapping[rank.rank]]
+        for idx, op in enumerate(rank.ops):
+            new_op = _unlabelled(op)
+            if new_op.is_comm:
+                new_op.peer = mapping[op.peer]
+            new_rank.add_op(new_op, rank.preds[idx])
+    return merged
+
+
+def list_relabel_tags(schedule, tag_offset):
+    out = schedule.copy()
+    for rank in out.ranks:
+        for op in rank.ops:
+            if op.is_comm:
+                op.tag += tag_offset
+    return out
+
+
+def list_delay_schedule(schedule, delay_ns):
+    if delay_ns == 0:
+        return schedule
+    out = ListSchedule(schedule.num_ranks, schedule.name)
+    for rank in schedule.ranks:
+        if not rank.ops:
+            continue
+        roots = set(rank.roots())
+        new_rank = out.ranks[rank.rank]
+        new_rank.add_op(Op.calc(delay_ns))
+        for idx, op in enumerate(rank.ops):
+            deps = [d + 1 for d in rank.preds[idx]]
+            if idx in roots:
+                deps.append(0)
+            new_rank.add_op(op.copy(), deps)
+    return out
+
+
+def list_merge(schedules, placements, num_ranks, name, tag_stride, stream_stride=0, arrivals=None):
+    """``concatenate_schedules`` (``stream_stride=0``) and ``merge_onto_shared_nodes``."""
+    if arrivals is not None:
+        schedules = [list_delay_schedule(s, a) for s, a in zip(schedules, arrivals)]
+    merged = ListSchedule(num_ranks, name)
+    for job, (sched, placement) in enumerate(zip(schedules, placements)):
+        for rank in sched.ranks:
+            dst = merged.ranks[placement[rank.rank]]
+            base = len(dst.ops)
+            for idx, op in enumerate(rank.ops):
+                new_op = _unlabelled(op)
+                new_op.cpu = op.cpu + job * stream_stride
+                if new_op.is_comm:
+                    new_op.peer = placement[op.peer]
+                    new_op.tag += job * tag_stride
+                dst.add_op(new_op, [base + d for d in rank.preds[idx]])
+    return merged
+
+
+def list_write_goal(schedule):
+    """The old writer, for schedules without user labels."""
+    lines = [f"num_ranks {schedule.num_ranks}", ""]
+    for rank in schedule.ranks:
+        lines.append(f"rank {rank.rank} {{")
+        requires = []
+        for idx, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
+            if op.kind == OpType.CALC:
+                line = f"    op{idx}: calc {op.size}"
+            else:
+                verb, word = ("send", "to") if op.kind == OpType.SEND else ("recv", "from")
+                line = f"    op{idx}: {verb} {op.size}b {word} {op.peer}"
+                if op.tag:
+                    line += f" tag {op.tag}"
+            if op.cpu:
+                line += f" cpu {op.cpu}"
+            lines.append(line)
+            requires += [f"    op{idx} requires op{dep}" for dep in deps]
+        lines += requires + ["}", ""]
+    return "\n".join(lines)
+
+
+def _varint(value):
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        out.append(byte | 0x80 if value else byte)
+        if not value:
+            return bytes(out)
+
+
+def list_encode_goal(schedule):
+    """The old encoder, one scalar varint at a time."""
+    name = schedule.name.encode("utf-8")
+    buf = bytearray(b"GOAL\x02" + _varint(len(name)) + name + _varint(schedule.num_ranks))
+    for rank in schedule.ranks:
+        buf += _varint(len(rank.ops))
+        for idx, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
+            header = int(op.kind) | (0x04 if op.tag else 0) | (0x08 if op.cpu else 0) | (0x10 if deps else 0)
+            buf += bytes([header]) + _varint(op.size)
+            if op.kind != OpType.CALC:
+                buf += _varint(op.peer)
+            if op.tag:
+                buf += _varint(op.tag)
+            if op.cpu:
+                buf += _varint(op.cpu)
+            if deps:
+                buf += _varint(len(deps)) + b"".join(_varint(idx - dep) for dep in deps)
+    return bytes(buf)
+
+
+def _read_varint(data, pos):
+    result = shift = 0
+    while True:
+        if pos >= len(data):
+            raise GoalBinaryError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise GoalBinaryError("varint too long")
+
+
+def list_decode_goal(data):
+    """The old decoder, one scalar varint at a time."""
+    assert data[:4] == b"GOAL" and data[4] == 2
+    name_len, pos = _read_varint(data, 5)
+    name = data[pos : pos + name_len].decode("utf-8")
+    num_ranks, pos = _read_varint(data, pos + name_len)
+    schedule = ListSchedule(num_ranks, name)
+    for rank in schedule.ranks:
+        num_ops, pos = _read_varint(data, pos)
+        for idx in range(num_ops):
+            header = data[pos]
+            kind = OpType(header & 0x03)
+            size, pos = _read_varint(data, pos + 1)
+            peer = None
+            if kind != OpType.CALC:
+                peer, pos = _read_varint(data, pos)
+            tag = cpu = 0
+            if header & 0x04:
+                tag, pos = _read_varint(data, pos)
+            if header & 0x08:
+                cpu, pos = _read_varint(data, pos)
+            deps = []
+            if header & 0x10:
+                ndeps, pos = _read_varint(data, pos)
+                for _ in range(ndeps):
+                    delta, pos = _read_varint(data, pos)
+                    deps.append(idx - delta)
+            rank.add_op(Op(kind, size, peer=peer, tag=tag, cpu=cpu), deps)
+    assert pos == len(data)
+    return schedule
+
+
+class ListScheduler(GoalScheduler):
+    """The old scheduling walk: Op objects, nested successor lists, per-run tables."""
+
+    def __init__(self, oracle, schedule, backend, config):
+        super().__init__(schedule, backend, config, validate=False)
+        self._list_ops = [r.ops for r in oracle.ranks]
+        self._list_succ = [r.successors() for r in oracle.ranks]
+        self._list_indegree = [r.in_degrees() for r in oracle.ranks]
+        self._list_issued = [[False] * len(r.ops) for r in oracle.ranks]
+
+    def _issue(self, rank, vertex, ready_time):
+        assert not self._list_issued[rank][vertex]
+        self._list_issued[rank][vertex] = True
+        op = self._list_ops[rank][vertex]
+        op_id = self._offsets[rank] + vertex
+        if op.kind is OpType.CALC:
+            self._issue_calc(rank, op.cpu, op.size, op_id, ready_time)
+        elif op.kind is OpType.SEND:
+            self._issue_send(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
+        else:
+            self._issue_recv(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
+
+    def _on_complete(self, time, rank, op_id):
+        vertex = op_id - self._offsets[rank]
+        self._completed += 1
+        self._finish_time = max(self._finish_time, time)
+        indegree = self._list_indegree[rank]
+        for succ in self._list_succ[rank][vertex]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                self._issue(rank, succ, time)
+
+
+def to_oracle(schedule):
+    """Replay a columnar schedule, read through its views, into the oracle."""
+    oracle = ListSchedule(schedule.num_ranks, schedule.name)
+    for rank, ref in zip(schedule.ranks, oracle.ranks):
+        for op, deps in zip(rank.ops, rank.preds):
+            ref.add_op(op.copy(), deps)
+    return oracle
+
+
+def views(schedule, labels=True):
+    """Everything compared of a schedule, as plain values.  ``labels=False``
+    for a schedule that came through a codec (binary drops labels, text names
+    every vertex)."""
+    return {
+        "num_ranks": schedule.num_ranks,
+        "summary": schedule.summary(),
+        "ranks": [
+            (
+                rank.rank,
+                list(rank.ops),
+                [op.label for op in rank.ops] if labels else None,
+                [list(deps) for deps in rank.preds],
+                rank.successors(),
+                rank.in_degrees(),
+                rank.roots(),
+                rank.leaves(),
+                rank.critical_path_ns(),
+            )
+            for rank in schedule.ranks
+        ],
+    }
+
+
+def generated(build):
+    """``build()``'s columnar schedule, and the oracle fed the very
+    ``append_op`` calls its generator made."""
+    fed = {}
+    real = RankSchedule.append_op
+
+    def spy(self, kind, size, peer=None, tag=0, cpu=0, requires=(), label=None):
+        ref = fed.setdefault(id(self), (self, ListRank(self.rank)))[1]
+        ref.add_op(Op(kind, size, peer, tag, cpu, label), requires)
+        return real(self, kind, size, peer, tag, cpu, requires, label)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RankSchedule, "append_op", spy)
+        columnar = build()
+    oracle = ListSchedule(columnar.num_ranks, columnar.name)
+    oracle.ranks = [fed[id(rank)][1] if id(rank) in fed else ListRank(rank.rank) for rank in columnar.ranks]
+    return columnar, oracle

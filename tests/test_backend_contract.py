@@ -7,7 +7,8 @@ message records and per-job stats, honours static and timed faults on its
 fabric (including a convergent control plane) and folds route-cache
 counters.  The remaining tests pin the pieces of the contract that used to
 be written once per backend: the control-plane construction condition and
-the field-wise stats folds sharded runs depend on.
+the field-wise stats folds sharded runs depend on; and a backend is named by
+the one name its results report.
 """
 import dataclasses
 
@@ -20,6 +21,7 @@ from repro.network.backend import (
     NetworkBackend,
     NetworkStats,
     SimulationResult,
+    create_backend,
 )
 from repro.network.faults import LINK_DOWN, resolve_link_ids
 from repro.schedgen import all_to_all, ring_allreduce_microbenchmark
@@ -253,3 +255,14 @@ class TestStatsFolds:
             1: JobStats(1, 7, 70, {"l": 4}),
         }
         assert merged.finish_time_ns == 1000 and merged.ops_completed == 1003
+
+
+@pytest.mark.parametrize("name", ["lgs", "htsim"])
+def test_a_backend_is_created_by_the_name_it_reports(name):
+    assert create_backend(name).name == name
+
+
+@pytest.mark.parametrize("name", ["ns3", "packet", "loggops", "LGS"])
+def test_any_other_name_is_rejected_naming_both(name):
+    with pytest.raises(ValueError, match=f"unknown backend '{name}'; expected 'lgs' or 'htsim'"):
+        create_backend(name)

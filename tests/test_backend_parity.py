@@ -27,7 +27,7 @@ degrade along different axes by design).
 Convergence cells additionally run a timed mid-run failure under every
 registered control plane (oracle / ls / dv) and assert the convergence
 accounting: bytes are conserved *including* blackholed packets (every sent
-packet is delivered, queue-dropped, stranded or blackholed — nothing
+packet is delivered, queue-dropped, trimmed, stranded or blackholed — nothing
 vanishes), the oracle's time-to-recover is exactly zero on both backends,
 and the real protocols report the same positive convergence window on both.
 """
@@ -39,6 +39,7 @@ from repro.goal.ops import OpType
 from repro.network.faults import LINK_DOWN
 from repro.schedgen import all_to_all, incast, ring_allreduce_microbenchmark
 from repro.scheduler import simulate
+from differential import assert_ledger
 
 
 def _pt2pt(chunks: int = 4, size: int = 1 << 15) -> GoalSchedule:
@@ -277,20 +278,14 @@ def test_convergence_cells_conserve_packets_including_blackholed(
 ):
     """Every sent packet is accounted for: nothing vanishes silently.
 
-    On the packet backend, a DATA packet ends in exactly one of four
-    ledgers — delivered, queue-dropped, stranded by a fault with no
+    On the packet backend, a DATA packet ends in exactly one of five
+    ledgers — delivered, queue-dropped, trimmed, stranded by a fault with no
     surviving continuation, or blackholed by a stale switch — and lost
     packets are recovered by retransmission (each retransmission is a new
     sent packet), so the books balance exactly.
     """
     _, lgs, pkt = cell_results[cell_id]
-    s = pkt.stats
-    assert s.packets_sent == (
-        s.packets_delivered
-        + s.packets_dropped
-        + s.packets_lost_to_faults
-        + s.packets_blackholed
-    ), f"{cell_id}: packet ledgers do not balance"
+    assert_ledger(pkt.stats)
     # the message-level backend models convergence as a capacity ramp; it
     # forwards no packets and therefore blackholes none
     assert lgs.stats.packets_blackholed == 0

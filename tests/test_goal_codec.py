@@ -1,8 +1,8 @@
 """Differential and malformed-input tests for the two GOAL codecs.
 
 Binary: the vectorised varint codec in :mod:`repro.goal.binary` is compared
-with the scalar per-byte codec it replaced, which lives on *here* as the
-oracle (``_ref_*`` below; deliberately not imported from ``src``).  The
+with the scalar per-byte codec it replaced, which lives on as the oracle in
+``tests/schedule_oracle.py`` (deliberately not imported from ``src``).  The
 layout is pinned by a golden blob, and no malformed blob may escape as
 anything but :class:`GoalBinaryError`.
 
@@ -18,105 +18,8 @@ from repro.goal import binary
 from repro.goal.binary import GoalBinaryError
 from repro.goal.ops import Op, OpType
 from repro.goal.schedule import GoalSchedule
+from schedule_oracle import list_decode_goal, list_encode_goal
 from test_goal_binary import _sample_schedule
-
-
-# ---------------------------------------------------------------------------
-# the oracle: the scalar codec as it stood before vectorisation
-# ---------------------------------------------------------------------------
-def _ref_write_varint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varints must be non-negative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
-def _ref_read_varint(data: bytes, pos: int) -> tuple:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise GoalBinaryError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise GoalBinaryError("varint too long")
-
-
-def _ref_encode(schedule: GoalSchedule) -> bytes:
-    buf = bytearray(b"GOAL")
-    buf.append(2)
-    name_bytes = schedule.name.encode("utf-8")
-    _ref_write_varint(buf, len(name_bytes))
-    buf += name_bytes
-    _ref_write_varint(buf, schedule.num_ranks)
-    for rank in schedule.ranks:
-        _ref_write_varint(buf, len(rank.ops))
-        for idx, op in enumerate(rank.ops):
-            header = int(op.kind) & 0x03
-            deps = rank.preds[idx]
-            if op.tag:
-                header |= 0x04
-            if op.cpu:
-                header |= 0x08
-            if deps:
-                header |= 0x10
-            buf.append(header)
-            _ref_write_varint(buf, op.size)
-            if op.kind != OpType.CALC:
-                _ref_write_varint(buf, op.peer)
-            if op.tag:
-                _ref_write_varint(buf, op.tag)
-            if op.cpu:
-                _ref_write_varint(buf, op.cpu)
-            if deps:
-                _ref_write_varint(buf, len(deps))
-                for dep in deps:
-                    _ref_write_varint(buf, idx - dep)
-    return bytes(buf)
-
-
-def _ref_decode(data: bytes) -> GoalSchedule:
-    assert data[:4] == b"GOAL" and data[4] == 2
-    name_len, pos = _ref_read_varint(data, 5)
-    name = data[pos : pos + name_len].decode("utf-8")
-    pos += name_len
-    num_ranks, pos = _ref_read_varint(data, pos)
-    schedule = GoalSchedule(num_ranks, name=name)
-    for rank in schedule.ranks:
-        num_ops, pos = _ref_read_varint(data, pos)
-        for idx in range(num_ops):
-            header = data[pos]
-            pos += 1
-            kind = OpType(header & 0x03)
-            size, pos = _ref_read_varint(data, pos)
-            peer = None
-            if kind != OpType.CALC:
-                peer, pos = _ref_read_varint(data, pos)
-            tag = cpu = 0
-            if header & 0x04:
-                tag, pos = _ref_read_varint(data, pos)
-            if header & 0x08:
-                cpu, pos = _ref_read_varint(data, pos)
-            deps = []
-            if header & 0x10:
-                ndeps, pos = _ref_read_varint(data, pos)
-                for _ in range(ndeps):
-                    delta, pos = _ref_read_varint(data, pos)
-                    deps.append(idx - delta)
-            rank.add_op(Op(kind, size, peer=peer, tag=tag, cpu=cpu), deps)
-    assert pos == len(data)
-    return schedule
 
 
 def _same(a: GoalSchedule, b: GoalSchedule) -> bool:
@@ -164,17 +67,9 @@ class TestAgainstScalarOracle:
     @given(wide_schedules())
     def test_encode_is_byte_identical_and_decode_equal(self, sched):
         blob = encode_goal(sched)
-        assert blob == _ref_encode(sched)
-        assert _same(decode_goal(blob), _ref_decode(blob))
+        assert blob == list_encode_goal(sched)
+        assert _same(decode_goal(blob), list_decode_goal(blob))
         assert _same(decode_goal(blob), sched)
-
-    def test_at_least_three_dependencies_survive(self):
-        sched = GoalSchedule(1)
-        for i in range(200):
-            sched.ranks[0].add_op(Op.calc(i), range(max(0, i - 5), i))
-        blob = encode_goal(sched)
-        assert blob == _ref_encode(sched)
-        assert decode_goal(blob).ranks[0].preds == sched.ranks[0].preds
 
     def test_values_straddling_kernel_chunks(self, monkeypatch):
         """A varint cut by a decode chunk is carried into the next one, and
@@ -183,7 +78,7 @@ class TestAgainstScalarOracle:
         for rank in sched.ranks:
             for i in range(300):
                 rank.add_op(Op.send(_BOUNDARIES[i % len(_BOUNDARIES)], dst=1, tag=i << 9), range(i % 4))
-        expected = _ref_encode(sched)
+        expected = list_encode_goal(sched)
         for chunk in (1, 2, 3, 7, 11, 64):
             monkeypatch.setattr(binary, "_CHUNK", chunk + binary._MAX_VARINT_BYTES)
             assert encode_goal(sched) == expected

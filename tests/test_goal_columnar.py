@@ -2,9 +2,12 @@
 
 ``RankSchedule`` used to hold one ``Op`` object and one predecessor list per
 vertex; it now holds one array per field and a CSR dependency index.  The old
-representation lives on here, as the oracle: everything that builds, walks,
-transforms, writes or runs a schedule is applied to both and must agree --
-op for op, edge for edge, byte for byte, simulated nanosecond for nanosecond.
+representation is the oracle in ``tests/schedule_oracle.py``.  Here random
+programs are built, copied, transformed, merged and run through both codecs on
+both representations, which must agree op for op, edge for edge and byte for
+byte; the paper's workloads, text, binary and simulated, are rows of
+``tests/differential.py``.  The views, the checks where values enter a
+schedule and the resident bytes per op are held here too.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
 from repro.goal import (
     GoalSchedule,
@@ -30,280 +32,24 @@ from repro.goal import (
     write_goal,
 )
 from repro.goal.schedule import RankSchedule
-from repro.network import LogGOPSParams, SimulationConfig
-from repro.schedgen import (
-    DirectDriveConfig,
-    mpi_trace_to_goal,
-    nccl_trace_to_goal,
-    storage_trace_to_goal,
+from repro.schedgen import mpi_trace_to_goal
+from schedule_oracle import (
+    ListSchedule,
+    list_delay_schedule,
+    list_encode_goal,
+    list_merge,
+    list_relabel_tags,
+    list_remap_ranks,
+    list_write_goal,
+    to_oracle,
+    views,
 )
-from repro.scheduler import GoalScheduler
-from repro.tracers.storage import FinancialWorkloadGenerator
 
 BIG = (1 << 63, (1 << 64) - 1)
 
 
-# ---------------------------------------------------------------------------
-# the oracle: the schedule as a list of Op objects and a list of lists
-# ---------------------------------------------------------------------------
-class ListRank:
-    """``RankSchedule`` as it stood at the parent commit (what is compared of it)."""
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.ops = []
-        self.preds = []
-
-    def add_op(self, op, requires=()):
-        idx = len(self.ops)
-        deps = sorted(set(requires))
-        assert not deps or (deps[0] >= 0 and deps[-1] < idx)
-        self.ops.append(op)
-        self.preds.append(deps)
-        return idx
-
-    def add_dependency(self, vertex, requires):
-        assert 0 <= requires < vertex < len(self.ops)
-        if requires not in self.preds[vertex]:
-            self.preds[vertex].append(requires)
-            self.preds[vertex].sort()
-
-    def successors(self):
-        succs = [[] for _ in self.ops]
-        for v, deps in enumerate(self.preds):
-            for d in deps:
-                succs[d].append(v)
-        return succs
-
-    def in_degrees(self):
-        return [len(deps) for deps in self.preds]
-
-    def roots(self):
-        return [v for v, deps in enumerate(self.preds) if not deps]
-
-    def leaves(self):
-        return [v for v, s in enumerate(self.successors()) if not s]
-
-    def critical_path_ns(self):
-        dist = [0] * len(self.ops)
-        for v, op in enumerate(self.ops):
-            base = max((dist[p] for p in self.preds[v]), default=0)
-            dist[v] = base + (op.size if op.is_calc else 0)
-        return max(dist, default=0)
-
-    def copy(self):
-        new = ListRank(self.rank)
-        new.ops = [op.copy() for op in self.ops]
-        new.preds = [list(p) for p in self.preds]
-        return new
-
-
-class ListSchedule:
-    def __init__(self, num_ranks, name="goal"):
-        self.name = name
-        self.ranks = [ListRank(r) for r in range(num_ranks)]
-
-    @property
-    def num_ranks(self):
-        return len(self.ranks)
-
-    def copy(self):
-        new = ListSchedule(self.num_ranks, self.name)
-        new.ranks = [r.copy() for r in self.ranks]
-        return new
-
-    def summary(self):
-        ops = [op for r in self.ranks for op in r.ops]
-        return {
-            "name": self.name,
-            "num_ranks": self.num_ranks,
-            "num_ops": len(ops),
-            "num_edges": sum(len(d) for r in self.ranks for d in r.preds),
-            "sends": sum(op.is_send for op in ops),
-            "recvs": sum(op.is_recv for op in ops),
-            "calcs": sum(op.is_calc for op in ops),
-            "total_bytes": sum(op.size for op in ops if op.is_send),
-            "total_calc_ns": sum(op.size for op in ops if op.is_calc),
-        }
-
-
-def _unlabelled(op):
-    new = op.copy()
-    new.label = None
-    return new
-
-
-def list_remap_ranks(schedule, mapping, num_ranks):
-    merged = ListSchedule(num_ranks, schedule.name)
-    for rank in schedule.ranks:
-        new_rank = merged.ranks[mapping[rank.rank]]
-        for idx, op in enumerate(rank.ops):
-            new_op = _unlabelled(op)
-            if new_op.is_comm:
-                new_op.peer = mapping[op.peer]
-            new_rank.add_op(new_op, rank.preds[idx])
-    return merged
-
-
-def list_relabel_tags(schedule, tag_offset):
-    out = schedule.copy()
-    for rank in out.ranks:
-        for op in rank.ops:
-            if op.is_comm:
-                op.tag += tag_offset
-    return out
-
-
-def list_delay_schedule(schedule, delay_ns):
-    if delay_ns == 0:
-        return schedule
-    out = ListSchedule(schedule.num_ranks, schedule.name)
-    for rank in schedule.ranks:
-        if not rank.ops:
-            continue
-        roots = set(rank.roots())
-        new_rank = out.ranks[rank.rank]
-        new_rank.add_op(Op.calc(delay_ns))
-        for idx, op in enumerate(rank.ops):
-            deps = [d + 1 for d in rank.preds[idx]]
-            if idx in roots:
-                deps.append(0)
-            new_rank.add_op(op.copy(), deps)
-    return out
-
-
-def list_merge(schedules, placements, num_ranks, name, tag_stride, stream_stride=0, arrivals=None):
-    """``concatenate_schedules`` (``stream_stride=0``) and ``merge_onto_shared_nodes``."""
-    if arrivals is not None:
-        schedules = [list_delay_schedule(s, a) for s, a in zip(schedules, arrivals)]
-    merged = ListSchedule(num_ranks, name)
-    for job, (sched, placement) in enumerate(zip(schedules, placements)):
-        for rank in sched.ranks:
-            dst = merged.ranks[placement[rank.rank]]
-            base = len(dst.ops)
-            for idx, op in enumerate(rank.ops):
-                new_op = _unlabelled(op)
-                new_op.cpu = op.cpu + job * stream_stride
-                if new_op.is_comm:
-                    new_op.peer = placement[op.peer]
-                    new_op.tag += job * tag_stride
-                dst.add_op(new_op, [base + d for d in rank.preds[idx]])
-    return merged
-
-
-def list_write_goal(schedule):
-    """The parent's writer, for schedules without user labels."""
-    lines = [f"num_ranks {schedule.num_ranks}", ""]
-    for rank in schedule.ranks:
-        lines.append(f"rank {rank.rank} {{")
-        requires = []
-        for idx, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
-            if op.kind == OpType.CALC:
-                line = f"    op{idx}: calc {op.size}"
-            else:
-                verb, word = ("send", "to") if op.kind == OpType.SEND else ("recv", "from")
-                line = f"    op{idx}: {verb} {op.size}b {word} {op.peer}"
-                if op.tag:
-                    line += f" tag {op.tag}"
-            if op.cpu:
-                line += f" cpu {op.cpu}"
-            lines.append(line)
-            requires += [f"    op{idx} requires op{dep}" for dep in deps]
-        lines += requires + ["}", ""]
-    return "\n".join(lines)
-
-
-def _varint(value):
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        out.append(byte | 0x80 if value else byte)
-        if not value:
-            return bytes(out)
-
-
-def list_encode_goal(schedule):
-    """The parent's encoder, one scalar varint at a time."""
-    name = schedule.name.encode("utf-8")
-    buf = bytearray(b"GOAL\x02" + _varint(len(name)) + name + _varint(schedule.num_ranks))
-    for rank in schedule.ranks:
-        buf += _varint(len(rank.ops))
-        for idx, (op, deps) in enumerate(zip(rank.ops, rank.preds)):
-            header = int(op.kind) | (0x04 if op.tag else 0) | (0x08 if op.cpu else 0) | (0x10 if deps else 0)
-            buf += bytes([header]) + _varint(op.size)
-            if op.kind != OpType.CALC:
-                buf += _varint(op.peer)
-            if op.tag:
-                buf += _varint(op.tag)
-            if op.cpu:
-                buf += _varint(op.cpu)
-            if deps:
-                buf += _varint(len(deps)) + b"".join(_varint(idx - dep) for dep in deps)
-    return bytes(buf)
-
-
-class ListScheduler(GoalScheduler):
-    """The parent's scheduling walk: Op objects, nested successor lists, per-run tables."""
-
-    def __init__(self, oracle, schedule, backend, config):
-        super().__init__(schedule, backend, config, validate=False)
-        self._list_ops = [r.ops for r in oracle.ranks]
-        self._list_succ = [r.successors() for r in oracle.ranks]
-        self._list_indegree = [r.in_degrees() for r in oracle.ranks]
-        self._list_issued = [[False] * len(r.ops) for r in oracle.ranks]
-
-    def _issue(self, rank, vertex, ready_time):
-        assert not self._list_issued[rank][vertex]
-        self._list_issued[rank][vertex] = True
-        op = self._list_ops[rank][vertex]
-        op_id = self._offsets[rank] + vertex
-        if op.kind is OpType.CALC:
-            self._issue_calc(rank, op.cpu, op.size, op_id, ready_time)
-        elif op.kind is OpType.SEND:
-            self._issue_send(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
-        else:
-            self._issue_recv(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
-
-    def _on_complete(self, time, rank, op_id):
-        vertex = op_id - self._offsets[rank]
-        self._completed += 1
-        self._finish_time = max(self._finish_time, time)
-        indegree = self._list_indegree[rank]
-        for succ in self._list_succ[rank][vertex]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                self._issue(rank, succ, time)
-
-
-# ---------------------------------------------------------------------------
-# comparing the two
-# ---------------------------------------------------------------------------
 def assert_same(columnar, oracle, labels=True):
-    """``labels=False`` for a schedule that came through a codec (binary drops labels,
-    text names every vertex)."""
-    assert columnar.num_ranks == oracle.num_ranks
-    for col, ref in zip(columnar.ranks, oracle.ranks):
-        assert col.rank == ref.rank and len(col) == len(ref.ops)
-        assert col.ops == ref.ops and list(col.ops) == ref.ops
-        if labels:
-            assert [op.label for op in col.ops] == [op.label for op in ref.ops]
-        assert col.preds == ref.preds and list(col.preds) == ref.preds
-        assert col.successors() == ref.successors()
-        assert col.in_degrees() == ref.in_degrees()
-        assert col.roots() == ref.roots()
-        assert col.leaves() == ref.leaves()
-        assert col.critical_path_ns() == ref.critical_path_ns()
-    assert columnar.summary() == oracle.summary()
-
-
-def to_oracle(schedule):
-    """Replay a columnar schedule, read through its views, into the oracle."""
-    oracle = ListSchedule(schedule.num_ranks, schedule.name)
-    for rank, ref in zip(schedule.ranks, oracle.ranks):
-        for op, deps in zip(rank.ops, rank.preds):
-            ref.add_op(op.copy(), deps)
-    return oracle
+    assert views(columnar, labels) == views(oracle, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -430,85 +176,6 @@ class TestRandomPrograms:
         assert_same(parse_goal(write_goal(columnar), name="prog"), oracle, labels=False)
         plain = remap_ranks(columnar, {r: r for r in range(columnar.num_ranks)})  # (drops labels)
         assert write_goal(plain) == list_write_goal(oracle)
-
-
-# ---------------------------------------------------------------------------
-# the paper's workloads: construction, text, binary, simulation
-# ---------------------------------------------------------------------------
-def _lulesh():
-    return mpi_trace_to_goal(HPC_APPLICATIONS["lulesh"].trace(HpcRunConfig(num_ranks=8, iterations=2, seed=1)))
-
-
-def _hpcg():
-    return mpi_trace_to_goal(HPC_APPLICATIONS["hpcg"].trace(HpcRunConfig(num_ranks=16, iterations=2, seed=1)))
-
-
-def _llama():
-    par = ParallelismConfig(tp=1, pp=1, dp=8, microbatches=2, global_batch=16)
-    report = LlmTrainer(llama_7b().scaled(0.02), par, gpus_per_node=4, iterations=1, seed=1).trace()
-    return nccl_trace_to_goal(report, gpus_per_node=4)
-
-
-def _direct_drive():
-    trace = FinancialWorkloadGenerator(seed=7, mean_size_bytes=16384).generate(60)
-    return storage_trace_to_goal(trace, DirectDriveConfig(num_clients=4, num_ccs=4, num_bss=8, timescale=0.005))
-
-
-WORKLOADS = {"lulesh": _lulesh, "hpcg": _hpcg, "llama": _llama, "direct_drive": _direct_drive}
-
-
-@pytest.fixture(scope="module", params=sorted(WORKLOADS))
-def generated(request):
-    """A generated schedule, and the oracle fed the very calls its generator made."""
-    fed = {}
-    real = RankSchedule.append_op
-
-    def spy(self, kind, size, peer=None, tag=0, cpu=0, requires=(), label=None):
-        ref = fed.setdefault(id(self), (self, ListRank(self.rank)))[1]
-        ref.add_op(Op(kind, size, peer, tag, cpu, label), requires)
-        return real(self, kind, size, peer, tag, cpu, requires, label)
-
-    patch = pytest.MonkeyPatch()
-    patch.setattr(RankSchedule, "append_op", spy)
-    try:
-        columnar = WORKLOADS[request.param]()
-    finally:
-        patch.undo()
-    oracle = ListSchedule(columnar.num_ranks, columnar.name)
-    oracle.ranks = [fed[id(rank)][1] if id(rank) in fed else ListRank(rank.rank) for rank in columnar.ranks]
-    return columnar, oracle
-
-
-class TestPaperWorkloads:
-    def test_generators_build_the_same_schedule(self, generated):
-        columnar, oracle = generated
-        assert columnar.num_ops() > 500
-        assert_same(columnar, oracle)
-        validate_schedule(columnar)
-
-    def test_text_is_byte_identical_and_parses_back(self, generated):
-        columnar, oracle = generated
-        text = write_goal(columnar)
-        assert text == list_write_goal(oracle)
-        assert_same(parse_goal(text, name=columnar.name), oracle, labels=False)
-
-    def test_blob_is_byte_identical_and_decodes_back(self, generated):
-        columnar, oracle = generated
-        blob = encode_goal(columnar)
-        assert blob == list_encode_goal(oracle)
-        assert_same(decode_goal(blob), oracle, labels=False)
-
-    @pytest.mark.parametrize("backend", ["lgs", "htsim"])
-    def test_simulation_is_identical(self, generated, backend):
-        columnar, oracle = generated
-        config = SimulationConfig(topology="fat_tree", nodes_per_tor=4, loggops=LogGOPSParams.hpc_cluster(), seed=3)
-        new = GoalScheduler(columnar, backend, config, validate=False).run()
-        old = ListScheduler(oracle, columnar, backend, config).run()
-        assert new.ops_completed == old.ops_completed == columnar.num_ops()
-        assert new.finish_time_ns == old.finish_time_ns
-        assert new.rank_finish_times_ns == old.rank_finish_times_ns
-        assert new.stats == old.stats
-        assert new.message_records == old.message_records
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,20 @@
 
 Records used to be a list of :class:`MessageRecord` namedtuples, appended one
 per delivered message.  The store keeps six integers per message in one
-``array('Q')``.  These tests hold it to the list it replaced:
+``array('Q')``.  The differential that holds it to the list it replaced, on
+every delivery path and through the sharded merge even when records tie on
+the whole sort key, is the ``records/*`` rows of ``tests/differential.py``.
+Held here:
 
-* a differential: on every delivery path (LogGOPS eager and rendezvous, the
-  packet backend, ``shards=2``, a co-tenant cell run in a worker process) the
-  store equals, record by record, the list a spy at the delivery points
-  builds, and the sharded merge equals the list path's stable sort even when
-  records tie on the whole sort key;
+* the LogGOPS rendezvous cell does take both delivery paths, and a co-tenant
+  cell run in a worker process returns the spy's list;
 * ``mct_statistics`` returns the list formula's floats bit for bit;
 * the view reads as the list did (``==``, indexing, slices, ``sorted``,
   ``tuple``, ``repr``, pickling);
-* it retains at most 64 bytes per message;
-* a merge that sorts unstably fails the differential.
+* it retains at most 64 bytes per message.
 """
 from __future__ import annotations
 
-import contextlib
 import gc
 import pickle
 import random
@@ -28,9 +26,7 @@ import pytest
 
 from repro import workers
 from repro.cluster import ClusterJob, run_cotenant
-from repro.collectives import build_collective_schedule
-from repro.goal import GoalBuilder
-from repro.network import LogGOPSParams, SimulationConfig
+from repro.network import SimulationConfig
 from repro.network.backend import (
     MessageRecord,
     MessageRecords,
@@ -38,60 +34,9 @@ from repro.network.backend import (
     NetworkStats,
     SimulationResult,
 )
-from repro.network.loggops.backend import LogGOPSBackend
-from repro.network.packet.sharded import _merge_results
 from repro.scheduler import simulate
 from repro.schedgen.synthetic import all_to_all
-from inline_workers import inline_workers
-
-_LEXSORT = np.lexsort
-_RENDEZVOUS = LogGOPSParams(L=3000, o=600, g=5, G=0.18, S=1000)
-
-
-@contextlib.contextmanager
-def delivery_spy():
-    """Per shard id (0 off the sharded engine), the records the list path
-    appended, in delivery order: every ``_message_delivered`` call and every
-    eager LogGOPS arrival, which inlines it."""
-    spied = {}
-    delivered = NetworkBackend._message_delivered
-    arrived = LogGOPSBackend._on_arrival
-
-    def message_delivered(self, src, dst, size, tag, post_time, time):
-        record = MessageRecord(src, dst, size, tag, post_time, time)
-        spied.setdefault(getattr(self, "shard_id", 0), []).append(record)
-        delivered(self, src, dst, size, tag, post_time, time)
-
-    def on_arrival(self, time, payload):
-        spied.setdefault(0, []).append(MessageRecord(*payload, time))
-        arrived(self, time, payload)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(NetworkBackend, "_message_delivered", message_delivered)
-        patch.setattr(LogGOPSBackend, "_on_arrival", on_arrival)
-        yield spied
-
-
-def _list_path(spied):
-    """What the list path returned: one backend's list, or the shards' lists
-    concatenated in shard order and stably sorted on the merge key."""
-    if len(spied) == 1:
-        return spied[0]
-    merged = [m for shard in sorted(spied) for m in spied[shard]]
-    return sorted(merged, key=lambda m: (m.completion_time, m.src, m.dst, m.tag))
-
-
-def _mixed_ring(n=6):
-    """Every rank sends its successor one eager (64 B) and one rendezvous
-    (4 KiB under ``_RENDEZVOUS``) message, on two streams."""
-    b = GoalBuilder(n, name="mixed")
-    for r in range(n):
-        rank = b.rank(r)
-        rank.send(64, dst=(r + 1) % n, tag=1)
-        rank.send(4096, dst=(r + 1) % n, tag=2, cpu=1)
-        rank.recv(64, src=(r - 1) % n, tag=1)
-        rank.recv(4096, src=(r - 1) % n, tag=2, cpu=1)
-    return b.build()
+from differential import RING_RENDEZVOUS, delivery_spy, mixed_ring
 
 
 def _old_mct(records):
@@ -107,43 +52,7 @@ def _old_mct(records):
     }
 
 
-def _shard_result(records):
-    return SimulationResult(
-        finish_time_ns=0,
-        rank_finish_times_ns=[0],
-        stats=NetworkStats(),
-        message_records=MessageRecords.from_columns(np.array(records, dtype=np.uint64).reshape(-1, 6)),
-    )
-
-
-def _tied_shards(seed, shards=2, per_shard=200):
-    """Per shard, records drawn from a tiny key space, so many tie on the
-    whole merge key; sizes are unique, so any reordering of a tie shows."""
-    rng = random.Random(seed)
-    size = iter(range(1, shards * per_shard + 1))
-    return [
-        [
-            MessageRecord(rng.randrange(3), rng.randrange(3), next(size), rng.randrange(2), 0, rng.randrange(4))
-            for _ in range(per_shard)
-        ]
-        for _ in range(shards)
-    ]
-
-
-def _assert_merge_is_list_path(per_shard):
-    one_rank = GoalBuilder(1, name="empty").build()
-    merged = _merge_results([(_shard_result(rs), 0) for rs in per_shard], one_rank, 0.0)
-    assert merged.message_records == _list_path(dict(enumerate(per_shard)))
-
-
 class TestDifferential:
-    @pytest.mark.parametrize("params", [LogGOPSParams(), _RENDEZVOUS], ids=["eager", "rendezvous"])
-    def test_lgs(self, params):
-        with delivery_spy() as spied:
-            result = simulate(_mixed_ring(), backend="lgs", config=SimulationConfig(loggops=params))
-        assert len(result.message_records) == 12
-        assert result.message_records == spied[0]
-
     def test_lgs_takes_both_paths(self):
         # the rendezvous cell delivers its 4 KiB messages through
         # _message_delivered, its 64 B ones through the inlined eager arrival
@@ -155,33 +64,8 @@ class TestDifferential:
                 "_message_delivered",
                 lambda self, *a: calls.append(a[2]) or delivered(self, *a),
             )
-            simulate(_mixed_ring(), backend="lgs", config=SimulationConfig(loggops=_RENDEZVOUS))
+            simulate(mixed_ring(), backend="lgs", config=SimulationConfig(loggops=RING_RENDEZVOUS))
         assert sorted(calls) == [4096] * 6
-
-    @pytest.mark.parametrize("cc", ["mprdma", "ndp"])
-    def test_packet(self, cc):
-        # small buffers: drops (or NDP trims) and retransmissions
-        config = SimulationConfig(
-            topology="fat_tree", nodes_per_tor=4, oversubscription=4.0,
-            cc_algorithm=cc, buffer_size=1 << 14, seed=3,
-        )
-        with delivery_spy() as spied:
-            result = simulate(all_to_all(16, 1 << 15), backend="htsim", config=config)
-        assert result.stats.retransmissions > 0
-        assert len(result.message_records) == 240
-        assert result.message_records == spied[0]
-
-    def test_two_shards(self):
-        schedule = build_collective_schedule("allreduce", "recursive_doubling", 16, 4096)
-        config = SimulationConfig(topology="fat_tree", routing="minimal", cc_algorithm="mprdma", shards=2)
-        with inline_workers(), delivery_spy() as spied:
-            result = simulate(schedule, backend="htsim", config=config)
-        assert sorted(spied) == [0, 1]
-        assert result.message_records == _list_path(spied)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_sharded_merge_with_ties(self, seed):
-        _assert_merge_is_list_path(_tied_shards(seed))
 
     def test_cotenant_cell_in_a_worker(self):
         with workers.Workers(1, None, "cell", "parallel=None") as pool:
@@ -192,7 +76,7 @@ class TestDifferential:
 
 def _cotenant_cell(state, k):
     """Worker task: one co-tenant run, its records and the spy's list."""
-    jobs = [ClusterJob(_mixed_ring(4)), ClusterJob(_mixed_ring(4), arrival_ns=500)]
+    jobs = [ClusterJob(mixed_ring(4)), ClusterJob(mixed_ring(4), arrival_ns=500)]
     with delivery_spy() as spied:
         result = run_cotenant(jobs, backend="lgs", baseline=False).result
     return result.message_records, spied
@@ -226,10 +110,10 @@ class TestMctStatistics:
 class TestView:
     @pytest.fixture(scope="class")
     def records(self):
-        return simulate(_mixed_ring(), backend="lgs").message_records
+        return simulate(mixed_ring(), backend="lgs").message_records
 
     def test_empty_when_collection_is_off(self):
-        result = simulate(_mixed_ring(), backend="lgs", config=SimulationConfig(collect_message_records=False))
+        result = simulate(mixed_ring(), backend="lgs", config=SimulationConfig(collect_message_records=False))
         assert result.message_records == [] and result.message_records == ()
         assert not result.message_records and len(result.message_records) == 0
 
@@ -286,16 +170,3 @@ def test_at_most_64_bytes_retained_per_message():
     messages = len(result.message_records)
     assert messages >= 10_000
     assert retained / messages <= 64
-
-
-def _unstable_lexsort(keys):
-    """``np.lexsort`` that breaks ties backwards: a sort that is not stable."""
-    return _LEXSORT((-np.arange(len(keys[0])),) + tuple(keys))
-
-
-def test_an_unstable_merge_fails_the_differential():
-    per_shard = _tied_shards(0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "lexsort", _unstable_lexsort)
-        with pytest.raises(AssertionError):
-            _assert_merge_is_list_path(per_shard)

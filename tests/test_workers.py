@@ -35,7 +35,8 @@ from repro.network.packet import sharded
 from repro.network.packet.sharded import run_sharded
 from repro.scheduler import GoalScheduler
 from repro.schedgen import all_to_all
-from repro.sweep import _execute_cells, resilience_sweep
+from repro import sweep
+from repro.sweep import resilience_sweep
 from repro.workers import WorkerError, Workers
 
 _PARENT = os.getpid()
@@ -98,7 +99,7 @@ def _default_start_method(method):
 def test_dead_sweep_worker_names_its_cell_and_nothing_reruns():
     _RERUNS.clear()
     with pytest.raises(WorkerError, match=r"^sweep cell 3: .*exit code 3\)$"):
-        _execute_cells(_cell_3_dies, list(range(6)), parallel=2)
+        sweep._execute_cells(_cell_3_dies, list(range(6)), parallel=2)
     assert _RERUNS == []
     assert _no_children()
 
@@ -135,14 +136,14 @@ def test_processes_that_cannot_start_fail_with_the_in_process_setting(monkeypatc
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoSemaphores)
     with pytest.raises(WorkerError, match=r"no POSIX semaphores.*pass parallel=None"):
-        _execute_cells(_slower_first, list(range(3)), parallel=2)
+        sweep._execute_cells(_slower_first, list(range(3)), parallel=2)
     with pytest.raises(WorkerError, match=r"no POSIX semaphores.*pass shards=1"):
         run_sharded(_allreduce(), _SHARDED)
 
 
 def test_negative_parallel_is_rejected():
     with pytest.raises(ValueError, match="parallel must be .* got -2"):
-        _execute_cells(_slower_first, list(range(3)), parallel=-2)
+        sweep._execute_cells(_slower_first, list(range(3)), parallel=-2)
 
 
 # ----------------------------------------------------------------- payload
@@ -176,7 +177,7 @@ def test_spawned_shards_match_forked_shards():
 
 # ------------------------------------------------------------------ order
 def test_results_come_back_in_grid_order():
-    results = _execute_cells(_slower_first, list(range(6)), parallel=3)
+    results = sweep._execute_cells(_slower_first, list(range(6)), parallel=3)
     assert [cell for cell, _ in results] == list(range(6))
     pids = {pid for _, pid in results}
     assert _PARENT not in pids and len(pids) > 1
