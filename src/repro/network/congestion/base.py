@@ -1,10 +1,10 @@
 """Common interface of window-based congestion-control algorithms.
 
 The packet backend keeps one instance per flow.  The window is maintained in
-(fractional) packets of ``mtu`` bytes; the backend queries
-:meth:`CongestionControl.can_send` before injecting a new packet and feeds
-back one :meth:`on_ack` per acknowledged data packet and one :meth:`on_loss`
-per detected loss (timeout or trim-NACK).
+(fractional) packets of ``mtu`` bytes.  The backend feeds back one
+:meth:`on_ack` per acknowledged data packet, which returns the new window in
+bytes (the injection loop's budget until the next ACK), and one
+:meth:`on_loss` per detected loss (timeout or trim-NACK).
 """
 from __future__ import annotations
 
@@ -41,8 +41,13 @@ class CongestionControl:
         return inflight_bytes + self.mtu <= self.window_bytes() or inflight_bytes == 0
 
     # -- feedback ------------------------------------------------------------
-    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> None:
-        """Per-acknowledgement feedback; the base class does nothing."""
+    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> int:
+        """Per-acknowledgement feedback; returns :meth:`window_bytes` after it.
+
+        The base class does not adapt.  Subclasses run once per delivered
+        data packet, so they read and write ``cwnd`` once and clamp inline.
+        """
+        return int(self.cwnd * self.mtu)
 
     def on_loss(self) -> None:
         """A loss (timeout or NACK) was detected; the base class does nothing."""

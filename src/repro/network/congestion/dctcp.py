@@ -23,20 +23,23 @@ class DCTCP(CongestionControl):
         self._acks_in_window = 0
         self._marks_in_window = 0
 
-    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> None:
-        self._acks_in_window += 1
-        if ecn_marked:
-            self._marks_in_window += 1
+    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> int:
+        acks = self._acks_in_window + 1
+        marks = self._marks_in_window + 1 if ecn_marked else self._marks_in_window
         # additive increase spread over the window
-        self.cwnd += 1.0 / max(self.cwnd, 1.0)
-        if self._acks_in_window >= self.cwnd:
-            frac = self._marks_in_window / self._acks_in_window
-            self.alpha = (1.0 - self.g) * self.alpha + self.g * frac
-            if self._marks_in_window:
-                self.cwnd *= 1.0 - self.alpha / 2.0
-            self._acks_in_window = 0
-            self._marks_in_window = 0
-        self._clamp()
+        cwnd = self.cwnd
+        cwnd += 1.0 / (cwnd if cwnd > 1.0 else 1.0)
+        if acks >= cwnd:
+            alpha = self.alpha = (1.0 - self.g) * self.alpha + self.g * (marks / acks)
+            if marks:
+                cwnd *= 1.0 - alpha / 2.0
+            acks = marks = 0
+        self._acks_in_window = acks
+        self._marks_in_window = marks
+        if cwnd < self.min_window:
+            cwnd = self.min_window
+        self.cwnd = cwnd
+        return int(cwnd * self.mtu)
 
     def on_loss(self) -> None:
         self.cwnd /= 2.0

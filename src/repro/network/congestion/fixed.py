@@ -11,10 +11,6 @@ from repro.network.congestion.base import CongestionControl
 class FixedWindow(CongestionControl):
     """A static window; losses still collapse it to avoid livelock."""
 
-    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> None:
-        # deliberately no adaptation
-        return
-
     def on_loss(self) -> None:
         # shrink to keep retransmissions from amplifying persistent overload
         self.cwnd = max(self.min_window, self.cwnd / 2.0)

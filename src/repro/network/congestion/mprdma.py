@@ -25,12 +25,16 @@ class MPRDMA(CongestionControl):
     #: Additive increase per unmarked ACK is ``increase_gain / cwnd`` packets.
     increase_gain: float = 1.0
 
-    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> None:
+    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> int:
+        cwnd = self.cwnd
         if ecn_marked:
-            self.cwnd -= self.decrease_per_mark
+            cwnd -= self.decrease_per_mark
         else:
-            self.cwnd += self.increase_gain / max(self.cwnd, 1.0)
-        self._clamp()
+            cwnd += self.increase_gain / (cwnd if cwnd > 1.0 else 1.0)
+        if cwnd < self.min_window:
+            cwnd = self.min_window
+        self.cwnd = cwnd
+        return int(cwnd * self.mtu)
 
     def on_loss(self) -> None:
         self.cwnd = self.min_window

@@ -32,11 +32,6 @@ class NDPReceiverDriven(CongestionControl):
     #: Size in bytes of a trimmed header (and of pull/NACK control packets).
     header_size: int = 64
 
-    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> None:
-        # Sender-side window is irrelevant after the initial window: pulls
-        # clock transmissions.  Nothing to adapt.
-        return
-
     def on_loss(self) -> None:
         # Losses surface as trims/NACKs handled by the pull loop.
         return

@@ -38,20 +38,24 @@ class Swift(CongestionControl):
         self._last_decrease_rtt_count = 0
         self._acks_since_decrease = 0
 
-    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> None:
-        if rtt_ns <= self.target_delay_ns:
+    def on_ack(self, acked_bytes: int, ecn_marked: bool, rtt_ns: int) -> int:
+        cwnd = self.cwnd
+        acks = self._acks_since_decrease + 1
+        target = self.target_delay_ns
+        if rtt_ns <= target:
             # below target: additive increase (per-ACK share of one packet/RTT)
-            self.cwnd += self.ai / max(self.cwnd, 1.0)
-            self._acks_since_decrease += 1
-        else:
+            cwnd += self.ai / (cwnd if cwnd > 1.0 else 1.0)
+        elif acks >= cwnd:
             # above target: multiplicative decrease, paced to once per window
-            self._acks_since_decrease += 1
-            if self._acks_since_decrease >= self.cwnd:
-                excess = (rtt_ns - self.target_delay_ns) / rtt_ns
-                factor = max(1.0 - self.beta * excess, 1.0 - self.max_mdf)
-                self.cwnd *= factor
-                self._acks_since_decrease = 0
-        self._clamp()
+            factor = 1.0 - self.beta * ((rtt_ns - target) / rtt_ns)
+            floor = 1.0 - self.max_mdf
+            cwnd *= factor if factor > floor else floor
+            acks = 0
+        self._acks_since_decrease = acks
+        if cwnd < self.min_window:
+            cwnd = self.min_window
+        self.cwnd = cwnd
+        return int(cwnd * self.mtu)
 
     def on_loss(self) -> None:
         self.cwnd *= 1.0 - self.max_mdf

@@ -29,11 +29,12 @@ One scheduler event (a window opening on an ACK, a flow becoming ready)
 advances a flow's whole contiguous packet train: the injection loop enqueues
 every packet the window allows, and the burst queue turns each into a single
 delivery event with an arithmetically computed timestamp.  Packet objects
-are pooled (``__slots__`` records reused through a free list), a flow's
-ECMP route is drawn in closed form and its base RTT summed from per-link
-delay lists (no per-pair table or cache on a healthy fat tree), and per-size
-serialisation times are memoized — see ``docs/performance.md`` for
-measurements.
+are pooled (``__slots__`` records reused through a free list), a DATA packet
+that reaches its destination turns around in place as its own ACK (or NACK)
+with no helper call on the way, a flow's ECMP route is drawn in closed form
+and its base RTT summed from per-link delay lists (no per-pair table or
+cache on a healthy fat tree), and per-size serialisation times are memoized
+— see ``docs/performance.md`` for measurements.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ class PacketBackend(NetworkBackend):
         for q in self.queues:
             q._streams = self._stream_heads
         # flows a fault can still affect, by flow id in start order; a flow
-        # leaves once _fault_flow_live turns false (see _handle_data_arrival).
+        # leaves once _fault_flow_live turns false (see _message_arrived).
         # Only fault and learn events read it, so it stays empty without a
         # fault schedule.
         self.live_flows: Dict[int, Flow] = {}
@@ -246,39 +247,55 @@ class PacketBackend(NetworkBackend):
                     break
                 self._send_data_packet(flow, seq, time)
         else:
-            self._try_send(flow, time)
+            self._try_send(flow, time, flow.cc.window_bytes())
 
-    def _try_send(self, flow: Flow, now: int) -> None:
-        """Advance the flow's packet train as far as the window allows.
+    def _try_send(self, flow: Flow, now: int, window: int) -> None:
+        """Advance the flow's packet train as far as ``window`` bytes allow.
 
         This whole loop costs one heap operation per injected packet — the
         burst queue serialises the train arithmetically, so a
         single ACK event can open the window and launch a contiguous burst
-        without any per-packet transmission events.
+        without any per-packet transmission events.  ``window`` is the
+        congestion window in bytes: no feedback is processed here, so the
+        caller computes it once (``on_ack`` returns it).  Sender-based
+        transports only.
         """
-        cc = flow.cc
-        if cc.receiver_driven:
-            return
-        # the window cannot change inside the loop (no feedback is processed
-        # here), so hoist the byte budget out of the per-packet check
-        window = cc.window_bytes()
-        mtu = cc.mtu
-        while flow.has_retransmissions() or flow.has_unsent_data():
+        mtu = flow.mtu
+        n = flow.num_packets
+        send = self._send_data_packet
+        while True:
             inflight = flow.inflight_bytes
             if inflight + mtu > window and inflight != 0:
                 return
-            seq = flow.next_seq_to_send()
-            if seq is None:
-                return
-            self._send_data_packet(flow, seq, now)
+            if flow.retransmit_queue:
+                seq = flow.next_seq_to_send()
+                if seq is None:
+                    return
+            else:
+                seq = flow.next_new_seq
+                if seq >= n:
+                    return
+                flow.next_new_seq = seq + 1
+            send(flow, seq, now)
 
     def _send_data_packet(self, flow: Flow, seq: int, now: int, retransmission: bool = False) -> None:
         size = flow.mtu if seq != flow.num_packets - 1 else flow.last_packet_size
+        route = flow.route
         free = self._packet_free
         if free:
-            pkt = free.pop().reset(flow, DATA, seq, size, flow.route, now)
+            pkt = free.pop()
+            pkt.flow = flow
+            pkt.kind = DATA
+            pkt.seq = seq
+            pkt.size = size
+            pkt.route = route
+            pkt.hop = 0
+            pkt.hops = len(route)
+            pkt.ecn = False
+            pkt.trimmed = False
+            pkt.sent_time = now
         else:
-            pkt = Packet(flow, DATA, seq, size, flow.route, sent_time=now)
+            pkt = Packet(flow, DATA, seq, size, route, now)
         flow.inflight_bytes += size
         if flow.trimmable:
             # only the NDP pull path reads per-seq send times; skip the dict
@@ -292,16 +309,15 @@ class PacketBackend(NetworkBackend):
             arr = jlb.get(flow.job)
             if arr is None:
                 arr = jlb[flow.job] = np.zeros(len(self.queues), dtype=np.int64)
-            for link in flow.route:
+            for link in route:
                 arr[link] += size
-        accepted = flow.route_q0.enqueue(pkt, now)
-        if not accepted:
+        if not flow.route_q0.enqueue(pkt, now):
             self._handle_data_drop(pkt, now)
-            self._packet_free.append(pkt)
+            free.append(pkt)
         if (
             not flow.send_op_completed
-            and flow.all_injected()
-            and not flow.has_retransmissions()
+            and flow.next_new_seq >= flow.num_packets
+            and not flow.retransmit_queue
         ):
             flow.send_op_completed = True
             self._complete_op(now, (flow.src, flow.op_id))
@@ -485,40 +501,17 @@ class PacketBackend(NetworkBackend):
         return False
 
     # ------------------------------------------------------------ receiver side
-    def _handle_data_arrival(self, packet: Packet, now: int) -> None:
-        flow = packet.flow
-        cfg = self.config
-        if packet.trimmed:
-            # NDP: the payload was cut; NACK the sequence and pull a retransmit.
-            self._send_control(flow, NACK, packet.seq, flow.ack_route, now)
-            self._request_pull(flow, now)
-            return
-
-        self._n_delivered += 1
-        new = flow.on_data_received(packet.seq, packet.size)
-        # acknowledge (echo ECN mark and the original send time for RTT)
-        free = self._packet_free
-        if free:
-            ack = free.pop().reset(flow, ACK, packet.seq, cfg.ack_size, flow.ack_route, packet.sent_time)
-        else:
-            ack = Packet(flow, ACK, packet.seq, cfg.ack_size, flow.ack_route, sent_time=packet.sent_time)
-        ack.ecn = packet.ecn
-        self._n_acks += 1
-        flow.ack_q0.enqueue(ack, now)
-
-        if flow.cc.receiver_driven and not flow.fully_received():
-            self._request_pull(flow, now)
-
-        if new and flow.fully_received() and not flow.message_delivered:
-            flow.message_delivered = True
-            if self._faults_enabled and not self._fault_flow_live(flow):
-                self.live_flows.pop(flow.flow_id, None)
-            self._message_delivered(
-                flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now
-            )
-            matched = self.matcher.post_arrival(flow.src, flow.dst, flow.tag, now)
-            if matched is not None:
-                self._complete_recv(matched, now)
+    def _message_arrived(self, flow: Flow, now: int) -> None:
+        """The last missing data packet of ``flow`` reached its destination."""
+        flow.message_delivered = True
+        if self._faults_enabled and not self._fault_flow_live(flow):
+            self.live_flows.pop(flow.flow_id, None)
+        self._message_delivered(
+            flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now
+        )
+        matched = self.matcher.post_arrival(flow.src, flow.dst, flow.tag, now)
+        if matched is not None:
+            self._complete_recv(matched, now)
 
     def _post_recv(self, time: int, payload: Any) -> None:
         rank, src, size, tag, stream, op_id = payload
@@ -549,7 +542,7 @@ class PacketBackend(NetworkBackend):
     def _sender_pull_kick(self, flow: Flow, now: int) -> None:
         """Spend banked pull credits on whatever the flow can currently send."""
         credits = self._pull_credits.get(flow.flow_id, 0)
-        while credits > 0 and (flow.has_retransmissions() or flow.has_unsent_data()):
+        while credits > 0:
             seq = flow.next_seq_to_send()
             if seq is None:
                 break
@@ -624,14 +617,17 @@ class PacketBackend(NetworkBackend):
         streams = self._stream_heads
         queues = self.queues
         free_append = self._packet_free.append
-        handle_arrival = self._handle_data_arrival
         handle_nack = self._handle_nack
         handle_pull = self._handle_pull
         handle_drop = self._handle_data_drop
+        request_pull = self._request_pull
+        message_arrived = self._message_arrived
         try_send = self._try_send
+        ack_size = self.config.ack_size
         faults_enabled = self._faults_enabled
         bounded = until is not None
         executed = 0
+        delivered = 0
         while True:
             st = streams[0][0] if streams else None
             if heap and (st is None or heap[0][0] <= st):
@@ -673,13 +669,40 @@ class PacketBackend(NetworkBackend):
                     elif not queues[pkt.route[hop]].enqueue(pkt, t):
                         handle_drop(pkt, t)
                         free_append(pkt)
+                elif pkt.kind == DATA:
+                    # the packet turns around as the ACK it triggers (the
+                    # NACK when it was trimmed): same flow, seq, ECN echo
+                    # and send time, onto the ACK route from its first hop
+                    flow = pkt.flow
+                    route = flow.ack_route
+                    pkt.route = route
+                    pkt.hop = 0
+                    pkt.hops = len(route)
+                    if pkt.trimmed:
+                        # NDP: the payload was cut; NACK the sequence and
+                        # pull a retransmit
+                        pkt.kind = NACK
+                        pkt.size = ack_size
+                        flow.ack_q0.enqueue(pkt, t)
+                        request_pull(flow, t)
+                    else:
+                        delivered += 1
+                        seq = pkt.seq
+                        received = flow.received
+                        new = seq not in received
+                        if new:
+                            received.add(seq)
+                        pkt.kind = ACK
+                        pkt.size = ack_size
+                        flow.ack_q0.enqueue(pkt, t)
+                        if len(received) != flow.num_packets:
+                            if flow.trimmable:
+                                request_pull(flow, t)
+                        elif new and not flow.message_delivered:
+                            message_arrived(flow, t)
                 else:
                     kind = pkt.kind
-                    if kind == DATA:
-                        handle_arrival(pkt, t)
-                    elif kind == ACK:
-                        # inlined ACK handling (hot: one per delivered data
-                        # packet)
+                    if kind == ACK:
                         flow = pkt.flow
                         seq = pkt.seq
                         acked = flow.acked
@@ -690,11 +713,14 @@ class PacketBackend(NetworkBackend):
                                 if seq != flow.num_packets - 1
                                 else flow.last_packet_size
                             )
-                            ib = flow.inflight_bytes - freed
-                            flow.inflight_bytes = ib if ib > 0 else 0
+                            inflight = flow.inflight_bytes - freed
+                            if inflight < 0:
+                                inflight = 0
+                            flow.inflight_bytes = inflight
                             rtt = t - pkt.sent_time
-                            flow.cc.on_ack(freed, pkt.ecn, rtt if rtt > 0 else 1)
-                            try_send(flow, t)
+                            window = flow.cc.on_ack(freed, pkt.ecn, rtt if rtt > 0 else 1)
+                            if not flow.trimmable:  # NDP sends on pulls only
+                                try_send(flow, t, window)
                     elif kind == NACK:
                         handle_nack(pkt, t)
                     else:
@@ -717,6 +743,8 @@ class PacketBackend(NetworkBackend):
                     heappush(streams, (nt, nd, link))
                     break
                 t = nt
+        self._n_delivered += delivered
+        self._n_acks += delivered
         events.executed += executed
         return events._now
 

@@ -41,12 +41,10 @@ class Flow:
         "retransmit_queue",
         "retransmit_pending",
         "received",
-        "received_bytes",
         "send_op_completed",
         "message_delivered",
         "trimmable",
         "header_size",
-        "pulls_outstanding",
         "job",
         "key",
     )
@@ -100,13 +98,11 @@ class Flow:
 
         # receiver-side state
         self.received: Set[int] = set()
-        self.received_bytes = 0
         self.message_delivered = False
 
         # NDP specifics
         self.trimmable = cc.receiver_driven
         self.header_size = getattr(cc, "header_size", 64)
-        self.pulls_outstanding = 0
 
         # multi-job attribution: tag window this flow belongs to (set by the
         # backend when job_tag_stride is configured; 0 otherwise)
@@ -121,13 +117,6 @@ class Flow:
         if seq == self.num_packets - 1:
             return self.last_packet_size
         return self.mtu
-
-    def has_unsent_data(self) -> bool:
-        """True while new (never transmitted) packets remain."""
-        return self.next_new_seq < self.num_packets
-
-    def has_retransmissions(self) -> bool:
-        return bool(self.retransmit_queue)
 
     def next_seq_to_send(self) -> Optional[int]:
         """Pick the next sequence number to transmit (retransmissions first)."""
@@ -157,22 +146,6 @@ class Flow:
 
     def all_acked(self) -> bool:
         return len(self.acked) == self.num_packets
-
-    def all_injected(self) -> bool:
-        """True once every packet has been transmitted at least once."""
-        return self.next_new_seq >= self.num_packets
-
-    # ------------------------------------------------------------ receiver side
-    def on_data_received(self, seq: int, size: int) -> bool:
-        """Record the arrival of data packet ``seq``; return True if it was new."""
-        if seq in self.received:
-            return False
-        self.received.add(seq)
-        self.received_bytes += size
-        return True
-
-    def fully_received(self) -> bool:
-        return len(self.received) == self.num_packets
 
     def __repr__(self) -> str:
         return (

@@ -144,16 +144,19 @@ class BurstLinkQueue:
 
         Returns ``True`` when the packet was accepted (possibly trimmed) and
         ``False`` when it was dropped.  Control packets (ACK/NACK/PULL) and
-        already-trimmed headers are never dropped.
+        already-trimmed headers are never dropped.  Runs once per packet-hop,
+        so every slot is read at most once.
         """
         qb = self.queued_bytes
-        if self.head_depart < now:
-            pending = self.pending
+        head = self.head_depart
+        pending = self.pending
+        if head < now:
             while pending and pending[0][0] < now:
                 qb -= pending.popleft()[1]
-            self.head_depart = pending[0][0] if pending else _NEVER
+            head = self.head_depart = pending[0][0] if pending else _NEVER
         size = packet.size
         if packet.kind == 0 and not packet.trimmed:  # DATA
+            kmin = self.kmin
             if qb + size > self.capacity:
                 if packet.flow.trimmable:
                     # NDP: trim the payload, keep the header.
@@ -166,22 +169,23 @@ class BurstLinkQueue:
                     self.stats.packets_dropped += 1
                     self.queued_bytes = qb
                     return False
-            elif qb > self.kmin:
+            elif qb > kmin:
                 # RED-style ECN on the instantaneous pre-enqueue depth
-                if qb >= self.kmax:
+                kmax = self.kmax
+                if qb >= kmax:
                     mark = True
                 else:
-                    prob = (qb - self.kmin) / max(1, (self.kmax - self.kmin))
+                    prob = (qb - kmin) / max(1, (kmax - kmin))
                     mark = self.rng.random() < prob
                 if mark and not packet.ecn:
                     packet.ecn = True
                     self.ecn_marks += 1
                     self.stats.packets_ecn_marked += 1
 
-        tx = self._tx_cache.get(size)
-        if tx is None:
-            tx = max(1, int(round(size / self._bandwidth)))
-            self._tx_cache[size] = tx
+        try:
+            tx = self._tx_cache[size]
+        except KeyError:
+            tx = self.tx_time(size)
         free = self.free_at
         depart = (free if free > now else now) + tx
         self.free_at = depart
@@ -190,11 +194,12 @@ class BurstLinkQueue:
         self.queued_bytes = qb
         if qb > self.max_queued_bytes:
             self.max_queued_bytes = qb
-            if qb > self.stats.max_queue_bytes:
-                self.stats.max_queue_bytes = qb
-        if self.head_depart == _NEVER:
+            stats = self.stats
+            if qb > stats.max_queue_bytes:
+                stats.max_queue_bytes = qb
+        if head == _NEVER:
             self.head_depart = depart
-        self.pending.append((depart, size))
+        pending.append((depart, size))
         packet.depart = depart
         self.out.append(packet)
         if not self.live:

@@ -6,7 +6,7 @@ Sizes are bytes; times are integer nanoseconds.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 # Packet kinds
 DATA = 0
@@ -111,20 +111,6 @@ class Packet:
         self.trimmed = False
         self.sent_time = sent_time
         return self
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind == DATA
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind != DATA
-
-    def current_link(self) -> Optional[int]:
-        """Link id the packet should traverse next, or ``None`` past the last hop."""
-        if self.hop < len(self.route):
-            return self.route[self.hop]
-        return None
 
     def __repr__(self) -> str:
         return (

@@ -131,9 +131,10 @@ _FlowKey = Tuple[int, int, int]
 class _KeyedRng:
     """A keyed generator built on its first use.
 
-    Seeding a ``default_rng`` costs ~14 µs and most route picks never draw
-    (single-candidate pairs), so the route-pick streams stand in for the
-    strategy's generator as this and materialise only when asked.
+    Seeding a ``default_rng`` costs ~14 µs, most route picks never draw
+    (single-candidate pairs) and most links never enter the ECN band, so
+    the route-pick and per-link ECN streams stand in for their generators
+    as this and materialise only when asked.
     """
 
     __slots__ = ("_key", "_gen")
@@ -268,9 +269,11 @@ class ShardPacketBackend(PacketBackend):
         plan = self.plan
         seed = int(config.seed)
         # keyed ECN draws: per-link streams make marking decisions a
-        # function of (seed, link, arrival order at that link) only
+        # function of (seed, link, arrival order at that link) only.  Only
+        # a queue that enters the RED band draws, so each stream is seeded
+        # on its first draw
         for q in self.queues:
-            q.rng = np.random.default_rng((seed, _ECN_STREAM, q.link.link_id))
+            q.rng = _KeyedRng(seed, _ECN_STREAM, q.link.link_id)
         # boundary diversion: replace the local queue of every outgoing cut
         # link (queues are untouched pre-traffic, so swapping objects is
         # exact); the queue object of an *incoming* cut link doubles as the

@@ -156,8 +156,8 @@ class Pair:
     reference: str
     #: Keys this engine may legitimately report differently.
     exempt: FrozenSet[str] = frozenset()
-    #: The entry of ``tests/mutants.py`` this comparison must catch.
-    mutant: Optional[str] = None
+    #: The entries of ``tests/mutants.py`` this comparison must catch.
+    mutants: Tuple[str, ...] = ()
 
 
 def _completes(out) -> bool:
@@ -450,9 +450,11 @@ SIDES: Dict[str, Callable[[object], object]] = {
 # pairs
 # ---------------------------------------------------------------------------
 #: The event-per-transmission oracle executes more events by construction.
-PACKET = Pair("htsim", "per-transmission", frozenset({"events"}), "ledger-retires-at-departure")
-LOGGOPS = Pair("lgs", "five-event", mutant="seq-blind-ready-queue")
-LOGGOPS_CELLS = Pair("lgs cells", "five-event cells", mutant="seq-blind-ready-queue")
+PACKET = Pair(
+    "htsim", "per-transmission", frozenset({"events"}), ("ledger-retires-at-departure", "turnaround-drops-ecn-echo")
+)
+LOGGOPS = Pair("lgs", "five-event", mutants=("seq-blind-ready-queue",))
+LOGGOPS_CELLS = Pair("lgs cells", "five-event cells", mutants=("seq-blind-ready-queue",))
 LOGGOPS_API = Pair("lgs api", "five-event api")
 HTSIM_TWICE = Pair("htsim", "htsim")
 LGS_TWICE = Pair("lgs", "lgs")
@@ -468,7 +470,7 @@ def shards(engine: int, reference: int) -> Pair:
 
 RECORDS_LGS = Pair("lgs", "lgs list path")
 RECORDS_HTSIM = Pair("htsim", "htsim list path")
-MERGE = Pair("merge", "list merge", mutant="unstable-merge-sort")
+MERGE = Pair("merge", "list merge", mutants=("unstable-merge-sort",))
 SCHEDULE = Pair("columnar", "list")
 CODECS = Pair("codecs", "list codecs")
 SCHEDULER_LGS = Pair("columnar lgs", "list lgs")

@@ -7,18 +7,21 @@ a file) and names its check: a zero-argument call that raises ``raises``
 under the break and passes without it.  For a registry check that is
 :class:`differential.Mismatch`, the engine-against-reference comparison
 itself, not a regime ``expect`` or the packet ledger.  ``tests/test_differential.py::test_mutant_is_caught`` runs each
-one; every :class:`differential.Pair` that names a mutant, and every check in
+one; every mutant a :class:`differential.Pair` names, and every check in
 that file's ``GUARDED``, needs it here
 (``test_every_named_mutant_is_registered``).
 
 To add one: write the break as a ``patch`` function, point ``caught_by`` at
 the registry input (``differential.check(name)``) or test that catches it
 (a test outside the registry also sets ``raises``), and name it in the
-pair's ``mutant`` field.
+pair's ``mutants`` field.
 """
 from __future__ import annotations
 
 import heapq
+import inspect
+import re
+import textwrap
 from typing import Callable, NamedTuple, Type
 
 import numpy as np
@@ -30,7 +33,7 @@ import test_workers
 from repro import sweep
 from repro.collectives import CollectiveContext
 from repro.network.events import EventQueue
-from repro.network.packet import linkqueue
+from repro.network.packet import backend, linkqueue
 from repro.workers import WorkerError
 
 
@@ -53,6 +56,18 @@ def _retire_at_departure(patch):
         return enqueue(self, packet, now)
 
     patch.setattr(linkqueue.BurstLinkQueue, "enqueue", early_retire)
+
+
+def _turnaround_drops_ecn_echo(patch):
+    """The arriving DATA packet turns into an ACK without the ECN mark it
+    collected: ``_run_merged`` recompiled with ``pkt.ecn = False`` after the
+    turnaround's ``pkt.kind = ACK``."""
+    source = textwrap.dedent(inspect.getsource(backend.PacketBackend._run_merged))
+    source, n = re.subn(r"^( +)pkt\.kind = ACK$", r"\g<0>\n\1pkt.ecn = False", source, flags=re.M)
+    assert n == 1, "the turnaround's ACK rewrite moved"
+    namespace = {}
+    exec(source, vars(backend), namespace)
+    patch.setattr(backend.PacketBackend, "_run_merged", namespace["_run_merged"])
 
 
 def _seq_blind_run(self, until=None, max_events=None):
@@ -114,6 +129,9 @@ def _emission_pins():
 MUTANTS = {
     "ledger-retires-at-departure": Mutant(
         _retire_at_departure, lambda: differential.check("packet/incast12-dctcp")
+    ),
+    "turnaround-drops-ecn-echo": Mutant(
+        _turnaround_drops_ecn_echo, lambda: differential.check("packet/incast12-mprdma")
     ),
     "seq-blind-ready-queue": Mutant(
         lambda patch: patch.setattr(EventQueue, "run", _seq_blind_run),

@@ -6,14 +6,23 @@ only event per hop is the delivery, merged from per-link streams.  This file
 keeps the *textbook* formulation of the same link model — a FIFO of packets,
 a ``busy`` transmitter, one transmission-completion event and one
 propagation-arrival event per hop, all on the ordinary event heap — as the
-oracle the differential suites compare the engine against
-(``tests/test_perf_determinism.py``, ``tests/test_faults.py``).
+oracle the ``PACKET`` rows of ``tests/differential.py`` compare the engine
+against.
 
 Nothing in ``src/`` knows about it: :class:`PerTransmissionBackend` is a
 :class:`~repro.network.packet.backend.PacketBackend` whose ``setup`` swaps
 the queue objects before any traffic exists (the trick the sharded engine
 uses for its boundary queues) and whose ``run`` drains the plain event heap.
 Pass an instance as ``simulate(..., backend=PerTransmissionBackend())``.
+
+Its per-packet transport is the textbook one too.  The engine turns an
+arriving DATA packet into its own ACK (or NACK) in place, and runs each
+congestion control's ``on_ack`` and the injection loop as flat code with
+the window computed once per ACK.  The oracle allocates a fresh ACK packet
+per delivery, asks the flow and the window through small helpers, and
+adapts the window with each algorithm's ``on_ack`` written the plain way
+(``ON_ACK`` below), so the ``PACKET`` rows hold the engine's cycle to an
+independent statement of the same transport.
 
 Event order.  Handler events are ``(time, 0, sequence)``; the oracle pushes
 deliveries as ``(time, 1, departure, link id)`` and transmission completions
@@ -38,8 +47,93 @@ from heapq import heappush
 
 import numpy as np
 
+from repro.network.congestion import DCTCP, MPRDMA, FixedWindow, NDPReceiverDriven, Swift
 from repro.network.packet.backend import PacketBackend
-from repro.network.packet.packet import ACK, DATA, NACK, PULL
+from repro.network.packet.packet import ACK, DATA, NACK, PULL, Packet
+
+
+# ---------------------------------------------------------------------------
+# window adaptation, one function per algorithm
+# ---------------------------------------------------------------------------
+def _clamp(cc):
+    if cc.cwnd < cc.min_window:
+        cc.cwnd = cc.min_window
+
+
+def _mprdma_on_ack(cc, acked_bytes, ecn_marked, rtt_ns):
+    if ecn_marked:
+        cc.cwnd -= cc.decrease_per_mark
+    else:
+        cc.cwnd += cc.increase_gain / max(cc.cwnd, 1.0)
+    _clamp(cc)
+
+
+def _dctcp_on_ack(cc, acked_bytes, ecn_marked, rtt_ns):
+    cc._acks_in_window += 1
+    if ecn_marked:
+        cc._marks_in_window += 1
+    cc.cwnd += 1.0 / max(cc.cwnd, 1.0)
+    if cc._acks_in_window >= cc.cwnd:
+        frac = cc._marks_in_window / cc._acks_in_window
+        cc.alpha = (1.0 - cc.g) * cc.alpha + cc.g * frac
+        if cc._marks_in_window:
+            cc.cwnd *= 1.0 - cc.alpha / 2.0
+        cc._acks_in_window = 0
+        cc._marks_in_window = 0
+    _clamp(cc)
+
+
+def _swift_on_ack(cc, acked_bytes, ecn_marked, rtt_ns):
+    if rtt_ns <= cc.target_delay_ns:
+        cc.cwnd += cc.ai / max(cc.cwnd, 1.0)
+        cc._acks_since_decrease += 1
+    else:
+        cc._acks_since_decrease += 1
+        if cc._acks_since_decrease >= cc.cwnd:
+            excess = (rtt_ns - cc.target_delay_ns) / rtt_ns
+            cc.cwnd *= max(1.0 - cc.beta * excess, 1.0 - cc.max_mdf)
+            cc._acks_since_decrease = 0
+    _clamp(cc)
+
+
+def _no_adaptation(cc, acked_bytes, ecn_marked, rtt_ns):
+    pass
+
+
+ON_ACK = {
+    MPRDMA: _mprdma_on_ack,
+    DCTCP: _dctcp_on_ack,
+    Swift: _swift_on_ack,
+    FixedWindow: _no_adaptation,
+    NDPReceiverDriven: _no_adaptation,
+}
+
+
+# ---------------------------------------------------------------------------
+# flow queries
+# ---------------------------------------------------------------------------
+def _window_bytes(cc):
+    return int(cc.cwnd * cc.mtu)
+
+
+def _has_retransmissions(flow):
+    return bool(flow.retransmit_queue)
+
+
+def _has_unsent_data(flow):
+    return flow.next_new_seq < flow.num_packets
+
+
+def _on_data_received(flow, seq):
+    """Record data packet ``seq``; True if it was new."""
+    if seq in flow.received:
+        return False
+    flow.received.add(seq)
+    return True
+
+
+def _fully_received(flow):
+    return len(flow.received) == flow.num_packets
 
 
 class TransmissionLinkQueue:
@@ -170,6 +264,77 @@ class PerTransmissionBackend(PacketBackend):
         elif packet.kind == PULL:
             self._handle_pull(packet, now)
 
+    # ---------------------------------------------------------- transport
+    def _flow_ready(self, time, flow):
+        if flow.cc.receiver_driven:
+            for _ in range(min(flow.cc.initial_window_packets, flow.num_packets)):
+                seq = flow.next_seq_to_send()
+                if seq is None:
+                    break
+                self._send_data_packet(flow, seq, time)
+        else:
+            self._try_send(flow, time)
+
+    def _try_send(self, flow, now):
+        """Inject packets while the flow has any and the window allows."""
+        if flow.cc.receiver_driven:
+            return
+        while _has_retransmissions(flow) or _has_unsent_data(flow):
+            inflight = flow.inflight_bytes
+            if inflight + flow.cc.mtu > _window_bytes(flow.cc) and inflight != 0:
+                return
+            seq = flow.next_seq_to_send()
+            if seq is None:
+                return
+            self._send_data_packet(flow, seq, now)
+
+    def _send_data_packet(self, flow, seq, now, retransmission=False):
+        size = flow.packet_size(seq)
+        packet = Packet(flow, DATA, seq, size, flow.route, sent_time=now)
+        flow.inflight_bytes += size
+        if flow.trimmable:
+            flow.sent_times[seq] = now
+        self._n_sent += 1
+        if retransmission:
+            self.stats.retransmissions += 1
+        jlb = self._job_link_bytes
+        if jlb is not None:
+            arr = jlb.get(flow.job)
+            if arr is None:
+                arr = jlb[flow.job] = np.zeros(len(self.queues), dtype=np.int64)
+            for link in flow.route:
+                arr[link] += size
+        if not self.queues[flow.route[0]].enqueue(packet, now):
+            self._handle_data_drop(packet, now)
+        if not flow.send_op_completed and not _has_unsent_data(flow) and not _has_retransmissions(flow):
+            flow.send_op_completed = True
+            self._complete_op(now, (flow.src, flow.op_id))
+
+    def _handle_data_arrival(self, packet, now):
+        flow = packet.flow
+        if packet.trimmed:
+            # NDP: the payload was cut; NACK the sequence and pull a retransmit
+            self._send_control(flow, NACK, packet.seq, flow.ack_route, now)
+            self._request_pull(flow, now)
+            return
+        self._n_delivered += 1
+        new = _on_data_received(flow, packet.seq)
+        # a fresh ACK echoing the ECN mark and the send time
+        ack = Packet(flow, ACK, packet.seq, self.config.ack_size, flow.ack_route, sent_time=packet.sent_time)
+        ack.ecn = packet.ecn
+        self._n_acks += 1
+        self.queues[flow.ack_route[0]].enqueue(ack, now)
+        if flow.cc.receiver_driven and not _fully_received(flow):
+            self._request_pull(flow, now)
+        if new and _fully_received(flow) and not flow.message_delivered:
+            flow.message_delivered = True
+            if self._faults_enabled and not self._fault_flow_live(flow):
+                self.live_flows.pop(flow.flow_id, None)
+            self._message_delivered(flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now)
+            matched = self.matcher.post_arrival(flow.src, flow.dst, flow.tag, now)
+            if matched is not None:
+                self._complete_recv(matched, now)
+
     def _handle_ack(self, packet, now):
         flow = packet.flow
         if packet.seq in flow.acked:
@@ -177,7 +342,7 @@ class PerTransmissionBackend(PacketBackend):
         flow.acked.add(packet.seq)
         freed = flow.packet_size(packet.seq)
         flow.inflight_bytes = max(0, flow.inflight_bytes - freed)
-        flow.cc.on_ack(freed, packet.ecn, max(1, now - packet.sent_time))
+        ON_ACK[type(flow.cc)](flow.cc, freed, packet.ecn, max(1, now - packet.sent_time))
         self._try_send(flow, now)
 
     def run(self, on_complete):

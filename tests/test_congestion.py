@@ -55,6 +55,13 @@ class TestWindowSemantics:
         cc = _mk(FixedWindow, initial_window_packets=3)
         assert cc.window_bytes() == 3 * 4096
 
+    @pytest.mark.parametrize("cls", [MPRDMA, Swift, DCTCP, FixedWindow, NDPReceiverDriven])
+    def test_on_ack_returns_the_window_it_leaves(self, cls):
+        # the packet backend injects against this value until the next ACK
+        cc = _mk(cls, initial_window_packets=4)
+        for marked, rtt in ((False, 1), (True, 1), (False, 10**7)) * 5:
+            assert cc.on_ack(4096, ecn_marked=marked, rtt_ns=rtt) == cc.window_bytes()
+
 
 class TestMPRDMA:
     def test_unmarked_acks_grow_window(self):

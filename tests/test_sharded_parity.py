@@ -20,8 +20,10 @@ the ``sharded/*`` rows of ``tests/differential.py``:
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import differential
 from repro.network.config import SimulationConfig
 from repro.network.packet.sharded import _NO_CUT, plan_shards, run_sharded
 from repro.network.topology import build_topology
@@ -169,3 +171,34 @@ class TestAdaptiveSnapshots:
     def test_negative_cadence_rejected(self):
         with pytest.raises(ValueError, match="load_snapshot_ns"):
             SimulationConfig(load_snapshot_ns=-1)
+
+
+class TestLazyEcnStreams:
+    """A shard seeds a link's keyed ECN stream on the link's first draw in
+    the probabilistic RED band, not at set-up."""
+
+    def _ecn_seeds(self, name, monkeypatch):
+        seeds = []
+        real = np.random.default_rng
+
+        def spy(seed=None):
+            if isinstance(seed, tuple) and seed[1] == 0xEC:
+                seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        sim = differential.INPUTS[name]()
+        with inline_workers():  # the shards' set-up runs where the spy is
+            result, _ = _run(sim.schedule, sim.config.replace(shards=2))
+        return seeds, result.stats, len(build_topology(sim.config, sim.schedule.num_ranks).links)
+
+    def test_a_run_outside_the_band_seeds_no_ecn_generator(self, monkeypatch):
+        seeds, stats, _ = self._ecn_seeds("sharded/allreduce16-fat_tree-minimal-mprdma", monkeypatch)
+        assert stats.packets_ecn_marked == 0
+        assert seeds == []
+
+    def test_a_marking_run_seeds_only_the_links_that_draw(self, monkeypatch):
+        seeds, stats, links = self._ecn_seeds("sharded/alltoall16-drops", monkeypatch)
+        assert stats.packets_ecn_marked > 0
+        assert 0 < len(seeds) < 2 * links  # each of the two shards has a queue per link
+        assert len(set(seeds)) == len(seeds)  # one stream per link, seeded once
