@@ -86,11 +86,6 @@ _NETWORK_FLAGS = (
         "parallel shards for the packet backend (1 = single-process; requires --backend "
         "htsim; see docs/scaling.md for the conservative-window engine)",
     ),
-    (
-        "load_snapshot_ns", "--load-snapshot-ns",
-        "sharded adaptive routing: barrier load-snapshot cadence in ns "
-        "(0 = auto: the topology's minimum link latency)",
-    ),
     ("seed", "--seed", "seed for stochastic choices"),
 )
 

@@ -442,7 +442,8 @@ class NetworkBackend(abc.ABC):
         static = faults.static_failed_ids(topology)
         if static:
             topology.fail_links(static)
-        self._schedule_fault_events()
+        for time_ns, kind, ids in faults.resolved_events(topology):
+            self.events.schedule(time_ns, self._apply_fault, (kind, ids))
         if config.control_plane != "oracle":
             self._cp = create_control_plane(
                 config.control_plane,
@@ -453,17 +454,6 @@ class NetworkBackend(abc.ABC):
 
     def _fabric_built(self) -> None:
         """Hook: the fabric exists and is still healthy (faulted runs only)."""
-
-    def _schedule_fault_events(self) -> None:
-        """Self-schedule every timed fault event on the local event queue.
-
-        Overridable: the sharded engine's driver owns the fault clock
-        instead, folding epoch times into the lookahead-window bounds and
-        applying each epoch at the barrier on every shard (see
-        :mod:`repro.network.packet.sharded`).
-        """
-        for time_ns, kind, ids in self.config.faults.resolved_events(self.topology):
-            self.events.schedule(time_ns, self._apply_fault, (kind, ids))
 
     def _apply_fault(
         self, time: int, payload: Tuple[str, Sequence[int]]

@@ -167,15 +167,8 @@ class SimulationConfig:
         default) is the single-process engine, bit-identical to previous
         releases; ``>1`` is deterministic and shard-count-invariant,
         including fault schedules and convergent control planes (exact vs.
-        serial) and load-adaptive routing (barrier load snapshots — see
-        ``load_snapshot_ns``).  Packet backend only.
-    load_snapshot_ns:
-        Cadence (ns) of the global link-load snapshots that sharded
-        load-adaptive routing reads (``shards > 1`` only; ignored
-        otherwise).  ``0`` (the default) auto-derives the cadence as the
-        minimum link latency of the topology — a layout-independent value,
-        so results stay shard-count-invariant.  Smaller cadences track
-        serial's live loads more closely at the cost of more barriers.
+        serial) and load-adaptive routing (barrier load snapshots taken
+        every minimum link latency of the topology).  Packet backend only.
     """
 
     # topology
@@ -231,14 +224,13 @@ class SimulationConfig:
     # engine.  Sharded runs are deterministic and shard-count-invariant
     # (stochastic choices are keyed by flow / queue identity rather than
     # drawn from one global stream), and coincide with shards=1 exactly on
-    # configurations that consume no randomness.  Fault schedules and convergent control planes
-    # replay exactly under sharding (epochs and advertisement waves are
-    # globally scheduled, locally applied); load-adaptive routing reads
-    # barrier load snapshots at the load_snapshot_ns cadence — exact across
-    # shard counts >= 2, an approximation of serial's live loads.  Packet
-    # backend only.
+    # configurations that consume no randomness.  Fault schedules and
+    # convergent control planes replay exactly under sharding (every shard
+    # replays the fault events and advertisement waves from its own event
+    # queue); load-adaptive routing reads barrier load snapshots taken every
+    # minimum link latency — exact across shard counts >= 2, an
+    # approximation of serial's live loads.  Packet backend only.
     shards: int = 1
-    load_snapshot_ns: int = 0
 
     # fault injection: static degraded-fabric state plus timed link/switch
     # failure events, honored by both backends (see repro.network.faults).
@@ -344,10 +336,6 @@ class SimulationConfig:
             raise ValueError("job_tag_stride must be non-negative (0 disables attribution)")
         if self.shards < 1:
             raise ValueError("shards must be >= 1 (1 = single-process engine)")
-        if self.load_snapshot_ns < 0:
-            raise ValueError(
-                "load_snapshot_ns must be non-negative (0 = auto: min link latency)"
-            )
         from repro.network.control_plane import CONTROL_PLANES
 
         if self.control_plane not in CONTROL_PLANES:

@@ -249,26 +249,6 @@ class FaultSchedule:
             out.append((ev.time_ns, ev.kind, ids))
         return out
 
-    def grouped_events(
-        self, topology: "Topology"
-    ) -> List[Tuple[int, List[Tuple[str, List[int]]]]]:
-        """Timed events grouped into epochs: ``(time_ns, [(kind, ids), ...])``.
-
-        Within an epoch the ``(kind, ids)`` transitions keep their
-        application order (time, then declaration order — the order the
-        serial engine executes same-time events in).  The sharded driver
-        consumes epochs at window barriers, applying each one on every
-        shard before any same-time traffic event runs, which reproduces the
-        serial engine's fault-first tie-break exactly.
-        """
-        epochs: List[Tuple[int, List[Tuple[str, List[int]]]]] = []
-        for time_ns, kind, ids in self.resolved_events(topology):
-            if epochs and epochs[-1][0] == time_ns:
-                epochs[-1][1].append((kind, ids))
-            else:
-                epochs.append((time_ns, [(kind, ids)]))
-        return epochs
-
 
 def resolve_link_ids(topology: "Topology", ref: LinkRef) -> List[int]:
     """Resolve a link id or link name to concrete link ids.

@@ -372,8 +372,7 @@ class PacketBackend(NetworkBackend):
         """Re-pick ``flow``'s route after a fabric change (fault or learn).
 
         Overridable: the sharded engine wraps the pick in a flow-keyed RNG
-        stream so ECMP/Valiant ties stay shard-count-invariant, and marks
-        the flow so replicas stop trusting their shipped route.
+        stream so ECMP/Valiant ties stay shard-count-invariant.
         """
         flow.route = self._pick_route(flow.src, flow.dst, flow.size)
         flow.route_q0 = self.queues[flow.route[0]]

@@ -46,34 +46,34 @@ in.  Merged ``message_records`` are stably sorted by
 ``(completion_time, src, dst, tag)``: records equal on that key keep shard
 order, then delivery order.
 
-Faults, adaptive routing, and convergent control planes (v2)
-------------------------------------------------------------
-The v1 restrictions are lifted; the three features shard as follows.
-
-**Fault epochs** are known a priori (``FaultSchedule`` is static data), so
-the *driver* owns the fault clock: timed events are grouped into epochs,
-window edges never cross an unconsumed epoch, and when the global window
-floor reaches an epoch's time the driver applies it at the barrier on
-*every* shard — after all events before the epoch ran anywhere, before any
-same-time traffic event runs, which is exactly the serial engine's
-fault-first tie-break.  Alive-table eviction, reroutes, and
+Faults, adaptive routing, and convergent control planes
+-------------------------------------------------------
+**Timed faults** replay as in the serial engine: each shard schedules the
+fault events on its own event queue at setup, ahead of every GOAL
+operation, so they hold the lowest sequence numbers and run before any
+same-time event (the serial fault-first tie-break) on the shard's
+full-topology replica, inside an ordinary window.  The window needs no
+other bound than its lookahead.  Boundary packets carry their route tuple,
+so a packet crossing a shard never takes a route the sender's flow has
+since re-picked.  Alive-table eviction, reroutes, and
 ``packets_lost_to_faults`` accounting replay bit-identically.
 
 **Convergent control planes** (``ls``/``dv``) replicate: every shard holds
-the full switch graph, so the advertisement wave originated by an epoch
+the full switch graph, so the advertisement wave a fault event originates
 computes identical per-switch learn instants and
 :class:`~repro.network.control_plane.ConvergenceRecord` lists on every
 shard; learn events replay inside each shard's windows at the same
 ``(time, insertion)`` positions as serial, making ``time_to_recover_ns``
-and ``packets_blackholed`` exact.
+and ``packets_blackholed`` exact.  A fabric event (fault or learn) that
+every shard replays counts once, on shard 0, in the events executed.
 
 **Load-adaptive routing** reads global link-load *snapshots* exchanged at
-barriers on a fixed cadence (``SimulationConfig.load_snapshot_ns``; 0 =
-the topology's min link latency — layout-independent either way).  The
-snapshot at ``S`` governs every route draw in ``(S, S + cadence]``, so the
-semantics are shard-count-invariant — but they deliberately *approximate*
-serial's live queue depths; ``tests/differential.py`` locks
-invariance across shard counts with an A/B test instead of serial parity.
+barriers on a fixed cadence, the topology's minimum link latency
+(layout-independent).  The snapshot at ``S`` governs every route draw in
+``(S, S + cadence]``, so the semantics are shard-count-invariant — but
+they deliberately *approximate* serial's live queue depths;
+``tests/differential.py`` locks invariance across shard counts instead of
+serial parity.
 
 Serial equality under faults additionally assumes the run has no
 congestion drops concurrent with a fault transition: the sharded engine
@@ -304,24 +304,10 @@ class ShardPacketBackend(PacketBackend):
         self._n_replicas = 0
         # (dest shard, key, seq, fire_time) loss notifications of the window
         self._loss_out: List[Tuple[int, _FlowKey, int, int]] = []
-        # without cut links no packet is ever foreign, so drops keep the
-        # serial immediate-schedule path (the window covers all of time and
-        # a deferred drop could land in the past)
-        self._defer_drops = plan.num_cut_links > 0
         self._seed = seed
-        # flow key -> number of post-fault/learn route re-picks.  A flow
-        # present here has replicas still holding the originally shipped
-        # route, so its boundary packets always carry an explicit route
-        # tuple (identity against ``flow.route`` no longer proves the peer
-        # would decode the same)
+        # flow key -> number of post-fault/learn route re-picks (keys the
+        # re-pick stream)
         self._repick_seq: Dict[_FlowKey, int] = {}
-        # once any fault epoch has applied, a replica's ``flow.route`` may
-        # silently disagree with the owner's (owners re-pick, replicas keep
-        # the originally shipped route), so replica-encoded boundary packets
-        # must stop using the rf=0 "decode via flow.route" compression: a
-        # packet that bounces replica->owner after the owner re-picked would
-        # otherwise swap onto the new route mid-flight
-        self._epochs_applied = False
         # load-adaptive routing reads the merged global snapshot the driver
         # broadcast at the last cadence boundary; this shard reports its
         # owned links' occupancies back at each boundary
@@ -409,9 +395,6 @@ class ShardPacketBackend(PacketBackend):
 
     # -------------------------------------------------------------------- loss
     def _handle_data_drop(self, packet: Packet, now: int) -> None:
-        if not self._defer_drops:
-            super()._handle_data_drop(packet, now)
-            return
         # all loss timeouts (local and foreign) funnel through the barrier
         # so their insertion order is canonical under every shard count;
         # min_retransmit_timeout > lookahead guarantees the fire time lies
@@ -427,14 +410,19 @@ class ShardPacketBackend(PacketBackend):
         )
 
     # ----------------------------------------------------------------- faults
-    def _schedule_fault_events(self) -> None:
-        # the driver owns the fault clock: epochs arrive through
-        # advance_window at barriers, never through the local event queue
-        pass
+    def _apply_fault(self, time: int, payload: Tuple[str, List[int]]) -> None:
+        if self.shard_id:
+            self.events.executed -= 1  # every shard replays it; shard 0 counts it
+        super()._apply_fault(time, payload)
+
+    def _cp_switch_learn(self, time: int, payload: Tuple) -> None:
+        if self.shard_id:
+            self.events.executed -= 1
+        super()._cp_switch_learn(time, payload)
 
     def _fault_flow_live(self, flow: Flow) -> bool:
-        # replicas never re-pick (the origin ships explicit routes after its
-        # own re-pick); origin flows use sender-side retirement — delivery
+        # replicas never re-pick (every boundary packet ships its route);
+        # origin flows use sender-side retirement — delivery
         # happens on the destination's shard, so ``message_delivered`` is
         # not observable here.  ACKed ⊆ delivered, so this re-picks a
         # superset of serial's flows; the difference is inert unless a
@@ -491,30 +479,18 @@ class ShardPacketBackend(PacketBackend):
         self,
         until: int,
         inbox: Sequence[Tuple],
-        epochs: Sequence[Tuple[int, Sequence[Tuple[str, List[int]]]]] = (),
         snap_at: Optional[int] = None,
         load_view: Optional["np.ndarray"] = None,
     ) -> Optional["np.ndarray"]:
-        """Apply barrier inputs, run all events up to ``until``, snapshot.
+        """Apply the inbox, run all events up to ``until``, snapshot.
 
-        Barrier input order matters: the inbox is applied *before* fault
-        epochs so boundary packets flagged "use the flow's route" decode
-        against the pre-epoch route — the same route their sender encoded
-        against (both shards sat strictly before the epoch when the packet
-        crossed).  Each epoch then replays through the serial engine's
-        ``_apply_fault`` before any same-time traffic event runs.  When the
-        driver asks (``snap_at``), returns this shard's owned-link load
-        snapshot taken after the window drained.
+        When the driver asks (``snap_at``), returns this shard's owned-link
+        load snapshot taken after the window drained.
         """
         if load_view is not None:
             self._snap_view = load_view
         if inbox:
             self._apply_inbox(inbox)
-        if epochs:
-            self._epochs_applied = True
-        for time, transitions in epochs:
-            for kind, ids in transitions:
-                self._apply_fault(time, (kind, ids))
         self._run_merged(until)
         if snap_at is None:
             return None
@@ -532,9 +508,8 @@ class ShardPacketBackend(PacketBackend):
         packets.sort(key=lambda p: (p[1], p[0]))  # (depart, link)
         streams = self._stream_heads
         for payload in packets:
-            link_id, depart, pkind, seq, size, rf, hop, sent, ecn, trimmed, key, spec = payload
+            link_id, depart, pkind, seq, size, route, hop, sent, ecn, trimmed, key, spec = payload
             flow = self._resolve_flow(key, spec)
-            route = flow.route if rf == 0 else (flow.ack_route if rf == 1 else rf)
             pkt = self._alloc_packet(flow, pkind, seq, size, route, sent)
             pkt.hop = hop
             pkt.ecn = ecn
@@ -558,7 +533,6 @@ class ShardPacketBackend(PacketBackend):
         msgs: List[Tuple[int, Tuple]] = []
         links = self.topology.links
         spec_sent = self._spec_sent
-        repicked = self._repick_seq
         for link_id, pkt in self._out_packets:
             dest = self._boundary_dest[link_id]
             flow = pkt.flow
@@ -568,24 +542,6 @@ class ShardPacketBackend(PacketBackend):
             if sk not in spec_sent:
                 spec_sent.add(sk)
                 spec = self._flow_spec(flow)
-            # common routes ship as flags, not tuples (pickle weight); a
-            # re-picked flow's replicas still hold the originally shipped
-            # route, so its packets always carry the tuple explicitly.
-            # After the first fault epoch, replica-encoded packets also ship
-            # explicit tuples: a replica cannot tell whether the owner
-            # re-picked, and rf=0 decoded against a re-picked owner route
-            # would swap an in-flight packet onto the new route
-            route = pkt.route
-            if route is flow.ack_route:
-                rf: Any = 1
-            elif (
-                route is flow.route
-                and key not in repicked
-                and (flow.flow_id >= 0 or not self._epochs_applied)
-            ):
-                rf = 0
-            else:
-                rf = route
             deliver = pkt.depart + links[link_id].latency
             msgs.append(
                 (
@@ -599,7 +555,7 @@ class ShardPacketBackend(PacketBackend):
                             pkt.kind,
                             pkt.seq,
                             pkt.size,
-                            rf,
+                            pkt.route,
                             pkt.hop,
                             pkt.sent_time,
                             pkt.ecn,
@@ -656,7 +612,7 @@ def run_sharded(
     schedule: GoalSchedule,
     config: SimulationConfig,
     op_groups: Optional[List[List[int]]] = None,
-    window_log: Optional[List[Tuple[int, int, Tuple[int, ...]]]] = None,
+    window_log: Optional[List[Tuple[int, int]]] = None,
 ) -> Tuple[SimulationResult, int]:
     """Simulate ``schedule`` across ``config.shards`` processes.
 
@@ -668,11 +624,9 @@ def run_sharded(
     :class:`~repro.workers.WorkerError` naming its shard and exit code, and
     where processes cannot start the error says to pass ``shards=1``.
 
-    ``window_log``, when given a list, receives one
-    ``(floor, until, epoch_times)`` triple per barrier window —
-    ``epoch_times`` names the fault epochs applied at that barrier.  The
-    property suite uses it to check that no window edge ever crosses an
-    unconsumed fault epoch and that every edge respects the lookahead.
+    ``window_log``, when given a list, receives one ``(floor, until)`` pair
+    per barrier window.  The property suite uses it to check that every
+    edge respects the lookahead.
     """
     from repro.network.routing import ROUTING_STRATEGIES
 
@@ -696,18 +650,13 @@ def run_sharded(
     lookahead = plan.lookahead
     inboxes: List[List[Tuple]] = [[] for _ in range(shards)]
 
-    # fault epochs, resolved once on the driver's pristine planning topology
-    # (resolution is name -> link ids, independent of applied fault state)
-    epochs = config.faults.grouped_events(topology) if config.faults else []
-    epoch_idx = 0
-
     # load snapshots only exist when the routing strategy reads link loads;
-    # the cadence default is a property of the topology alone, never of the
-    # shard layout, so results stay shard-count-invariant
+    # the cadence is a property of the topology alone, never of the shard
+    # layout, so results stay shard-count-invariant
     strategy = ROUTING_STRATEGIES.get(config.routing)
     snap_interval = 0
     if strategy is not None and strategy.needs_link_load:
-        snap_interval = config.load_snapshot_ns or topology.min_link_latency()
+        snap_interval = topology.min_link_latency()
     snap_time = 0  # cadence boundary of the view the shards currently hold
     pending_view: Optional["np.ndarray"] = None  # merged, awaiting broadcast
 
@@ -716,16 +665,11 @@ def run_sharded(
     ) as pool:
         next_times = pool.each(_shard_start, [(i,) for i in range(shards)])
 
-        def _advance_all(
-            until: int, window_epochs: Tuple, snap_at: Optional[int]
-        ) -> List["np.ndarray"]:
+        def _advance_all(until: int, snap_at: Optional[int]) -> List["np.ndarray"]:
             nonlocal inboxes, next_times, pending_view
             outs = pool.each(
                 _shard_advance,
-                [
-                    (until, inboxes[i], window_epochs, snap_at, pending_view)
-                    for i in range(shards)
-                ],
+                [(until, inboxes[i], snap_at, pending_view) for i in range(shards)],
             )
             pending_view = None
             inboxes = [[] for _ in range(shards)]
@@ -740,59 +684,37 @@ def run_sharded(
             return views
 
         while True:
-            window_floor: Optional[int] = None
+            floor: Optional[int] = None
             for t in next_times:
-                if t is not None and (window_floor is None or t < window_floor):
-                    window_floor = t
+                if t is not None and (floor is None or t < floor):
+                    floor = t
             for box in inboxes:
                 for msg in box:
-                    if window_floor is None or msg[0] < window_floor:
-                        window_floor = msg[0]
-            next_fault = epochs[epoch_idx][0] if epoch_idx < len(epochs) else None
-            if window_floor is None and next_fault is None:
-                break  # every shard idle, no traffic or epochs left: done
-            # earliest upcoming activity of any kind; post-traffic epochs
-            # must still apply (a convergence wave records its transition
-            # even when no packet is left to witness it)
-            effective = window_floor
-            if effective is None or (next_fault is not None and next_fault < effective):
-                effective = next_fault
+                    if floor is None or msg[0] < floor:
+                        floor = msg[0]
+            if floor is None:
+                break  # every shard idle and no traffic in flight: done
             if snap_interval:
                 # idle-gap jump: refresh the snapshot at the last cadence
                 # boundary strictly before the next activity in one empty
                 # window instead of stepping cadence-by-cadence across it
-                target = (effective - 1) // snap_interval * snap_interval
+                target = (floor - 1) // snap_interval * snap_interval
                 if target > snap_time:
                     if window_log is not None:
-                        window_log.append((effective, target, ()))
-                    views = _advance_all(target, (), target)
+                        window_log.append((floor, target))
+                    views = _advance_all(target, target)
                     snap_time = target
                     pending_view = _merge_views(views)
                     continue
-            window_epochs: Tuple = ()
-            if next_fault is not None and (
-                window_floor is None or next_fault <= window_floor
-            ):
-                # the global floor reached the epoch: every event before it
-                # has run on every shard, none at/after it has — apply it at
-                # this barrier everywhere (the serial fault-first tie-break)
-                window_epochs = (epochs[epoch_idx],)
-                epoch_idx += 1
-            base = window_floor if window_floor is not None else next_fault
-            until = base + lookahead
-            if epoch_idx < len(epochs) and epochs[epoch_idx][0] - 1 < until:
-                # never run past an unconsumed epoch
-                until = epochs[epoch_idx][0] - 1
+            until = floor + lookahead
             snap_at = None
             if snap_interval and snap_time + snap_interval <= until:
                 # never run past the snapshot the window's draws must read
                 until = snap_time + snap_interval
                 snap_at = until
             if window_log is not None:
-                window_log.append(
-                    (base, until, tuple(t for t, _ in window_epochs))
-                )
-            views = _advance_all(until, window_epochs, snap_at)
+                window_log.append((floor, until))
+            views = _advance_all(until, snap_at)
             if snap_at is not None:
                 snap_time = snap_at
                 pending_view = _merge_views(views)

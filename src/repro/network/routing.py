@@ -229,12 +229,11 @@ class AdaptiveRouting(RoutingStrategy):
 
     Under the sharded packet engine (``SimulationConfig.shards > 1``) the
     live ``link_load`` array is replaced by **barrier load snapshots**
-    merged from all shards on a fixed cadence
-    (``SimulationConfig.load_snapshot_ns``; ``0`` = auto: the topology's
-    minimum link latency).  Decisions then read a slightly stale global
-    view — a documented approximation whose semantics depend only on the
-    cadence, never on the shard layout, so sharded runs stay bit-identical
-    across shard counts (see ``docs/scaling.md``).
+    merged from all shards every minimum link latency of the topology.
+    Decisions then read a slightly stale global view — a documented
+    approximation whose semantics depend only on the topology, never on the
+    shard layout, so sharded runs stay bit-identical across shard counts
+    (see ``docs/scaling.md``).
     """
 
     name = "adaptive"

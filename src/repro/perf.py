@@ -27,8 +27,8 @@ The suite:
   tables and the per-packet fault checks of the forwarding loop),
 * ``faulted_allreduce_htsim_sh2`` — a recursive-doubling allreduce on the
   two-shard conservative-window engine with a timed link flap mid-run
-  (measures the barrier fault-epoch machinery: window clamping at epochs,
-  the cross-shard re-pick sweep and boundary-route re-encoding),
+  (measures fault events replayed on every shard's replica, the
+  cross-shard re-pick sweep and boundary packets shipping their routes),
 * ``allreduce16k_lgs`` / ``allreduce16k_htsim`` — ROADMAP item 2's
   datacenter-scale acceptance case: a 16384-endpoint recursive-doubling
   allreduce on a 512-ToR fat tree, on each backend.  These two cases

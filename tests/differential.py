@@ -463,9 +463,9 @@ LGS_TWICE = Pair("lgs", "lgs")
 CACHE_SPLIT = frozenset({"route_cache_hits", "route_cache_misses"})
 
 
-def shards(engine: int, reference: int) -> Pair:
+def shards(engine: int, reference: int, mutants: Tuple[str, ...] = ()) -> Pair:
     name = lambda k: "serial" if k == 1 else f"shards={k}"  # noqa: E731
-    return Pair(name(engine), name(reference), CACHE_SPLIT)
+    return Pair(name(engine), name(reference), CACHE_SPLIT, mutants)
 
 
 RECORDS_LGS = Pair("lgs", "lgs list path")
@@ -816,7 +816,7 @@ def flap(link, down_ns, up_ns):
     return FaultSchedule(events=(FaultEvent(down_ns, LINK_DOWN, link), FaultEvent(up_ns, LINK_UP, link)))
 
 
-_INVARIANT = (shards(3, 2), shards(4, 2))
+_INVARIANT = (shards(3, 2, mutants=("boundary-route-from-replica",)), shards(4, 2))
 _CONSERVED = only("messages_delivered", "bytes_delivered")
 
 for _name, _config in (
@@ -888,8 +888,8 @@ for _name, _config in (
     ("dragonfly-valiant-flap", SimulationConfig(
         topology="dragonfly", routing="valiant", cc_algorithm="swift", faults=flap("r0.0->r0.1", 3000, 9000))),
     # a 1 ns flap: the mask change itself is (almost) unobservable but the
-    # epoch machinery, the re-pick sweep, and the rf=0 compression cutoff all
-    # still fire — this cell caught the replica route-swap bug
+    # re-pick sweep still fires, and packets crossing shards must keep the
+    # route they were sent on (the boundary-route-from-replica mutant)
     ("dragonfly-1ns-flap", SimulationConfig(
         topology="dragonfly", routing="valiant", cc_algorithm="swift", faults=flap("r0.0->r0.1", 3000, 3001))),
     ("fat_tree-overlapping-flaps", SimulationConfig(
@@ -919,17 +919,16 @@ ONE_PATH_TREE = SimulationConfig(
     cc_algorithm="mprdma", ecn_kmin_frac=1.0, ecn_kmax_frac=1.0, seed=5,
 )
 _SERIAL_EXACT = tuple(shards(k, 1) for k in (2, 3, 4))
-#: Every shard replays the fault events, and the control plane's wave, on its
-#: own full-topology replica: the events executed (and, with a control plane,
-#: its route lookups) count per replica.
-_REPLAYED = frozenset({"events", "route_cache_lookups"})
+#: Every shard replays the control plane's wave on its own full-topology
+#: replica, so its route lookups count per replica.
+_REPLAYED = frozenset({"route_cache_lookups"})
 
 # no control plane: the oracle path re-picks instantly (the flap closes before
 # the cross-ToR wave posts at ~8.6 us: the one-path tree has no detour)
 register(
     "sharded/one-path-flap",
     lambda: Sim(allreduce(size=1 << 15), ONE_PATH_TREE.replace(faults=flap("tor0->core0", 3000, 3300))),
-    *(Row(pair, exempt=frozenset({"events"})) for pair in _SERIAL_EXACT),
+    *map(Row, _SERIAL_EXACT),
     slow=True,
 )
 for _protocol in ("dv", "ls"):
@@ -981,8 +980,8 @@ for _protocol in ("dv", "ls"):
             slow=True,
         )
 
-# load-adaptive routing: a function of the snapshot cadence (a config knob),
-# never of the shard layout
+# load-adaptive routing: a function of the snapshot cadence (the topology's
+# minimum link latency), never of the shard layout
 _ADAPTIVE = SimulationConfig(topology="fat_tree", nodes_per_tor=8, routing="adaptive", cc_algorithm="mprdma", seed=3)
 register(
     "sharded/allreduce32K-adaptive-auto",
@@ -991,20 +990,45 @@ register(
     Row(shards(4, 1), exempt=only("messages_delivered", "bytes_delivered", "ops")),
     slow=True,
 )
+# at seed 5 this flap moves the finish time against the unfaulted run
 register(
-    "sharded/allreduce32K-adaptive-2000",
-    lambda: Sim(allreduce(size=1 << 15), _ADAPTIVE.replace(load_snapshot_ns=2000)),
+    "sharded/allreduce32K-adaptive-auto-flap",
+    lambda: Sim(allreduce(size=1 << 15), _ADAPTIVE.replace(seed=5, faults=flap("tor0->core0", 3000, 9000))),
     *map(Row, _INVARIANT),
     slow=True,
 )
-register(
-    "sharded/allreduce32K-adaptive-1500-flap",
-    lambda: Sim(
-        allreduce(size=1 << 15), _ADAPTIVE.replace(seed=11, load_snapshot_ns=1500, faults=flap("tor0->core0", 3000, 9000))
-    ),
-    *map(Row, _INVARIANT),
-    slow=True,
+
+# seeded pseudo-random flap schedules: one flap per link keeps a schedule
+# self-consistent, and the pool spans distinct ToRs so at most two of a
+# ToR's four uplinks are ever down
+_FLAP_POOL = (
+    "tor0->core0", "tor1->core1", "tor2->core2", "tor3->core3",
+    "tor0->core1", "tor1->core2", "tor2->core3", "tor3->core0",
 )
+
+
+def random_faults(seed):
+    rng = random.Random(seed)
+    events = []
+    for link in rng.sample(_FLAP_POOL, rng.randint(1, 4)):
+        down = rng.randrange(500, 25_000)
+        events += [FaultEvent(down, LINK_DOWN, link), FaultEvent(down + rng.randrange(100, 8_000), LINK_UP, link)]
+    return FaultSchedule(events=tuple(events))
+
+
+for _seed in (0, 1, 2, 7, 424242):
+    register(
+        f"sharded/random-faults-seed{_seed}",
+        lambda s=_seed: Sim(
+            allreduce(),
+            SimulationConfig(
+                topology="fat_tree", nodes_per_tor=4, routing="minimal", cc_algorithm="mprdma",
+                seed=s, faults=random_faults(s),
+            ),
+        ),
+        *map(Row, _INVARIANT),
+        Row(shards(2, 1), exempt=_CONSERVED),
+    )
 
 
 # ---------------------------------------------------------------------------

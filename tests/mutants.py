@@ -33,7 +33,8 @@ import test_workers
 from repro import sweep
 from repro.collectives import CollectiveContext
 from repro.network.events import EventQueue
-from repro.network.packet import backend, linkqueue
+from repro.network.packet import backend, linkqueue, sharded
+from repro.network.packet.packet import DATA
 from repro.workers import WorkerError
 
 
@@ -68,6 +69,24 @@ def _turnaround_drops_ecn_echo(patch):
     namespace = {}
     exec(source, vars(backend), namespace)
     patch.setattr(backend.PacketBackend, "_run_merged", namespace["_run_merged"])
+
+
+def _boundary_route_from_replica(patch):
+    """A packet crossing shards takes its route from the receiving shard's
+    copy of the flow (``flow.route`` for DATA, ``flow.ack_route`` for the
+    rest) instead of the route it was shipped with: ``_apply_inbox``
+    recompiled with the route looked up after the flow is resolved."""
+    source = textwrap.dedent(inspect.getsource(sharded.ShardPacketBackend._apply_inbox))
+    source, n = re.subn(
+        r"^( +)flow = self\._resolve_flow\(key, spec\)$",
+        r"\g<0>\n\1route = flow.route if pkind == DATA else flow.ack_route",
+        source,
+        flags=re.M,
+    )
+    assert n == 1, "the inbox's flow lookup moved"
+    namespace = {}
+    exec(source, {**vars(sharded), "DATA": DATA}, namespace)
+    patch.setattr(sharded.ShardPacketBackend, "_apply_inbox", namespace["_apply_inbox"])
 
 
 def _seq_blind_run(self, until=None, max_events=None):
@@ -132,6 +151,9 @@ MUTANTS = {
     ),
     "turnaround-drops-ecn-echo": Mutant(
         _turnaround_drops_ecn_echo, lambda: differential.check("packet/incast12-mprdma")
+    ),
+    "boundary-route-from-replica": Mutant(
+        _boundary_route_from_replica, lambda: differential.check("sharded/allreduce32K-dragonfly-1ns-flap-seed3")
     ),
     "seq-blind-ready-queue": Mutant(
         lambda patch: patch.setattr(EventQueue, "run", _seq_blind_run),

@@ -547,21 +547,6 @@ class TestShardingFlagErrors:
             )
         assert "--shards 4" in _exit_message(excinfo)
 
-    def test_negative_load_snapshot_cadence_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "synthetic",
-                    "allreduce",
-                    "--backend",
-                    "htsim",
-                    "--load-snapshot-ns",
-                    "-5",
-                ]
-            )
-        message = _exit_message(excinfo)
-        assert "--load-snapshot-ns" in message and "-5" in message
-
     def test_shards_accepted_on_packet_backend(self, capsys):
         import json
 

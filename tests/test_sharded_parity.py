@@ -11,8 +11,8 @@ the ``sharded/*`` rows of ``tests/differential.py``:
 * configurations that do consume randomness (multi-candidate ECMP,
   Valiant, fault re-picks over multi-candidate tables) are bit-identical
   across every shard count >= 2;
-* load-adaptive routing is bit-identical across shard counts >= 2 at any
-  snapshot cadence; against the serial engine it is a documented
+* load-adaptive routing is bit-identical across shard counts >= 2; against
+  the serial engine it is a documented
   approximation (barrier snapshots vs live queue depths), so only conserved
   totals are compared there;
 * the packet ledger balances for every shard count, drops and faults
@@ -164,13 +164,6 @@ class TestFaultSerialExactControlPlane:
         assert result.stats.time_to_recover_ns == max(
             record.time_to_recover_ns for record in result.convergence_records
         )
-
-
-@pytest.mark.slow_sharded
-class TestAdaptiveSnapshots:
-    def test_negative_cadence_rejected(self):
-        with pytest.raises(ValueError, match="load_snapshot_ns"):
-            SimulationConfig(load_snapshot_ns=-1)
 
 
 class TestLazyEcnStreams:

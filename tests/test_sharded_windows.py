@@ -1,177 +1,76 @@
 """Property tests for the sharded driver's conservative windows.
 
-``run_sharded(..., window_log=log)`` records one ``(floor, until,
-epoch_times)`` triple per barrier window.  Over seeded pseudo-random fault
-schedules these tests check the invariants the determinism proof leans on:
+``run_sharded(..., window_log=log)`` records one ``(floor, until)`` pair per
+barrier window.  Timed faults ride each shard's own event queue, as they do
+in the serial engine, so a window needs no bound but its lookahead.  Over
+seeded pseudo-random fault schedules these tests check:
 
-* a fault epoch is consumed only once the global floor has reached it
-  (every earlier event has run on every shard, none at/after it has);
-* no window's ``until`` ever crosses an epoch that has not been consumed;
-* every window respects the plan lookahead (``until <= floor + lookahead``);
-* every fault epoch in the schedule is applied exactly once, in time order,
-  including epochs that fire after the last packet has drained;
-* snapshot jump-windows (adaptive routing) carry no epochs and land on a
-  cadence boundary;
+* every window spans exactly the plan lookahead (``until == floor +
+  lookahead``): no fault event clamps a window edge;
+* every shard applies every timed fault event once, at its time, in the
+  schedule's order (same-time events in declaration order);
+* snapshot jump-windows (adaptive routing) land on a cadence boundary, and
+  every other window stays within the lookahead;
+* a flap after the last packet drained still applies, and its convergence
+  records equal the serial engine's;
 * the ``min_retransmit_timeout <= lookahead`` rejection names both
   computed values so the error is actionable without a debugger.
+
+The ``sharded/random-faults-seed*`` rows of ``tests/differential.py`` hold
+the results of the same schedules to shard-count invariance.
 """
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.collectives import build_collective_schedule
+from differential import allreduce, flap, random_faults
 from repro.network.config import SimulationConfig
 from repro.network.faults import LINK_DOWN, LINK_UP, FaultEvent, FaultSchedule
-from repro.network.packet.sharded import plan_shards, run_sharded
+from repro.network.packet.sharded import ShardPacketBackend, plan_shards, run_sharded
 from repro.network.topology import build_topology
+from repro.scheduler import GoalScheduler
 from inline_workers import inline_workers
 
-
-def _schedule(size=4096):
-    return build_collective_schedule(
-        "allreduce", "recursive_doubling", 16, size, name="window-props"
-    )
+_TREE = SimulationConfig(topology="fat_tree", nodes_per_tor=4, routing="minimal", cc_algorithm="mprdma")
 
 
-# one flap per link keeps the schedule self-consistent (a second link_down
-# on an already-dead link would be rejected as contradictory); the pool
-# spans distinct ToRs so at most two of a ToR's four uplinks are ever down
-_FLAP_POOL = [
-    "tor0->core0",
-    "tor1->core1",
-    "tor2->core2",
-    "tor3->core3",
-    "tor0->core1",
-    "tor1->core2",
-    "tor2->core3",
-    "tor3->core0",
-]
+def _run(config, monkeypatch):
+    """Run ``config`` sharded in-process: the result, the window log, the
+    plan, and each shard's applied fault events as ``(time, kind, ids)``."""
+    schedule = allreduce()
+    applied = {}
+    apply_fault = ShardPacketBackend._apply_fault
+
+    def spy(self, time, payload):
+        kind, ids = payload
+        applied.setdefault(self.shard_id, []).append((time, kind, list(ids)))
+        apply_fault(self, time, payload)
+
+    monkeypatch.setattr(ShardPacketBackend, "_apply_fault", spy)
+    log = []
+    with inline_workers():
+        result, _ = run_sharded(schedule, config, window_log=log)
+    plan = plan_shards(build_topology(config, schedule.num_ranks), schedule.num_ranks, config.shards)
+    return result, log, plan, applied
 
 
-def _random_faults(seed):
-    rng = random.Random(seed)
-    links = rng.sample(_FLAP_POOL, rng.randint(1, 4))
-    events = []
-    for link in links:
-        down = rng.randrange(500, 25_000)
-        up = down + rng.randrange(100, 8_000)
-        events.append(FaultEvent(down, LINK_DOWN, link))
-        events.append(FaultEvent(up, LINK_UP, link))
-    return FaultSchedule(events=tuple(events))
-
-
-def _epoch_times(config, num_ranks=16):
-    topology = build_topology(config, num_ranks)
-    return [t for t, _ in config.faults.grouped_events(topology)]
-
-
-def _check_window_invariants(log, lookahead, expected_epochs):
-    """Assert the barrier-window invariants over one recorded run."""
-    assert log, "windowed run must record at least one window"
-    consumed = []
-    remaining = list(expected_epochs)
-    for floor, until, epoch_times in log:
-        if until < floor:
-            # idle-gap snapshot jump: no traffic, no epochs
-            assert epoch_times == ()
-            continue
-        for t in epoch_times:
-            # consumed only once the global floor reached the epoch
-            assert t <= floor, f"epoch {t} consumed before floor {floor}"
-            assert remaining and remaining[0] == t, (
-                f"epoch {t} consumed out of order (expected {remaining[:1]})"
-            )
-            remaining.pop(0)
-            consumed.append(t)
-        assert until <= floor + lookahead, (
-            f"window [{floor}, {until}] exceeds lookahead {lookahead}"
-        )
-        if remaining:
-            # never run past an unconsumed epoch
-            assert until < remaining[0], (
-                f"window edge {until} crossed unconsumed epoch {remaining[0]}"
-            )
-    assert consumed == list(expected_epochs), (
-        "every fault epoch must be applied exactly once, in order"
-    )
+def _assert_every_shard_replays_the_schedule(config, plan, applied):
+    expected = config.faults.resolved_events(build_topology(config, len(plan.rank_owner)))
+    assert applied == {shard: expected for shard in range(plan.num_shards)}
 
 
 class TestWindowInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 424242])
     @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_random_fault_schedules(self, seed, shards):
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="minimal",
-            cc_algorithm="mprdma",
-            seed=seed,
-            shards=shards,
-            faults=_random_faults(seed),
-        )
-        schedule = _schedule()
-        expected = _epoch_times(config)
-        topology = build_topology(config, schedule.num_ranks)
-        plan = plan_shards(topology, schedule.num_ranks, shards)
-        log = []
-        with inline_workers():
-            result, _ = run_sharded(schedule, config, window_log=log)
+    def test_random_fault_schedules(self, seed, shards, monkeypatch):
+        config = _TREE.replace(seed=seed, shards=shards, faults=random_faults(seed))
+        result, log, plan, applied = _run(config, monkeypatch)
         assert result.ops_completed > 0
-        _check_window_invariants(log, plan.lookahead, expected)
+        assert log and all(until == floor + plan.lookahead for floor, until in log)
+        _assert_every_shard_replays_the_schedule(config, plan, applied)
 
-    def test_no_faults_means_no_epochs_in_log(self):
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="minimal",
-            cc_algorithm="mprdma",
-            shards=2,
-        )
-        schedule = _schedule()
-        topology = build_topology(config, schedule.num_ranks)
-        plan = plan_shards(topology, schedule.num_ranks, 2)
-        log = []
-        with inline_workers():
-            run_sharded(schedule, config, window_log=log)
-        assert all(epochs == () for _, _, epochs in log)
-        assert all(until == floor + plan.lookahead for floor, until, _ in log)
-
-    def test_post_traffic_epochs_still_apply(self):
-        # a flap long after the last packet drains: the driver must keep
-        # opening windows until the schedule is exhausted (the convergence
-        # ledger records transitions even when no packet witnesses them)
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="minimal",
-            cc_algorithm="mprdma",
-            shards=2,
-            faults=FaultSchedule(
-                events=(
-                    FaultEvent(5_000_000, LINK_DOWN, "tor0->core0"),
-                    FaultEvent(5_000_500, LINK_UP, "tor0->core0"),
-                )
-            ),
-        )
-        schedule = _schedule()
-        expected = _epoch_times(config)
-        log = []
-        with inline_workers():
-            result, _ = run_sharded(schedule, config, window_log=log)
-        applied = [t for _, _, epochs in log for t in epochs]
-        assert applied == expected
-        assert result.finish_time_ns < 5_000_000
-
-    def test_same_time_events_share_one_epoch(self):
-        # two transitions declared at the same nanosecond group into a
-        # single epoch and are applied at one barrier, in declaration order
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="minimal",
-            cc_algorithm="mprdma",
+    def test_same_time_events_apply_in_declaration_order(self, monkeypatch):
+        config = _TREE.replace(
             shards=2,
             faults=FaultSchedule(
                 events=(
@@ -182,50 +81,37 @@ class TestWindowInvariants:
                 )
             ),
         )
-        schedule = _schedule()
-        assert _epoch_times(config) == [3000, 9000]
-        log = []
-        with inline_workers():
-            run_sharded(schedule, config, window_log=log)
-        applied = [t for _, _, epochs in log for t in epochs]
-        assert applied == [3000, 9000]
+        _, _, plan, applied = _run(config, monkeypatch)
+        _assert_every_shard_replays_the_schedule(config, plan, applied)
+        assert [t for t, _, _ in applied[0]] == [3000, 3000, 9000, 9000]
 
-    @pytest.mark.parametrize("cadence", [0, 1000])
-    def test_snapshot_jumps_carry_no_epochs(self, cadence):
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="adaptive",
-            cc_algorithm="mprdma",
-            shards=2,
-            load_snapshot_ns=cadence,
-            faults=_random_faults(3),
-        )
-        schedule = _schedule()
-        expected = _epoch_times(config)
-        topology = build_topology(config, schedule.num_ranks)
-        plan = plan_shards(topology, schedule.num_ranks, 2)
-        interval = cadence or topology.min_link_latency()
-        log = []
-        with inline_workers():
-            run_sharded(schedule, config, window_log=log)
-        _check_window_invariants(log, plan.lookahead, expected)
-        for floor, until, epochs in log:
-            if until < floor:
-                assert epochs == ()
-                assert until % interval == 0, "jump must land on a cadence boundary"
+    def test_snapshot_jumps_land_on_a_cadence_boundary(self, monkeypatch):
+        config = _TREE.replace(routing="adaptive", shards=2, faults=random_faults(3))
+        _, log, plan, applied = _run(config, monkeypatch)
+        interval = build_topology(config, len(plan.rank_owner)).min_link_latency()
+        jumps = [until for floor, until in log if until < floor]
+        assert jumps, "an idle gap must be crossed by a snapshot jump"
+        assert all(until % interval == 0 for until in jumps), "jump must land on a cadence boundary"
+        assert all(until <= floor + plan.lookahead for floor, until in log)
+        _assert_every_shard_replays_the_schedule(config, plan, applied)
+
+    def test_post_traffic_flap_converges_as_in_serial(self, monkeypatch):
+        # a flap long after the last packet drains: the driver keeps opening
+        # windows until every shard's queue is empty, so the convergence
+        # wave records its transitions even when no packet witnesses them
+        config = _TREE.replace(shards=2, control_plane="dv", faults=flap("tor0->core0", 5_000_000, 5_000_500))
+        result, _, plan, applied = _run(config, monkeypatch)
+        serial = GoalScheduler(allreduce(), "htsim", config.replace(shards=1), validate=False).run()
+        assert result.finish_time_ns < 5_000_000
+        assert len(result.convergence_records) == 2
+        assert result.convergence_records == serial.convergence_records
+        _assert_every_shard_replays_the_schedule(config, plan, applied)
 
 
 class TestShardedValidation:
     def test_retransmit_timeout_error_names_computed_values(self):
-        schedule = _schedule()
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="minimal",
-            cc_algorithm="mprdma",
-            shards=2,
-        )
+        schedule = allreduce()
+        config = _TREE.replace(shards=2)
         topology = build_topology(config, schedule.num_ranks)
         plan = plan_shards(topology, schedule.num_ranks, 2)
         bad = config.replace(min_retransmit_timeout=plan.lookahead)
@@ -237,14 +123,8 @@ class TestShardedValidation:
         assert "later window" in message
 
     def test_timeout_one_above_lookahead_accepted(self):
-        schedule = _schedule()
-        config = SimulationConfig(
-            topology="fat_tree",
-            nodes_per_tor=4,
-            routing="minimal",
-            cc_algorithm="mprdma",
-            shards=2,
-        )
+        schedule = allreduce()
+        config = _TREE.replace(shards=2)
         topology = build_topology(config, schedule.num_ranks)
         plan = plan_shards(topology, schedule.num_ranks, 2)
         ok = config.replace(min_retransmit_timeout=plan.lookahead + 1)
