@@ -13,10 +13,9 @@ import pytest
 from benchmarks.conftest import print_table, run_once
 from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
+from repro.cluster import ClusterJob, run_cotenant
 from repro.network import SimulationConfig
-from repro.placement import JobRequest, place_jobs
 from repro.schedgen import mpi_trace_to_goal, nccl_trace_to_goal
-from repro.scheduler import simulate
 
 CLUSTER_NODES = 16
 
@@ -29,7 +28,7 @@ def _jobs():
 
     trace = HPC_APPLICATIONS["lulesh"].trace(HpcRunConfig(num_ranks=8, iterations=3, cells_per_rank=16_000))
     lulesh_sched = mpi_trace_to_goal(trace)
-    return [JobRequest(llama_sched, name="Llama"), JobRequest(lulesh_sched, name="LULESH")]
+    return [ClusterJob(llama_sched, name="Llama"), ClusterJob(lulesh_sched, name="LULESH")]
 
 
 def _config():
@@ -38,23 +37,17 @@ def _config():
     )
 
 
-def _job_runtimes(result, placement, jobs):
-    return [
-        max(result.rank_finish_times_ns[n] for n in placement.nodes_of_job(i))
-        for i in range(len(jobs))
-    ]
-
-
 def test_fig13_job_placement(benchmark):
     jobs = _jobs()
 
     def run_all():
         runtimes = {}
         for strategy, kwargs in (("packed", {}), ("random", {"seed": 3})):
-            placement = place_jobs(jobs, CLUSTER_NODES, strategy=strategy, **kwargs)
-            merged = placement.merged_schedule(jobs)
-            result = simulate(merged, backend="htsim", config=_config())
-            runtimes[strategy] = _job_runtimes(result, placement, jobs)
+            res = run_cotenant(
+                jobs, CLUSTER_NODES, strategy=strategy, backend="htsim",
+                config=_config(), baseline=False, **kwargs,
+            )
+            runtimes[strategy] = [out.runtime_ns for out in res.outcomes]
         return runtimes
 
     runtimes = run_once(benchmark, run_all)

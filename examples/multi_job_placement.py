@@ -13,19 +13,9 @@ Run with::
 """
 from repro.apps.ai import ParallelismConfig, llama_7b
 from repro.apps.hpc import HpcRunConfig
+from repro.cluster import ClusterJob
 from repro.core import Atlahs
 from repro.network import SimulationConfig
-from repro.placement import JobRequest, place_jobs
-from repro.scheduler import simulate
-
-
-def per_job_runtime(result, placement, jobs):
-    """Max rank-finish time over each job's nodes."""
-    runtimes = []
-    for idx in range(len(jobs)):
-        nodes = placement.nodes_of_job(idx)
-        runtimes.append(max(result.rank_finish_times_ns[n] for n in nodes))
-    return runtimes
 
 
 def main() -> None:
@@ -41,7 +31,7 @@ def main() -> None:
     hpc = atlahs.run_hpc(
         "lulesh", HpcRunConfig(num_ranks=8, iterations=3, cells_per_rank=16_000), simulate_schedule=False
     )
-    jobs = [JobRequest(ai.schedule, name="llama"), JobRequest(hpc.schedule, name="lulesh")]
+    jobs = [ClusterJob(ai.schedule, name="llama"), ClusterJob(hpc.schedule, name="lulesh")]
 
     cluster_nodes = 16
     config = SimulationConfig(
@@ -51,12 +41,12 @@ def main() -> None:
     baselines = {}
     print(f"{'allocation':<12} {'job':<8} {'runtime (ms)':>13} {'vs packed':>10}")
     for strategy in ("packed", "random"):
-        placement = place_jobs(jobs, cluster_nodes, strategy=strategy, **({"seed": 3} if strategy == "random" else {}))
-        merged = placement.merged_schedule(jobs)
-        result = simulate(merged, backend="htsim", config=config)
-        runtimes = per_job_runtime(result, placement, jobs)
-        for job, runtime in zip(jobs, runtimes):
-            key = job.label
+        res = atlahs.run_cotenant(
+            jobs, cluster_nodes, strategy=strategy, config=config, baseline=False,
+            **({"seed": 3} if strategy == "random" else {}),
+        )
+        for out in res.outcomes:
+            key, runtime = out.name, out.runtime_ns
             if strategy == "packed":
                 baselines[key] = runtime
                 delta = ""

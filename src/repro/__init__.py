@@ -12,7 +12,9 @@ The package mirrors the architecture of the ATLAHS paper (SC'25):
 * :mod:`repro.scheduler` — the GOAL scheduler,
 * :mod:`repro.network` — the message-level (LogGOPS) and packet-level
   (htsim-like) backends, topologies, and congestion control,
-* :mod:`repro.placement` — job placement and multi-tenant merging,
+* :mod:`repro.placement` — job placement strategies,
+* :mod:`repro.cluster` — several jobs sharing one fabric (placement, the
+  multi-job merge, per-job attribution),
 * :mod:`repro.baselines` — the AstraSim/Chakra-like comparison baseline,
 * :mod:`repro.core` — the high-level :class:`~repro.core.atlahs.Atlahs`
   facade tying the pipeline together.

@@ -504,7 +504,7 @@ class InferencePlan:
 # ---------------------------------------------------------------------------
 def _sample_requests(
     num_requests: int,
-    arrivals: np.ndarray,
+    arrival_ns: np.ndarray,
     tenants: Sequence[TenantSpec],
     cluster: ServingClusterConfig,
     seed: int,
@@ -526,7 +526,7 @@ def _sample_requests(
         tenant = tenants[int(tenant_idx[rid])]
         prompt = int(rng.poisson(max(0, tenant.prompt_tokens - 1))) + 1
         decode = int(rng.poisson(max(0, tenant.decode_tokens - 1))) + 1
-        arrival = int(arrivals[rid])
+        arrival = int(arrival_ns[rid])
         # least-loaded prefill dispatch under the nominal compute model
         pf = min(range(cluster.prefill_ranks), key=lambda i: (prefill_free[i], i))
         start = max(float(arrival), prefill_free[pf])
@@ -755,10 +755,10 @@ def build_inference_workload(
             raise ValueError(f"duplicate tenant name {tenant.name!r}")
         seen.add(tenant.name)
 
-    arrivals = build_arrival_process(
+    arrival_ns = build_arrival_process(
         process, rate_rps, seed=seed, **process_kwargs
     ).arrival_times_ns(num_requests)
-    requests = _sample_requests(num_requests, arrivals, tenant_list, cluster, seed)
+    requests = _sample_requests(num_requests, arrival_ns, tenant_list, cluster, seed)
     steps = _plan_decode_steps(requests, cluster)
     schedule, op_groups = _emit_schedule(
         requests,

@@ -367,7 +367,6 @@ def _cmd_cotenant(args: argparse.Namespace) -> int:
             backend=args.backend,
             config=config,
             baseline=not args.no_baseline,
-            shared=args.shared,
             **kwargs,
         )
         contended = res.contended_links()
@@ -891,11 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--group-size", type=int, default=0, help="locality/fragmented group width"
-        )
-        p.add_argument(
-            "--shared",
-            action="store_true",
-            help="fuse tenants onto shared nodes (multi-tenant DAGs) instead of disjoint nodes",
         )
         p.add_argument(
             "--no-baseline",

@@ -8,10 +8,9 @@ into **one** fabric-shared simulation:
 2. the jobs are placed onto the cluster's nodes by one of the
    :data:`repro.placement.PLACEMENT_STRATEGIES` (or explicit, possibly
    overlapping, per-job placements),
-3. the placed schedules are merged into a single GOAL program
-   (:func:`~repro.goal.merge.concatenate_schedules` for disjoint node sets,
-   :func:`~repro.goal.merge.merge_onto_shared_nodes` when tenants share
-   nodes),
+3. the placed schedules are merged into a single GOAL program by
+   :func:`~repro.goal.merge.concatenate_schedules`, which fuses the jobs'
+   DAGs (on disjoint compute-stream ranges) wherever a node hosts two jobs,
 4. the merged program runs on either backend with job attribution enabled:
    each job owns a disjoint tag window of :data:`TAG_STRIDE`, the backends
    attribute messages and per-link bytes to ``tag // TAG_STRIDE``, and the
@@ -30,18 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.goal.merge import (
-    concatenate_schedules,
-    delay_schedule,
-    merge_onto_shared_nodes,
-    remap_ranks,
-)
+from repro.goal.merge import concatenate_schedules, delay_schedule, remap_ranks
 from repro.goal.ops import _CALC
 from repro.goal.schedule import GoalSchedule
 from repro.goal.validate import validate_schedule
 from repro.network.backend import JobStats, SimulationResult
 from repro.network.config import SimulationConfig
-from repro.placement import JobRequest, PlacementResult, place_jobs
+from repro.placement import PlacementResult, place_jobs
 from repro.scheduler import simulate
 
 #: Tag window assigned to each job by the co-tenancy merge.  Every message of
@@ -90,9 +84,6 @@ class CoTenantPlan:
         Per rank, the owning job index of every op (scheduler group ids).
     jobs:
         The input jobs, in job (= tag window) order.
-    shared:
-        Whether tenants share nodes (multi-tenant DAG fusion) or occupy
-        disjoint node sets.
     tag_stride:
         Tag window width; feed this to ``SimulationConfig.job_tag_stride``.
     """
@@ -101,7 +92,6 @@ class CoTenantPlan:
     placement: PlacementResult
     op_groups: List[List[int]]
     jobs: List[ClusterJob]
-    shared: bool
     tag_stride: int = TAG_STRIDE
 
 
@@ -163,10 +153,6 @@ class CoTenancyResult:
         }
 
 
-def _delayed_schedules(jobs: Sequence[ClusterJob]) -> List[GoalSchedule]:
-    return [delay_schedule(job.schedule, job.arrival_ns) for job in jobs]
-
-
 def _check_tags(jobs: Sequence[ClusterJob], tag_stride: int) -> None:
     for job in jobs:
         for rank in job.schedule.ranks:
@@ -179,22 +165,11 @@ def _check_tags(jobs: Sequence[ClusterJob], tag_stride: int) -> None:
                 )
 
 
-def _mappings_overlap(mappings: Sequence[Mapping[int, int]]) -> bool:
-    seen: set = set()
-    for mapping in mappings:
-        for node in mapping.values():
-            if node in seen:
-                return True
-            seen.add(node)
-    return False
-
-
 def build_cotenant_schedule(
     jobs: Sequence[ClusterJob],
     cluster_nodes: Optional[int] = None,
     strategy: str = "packed",
     placements: Optional[Sequence[Mapping[int, int]]] = None,
-    shared: bool = False,
     tag_stride: int = TAG_STRIDE,
     stream_stride: int = 64,
     **strategy_kwargs,
@@ -213,11 +188,7 @@ def build_cotenant_schedule(
         ``placements`` are given.
     placements:
         Optional explicit ``{job rank -> cluster node}`` mapping per job.
-        Overlapping node sets are allowed and switch the merge to
-        multi-tenant DAG fusion.
-    shared:
-        Force multi-tenant fusion even for disjoint placements (tenants then
-        share compute streams machinery rather than plain rank slots).
+        Node sets may overlap: jobs sharing a node are fused onto it.
     tag_stride / stream_stride:
         Forwarded to the merge (tag window width, per-tenant compute-stream
         offset).
@@ -241,41 +212,27 @@ def build_cotenant_schedule(
         placement = PlacementResult(
             [dict(m) for m in placements], cluster_nodes, "explicit"
         )
-        shared = shared or _mappings_overlap(placements)
     else:
-        requests = [JobRequest(job.schedule, name=job.label) for job in jobs]
-        placement = place_jobs(requests, cluster_nodes, strategy=strategy, **strategy_kwargs)
+        placement = place_jobs(jobs, cluster_nodes, strategy=strategy, **strategy_kwargs)
 
-    delayed = _delayed_schedules(jobs)
+    delayed = [delay_schedule(job.schedule, job.arrival_ns) for job in jobs]
+    merged = concatenate_schedules(
+        delayed,
+        placements=placement.mappings,
+        num_ranks=cluster_nodes,
+        tag_stride=tag_stride,
+        stream_stride=stream_stride,
+    )
+    # each job's fragment is appended to its nodes in job order
     op_groups: List[List[int]] = [[] for _ in range(cluster_nodes)]
-    if shared:
-        merged = merge_onto_shared_nodes(
-            delayed,
-            placements=placement.mappings,
-            num_ranks=cluster_nodes,
-            tag_stride=tag_stride,
-            stream_stride=stream_stride,
-        )
-        # fragments are appended per tenant in job order — mirror that walk
-        for job_idx, (sched, mapping) in enumerate(zip(delayed, placement.mappings)):
-            for rank in sched.ranks:
-                op_groups[mapping[rank.rank]].extend([job_idx] * len(rank))
-    else:
-        merged = concatenate_schedules(
-            delayed,
-            placements=placement.mappings,
-            num_ranks=cluster_nodes,
-            tag_stride=tag_stride,
-        )
-        for job_idx, (sched, mapping) in enumerate(zip(delayed, placement.mappings)):
-            for rank in sched.ranks:
-                op_groups[mapping[rank.rank]] = [job_idx] * len(rank)
+    for job_idx, (sched, mapping) in enumerate(zip(delayed, placement.mappings)):
+        for rank in sched.ranks:
+            op_groups[mapping[rank.rank]].extend([job_idx] * len(rank))
     return CoTenantPlan(
         schedule=merged,
         placement=placement,
         op_groups=op_groups,
         jobs=jobs,
-        shared=shared,
         tag_stride=tag_stride,
     )
 
@@ -306,7 +263,6 @@ def run_cotenant(
     config: Optional[SimulationConfig] = None,
     baseline: bool = True,
     placements: Optional[Sequence[Mapping[int, int]]] = None,
-    shared: bool = False,
     validate: bool = True,
     tag_stride: int = TAG_STRIDE,
     stream_stride: int = 64,
@@ -317,8 +273,8 @@ def run_cotenant(
 
     Parameters
     ----------
-    jobs, cluster_nodes, strategy, placements, shared, tag_stride,
-    stream_stride, strategy_kwargs:
+    jobs, cluster_nodes, strategy, placements, tag_stride, stream_stride,
+    strategy_kwargs:
         See :func:`build_cotenant_schedule`.
     backend:
         ``"htsim"`` (packet-level; per-link contention includes queues, ECN
@@ -372,7 +328,6 @@ def run_cotenant(
         cluster_nodes=cluster_nodes,
         strategy=strategy,
         placements=placements,
-        shared=shared,
         tag_stride=tag_stride,
         stream_stride=stream_stride,
         **strategy_kwargs,

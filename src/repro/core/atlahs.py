@@ -8,7 +8,7 @@ evaluation exercises, and is what the examples and benchmarks use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.apps.ai import LlmTrainer, ModelConfig, ParallelismConfig
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
@@ -19,7 +19,6 @@ from repro.goal.schedule import GoalSchedule
 from repro.goal.validate import validate_schedule
 from repro.network.backend import SimulationResult
 from repro.network.config import LogGOPSParams, SimulationConfig
-from repro.placement import JobRequest, place_jobs
 from repro.schedgen import (
     mpi_trace_to_goal,
     nccl_trace_to_goal,
@@ -280,20 +279,4 @@ class Atlahs:
             backend=backend,
             config=config or self.config,
             **kwargs,
-        )
-
-    def run_multi_job(
-        self,
-        schedules: Sequence[GoalSchedule],
-        cluster_nodes: int,
-        strategy: str = "packed",
-        backend: str = "htsim",
-        config: Optional[SimulationConfig] = None,
-        **strategy_kwargs,
-    ) -> PipelineResult:
-        """Place several jobs on one cluster and simulate them together."""
-        jobs = [JobRequest(schedule=s) for s in schedules]
-        placement = place_jobs(jobs, cluster_nodes, strategy=strategy, **strategy_kwargs)
-        return self._pipeline(
-            placement.merged_schedule(jobs), backend, config, extras={"placement": placement}
         )

@@ -37,7 +37,6 @@ from repro.goal.validate import validate_schedule, GoalValidationError
 from repro.goal.merge import (
     remap_ranks,
     concatenate_schedules,
-    merge_onto_shared_nodes,
     relabel_tags,
     delay_schedule,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "GoalValidationError",
     "remap_ranks",
     "concatenate_schedules",
-    "merge_onto_shared_nodes",
     "relabel_tags",
     "delay_schedule",
 ]

@@ -115,7 +115,7 @@ class RankBuilder:
         """Insert a dummy vertex depending on all of ``deps`` and return it.
 
         This is the "dummy node" construction used in Stages 2 and 4 of the
-        NCCL pipeline and in multi-tenant merging to synchronise streams.
+        NCCL pipeline to synchronise streams.
         """
         return self._append(_CALC, 0, None, 0, cpu, deps, label)
 

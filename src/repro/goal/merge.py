@@ -1,38 +1,33 @@
 """Rank remapping and schedule fusion for multi-job / multi-tenant scenarios.
 
-The paper (§3.2) models two scenarios on top of GOAL:
+The paper (§3.2) models several applications sharing one cluster on top of
+GOAL.  :func:`concatenate_schedules` is the one merge: it remaps each
+application's ranks onto the nodes its placement names and emits one combined
+schedule.
 
-* **Multi-job**: distinct applications occupy *disjoint* sets of nodes and run
-  concurrently.  This only requires remapping each application's ranks onto
-  its allocated nodes and emitting one combined schedule
-  (:func:`concatenate_schedules` with a placement).
-* **Multi-tenancy**: several applications *share* nodes.  Their per-rank DAGs
-  are fused into a single DAG per shared node, with each tenant's ops placed
-  on distinct compute streams separated by dummy vertices so they can overlap
-  (:func:`merge_onto_shared_nodes`).
+* **Multi-job**: applications on *disjoint* sets of nodes keep their own
+  nodes; the result is the union of the remapped schedules.
+* **Multi-tenancy**: where a node hosts several applications, their per-rank
+  DAGs are fused into a single DAG on that node, with each application's ops
+  on its own range of compute streams so they can overlap.
 
-On top of the rank-offset composition both merge entry points accept
-*arrival offsets*: real clusters do not start every job at t=0, so each
-application may carry an arrival time (ns).  :func:`delay_schedule` realises
-an arrival inside the GOAL model itself — a single ``calc arrival`` root is
-prepended to every non-empty rank and every former root is made to depend on
-it, so no op of the job can issue before its arrival regardless of backend.
-An arrival of zero is the identity (the schedule is reused untouched), which
-keeps single-job co-tenant runs bit-identical to the plain simulation path.
+:func:`remap_ranks` is the one-application case.  Real clusters do not start
+every job at t=0: :func:`delay_schedule` realises an arrival time (ns) inside
+the GOAL model itself — a single ``calc arrival`` root is prepended to every
+non-empty rank and every former root is made to depend on it, so no op of the
+job can issue before its arrival regardless of backend.  The co-tenancy engine
+(:mod:`repro.cluster`) delays each job this way before merging.  An arrival of
+zero is the identity (the schedule is reused untouched), which keeps
+single-job co-tenant runs bit-identical to the plain simulation path.
 """
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.goal.ops import _CALC, VALUE_LIMIT, checked_value
 from repro.goal.schedule import GoalSchedule, RankSchedule
-
-
-def _targets(mapping: Mapping[int, int], num_ranks: int) -> np.ndarray:
-    """``mapping`` over ranks ``0 .. num_ranks - 1`` as a lookup column."""
-    return np.array([mapping[r] for r in range(num_ranks)], dtype=np.uint64)
 
 
 def _place(
@@ -93,25 +88,9 @@ def remap_ranks(
     name:
         Name of the resulting schedule.
     """
-    src_ranks = range(schedule.num_ranks)
-    missing = [r for r in src_ranks if r not in mapping]
-    if missing:
-        raise ValueError(f"mapping does not cover ranks {missing}")
-    targets = [mapping[r] for r in src_ranks]
-    if len(set(targets)) != len(targets):
-        raise ValueError("mapping is not injective (two ranks map to the same node)")
-    inferred = max(targets) + 1
-    out_ranks = num_ranks if num_ranks is not None else inferred
-    if inferred > out_ranks:
-        raise ValueError(
-            f"mapping targets rank {inferred - 1} but output num_ranks is {out_ranks}"
-        )
-
-    merged = GoalSchedule(out_ranks, name=name or schedule.name)
-    lookup = _targets(mapping, schedule.num_ranks)
-    for rank in schedule.ranks:
-        _place(rank, merged.ranks[mapping[rank.rank]], lookup)
-    return merged
+    return concatenate_schedules(
+        [schedule], [mapping], num_ranks=num_ranks, name=name or schedule.name
+    )
 
 
 def relabel_tags(schedule: GoalSchedule, tag_offset: int) -> GoalSchedule:
@@ -162,7 +141,7 @@ def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
         kept[new_ptr[1:-1][degree == 0]] = False
         new_idx[kept] = idx + 1
         # labels survive (only the unlabeled delay vertex is new); the
-        # multi-job merges strip labels themselves when composing
+        # multi-job merge strips labels itself when composing
         out.ranks[rank.rank].extend(
             np.concatenate(([_CALC], kind)),
             np.concatenate((delay, size)),
@@ -176,18 +155,23 @@ def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
     return out
 
 
-def _apply_arrivals(
-    schedules: Sequence[GoalSchedule], arrivals: Optional[Sequence[int]]
-) -> Sequence[GoalSchedule]:
-    """Delay each schedule by its arrival offset (``None`` = all at t=0)."""
-    if arrivals is None:
-        return schedules
-    if len(arrivals) != len(schedules):
-        raise ValueError(
-            f"need exactly one arrival per schedule "
-            f"({len(arrivals)} arrivals for {len(schedules)} schedules)"
-        )
-    return [delay_schedule(sched, arr) for sched, arr in zip(schedules, arrivals)]
+def _nodes(schedule: GoalSchedule, placement: Mapping[int, int]) -> List[int]:
+    """``placement`` over ``schedule``'s ranks, refusing a missing rank or two
+    ranks on one node."""
+    nodes: List[int] = []
+    rank_on: Dict[int, int] = {}
+    for r in range(schedule.num_ranks):
+        if r not in placement:
+            raise ValueError(f"placement missing rank {r} of schedule {schedule.name!r}")
+        node = placement[r]
+        if node in rank_on:
+            raise ValueError(
+                f"placement of schedule {schedule.name!r} puts ranks {rank_on[node]} "
+                f"and {r} on node {node}"
+            )
+        rank_on[node] = r
+        nodes.append(node)
+    return nodes
 
 
 def concatenate_schedules(
@@ -196,34 +180,40 @@ def concatenate_schedules(
     num_ranks: Optional[int] = None,
     name: str = "multi-job",
     tag_stride: int = 1 << 20,
-    arrivals: Optional[Sequence[int]] = None,
+    stream_stride: int = 64,
 ) -> GoalSchedule:
     """Combine several applications into one multi-job schedule.
 
-    Each application keeps its own (disjoint) set of nodes.
+    Each application's ranks go to the nodes its placement names.  When no
+    node hosts two applications, the result is their disjoint union.  When
+    some node does, the applications' fragments on it are fused: appended in
+    application order with no cross-application edges, and application ``i``
+    moved onto compute streams ``i * stream_stride`` and up so the fragments
+    overlap instead of serialising.
 
     Parameters
     ----------
     schedules:
         The applications to combine.
     placements:
-        One mapping per application assigning its ranks to global node ids.
-        When omitted, applications are packed back-to-back: application ``i``
-        occupies the node range directly after application ``i - 1``.
+        One mapping per application assigning its ranks to global node ids;
+        each must be injective.  When omitted, applications are packed
+        back-to-back: application ``i`` occupies the node range directly
+        after application ``i - 1``.
     num_ranks:
-        Total nodes in the combined schedule (inferred if omitted).
+        Total nodes in the combined schedule (inferred if omitted); every
+        placed node must lie in ``0 .. num_ranks - 1``.
     name:
         Name of the combined schedule.
     tag_stride:
         Tag offset applied per application to keep their message spaces
         disjoint.  Must exceed the largest tag used by any application.
-    arrivals:
-        Optional arrival time (ns) per application; each is applied via
-        :func:`delay_schedule` before merging.  Zero is the identity.
+    stream_stride:
+        Compute-stream offset between applications when some node hosts
+        two; it must exceed every compute stream an application uses.
     """
     if not schedules:
         raise ValueError("need at least one schedule")
-    schedules = _apply_arrivals(schedules, arrivals)
     if placements is None:
         placements = []
         base = 0
@@ -233,89 +223,35 @@ def concatenate_schedules(
     if len(placements) != len(schedules):
         raise ValueError("need exactly one placement per schedule")
 
-    all_targets: List[int] = []
-    for sched, placement in zip(schedules, placements):
-        for r in range(sched.num_ranks):
-            if r not in placement:
-                raise ValueError(f"placement missing rank {r} of schedule {sched.name!r}")
-            all_targets.append(placement[r])
-    if len(set(all_targets)) != len(all_targets):
-        raise ValueError("placements overlap: multi-job placement requires disjoint node sets")
-    total = num_ranks if num_ranks is not None else max(all_targets) + 1
+    nodes = [_nodes(sched, placement) for sched, placement in zip(schedules, placements)]
+    placed = [node for job in nodes for node in job]
+    total = num_ranks if num_ranks is not None else max(placed, default=-1) + 1
+    for sched, job in zip(schedules, nodes):
+        for r, node in enumerate(job):
+            if not 0 <= node < total:
+                raise ValueError(
+                    f"placement of schedule {sched.name!r} puts rank {r} on node "
+                    f"{node}, outside the {total} nodes 0 .. {total - 1}"
+                )
+    fused = len(set(placed)) < len(placed)
+    if fused:
+        for sched in schedules:
+            for rank in sched.ranks:
+                streams = rank.columns()[4]
+                if (streams >= stream_stride).any():
+                    raise ValueError(
+                        f"schedule {sched.name!r} uses compute stream "
+                        f"{int(streams[streams >= stream_stride][0])} >= "
+                        f"stream_stride {stream_stride}; increase stream_stride"
+                    )
 
     merged = GoalSchedule(total, name=name)
-    for job_idx, (sched, placement) in enumerate(zip(schedules, placements)):
-        offset = job_idx * tag_stride
-        lookup = _targets(placement, sched.num_ranks)
+    for job_idx, (sched, job) in enumerate(zip(schedules, nodes)):
+        lookup = np.array(job, dtype=np.uint64)
         for rank in sched.ranks:
-            dst_rank = merged.ranks[placement[rank.rank]]
-            if len(dst_rank):
-                raise ValueError(
-                    f"node {placement[rank.rank]} already hosts another job; "
-                    "use merge_onto_shared_nodes for multi-tenancy"
-                )
-            _place(rank, dst_rank, lookup, tag_offset=offset)
-    return merged
-
-
-def merge_onto_shared_nodes(
-    schedules: Sequence[GoalSchedule],
-    placements: Sequence[Mapping[int, int]],
-    num_ranks: Optional[int] = None,
-    name: str = "multi-tenant",
-    tag_stride: int = 1 << 20,
-    stream_stride: int = 64,
-    arrivals: Optional[Sequence[int]] = None,
-) -> GoalSchedule:
-    """Fuse several applications that may *share* nodes (multi-tenancy).
-
-    Every tenant's DAG fragment placed on a node is appended to that node's
-    combined DAG.  To let tenants overlap (they are independent programs), the
-    fragments are kept independent — no artificial cross-tenant edges — and
-    each tenant's ops are shifted onto a disjoint range of compute streams
-    (``tenant_index * stream_stride``).  Message tags are offset per tenant so
-    that matching stays within a tenant.
-
-    Parameters
-    ----------
-    schedules, placements, num_ranks, name, tag_stride:
-        As for :func:`concatenate_schedules`, except placements may overlap.
-    stream_stride:
-        Compute-stream offset between tenants on a shared node; must exceed
-        the number of streams any single tenant uses on one rank.
-    arrivals:
-        Optional arrival time (ns) per tenant, applied via
-        :func:`delay_schedule` before fusing.
-    """
-    if not schedules:
-        raise ValueError("need at least one schedule")
-    schedules = _apply_arrivals(schedules, arrivals)
-    if len(placements) != len(schedules):
-        raise ValueError("need exactly one placement per schedule")
-
-    max_target = -1
-    for sched, placement in zip(schedules, placements):
-        for r in range(sched.num_ranks):
-            if r not in placement:
-                raise ValueError(f"placement missing rank {r} of schedule {sched.name!r}")
-            max_target = max(max_target, placement[r])
-    total = num_ranks if num_ranks is not None else max_target + 1
-
-    merged = GoalSchedule(total, name=name)
-    for tenant_idx, (sched, placement) in enumerate(zip(schedules, placements)):
-        tag_offset = tenant_idx * tag_stride
-        cpu_offset = tenant_idx * stream_stride
-        lookup = _targets(placement, sched.num_ranks)
-        for rank in sched.ranks:
-            streams = rank.columns()[4]
-            if (streams >= stream_stride).any():
-                raise ValueError(
-                    f"schedule {sched.name!r} uses compute stream "
-                    f"{int(streams[streams >= stream_stride][0])} >= "
-                    f"stream_stride {stream_stride}; increase stream_stride"
-                )
             _place(
-                rank, merged.ranks[placement[rank.rank]], lookup,
-                tag_offset=tag_offset, cpu_offset=cpu_offset,
+                rank, merged.ranks[job[rank.rank]], lookup,
+                tag_offset=job_idx * tag_stride,
+                cpu_offset=job_idx * stream_stride if fused else 0,
             )
     return merged

@@ -642,12 +642,6 @@ class RankSchedule:
         """Vertices with no successors."""
         return np.flatnonzero(np.diff(np.frombuffer(self.succ_csr()[0], dtype=np.int64)) == 0).tolist()
 
-    def comm_ops(self) -> Iterator[Tuple[int, Op]]:
-        """Iterate ``(vertex, op)`` over send/recv vertices."""
-        ops = self.ops
-        for v in np.flatnonzero(self.columns()[0] != _CALC).tolist():
-            yield v, ops[v]
-
     def _total(self, kind: OpType) -> int:
         kinds, sizes = self.columns()[:2]
         return exact_sum(sizes[kinds == kind])
@@ -667,14 +661,6 @@ class RankSchedule:
     def compute_streams(self) -> List[int]:
         """Sorted list of distinct compute stream ids used by this rank."""
         return np.unique(self.columns()[4]).tolist()
-
-    def topological_order(self) -> List[int]:
-        """Return vertices in a valid topological order.
-
-        Because :meth:`add_op` only allows backward dependencies, insertion
-        order is already topological; this is returned directly.
-        """
-        return list(range(len(self.kind)))
 
     def critical_path_ns(self) -> int:
         """Length (in ns of calc cost) of the longest calc-weighted path.

@@ -41,14 +41,6 @@ class MeasurementResult:
     trial_runtimes_ns: List[float]
     compute_fraction: float
 
-    @property
-    def runtime_s(self) -> float:
-        return self.runtime_ns / 1e9
-
-    @property
-    def communication_fraction(self) -> float:
-        return 1.0 - self.compute_fraction
-
 
 def non_overlapped_compute_fraction(schedule: GoalSchedule, runtime_ns: float) -> float:
     """Estimate which share of ``runtime_ns`` is pure (non-overlapped) computation.

@@ -105,21 +105,6 @@ class ServingMetrics:
     def num_requests(self) -> int:
         return len(self.outcomes)
 
-    def summary_row(self) -> Dict[str, float]:
-        """Flat dict for tables/JSON output (CLI and sweeps)."""
-        return {
-            "requests": float(self.num_requests),
-            "offered_rps": self.offered_rps,
-            "throughput_rps": self.throughput_rps,
-            "goodput_rps": self.goodput_rps,
-            "ttft_p50_ms": self.ttft_percentiles_ns["p50"] / 1e6,
-            "ttft_p99_ms": self.ttft_percentiles_ns["p99"] / 1e6,
-            "ttft_p999_ms": self.ttft_percentiles_ns["p999"] / 1e6,
-            "tpot_p50_ms": self.tpot_percentiles_ns["p50"] / 1e6,
-            "tpot_p99_ms": self.tpot_percentiles_ns["p99"] / 1e6,
-            "mean_batch": self.batch_occupancy.get("mean_batch", 0.0),
-        }
-
 
 _PCTS = {"p50": 50.0, "p99": 99.0, "p999": 99.9}
 

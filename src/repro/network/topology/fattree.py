@@ -220,10 +220,6 @@ class MultiPlaneFatTreeTopology(FatTreeTopology):
             latency=latency,
         )
 
-    def plane_of_core(self, core_index: int) -> int:
-        """Plane that core switch ``core_index`` belongs to."""
-        return core_index // self.cores_per_plane
-
     def plane_cores(self, plane: int) -> List[int]:
         """Core switch indices of ``plane``."""
         if not (0 <= plane < self.planes):
@@ -297,14 +293,6 @@ class RailOptimizedFatTreeTopology(FatTreeTopology):
     def server_of(self, host: int) -> int:
         """Server that GPU ``host`` belongs to."""
         return host // self.rails
-
-    def rail_of(self, host: int) -> int:
-        """Rail (GPU index within its server) of ``host``."""
-        return host % self.rails
-
-    def pod_of(self, host: int) -> int:
-        """Pod of ``host``'s server."""
-        return self.server_of(host) // self.servers_per_pod
 
     def tor_of(self, host: int) -> int:
         """Rail switch of ``host``: pod-major, rail-minor."""

@@ -1,4 +1,4 @@
-"""Job placement strategies and multi-job / multi-tenant composition."""
+"""Job placement strategies: which cluster nodes each job's ranks occupy."""
 from repro.placement.strategies import (
     JobRequest,
     PlacementResult,

@@ -16,9 +16,11 @@ any topology: it packs each job into whole switch-attachment groups (ToRs on
 a fat tree, routers on a dragonfly/torus/Slim Fly) using
 :meth:`repro.network.topology.base.Topology.host_groups`, so intra-job
 traffic stays on as few first-hop switches as possible regardless of the
-interconnect.  :func:`place_jobs` turns a placement plus the jobs' GOAL
-schedules into one combined multi-job schedule via
-:func:`repro.goal.merge.concatenate_schedules`.
+interconnect.  :func:`place_jobs` picks a strategy by name.  A strategy reads
+only each job's ``num_nodes`` and ``label``, so it places
+:class:`JobRequest` and :class:`repro.cluster.ClusterJob` records alike;
+:func:`repro.cluster.build_cotenant_schedule` merges the placed jobs into one
+GOAL program.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.goal.merge import concatenate_schedules
 from repro.goal.schedule import GoalSchedule
 
 
@@ -65,15 +66,6 @@ class PlacementResult:
     cluster_nodes: int
     strategy: str
 
-    def merged_schedule(self, jobs: Sequence[JobRequest], name: Optional[str] = None) -> GoalSchedule:
-        """Combine the jobs into one multi-job GOAL schedule under this placement."""
-        return concatenate_schedules(
-            [job.schedule for job in jobs],
-            placements=self.mappings,
-            num_ranks=self.cluster_nodes,
-            name=name or f"multi-job-{self.strategy}",
-        )
-
     def nodes_of_job(self, job_index: int) -> List[int]:
         """Cluster nodes assigned to ``job_index`` (in job-rank order)."""
         mapping = self.mappings[job_index]
@@ -86,29 +78,27 @@ def _require_capacity(jobs: Sequence[JobRequest], cluster_nodes: int) -> None:
         raise ValueError(f"jobs need {needed} nodes but the cluster only has {cluster_nodes}")
 
 
+def _deal(order: Sequence[int], jobs: Sequence[JobRequest]) -> List[Dict[int, int]]:
+    """Slice ``order`` into consecutive blocks, one per job in job order."""
+    mappings: List[Dict[int, int]] = []
+    cursor = 0
+    for job in jobs:
+        mappings.append({r: int(order[cursor + r]) for r in range(job.num_nodes)})
+        cursor += job.num_nodes
+    return mappings
+
+
 def packed_placement(jobs: Sequence[JobRequest], cluster_nodes: int) -> PlacementResult:
     """Assign nodes sequentially: job 0 gets nodes 0..n0-1, job 1 the next block, ..."""
     _require_capacity(jobs, cluster_nodes)
-    mappings: List[Dict[int, int]] = []
-    base = 0
-    for job in jobs:
-        mappings.append({r: base + r for r in range(job.num_nodes)})
-        base += job.num_nodes
-    return PlacementResult(mappings, cluster_nodes, "packed")
+    return PlacementResult(_deal(range(cluster_nodes), jobs), cluster_nodes, "packed")
 
 
 def random_placement(jobs: Sequence[JobRequest], cluster_nodes: int, seed: int = 0) -> PlacementResult:
     """Assign nodes uniformly at random without locality (paper's "Random Allocation")."""
     _require_capacity(jobs, cluster_nodes)
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(cluster_nodes))
-    mappings: List[Dict[int, int]] = []
-    cursor = 0
-    for job in jobs:
-        nodes = order[cursor : cursor + job.num_nodes]
-        cursor += job.num_nodes
-        mappings.append({r: int(nodes[r]) for r in range(job.num_nodes)})
-    return PlacementResult(mappings, cluster_nodes, "random")
+    order = np.random.default_rng(seed).permutation(cluster_nodes)
+    return PlacementResult(_deal(order, jobs), cluster_nodes, "random")
 
 
 def round_robin_placement(
@@ -124,13 +114,7 @@ def round_robin_placement(
             node = tor * nodes_per_tor + slot
             if node < cluster_nodes:
                 order.append(node)
-    mappings: List[Dict[int, int]] = []
-    cursor = 0
-    for job in jobs:
-        nodes = order[cursor : cursor + job.num_nodes]
-        cursor += job.num_nodes
-        mappings.append({r: nodes[r] for r in range(job.num_nodes)})
-    return PlacementResult(mappings, cluster_nodes, "round_robin")
+    return PlacementResult(_deal(order, jobs), cluster_nodes, "round_robin")
 
 
 def strided_placement(jobs: Sequence[JobRequest], cluster_nodes: int, stride: int = 2) -> PlacementResult:
@@ -139,13 +123,7 @@ def strided_placement(jobs: Sequence[JobRequest], cluster_nodes: int, stride: in
         raise ValueError("stride must be positive")
     _require_capacity(jobs, cluster_nodes)
     order = [n for offset in range(stride) for n in range(offset, cluster_nodes, stride)]
-    mappings: List[Dict[int, int]] = []
-    cursor = 0
-    for job in jobs:
-        nodes = order[cursor : cursor + job.num_nodes]
-        cursor += job.num_nodes
-        mappings.append({r: nodes[r] for r in range(job.num_nodes)})
-    return PlacementResult(mappings, cluster_nodes, "strided")
+    return PlacementResult(_deal(order, jobs), cluster_nodes, "strided")
 
 
 def locality_placement(

@@ -94,11 +94,6 @@ class SpcTrace:
     def total_bytes(self) -> int:
         return sum(r.size for r in self.records)
 
-    def duration_s(self) -> float:
-        if not self.records:
-            return 0.0
-        return self.records[-1].timestamp - self.records[0].timestamp
-
     # ------------------------------------------------------------- serialisation
     def to_text(self) -> str:
         return "\n".join(r.to_line() for r in self.records) + ("\n" if self.records else "")

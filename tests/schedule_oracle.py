@@ -150,10 +150,11 @@ def list_delay_schedule(schedule, delay_ns):
     return out
 
 
-def list_merge(schedules, placements, num_ranks, name, tag_stride, stream_stride=0, arrivals=None):
-    """``concatenate_schedules`` (``stream_stride=0``) and ``merge_onto_shared_nodes``."""
-    if arrivals is not None:
-        schedules = [list_delay_schedule(s, a) for s, a in zip(schedules, arrivals)]
+def list_merge(schedules, placements, num_ranks, name, tag_stride, stream_stride=64):
+    """``concatenate_schedules``: streams move only when some node hosts two jobs."""
+    nodes = [placement[r] for sched, placement in zip(schedules, placements) for r in range(sched.num_ranks)]
+    if len(set(nodes)) == len(nodes):
+        stream_stride = 0
     merged = ListSchedule(num_ranks, name)
     for job, (sched, placement) in enumerate(zip(schedules, placements)):
         for rank in sched.ranks:

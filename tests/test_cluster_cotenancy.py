@@ -174,7 +174,8 @@ class TestCotenantEngine:
             jobs, cluster_nodes=4, placements=[identity, identity],
             backend="lgs", config=SimulationConfig(), baseline=False,
         )
-        assert res.plan.shared
+        # both tenants' fragments are fused onto every node, a's before b's
+        assert res.plan.op_groups == [[0] * 2 + [1] * 2] * 4
         # tenants share every NIC: the second tenant must finish later
         assert res.outcome("b").finish_ns > res.outcome("a").finish_ns
         assert res.result.group_finish_times_ns[1] == res.outcome("b").finish_ns
@@ -194,6 +195,23 @@ class TestCotenantEngine:
         jobs = [ClusterJob(_ring(2, 8, "a")), ClusterJob(_ring(2, 8, "b"))]
         with pytest.raises(ValueError, match="one placement per job"):
             build_cotenant_schedule(jobs, cluster_nodes=4, placements=[{0: 0, 1: 1}])
+
+    @pytest.mark.parametrize(
+        "placement, message",
+        [
+            ({0: 0, 1: 4}, "'a' puts rank 1 on node 4, outside the 4 nodes"),
+            ({0: -1, 1: 0}, "'a' puts rank 0 on node -1, outside the 4 nodes"),
+            ({0: 1, 1: 1}, "'a' puts ranks 0 and 1 on node 1"),
+        ],
+        ids=["past-the-cluster", "negative", "two-ranks-one-node"],
+    )
+    def test_bad_placement_names_schedule_and_node(self, placement, message):
+        jobs = [ClusterJob(_ring(2, 8, "a"))]
+        with pytest.raises(ValueError, match=message):
+            build_cotenant_schedule(jobs, cluster_nodes=4, placements=[placement])
+        with pytest.raises(ValueError, match=message):
+            run_cotenant(jobs, cluster_nodes=4, placements=[placement],
+                         backend="lgs", baseline=False)
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):

@@ -39,14 +39,14 @@ class TestAtlahsFacade:
         out = Atlahs(cfg).run_storage(trace, DirectDriveConfig())
         assert out.result.stats.messages_delivered > 0
 
-    def test_run_multi_job(self):
+    def test_run_cotenant(self):
         a = Atlahs()
         j1 = a.run_hpc("lammps", HpcRunConfig(num_ranks=4, iterations=1, cells_per_rank=2000), simulate_schedule=False)
         j2 = a.run_hpc("icon", HpcRunConfig(num_ranks=4, iterations=1, cells_per_rank=2000), simulate_schedule=False)
         cfg = SimulationConfig(topology="fat_tree", nodes_per_tor=4)
-        out = a.run_multi_job([j1.schedule, j2.schedule], cluster_nodes=8, strategy="packed", config=cfg)
-        assert out.schedule.num_ranks == 8
-        assert out.result.ops_completed == out.schedule.num_ops()
+        out = a.run_cotenant([j1.schedule, j2.schedule], cluster_nodes=8, strategy="packed", config=cfg, baseline=False)
+        assert out.plan.schedule.num_ranks == 8
+        assert out.result.ops_completed == out.plan.schedule.num_ops()
 
     def test_simulate_schedule_flag(self):
         out = Atlahs().run_hpc(

@@ -24,7 +24,6 @@ from repro.goal import (
     decode_goal,
     delay_schedule,
     encode_goal,
-    merge_onto_shared_nodes,
     parse_goal,
     relabel_tags,
     remap_ranks,
@@ -143,17 +142,17 @@ class TestRandomPrograms:
     @given(programs(max_cpu=63, max_tag=1 << 20), programs(max_cpu=63, max_tag=1 << 20), st.data())
     def test_merges(self, first, second, data):
         pairs = [build_both(first, "a"), build_both(second, "b")]
-        columnar = [c for c, _ in pairs]
-        oracle = [o for _, o in pairs]
         arrivals = [data.draw(st.integers(0, 50)), data.draw(st.integers(0, 50))]
+        columnar = [delay_schedule(c, a) for (c, _), a in zip(pairs, arrivals)]
+        oracle = [list_delay_schedule(o, a) for (_, o), a in zip(pairs, arrivals)]
         total = columnar[0].num_ranks + columnar[1].num_ranks
         disjoint = [
             {r: r for r in range(columnar[0].num_ranks)},
             {r: columnar[0].num_ranks + r for r in range(columnar[1].num_ranks)},
         ]
         assert_same(
-            concatenate_schedules(columnar, disjoint, total, "m", 1 << 21, arrivals),
-            list_merge(oracle, disjoint, total, "m", 1 << 21, arrivals=arrivals),
+            concatenate_schedules(columnar, disjoint, total, "m", 1 << 21),
+            list_merge(oracle, disjoint, total, "m", 1 << 21),
         )
         shared = [
             {r: data.draw(st.integers(0, 2)) for r in range(s.num_ranks)} for s in columnar
@@ -162,8 +161,8 @@ class TestRandomPrograms:
             for r, node in zip(mapping, data.draw(st.permutations(range(4)))):
                 mapping[r] = node
         assert_same(
-            merge_onto_shared_nodes(columnar, shared, 4, "m", 1 << 21, 64, arrivals),
-            list_merge(oracle, shared, 4, "m", 1 << 21, 64, arrivals),
+            concatenate_schedules(columnar, shared, 4, "m", 1 << 21, 64),
+            list_merge(oracle, shared, 4, "m", 1 << 21, 64),
         )
 
     @settings(max_examples=100, deadline=None)

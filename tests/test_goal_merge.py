@@ -1,4 +1,4 @@
-"""Tests for rank remapping and multi-job / multi-tenant merging."""
+"""Tests for rank remapping and the one multi-job merge (disjoint and fused)."""
 import pytest
 
 from repro.goal import (
@@ -6,7 +6,6 @@ from repro.goal import (
     concatenate_schedules,
     delay_schedule,
     encode_goal,
-    merge_onto_shared_nodes,
     relabel_tags,
     remap_ranks,
     validate_schedule,
@@ -80,12 +79,19 @@ class TestConcatenate:
         assert len(merged.ranks[2]) == 2
         validate_schedule(merged)
 
-    def test_overlapping_placements_rejected(self):
-        with pytest.raises(ValueError):
-            concatenate_schedules(
-                [_pingpong("a"), _pingpong("b")],
-                placements=[{0: 0, 1: 1}, {0: 1, 1: 2}],
-            )
+    def test_overlapping_placements_fuse(self):
+        merged = concatenate_schedules(
+            [_pingpong("a"), _pingpong("b")],
+            placements=[{0: 0, 1: 1}, {0: 1, 1: 2}],
+        )
+        # node 1 hosts a's rank 1 and b's rank 0; only then are streams moved
+        assert merged.num_ranks == 3
+        assert [len(r) for r in merged.ranks] == [2, 4, 2]
+        assert merged.ranks[1].compute_streams() == [0, 64]
+        assert merged.ranks[2].compute_streams() == [64]
+        validate_schedule(merged)
+        result = simulate(merged, backend="lgs")
+        assert result.ops_completed == merged.num_ops()
 
     def test_tags_kept_disjoint_across_jobs(self):
         merged = concatenate_schedules([_pingpong("a"), _pingpong("b")])
@@ -104,8 +110,10 @@ class TestConcatenate:
 
 
 class TestMultiTenant:
+    """Jobs sharing nodes fuse onto them (the overlapping case of the one merge)."""
+
     def test_shared_nodes_merge(self):
-        merged = merge_onto_shared_nodes(
+        merged = concatenate_schedules(
             [_pingpong("a"), _pingpong("b")],
             placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
         )
@@ -114,7 +122,7 @@ class TestMultiTenant:
         validate_schedule(merged)
 
     def test_tenant_streams_are_disjoint(self):
-        merged = merge_onto_shared_nodes(
+        merged = concatenate_schedules(
             [_pingpong("a"), _pingpong("b")],
             placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
             stream_stride=8,
@@ -123,7 +131,7 @@ class TestMultiTenant:
         assert any(s >= 8 for s in streams)
 
     def test_tenant_dags_stay_independent(self):
-        merged = merge_onto_shared_nodes(
+        merged = concatenate_schedules(
             [_pingpong("a"), _pingpong("b")],
             placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
         )
@@ -133,7 +141,7 @@ class TestMultiTenant:
         assert rank0.preds[second_tenant_first] == []
 
     def test_shared_merge_simulates(self):
-        merged = merge_onto_shared_nodes(
+        merged = concatenate_schedules(
             [_pingpong("a"), _pingpong("b")],
             placements=[{0: 0, 1: 1}, {0: 1, 1: 0}],
         )
@@ -144,53 +152,34 @@ class TestMultiTenant:
         b = GoalBuilder(2, name="hi-stream")
         b.rank(0).send(8, dst=1, tag=1, cpu=70)
         b.rank(1).recv(8, src=0, tag=1, cpu=70)
-        with pytest.raises(ValueError):
-            merge_onto_shared_nodes(
-                [b.build()], placements=[{0: 0, 1: 1}], stream_stride=64
+        with pytest.raises(ValueError, match="'hi-stream' uses compute stream 70"):
+            concatenate_schedules(
+                [_pingpong("a"), b.build()],
+                placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
+                stream_stride=64,
             )
 
     def test_placement_must_cover_all_ranks(self):
         with pytest.raises(ValueError):
-            merge_onto_shared_nodes([_pingpong()], placements=[{0: 0}])
+            concatenate_schedules([_pingpong()], placements=[{0: 0}])
 
 
 class TestErrorPaths:
-    """Error paths of the merge entry points (satellite of the co-tenancy PR)."""
+    """Error paths of the merge."""
 
     def test_rank_collision_within_one_job(self):
         # one job mapping two of its own ranks onto the same node
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="'pp' puts ranks 0 and 1 on node 3"):
             concatenate_schedules([_pingpong()], placements=[{0: 3, 1: 3}])
-
-    def test_rank_collision_across_jobs_names_the_fix(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            concatenate_schedules(
-                [_pingpong("a"), _pingpong("b")],
-                placements=[{0: 0, 1: 1}, {0: 1, 1: 2}],
-            )
 
     def test_empty_schedule_list_rejected_everywhere(self):
         with pytest.raises(ValueError, match="at least one"):
             concatenate_schedules([])
-        with pytest.raises(ValueError, match="at least one"):
-            merge_onto_shared_nodes([], placements=[])
 
     def test_mismatched_placement_count(self):
         with pytest.raises(ValueError, match="one placement per schedule"):
             concatenate_schedules(
                 [_pingpong("a"), _pingpong("b")], placements=[{0: 0, 1: 1}]
-            )
-        with pytest.raises(ValueError, match="one placement per schedule"):
-            merge_onto_shared_nodes(
-                [_pingpong("a"), _pingpong("b")], placements=[{0: 0, 1: 1}]
-            )
-
-    def test_mismatched_arrival_count(self):
-        with pytest.raises(ValueError, match="one arrival per schedule"):
-            concatenate_schedules([_pingpong("a"), _pingpong("b")], arrivals=[0])
-        with pytest.raises(ValueError, match="one arrival per schedule"):
-            merge_onto_shared_nodes(
-                [_pingpong("a")], placements=[{0: 0, 1: 1}], arrivals=[0, 5]
             )
 
     def test_placement_missing_a_rank(self):
@@ -198,43 +187,41 @@ class TestErrorPaths:
             concatenate_schedules([_pingpong("a")], placements=[{0: 0}])
 
     def test_num_ranks_too_small_for_placement(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="'a' puts rank 1 on node 5, outside the 3 nodes"):
             concatenate_schedules(
                 [_pingpong("a")], placements=[{0: 0, 1: 5}], num_ranks=3
             )
 
+    def test_negative_node_rejected(self):
+        with pytest.raises(ValueError, match="'a' puts rank 0 on node -1"):
+            concatenate_schedules([_pingpong("a")], placements=[{0: -1, 1: 0}])
+
+
+def _delayed(schedules, arrivals):
+    return [delay_schedule(s, a) for s, a in zip(schedules, arrivals)]
+
 
 class TestArrivals:
     def test_arrival_prepends_delay_roots(self):
-        merged = concatenate_schedules(
-            [_pingpong("a"), _pingpong("b")], arrivals=[0, 700]
-        )
+        merged = concatenate_schedules(_delayed([_pingpong("a"), _pingpong("b")], [0, 700]))
         # job a untouched (arrival 0), job b's ranks gated by a calc 700 root
         assert len(merged.ranks[0]) == 2
         assert len(merged.ranks[2]) == 3
         assert merged.ranks[2].ops[0].is_calc and merged.ranks[2].ops[0].size == 700
         validate_schedule(merged)
 
-    def test_arrivals_match_manual_delay_composition(self):
-        auto = concatenate_schedules([_pingpong("a"), _pingpong("b")], arrivals=[0, 999])
-        manual = concatenate_schedules(
-            [_pingpong("a"), delay_schedule(_pingpong("b"), 999)]
-        )
-        assert encode_goal(auto) == encode_goal(manual)
-
     def test_delayed_job_finishes_later(self):
         base = simulate(concatenate_schedules([_pingpong("a"), _pingpong("b")]), backend="lgs")
         delayed = simulate(
-            concatenate_schedules([_pingpong("a"), _pingpong("b")], arrivals=[0, 4321]),
+            concatenate_schedules(_delayed([_pingpong("a"), _pingpong("b")], [0, 4321])),
             backend="lgs",
         )
         assert delayed.finish_time_ns == base.finish_time_ns + 4321
 
     def test_shared_nodes_accept_arrivals(self):
-        merged = merge_onto_shared_nodes(
-            [_pingpong("a"), _pingpong("b")],
+        merged = concatenate_schedules(
+            _delayed([_pingpong("a"), _pingpong("b")], [0, 250]),
             placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
-            arrivals=[0, 250],
         )
         result = simulate(merged, backend="lgs")
         assert result.ops_completed == merged.num_ops()
@@ -247,14 +234,14 @@ class TestMergeDeterminism:
         return [_pingpong("a", size=512), _pingpong("b", size=1024), _pingpong("c", size=2048)]
 
     def test_same_inputs_same_bytes(self):
-        one = concatenate_schedules(self._jobs(), arrivals=[0, 10, 20])
-        two = concatenate_schedules(self._jobs(), arrivals=[0, 10, 20])
+        one = concatenate_schedules(_delayed(self._jobs(), [0, 10, 20]))
+        two = concatenate_schedules(_delayed(self._jobs(), [0, 10, 20]))
         assert encode_goal(one) == encode_goal(two)
 
     def test_shared_merge_same_inputs_same_bytes(self):
         placements = [{0: 0, 1: 1}] * 3
-        one = merge_onto_shared_nodes(self._jobs(), placements=placements)
-        two = merge_onto_shared_nodes(self._jobs(), placements=placements)
+        one = concatenate_schedules(self._jobs(), placements=placements)
+        two = concatenate_schedules(self._jobs(), placements=placements)
         assert encode_goal(one) == encode_goal(two)
 
     def test_job_order_defines_tag_windows(self):
@@ -265,7 +252,7 @@ class TestMergeDeterminism:
             assert all(job_idx * stride <= t < (job_idx + 1) * stride for t in tags)
 
     def test_merged_simulation_is_deterministic(self):
-        merged = concatenate_schedules(self._jobs(), arrivals=[0, 5, 10])
+        merged = concatenate_schedules(_delayed(self._jobs(), [0, 5, 10]))
         a = simulate(merged, backend="lgs")
         b = simulate(merged, backend="lgs")
         assert a.finish_time_ns == b.finish_time_ns

@@ -4,6 +4,7 @@ import pytest
 from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b
 from repro.baselines.astrasim import AstraSimBaseline, AstraSimUnsupportedError, nsys_to_chakra
 from repro.baselines.astrasim.chakra import COMM_COLL_NODE, COMP_NODE, ChakraTrace
+from repro.cluster import ClusterJob, build_cotenant_schedule, run_cotenant
 from repro.goal import GoalBuilder, encode_goal, validate_schedule
 from repro.measurement import (
     measure_reference_runtime,
@@ -60,9 +61,8 @@ class TestPlacement:
             place_jobs([JobRequest(_job(2))], 4, strategy="tetris")
 
     def test_merged_schedule_simulates(self):
-        jobs = [JobRequest(_job(4, name="a")), JobRequest(_job(4, name="b"))]
-        placement = place_jobs(jobs, 8, strategy="packed")
-        merged = placement.merged_schedule(jobs)
+        jobs = [ClusterJob(_job(4, name="a")), ClusterJob(_job(4, name="b"))]
+        merged = build_cotenant_schedule(jobs, 8, strategy="packed").schedule
         validate_schedule(merged)
         cfg = SimulationConfig(topology="fat_tree", nodes_per_tor=4)
         res = simulate(merged, backend="htsim", config=cfg)
@@ -124,12 +124,12 @@ class TestPlacement:
 
     def test_random_placement_not_slower_check(self):
         # random placement on an oversubscribed fabric must not be faster than packed
-        jobs = [JobRequest(_job(8, size=1 << 19, name="a")), JobRequest(_job(8, size=1 << 19, name="b"))]
+        jobs = [ClusterJob(_job(8, size=1 << 19, name="a")), ClusterJob(_job(8, size=1 << 19, name="b"))]
         cfg = SimulationConfig(topology="fat_tree", nodes_per_tor=4, oversubscription=4.0)
-        packed = place_jobs(jobs, 16, strategy="packed")
-        random_p = place_jobs(jobs, 16, strategy="random", seed=2)
-        t_packed = simulate(packed.merged_schedule(jobs), backend="htsim", config=cfg).finish_time_ns
-        t_random = simulate(random_p.merged_schedule(jobs), backend="htsim", config=cfg).finish_time_ns
+        packed = run_cotenant(jobs, 16, strategy="packed", config=cfg, baseline=False)
+        random_p = run_cotenant(jobs, 16, strategy="random", config=cfg, baseline=False, seed=2)
+        t_packed = packed.result.finish_time_ns
+        t_random = random_p.result.finish_time_ns
         assert t_random >= t_packed * 0.95
 
 
