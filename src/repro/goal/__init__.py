@@ -12,7 +12,11 @@ Public surface
 :class:`~repro.goal.ops.Op`, :class:`~repro.goal.ops.OpType`
     Single task (vertex) and its kind.
 :class:`~repro.goal.schedule.RankSchedule`, :class:`~repro.goal.schedule.GoalSchedule`
-    Per-rank DAG and the whole-program collection of rank DAGs.
+    Per-rank DAG and the whole-program collection of rank DAGs.  Append-only:
+    a rank grows through ``append_op`` / ``add_op`` / ``extend`` (each checks
+    its input) and nothing rewrites an appended vertex; transforms return new
+    schedules; views are read-only (an ``Op`` is immutable, ``columns()`` and
+    ``pred_csr()`` refuse writes).
 :class:`~repro.goal.builder.GoalBuilder`, :class:`~repro.goal.builder.RankBuilder`
     Programmatic construction API used by all schedule generators.
 :func:`~repro.goal.parser.parse_goal` / :func:`~repro.goal.writer.write_goal`
@@ -25,21 +29,17 @@ Public surface
 :func:`~repro.goal.validate.validate_schedule`
     Structural validation (acyclicity, matching sends/recvs, bounds).
 :mod:`~repro.goal.merge`
-    Rank remapping and DAG fusion for multi-job / multi-tenant scenarios.
+    Rank remapping, arrival delays and DAG fusion for multi-job / multi-tenant
+    scenarios, each returning a new schedule.
 """
 from repro.goal.ops import Op, OpType
 from repro.goal.schedule import GoalSchedule, RankSchedule
 from repro.goal.builder import GoalBuilder, RankBuilder
-from repro.goal.parser import parse_goal, parse_goal_file, GoalParseError
+from repro.goal.parser import parse_goal, GoalParseError
 from repro.goal.writer import write_goal, write_goal_file
-from repro.goal.binary import MAGIC, encode_goal, decode_goal, write_goal_binary, read_goal_binary
+from repro.goal.binary import MAGIC, encode_goal, decode_goal, write_goal_binary
 from repro.goal.validate import validate_schedule, GoalValidationError
-from repro.goal.merge import (
-    remap_ranks,
-    concatenate_schedules,
-    relabel_tags,
-    delay_schedule,
-)
+from repro.goal.merge import remap_ranks, concatenate_schedules, delay_schedule
 
 
 def read_goal(path: str) -> GoalSchedule:
@@ -68,19 +68,16 @@ __all__ = [
     "GoalBuilder",
     "RankBuilder",
     "parse_goal",
-    "parse_goal_file",
     "GoalParseError",
     "write_goal",
     "write_goal_file",
     "encode_goal",
     "decode_goal",
     "write_goal_binary",
-    "read_goal_binary",
     "read_goal",
     "validate_schedule",
     "GoalValidationError",
     "remap_ranks",
     "concatenate_schedules",
-    "relabel_tags",
     "delay_schedule",
 ]

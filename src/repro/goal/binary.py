@@ -398,8 +398,3 @@ def write_goal_binary(schedule: GoalSchedule, path: str) -> int:
         fh.write(blob)
     return len(blob)
 
-
-def read_goal_binary(path: str) -> GoalSchedule:
-    """Read a binary GOAL file from ``path``."""
-    with open(path, "rb") as fh:
-        return decode_goal(fh.read())

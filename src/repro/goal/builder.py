@@ -3,8 +3,9 @@
 All schedule generators in the toolchain (:mod:`repro.schedgen`) build their
 output through :class:`GoalBuilder` rather than poking at
 :class:`~repro.goal.schedule.RankSchedule` internals.  The builder returns
-opaque vertex handles from every ``send`` / ``recv`` / ``calc`` call which are
-then wired together with :meth:`RankBuilder.requires`.
+opaque vertex handles from every ``send`` / ``recv`` / ``calc`` call; a later
+op names the earlier ones it waits for in its ``requires``.  Ranks only grow:
+an edge is declared when its dependent op is added, never afterwards.
 
 Example
 -------
@@ -12,18 +13,21 @@ Example
 >>> b = GoalBuilder(num_ranks=2, name="pingpong")
 >>> r0, r1 = b.rank(0), b.rank(1)
 >>> c = r0.calc(100)
->>> s = r0.send(8, dst=1, tag=7); r0.requires(s, c)
+>>> r0.send(8, dst=1, tag=7, requires=(c,))
+1
 >>> r1.recv(8, src=0, tag=7)
-2
+0
 >>> sched = b.build()
 >>> sched.num_ops()
-4
+3
+>>> sched.ranks[0].preds[1]
+[0]
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional
 
-from repro.goal.ops import _CALC, _RECV, _SEND, Op
+from repro.goal.ops import _CALC, _RECV, _SEND
 from repro.goal.schedule import GoalSchedule, RankSchedule
 
 VertexHandle = int
@@ -87,29 +91,6 @@ class RankBuilder:
     ) -> VertexHandle:
         """Add a zero-cost synchronisation vertex; return its handle."""
         return self._append(_CALC, 0, None, 0, cpu, requires, label)
-
-    def add(self, op: Op, requires: Iterable[VertexHandle] = ()) -> VertexHandle:
-        """Add an arbitrary pre-constructed :class:`Op`."""
-        return self._sched.add_op(op, requires)
-
-    # -- dependency wiring -----------------------------------------------------
-    def requires(self, vertex: VertexHandle, *deps: Union[VertexHandle, Iterable[VertexHandle]]) -> None:
-        """Declare that ``vertex`` requires every vertex in ``deps``.
-
-        Each element of ``deps`` may be a single handle or an iterable of
-        handles, so call sites can pass collected lists directly.
-        """
-        for dep in deps:
-            if isinstance(dep, (list, tuple, set, frozenset)):
-                for d in dep:
-                    self._sched.add_dependency(vertex, d)
-            else:
-                self._sched.add_dependency(vertex, dep)
-
-    def chain(self, vertices: Sequence[VertexHandle]) -> None:
-        """Serialise ``vertices``: each one requires its predecessor in the list."""
-        for prev, nxt in zip(vertices, vertices[1:]):
-            self._sched.add_dependency(nxt, prev)
 
     def join(self, deps: Iterable[VertexHandle], cpu: int = 0, label: Optional[str] = None) -> VertexHandle:
         """Insert a dummy vertex depending on all of ``deps`` and return it.

@@ -93,21 +93,6 @@ def remap_ranks(
     )
 
 
-def relabel_tags(schedule: GoalSchedule, tag_offset: int) -> GoalSchedule:
-    """Return a copy of ``schedule`` with ``tag_offset`` added to every message tag.
-
-    Used before fusing multiple applications so their messages cannot be
-    cross-matched even when they share (src, dst) pairs.
-    """
-    if tag_offset < 0:
-        raise ValueError("tag_offset must be non-negative")
-    out = schedule.copy()
-    for rank in out.ranks:
-        kind, _, _, tag, _ = rank.columns()
-        tag[:] = _shifted("tag", tag, tag_offset, kind != _CALC)
-    return out
-
-
 def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
     """Return a copy of ``schedule`` whose every op starts at least ``delay_ns`` late.
 

@@ -17,14 +17,18 @@ concurrent CUDA streams or OpenMP sections.  Ops default to stream 0.
 
 A schedule does not store ``Op`` objects: :class:`~repro.goal.schedule.RankSchedule`
 keeps one array per field, and an ``Op`` is the value handed in and out at its
-API (``add_op``, ``rank.ops[i]``).  Every field is an unsigned 64-bit integer,
-the range of the binary format.
+API (``add_op``, ``rank.ops[i]``).  An ``Op`` is immutable: assigning a field
+raises ``AttributeError``, so an op read from ``rank.ops`` cannot be mistaken
+for a handle on the schedule.  Every field is an unsigned 64-bit integer, the
+range of the binary format.
 """
 from __future__ import annotations
 
 import enum
 from operator import index as _index
 from typing import Optional, Tuple
+
+_set_slot = object.__setattr__
 
 
 class OpType(enum.IntEnum):
@@ -112,7 +116,7 @@ class Op:
 
     All numbers must be integers in ``0 <= value < 2**64``; anything else is
     refused here with a ``ValueError`` (``TypeError`` for a non-integer)
-    naming the field.
+    naming the field.  The fields are read-only: build a new ``Op`` instead.
     """
 
     __slots__ = ("kind", "size", "peer", "tag", "cpu", "label")
@@ -126,10 +130,17 @@ class Op:
         cpu: int = 0,
         label: Optional[str] = None,
     ) -> None:
-        self.kind, self.size, self.peer, self.tag, self.cpu = checked_fields(
-            kind, size, peer, tag, cpu
-        )
-        self.label = label
+        for name, value in zip(self.__slots__, (*checked_fields(kind, size, peer, tag, cpu), label)):
+            _set_slot(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Op is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Op is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Op, (self.kind, self.size, self.peer, self.tag, self.cpu, self.label)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -200,7 +211,3 @@ class Op:
 
     def __hash__(self) -> int:
         return hash((self.kind, self.size, self.peer, self.tag, self.cpu))
-
-    def copy(self) -> "Op":
-        """Return a free-standing copy of this op (also of one read from ``rank.ops``)."""
-        return Op(self.kind, self.size, self.peer, self.tag, self.cpu, self.label)

@@ -312,9 +312,3 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
         schedule.ranks[rank_id] = sched
     return schedule
 
-
-def parse_goal_file(path: str, name: Optional[str] = None) -> GoalSchedule:
-    """Parse a textual GOAL file from ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_goal(text, name=name or path)

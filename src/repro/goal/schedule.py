@@ -23,33 +23,49 @@ at earlier vertices only.  That is 33 bytes per vertex plus 8 per vertex and
 per edge, against the ~260 of an ``Op`` object with its predecessor list, and
 it is the shape the binary format already has.  ``array`` gives amortised
 O(1) ``append`` for the builders; numpy reads the same memory through the
-buffer protocol (``np.frombuffer(rank.size, dtype=np.uint64)``, no copy) for
-everything that works on whole columns -- codecs, validation, merging.  Such
-a view must not be kept: an ``array`` that exports a buffer cannot grow.
+buffer protocol (:meth:`RankSchedule.columns`, :meth:`RankSchedule.pred_csr`,
+no copy) for everything that works on whole columns -- codecs, validation,
+merging.  Such a view must not be kept: an ``array`` that exports a buffer
+cannot grow.
 
 Labels (a debugging aid of the textual format) live in a dict beside the
 columns.  :class:`~repro.goal.ops.Op` remains the value type of the API:
 ``rank.ops`` and ``rank.preds`` are sequence views that build an ``Op`` / a
 list per access.
+
+Append-only
+-----------
+A rank grows only by appending (:meth:`RankSchedule.append_op`,
+:meth:`RankSchedule.add_op`, :meth:`RankSchedule.extend`,
+:meth:`GoalSchedule.from_stacked`), each of which checks what it is given;
+transforms (:mod:`repro.goal.merge`) return new schedules; the views are
+read-only (an ``Op`` refuses field assignment, the numpy views refuse
+writes).  The raw ``array`` columns stay public attributes for the readers
+that walk them, so the validator and the encoder keep their backward-edge
+checks.
 """
 from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.goal.ops import _CALC, _RECV, _SEND, Op, OpType, checked_fields
+from repro.goal.ops import _CALC, _RECV, _SEND, Op, OpType, _set_slot, checked_fields
 
 _KINDS = (_SEND, _RECV, _CALC)
-_OP_FIELDS = Op.__slots__
-_set_slot = object.__setattr__
 
 
 def _column(typecode: str, values: np.ndarray) -> array:
     """``values`` (already of the matching dtype) as a fresh ``array``."""
     return array(typecode, values.tobytes())
+
+
+def _read_only(column: array, dtype: type) -> np.ndarray:
+    """``column`` as a numpy view (no copy) that refuses writes."""
+    return np.frombuffer(memoryview(column).toreadonly(), dtype=dtype)
 
 
 def _as_u64(what: str, values: object) -> np.ndarray:
@@ -188,40 +204,28 @@ def stack_ranks(ranks: Sequence["RankSchedule"]) -> StackedRanks:
     )
 
 
-class _OpRef(Op):
-    """The ``Op`` that ``rank.ops[i]`` hands out: assigning a field writes the columns."""
-
-    __slots__ = ("_rank", "_vertex")
-
-    def __init__(self, rank: "RankSchedule", vertex: int) -> None:
-        kind = rank.kind[vertex]
-        for name, value in (
-            ("kind", _KINDS[kind]),
-            ("size", rank.size[vertex]),
-            ("peer", None if kind == _CALC else rank.peer[vertex]),
-            ("tag", rank.tag[vertex]),
-            ("cpu", rank.cpu[vertex]),
-            ("label", rank.label_of(vertex)),
-            ("_rank", rank),
-            ("_vertex", vertex),
-        ):
-            _set_slot(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        fields = {field: getattr(self, field) for field in _OP_FIELDS}
-        fields[name] = value
-        checked = Op(**fields)
-        self._rank._write(self._vertex, checked)
-        _set_slot(self, name, getattr(checked, name))
+def _op_at(rank: "RankSchedule", vertex: int) -> Op:
+    """Vertex ``vertex`` of ``rank`` as an :class:`Op` (its fields were checked on the way in)."""
+    op = object.__new__(Op)
+    kind = rank.kind[vertex]
+    for name, value in (
+        ("kind", _KINDS[kind]),
+        ("size", rank.size[vertex]),
+        ("peer", None if kind == _CALC else rank.peer[vertex]),
+        ("tag", rank.tag[vertex]),
+        ("cpu", rank.cpu[vertex]),
+        ("label", rank.label_of(vertex)),
+    ):
+        _set_slot(op, name, value)
+    return op
 
 
 class OpsView(Sequence):
-    """``rank.ops``: the rank's vertices as a read-mostly sequence of :class:`Op`.
+    """``rank.ops``: the rank's vertices as a read-only sequence of :class:`Op`.
 
-    Indexing and iteration build an ``Op`` from the columns; assigning to a
-    field of such an op (``rank.ops[i].size = 8``) is checked like a new op
-    and written back.  ``==`` compares field columns (labels are ignored, as
-    by ``Op.__eq__``) against another view, or op by op against a list.
+    Indexing and iteration build an (immutable) ``Op`` from the columns.
+    ``==`` compares field columns (labels are ignored, as by ``Op.__eq__``)
+    against another view, or op by op against a list.
     """
 
     __slots__ = ("_rank",)
@@ -234,16 +238,16 @@ class OpsView(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_OpRef(self._rank, v) for v in range(*index.indices(len(self)))]
+            return [_op_at(self._rank, v) for v in range(*index.indices(len(self)))]
         n = len(self)
         vertex = index + n if index < 0 else index
         if not 0 <= vertex < n:
             raise IndexError("op index out of range")
-        return _OpRef(self._rank, vertex)
+        return _op_at(self._rank, vertex)
 
     def __iter__(self) -> Iterator[Op]:
         rank = self._rank
-        return (_OpRef(rank, vertex) for vertex in range(len(rank.kind)))
+        return (_op_at(rank, vertex) for vertex in range(len(rank.kind)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, OpsView):
@@ -266,9 +270,7 @@ class OpsView(Sequence):
 class PredsView(Sequence):
     """``rank.preds``: per vertex, the sorted list of vertices it requires.
 
-    ``preds[i]`` is a fresh list (changing it changes nothing);
-    ``preds[i] = [...]`` replaces row ``i`` as given, unchecked -- the way to
-    build a deliberately broken schedule for :func:`validate_schedule`.
+    ``preds[i]`` is a fresh list (changing it changes nothing).
     """
 
     __slots__ = ("_rank",)
@@ -288,16 +290,6 @@ class PredsView(Sequence):
             raise IndexError("vertex index out of range")
         ptr = self._rank.pred_ptr
         return self._rank.pred_idx[ptr[vertex] : ptr[vertex + 1]].tolist()
-
-    def __setitem__(self, vertex: int, deps: Iterable[int]) -> None:
-        rank = self._rank
-        ptr, idx = rank.pred_ptr, rank.pred_idx
-        row = array("q", deps)
-        grow = len(row) - (ptr[vertex + 1] - ptr[vertex])
-        idx[ptr[vertex] : ptr[vertex + 1]] = row
-        for later in range(vertex + 1, len(ptr)):
-            ptr[later] += grow
-        rank._succ = None
 
     def __iter__(self) -> Iterator[List[int]]:
         return iter(self._rank._pred_rows())
@@ -327,9 +319,11 @@ class RankSchedule:
     The field columns ``kind``, ``size``, ``peer``, ``tag``, ``cpu`` and the
     dependency index ``pred_ptr`` / ``pred_idx`` are described in the module
     docstring; ``ops`` and ``preds`` present them as sequences of
-    :class:`Op` / lists.  Grow a rank through :meth:`append_op` (scalars),
-    :meth:`add_op` (an ``Op``) or :meth:`extend` (whole columns): each checks
-    what it is given, so the columns always hold a valid DAG.
+    :class:`Op` / lists.  A rank only grows, through :meth:`append_op`
+    (scalars), :meth:`add_op` (an ``Op``) or :meth:`extend` (whole columns):
+    each checks what it is given, so the columns always hold a valid DAG.
+    Nothing rewrites a vertex already appended; a transform builds a new
+    schedule.
     """
 
     def __init__(self, rank: int) -> None:
@@ -341,10 +335,9 @@ class RankSchedule:
         self.peer = array("Q")
         self.tag = array("Q")
         self.cpu = array("Q")
-        self._pred_ptr = array("q", (0,))
-        self._pred_idx = array("q")
-        # add_dependency edges (vertex, requires) not yet folded into the CSR
-        self._late: List[Tuple[int, int]] = []
+        # CSR: vertex i requires pred_idx[pred_ptr[i]:pred_ptr[i + 1]]
+        self.pred_ptr = array("q", (0,))
+        self.pred_idx = array("q")
         self._succ: Optional[Tuple[array, array]] = None
         self._labels: Dict[str, int] = {}
         # vertex -> label, derived from _labels when first asked for
@@ -362,38 +355,9 @@ class RankSchedule:
         return PredsView(self)
 
     @property
-    def pred_ptr(self) -> array:
-        """CSR row starts: vertex ``i`` requires ``pred_idx[pred_ptr[i]:pred_ptr[i + 1]]``."""
-        if self._late:
-            self._fold()
-        return self._pred_ptr
-
-    @property
-    def pred_idx(self) -> array:
-        """CSR rows: the required vertices, row by row."""
-        if self._late:
-            self._fold()
-        return self._pred_idx
-
-    @property
     def labels(self) -> Mapping[str, int]:
-        """Label -> vertex, for the labelled vertices only."""
-        return self._labels
-
-    def _fold(self) -> None:
-        """Merge the edges :meth:`add_dependency` queued into the CSR."""
-        n = len(self.kind)
-        late_succ, late_pred = zip(*self._late)
-        degrees = np.diff(np.frombuffer(self._pred_ptr, dtype=np.int64))
-        ptr, idx = csr_from_edges(
-            n,
-            np.concatenate([edge_owners(degrees), late_succ]),
-            np.concatenate([np.frombuffer(self._pred_idx, dtype=np.int64), late_pred]),
-        )
-        # new arrays, not resized ones: the old may still export a buffer
-        self._pred_ptr = _column("q", ptr)
-        self._pred_idx = _column("q", idx)
-        self._late = []
+        """Label -> vertex, for the labelled vertices only (read-only)."""
+        return MappingProxyType(self._labels)
 
     def _pred_rows(self) -> List[List[int]]:
         ptr = self.pred_ptr.tolist()
@@ -440,7 +404,7 @@ class RankSchedule:
             deps = ()
         if label is not None and label in self._labels:
             raise ValueError(f"duplicate label {label!r} in rank {self.rank}")
-        edges = len(self._pred_idx)
+        edges = len(self.pred_idx)
         try:
             # the arrays refuse what an Op would: non-integers, negatives, >= 2**64
             self.size.append(size)
@@ -449,14 +413,14 @@ class RankSchedule:
             self.cpu.append(cpu)
             self.kind.append(kind)
             if deps:
-                self._pred_idx.extend(deps)
+                self.pred_idx.extend(deps)
         except (OverflowError, TypeError):
             for column in (self.kind, self.size, self.peer, self.tag, self.cpu):
                 del column[idx:]
-            del self._pred_idx[edges:]
+            del self.pred_idx[edges:]
             checked_fields(kind, size, peer, tag, cpu)  # raises, naming the field
             raise
-        self._pred_ptr.append(edges + len(deps))
+        self.pred_ptr.append(edges + len(deps))
         if label is not None:
             self._labels[label] = idx
             self._names = None
@@ -525,54 +489,16 @@ class RankSchedule:
     ) -> int:
         """Append columns :func:`_checked_columns` has passed; return the first new index."""
         base = len(self.kind)
-        edges = len(self.pred_idx)  # (folds any queued edge first)
+        edges = len(self.pred_idx)
         self.kind.frombytes(kind.tobytes())
         self.size.frombytes(size.tobytes())
         self.peer.frombytes(peer.tobytes())
         self.tag.frombytes(tag.tobytes())
         self.cpu.frombytes(cpu.tobytes())
-        self._pred_ptr.frombytes((np.cumsum(degree) + edges).tobytes())
-        self._pred_idx.frombytes((dep + base).tobytes())
+        self.pred_ptr.frombytes((np.cumsum(degree) + edges).tobytes())
+        self.pred_idx.frombytes((dep + base).tobytes())
         self._succ = None
         return base
-
-    def add_dependency(self, vertex: int, requires: int) -> None:
-        """Add an edge ``requires -> vertex`` after the fact.
-
-        Only backward edges (``requires < vertex``) are allowed so the DAG
-        stays acyclic by construction.  An edge already present is ignored.
-        """
-        n = len(self.kind)
-        if not (0 <= vertex < n) or not (0 <= requires < n):
-            raise ValueError(f"vertex index out of range (n={n})")
-        if requires == vertex:
-            raise ValueError("a vertex cannot require itself")
-        if requires > vertex:
-            raise ValueError(
-                f"dependency {requires} -> {vertex} would point forward; "
-                "GOAL schedules only allow edges from earlier to later vertices"
-            )
-        # Edges rarely arrive out of vertex order, so they are queued and
-        # merged (sorted, de-duplicated) when the index is next read.
-        self._late.append((vertex, requires))
-        self._succ = None
-
-    def _write(self, vertex: int, op: Op) -> None:
-        """Overwrite row ``vertex`` with the (checked) fields of ``op``."""
-        old = self.label_of(vertex)
-        if op.label != old:
-            if op.label in self._labels:
-                raise ValueError(f"duplicate label {op.label!r} in rank {self.rank}")
-            if old is not None:
-                del self._labels[old]
-            if op.label is not None:
-                self._labels[op.label] = vertex
-            self._names = None
-        self.kind[vertex] = op.kind
-        self.size[vertex] = op.size
-        self.peer[vertex] = op.peer or 0
-        self.tag[vertex] = op.tag
-        self.cpu[vertex] = op.cpu
 
     def vertex_by_label(self, label: str) -> int:
         """Return the vertex index for ``label``; raises ``KeyError`` if absent."""
@@ -592,25 +518,22 @@ class RankSchedule:
         return iter(self.ops)
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(kind, size, peer, tag, cpu)`` as numpy views of the columns (no copy).
+        """``(kind, size, peer, tag, cpu)`` as read-only numpy views of the columns (no copy).
 
         Drop the views before the rank grows again: an ``array`` that exports
         a buffer refuses to resize.
         """
         return (
-            np.frombuffer(self.kind, dtype=np.uint8),
-            np.frombuffer(self.size, dtype=np.uint64),
-            np.frombuffer(self.peer, dtype=np.uint64),
-            np.frombuffer(self.tag, dtype=np.uint64),
-            np.frombuffer(self.cpu, dtype=np.uint64),
+            _read_only(self.kind, np.uint8),
+            _read_only(self.size, np.uint64),
+            _read_only(self.peer, np.uint64),
+            _read_only(self.tag, np.uint64),
+            _read_only(self.cpu, np.uint64),
         )
 
     def pred_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(pred_ptr, pred_idx)`` as numpy views (no copy; see :meth:`columns`)."""
-        return (
-            np.frombuffer(self.pred_ptr, dtype=np.int64),
-            np.frombuffer(self.pred_idx, dtype=np.int64),
-        )
+        """``(pred_ptr, pred_idx)`` as read-only numpy views (no copy; see :meth:`columns`)."""
+        return _read_only(self.pred_ptr, np.int64), _read_only(self.pred_idx, np.int64)
 
     def succ_csr(self) -> Tuple[array, array]:
         """Successor CSR ``(succ_ptr, succ_idx)``, cached until the rank changes.
@@ -673,19 +596,6 @@ class RankSchedule:
             base = max([dist[p] for p in deps], default=0)
             dist.append(base + size if kind == _CALC else base)
         return max(dist, default=0)
-
-    def copy(self) -> "RankSchedule":
-        """Deep-copy this rank schedule (labels preserved)."""
-        new = RankSchedule(self.rank)
-        new.kind = self.kind[:]
-        new.size = self.size[:]
-        new.peer = self.peer[:]
-        new.tag = self.tag[:]
-        new.cpu = self.cpu[:]
-        new._pred_ptr = self.pred_ptr[:]
-        new._pred_idx = self.pred_idx[:]
-        new._labels = dict(self._labels)
-        return new
 
     def __repr__(self) -> str:
         return f"RankSchedule(rank={self.rank}, ops={len(self.kind)})"
@@ -801,12 +711,6 @@ class GoalSchedule:
             "total_bytes": self.total_bytes(),
             "total_calc_ns": self.total_calc_ns(),
         }
-
-    def copy(self) -> "GoalSchedule":
-        """Deep-copy the whole schedule."""
-        new = GoalSchedule(self.num_ranks, name=self.name)
-        new.ranks = [r.copy() for r in self.ranks]
-        return new
 
     def __repr__(self) -> str:
         return (

@@ -112,16 +112,18 @@ def measure_reference_runtime(
 
 
 def _scale_computation(schedule: GoalSchedule, factor: float) -> GoalSchedule:
-    """Return a copy of ``schedule`` with every calc duration scaled by ``factor``."""
-    scaled = schedule.copy()
-    for rank in scaled.ranks:
-        kind, size = rank.columns()[:2]
+    """Return a new schedule: ``schedule`` with every calc duration scaled by ``factor``."""
+    scaled = GoalSchedule(schedule.num_ranks, name=schedule.name)
+    for rank in schedule.ranks:
+        kind, size, peer, tag, cpu = rank.columns()
         calc = kind == _CALC
         # (what int(round(size * factor)) gives op by op: float64, half to even)
         stretched = np.rint(size[calc].astype(np.float64) * factor)
         if stretched.size and stretched.max() >= VALUE_LIMIT:
             raise ValueError(f"a calc scaled by {factor} does not fit 64 bits")
+        size = size.copy()
         size[calc] = np.maximum(stretched, 0).astype(np.uint64)
+        scaled.ranks[rank.rank].extend(kind, size, peer, tag, cpu, *rank.pred_csr(), rank.labels)
     return scaled
 
 

@@ -40,12 +40,6 @@ class ListRank:
         self.preds.append(deps)
         return idx
 
-    def add_dependency(self, vertex, requires):
-        assert 0 <= requires < vertex < len(self.ops)
-        if requires not in self.preds[vertex]:
-            self.preds[vertex].append(requires)
-            self.preds[vertex].sort()
-
     def successors(self):
         succs = [[] for _ in self.ops]
         for v, deps in enumerate(self.preds):
@@ -69,12 +63,6 @@ class ListRank:
             dist[v] = base + (op.size if op.is_calc else 0)
         return max(dist, default=0)
 
-    def copy(self):
-        new = ListRank(self.rank)
-        new.ops = [op.copy() for op in self.ops]
-        new.preds = [list(p) for p in self.preds]
-        return new
-
 
 class ListSchedule:
     def __init__(self, num_ranks, name="goal"):
@@ -84,11 +72,6 @@ class ListSchedule:
     @property
     def num_ranks(self):
         return len(self.ranks)
-
-    def copy(self):
-        new = ListSchedule(self.num_ranks, self.name)
-        new.ranks = [r.copy() for r in self.ranks]
-        return new
 
     def summary(self):
         ops = [op for r in self.ranks for op in r.ops]
@@ -105,10 +88,11 @@ class ListSchedule:
         }
 
 
-def _unlabelled(op):
-    new = op.copy()
-    new.label = None
-    return new
+def _moved(op, placement, tag_offset=0, cpu_offset=0):
+    """``op`` unlabelled, its peer placed and its tag and stream shifted."""
+    if op.is_calc:
+        return Op(op.kind, op.size, None, op.tag, op.cpu + cpu_offset)
+    return Op(op.kind, op.size, placement[op.peer], op.tag + tag_offset, op.cpu + cpu_offset)
 
 
 def list_remap_ranks(schedule, mapping, num_ranks):
@@ -116,20 +100,8 @@ def list_remap_ranks(schedule, mapping, num_ranks):
     for rank in schedule.ranks:
         new_rank = merged.ranks[mapping[rank.rank]]
         for idx, op in enumerate(rank.ops):
-            new_op = _unlabelled(op)
-            if new_op.is_comm:
-                new_op.peer = mapping[op.peer]
-            new_rank.add_op(new_op, rank.preds[idx])
+            new_rank.add_op(_moved(op, mapping), rank.preds[idx])
     return merged
-
-
-def list_relabel_tags(schedule, tag_offset):
-    out = schedule.copy()
-    for rank in out.ranks:
-        for op in rank.ops:
-            if op.is_comm:
-                op.tag += tag_offset
-    return out
 
 
 def list_delay_schedule(schedule, delay_ns):
@@ -146,7 +118,7 @@ def list_delay_schedule(schedule, delay_ns):
             deps = [d + 1 for d in rank.preds[idx]]
             if idx in roots:
                 deps.append(0)
-            new_rank.add_op(op.copy(), deps)
+            new_rank.add_op(op, deps)
     return out
 
 
@@ -161,12 +133,8 @@ def list_merge(schedules, placements, num_ranks, name, tag_stride, stream_stride
             dst = merged.ranks[placement[rank.rank]]
             base = len(dst.ops)
             for idx, op in enumerate(rank.ops):
-                new_op = _unlabelled(op)
-                new_op.cpu = op.cpu + job * stream_stride
-                if new_op.is_comm:
-                    new_op.peer = placement[op.peer]
-                    new_op.tag += job * tag_stride
-                dst.add_op(new_op, [base + d for d in rank.preds[idx]])
+                moved = _moved(op, placement, job * tag_stride, job * stream_stride)
+                dst.add_op(moved, [base + d for d in rank.preds[idx]])
     return merged
 
 
@@ -307,7 +275,7 @@ def to_oracle(schedule):
     oracle = ListSchedule(schedule.num_ranks, schedule.name)
     for rank, ref in zip(schedule.ranks, oracle.ranks):
         for op, deps in zip(rank.ops, rank.preds):
-            ref.add_op(op.copy(), deps)
+            ref.add_op(op, deps)
     return oracle
 
 

@@ -16,24 +16,16 @@ class TestRankBuilder:
         b = GoalBuilder(2)
         assert b.rank(1).last() is None
 
-    def test_requires_accepts_scalars_and_iterables(self):
+    def test_requires_accepts_any_iterable(self):
         b = GoalBuilder(1)
         r = b.rank(0)
         a = r.calc(1)
         c = r.calc(1)
-        d = r.calc(1)
-        r.requires(d, a, [c])
-        sched = b.build()
-        assert sorted(sched.ranks[0].preds[d]) == [a, c]
-
-    def test_chain_serialises(self):
-        b = GoalBuilder(1)
-        r = b.rank(0)
-        vs = [r.calc(1) for _ in range(4)]
-        r.chain(vs)
+        d = r.calc(1, requires=[c, a, c])
+        e = r.dummy(requires={a, d})
+        f = r.calc(1, requires=(v for v in (c, e)))
         preds = b.build().ranks[0].preds
-        assert preds[vs[1]] == [vs[0]]
-        assert preds[vs[3]] == [vs[2]]
+        assert preds[d] == [a, c] and preds[e] == [a, d] and preds[f] == [c, e]
 
     def test_join_creates_dummy(self):
         b = GoalBuilder(1)
@@ -63,13 +55,6 @@ class TestRankBuilder:
         rop = sched.ranks[1].ops[r]
         assert sop.kind == OpType.SEND and sop.peer == 1 and sop.tag == 9 and sop.cpu == 2
         assert rop.kind == OpType.RECV and rop.peer == 0
-
-    def test_add_prebuilt_op(self):
-        from repro.goal import Op
-
-        b = GoalBuilder(1)
-        v = b.rank(0).add(Op.calc(123))
-        assert b.build().ranks[0].ops[v].size == 123
 
     def test_rank_property(self):
         b = GoalBuilder(3)

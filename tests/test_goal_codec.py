@@ -10,6 +10,8 @@ Text: every error class of :func:`parse_goal` keeps its message and line
 number, and every spelling the regex grammar accepted is still accepted by
 the tokenizer.
 """
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,14 +205,18 @@ class TestValueBound:
         sched = GoalSchedule(1)
         sched.ranks[0].add_op(Op.calc(1))
         with pytest.raises(ValueError, match="op size must be non-negative, got -1"):
+            sched.ranks[0].add_op(Op.calc(-1))
+        with pytest.raises(AttributeError, match="immutable"):
             sched.ranks[0].ops[0].size = -1
-        assert sched.ranks[0].ops[0].size == 1
+        assert sched.ranks[0].ops == [Op.calc(1)]
 
     def test_forward_dependency_names_rank_and_vertex(self):
         sched = GoalSchedule(2)
         sched.ranks[1].add_op(Op.calc(1))
         sched.ranks[1].add_op(Op.calc(1))
-        sched.ranks[1].preds[0] = [1]  # bypasses add_dependency
+        # a forward edge written into the raw CSR, past every checked append
+        sched.ranks[1].pred_ptr[1:] = array("q", [1, 1])
+        sched.ranks[1].pred_idx.append(1)
         with pytest.raises(GoalBinaryError, match="rank 1 vertex 0: dependency delta -1"):
             encode_goal(sched)
 

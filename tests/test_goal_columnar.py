@@ -3,13 +3,15 @@
 ``RankSchedule`` used to hold one ``Op`` object and one predecessor list per
 vertex; it now holds one array per field and a CSR dependency index.  The old
 representation is the oracle in ``tests/schedule_oracle.py``.  Here random
-programs are built, copied, transformed, merged and run through both codecs on
-both representations, which must agree op for op, edge for edge and byte for
-byte; the paper's workloads, text, binary and simulated, are rows of
-``tests/differential.py``.  The views, the checks where values enter a
-schedule and the resident bytes per op are held here too.
+programs are built, transformed, merged and run through both codecs on both
+representations, which must agree op for op, edge for edge and byte for byte;
+the paper's workloads, text, binary and simulated, are rows of
+``tests/differential.py``.  The read-only views, the checks where values enter
+a schedule and the resident bytes per op are held here too.
 """
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from repro.goal import (
     delay_schedule,
     encode_goal,
     parse_goal,
-    relabel_tags,
     remap_ranks,
     validate_schedule,
     write_goal,
@@ -37,7 +38,6 @@ from schedule_oracle import (
     list_delay_schedule,
     list_encode_goal,
     list_merge,
-    list_relabel_tags,
     list_remap_ranks,
     list_write_goal,
     to_oracle,
@@ -60,16 +60,12 @@ _small = st.integers(0, 40)
 
 @st.composite
 def programs(draw, max_cpu=None, max_tag=None):
-    """Construction steps for one schedule: ops with dependencies and labels, late edges."""
+    """Construction steps for one schedule: ops with dependencies and labels."""
     num_ranks = draw(st.integers(1, 4))
     steps, sizes = [], [0] * num_ranks
     for i in range(draw(st.integers(0, 30))):
         rank = draw(st.integers(0, num_ranks - 1))
         n = sizes[rank]
-        if n >= 2 and draw(st.integers(0, 3)) == 0:
-            vertex = draw(st.integers(1, n - 1))
-            steps.append(("dep", rank, vertex, draw(st.integers(0, vertex - 1))))
-            continue
         kind = draw(st.sampled_from(list(OpType)))
         peer = None if kind is OpType.CALC else draw(st.integers(0, num_ranks - 1))
         tag = draw(_values if max_tag is None else st.integers(0, max_tag))
@@ -77,7 +73,7 @@ def programs(draw, max_cpu=None, max_tag=None):
         # dependencies in any order, with repeats
         deps = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
         label = f"v{i}" if draw(st.booleans()) else None
-        steps.append(("op", rank, (kind, draw(_values), peer, 0 if peer is None else tag, cpu, label), deps))
+        steps.append((rank, (kind, draw(_values), peer, 0 if peer is None else tag, cpu, label), deps))
         sizes[rank] += 1
     return num_ranks, steps
 
@@ -85,31 +81,19 @@ def programs(draw, max_cpu=None, max_tag=None):
 def build_both(program, name="prog"):
     num_ranks, steps = program
     columnar, oracle = GoalSchedule(num_ranks, name), ListSchedule(num_ranks, name)
-    for step in steps:
-        if step[0] == "op":
-            _, rank, fields, deps = step
-            a = columnar.ranks[rank].add_op(Op(*fields), deps)
-            b = oracle.ranks[rank].add_op(Op(*fields), deps)
-            assert a == b
-        else:
-            _, rank, vertex, requires = step
-            columnar.ranks[rank].add_dependency(vertex, requires)
-            oracle.ranks[rank].add_dependency(vertex, requires)
+    for rank, fields, deps in steps:
+        a = columnar.ranks[rank].add_op(Op(*fields), deps)
+        b = oracle.ranks[rank].add_op(Op(*fields), deps)
+        assert a == b
     return columnar, oracle
 
 
 class TestRandomPrograms:
     @settings(max_examples=150, deadline=None)
     @given(programs())
-    def test_construction_and_copy(self, program):
+    def test_construction(self, program):
         columnar, oracle = build_both(program)
         assert_same(columnar, oracle)
-        assert_same(columnar.copy(), oracle.copy())
-        # reading between mutations (which folds queued edges) changes nothing
-        again, _ = build_both(program)
-        for rank in again.ranks:
-            rank.preds
-        assert_same(again, oracle)
 
     @settings(max_examples=100, deadline=None)
     @given(programs(), st.integers(0, 300))
@@ -117,26 +101,24 @@ class TestRandomPrograms:
         num_ranks, steps = program
         by_ops, _ = build_both(program)
         by_scalars = GoalSchedule(num_ranks, "prog")
-        for step in steps:
-            if step[0] == "op":
-                _, rank, (kind, size, peer, tag, cpu, label), deps = step
-                by_scalars.ranks[rank].append_op(kind, size, peer, tag, cpu, np.array(deps, dtype=np.int64), label)
-            else:
-                by_scalars.ranks[step[1]].add_dependency(step[2], step[3])
+        for rank, (kind, size, peer, tag, cpu, label), deps in steps:
+            by_scalars.ranks[rank].append_op(kind, size, peer, tag, cpu, np.array(deps, dtype=np.int64), label)
         assert_same(by_scalars, to_oracle(by_ops))
 
     @settings(max_examples=100, deadline=None)
     @given(programs(max_tag=1 << 63), st.data())
-    def test_remap_relabel_delay(self, program, data):
+    def test_remap_delay(self, program, data):
         columnar, oracle = build_both(program)
+        before = encode_goal(columnar)
         n = columnar.num_ranks
         targets = data.draw(st.permutations(range(n + 2)))[:n]
         mapping = dict(enumerate(targets))
         assert_same(remap_ranks(columnar, mapping, num_ranks=n + 2), list_remap_ranks(oracle, mapping, n + 2))
-        offset = data.draw(st.integers(0, 1 << 20))
-        assert_same(relabel_tags(columnar, offset), list_relabel_tags(oracle, offset))
         delay = data.draw(st.sampled_from((0, 1, 12345) + BIG))
         assert_same(delay_schedule(columnar, delay), list_delay_schedule(oracle, delay))
+        # a transform returns a new schedule and leaves its input alone
+        assert encode_goal(columnar) == before
+        assert_same(columnar, oracle)
 
     @settings(max_examples=100, deadline=None)
     @given(programs(max_cpu=63, max_tag=1 << 20), programs(max_cpu=63, max_tag=1 << 20), st.data())
@@ -191,7 +173,7 @@ class TestViews:
     def test_ops_compare_with_views_and_plain_lists(self):
         rank = self._rank()
         expected = [Op.calc(10), Op.send(8, dst=1, tag=3), Op.recv(8, src=1, cpu=2)]
-        assert rank.ops == expected and rank.ops == tuple(expected) and rank.ops == rank.copy().ops
+        assert rank.ops == expected and rank.ops == tuple(expected) and rank.ops == self._rank().ops
         assert rank.ops != expected[:2] and rank.ops != expected[::-1]
         assert [rank.ops] == [expected]
         assert rank.ops[-1] == expected[-1] and rank.ops[1:] == expected[1:]
@@ -203,49 +185,57 @@ class TestViews:
 
     def test_preds_compare_with_views_and_plain_lists(self):
         rank = self._rank()
-        assert rank.preds == [[], [0], [0, 1]] and rank.preds == rank.copy().preds
+        assert rank.preds == [[], [0], [0, 1]] and rank.preds == self._rank().preds
         assert rank.preds != [[], [0], [1]]
         assert rank.preds[-1] == [0, 1] and rank.preds[:2] == [[], [0]]
         assert len(rank.preds) == 3 and list(rank.preds) == [[], [0], [0, 1]]
 
-    def test_field_writes_go_through_checked(self):
+    @pytest.mark.parametrize("field", ["kind", "size", "peer", "tag", "cpu", "label"])
+    def test_an_op_refuses_field_assignment(self, field):
         rank = self._rank()
-        rank.ops[0].size = 99
-        rank.ops[1].tag = BIG[1]
-        rank.ops[2].label = "c"
-        assert rank.ops == [Op.calc(99), Op.send(8, dst=1, tag=BIG[1]), Op.recv(8, src=1, cpu=2)]
-        assert rank.vertex_by_label("c") == 2 and rank.total_calc_ns() == 99
-        op = rank.ops[1]
-        op.size += 1
-        assert op.size == 9 and rank.ops[1].size == 9
-        for field, value in (("size", -1), ("tag", 1 << 64), ("peer", None), ("label", "a")):
+        read = rank.ops[1]
+        for op in (read, Op.send(8, dst=1, tag=3), rank.ops[1:][0], next(iter(rank.ops))):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(op, field, getattr(op, field))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(op, field)
+        with pytest.raises(AttributeError):
+            read.size += 1
+        assert read == Op.send(8, dst=1, tag=3) and rank.ops == self._rank().ops
+        assert rank.vertex_by_label("a") == 0
+
+    def test_equal_ops_hash_alike_and_survive_pickling(self):
+        rank = self._rank()
+        assert {rank.ops[1], Op.send(8, dst=1, tag=3, label="x")} == {Op.send(8, dst=1, tag=3)}
+        assert {rank.ops[2]: "recv"}[Op.recv(8, src=1, cpu=2)] == "recv"
+        for op in rank.ops:
+            again = pickle.loads(pickle.dumps(op))
+            assert again == op and again.label == op.label and hash(again) == hash(op)
+
+    def test_numpy_views_refuse_writes(self):
+        rank = self._rank()
+        for view in (*rank.columns(), *rank.pred_csr()):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1
             with pytest.raises(ValueError):
-                setattr(rank.ops[1], field, value)
+                view.flags.writeable = True
         with pytest.raises(TypeError):
-            rank.ops[1].size = 1.5
-        assert rank.ops[1] == Op.send(9, dst=1, tag=BIG[1])
+            rank.labels["b"] = 1
+        rank.preds[1].append(2)  # a fresh list: changes nothing
+        with pytest.raises(TypeError):
+            rank.preds[1] = [0]
+        assert rank.ops == self._rank().ops and rank.preds == [[], [0], [0, 1]]
+        assert dict(rank.labels) == {"a": 0}
 
-    def test_a_copy_shares_nothing(self):
+    def test_raw_csr_writes_are_caught_by_the_validator(self):
+        # the CSR arrays are public, so a backward edge is still checked
         rank = self._rank()
-        cp = rank.copy()
-        cp.ops[0].size = 1
-        cp.preds[1].append(0)  # a fresh list: changes neither
-        cp.preds[2] = [0]
-        cp.add_op(Op.calc(1, label="z"))
-        assert rank.ops[0].size == 10 and rank.preds == [[], [0], [0, 1]] and len(rank) == 3
-        assert cp.preds == [[], [0], [0], []] and "z" not in rank.labels
-        free = rank.ops[0].copy()
-        free.size = 5  # a copy of a view's op is a plain Op again
-        assert rank.ops[0].size == 10
-
-    def test_preds_assignment_is_the_unchecked_back_door(self):
-        rank = self._rank()
-        rank.preds[0] = [2]
-        rank.preds[1] = []
-        assert rank.preds == [[2], [], [0, 1]] and rank.successors() == [[2], [2], [0]]
+        rank.pred_idx[0] = 2
+        assert rank.preds == [[], [2], [0, 1]] and rank.successors() == [[2], [2], [1]]
         sched = GoalSchedule(1)
         sched.ranks[0] = rank
-        with pytest.raises(ValueError, match="vertex 0 depends on later/equal vertex 2"):
+        with pytest.raises(ValueError, match="vertex 1 depends on later/equal vertex 2"):
             validate_schedule(sched, check_matching=False)
 
 
@@ -317,11 +307,9 @@ class TestEntryChecks:
         validate_schedule(sched)
         oracle = to_oracle(sched)
         for other in (
-            sched.copy(),
             decode_goal(encode_goal(sched)),
             parse_goal(write_goal(sched), name="big"),
             remap_ranks(sched, {0: 0, 1: 1}),
-            relabel_tags(sched, 0),
         ):
             assert_same(other, oracle, labels=False)
         assert sched.total_calc_ns() == value and sched.total_bytes() == value
@@ -330,8 +318,8 @@ class TestEntryChecks:
         delayed = delay_schedule(sched, value)
         assert delayed.total_calc_ns() == 3 * value  # (one delay vertex per rank; past 2**64)
         assert delayed.ranks[0].critical_path_ns() == 2 * value
-        with pytest.raises(ValueError, match="does not fit 64 bits"):
-            relabel_tags(sched, 1 << 63 if value == BIG[0] else 1)
+        with pytest.raises(ValueError, match="tag .* does not fit 64 bits"):
+            concatenate_schedules([sched, sched], tag_stride=1 << 63 if value == BIG[0] else 1)
 
     def test_extend_checks_whole_columns(self):
         rank = RankSchedule(0)

@@ -6,7 +6,6 @@ from repro.goal import (
     concatenate_schedules,
     delay_schedule,
     encode_goal,
-    relabel_tags,
     remap_ranks,
     validate_schedule,
 )
@@ -51,17 +50,6 @@ class TestRemapRanks:
         remapped = remap_ranks(_pingpong(), {0: 2, 1: 0}, num_ranks=3)
         result = simulate(remapped, backend="lgs")
         assert result.ops_completed == remapped.num_ops()
-
-
-class TestRelabelTags:
-    def test_tags_offset(self):
-        out = relabel_tags(_pingpong(), 100)
-        tags = sorted({op.tag for r in out.ranks for op in r.ops if op.is_comm})
-        assert tags == [101, 102]
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            relabel_tags(_pingpong(), -1)
 
 
 class TestConcatenate:

@@ -85,12 +85,11 @@ class TestEqualityAndCopy:
         a, b = Op.recv(8, src=2), Op.recv(8, src=2)
         assert hash(a) == hash(b)
 
-    def test_copy_is_independent(self):
+    def test_fields_are_read_only(self):
         op = Op.send(10, dst=1, tag=3, cpu=2, label="x")
-        cp = op.copy()
-        assert cp == op and cp is not op
-        cp.peer = 5
-        assert op.peer == 1
+        with pytest.raises(AttributeError, match="immutable"):
+            op.peer = 5
+        assert op.peer == 1 and op == Op.send(10, dst=1, tag=3, cpu=2)
 
     def test_repr_mentions_kind(self):
         assert "send" in repr(Op.send(10, dst=1))

@@ -1,4 +1,6 @@
 """Tests for GOAL schedule validation."""
+from array import array
+
 import pytest
 
 from repro.goal import GoalBuilder, GoalValidationError, validate_schedule
@@ -96,7 +98,8 @@ class TestInvalid:
         sched = GoalSchedule(1)
         sched.ranks[0].add_op(Op.calc(1))
         sched.ranks[0].add_op(Op.calc(1))
-        # bypass the safe API to create a forward edge
-        sched.ranks[0].preds[0] = [1]
+        # write a forward edge into the raw CSR, past every checked append
+        sched.ranks[0].pred_ptr[1:] = array("q", [1, 1])
+        sched.ranks[0].pred_idx.append(1)
         with pytest.raises(GoalValidationError):
             validate_schedule(sched, check_matching=False)
