@@ -19,9 +19,7 @@ Subcommands mirror the main pipelines:
 * ``atlahs collectives`` — list/describe the collective algorithm registry,
   or sweep algorithms x topologies x sizes (``--sweep``; see
   ``docs/collectives.md``),
-* ``atlahs topologies`` — list registered topologies and routing strategies,
-* ``atlahs bench`` — run the performance suite and track ``BENCH_*.json``
-  baselines (see ``docs/performance.md``).
+* ``atlahs topologies`` — list registered topologies and routing strategies.
 
 Every simulation subcommand accepts the shared network flags
 (``--backend``, ``--topology``, ``--routing``, topology shape parameters,
@@ -728,76 +726,6 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suite, write BENCH_<rev>.json, compare to a baseline."""
-    from repro.perf import (
-        compare_to_baseline,
-        default_suite,
-        load_bench,
-        run_suite,
-        write_bench,
-    )
-
-    cases = None
-    if args.cases:
-        cases = [c for c in default_suite(args.quick) if args.cases in c.name]
-        if not cases:
-            known = ", ".join(c.name for c in default_suite(args.quick))
-            print(f"error: --cases {args.cases!r} matches no case (have: {known})")
-            return 2
-    results = run_suite(quick=args.quick, cases=cases)
-    rows = []
-    for name, case in results["cases"].items():
-        eps = case["events_per_s"]
-        rows.append(
-            f"  {name:28s} {case['wall_clock_s']*1e3:9.1f} ms   "
-            f"{(str(eps) + ' ev/s') if eps else '-':>14s}   rss {case['peak_rss_kb']} KiB"
-        )
-    print(f"bench @ {results['revision']} (quick={results['quick']})")
-    print("\n".join(rows))
-
-    path = write_bench(results, args.output)
-    print(f"\nwrote {path}")
-
-    if args.baseline:
-        comparison = compare_to_baseline(
-            results,
-            load_bench(args.baseline),
-            max_regression=args.max_regression,
-            max_rss_regression=args.max_rss_regression,
-        )
-        for entry in comparison.entries:
-            marker = "REGRESSED" if entry.regressed else "ok"
-            line = (
-                f"  vs baseline {entry.name:28s} {entry.speedup:5.2f}x "
-                f"({entry.baseline_wall_s*1e3:.1f} ms -> {entry.current_wall_s*1e3:.1f} ms)"
-            )
-            if entry.rss_ratio is not None:
-                rss_marker = " RSS-REGRESSED" if entry.rss_regressed else ""
-                line += (
-                    f"  rss {entry.rss_ratio:4.2f}x "
-                    f"({entry.baseline_rss_kb} -> {entry.current_rss_kb} KiB)"
-                    f"{rss_marker}"
-                )
-            print(f"{line}  {marker}")
-        for name in comparison.missing:
-            print(f"  vs baseline {name:28s} (present on one side only, skipped)")
-        if not comparison.ok:
-            print(
-                f"FAIL: {len(comparison.regressions)} case(s) regressed "
-                f"(wall clock > {args.max_regression}x"
-                + (
-                    f" or peak RSS > {args.max_rss_regression}x"
-                    if args.max_rss_regression
-                    else ""
-                )
-                + f") vs {args.baseline}"
-            )
-            return 1
-        print(f"baseline check passed (threshold {args.max_regression}x)")
-    return 0
-
-
 @contextlib.contextmanager
 def _subcommand(sub, func, help_text: str, network: bool = True):
     """Declare subcommand ``func`` (``_cmd_<name>``); add its own arguments in the body.
@@ -1060,33 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub, _cmd_topologies, "list registered topologies and routing strategies", network=False
     ):
         pass
-
-    with _subcommand(
-        sub, _cmd_bench, "run the performance suite and track BENCH_*.json baselines",
-        network=False,
-    ) as p:
-        p.add_argument("--quick", action="store_true", help="tiny workloads (CI smoke job)")
-        p.add_argument(
-            "--cases",
-            default=None,
-            help="only run cases whose name contains this substring "
-            "(e.g. 'allreduce16k' for the scale cases alone)",
-        )
-        p.add_argument("--output", default=None, help="output path (default BENCH_<rev>.json)")
-        p.add_argument("--baseline", default=None, help="baseline BENCH_*.json to compare against")
-        p.add_argument(
-            "--max-regression",
-            type=float,
-            default=2.0,
-            help="fail when a case's wall clock exceeds this multiple of the baseline",
-        )
-        p.add_argument(
-            "--max-rss-regression",
-            type=float,
-            default=None,
-            help="fail when a case's peak RSS exceeds this multiple of the baseline "
-            "(requires a baseline recorded with RSS; 1.2 = the CI memory gate)",
-        )
 
     return parser
 

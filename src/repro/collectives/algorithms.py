@@ -704,6 +704,8 @@ def build_collective_schedule(
     rooted = collective == "bcast"
     if root and not rooted:
         raise ValueError(f"{collective} takes no root; got root={root}")
+    if size < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
     alg = resolve_algorithm(collective, algorithm, size, num_ranks, groups=groups)
     builder = GoalBuilder(
         num_ranks, name=name or f"{collective}-{alg.name}-{num_ranks}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -274,8 +275,22 @@ class SimulationConfig:
                 f"unknown routing {self.routing!r} "
                 f"(registered: {', '.join(sorted(ROUTING_STRATEGIES))})"
             )
-        if self.oversubscription < 1.0:
-            raise ValueError("oversubscription must be >= 1.0")
+        # NaN slips past every comparison below, so the int fields are made
+        # whole numbers first (4.0 is taken as 4) and the float checks
+        # require finiteness
+        for f in dataclasses.fields(self):
+            if f.type != "int":
+                continue
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral) and not (
+                isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+            ):
+                raise ValueError(f"{f.name} must be a whole number, got {value!r}")
+            setattr(self, f.name, int(value))
+        if not (math.isfinite(self.oversubscription) and self.oversubscription >= 1.0):
+            raise ValueError(
+                f"oversubscription must be finite and >= 1.0, got {self.oversubscription}"
+            )
         if self.nodes_per_tor <= 0:
             raise ValueError("nodes_per_tor must be positive")
         if self.fattree_planes <= 0:
@@ -317,11 +332,6 @@ class SimulationConfig:
             raise ValueError(f"unknown cc_algorithm {self.cc_algorithm!r}")
         if self.host_overhead < 0 or self.link_latency < 0:
             raise ValueError("latencies must be non-negative")
-        # routed LogGOPS latencies are sums of link latencies and become
-        # event times as they are
-        if not (math.isfinite(self.link_latency) and self.link_latency == int(self.link_latency)):
-            raise ValueError(f"link_latency must be a whole number of ns, got {self.link_latency!r}")
-        self.link_latency = int(self.link_latency)
         if self.initial_window_packets <= 0:
             raise ValueError("initial_window_packets must be positive")
         if self.min_retransmit_timeout <= 0:

@@ -96,6 +96,8 @@ def permutation(
 
 def all_to_all(num_ranks: int, per_pair_size: int, name: str = "all-to-all") -> GoalSchedule:
     """Full-mesh exchange: every rank sends ``per_pair_size`` bytes to every other rank."""
+    if per_pair_size < 0:
+        raise ValueError(f"per_pair_size must be non-negative, got {per_pair_size}")
     builder = GoalBuilder(num_ranks, name=name)
     ctx = CollectiveContext(builder, list(range(num_ranks)))
     calgs.pairwise_alltoall(ctx, per_pair_size)
@@ -106,6 +108,8 @@ def ring_allreduce_microbenchmark(
     num_ranks: int, buffer_size: int, repetitions: int = 1, name: str = "ring-allreduce"
 ) -> GoalSchedule:
     """Back-to-back ring allreduces of ``buffer_size`` bytes (no compute)."""
+    if buffer_size < 0:
+        raise ValueError(f"buffer_size must be non-negative, got {buffer_size}")
     builder = GoalBuilder(num_ranks, name=name)
     ctx = CollectiveContext(builder, list(range(num_ranks)))
     deps = None

@@ -637,11 +637,14 @@ def resilience_sweep(
     convergence window.
     """
     from repro.network.control_plane import CONTROL_PLANES
-    from repro.network.faults import random_failed_link_ids
+    from repro.network.faults import FaultSchedule, random_failed_link_ids
     from repro.network.topology import build_topology
 
     if not failure_rates:
         raise ValueError("need at least one failure rate")
+    for rate in failure_rates:
+        # the cells' own rate rule, applied before any rate is drawn from
+        FaultSchedule(link_failure_rate=rate)
     if not control_planes:
         raise ValueError("need at least one control plane")
     for cp in control_planes:

@@ -38,6 +38,14 @@ class TestCotenantErrors:
             main(["cotenant", "incast:8:huge"])
         assert "incast:8:huge" in _exit_message(excinfo)
 
+    @pytest.mark.parametrize("spec", ["alltoall:4:-1", "allreduce:4:-1"])
+    def test_negative_size_in_spec(self, spec):
+        # used to run as 1-byte messages and report "bytes": 12
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cotenant", spec])
+        message = _exit_message(excinfo)
+        assert message.startswith(f"bad job spec {spec!r}: ") and "got -1" in message
+
     def test_non_integer_arrivals(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["cotenant", "incast:4:1024", "alltoall:4:1024", "--arrivals", "0,soon"])
@@ -79,6 +87,15 @@ class TestFaultsErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["faults", "incast:4:1024", "--rates", ","])
         assert "need at least one failure rate" in _exit_message(excinfo)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate(self, rate):
+        # used to reach the cable draw first: int(nan) / an overflow
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faults", "alltoall:4:1024", "--rates", rate])
+        message = _exit_message(excinfo)
+        assert "link_failure_rate" in message and f"got {rate}" in message
+        assert "\n" not in message
 
     def test_out_of_range_rate(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -576,6 +593,10 @@ class TestShardingFlagErrors:
         (["--shards", "0"], "--shards 0"),
         (["--seed", "-1"], "--seed -1"),
         (["--oversubscription", "0"], "--oversubscription 0.0"),
+        # nan used to pass the >= 1 check and die building the tree; inf
+        # built a tree with one uplink
+        (["--oversubscription", "nan"], "--oversubscription nan"),
+        (["--oversubscription", "inf"], "--oversubscription inf"),
         (["--nodes-per-tor", "0"], "--nodes-per-tor 0"),
         (["--fattree-planes", "0"], "--fattree-planes 0"),
         (["--route-cache-entries", "-1"], "--route-cache-entries -1"),
@@ -632,6 +653,8 @@ def test_worker_error_is_one_line(monkeypatch):
         ("seed", -1),  # used to surface numpy's bare seeding error
         ("link_latency", 2.5),  # routed LogGOPS latencies are event times
         ("link_latency", float("inf")),
+        ("oversubscription", float("nan")),  # used to die on int(nan) building the tree
+        ("oversubscription", float("inf")),  # used to build a tree with one uplink
     ],
 )
 def test_simulation_config_rejects_values_that_fail_late_or_simulate_wrongly(field, value):
@@ -639,6 +662,32 @@ def test_simulation_config_rejects_values_that_fail_late_or_simulate_wrongly(fie
 
     with pytest.raises(ValueError, match=field):
         SimulationConfig(**{field: value})
+
+
+def _int_config_fields():
+    import dataclasses
+
+    from repro.network.config import SimulationConfig
+
+    return [f.name for f in dataclasses.fields(SimulationConfig) if f.type == "int"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 4.5])
+@pytest.mark.parametrize("field", _int_config_fields())
+def test_simulation_config_int_fields_must_be_whole_numbers(field, value):
+    # NaN used to slip past every range check (buffer_size: nan < mtu is False)
+    from repro.network.config import SimulationConfig
+
+    with pytest.raises(ValueError, match=rf"^{field} must be a whole number"):
+        SimulationConfig(**{field: value})
+
+
+def test_simulation_config_takes_whole_floats_as_ints():
+    from repro.network.config import SimulationConfig
+
+    config = SimulationConfig(mtu=4096.0, buffer_size=65536.0, host_overhead=0.0)
+    assert (config.mtu, config.buffer_size, config.host_overhead) == (4096, 65536, 0)
+    assert all(type(v) is int for v in (config.mtu, config.buffer_size, config.host_overhead))
 
 
 @pytest.mark.parametrize(

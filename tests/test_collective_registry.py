@@ -171,6 +171,12 @@ class TestScheduleProperties:
             build_collective_schedule("bcast", "binomial", 8, 1024)
         )
 
+    @pytest.mark.parametrize("collective, algorithm", [("allreduce", "ring"), ("alltoall", "auto")])
+    def test_negative_size_is_rejected(self, collective, algorithm):
+        # used to emit 1-byte messages: the chunk clamp swallowed the sign
+        with pytest.raises(ValueError, match="size must be non-negative, got -8"):
+            build_collective_schedule(collective, algorithm, 4, -8)
+
     def test_single_group_degenerates_cleanly(self):
         sched = build_collective_schedule(
             "allreduce", "hier_rs", 4, 4096, groups=[[0, 1, 2, 3]]

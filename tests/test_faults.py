@@ -695,3 +695,18 @@ class TestResilienceSweep:
 
         with pytest.raises(ValueError, match="failure rate"):
             resilience_sweep(all_to_all(4, 1024), {"ft": _fat_tree_config()}, failure_rates=())
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 1.0, -0.1])
+    def test_rates_are_checked_before_any_cable_draw(self, rate, monkeypatch):
+        # nan and inf used to reach the draw first (int(nan), an overflow)
+        from repro.network import faults
+        from repro.sweep import resilience_sweep
+
+        def no_draw(*args):
+            raise AssertionError("drew cables for an invalid rate")
+
+        monkeypatch.setattr(faults, "random_failed_link_ids", no_draw)
+        with pytest.raises(ValueError, match=rf"link_failure_rate must be in \[0, 1\), got {rate}"):
+            resilience_sweep(
+                all_to_all(4, 1024), {"ft": _fat_tree_config()}, failure_rates=(0.1, rate)
+            )

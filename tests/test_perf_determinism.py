@@ -1,4 +1,4 @@
-"""The packet backend's pull pacer, and a tripwire against a second engine.
+"""The packet backend's pull pacer, and tripwires against a second engine or benchmark.
 
 Each backend ships one engine; the differentials that hold it to its
 reference (the event-per-transmission packet oracle, the five-heap-event
@@ -77,3 +77,25 @@ def test_one_engine_per_backend_tripwire():
     assert not hits, "\n".join(hits)
     fields = [f.name for f in dataclasses.fields(SimulationConfig)]
     assert not [f for f in fields if f.endswith("_batching") or f == "route_caching"]
+
+
+def test_one_benchmark_tripwire():
+    """benchmarks/e2e/ is the only benchmark; a second harness must not come back."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    banned = re.compile(r"repro[./]perf\b|atlahs bench|BENCH_|benchmarks/baselines")
+    paths = [root / "README.md"] + [
+        path
+        for top in ("src", "docs", ".github")
+        for path in sorted((root / top).rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    ]
+    hits = [
+        f"{path.relative_to(root)}:{n}: {line.strip()}"
+        for path in paths
+        for n, line in enumerate(path.read_text(errors="replace").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "\n".join(hits)

@@ -149,6 +149,18 @@ class TestSyntheticPatterns:
         validate_schedule(sched)
         assert simulate(sched, backend="lgs").ops_completed == sched.num_ops()
 
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: all_to_all(4, -1), "per_pair_size"),
+            (lambda: ring_allreduce_microbenchmark(4, -1), "buffer_size"),
+        ],
+    )
+    def test_negative_sizes_are_rejected(self, build, named):
+        # all_to_all and the ring used to clamp -1 to 1-byte messages
+        with pytest.raises(ValueError, match=rf"{named} must be non-negative, got -1"):
+            build()
+
     def test_uniform_random_pairs(self):
         sched = uniform_random_pairs(6, 30, 4096, seed=2)
         validate_schedule(sched)
