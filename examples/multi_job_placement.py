@@ -13,7 +13,7 @@ Run with::
 """
 from repro.apps.ai import ParallelismConfig, llama_7b
 from repro.apps.hpc import HpcRunConfig
-from repro.cluster import ClusterJob
+from repro.cluster import ClusterJob, run_cotenant
 from repro.core import Atlahs
 from repro.network import SimulationConfig
 
@@ -41,7 +41,7 @@ def main() -> None:
     baselines = {}
     print(f"{'allocation':<12} {'job':<8} {'runtime (ms)':>13} {'vs packed':>10}")
     for strategy in ("packed", "random"):
-        res = atlahs.run_cotenant(
+        res = run_cotenant(
             jobs, cluster_nodes, strategy=strategy, config=config, baseline=False,
             **({"seed": 3} if strategy == "random" else {}),
         )

@@ -347,7 +347,7 @@ def _cmd_cotenant(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     strategy_kwargs = {}
-    if args.group_size:
+    if args.group_size is not None:
         strategy_kwargs["group_size"] = args.group_size
     strategy_kwargs["seed"] = args.seed
     payload = {
@@ -817,7 +817,9 @@ def build_parser() -> argparse.ArgumentParser:
             "random, random_interleaved, round_robin, strided, locality)",
         )
         p.add_argument(
-            "--group-size", type=int, default=0, help="locality/fragmented group width"
+            "--group-size",
+            type=int,
+            help="locality/fragmented group width (default: the topology's host groups)",
         )
         p.add_argument(
             "--no-baseline",

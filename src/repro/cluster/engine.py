@@ -9,12 +9,15 @@ into **one** fabric-shared simulation:
    :data:`repro.placement.PLACEMENT_STRATEGIES` (or explicit, possibly
    overlapping, per-job placements),
 3. the placed schedules are merged into a single GOAL program by
-   :func:`~repro.goal.merge.concatenate_schedules`, which fuses the jobs'
-   DAGs (on disjoint compute-stream ranges) wherever a node hosts two jobs,
-4. the merged program runs on either backend with job attribution enabled:
-   each job owns a disjoint tag window of :data:`TAG_STRIDE`, the backends
-   attribute messages and per-link bytes to ``tag // TAG_STRIDE``, and the
-   scheduler tracks per-job completion through an op→job mapping,
+   :func:`~repro.goal.merge.concatenate_schedules`, which owns the job
+   windows: it moves job *i* into its tag window of
+   :data:`~repro.goal.merge.TAG_STRIDE` (and, wherever a node hosts two
+   jobs, onto its own compute streams) and refuses a job whose tags or
+   streams would leave its window,
+4. the merged program is validated once and runs on either backend with job
+   attribution enabled: the backends attribute messages and per-link bytes
+   to ``tag // TAG_STRIDE``, and the scheduler tracks per-job completion
+   through an op→job mapping,
 5. results are attributed back per job: completion time, runtime
    (completion − arrival), slowdown versus an *isolated* run of the same job
    under the same placement, and the per-link contention breakdown.
@@ -29,45 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.goal.merge import concatenate_schedules, delay_schedule, remap_ranks
-from repro.goal.ops import _CALC
+from repro.goal.merge import TAG_STRIDE, concatenate_schedules, delay_schedule, remap_ranks
 from repro.goal.schedule import GoalSchedule
-from repro.goal.validate import validate_schedule
 from repro.network.backend import JobStats, SimulationResult
 from repro.network.config import SimulationConfig
-from repro.placement import PlacementResult, place_jobs
+from repro.placement import JobRequest, PlacementResult, filter_strategy_kwargs, place_jobs
 from repro.scheduler import simulate
 
-#: Tag window assigned to each job by the co-tenancy merge.  Every message of
-#: job *i* carries a tag in ``[i * TAG_STRIDE, (i+1) * TAG_STRIDE)``, which is
-#: both what keeps cross-job message matching impossible and what lets the
-#: backends attribute traffic to jobs without any extra plumbing.  The window
-#: is deliberately wide (2**32): real MPI tracers encode communicator ids in
-#: the high tag bits (LULESH's traces carry tags beyond 2**30), and
-#: :func:`build_cotenant_schedule` rejects any job whose tags overflow the
-#: window instead of silently cross-matching messages between jobs.
-TAG_STRIDE = 1 << 32
-
-
-@dataclass(frozen=True)
-class ClusterJob:
-    """One job of a co-tenant scenario: a GOAL schedule arriving at a time."""
-
-    schedule: GoalSchedule
-    arrival_ns: int = 0
-    name: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.arrival_ns < 0:
-            raise ValueError(f"arrival_ns must be non-negative, got {self.arrival_ns}")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.schedule.num_ranks
-
-    @property
-    def label(self) -> str:
-        return self.name or self.schedule.name
+#: One job of a co-tenant scenario: a GOAL schedule arriving at a time.  The
+#: same record the placement strategies place.
+ClusterJob = JobRequest
 
 
 @dataclass
@@ -84,15 +58,12 @@ class CoTenantPlan:
         Per rank, the owning job index of every op (scheduler group ids).
     jobs:
         The input jobs, in job (= tag window) order.
-    tag_stride:
-        Tag window width; feed this to ``SimulationConfig.job_tag_stride``.
     """
 
     schedule: GoalSchedule
     placement: PlacementResult
     op_groups: List[List[int]]
     jobs: List[ClusterJob]
-    tag_stride: int = TAG_STRIDE
 
 
 @dataclass
@@ -153,25 +124,11 @@ class CoTenancyResult:
         }
 
 
-def _check_tags(jobs: Sequence[ClusterJob], tag_stride: int) -> None:
-    for job in jobs:
-        for rank in job.schedule.ranks:
-            kind, _, _, tag, _ = rank.columns()
-            wide = tag[(kind != _CALC) & (tag >= tag_stride)]
-            if wide.size:
-                raise ValueError(
-                    f"job {job.label!r} uses tag {int(wide[0])} >= tag_stride "
-                    f"{tag_stride}; raise tag_stride so job tag windows stay disjoint"
-                )
-
-
 def build_cotenant_schedule(
     jobs: Sequence[ClusterJob],
     cluster_nodes: Optional[int] = None,
     strategy: str = "packed",
     placements: Optional[Sequence[Mapping[int, int]]] = None,
-    tag_stride: int = TAG_STRIDE,
-    stream_stride: int = 64,
     **strategy_kwargs,
 ) -> CoTenantPlan:
     """Place and merge ``jobs`` into one co-tenant GOAL program.
@@ -189,9 +146,6 @@ def build_cotenant_schedule(
     placements:
         Optional explicit ``{job rank -> cluster node}`` mapping per job.
         Node sets may overlap: jobs sharing a node are fused onto it.
-    tag_stride / stream_stride:
-        Forwarded to the merge (tag window width, per-tenant compute-stream
-        offset).
     strategy_kwargs:
         Extra arguments of the placement strategy (``seed``, ``topology``,
         ``group_size``, ...).
@@ -201,7 +155,6 @@ def build_cotenant_schedule(
         raise ValueError("need at least one job")
     if cluster_nodes is None:
         cluster_nodes = sum(job.num_nodes for job in jobs)
-    _check_tags(jobs, tag_stride)
 
     if placements is not None:
         if len(placements) != len(jobs):
@@ -217,11 +170,7 @@ def build_cotenant_schedule(
 
     delayed = [delay_schedule(job.schedule, job.arrival_ns) for job in jobs]
     merged = concatenate_schedules(
-        delayed,
-        placements=placement.mappings,
-        num_ranks=cluster_nodes,
-        tag_stride=tag_stride,
-        stream_stride=stream_stride,
+        delayed, placements=placement.mappings, num_ranks=cluster_nodes
     )
     # each job's fragment is appended to its nodes in job order
     op_groups: List[List[int]] = [[] for _ in range(cluster_nodes)]
@@ -229,11 +178,7 @@ def build_cotenant_schedule(
         for rank in sched.ranks:
             op_groups[mapping[rank.rank]].extend([job_idx] * len(rank))
     return CoTenantPlan(
-        schedule=merged,
-        placement=placement,
-        op_groups=op_groups,
-        jobs=jobs,
-        tag_stride=tag_stride,
+        schedule=merged, placement=placement, op_groups=op_groups, jobs=jobs
     )
 
 
@@ -263,9 +208,6 @@ def run_cotenant(
     config: Optional[SimulationConfig] = None,
     baseline: bool = True,
     placements: Optional[Sequence[Mapping[int, int]]] = None,
-    validate: bool = True,
-    tag_stride: int = TAG_STRIDE,
-    stream_stride: int = 64,
     fault_free_baseline: bool = False,
     **strategy_kwargs,
 ) -> CoTenancyResult:
@@ -273,17 +215,16 @@ def run_cotenant(
 
     Parameters
     ----------
-    jobs, cluster_nodes, strategy, placements, tag_stride, stream_stride,
-    strategy_kwargs:
+    jobs, cluster_nodes, strategy, placements, strategy_kwargs:
         See :func:`build_cotenant_schedule`.
     backend:
         ``"htsim"`` (packet-level; per-link contention includes queues, ECN
         and drops) or ``"lgs"`` (message-level).
     config:
-        Base :class:`SimulationConfig`; its ``job_tag_stride`` is overridden
-        to match the merge's tag windows.  A non-empty ``config.faults``
-        schedule degrades the shared fabric for the co-tenant run and — by
-        default — the isolated baselines too, so
+        Base :class:`SimulationConfig`; its ``job_tag_stride`` is set to the
+        merge's :data:`~repro.goal.merge.TAG_STRIDE`.  A non-empty
+        ``config.faults`` schedule degrades the shared fabric for the
+        co-tenant run and — by default — the isolated baselines too, so
         :attr:`JobOutcome.slowdown` isolates *contention on the degraded
         fabric* (see ``fault_free_baseline`` to attribute faults instead).
     baseline:
@@ -295,53 +236,38 @@ def run_cotenant(
         (``config.faults`` stripped) while the co-tenant run keeps the
         fault schedule.  Per-job slowdown then attributes the combined
         fault + contention degradation each tenant experiences.
-    validate:
-        Structurally validate the merged schedule before simulating.
+
+    The merged schedule is validated once, before the co-tenant run.
 
     Group-aware strategies (``locality``, ``fragmented``) default their
     groups to the *simulated* topology's host groups (the config's fat-tree
     ToRs, torus routers, ...), so placement locality matches the fabric
     being simulated; pass ``topology=`` or ``group_size=`` to override.
     """
-    cfg = config if config is not None else SimulationConfig()
+    cfg = (config if config is not None else SimulationConfig()).replace(
+        job_tag_stride=TAG_STRIDE
+    )
     if (
         placements is None
         and "topology" not in strategy_kwargs
         and "group_size" not in strategy_kwargs
+        and "topology" in filter_strategy_kwargs(strategy, {"topology": None})
     ):
-        import inspect
-
         from repro.network.topology import build_topology
-        from repro.placement import PLACEMENT_STRATEGIES
 
-        strategy_fn = PLACEMENT_STRATEGIES.get(strategy)
-        if strategy_fn is not None and "topology" in inspect.signature(strategy_fn).parameters:
-            resolved = (
-                cluster_nodes
-                if cluster_nodes is not None
-                else sum(job.num_nodes for job in jobs)
-            )
-            strategy_kwargs["topology"] = build_topology(cfg, resolved)
+        resolved = (
+            cluster_nodes if cluster_nodes is not None else sum(job.num_nodes for job in jobs)
+        )
+        strategy_kwargs["topology"] = build_topology(cfg, resolved)
 
     plan = build_cotenant_schedule(
         jobs,
         cluster_nodes=cluster_nodes,
         strategy=strategy,
         placements=placements,
-        tag_stride=tag_stride,
-        stream_stride=stream_stride,
         **strategy_kwargs,
     )
-    cfg = cfg.replace(job_tag_stride=plan.tag_stride)
-    if validate:
-        validate_schedule(plan.schedule)
-    result = simulate(
-        plan.schedule,
-        backend=backend,
-        config=cfg,
-        validate=False,
-        op_groups=plan.op_groups,
-    )
+    result = simulate(plan.schedule, backend=backend, config=cfg, op_groups=plan.op_groups)
 
     # attribution keys by job label; disambiguate duplicates (two jobs built
     # from the same spec/schedule name) so per-link shares never collapse

@@ -250,33 +250,3 @@ class Atlahs:
         )
         out.extras["metrics"] = compute_serving_metrics(plan, out.result, slo=slo)
         return out
-
-    # --------------------------------------------------------------- multi-job
-    def run_cotenant(
-        self,
-        jobs,
-        cluster_nodes: Optional[int] = None,
-        strategy: str = "packed",
-        backend: str = "htsim",
-        config: Optional[SimulationConfig] = None,
-        **kwargs,
-    ):
-        """Run several jobs concurrently on one fabric with per-job attribution.
-
-        ``jobs`` are :class:`repro.cluster.ClusterJob` records (or plain
-        :class:`GoalSchedule` objects, wrapped with arrival 0); returns a
-        :class:`repro.cluster.CoTenancyResult` — see :mod:`repro.cluster`.
-        """
-        from repro.cluster import ClusterJob, run_cotenant
-
-        jobs = [
-            job if isinstance(job, ClusterJob) else ClusterJob(job) for job in jobs
-        ]
-        return run_cotenant(
-            jobs,
-            cluster_nodes=cluster_nodes,
-            strategy=strategy,
-            backend=backend,
-            config=config or self.config,
-            **kwargs,
-        )

@@ -3,22 +3,28 @@
 The paper (§3.2) models several applications sharing one cluster on top of
 GOAL.  :func:`concatenate_schedules` is the one merge: it remaps each
 application's ranks onto the nodes its placement names and emits one combined
-schedule.
+schedule.  This module is also the one place that says what a job owns:
 
-* **Multi-job**: applications on *disjoint* sets of nodes keep their own
-  nodes; the result is the union of the remapped schedules.
-* **Multi-tenancy**: where a node hosts several applications, their per-rank
-  DAGs are fused into a single DAG on that node, with each application's ops
-  on its own range of compute streams so they can overlap.
+* **Tags**: job *i* of a merge owns the tag window
+  ``[i * TAG_STRIDE, (i + 1) * TAG_STRIDE)``, so jobs can never match each
+  other's messages, and the backends attribute traffic to ``tag // TAG_STRIDE``
+  (``SimulationConfig.job_tag_stride``).  The window is wide (2^32) because
+  MPI tracers encode communicator ids in the high tag bits; a merged job with
+  a send/recv tag at or past it is one ``ValueError``.
+* **Compute streams**: where a node hosts several applications, their
+  per-rank DAGs are fused into a single DAG on that node, application *i* on
+  streams ``i * STREAM_STRIDE`` and up (64 each), so they overlap instead of
+  serialising.  Applications on *disjoint* nodes keep their own streams.
 
-:func:`remap_ranks` is the one-application case.  Real clusters do not start
-every job at t=0: :func:`delay_schedule` realises an arrival time (ns) inside
-the GOAL model itself — a single ``calc arrival`` root is prepended to every
-non-empty rank and every former root is made to depend on it, so no op of the
-job can issue before its arrival regardless of backend.  The co-tenancy engine
-(:mod:`repro.cluster`) delays each job this way before merging.  An arrival of
-zero is the identity (the schedule is reused untouched), which keeps
-single-job co-tenant runs bit-identical to the plain simulation path.
+:func:`remap_ranks` is the one-application relabel (no job, no window check).
+Real clusters do not start every job at t=0: :func:`delay_schedule` realises
+an arrival time (ns) inside the GOAL model itself — a single ``calc arrival``
+root is prepended to every non-empty rank and every former root is made to
+depend on it, so no op of the job can issue before its arrival regardless of
+backend.  The co-tenancy engine (:mod:`repro.cluster`) delays each job this
+way before merging.  An arrival of zero is the identity (the schedule is
+reused untouched), which keeps single-job co-tenant runs bit-identical to the
+plain simulation path.
 """
 from __future__ import annotations
 
@@ -26,19 +32,24 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.goal.ops import _CALC, VALUE_LIMIT, checked_value
+from repro.goal.ops import _CALC, checked_value
 from repro.goal.schedule import GoalSchedule, RankSchedule
 
 
+#: Tag window of one merged job: job *i* sends and receives on tags
+#: ``i * TAG_STRIDE`` and up.
+TAG_STRIDE = 1 << 32
+
+#: Compute-stream window of one job fused onto a node another job shares.
+STREAM_STRIDE = 64
+
+
 def _place(
-    rank: RankSchedule,
-    onto: RankSchedule,
-    targets: np.ndarray,
-    tag_offset: int = 0,
-    cpu_offset: int = 0,
+    rank: RankSchedule, onto: RankSchedule, targets: np.ndarray, job: int, fused: bool
 ) -> None:
-    """Append ``rank``'s vertices to ``onto``: peers looked up in ``targets``, tags and
-    streams shifted, labels dropped, dependencies kept (relative to the block)."""
+    """Append ``rank``'s vertices to ``onto``: peers looked up in ``targets``,
+    tags moved into job ``job``'s window (streams too, if ``fused``), labels
+    dropped, dependencies kept (relative to the block)."""
     kind, size, peer, tag, cpu = rank.columns()
     comm = kind != _CALC
     if peer.size and int(peer.max()) >= len(targets):
@@ -46,25 +57,35 @@ def _place(
             f"rank {rank.rank} addresses peer {int(peer.max())}, outside the "
             f"schedule's {len(targets)} ranks"
         )
+    if job:
+        tag = np.where(comm, tag + np.uint64(job * TAG_STRIDE), tag)
+        if fused:
+            cpu = cpu + np.uint64(job * STREAM_STRIDE)
     onto.extend(
-        kind,
-        size,
-        np.where(comm, targets[peer.astype(np.intp)], 0),
-        _shifted("tag", tag, tag_offset, comm),
-        _shifted("cpu (compute stream)", cpu, cpu_offset),
-        *rank.pred_csr(),
+        kind, size, np.where(comm, targets[peer.astype(np.intp)], 0), tag, cpu, *rank.pred_csr()
     )
 
 
-def _shifted(what: str, values: np.ndarray, offset: int, where: Optional[np.ndarray] = None) -> np.ndarray:
-    """``values + offset`` (only ``where`` given), refusing a result past 64 bits."""
-    moved = values if where is None else values[where]
-    if not offset or not moved.size:
-        return values
-    if int(moved.max()) + offset >= VALUE_LIMIT:
-        raise ValueError(f"{what} {int(moved.max())} + {offset} does not fit 64 bits")
-    shifted = values + np.uint64(offset)
-    return shifted if where is None else np.where(where, shifted, values)
+def _check_windows(schedules: Sequence[GoalSchedule], fused: bool) -> None:
+    """Refuse a send/recv tag past the job tag window and, when jobs share a
+    node, a compute stream past the job stream window."""
+    for sched in schedules:
+        for rank in sched.ranks:
+            kind, _, _, tag, cpu = rank.columns()
+            wide = tag[(kind != _CALC) & (tag >= TAG_STRIDE)]
+            if wide.size:
+                raise ValueError(
+                    f"schedule {sched.name!r} uses tag {int(wide[0])} >= TAG_STRIDE "
+                    f"{TAG_STRIDE}: past its job's window it would match another "
+                    f"job's messages"
+                )
+            if fused and (cpu >= STREAM_STRIDE).any():
+                raise ValueError(
+                    f"schedule {sched.name!r} uses compute stream "
+                    f"{int(cpu[cpu >= STREAM_STRIDE][0])} >= STREAM_STRIDE "
+                    f"{STREAM_STRIDE}: on a shared node it would run on another "
+                    f"job's streams"
+                )
 
 
 def remap_ranks(
@@ -88,9 +109,7 @@ def remap_ranks(
     name:
         Name of the resulting schedule.
     """
-    return concatenate_schedules(
-        [schedule], [mapping], num_ranks=num_ranks, name=name or schedule.name
-    )
+    return _merge([schedule], [mapping], num_ranks, name or schedule.name, jobs=False)
 
 
 def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
@@ -164,22 +183,23 @@ def concatenate_schedules(
     placements: Optional[Sequence[Mapping[int, int]]] = None,
     num_ranks: Optional[int] = None,
     name: str = "multi-job",
-    tag_stride: int = 1 << 20,
-    stream_stride: int = 64,
 ) -> GoalSchedule:
-    """Combine several applications into one multi-job schedule.
+    """Combine several applications (jobs) into one multi-job schedule.
 
     Each application's ranks go to the nodes its placement names.  When no
     node hosts two applications, the result is their disjoint union.  When
     some node does, the applications' fragments on it are fused: appended in
     application order with no cross-application edges, and application ``i``
-    moved onto compute streams ``i * stream_stride`` and up so the fragments
-    overlap instead of serialising.
+    moved onto compute streams ``i * STREAM_STRIDE`` and up so the fragments
+    overlap instead of serialising.  Application ``i``'s tags move into its
+    window ``i * TAG_STRIDE`` and up.  A send/recv tag of any application at
+    or past ``TAG_STRIDE``, or (when nodes are shared) a compute stream at or
+    past ``STREAM_STRIDE``, is one ``ValueError`` naming the schedule.
 
     Parameters
     ----------
     schedules:
-        The applications to combine.
+        The applications to combine, in job (= tag window) order.
     placements:
         One mapping per application assigning its ranks to global node ids;
         each must be injective.  When omitted, applications are packed
@@ -190,13 +210,18 @@ def concatenate_schedules(
         placed node must lie in ``0 .. num_ranks - 1``.
     name:
         Name of the combined schedule.
-    tag_stride:
-        Tag offset applied per application to keep their message spaces
-        disjoint.  Must exceed the largest tag used by any application.
-    stream_stride:
-        Compute-stream offset between applications when some node hosts
-        two; it must exceed every compute stream an application uses.
     """
+    return _merge(schedules, placements, num_ranks, name, jobs=True)
+
+
+def _merge(
+    schedules: Sequence[GoalSchedule],
+    placements: Optional[Sequence[Mapping[int, int]]],
+    num_ranks: Optional[int],
+    name: str,
+    jobs: bool,
+) -> GoalSchedule:
+    """The merge itself; ``jobs`` checks the job windows (off for a relabel)."""
     if not schedules:
         raise ValueError("need at least one schedule")
     if placements is None:
@@ -219,24 +244,12 @@ def concatenate_schedules(
                     f"{node}, outside the {total} nodes 0 .. {total - 1}"
                 )
     fused = len(set(placed)) < len(placed)
-    if fused:
-        for sched in schedules:
-            for rank in sched.ranks:
-                streams = rank.columns()[4]
-                if (streams >= stream_stride).any():
-                    raise ValueError(
-                        f"schedule {sched.name!r} uses compute stream "
-                        f"{int(streams[streams >= stream_stride][0])} >= "
-                        f"stream_stride {stream_stride}; increase stream_stride"
-                    )
+    if jobs:
+        _check_windows(schedules, fused)
 
     merged = GoalSchedule(total, name=name)
-    for job_idx, (sched, job) in enumerate(zip(schedules, nodes)):
-        lookup = np.array(job, dtype=np.uint64)
+    for job, (sched, on) in enumerate(zip(schedules, nodes)):
+        lookup = np.array(on, dtype=np.uint64)
         for rank in sched.ranks:
-            _place(
-                rank, merged.ranks[job[rank.rank]], lookup,
-                tag_offset=job_idx * tag_stride,
-                cpu_offset=job_idx * stream_stride if fused else 0,
-            )
+            _place(rank, merged.ranks[on[rank.rank]], lookup, job, fused)
     return merged

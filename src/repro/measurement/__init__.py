@@ -10,7 +10,6 @@ substitution table).
 """
 from repro.measurement.convergence import (
     ConvergenceSummary,
-    recovery_timeline,
     summarize_convergence,
 )
 from repro.measurement.reference import (
@@ -29,7 +28,6 @@ from repro.measurement.serving import (
 
 __all__ = [
     "ConvergenceSummary",
-    "recovery_timeline",
     "summarize_convergence",
     "MeasurementResult",
     "measure_reference_runtime",

@@ -87,23 +87,7 @@ def summarize_convergence(
     )
 
 
-def recovery_timeline(
-    records: Sequence["ConvergenceRecord"],
-) -> Sequence[tuple]:
-    """``(event time, kind, converged-at, TTR)`` rows in event order.
-
-    A plotting-friendly flat view of a run's convergence history (the
-    fat-tree/dragonfly tables in ``docs/control_plane.md`` are rendered
-    from these rows).
-    """
-    return tuple(
-        (r.time_ns, r.kind, r.converged_at_ns, r.time_to_recover_ns)
-        for r in sorted(records, key=lambda r: r.time_ns)
-    )
-
-
 __all__ = [
     "ConvergenceSummary",
-    "recovery_timeline",
     "summarize_convergence",
 ]

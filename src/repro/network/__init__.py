@@ -39,7 +39,6 @@ from repro.network.faults import (
 )
 from repro.network.backend import (
     NetworkBackend,
-    OpCompletion,
     SimulationResult,
     MessageRecord,
     MessageRecords,
@@ -65,7 +64,6 @@ __all__ = [
     "FaultSchedule",
     "NetworkPartitionError",
     "NetworkBackend",
-    "OpCompletion",
     "SimulationResult",
     "MessageRecord",
     "MessageRecords",

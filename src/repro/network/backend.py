@@ -38,20 +38,6 @@ from repro.network.routing import create_routing
 from repro.network.topology import build_topology
 
 
-class OpCompletion(NamedTuple):
-    """A finished GOAL operation (``eventOver``) as a record.
-
-    The completion callback itself takes the three fields positionally
-    (``on_complete(time, rank, op_id)``) so the per-operation hot path
-    allocates nothing; this record type remains for code that wants to
-    store or pass completions around as one value.
-    """
-
-    time: int
-    rank: int
-    op_id: int
-
-
 class MessageRecord(NamedTuple):
     """Per-message timing record used for MCT (message completion time) studies."""
 

@@ -249,11 +249,13 @@ class SimulationConfig:
     cp_processing_ns: int = 100
 
     # multi-job attribution: when > 0, every message's job id is derived as
-    # ``tag // job_tag_stride`` (the co-tenancy merge assigns each job a
-    # disjoint tag window of this stride) and both backends collect per-job
+    # ``tag // job_tag_stride`` and both backends collect per-job
     # delivery counts plus per-link byte attribution.  0 disables collection
     # entirely (no hot-path cost).  Attribution is observational only: it
     # never changes simulated timing, drops, marks or message order.
+    # ``repro.cluster.run_cotenant`` sets it to ``repro.goal.merge.TAG_STRIDE``,
+    # the tag window the merge gives each job; any other stride groups the
+    # tags of one schedule into windows of that width.
     job_tag_stride: int = 0
 
     # misc

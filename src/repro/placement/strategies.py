@@ -16,15 +16,15 @@ any topology: it packs each job into whole switch-attachment groups (ToRs on
 a fat tree, routers on a dragonfly/torus/Slim Fly) using
 :meth:`repro.network.topology.base.Topology.host_groups`, so intra-job
 traffic stays on as few first-hop switches as possible regardless of the
-interconnect.  :func:`place_jobs` picks a strategy by name.  A strategy reads
-only each job's ``num_nodes`` and ``label``, so it places
-:class:`JobRequest` and :class:`repro.cluster.ClusterJob` records alike;
-:func:`repro.cluster.build_cotenant_schedule` merges the placed jobs into one
-GOAL program.
+interconnect.  :func:`place_jobs` picks a strategy by name.
+:class:`JobRequest` is the one job record (``repro.cluster.ClusterJob`` is the
+same class): a strategy reads only its ``num_nodes`` and ``label``, and
+:func:`repro.cluster.build_cotenant_schedule` delays each placed job to its
+``arrival_ns`` and merges them into one GOAL program.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,10 +34,16 @@ from repro.goal.schedule import GoalSchedule
 
 @dataclass(frozen=True)
 class JobRequest:
-    """A job to place: its GOAL schedule and (implicitly) its node count."""
+    """A job: its GOAL schedule (one node per rank), arriving at ``arrival_ns``."""
 
     schedule: GoalSchedule
+    _: KW_ONLY
+    arrival_ns: int = 0
     name: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.arrival_ns < 0:
+            raise ValueError(f"arrival_ns must be non-negative, got {self.arrival_ns}")
 
     @property
     def num_nodes(self) -> int:

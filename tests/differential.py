@@ -51,7 +51,7 @@ from loggops_oracle import FiveEventLogGOPSBackend
 from packet_oracle import PerTransmissionBackend
 from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
-from repro.cluster import ClusterJob, build_cotenant_schedule
+from repro.cluster import TAG_STRIDE, ClusterJob, build_cotenant_schedule
 from repro.collectives import build_collective_schedule
 from repro.goal import (
     GoalBuilder,
@@ -855,7 +855,7 @@ def _cotenant():
     jobs = [ClusterJob(all_to_all(4, 1 << 12, name="job-a")), ClusterJob(all_to_all(4, 1 << 12, name="job-b"))]
     plan = build_cotenant_schedule(jobs, strategy="packed")
     config = SimulationConfig(
-        topology="fat_tree", routing="minimal", cc_algorithm="mprdma", job_tag_stride=plan.tag_stride
+        topology="fat_tree", routing="minimal", cc_algorithm="mprdma", job_tag_stride=TAG_STRIDE
     )
     return Sim(plan.schedule, config)
 

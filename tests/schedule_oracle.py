@@ -122,8 +122,10 @@ def list_delay_schedule(schedule, delay_ns):
     return out
 
 
-def list_merge(schedules, placements, num_ranks, name, tag_stride, stream_stride=64):
-    """``concatenate_schedules``: streams move only when some node hosts two jobs."""
+def list_merge(schedules, placements, num_ranks, name):
+    """``concatenate_schedules``: job *i*'s tags move by ``i * 2**32``; its
+    streams move by ``i * 64`` only when some node hosts two jobs."""
+    tag_stride, stream_stride = 1 << 32, 64
     nodes = [placement[r] for sched, placement in zip(schedules, placements) for r in range(sched.num_ranks)]
     if len(set(nodes)) == len(nodes):
         stream_stride = 0

@@ -70,6 +70,15 @@ class TestCotenantErrors:
         message = _exit_message(excinfo)
         assert "scattered" in message and "registered" in message
 
+    @pytest.mark.parametrize("placement", ["locality", "fragmented"])
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_non_positive_group_size_is_one_line(self, placement, size):
+        # --group-size 0 used to be dropped, running the topology's groups
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cotenant", "incast:4:1024", "--placement", placement,
+                  "--group-size", size, "--backend", "lgs"])
+        assert _exit_message(excinfo) == "atlahs cotenant: group_size must be positive"
+
 
 class TestFaultsErrors:
     def test_unknown_synthetic_pattern(self):

@@ -96,7 +96,7 @@ class TestBitIdentity:
         plan = build_cotenant_schedule(jobs, strategy="fragmented", group_size=4)
         with_attr = simulate(
             plan.schedule, backend=backend,
-            config=cfg.replace(job_tag_stride=plan.tag_stride),
+            config=cfg.replace(job_tag_stride=TAG_STRIDE),
         )
         without = simulate(plan.schedule, backend=backend, config=cfg)
         assert with_attr.finish_time_ns == without.finish_time_ns
@@ -184,7 +184,7 @@ class TestCotenantEngine:
         b = GoalBuilder(2, name="huge-tag")
         b.rank(0).send(8, dst=1, tag=TAG_STRIDE)
         b.rank(1).recv(8, src=0, tag=TAG_STRIDE)
-        with pytest.raises(ValueError, match="tag_stride"):
+        with pytest.raises(ValueError, match="'huge-tag' uses tag 4294967296 >= TAG_STRIDE"):
             build_cotenant_schedule([ClusterJob(b.build())])
 
     def test_rejects_empty_job_list(self):
@@ -226,8 +226,7 @@ class TestCotenantEngine:
             ClusterJob(_ring(2, 1 << 12, "real"), name="real"),
             ClusterJob(GoalSchedule(2, name="empty"), arrival_ns=1000, name="empty"),
         ]
-        res = run_cotenant(jobs, backend="lgs", config=SimulationConfig(),
-                           baseline=False, validate=False)
+        res = run_cotenant(jobs, backend="lgs", config=SimulationConfig(), baseline=False)
         empty = res.outcome("empty")
         assert empty.finish_ns == 1000
         assert empty.runtime_ns == 0
@@ -334,19 +333,7 @@ class TestInterferenceSweep:
         assert len(entries) == 3
 
 
-class TestCotenantFacadeAndCli:
-    def test_facade_wraps_plain_schedules(self):
-        from repro.core import Atlahs
-
-        res = Atlahs().run_cotenant(
-            [_ring(4, 1 << 12, "a"), _ring(4, 1 << 12, "b")],
-            strategy="packed",
-            config=_oversub_config(),
-            baseline=False,
-        )
-        assert len(res.outcomes) == 2
-        assert res.result.ops_completed == res.plan.schedule.num_ops()
-
+class TestCotenantCli:
     def test_cli_cotenant_synthetic_specs(self, capsys):
         import json
 

@@ -6,6 +6,7 @@ import pytest
 from repro.apps.ai import ParallelismConfig, llama_7b
 from repro.apps.hpc import HpcRunConfig
 from repro.cli import build_parser, main
+from repro.cluster import ClusterJob, run_cotenant
 from repro.core import Atlahs
 from repro.network import SimulationConfig
 from repro.schedgen.storage import DirectDriveConfig
@@ -44,7 +45,8 @@ class TestAtlahsFacade:
         j1 = a.run_hpc("lammps", HpcRunConfig(num_ranks=4, iterations=1, cells_per_rank=2000), simulate_schedule=False)
         j2 = a.run_hpc("icon", HpcRunConfig(num_ranks=4, iterations=1, cells_per_rank=2000), simulate_schedule=False)
         cfg = SimulationConfig(topology="fat_tree", nodes_per_tor=4)
-        out = a.run_cotenant([j1.schedule, j2.schedule], cluster_nodes=8, strategy="packed", config=cfg, baseline=False)
+        jobs = [ClusterJob(j1.schedule), ClusterJob(j2.schedule)]
+        out = run_cotenant(jobs, cluster_nodes=8, strategy="packed", config=cfg, baseline=False)
         assert out.plan.schedule.num_ranks == 8
         assert out.result.ops_completed == out.plan.schedule.num_ops()
 

@@ -9,6 +9,7 @@ from repro.goal import (
     remap_ranks,
     validate_schedule,
 )
+from repro.goal.merge import STREAM_STRIDE, TAG_STRIDE
 from repro.scheduler import simulate
 
 
@@ -113,10 +114,8 @@ class TestMultiTenant:
         merged = concatenate_schedules(
             [_pingpong("a"), _pingpong("b")],
             placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
-            stream_stride=8,
         )
-        streams = merged.ranks[0].compute_streams()
-        assert any(s >= 8 for s in streams)
+        assert merged.ranks[0].compute_streams() == [0, STREAM_STRIDE]
 
     def test_tenant_dags_stay_independent(self):
         merged = concatenate_schedules(
@@ -140,11 +139,10 @@ class TestMultiTenant:
         b = GoalBuilder(2, name="hi-stream")
         b.rank(0).send(8, dst=1, tag=1, cpu=70)
         b.rank(1).recv(8, src=0, tag=1, cpu=70)
-        with pytest.raises(ValueError, match="'hi-stream' uses compute stream 70"):
+        with pytest.raises(ValueError, match="'hi-stream' uses compute stream 70 >= STREAM_STRIDE 64"):
             concatenate_schedules(
                 [_pingpong("a"), b.build()],
                 placements=[{0: 0, 1: 1}, {0: 0, 1: 1}],
-                stream_stride=64,
             )
 
     def test_placement_must_cover_all_ranks(self):
@@ -233,11 +231,48 @@ class TestMergeDeterminism:
         assert encode_goal(one) == encode_goal(two)
 
     def test_job_order_defines_tag_windows(self):
-        stride = 1 << 20
-        merged = concatenate_schedules(self._jobs(), tag_stride=stride)
+        merged = concatenate_schedules(self._jobs())
         for job_idx, base_rank in enumerate((0, 2, 4)):
             tags = {op.tag for op in merged.ranks[base_rank].ops if op.is_comm}
-            assert all(job_idx * stride <= t < (job_idx + 1) * stride for t in tags)
+            assert tags == {job_idx * TAG_STRIDE + 1, job_idx * TAG_STRIDE + 2}
+
+    @staticmethod
+    def _late_mib(tag):
+        b = GoalBuilder(2, name="late-mib")
+        b.rank(0).send(1 << 20, dst=1, tag=tag, requires=[b.rank(0).calc(100_000)])
+        b.rank(1).recv(1 << 20, src=0, tag=tag)
+        return b.build()
+
+    @staticmethod
+    def _small():
+        b = GoalBuilder(2, name="small")
+        b.rank(0).send(64, dst=1, tag=0)
+        b.rank(1).recv(64, src=0, tag=0)
+        return b.build()
+
+    @pytest.mark.parametrize("backend", ["lgs", "htsim"])
+    def test_fused_jobs_never_match_each_others_messages(self, backend):
+        # Tag 2**20 was the small job's tag 0 moved into a 2**20-wide window:
+        # its 64 B message completed the late job's 1 MiB receive (on LGS it
+        # finished at 146 043 ns instead of 4 103 ns).
+        merged = concatenate_schedules(
+            [self._late_mib(1 << 20), self._small()], placements=[{0: 0, 1: 1}] * 2
+        )
+        fused = simulate(merged, backend=backend, op_groups=[[0, 0, 1], [0, 1]])
+        alone = [simulate(job, backend=backend) for job in (self._late_mib(1 << 20), self._small())]
+        assert fused.group_finish_times_ns == {
+            job: run.finish_time_ns for job, run in enumerate(alone)
+        }
+
+    def test_tag_past_the_job_window_is_refused(self):
+        with pytest.raises(ValueError, match="'late-mib' uses tag 4294967296 >= TAG_STRIDE"):
+            concatenate_schedules(
+                [self._late_mib(TAG_STRIDE), self._small()], placements=[{0: 0, 1: 1}] * 2
+            )
+        with pytest.raises(ValueError, match="'late-mib' uses tag 4294967296 >= TAG_STRIDE"):
+            concatenate_schedules([self._late_mib(TAG_STRIDE)])
+        # a relabel is not a job: its tags are not checked
+        assert remap_ranks(self._late_mib(TAG_STRIDE), {0: 1, 1: 0}).ranks[1].ops[1].tag == TAG_STRIDE
 
     def test_merged_simulation_is_deterministic(self):
         merged = concatenate_schedules(_delayed(self._jobs(), [0, 5, 10]))
