@@ -44,9 +44,9 @@ The generator has three parts:
 Per-request latency is recovered through the scheduler's *op-group*
 machinery: the frontend receive of a request's first output token carries
 group ``2 * request_id`` (TTFT) and the receive of its last token carries
-group ``2 * request_id + 1`` (completion), so
-``SimulationResult.group_finish_times_ns`` yields per-request TTFT and
-completion without any backend changes.  The serving metrics layer
+group ``2 * request_id + 1`` (completion), so the ``finish_ns`` of
+``SimulationResult.groups`` yields per-request TTFT and completion without
+any backend changes.  The serving metrics layer
 (:mod:`repro.measurement.serving`) turns those into SLO percentiles and
 goodput; :func:`repro.sweep.inference_sweep`, ``atlahs inference`` and
 ``Atlahs.run_inference`` wire the family end-to-end.

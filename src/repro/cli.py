@@ -346,10 +346,17 @@ def _cmd_cotenant(args: argparse.Namespace) -> int:
     )
 
     config = _config_from_args(args)
-    strategy_kwargs = {}
+    strategy_kwargs = {"seed": args.seed}
     if args.group_size is not None:
+        if args.group_size <= 0:
+            raise ValueError("group_size must be positive")
+        grouped = [s for s in PLACEMENT_STRATEGIES if filter_strategy_kwargs(s, {"group_size": 1})]
+        if not set(strategies) & set(grouped):
+            raise ValueError(
+                f"--group-size applies to {', '.join(grouped)} only; "
+                f"--placement {','.join(strategies)} takes no groups"
+            )
         strategy_kwargs["group_size"] = args.group_size
-    strategy_kwargs["seed"] = args.seed
     payload = {
         "workload": f"cotenant-{len(jobs)}job",
         "backend": args.backend,

@@ -9,7 +9,6 @@ on its own.  The job tag window ``TAG_STRIDE`` is re-exported from
 strategies and topologies lives in :func:`repro.sweep.interference_sweep`.
 """
 from repro.cluster.engine import (
-    TAG_STRIDE,
     ClusterJob,
     CoTenancyResult,
     CoTenantPlan,
@@ -17,6 +16,7 @@ from repro.cluster.engine import (
     build_cotenant_schedule,
     run_cotenant,
 )
+from repro.goal.merge import TAG_STRIDE
 
 __all__ = [
     "TAG_STRIDE",

@@ -14,10 +14,12 @@ into **one** fabric-shared simulation:
    :data:`~repro.goal.merge.TAG_STRIDE` (and, wherever a node hosts two
    jobs, onto its own compute streams) and refuses a job whose tags or
    streams would leave its window,
-4. the merged program is validated once and runs on either backend with job
-   attribution enabled: the backends attribute messages and per-link bytes
-   to ``tag // TAG_STRIDE``, and the scheduler tracks per-job completion
-   through an op→job mapping,
+4. the merged program is validated once and runs on either backend with
+   one op group per job (every op of job *i* is in group *i*): the
+   scheduler tracks each group's completion, and the backends attribute
+   every message and its per-link bytes to the group of its send op.  The
+   tag windows only keep the jobs' messages apart; they are not the
+   attribution key,
 5. results are attributed back per job: completion time, runtime
    (completion − arrival), slowdown versus an *isolated* run of the same job
    under the same placement, and the per-link contention breakdown.
@@ -32,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.goal.merge import TAG_STRIDE, concatenate_schedules, delay_schedule, remap_ranks
+from repro.goal.merge import concatenate_schedules, delay_schedule, remap_ranks
 from repro.goal.schedule import GoalSchedule
-from repro.network.backend import JobStats, SimulationResult
+from repro.network.backend import GroupStats, SimulationResult
 from repro.network.config import SimulationConfig
 from repro.placement import JobRequest, PlacementResult, filter_strategy_kwargs, place_jobs
 from repro.scheduler import simulate
@@ -55,9 +57,10 @@ class CoTenantPlan:
     placement:
         Which cluster nodes each job occupies.
     op_groups:
-        Per rank, the owning job index of every op (scheduler group ids).
+        Per rank, the owning job index of every op (scheduler group ids,
+        the attribution key of every result).
     jobs:
-        The input jobs, in job (= tag window) order.
+        The input jobs, in job (= op group = tag window) order.
     """
 
     schedule: GoalSchedule
@@ -136,7 +139,7 @@ def build_cotenant_schedule(
     Parameters
     ----------
     jobs:
-        The jobs to co-locate; job index = tag window = attribution id.
+        The jobs to co-locate; job index = op group = tag window.
     cluster_nodes:
         Cluster size; defaults to the sum of the jobs' rank counts.
     strategy:
@@ -221,8 +224,7 @@ def run_cotenant(
         ``"htsim"`` (packet-level; per-link contention includes queues, ECN
         and drops) or ``"lgs"`` (message-level).
     config:
-        Base :class:`SimulationConfig`; its ``job_tag_stride`` is set to the
-        merge's :data:`~repro.goal.merge.TAG_STRIDE`.  A non-empty
+        Base :class:`SimulationConfig`.  A non-empty
         ``config.faults`` schedule degrades the shared fabric for the
         co-tenant run and — by default — the isolated baselines too, so
         :attr:`JobOutcome.slowdown` isolates *contention on the degraded
@@ -244,9 +246,7 @@ def run_cotenant(
     ToRs, torus routers, ...), so placement locality matches the fabric
     being simulated; pass ``topology=`` or ``group_size=`` to override.
     """
-    cfg = (config if config is not None else SimulationConfig()).replace(
-        job_tag_stride=TAG_STRIDE
-    )
+    cfg = config if config is not None else SimulationConfig()
     if (
         placements is None
         and "topology" not in strategy_kwargs
@@ -286,8 +286,8 @@ def run_cotenant(
         nodes = plan.placement.nodes_of_job(job_idx)
         # a degenerate job with no ops never completes anything: treat it as
         # finishing on arrival rather than reporting a negative runtime
-        finish = result.group_finish_times_ns.get(job_idx, job.arrival_ns)
-        stats = result.job_stats.get(job_idx, JobStats(job=job_idx))
+        stats = result.groups.get(job_idx, GroupStats(job_idx, finish_ns=job.arrival_ns))
+        finish = stats.finish_ns
         isolated = (
             _isolated_runtime(
                 job, plan.placement.mappings[job_idx], plan.placement.cluster_nodes,

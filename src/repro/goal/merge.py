@@ -7,8 +7,9 @@ schedule.  This module is also the one place that says what a job owns:
 
 * **Tags**: job *i* of a merge owns the tag window
   ``[i * TAG_STRIDE, (i + 1) * TAG_STRIDE)``, so jobs can never match each
-  other's messages, and the backends attribute traffic to ``tag // TAG_STRIDE``
-  (``SimulationConfig.job_tag_stride``).  The window is wide (2^32) because
+  other's messages.  The window keeps jobs apart; it is not what attributes
+  traffic to a job (that is the op group of the message's send op, see
+  :class:`~repro.network.backend.GroupStats`).  The window is wide (2^32) because
   MPI tracers encode communicator ids in the high tag bits; a merged job with
   a send/recv tag at or past it is one ``ValueError``.
 * **Compute streams**: where a node hosts several applications, their

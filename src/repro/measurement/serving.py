@@ -18,7 +18,7 @@ produced — into the metrics an inference operator actually watches:
   past the capacity knee while raw throughput keeps climbing.
 
 The per-request timings come from the scheduler's op-group machinery
-(``SimulationResult.group_finish_times_ns``): request ``i`` owns group
+(the ``finish_ns`` of ``SimulationResult.groups``): request ``i`` owns group
 ``2i`` (first-token recv at its frontend) and ``2i + 1`` (last-token recv).
 Single-token requests emit only the first group; completion falls back to
 the first-token time.
@@ -125,17 +125,18 @@ def compute_serving_metrics(
     """
     if slo is None:
         slo = SloSpec()
-    gft = result.group_finish_times_ns
+    groups = result.groups
     outcomes: List[RequestOutcome] = []
     for req in plan.requests:
-        if req.first_token_group not in gft:
+        if req.first_token_group not in groups:
             raise ValueError(
                 f"request {req.id}: first-token group {req.first_token_group} "
-                "missing from group_finish_times_ns — was the simulation run "
+                "missing from the result's groups — was the simulation run "
                 "with op_groups=plan.op_groups?"
             )
-        first = gft[req.first_token_group]
-        completion = gft.get(req.completion_group, first)
+        first = groups[req.first_token_group].finish_ns
+        last = groups.get(req.completion_group)
+        completion = first if last is None else last.finish_ns
         ttft = first - req.arrival_ns
         if req.decode_tokens > 1:
             tpot = (completion - first) / (req.decode_tokens - 1)

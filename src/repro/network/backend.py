@@ -199,67 +199,43 @@ def _fold_counters(a, b, max_fields=frozenset(), key_fields=frozenset()):
 
 
 @dataclass
-class JobStats:
-    """Per-job traffic attribution collected during a multi-job simulation.
+class GroupStats:
+    """What one op group did in a run: when it finished and what it sent.
 
-    Populated only when :attr:`SimulationConfig.job_tag_stride` is non-zero:
-    the job id of a message is its ``tag // job_tag_stride`` (the co-tenancy
-    merge gives each job a disjoint tag window).  Attribution is purely
-    observational — it never alters simulated timing.
+    Groups come from the ``op_groups`` argument of
+    :func:`~repro.scheduler.simulate` (one id per op, ``-1`` = none; the
+    co-tenancy engine gives every op its job's index).  A message belongs
+    to the group of its send op.  Attribution is purely observational — it
+    never alters simulated timing.
 
     Attributes
     ----------
-    job:
-        Job index (tag window) this record belongs to.
+    group:
+        Group id this record belongs to.
+    finish_ns:
+        Completion time of the group's last op.
     messages_delivered / bytes_delivered:
-        Messages of this job fully delivered, and their payload bytes.
+        Messages sent by the group's ops that were fully delivered, and
+        their payload bytes.
     link_bytes:
-        Bytes of this job's traffic attributed per link name.  The packet
-        backend charges every injected DATA packet (including
-        retransmissions) to each link of its route; the message-level
-        backend attributes routed bytes in topology-aware mode and is empty
-        in flat-``L`` mode (there are no modelled links to attribute to).
+        Bytes of the group's traffic per link name.  The packet backend
+        charges every injected DATA packet (including retransmissions) to
+        each link of its route; the message-level backend attributes routed
+        bytes in topology-aware mode and is empty in flat-``L`` mode (there
+        are no modelled links to attribute to).
     """
 
-    job: int
+    group: int
+    finish_ns: int = 0
     messages_delivered: int = 0
     bytes_delivered: int = 0
     link_bytes: Dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "JobStats") -> "JobStats":
-        """Sum two partial records of the same job (one per shard)."""
-        return _fold_counters(self, other, key_fields=frozenset({"job"}))
-
-
-def assemble_job_stats(
-    job_msgs: Dict[int, List[int]],
-    job_link_bytes: Dict[int, "object"],
-    links,
-) -> Dict[int, "JobStats"]:
-    """Build the ``per_job_stats`` mapping from a backend's raw counters.
-
-    ``job_msgs`` maps job id to ``[messages, bytes]``; ``job_link_bytes``
-    maps job id to a per-link byte array indexed by link id (may be empty
-    when the backend collects no link attribution); ``links`` is the
-    topology's link list providing names.  Shared by both backends so their
-    attribution output cannot diverge.
-    """
-    out: Dict[int, JobStats] = {}
-    for job in sorted(set(job_msgs) | set(job_link_bytes)):
-        msgs, byts = job_msgs.get(job, (0, 0))
-        arr = job_link_bytes.get(job)
-        link_bytes = (
-            {}
-            if arr is None
-            else {links[i].name: int(b) for i, b in enumerate(arr) if b}
+    def merge(self, other: "GroupStats") -> "GroupStats":
+        """Fold two partial records of the same group (one per shard)."""
+        return _fold_counters(
+            self, other, max_fields=frozenset({"finish_ns"}), key_fields=frozenset({"group"})
         )
-        out[job] = JobStats(
-            job=job,
-            messages_delivered=msgs,
-            bytes_delivered=byts,
-            link_bytes=link_bytes,
-        )
-    return out
 
 
 @dataclass
@@ -285,12 +261,9 @@ class SimulationResult:
     wall_clock_s:
         Host wall-clock seconds spent simulating (for the simulator
         runtime-comparison experiments).
-    job_stats:
-        Per-job :class:`JobStats` keyed by job id (empty unless
-        :attr:`SimulationConfig.job_tag_stride` was set).
-    group_finish_times_ns:
-        Per-group completion times when the scheduler was given an op→group
-        mapping (the co-tenancy engine maps groups to jobs); empty otherwise.
+    groups:
+        Per-group :class:`GroupStats` keyed by group id (empty unless the
+        scheduler was given ``op_groups``).
     convergence_records:
         Per-fault-event :class:`~repro.network.control_plane.ConvergenceRecord`
         list; empty under ``control_plane="oracle"`` or when the backend
@@ -306,8 +279,7 @@ class SimulationResult:
     ops_completed: int = 0
     backend: str = ""
     wall_clock_s: float = 0.0
-    job_stats: Dict[int, JobStats] = field(default_factory=dict)
-    group_finish_times_ns: Dict[int, int] = field(default_factory=dict)
+    groups: Dict[int, GroupStats] = field(default_factory=dict)
     convergence_records: List = field(default_factory=list)
 
     @property
@@ -344,7 +316,7 @@ class NetworkBackend(abc.ABC):
     A backend is only its timing model.  Everything around the five-call
     API is shared and lives here: the :meth:`setup` preamble (event queue,
     host compute, message matching, stats, records, per-rank finish times,
-    job attribution), the fabric bring-up (:meth:`_bring_up_fabric`), timed
+    group attribution), the fabric bring-up (:meth:`_bring_up_fabric`), timed
     fault application (:meth:`_apply_fault`), ``calc`` ops, op completion,
     delivered-message accounting and the stats fold.  A subclass implements
     :meth:`issue_send`, :meth:`issue_recv` and :meth:`run`, and extends
@@ -382,15 +354,14 @@ class NetworkBackend(abc.ABC):
         self._faults_enabled = bool(config.faults)
         self._cp = None
         self.convergence_events: List = []
-        # multi-job attribution (observational only; see SimulationConfig):
-        # job id -> [messages_delivered, bytes_delivered], and job id ->
-        # per-link bytes array (None when attribution is off, so per-packet
-        # hot paths pay a single predicate)
-        self._job_stride = config.job_tag_stride
-        self._job_msgs: Dict[int, List[int]] = {}
-        self._job_link_bytes: Optional[Dict[int, "np.ndarray"]] = (
-            {} if self._job_stride else None
-        )
+        # group attribution (observational only; see GroupStats): the group
+        # of every global op id, handed over by the scheduler after setup
+        # (None when attribution is off, so per-message and per-packet hot
+        # paths pay a single predicate); group id -> [messages_delivered,
+        # bytes_delivered], and group id -> per-link bytes array
+        self.op_group: Optional[Sequence[int]] = None
+        self._group_msgs: Dict[int, List[int]] = {}
+        self._group_link_bytes: Dict[int, "np.ndarray"] = {}
         self._on_complete: Optional[CompletionCallback] = None
         self._configured = True
 
@@ -527,18 +498,38 @@ class NetworkBackend(abc.ABC):
             on_complete(time, rank, op_id)
 
     def _message_delivered(
-        self, src: int, dst: int, size: int, tag: int, post_time: int, time: int
+        self, src: int, dst: int, size: int, tag: int, post_time: int, time: int, op_id: int
     ) -> None:
-        """Account one fully delivered message: stats, job attribution, record."""
+        """Account one fully delivered message (sent by op ``op_id``): stats,
+        group attribution, record."""
         stats = self.stats
         stats.messages_delivered += 1
         stats.bytes_delivered += size
-        if self._job_stride:
-            per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
-            per_job[0] += 1
-            per_job[1] += size
+        if self.op_group is not None:
+            self._count_group_message(op_id, size)
         if self._record is not None:
             self._record((src, dst, size, tag, post_time, time))
+
+    def _count_group_message(self, op_id: int, size: int) -> None:
+        """Attribute one delivered message of ``size`` bytes to its send op's group."""
+        group = self.op_group[op_id]
+        if group >= 0:
+            per_group = self._group_msgs.setdefault(group, [0, 0])
+            per_group[0] += 1
+            per_group[1] += size
+
+    def _charge_group_links(self, op_id: int, route: Sequence[int], size: int) -> None:
+        """Attribute ``size`` bytes on every link of ``route`` to op ``op_id``'s group."""
+        group = self.op_group[op_id]
+        if group < 0:
+            return
+        arr = self._group_link_bytes.get(group)
+        if arr is None:
+            arr = self._group_link_bytes[group] = np.zeros(
+                len(self.topology.links), dtype=np.int64
+            )
+        for link in route:
+            arr[link] += size
 
     # ----------------------------------------------------------------- results
     def now(self) -> int:
@@ -579,17 +570,27 @@ class NetworkBackend(abc.ABC):
         self._require_setup()
         return self.records
 
-    def per_job_stats(self) -> Dict[int, JobStats]:
-        """Per-job attribution keyed by job id.
+    def group_stats(self, finish: Dict[int, int]) -> Dict[int, GroupStats]:
+        """Per-group records keyed by group id, in id order.
 
-        Empty unless the backend was configured with a non-zero
-        ``job_tag_stride`` (see :class:`JobStats`).
+        ``finish`` holds the scheduler's per-group completion times; the
+        traffic counters are this backend's.  Empty without op groups.
         """
         self._require_setup()
-        if not self._job_stride:
-            return {}
-        links = self.topology.links if self.topology is not None else []
-        return assemble_job_stats(self._job_msgs, self._job_link_bytes, links)
+        msgs, link_bytes = self._group_msgs, self._group_link_bytes
+        names = [link.name for link in self.topology.links] if link_bytes else []
+        out: Dict[int, GroupStats] = {}
+        for group in sorted(set(finish) | set(msgs) | set(link_bytes)):
+            messages, byts = msgs.get(group, (0, 0))
+            arr = link_bytes.get(group)
+            out[group] = GroupStats(
+                group,
+                finish.get(group, 0),
+                messages,
+                byts,
+                {} if arr is None else {names[i]: int(b) for i, b in enumerate(arr) if b},
+            )
+        return out
 
     def unmatched_state(self) -> Dict[str, int]:
         """Diagnostics for unmatched communication (should be all zero)."""

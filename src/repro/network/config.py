@@ -248,16 +248,6 @@ class SimulationConfig:
     cp_propagation_ns: int = 500
     cp_processing_ns: int = 100
 
-    # multi-job attribution: when > 0, every message's job id is derived as
-    # ``tag // job_tag_stride`` and both backends collect per-job
-    # delivery counts plus per-link byte attribution.  0 disables collection
-    # entirely (no hot-path cost).  Attribution is observational only: it
-    # never changes simulated timing, drops, marks or message order.
-    # ``repro.cluster.run_cotenant`` sets it to ``repro.goal.merge.TAG_STRIDE``,
-    # the tag window the merge gives each job; any other stride groups the
-    # tags of one schedule into windows of that width.
-    job_tag_stride: int = 0
-
     # misc
     seed: int = 0
     collect_message_records: bool = True
@@ -344,8 +334,6 @@ class SimulationConfig:
             raise ValueError(f"ack_size must be positive, got {self.ack_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.job_tag_stride < 0:
-            raise ValueError("job_tag_stride must be non-negative (0 disables attribution)")
         if self.shards < 1:
             raise ValueError("shards must be >= 1 (1 = single-process engine)")
         from repro.network.control_plane import CONTROL_PLANES

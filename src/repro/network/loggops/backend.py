@@ -298,7 +298,7 @@ class LogGOPSBackend(NetworkBackend):
             inj_start = cpu_end
         send_free[rank] = inj_start + p.g + wire_bytes_ns
         if self._routed:
-            recv_start = inj_start + self._wire_latency(rank, dst, size, tag)
+            recv_start = inj_start + self._wire_latency(rank, dst, size, op_id)
         else:
             recv_start = inj_start + p.L
         recv_free = self._recv_nic_free
@@ -310,28 +310,25 @@ class LogGOPSBackend(NetworkBackend):
         heap = events._heap
         seq = events._seq
         heappush(heap, (cpu_end, 0, seq, self._complete_op, (rank, op_id)))
-        heappush(heap, (arrival, 0, seq + 1, self._on_arrival, (rank, dst, size, tag, cpu_start)))
+        heappush(
+            heap, (arrival, 0, seq + 1, self._on_arrival, (rank, dst, size, tag, cpu_start, op_id))
+        )
         events._seq = seq + 2
 
-    def _wire_latency(self, src: int, dst: int, size: int, tag: int) -> int:
-        """The routed path's propagation delay for one message (topology-aware
-        latency only; the flat ``L`` needs no call)."""
+    def _wire_latency(self, src: int, dst: int, size: int, op_id: int) -> int:
+        """The routed path's propagation delay for one message sent by op
+        ``op_id`` (topology-aware latency only; the flat ``L`` needs no call)."""
         loads = self._link_bytes
         route = self.routing.select_route(src, dst, size, loads)
         for link in route:
             loads[link] += size
-        if self._job_stride:
-            jlb = self._job_link_bytes
-            job = tag // self._job_stride
-            arr = jlb.get(job)
-            if arr is None:
-                arr = jlb[job] = np.zeros(len(self.topology.links), dtype=np.int64)
-            for link in route:
-                arr[link] += size
+        if self.op_group is not None:
+            self._charge_group_links(op_id, route, size)
         return sum(map(self._link_ns.__getitem__, route))
 
-    def _transfer(self, src: int, dst: int, size: int, sender_ready: int, tag: int) -> int:
-        """Charge NIC resources for one rendezvous message; return its arrival time.
+    def _transfer(self, src: int, dst: int, size: int, sender_ready: int, op_id: int) -> int:
+        """Charge NIC resources for one rendezvous message (sent by op
+        ``op_id``); return its arrival time.
 
         Under an active fault schedule the per-byte serialisation is
         inflated by the degraded-capacity factor (``G / gamma``); with the
@@ -346,23 +343,21 @@ class LogGOPSBackend(NetworkBackend):
             wire_bytes_ns = int(round(size * p.G))
         inj_start = max(sender_ready, self._send_nic_free[src])
         self._send_nic_free[src] = inj_start + p.g + wire_bytes_ns
-        latency = self._wire_latency(src, dst, size, tag) if self._routed else p.L
+        latency = self._wire_latency(src, dst, size, op_id) if self._routed else p.L
         recv_start = max(inj_start + latency, self._recv_nic_free[dst])
         arrival = recv_start + wire_bytes_ns
         self._recv_nic_free[dst] = arrival + p.g
         return arrival
 
-    def _on_arrival(self, time: int, payload: Tuple[int, int, int, int, int]) -> None:
+    def _on_arrival(self, time: int, payload: Tuple[int, int, int, int, int, int]) -> None:
         """An eager message fully arrived; record it and run matching."""
-        src, dst, size, tag, post_time = payload
+        src, dst, size, tag, post_time, op_id = payload
         # inlined NetworkBackend._message_delivered
         stats = self.stats
         stats.messages_delivered += 1
         stats.bytes_delivered += size
-        if self._job_stride:
-            per_job = self._job_msgs.setdefault(tag // self._job_stride, [0, 0])
-            per_job[0] += 1
-            per_job[1] += size
+        if self.op_group is not None:
+            self._count_group_message(op_id, size)
         if self._record is not None:
             self._record((src, dst, size, tag, post_time, time))
         # inlined MessageMatcher.post_arrival
@@ -440,8 +435,8 @@ class LogGOPSBackend(NetworkBackend):
         else:
             handshake_latency = self.params.L
         handshake_done = max(sender_ready, recv[2] + handshake_latency)
-        arrival = self._transfer(src, dst, size, handshake_done, tag)
-        self._message_delivered(src, dst, size, tag, sender_post_time, arrival)
+        arrival = self._transfer(src, dst, size, handshake_done, send_op_id)
+        self._message_delivered(src, dst, size, tag, sender_post_time, arrival, send_op_id)
         # The send op completes when the transfer completes (sender blocks).
         self.events.schedule(arrival, self._complete_op, (src, send_op_id))
         self._complete_recv(recv, arrival)

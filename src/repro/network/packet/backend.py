@@ -229,8 +229,6 @@ class PacketBackend(NetworkBackend):
         )
         flow.route_q0 = self.queues[route[0]]
         flow.ack_q0 = self.queues[ack_route[0]]
-        if self._job_stride:
-            flow.job = tag // self._job_stride
         if self._faults_enabled:
             self.live_flows[flow.flow_id] = flow
         self._n_flows += 1
@@ -304,13 +302,8 @@ class PacketBackend(NetworkBackend):
         self._n_sent += 1
         if retransmission:
             self.stats.retransmissions += 1
-        jlb = self._job_link_bytes
-        if jlb is not None:
-            arr = jlb.get(flow.job)
-            if arr is None:
-                arr = jlb[flow.job] = np.zeros(len(self.queues), dtype=np.int64)
-            for link in route:
-                arr[link] += size
+        if self.op_group is not None:
+            self._charge_group_links(flow.op_id, route, size)
         if not flow.route_q0.enqueue(pkt, now):
             self._handle_data_drop(pkt, now)
             free.append(pkt)
@@ -506,7 +499,7 @@ class PacketBackend(NetworkBackend):
         if self._faults_enabled and not self._fault_flow_live(flow):
             self.live_flows.pop(flow.flow_id, None)
         self._message_delivered(
-            flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now
+            flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now, flow.op_id
         )
         matched = self.matcher.post_arrival(flow.src, flow.dst, flow.tag, now)
         if matched is not None:

@@ -45,7 +45,6 @@ class Flow:
         "message_delivered",
         "trimmable",
         "header_size",
-        "job",
         "key",
     )
 
@@ -104,9 +103,6 @@ class Flow:
         self.trimmable = cc.receiver_driven
         self.header_size = getattr(cc, "header_size", 64)
 
-        # multi-job attribution: tag window this flow belongs to (set by the
-        # backend when job_tag_stride is configured; 0 otherwise)
-        self.job = 0
         # sharded engine only: the globally unique (src, dst, pair
         # occurrence) identity boundary packets resolve their flow by
         self.key = None

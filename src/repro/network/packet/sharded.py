@@ -97,7 +97,7 @@ import numpy as np
 
 from repro import workers
 from repro.goal.schedule import GoalSchedule
-from repro.network.backend import JobStats, MessageRecords, NetworkStats, SimulationResult
+from repro.network.backend import GroupStats, MessageRecords, NetworkStats, SimulationResult
 from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.packet.backend import PacketBackend
@@ -349,7 +349,6 @@ class ShardPacketBackend(PacketBackend):
             flow.mtu,
             flow.route,
             flow.ack_route,
-            flow.job,
             # shipped, not recomputed: a replica never looks up anything
             # for a foreign pair (route-cache counter parity)
             flow.cc.base_rtt_ns,
@@ -363,7 +362,7 @@ class ShardPacketBackend(PacketBackend):
             raise RuntimeError(
                 f"boundary packet for unknown flow {key} arrived without its spec"
             )
-        size, tag, op_id, stream, post_time, mtu, route, ack_route, job, rtt = spec
+        size, tag, op_id, stream, post_time, mtu, route, ack_route, rtt = spec
         cfg = self.config
         cc = create_congestion_control(
             cfg.cc_algorithm,
@@ -388,7 +387,6 @@ class ShardPacketBackend(PacketBackend):
         )
         flow.route_q0 = self.queues[route[0]]
         flow.ack_q0 = self.queues[ack_route[0]]
-        flow.job = job
         flow.key = key
         self._flow_by_key[key] = flow
         return flow
@@ -754,8 +752,7 @@ def _merge_results(
     for r in results[1:]:
         stats = stats.merge(r.stats)
     rank_finish = [0] * schedule.num_ranks
-    groups: Dict[int, int] = {}
-    jobs: Dict[int, JobStats] = {}
+    groups: Dict[int, GroupStats] = {}
     finish = 0
     ops = 0
     for r in results:
@@ -765,12 +762,9 @@ def _merge_results(
         for i, t in enumerate(r.rank_finish_times_ns):
             if t > rank_finish[i]:
                 rank_finish[i] = t
-        for g, t in r.group_finish_times_ns.items():
-            if t > groups.get(g, -1):
-                groups[g] = t
-        for job, js in r.job_stats.items():
-            agg = jobs.get(job)
-            jobs[job] = js if agg is None else agg.merge(js)
+        for group, gs in r.groups.items():
+            agg = groups.get(group)
+            groups[group] = gs if agg is None else agg.merge(gs)
     # a stable sort on (completion_time, src, dst, tag): lexsort's last key is the primary one
     records = np.concatenate([r.message_records.columns() for r in results])
     order = np.lexsort((records[:, 3], records[:, 1], records[:, 0], records[:, 5]))
@@ -782,7 +776,6 @@ def _merge_results(
         ops_completed=ops,
         backend="htsim",
         wall_clock_s=wall,
-        job_stats=jobs,
-        group_finish_times_ns=groups,
+        groups=dict(sorted(groups.items())),
         convergence_records=list(results[0].convergence_records),
     )

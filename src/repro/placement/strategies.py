@@ -24,6 +24,7 @@ same class): a strategy reads only its ``num_nodes`` and ``label``, and
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -281,17 +282,35 @@ PLACEMENT_STRATEGIES: Dict[str, Callable[..., PlacementResult]] = {
 }
 
 
+def _strategy(name: str) -> Tuple[Callable[..., PlacementResult], List[str]]:
+    """The named strategy and the keyword arguments it takes."""
+    try:
+        fn = PLACEMENT_STRATEGIES[name]
+    except KeyError:
+        raise ValueError(f"unknown placement strategy {name!r}") from None
+    # every strategy takes (jobs, cluster_nodes, ...) first
+    return fn, list(inspect.signature(fn).parameters)[2:]
+
+
 def place_jobs(
     jobs: Sequence[JobRequest],
     cluster_nodes: int,
     strategy: str = "packed",
     **kwargs,
 ) -> PlacementResult:
-    """Place ``jobs`` using the named strategy (see :data:`PLACEMENT_STRATEGIES`)."""
-    try:
-        fn = PLACEMENT_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown placement strategy {strategy!r}") from None
+    """Place ``jobs`` using the named strategy (see :data:`PLACEMENT_STRATEGIES`).
+
+    A keyword the strategy does not take is one ``TypeError`` that names the
+    strategy, the rejected argument and the accepted ones.
+    """
+    fn, accepted = _strategy(strategy)
+    rejected = [k for k in kwargs if k not in accepted]
+    if rejected:
+        raise TypeError(
+            f"placement strategy {strategy!r} takes no argument "
+            f"{', '.join(map(repr, rejected))}; it accepts "
+            f"{', '.join(map(repr, accepted)) or 'none'}"
+        )
     return fn(jobs, cluster_nodes, **kwargs)
 
 
@@ -302,11 +321,5 @@ def filter_strategy_kwargs(strategy: str, kwargs: Dict[str, object]) -> Dict[str
     (``seed`` for the random ones, ``group_size``/``topology`` for the
     group-aware ones); this gives each strategy its slice.
     """
-    import inspect
-
-    try:
-        fn = PLACEMENT_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown placement strategy {strategy!r}") from None
-    accepted = inspect.signature(fn).parameters
+    _, accepted = _strategy(strategy)
     return {k: v for k, v in kwargs.items() if k in accepted}

@@ -83,10 +83,13 @@ class GoalScheduler:
     op_groups:
         Optional vertex→group mapping, one list of group ids per rank (same
         shape as the rank's op list; ``-1`` = ungrouped).  When given, the
-        result carries the completion time of each group — the co-tenancy
-        engine uses groups to attribute per-job completion even when several
-        jobs share a rank.  Completion tracking adds one dict update per
-        finished op, so the hot path is untouched when the mapping is absent.
+        result carries one :class:`~repro.network.backend.GroupStats` per
+        group: its completion time, and the messages, bytes and per-link
+        bytes its send ops put on the fabric — the co-tenancy engine uses
+        groups to attribute per-job results even when several jobs share a
+        rank.  Attribution adds one dict update per finished op and per
+        delivered message, so the hot path is untouched when the mapping is
+        absent.
     ranks:
         Restrict issuing (and the completion ledger) to this subset of
         ranks.  Used by the sharded packet engine, where each shard's
@@ -148,6 +151,8 @@ class GoalScheduler:
         self._sharded_events: Optional[int] = None
 
         self._op_groups = op_groups
+        # the group of every global op id, the one table the backend reads
+        self._op_group: Optional[List[int]] = None
         self._group_finish: Dict[int, int] = {}
         if op_groups is not None:
             if len(op_groups) != schedule.num_ranks or any(
@@ -157,6 +162,7 @@ class GoalScheduler:
                 raise ValueError(
                     "op_groups must provide one group id per op of every rank"
                 )
+            self._op_group = [group for groups in op_groups for group in groups]
 
     # ------------------------------------------------------------------ public
     def run(self) -> SimulationResult:
@@ -188,6 +194,7 @@ class GoalScheduler:
         lookahead windows between barriers).
         """
         self.backend.setup(self.schedule.num_ranks, self.config)
+        self.backend.op_group = self._op_group
         ranks = self.schedule.ranks
         for r in self._ranks:
             rank = ranks[r]
@@ -197,7 +204,7 @@ class GoalScheduler:
     def completion_callback(self):
         """The ``eventOver`` callback the backend must call per finished op."""
         return (
-            self._on_complete if self._op_groups is None else self._on_complete_grouped
+            self._on_complete if self._op_group is None else self._on_complete_grouped
         )
 
     def finish(self, wall_elapsed: float = 0.0) -> SimulationResult:
@@ -213,8 +220,7 @@ class GoalScheduler:
             ops_completed=self._completed,
             backend=self.backend.name,
             wall_clock_s=wall_elapsed,
-            job_stats=self.backend.per_job_stats(),
-            group_finish_times_ns=dict(self._group_finish),
+            groups=self.backend.group_stats(self._group_finish),
             convergence_records=list(self.backend.convergence_events),
         )
 
@@ -283,7 +289,7 @@ class GoalScheduler:
 
     def _on_complete_grouped(self, time: int, rank: int, op_id: int) -> None:
         """``eventOver`` variant that additionally tracks per-group finish times."""
-        group = self._op_groups[rank][op_id - self._offsets[rank]]
+        group = self._op_group[op_id]
         if group >= 0 and time > self._group_finish.get(group, -1):
             self._group_finish[group] = time
         self._on_complete(time, rank, op_id)

@@ -51,7 +51,7 @@ from loggops_oracle import FiveEventLogGOPSBackend
 from packet_oracle import PerTransmissionBackend
 from repro.apps.ai import LlmTrainer, ParallelismConfig, llama_7b
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
-from repro.cluster import TAG_STRIDE, ClusterJob, build_cotenant_schedule
+from repro.cluster import ClusterJob, build_cotenant_schedule
 from repro.collectives import build_collective_schedule
 from repro.goal import (
     GoalBuilder,
@@ -116,8 +116,7 @@ def everything(result: SimulationResult, events: Optional[int] = None) -> dict:
         "rank_finish": tuple(result.rank_finish_times_ns),
         "ops": result.ops_completed,
         "records": tuple(result.message_records),
-        "job_stats": {job: vars(s) for job, s in result.job_stats.items()},
-        "group_finish": dict(result.group_finish_times_ns),
+        "groups": {group: vars(s) for group, s in result.groups.items()},
         "convergence": tuple(result.convergence_records),
         "events": events,
         **stats,
@@ -284,13 +283,13 @@ def delivery_spy():
     delivered = NetworkBackend._message_delivered
     arrived = LogGOPSBackend._on_arrival
 
-    def message_delivered(self, src, dst, size, tag, post_time, time):
+    def message_delivered(self, src, dst, size, tag, post_time, time, op_id):
         record = MessageRecord(src, dst, size, tag, post_time, time)
         spied.setdefault(getattr(self, "shard_id", 0), []).append(record)
-        delivered(self, src, dst, size, tag, post_time, time)
+        delivered(self, src, dst, size, tag, post_time, time, op_id)
 
     def on_arrival(self, time, payload):
-        spied.setdefault(0, []).append(MessageRecord(*payload, time))
+        spied.setdefault(0, []).append(MessageRecord(*payload[:5], time))
         arrived(self, time, payload)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -692,21 +691,34 @@ for _cp in ("dv", "ls"):
             lambda out, cp=_cp: bool(out["convergence"]) and _healthy_records_differ(_hpcg_routed_fault(cp))(out),
         ),
     )
+def _tag_grouped(app, width, config):
+    """An HPC trace with one op group per ``width`` tags, read from each
+    rank's tag column."""
+    schedule = _hpc(app)
+    return Sim(schedule, config, [[tag // width for tag in rank.tag] for rank in schedule.ranks])
+
+
+def _senders(out):
+    """The groups that sent a delivered message."""
+    return [g for g, s in out["groups"].items() if s["messages_delivered"]]
+
+
 register(
     "loggops/icon-job-tags-records-off",
-    lambda: Sim(
-        _hpc("icon"),
+    lambda: _tag_grouped(
+        "icon",
+        1000,
         SimulationConfig(
-            topology="torus", torus_dims=(4, 4), torus_hosts_per_node=2, job_tag_stride=1000,
+            topology="torus", torus_dims=(4, 4), torus_hosts_per_node=2,
             collect_message_records=False, loggops=_RENDEZVOUS, seed=7,
         ),
     ),
-    Row(LOGGOPS, lambda out: out["records"] == () and bool(out["job_stats"])),
+    Row(LOGGOPS, lambda out: out["records"] == () and bool(_senders(out))),
 )
 register(
     "loggops/hpcg-job-tags",
-    lambda: Sim(_hpc("hpcg"), SimulationConfig(job_tag_stride=4, loggops=_EAGER, seed=7)),
-    Row(LOGGOPS, lambda out: len(out["job_stats"]) > 1),
+    lambda: _tag_grouped("hpcg", 4, SimulationConfig(loggops=_EAGER, seed=7)),
+    Row(LOGGOPS, lambda out: len(_senders(out)) > 1),
 )
 
 
@@ -854,15 +866,13 @@ for _name, _extra, _slow in (
 def _cotenant():
     jobs = [ClusterJob(all_to_all(4, 1 << 12, name="job-a")), ClusterJob(all_to_all(4, 1 << 12, name="job-b"))]
     plan = build_cotenant_schedule(jobs, strategy="packed")
-    config = SimulationConfig(
-        topology="fat_tree", routing="minimal", cc_algorithm="mprdma", job_tag_stride=TAG_STRIDE
-    )
-    return Sim(plan.schedule, config)
+    config = SimulationConfig(topology="fat_tree", routing="minimal", cc_algorithm="mprdma")
+    return Sim(plan.schedule, config, plan.op_groups)
 
 
 # 4 shards over two 4-rank jobs: each job spans two shards, so the merge must
-# *sum* per-shard JobStats, not just relabel them
-register("sharded/cotenant-job-stats", _cotenant, Row(shards(4, 1), lambda out: bool(out["job_stats"])))
+# *fold* per-shard GroupStats, not just relabel them
+register("sharded/cotenant-job-stats", _cotenant, Row(shards(4, 1), lambda out: bool(_senders(out))))
 register(
     "sharded/allreduce16-op-groups",
     lambda: Sim(
@@ -870,7 +880,7 @@ register(
         SimulationConfig(topology="fat_tree", routing="minimal", cc_algorithm="mprdma"),
         [[rank % 2] * len(ops) for rank, ops in enumerate(allreduce().ranks)],
     ),
-    Row(shards(2, 1), lambda out: set(out["group_finish"]) == {0, 1}),
+    Row(shards(2, 1), lambda out: set(out["groups"]) == {0, 1}),
 )
 
 # fault grids: identical across every shard count >= 2, payload conserved

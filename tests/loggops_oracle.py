@@ -99,9 +99,9 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
 
         if size <= p.S or p.S == 0:
             # Eager protocol: transfer proceeds regardless of the receive.
-            arrival = self._transfer(rank, dst, size, cpu_end, tag)
+            arrival = self._transfer(rank, dst, size, cpu_end, op_id)
             self.events.schedule(cpu_end, self._complete_op, (rank, op_id))
-            self.events.schedule(arrival, self._on_arrival, (rank, dst, size, tag, cpu_start))
+            self.events.schedule(arrival, self._on_arrival, (rank, dst, size, tag, cpu_start, op_id))
         else:
             # Rendezvous: wait for the matching receive before transferring.
             channel = (rank, dst, tag)
@@ -118,24 +118,23 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
                     _PendingRendezvous(op_id, rank, dst, tag, stream, size, cpu_end, cpu_start)
                 )
 
-    def _wire_latency(self, src, dst, size, tag=0):
+    def _wire_latency(self, src, dst, size, op_id):
         if not self._routed:
             return self.params.L
         loads = self._link_bytes
         route = self.routing.select_route(src, dst, size, loads)
         for link in route:
             loads[link] += size
-        if self._job_stride:
-            jlb = self._job_link_bytes
-            job = tag // self._job_stride
-            arr = jlb.get(job)
+        group = -1 if self.op_group is None else self.op_group[op_id]
+        if group >= 0:
+            arr = self._group_link_bytes.get(group)
             if arr is None:
-                arr = jlb[job] = np.zeros(len(self.topology.links), dtype=np.int64)
+                arr = self._group_link_bytes[group] = np.zeros(len(self.topology.links), dtype=np.int64)
             for link in route:
                 arr[link] += size
         return sum(map(self._link_ns.__getitem__, route))
 
-    def _transfer(self, src, dst, size, sender_ready, tag=0):
+    def _transfer(self, src, dst, size, sender_ready, op_id):
         p = self.params
         if self._gamma != 1.0:
             wire_bytes_ns = int(round(size * p.G / self._gamma))
@@ -143,14 +142,14 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
             wire_bytes_ns = int(round(size * p.G))
         inj_start = max(sender_ready, self._send_nic_free[src])
         self._send_nic_free[src] = inj_start + p.g + wire_bytes_ns
-        recv_start = max(inj_start + self._wire_latency(src, dst, size, tag), self._recv_nic_free[dst])
+        recv_start = max(inj_start + self._wire_latency(src, dst, size, op_id), self._recv_nic_free[dst])
         arrival = recv_start + wire_bytes_ns
         self._recv_nic_free[dst] = arrival + p.g
         return arrival
 
     def _on_arrival(self, time, payload):
-        src, dst, size, tag, post_time = payload
-        self._message_delivered(src, dst, size, tag, post_time, time)
+        src, dst, size, tag, post_time, op_id = payload
+        self._message_delivered(src, dst, size, tag, post_time, time, op_id)
         matched = self.matcher.post_arrival(src, dst, tag, _Arrival(time, size))
         if matched is not None:
             self._complete_recv(matched, time)
@@ -189,8 +188,8 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
         else:
             handshake_latency = self.params.L
         handshake_done = max(sender_ready, recv.post_time + handshake_latency)
-        arrival = self._transfer(src, dst, size, handshake_done, tag)
-        self._message_delivered(src, dst, size, tag, sender_post_time, arrival)
+        arrival = self._transfer(src, dst, size, handshake_done, send_op_id)
+        self._message_delivered(src, dst, size, tag, sender_post_time, arrival, send_op_id)
         # The send op completes when the transfer completes (sender blocks).
         self.events.schedule(arrival, self._complete_op, (src, send_op_id))
         self._complete_recv(recv, arrival)

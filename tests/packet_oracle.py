@@ -297,13 +297,14 @@ class PerTransmissionBackend(PacketBackend):
         self._n_sent += 1
         if retransmission:
             self.stats.retransmissions += 1
-        jlb = self._job_link_bytes
-        if jlb is not None:
-            arr = jlb.get(flow.job)
-            if arr is None:
-                arr = jlb[flow.job] = np.zeros(len(self.queues), dtype=np.int64)
-            for link in flow.route:
-                arr[link] += size
+        if self.op_group is not None:
+            group = self.op_group[flow.op_id]
+            if group >= 0:
+                arr = self._group_link_bytes.get(group)
+                if arr is None:
+                    arr = self._group_link_bytes[group] = np.zeros(len(self.queues), dtype=np.int64)
+                for link in flow.route:
+                    arr[link] += size
         if not self.queues[flow.route[0]].enqueue(packet, now):
             self._handle_data_drop(packet, now)
         if not flow.send_op_completed and not _has_unsent_data(flow) and not _has_retransmissions(flow):
@@ -330,7 +331,7 @@ class PerTransmissionBackend(PacketBackend):
             flow.message_delivered = True
             if self._faults_enabled and not self._fault_flow_live(flow):
                 self.live_flows.pop(flow.flow_id, None)
-            self._message_delivered(flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now)
+            self._message_delivered(flow.src, flow.dst, flow.size, flow.tag, flow.post_time, now, flow.op_id)
             matched = self.matcher.post_arrival(flow.src, flow.dst, flow.tag, now)
             if matched is not None:
                 self._complete_recv(matched, now)

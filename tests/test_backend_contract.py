@@ -3,7 +3,7 @@
 A backend is only its timing model.  The toy backend below models nothing
 but a fixed per-message latency, yet — built solely on the shared base — it
 replays collectives through the scheduler, reports per-rank finish times,
-message records and per-job stats, honours static and timed faults on its
+message records and per-group stats, honours static and timed faults on its
 fabric (including a convergent control plane) and folds route-cache
 counters.  The remaining tests pin the pieces of the contract that used to
 be written once per backend: the control-plane construction condition and
@@ -17,7 +17,7 @@ import pytest
 from repro.goal import GoalBuilder
 from repro.network import FaultEvent, FaultSchedule, SimulationConfig
 from repro.network.backend import (
-    JobStats,
+    GroupStats,
     NetworkBackend,
     NetworkStats,
     SimulationResult,
@@ -42,16 +42,16 @@ class FixedLatencyBackend(NetworkBackend):
     def issue_send(self, rank, dst, size, tag, stream, op_id, ready_time):
         self.events.schedule(ready_time, self._complete_op, (rank, op_id))
         self.events.schedule(
-            ready_time + LATENCY, self._arrive, (rank, dst, size, tag, ready_time)
+            ready_time + LATENCY, self._arrive, (rank, dst, size, tag, ready_time, op_id)
         )
 
     def issue_recv(self, rank, src, size, tag, stream, op_id, ready_time):
         self.events.schedule(ready_time, self._post_recv, (src, rank, tag, op_id))
 
     def _arrive(self, time, payload):
-        src, dst, size, tag, post_time = payload
+        src, dst, size, tag, post_time, op_id = payload
         self.routing.select_route(src, dst, size)  # timing ignores it; caches count it
-        self._message_delivered(src, dst, size, tag, post_time, time)
+        self._message_delivered(src, dst, size, tag, post_time, time, op_id)
         recv_op = self.matcher.post_arrival(src, dst, tag, time)
         if recv_op is not None:
             self._complete_op(time, (dst, recv_op))
@@ -92,23 +92,37 @@ class TestToyBackend:
         with pytest.raises(ValueError, match="num_ranks"):
             backend.setup(0, _config())
 
-    def test_per_job_stats_under_job_tag_stride(self):
-        stride = 1 << 20
-        b = GoalBuilder(4, name="two-jobs")
-        b.rank(0).send(100, dst=1, tag=7)
-        b.rank(1).recv(100, src=0, tag=7)
-        for _ in range(2):
-            b.rank(2).send(30, dst=3, tag=stride + 7)
-            b.rank(3).recv(30, src=2, tag=stride + 7)
+    def test_attribution_follows_op_groups_not_tags(self):
+        # one tag window split by rank parity: a message belongs to the
+        # group of its send op, whatever its tag or its receive's group
+        b = GoalBuilder(4, name="one-window")
+        for r, size in enumerate((100, 30, 7, 1)):
+            b.rank(r).send(size, dst=(r + 1) % 4, tag=7)
+            b.rank((r + 1) % 4).recv(size, src=r, tag=7)
+        schedule = b.build()
+        groups = [[r % 2] * len(ops) for r, ops in enumerate(schedule.ranks)]
         result = simulate(
-            b.build(), backend=FixedLatencyBackend(), config=_config(job_tag_stride=stride)
+            schedule, backend=FixedLatencyBackend(), config=_config(), op_groups=groups
         )
-        assert result.job_stats == {
-            0: JobStats(job=0, messages_delivered=1, bytes_delivered=100),
-            1: JobStats(job=1, messages_delivered=2, bytes_delivered=60),
+        assert result.groups == {
+            0: GroupStats(0, finish_ns=LATENCY, messages_delivered=2, bytes_delivered=107),
+            1: GroupStats(1, finish_ns=LATENCY, messages_delivered=2, bytes_delivered=31),
         }
-        # attribution is off (and costs nothing) without a stride
-        assert simulate(b.build(), backend=FixedLatencyBackend(), config=_config()).job_stats == {}
+        stats = result.stats
+        assert sum(g.messages_delivered for g in result.groups.values()) == stats.messages_delivered
+        assert sum(g.bytes_delivered for g in result.groups.values()) == stats.bytes_delivered
+        # rank 3's send in group -1 is counted nowhere; its receive still
+        # finishes group 1
+        groups[3] = [1, -1]
+        result = simulate(
+            schedule, backend=FixedLatencyBackend(), config=_config(), op_groups=groups
+        )
+        assert [(g.messages_delivered, g.bytes_delivered) for g in result.groups.values()] == [
+            (2, 107), (1, 30)
+        ]
+        assert result.groups[1].finish_ns == LATENCY
+        # attribution is off (and costs nothing) without groups
+        assert simulate(schedule, backend=FixedLatencyBackend(), config=_config()).groups == {}
 
     def test_honours_static_and_timed_faults_on_its_topology(self):
         faults = FaultSchedule(
@@ -216,43 +230,43 @@ class TestStatsFolds:
         # pure: the operands are untouched
         assert a == self._filled(3) and b == self._filled(1000)
 
-    def test_job_stats_merge_covers_every_field(self):
-        a = JobStats(job=2, messages_delivered=3, bytes_delivered=50, link_bytes={"x": 5, "y": 7})
-        b = JobStats(job=2, messages_delivered=40, bytes_delivered=600, link_bytes={"y": 1, "z": 9})
-        assert a.merge(b) == JobStats(
-            job=2, messages_delivered=43, bytes_delivered=650, link_bytes={"x": 5, "y": 8, "z": 9}
+    def test_group_stats_merge_covers_every_field(self):
+        a = GroupStats(2, finish_ns=90, messages_delivered=3, bytes_delivered=50, link_bytes={"x": 5, "y": 7})
+        b = GroupStats(2, finish_ns=70, messages_delivered=40, bytes_delivered=600, link_bytes={"y": 1, "z": 9})
+        assert a.merge(b) == GroupStats(
+            2, finish_ns=90, messages_delivered=43, bytes_delivered=650, link_bytes={"x": 5, "y": 8, "z": 9}
         )
-        assert {f.name for f in dataclasses.fields(JobStats)} == {
-            "job", "messages_delivered", "bytes_delivered", "link_bytes"
-        }, "new JobStats field: extend this test"
+        assert {f.name for f in dataclasses.fields(GroupStats)} == {
+            "group", "finish_ns", "messages_delivered", "bytes_delivered", "link_bytes"
+        }, "new GroupStats field: extend this test"
 
-    def test_sharded_merge_folds_stats_and_jobs(self):
+    def test_sharded_merge_folds_stats_and_groups(self):
         from repro.network.packet.sharded import _merge_results
 
-        def shard(offset, jobs):
+        def shard(offset, groups):
             return (
                 SimulationResult(
                     finish_time_ns=offset,
                     rank_finish_times_ns=[offset, 0],
                     stats=self._filled(offset),
                     ops_completed=offset,
-                    job_stats=jobs,
+                    groups=groups,
                 ),
                 offset,
             )
 
         merged = _merge_results(
             [
-                shard(3, {0: JobStats(0, 1, 10, {"l": 1}), 1: JobStats(1, 2, 20)}),
-                shard(1000, {1: JobStats(1, 5, 50, {"l": 4})}),
+                shard(3, {0: GroupStats(0, 3, 1, 10, {"l": 1}), 1: GroupStats(1, 0, 2, 20)}),
+                shard(1000, {1: GroupStats(1, 1000, 5, 50, {"l": 4})}),
             ],
             ring_allreduce_microbenchmark(2, 64),
             wall=0.0,
         )
         assert merged.stats == self._filled(3).merge(self._filled(1000))
-        assert merged.job_stats == {
-            0: JobStats(0, 1, 10, {"l": 1}),
-            1: JobStats(1, 7, 70, {"l": 4}),
+        assert merged.groups == {
+            0: GroupStats(0, 3, 1, 10, {"l": 1}),
+            1: GroupStats(1, 1000, 7, 70, {"l": 4}),
         }
         assert merged.finish_time_ns == 1000 and merged.ops_completed == 1003
 

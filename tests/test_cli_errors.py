@@ -70,14 +70,25 @@ class TestCotenantErrors:
         message = _exit_message(excinfo)
         assert "scattered" in message and "registered" in message
 
-    @pytest.mark.parametrize("placement", ["locality", "fragmented"])
+    @pytest.mark.parametrize("placement", ["locality", "fragmented", "packed", "random"])
     @pytest.mark.parametrize("size", ["-3", "0"])
     def test_non_positive_group_size_is_one_line(self, placement, size):
-        # --group-size 0 used to be dropped, running the topology's groups
+        # --group-size 0 used to be dropped: under locality / fragmented it
+        # ran the topology's groups, under packed / random it ran unnoticed
         with pytest.raises(SystemExit) as excinfo:
             main(["cotenant", "incast:4:1024", "--placement", placement,
                   "--group-size", size, "--backend", "lgs"])
         assert _exit_message(excinfo) == "atlahs cotenant: group_size must be positive"
+
+    def test_group_size_without_a_group_aware_strategy_is_one_line(self):
+        # used to be filtered away silently for packed / random / strided
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cotenant", "incast:4:1024", "--placement", "packed,random",
+                  "--group-size", "2", "--backend", "lgs"])
+        assert _exit_message(excinfo) == (
+            "atlahs cotenant: --group-size applies to locality, fragmented only; "
+            "--placement packed,random takes no groups"
+        )
 
 
 class TestFaultsErrors:

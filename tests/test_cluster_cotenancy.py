@@ -7,7 +7,7 @@ from repro.cluster import (
     build_cotenant_schedule,
     run_cotenant,
 )
-from repro.goal import GoalBuilder, delay_schedule
+from repro.goal import GoalBuilder, OpType, delay_schedule
 from repro.network import SimulationConfig
 from repro.placement import fragmented_placement, random_interleaved_placement, JobRequest
 from repro.scheduler import simulate
@@ -90,19 +90,39 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("backend", ["lgs", "htsim"])
     def test_attribution_never_perturbs_timing(self, backend):
-        # same 2-job run with and without job attribution: identical results
+        # same 2-job run with and without op groups: identical results
         jobs = [ClusterJob(_ring(4, 1 << 14, "a")), ClusterJob(_ring(4, 1 << 14, "b"))]
         cfg = _oversub_config()
         plan = build_cotenant_schedule(jobs, strategy="fragmented", group_size=4)
-        with_attr = simulate(
-            plan.schedule, backend=backend,
-            config=cfg.replace(job_tag_stride=TAG_STRIDE),
-        )
+        with_attr = simulate(plan.schedule, backend=backend, config=cfg, op_groups=plan.op_groups)
         without = simulate(plan.schedule, backend=backend, config=cfg)
         assert with_attr.finish_time_ns == without.finish_time_ns
         assert with_attr.rank_finish_times_ns == without.rank_finish_times_ns
         assert with_attr.stats == without.stats
-        assert with_attr.job_stats and not without.job_stats
+        assert with_attr.message_records == without.message_records
+        assert with_attr.groups and not without.groups
+
+    @pytest.mark.parametrize("backend", ["lgs", "htsim"])
+    def test_attribution_follows_op_groups_not_tags(self, backend):
+        # one job, one tag window, grouped by rank parity; rank 3's send is
+        # in group -1.  A message belongs to its send op's group.
+        sched = _ring(4, 1 << 14, "ring")
+        groups = [[r % 2] * len(ops) for r, ops in enumerate(sched.ranks)]
+        groups[3] = [-1 if kind == OpType.SEND else 1 for kind in sched.ranks[3].kind]
+        cfg = _oversub_config(loggops_use_topology=True)  # LogGOPS charges routed links
+        res = simulate(sched, backend=backend, config=cfg, op_groups=groups)
+        assert set(res.groups) == {0, 1}
+        assert [g.messages_delivered for g in res.groups.values()] == [2, 1]
+        assert [g.bytes_delivered for g in res.groups.values()] == [2 << 14, 1 << 14]
+        stats = res.stats
+        assert sum(g.messages_delivered for g in res.groups.values()) == stats.messages_delivered - 1
+        assert sum(g.bytes_delivered for g in res.groups.values()) == stats.bytes_delivered - (1 << 14)
+        # rank r's host uplink carries only its own sends: rank 3's is
+        # charged nowhere
+        uplink = {r: f"host{r}->tor0" for r in range(4)}
+        assert [uplink[r] in res.groups[r % 2].link_bytes for r in range(3)] == [True] * 3
+        assert all(uplink[3] not in g.link_bytes for g in res.groups.values())
+        assert max(g.finish_ns for g in res.groups.values()) == res.finish_time_ns
 
 
 class TestCotenantEngine:
@@ -178,7 +198,7 @@ class TestCotenantEngine:
         assert res.plan.op_groups == [[0] * 2 + [1] * 2] * 4
         # tenants share every NIC: the second tenant must finish later
         assert res.outcome("b").finish_ns > res.outcome("a").finish_ns
-        assert res.result.group_finish_times_ns[1] == res.outcome("b").finish_ns
+        assert res.result.groups[1].finish_ns == res.outcome("b").finish_ns
 
     def test_rejects_tags_outside_window(self):
         b = GoalBuilder(2, name="huge-tag")
@@ -212,6 +232,22 @@ class TestCotenantEngine:
         with pytest.raises(ValueError, match=message):
             run_cotenant(jobs, cluster_nodes=4, placements=[placement],
                          backend="lgs", baseline=False)
+
+    @pytest.mark.parametrize(
+        "strategy, kwargs, message",
+        [
+            ("packed", {"validate": False}, "'packed' takes no argument 'validate'; it accepts none"),
+            ("random", {"sed": 3}, "'random' takes no argument 'sed'; it accepts 'seed'"),
+            ("locality", {"group_sise": 2},
+             "'locality' takes no argument 'group_sise'; it accepts 'topology', 'group_size'"),
+        ],
+        ids=["packed", "random", "locality"],
+    )
+    def test_unknown_keyword_fails_at_the_call(self, strategy, kwargs, message):
+        # used to surface as a TypeError from inside the strategy
+        jobs = [ClusterJob(_ring(2, 8, "a"))]
+        with pytest.raises(TypeError, match=f"^placement strategy {message}$"):
+            run_cotenant(jobs, strategy=strategy, backend="lgs", **kwargs)
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +305,7 @@ class TestSchedulerGroups:
         sched = _ring(2, 8, "a")
         groups = [[0, -1], [-1, 0]]
         res = simulate(sched, backend="lgs", op_groups=groups)
-        assert set(res.group_finish_times_ns) == {0}
+        assert set(res.groups) == {0}
 
 
 class TestNewPlacements:

@@ -16,7 +16,7 @@ import pytest
 
 import differential
 from mutants import MUTANTS
-from repro.network.backend import JobStats, MessageRecords, NetworkStats, SimulationResult
+from repro.network.backend import GroupStats, MessageRecords, NetworkStats, SimulationResult
 from repro.network.control_plane import ConvergenceRecord
 
 #: Checks outside the registry that claim teeth, and the mutant that shows them.
@@ -67,8 +67,7 @@ _CHANGED = {
     "rank_finish_times_ns": [2],
     "message_records": MessageRecords.from_columns(np.ones((1, 6))),
     "ops_completed": 2,
-    "job_stats": {0: JobStats(0, messages_delivered=1)},
-    "group_finish_times_ns": {0: 2},
+    "groups": {0: GroupStats(0, finish_ns=2)},
     "convergence_records": [ConvergenceRecord(0, "link_down", (0,), 0, 0, "oracle")],
 }
 _RESULT = SimulationResult(1, [1], NetworkStats(), ops_completed=1)

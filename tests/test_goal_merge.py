@@ -260,7 +260,7 @@ class TestMergeDeterminism:
         )
         fused = simulate(merged, backend=backend, op_groups=[[0, 0, 1], [0, 1]])
         alone = [simulate(job, backend=backend) for job in (self._late_mib(1 << 20), self._small())]
-        assert fused.group_finish_times_ns == {
+        assert {job: g.finish_ns for job, g in fused.groups.items()} == {
             job: run.finish_time_ns for job, run in enumerate(alone)
         }
 

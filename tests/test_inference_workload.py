@@ -145,10 +145,10 @@ class TestEndToEnd:
         result = simulate(
             plan.schedule, backend=backend, config=config, op_groups=plan.op_groups
         )
-        gft = result.group_finish_times_ns
+        groups = result.groups
         for req in plan.requests:
-            first = gft[req.first_token_group]
-            completion = gft.get(req.completion_group, first)
+            first = groups[req.first_token_group].finish_ns
+            completion = groups[req.completion_group].finish_ns if req.completion_group in groups else first
             assert first > req.arrival_ns
             assert completion >= first
             assert result.finish_time_ns >= completion

@@ -16,6 +16,7 @@ from repro.apps.inference import (
     ServingClusterConfig,
 )
 from repro.goal.schedule import GoalSchedule
+from repro.network.backend import GroupStats
 from repro.measurement.serving import (
     SloSpec,
     compute_serving_metrics,
@@ -80,7 +81,7 @@ def _fake_plan(requests, finish_by_group, finish_time_ns=None):
         pass
 
     result = _FakeResult()
-    result.group_finish_times_ns = finish_by_group
+    result.groups = {g: GroupStats(g, finish_ns=t) for g, t in finish_by_group.items()}
     result.finish_time_ns = horizon
     return plan, result
 
