@@ -151,7 +151,8 @@ def build_cotenant_schedule(
         Node sets may overlap: jobs sharing a node are fused onto it.
     strategy_kwargs:
         Extra arguments of the placement strategy (``seed``, ``topology``,
-        ``group_size``, ...).
+        ``group_size``, ...); with ``placements`` any of them is a
+        ``TypeError``, since no strategy runs.
     """
     jobs = list(jobs)
     if not jobs:
@@ -160,6 +161,11 @@ def build_cotenant_schedule(
         cluster_nodes = sum(job.num_nodes for job in jobs)
 
     if placements is not None:
+        if strategy_kwargs:
+            raise TypeError(
+                f"explicit placements take no placement-strategy argument "
+                f"{', '.join(map(repr, strategy_kwargs))}"
+            )
         if len(placements) != len(jobs):
             raise ValueError(
                 f"need exactly one placement per job "

@@ -318,10 +318,10 @@ class CollectiveContext:
         for r, dst, src, send_bytes, recv_bytes in pairs:
             rb = rank(ranks[r])
             prev = last[r]
-            reqs = () if prev is None else (prev,)
-            send = rb.send(max(1, send_bytes), ranks[dst], tag, cpu, reqs)
-            recv = rb.recv(max(1, recv_bytes), ranks[src], tag, cpu, reqs)
-            tail = rb.join((send, recv), cpu)
+            tail = rb.sendrecv(
+                max(1, send_bytes), ranks[dst], max(1, recv_bytes), ranks[src], tag, cpu,
+                () if prev is None else (prev,),
+            )
             if price:
                 tail = rb.calc(self.reduce_cost(recv_bytes), cpu, (tail,))
             last[r] = tail

@@ -196,12 +196,12 @@ def _ring_collective(
                 tail = last[r]
                 for p in range(max(len(sends), len(recvs))):
                     reqs = () if tail is None else (tail,)
-                    ops = []
-                    if p < len(sends):
-                        ops.append(rb.send(sends[p], dst, tag_step + p, stream, reqs))
-                    if p < len(recvs):
-                        ops.append(rb.recv(recvs[p], src, tag_step + p, stream, reqs))
-                    tail = ops[0] if len(ops) == 1 else rb.join(ops, stream)
+                    if p < len(sends) and p < len(recvs):
+                        tail = rb.sendrecv(sends[p], dst, recvs[p], src, tag_step + p, stream, reqs)
+                    elif p < len(sends):
+                        tail = rb.send(sends[p], dst, tag_step + p, stream, reqs)
+                    else:
+                        tail = rb.recv(recvs[p], src, tag_step + p, stream, reqs)
                     if price and p < len(recvs):
                         tail = rb.calc(ctx.reduce_cost(pieces[recv_slice][p]), stream, (tail,))
                 last[r] = tail

@@ -73,6 +73,14 @@ class RankBuilder:
         """Add a ``recv`` of ``size`` bytes from rank ``src``; return its handle."""
         return self._append(_RECV, size, src, tag, cpu, requires, label)
 
+    def sendrecv(
+        self, send_bytes: int, dst: int, recv_bytes: int, src: int, tag: int = 0, cpu: int = 0,
+        requires: Iterable[VertexHandle] = (),
+    ) -> VertexHandle:
+        """Add a send to ``dst`` and a recv from ``src``, both after ``requires``, and
+        their :meth:`join` on ``cpu``; return the join's handle (one block append)."""
+        return self._sched.append_sendrecv(send_bytes, dst, recv_bytes, src, tag, cpu, requires)
+
     def calc(
         self,
         duration_ns: int,

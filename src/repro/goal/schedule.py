@@ -36,13 +36,13 @@ list per access.
 Append-only
 -----------
 A rank grows only by appending (:meth:`RankSchedule.append_op`,
-:meth:`RankSchedule.add_op`, :meth:`RankSchedule.extend`,
-:meth:`GoalSchedule.from_stacked`), each of which checks what it is given;
-transforms (:mod:`repro.goal.merge`) return new schedules; the views are
-read-only (an ``Op`` refuses field assignment, the numpy views refuse
-writes).  The raw ``array`` columns stay public attributes for the readers
-that walk them, so the validator and the encoder keep their backward-edge
-checks.
+:meth:`RankSchedule.add_op`, :meth:`RankSchedule.append_sendrecv`,
+:meth:`RankSchedule.extend`, :meth:`GoalSchedule.from_stacked`), each of
+which checks what it is given; transforms (:mod:`repro.goal.merge`) return
+new schedules; the views are read-only (an ``Op`` refuses field assignment,
+the numpy views refuse writes).  The raw ``array`` columns stay public
+attributes for the readers that walk them, so the validator and the encoder
+keep their backward-edge checks.
 """
 from __future__ import annotations
 
@@ -56,6 +56,8 @@ import numpy as np
 from repro.goal.ops import _CALC, _RECV, _SEND, Op, OpType, _set_slot, checked_fields
 
 _KINDS = (_SEND, _RECV, _CALC)
+#: the kind column of one send/recv round (:meth:`RankSchedule.append_sendrecv`)
+_ROUND = bytes(_KINDS)
 
 
 def _column(typecode: str, values: np.ndarray) -> array:
@@ -167,6 +169,18 @@ def _checked_columns(
             "out of order (rows must be sorted, duplicate-free and point backwards)"
         )
     return kind, size, peer, tag, cpu, degree, dep
+
+
+def _checked_deps(requires: Iterable[int], idx: int) -> List[int]:
+    """``requires`` sorted and duplicate-free; raises unless each is a vertex before ``idx``."""
+    deps = sorted(set(requires))
+    if deps and (deps[0] < 0 or deps[-1] >= idx):
+        bad = deps[0] if deps[0] < 0 else deps[-1]
+        raise ValueError(
+            f"dependency {bad} of new vertex {idx} is out of range "
+            f"(must reference an earlier vertex)"
+        )
+    return deps
 
 
 class StackedRanks(NamedTuple):
@@ -320,8 +334,9 @@ class RankSchedule:
     dependency index ``pred_ptr`` / ``pred_idx`` are described in the module
     docstring; ``ops`` and ``preds`` present them as sequences of
     :class:`Op` / lists.  A rank only grows, through :meth:`append_op`
-    (scalars), :meth:`add_op` (an ``Op``) or :meth:`extend` (whole columns):
-    each checks what it is given, so the columns always hold a valid DAG.
+    (scalars), :meth:`add_op` (an ``Op``), :meth:`append_sendrecv` (a
+    send/recv round and its join) or :meth:`extend` (whole columns): each
+    checks what it is given, so the columns always hold a valid DAG.
     Nothing rewrites a vertex already appended; a transform builds a new
     schedule.
     """
@@ -391,17 +406,11 @@ class RankSchedule:
             stored_peer = peer
         else:
             raise ValueError(f"{kind!r} is not a valid OpType")
-        # the default () costs nothing; anything else may be any iterable
-        if type(requires) is not tuple or requires:
-            deps = sorted(set(requires))
-            if deps and (deps[0] < 0 or deps[-1] >= idx):
-                bad = deps[0] if deps[0] < 0 else deps[-1]
-                raise ValueError(
-                    f"dependency {bad} of new vertex {idx} is out of range "
-                    f"(must reference an earlier vertex)"
-                )
+        # () and one earlier vertex (the common cases) skip the sort; else any iterable
+        if type(requires) is tuple and len(requires) < 2 and (not requires or 0 <= requires[0] < idx):
+            deps = requires
         else:
-            deps = ()
+            deps = _checked_deps(requires, idx)
         if label is not None and label in self._labels:
             raise ValueError(f"duplicate label {label!r} in rank {self.rank}")
         edges = len(self.pred_idx)
@@ -426,6 +435,43 @@ class RankSchedule:
             self._names = None
         self._succ = None
         return idx
+
+    def append_sendrecv(
+        self, send_size: int, dst: int, recv_size: int, src: int, tag: int = 0, cpu: int = 0,
+        requires: Iterable[int] = (),
+    ) -> int:
+        """Append one round, a send and a receive after ``requires`` and their join; return the join.
+
+        The same three vertices, with the same checks, as ``append_op`` of the
+        send and of the receive (both with ``requires``) and then of a
+        zero-cost calc that requires the two, all on ``tag`` and ``cpu``.
+        """
+        idx = len(self.kind)
+        if dst is None or src is None:
+            raise ValueError(f"{'send' if dst is None else 'recv'} requires a peer rank")
+        if type(requires) is tuple and len(requires) < 2 and (not requires or 0 <= requires[0] < idx):
+            deps = requires
+        else:
+            deps = _checked_deps(requires, idx)
+        edges = len(self.pred_idx)
+        try:
+            # fromlist appends all of a list or none of it
+            self.size.fromlist([send_size, recv_size, 0])
+            self.peer.fromlist([dst, src, 0])
+            self.tag.fromlist([tag, tag, 0])
+            self.cpu.fromlist([cpu, cpu, cpu])
+            self.pred_idx.fromlist([*deps, *deps, idx, idx + 1])
+        except (OverflowError, TypeError):
+            for column in (self.size, self.peer, self.tag, self.cpu):
+                del column[idx:]
+            checked_fields(_SEND, send_size, dst, tag, cpu)  # raises, naming the field
+            checked_fields(_RECV, recv_size, src, tag, cpu)
+            raise
+        self.kind.frombytes(_ROUND)
+        after = edges + len(deps)
+        self.pred_ptr.fromlist([after, after + len(deps), after + len(deps) + 2])
+        self._succ = None
+        return idx + 2
 
     def add_op(self, op: Op, requires: Iterable[int] = ()) -> int:
         """Append ``op`` and return its vertex index.

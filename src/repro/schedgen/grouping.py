@@ -25,11 +25,13 @@ This module implements the transformation on arbitrary GOAL schedules:
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.goal.ops import _CALC, _RECV, _SEND
-from repro.goal.schedule import GoalSchedule
+import numpy as np
+
+from repro.goal.ops import _CALC, _RECV, _SEND, checked_value
+from repro.goal.schedule import GoalSchedule, RankSchedule, csr_from_edges, edge_owners, stack_ranks
 
 
 def group_ranks_into_nodes(
@@ -83,148 +85,114 @@ def group_ranks_into_nodes(
                 f"{stream_stride}; increase stream_stride"
             )
 
-    # per node: member ranks in order, and each rank's local index
+    # per node: member ranks in order (a rank's place is its local index)
     members: Dict[int, List[int]] = defaultdict(list)
     for r, node in enumerate(node_of):
         members[node].append(r)
-    local_index = {r: members[node_of[r]].index(r) for r in range(schedule.num_ranks)}
-
-    # pair up intra-node send/recv ops: channel -> FIFO lists of vertices
-    intra_pairs = _pair_intra_node_messages(schedule, node_of)
 
     merged = GoalSchedule(num_nodes, name=name or f"{schedule.name}-grouped")
-
+    node_map = np.asarray(node_of, dtype=np.int64)
     for node in range(num_nodes):
-        node_ranks = members.get(node, [])
-        if not node_ranks:
-            continue
-        _emit_node(
-            merged,
-            schedule,
-            node,
-            node_ranks,
-            node_of,
-            local_index,
-            intra_pairs,
-            intra_node_ns_per_byte,
-            intra_node_latency_ns,
-            stream_stride,
-        )
+        if members.get(node):
+            _emit_node(
+                merged.ranks[node], [schedule.ranks[r] for r in members[node]], node, node_map,
+                intra_node_ns_per_byte, intra_node_latency_ns, stream_stride,
+            )
     return merged
 
 
-def _pair_intra_node_messages(
-    schedule: GoalSchedule, node_of: Sequence[int]
-) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """Match intra-node sends with their receives.
+def _intra_pairs(
+    kind: np.ndarray, peer: np.ndarray, tag: np.ndarray, me: np.ndarray, intra: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Match the node's intra-node sends with their receives; return ``(send, recv)`` ids.
 
-    Returns a map ``(rank, vertex) -> (peer_rank, peer_vertex)`` defined for
-    both directions of every matched pair.  Unmatched intra-node comm ops are
-    simply absent from the map (they degrade to plain calcs).
+    A channel is ``(source rank, destination rank, tag)``; its k-th send (in
+    vertex order) pairs with its k-th receive.  Unmatched ops are left out
+    (they degrade to plain calcs).
     """
-    sends: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
-    recvs: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
-    for rank in schedule.ranks:
-        me = rank.rank
-        for vertex, (kind, peer, tag) in enumerate(zip(rank.kind, rank.peer, rank.tag)):
-            if kind == _CALC or node_of[me] != node_of[peer]:
-                continue
-            if kind == _SEND:
-                sends[(me, peer, tag)].append(vertex)
-            else:
-                recvs[(peer, me, tag)].append(vertex)
-
-    pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for channel, send_list in sends.items():
-        src, dst, _tag = channel
-        recv_list = recvs.get(channel, deque())
-        while send_list and recv_list:
-            sv = send_list.popleft()
-            rv = recv_list.popleft()
-            pairs[(src, sv)] = (dst, rv)
-            pairs[(dst, rv)] = (src, sv)
-    return pairs
+    ids = np.flatnonzero(intra)
+    if not len(ids):
+        return ids, ids
+    is_recv = kind[ids] == _RECV
+    src = np.where(is_recv, peer[ids], me[ids])
+    dst = np.where(is_recv, me[ids], peer[ids])
+    # channel by channel: its sends in vertex order, then its receives
+    order = np.lexsort((ids, is_recv, tag[ids], dst, src))
+    ids, is_recv, src, dst, chan_tag = (a[order] for a in (ids, is_recv, src, dst, tag[ids]))
+    starts = np.ones(len(ids), dtype=bool)
+    starts[1:] = (np.diff(src) != 0) | (np.diff(dst) != 0) | (np.diff(chan_tag) != 0)
+    channel = np.cumsum(starts) - 1
+    sends = np.bincount(channel[~is_recv], minlength=channel[-1] + 1)[channel]
+    recvs = np.bincount(channel[is_recv], minlength=channel[-1] + 1)[channel]
+    k = np.arange(len(ids)) - np.flatnonzero(starts)[channel]  # place among the channel's sends
+    send_at = np.flatnonzero(~is_recv & (k < recvs))
+    return ids[send_at], ids[send_at + sends[send_at]]
 
 
 def _emit_node(
-    merged: GoalSchedule,
-    schedule: GoalSchedule,
-    node: int,
-    node_ranks: List[int],
-    node_of: Sequence[int],
-    local_index: Dict[int, int],
-    intra_pairs: Dict[Tuple[int, int], Tuple[int, int]],
-    ns_per_byte: float,
-    latency_ns: int,
-    stream_stride: int,
+    out: RankSchedule, node_ranks: List[RankSchedule], node: int, node_of: np.ndarray,
+    ns_per_byte: float, latency_ns: int, stream_stride: int,
 ) -> None:
-    """Topologically merge the DAGs of ``node_ranks`` into ``merged.ranks[node]``."""
-    # Build the merged dependency graph over (rank, vertex) pairs.
-    node_set = set(node_ranks)
-    indegree: Dict[Tuple[int, int], int] = {}
-    successors: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
+    """Topologically merge the DAGs of ``node_ranks`` (in local order) into ``out``.
 
-    ranks = schedule.ranks
-    preds = {r: list(ranks[r].preds) for r in node_ranks}
+    Vertex ``g`` of the node is the ``g``-th of the ranks' vertices end to end,
+    so ascending ids are the ``(local rank, vertex)`` order.  The merged graph
+    is each rank's own DAG plus one edge from every paired intra-node send to
+    its receive; Kahn's algorithm releases vertices first-in first-out, the
+    roots in id order and each vertex's successors with its own (ascending)
+    before the cross edge.
+    """
+    col = stack_ranks(node_ranks)
+    n = len(col.kind)
+    if not n:
+        return
+    owner = edge_owners(col.degree)
+    pred = col.dep + (owner - col.vertex[owner])  # node ids: a rank's first vertex is g - vertex
+    peer_node = node_of[col.peer.astype(np.int64)]  # a calc's stored peer is 0
+    comm = col.kind != _CALC
+    intra = comm & (peer_node == node)
+    me = np.array([rank.rank for rank in node_ranks], dtype=np.uint64)[col.rank_of]
+    send, recv = _intra_pairs(col.kind, col.peer, col.tag, me, intra)
 
-    for r in node_ranks:
-        for vertex, deps in enumerate(preds[r]):
-            key = (r, vertex)
-            indegree[key] = len(deps)
-            for d in deps:
-                successors[(r, d)].append(key)
+    # successor CSR: own successors ascending, then the cross edge
+    row = np.concatenate((pred, send))
+    succ = np.concatenate((owner, recv))
+    by_row = np.lexsort((succ, np.arange(len(row)) >= len(pred), row))
+    succ_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=succ_ptr[1:])
+    succ_ptr, succ_idx = succ_ptr.tolist(), succ[by_row].tolist()
+    indegree = (col.degree + np.bincount(recv, minlength=n)).tolist()
 
-    # cross edges from intra-node send -> matching recv
-    for (r, vertex), (peer_rank, peer_vertex) in intra_pairs.items():
-        if r not in node_set or ranks[r].kind[vertex] != _SEND:
-            continue
-        key = (peer_rank, peer_vertex)
-        if key in indegree:
-            indegree[key] += 1
-            successors[(r, vertex)].append(key)
-
-    # Kahn's algorithm with deterministic ordering (rank, vertex)
-    ready = sorted(key for key, deg in indegree.items() if deg == 0)
-    ready_q = deque(ready)
-    append_op = merged.ranks[node].append_op
-    new_index: Dict[Tuple[int, int], int] = {}
-    emitted = 0
-
-    while ready_q:
-        key = ready_q.popleft()
-        r, vertex = key
-        rank = ranks[r]
-        kind, size, peer = rank.kind[vertex], rank.size[vertex], rank.peer[vertex]
-        # translate dependencies (original preds + cross edge for paired recvs)
-        dep_keys = [(r, d) for d in preds[r][vertex]]
-        pair = intra_pairs.get(key)
-        is_intra = kind != _CALC and node_of[peer] == node
-        if is_intra and pair is not None and kind == _RECV:
-            dep_keys.append(pair)
-        new_deps = [new_index[d] for d in dep_keys if d in new_index]
-
-        new_cpu = local_index[r] * stream_stride + rank.cpu[vertex]
-        if is_intra:
-            # the send pays the intra-node transfer, the receive only waits for it
-            cost = latency_ns + int(round(size * ns_per_byte)) if kind == _SEND else 0
-            new_index[key] = append_op(_CALC, cost, None, 0, new_cpu, new_deps)
-        elif kind == _CALC:
-            new_index[key] = append_op(_CALC, size, None, 0, new_cpu, new_deps)
-        else:
-            new_index[key] = append_op(
-                kind, size, node_of[peer], rank.tag[vertex], new_cpu, new_deps
-            )
-        emitted += 1
-
-        for succ in successors.get(key, ()):  # unlock successors
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready_q.append(succ)
-
-    total = sum(len(schedule.ranks[r]) for r in node_ranks)
-    if emitted != total:
+    order = [v for v, d in enumerate(indegree) if not d]
+    for v in order:  # the list is its own FIFO queue
+        for s in succ_idx[succ_ptr[v] : succ_ptr[v + 1]]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    if len(order) != n:
         raise RuntimeError(
             f"node {node}: grouping produced a cyclic dependency "
-            f"({emitted} of {total} vertices emitted); the intra-node message "
+            f"({len(order)} of {n} vertices emitted); the intra-node message "
             "pairing is inconsistent with the per-rank orderings"
         )
+
+    # the node's columns in emission order: intra-node comm becomes a calc, the
+    # send paying the transfer (latency + size * ns_per_byte), the receive
+    # waiting for it; other comm ops keep their tag and name the peer's node
+    order = np.asarray(order, dtype=np.int64)
+    new_of = np.empty(n, dtype=np.int64)
+    new_of[order] = np.arange(n)
+    inter = comm & ~intra
+    size = np.where(intra, 0, col.size)
+    pays = intra & (col.kind == _SEND)
+    size[pays] = [
+        checked_value("op size", latency_ns + int(round(b * ns_per_byte))) for b in col.size[pays].tolist()
+    ]
+    cpu = col.rank_of.astype(np.uint64) * np.uint64(stream_stride) + col.cpu
+    ptr, idx = csr_from_edges(
+        n, new_of[np.concatenate((owner, recv))], new_of[np.concatenate((pred, send))]
+    )
+    out.extend(
+        np.where(intra, _CALC, col.kind)[order], size[order], np.where(inter, peer_node, 0)[order],
+        np.where(inter, col.tag, 0)[order], cpu[order], ptr, idx,
+    )

@@ -112,10 +112,11 @@ def _emit_p2p(rb, lane: Lane, event: MpiEvent, reqs) -> int:
         return rb.send(max(1, event.size), event.peer, tag, 0, reqs)
     if event.call == "MPI_Recv":
         return rb.recv(max(1, event.size), event.peer, tag, 0, reqs)
-    # MPI_Sendrecv: both legs after the same predecessor
-    send = rb.send(max(1, event.size), event.peer, tag, 0, reqs)
-    recv = rb.recv(max(1, event.recv_size or event.size), event.recv_peer, tag, 0, reqs)
-    return rb.join((send, recv))
+    # MPI_Sendrecv: both legs after the same predecessor, joined
+    return rb.sendrecv(
+        max(1, event.size), event.peer, max(1, event.recv_size or event.size), event.recv_peer,
+        tag, 0, reqs,
+    )
 
 
 class MpiScheduleGenerator:

@@ -793,9 +793,18 @@ def interference_sweep(
     backend / parallel:
         As for :func:`topology_routing_sweep`.
     strategy_kwargs:
-        Extra placement-strategy arguments applied to every cell (``seed``,
-        ``group_size``, ...).
+        Extra placement-strategy arguments (``seed``, ``group_size``, ...),
+        each given to the cells whose strategy takes it.  A keyword no listed
+        strategy takes is one ``TypeError``, before any cell runs.
     """
+    from repro.placement import filter_strategy_kwargs
+
+    for key in strategy_kwargs:
+        if not any(filter_strategy_kwargs(strategy, {key: None}) for strategy in strategies):
+            raise TypeError(
+                f"interference_sweep: no listed placement strategy "
+                f"({', '.join(strategies)}) takes {key!r}"
+            )
     if configs is None:
         configs = {"fat_tree": SimulationConfig()}
     jobs = list(jobs)

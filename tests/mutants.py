@@ -29,12 +29,14 @@ import pytest
 
 import differential
 import test_collective_emission as emission
+import test_grouping_oracle as grouping_oracle
 import test_workers
 from repro import sweep
 from repro.collectives import CollectiveContext
 from repro.network.events import EventQueue
 from repro.network.packet import backend, linkqueue, sharded
 from repro.network.packet.packet import DATA
+from repro.schedgen import grouping
 from repro.workers import WorkerError
 
 
@@ -127,6 +129,24 @@ def _recv_before_send(patch):
     patch.setattr(CollectiveContext, "exchange", exchange)
 
 
+def _lifo_pairing(patch):
+    """Stage-4 grouping pairing each channel's sends and receives last-in first-out."""
+    pairs = grouping._intra_pairs
+
+    def lifo(kind, peer, tag, me, intra):
+        last = len(kind) - 1
+        send, recv = pairs(kind[::-1], peer[::-1], tag[::-1], me[::-1], intra[::-1])
+        return last - send, last - recv
+
+    patch.setattr(grouping, "_intra_pairs", lifo)
+
+
+def _grouping_grid():
+    for seed in range(4):
+        for layout in sorted(grouping_oracle.LAYOUTS):
+            grouping_oracle.test_grouping_matches_oracle(seed, layout, "nvlink")
+
+
 def _serial_rerun(patch):
     """``_execute_cells`` that reruns the grid in this process when a worker dies."""
     execute = sweep._execute_cells
@@ -161,6 +181,7 @@ MUTANTS = {
     ),
     "unstable-merge-sort": Mutant(_unstable_merge, lambda: differential.check("records/tied-merge-0")),
     "exchange-swaps-send-recv": Mutant(_recv_before_send, _emission_pins, AssertionError),
+    "grouping-pairs-lifo": Mutant(_lifo_pairing, _grouping_grid, AssertionError),
     "serial-rerun-on-worker-error": Mutant(
         _serial_rerun, test_workers.test_dead_sweep_worker_names_its_cell_and_nothing_reruns, pytest.fail.Exception
     ),

@@ -9,18 +9,24 @@ the scalar (one varint at a time) binary encoder and decoder, and
 lists.  The writer and the encoder read only ``name``, ``num_ranks`` and each
 rank's ``rank`` / ``ops`` / ``preds``, so they take a columnar schedule as
 well.  :func:`views` is everything compared of a schedule, as plain values.
+:func:`list_group_ranks_into_nodes` is the Stage-4 grouping pass as it stood
+before its columnar rewrite (tuple-keyed dicts, one ``append_op`` per vertex).
 
 Nothing in ``src/`` knows about it.  The comparisons are rows of
 ``tests/differential.py`` and the property tests of
-``tests/test_goal_columnar.py`` and ``tests/test_goal_codec.py``.
+``tests/test_goal_columnar.py``, ``tests/test_goal_codec.py`` and
+``tests/test_grouping_oracle.py``.
 """
 from __future__ import annotations
 
+from collections import defaultdict, deque
+
+import numpy as np
 import pytest
 
 from repro.goal import Op, OpType
 from repro.goal.binary import GoalBinaryError
-from repro.goal.schedule import RankSchedule
+from repro.goal.schedule import GoalSchedule, RankSchedule
 from repro.scheduler import GoalScheduler
 
 
@@ -306,19 +312,145 @@ def views(schedule, labels=True):
 
 
 def generated(build):
-    """``build()``'s columnar schedule, and the oracle fed the very
-    ``append_op`` calls its generator made."""
+    """``build()``'s columnar schedule, and the oracle fed the very appends
+    (``append_op``, ``append_sendrecv``, ``extend``) its generator made."""
     fed = {}
-    real = RankSchedule.append_op
+    real_op, real_round, real_block = (
+        RankSchedule.append_op, RankSchedule.append_sendrecv, RankSchedule.extend
+    )
 
-    def spy(self, kind, size, peer=None, tag=0, cpu=0, requires=(), label=None):
-        ref = fed.setdefault(id(self), (self, ListRank(self.rank)))[1]
-        ref.add_op(Op(kind, size, peer, tag, cpu, label), requires)
-        return real(self, kind, size, peer, tag, cpu, requires, label)
+    def ref(rank):
+        return fed.setdefault(id(rank), (rank, ListRank(rank.rank)))[1]
+
+    def spy_op(self, kind, size, peer=None, tag=0, cpu=0, requires=(), label=None):
+        ref(self).add_op(Op(kind, size, peer, tag, cpu, label), requires)
+        return real_op(self, kind, size, peer, tag, cpu, requires, label)
+
+    def spy_round(self, send_size, dst, recv_size, src, tag=0, cpu=0, requires=()):
+        oracle, first = ref(self), len(self)
+        oracle.add_op(Op.send(send_size, dst, tag, cpu), requires)
+        oracle.add_op(Op.recv(recv_size, src, tag, cpu), requires)
+        oracle.add_op(Op.calc(0, cpu), (first, first + 1))
+        return real_round(self, send_size, dst, recv_size, src, tag, cpu, requires)
+
+    def spy_block(self, kind, size, peer, tag, cpu, pred_ptr, pred_idx, labels=None):
+        oracle, first = ref(self), len(self)
+        names = {vertex: label for label, vertex in (labels or {}).items()}
+        ptr, idx = list(pred_ptr), list(pred_idx)
+        rows = zip(*(np.asarray(column).tolist() for column in (kind, size, peer, tag, cpu)))
+        for v, (k, n, p, t, c) in enumerate(rows):
+            deps = [first + d for d in idx[ptr[v] : ptr[v + 1]]]
+            oracle.add_op(Op(k, n, None if k == OpType.CALC else p, t, c, names.get(v)), deps)
+        return real_block(self, kind, size, peer, tag, cpu, pred_ptr, pred_idx, labels)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RankSchedule, "append_op", spy)
+        patch.setattr(RankSchedule, "append_op", spy_op)
+        patch.setattr(RankSchedule, "append_sendrecv", spy_round)
+        patch.setattr(RankSchedule, "extend", spy_block)
         columnar = build()
     oracle = ListSchedule(columnar.num_ranks, columnar.name)
     oracle.ranks = [fed[id(rank)][1] if id(rank) in fed else ListRank(rank.rank) for rank in columnar.ranks]
     return columnar, oracle
+
+
+def list_group_ranks_into_nodes(schedule, node_of, ns_per_byte=1.0 / 150.0, latency_ns=700, stream_stride=16, name=None):
+    """Stage-4 grouping as it stood before the columnar rewrite: one merged
+    DAG per node over ``(rank, vertex)`` keys, re-emitted one ``append_op`` at
+    a time.  ``node_of`` is the explicit rank -> node map (checks are the real
+    function's)."""
+    members = defaultdict(list)
+    for r, node in enumerate(node_of):
+        members[node].append(r)
+    local_index = {r: members[node_of[r]].index(r) for r in range(schedule.num_ranks)}
+    intra_pairs = _list_pair_intra_node_messages(schedule, node_of)
+    merged = GoalSchedule(max(node_of) + 1, name=name or f"{schedule.name}-grouped")
+    for node in range(merged.num_ranks):
+        if members.get(node):
+            _list_emit_node(
+                merged, schedule, node, members[node], node_of, local_index, intra_pairs,
+                ns_per_byte, latency_ns, stream_stride,
+            )
+    return merged
+
+
+def _list_pair_intra_node_messages(schedule, node_of):
+    """``(rank, vertex) -> (peer_rank, peer_vertex)`` both ways for every
+    intra-node send/recv pair, FIFO per ``(src, dst, tag)`` channel."""
+    sends, recvs = defaultdict(deque), defaultdict(deque)
+    for rank in schedule.ranks:
+        me = rank.rank
+        for vertex, (kind, peer, tag) in enumerate(zip(rank.kind, rank.peer, rank.tag)):
+            if kind == OpType.CALC or node_of[me] != node_of[peer]:
+                continue
+            if kind == OpType.SEND:
+                sends[(me, peer, tag)].append(vertex)
+            else:
+                recvs[(peer, me, tag)].append(vertex)
+    pairs = {}
+    for channel, send_list in sends.items():
+        src, dst, _tag = channel
+        recv_list = recvs.get(channel, deque())
+        while send_list and recv_list:
+            sv, rv = send_list.popleft(), recv_list.popleft()
+            pairs[(src, sv)] = (dst, rv)
+            pairs[(dst, rv)] = (src, sv)
+    return pairs
+
+
+def _list_emit_node(merged, schedule, node, node_ranks, node_of, local_index, intra_pairs,
+                    ns_per_byte, latency_ns, stream_stride):
+    """Topologically merge the DAGs of ``node_ranks`` into ``merged.ranks[node]``."""
+    node_set = set(node_ranks)
+    indegree, successors = {}, defaultdict(list)
+    ranks = schedule.ranks
+    preds = {r: list(ranks[r].preds) for r in node_ranks}
+    for r in node_ranks:
+        for vertex, deps in enumerate(preds[r]):
+            key = (r, vertex)
+            indegree[key] = len(deps)
+            for d in deps:
+                successors[(r, d)].append(key)
+    # cross edges from intra-node send -> matching recv
+    for (r, vertex), (peer_rank, peer_vertex) in intra_pairs.items():
+        if r not in node_set or ranks[r].kind[vertex] != OpType.SEND:
+            continue
+        key = (peer_rank, peer_vertex)
+        if key in indegree:
+            indegree[key] += 1
+            successors[(r, vertex)].append(key)
+    # Kahn's algorithm with deterministic ordering (rank, vertex)
+    ready_q = deque(sorted(key for key, deg in indegree.items() if deg == 0))
+    append_op = merged.ranks[node].append_op
+    new_index = {}
+    emitted = 0
+    while ready_q:
+        key = ready_q.popleft()
+        r, vertex = key
+        rank = ranks[r]
+        kind, size, peer = rank.kind[vertex], rank.size[vertex], rank.peer[vertex]
+        dep_keys = [(r, d) for d in preds[r][vertex]]
+        pair = intra_pairs.get(key)
+        is_intra = kind != OpType.CALC and node_of[peer] == node
+        if is_intra and pair is not None and kind == OpType.RECV:
+            dep_keys.append(pair)
+        new_deps = [new_index[d] for d in dep_keys if d in new_index]
+        new_cpu = local_index[r] * stream_stride + rank.cpu[vertex]
+        if is_intra:
+            cost = latency_ns + int(round(size * ns_per_byte)) if kind == OpType.SEND else 0
+            new_index[key] = append_op(OpType.CALC, cost, None, 0, new_cpu, new_deps)
+        elif kind == OpType.CALC:
+            new_index[key] = append_op(OpType.CALC, size, None, 0, new_cpu, new_deps)
+        else:
+            new_index[key] = append_op(kind, size, node_of[peer], rank.tag[vertex], new_cpu, new_deps)
+        emitted += 1
+        for succ in successors.get(key, ()):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready_q.append(succ)
+    total = sum(len(schedule.ranks[r]) for r in node_ranks)
+    if emitted != total:
+        raise RuntimeError(
+            f"node {node}: grouping produced a cyclic dependency "
+            f"({emitted} of {total} vertices emitted); the intra-node message "
+            "pairing is inconsistent with the per-rank orderings"
+        )

@@ -1,4 +1,6 @@
 """Tests for the multi-job co-tenancy engine (repro.cluster) and its plumbing."""
+import re
+
 import pytest
 
 from repro.cluster import (
@@ -249,6 +251,17 @@ class TestCotenantEngine:
         with pytest.raises(TypeError, match=f"^placement strategy {message}$"):
             run_cotenant(jobs, strategy=strategy, backend="lgs", **kwargs)
 
+    def test_explicit_placements_refuse_strategy_keywords(self):
+        # no strategy runs, so a strategy keyword (here a misspelt seed) used
+        # to pass unnoticed and the run went ahead as strategy 'explicit'
+        jobs = [ClusterJob(_alltoall(2, 64, "a"))]
+        message = "^explicit placements take no placement-strategy argument 'sed'$"
+        with pytest.raises(TypeError, match=message):
+            build_cotenant_schedule(jobs, cluster_nodes=2, placements=[{0: 0, 1: 1}], sed=3)
+        with pytest.raises(TypeError, match=message):
+            run_cotenant(jobs, cluster_nodes=2, placements=[{0: 0, 1: 1}],
+                         backend="lgs", baseline=False, sed=3)
+
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
             ClusterJob(_ring(2, 8, "a"), arrival_ns=-1)
@@ -348,7 +361,6 @@ class TestInterferenceSweep:
             configs={"ft": _oversub_config()},
             backend="htsim",
             group_size=4,
-            seed=3,
         )
         serial = interference_sweep(jobs, 8, **kwargs)
         parallel = interference_sweep(jobs, 8, parallel=2, **kwargs)
@@ -367,6 +379,28 @@ class TestInterferenceSweep:
             backend="lgs", seed=3, group_size=2,
         )
         assert len(entries) == 3
+
+    @pytest.mark.parametrize(
+        "strategies, kwargs, message",
+        [
+            (("packed",), {"group_size": 0}, "(packed) takes 'group_size'"),
+            (("packed", "fragmented"), {"seed": 3}, "(packed, fragmented) takes 'seed'"),
+        ],
+        ids=["group_size-packed", "seed-packed-fragmented"],
+    )
+    def test_keyword_no_listed_strategy_takes_fails_before_any_cell(
+        self, monkeypatch, strategies, kwargs, message
+    ):
+        # used to be dropped for every cell, so the grid ran as if not given
+        import repro.sweep
+
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(repro.sweep, "_execute_cells", no_cells)
+        jobs = [ClusterJob(_alltoall(4, 64, "a"))]
+        with pytest.raises(TypeError, match=f"no listed placement strategy {re.escape(message)}$"):
+            interference_sweep(jobs, 4, strategies=strategies, backend="lgs", **kwargs)
 
 
 class TestCotenantCli:

@@ -22,6 +22,7 @@ from repro.network.control_plane import ConvergenceRecord
 #: Checks outside the registry that claim teeth, and the mutant that shows them.
 GUARDED = {
     "tests/test_collective_emission.py digests": "exchange-swaps-send-recv",
+    "tests/test_grouping_oracle.py grid": "grouping-pairs-lifo",
     "tests/test_workers.py dead sweep worker": "serial-rerun-on-worker-error",
 }
 
