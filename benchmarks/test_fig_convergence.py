@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import print_table, run_once
 from repro.network import FaultEvent, FaultSchedule, SimulationConfig
-from repro.network.backend import create_backend
 from repro.network.faults import LINK_DOWN
 from repro.schedgen import all_to_all
 from repro.scheduler import simulate
@@ -55,10 +54,9 @@ def _run_grid(config: SimulationConfig):
     for backend_name in BACKENDS:
         for protocol in PROTOCOLS:
             for propagation_ns in PROPAGATION_NS:
-                backend = create_backend(backend_name)
                 result = simulate(
                     schedule,
-                    backend=backend,
+                    backend=backend_name,
                     config=config.replace(
                         control_plane=protocol, cp_propagation_ns=propagation_ns
                     ),
@@ -67,7 +65,7 @@ def _run_grid(config: SimulationConfig):
                     result.finish_time_ns,
                     result.stats.time_to_recover_ns,
                     result.stats.packets_blackholed,
-                    sum(r.messages for r in backend.convergence_report()),
+                    sum(r.messages for r in result.convergence_records),
                 )
     return cells
 

@@ -27,7 +27,6 @@ Run with::
 """
 from repro.measurement import summarize_convergence
 from repro.network import FaultEvent, FaultSchedule, SimulationConfig
-from repro.network.backend import create_backend
 from repro.network.faults import LINK_DOWN
 from repro.schedgen import all_to_all
 from repro.scheduler import simulate
@@ -62,9 +61,8 @@ def main() -> None:
     )
     for backend_name in ("lgs", "htsim"):
         for protocol in ("oracle", "ls", "dv"):
-            backend = create_backend(backend_name)
-            result = simulate(schedule, backend=backend, config=_config(protocol))
-            summary = summarize_convergence(backend.convergence_report(), result.stats)
+            result = simulate(schedule, backend=backend_name, config=_config(protocol))
+            summary = summarize_convergence(result.convergence_records, result.stats)
             print(
                 f"{backend_name:<8} {protocol:<9} {result.finish_time_ns / 1e6:>13.3f} "
                 f"{result.stats.time_to_recover_ns:>10d} "
@@ -77,11 +75,8 @@ def main() -> None:
     print("\npropagation-delay sweep (htsim, dv):")
     print(f"{'propagation (ns)':>17} {'TTR (ns)':>10} {'blackholed':>11} {'blackhole %':>12}")
     for propagation_ns in (1_000, 50_000, 200_000):
-        backend = create_backend("htsim")
-        result = simulate(
-            schedule, backend=backend, config=_config("dv", propagation_ns)
-        )
-        summary = summarize_convergence(backend.convergence_report(), result.stats)
+        result = simulate(schedule, backend="htsim", config=_config("dv", propagation_ns))
+        summary = summarize_convergence(result.convergence_records, result.stats)
         print(
             f"{propagation_ns:>17d} {result.stats.time_to_recover_ns:>10d} "
             f"{result.stats.packets_blackholed:>11d} "

@@ -31,8 +31,10 @@ both backends).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.goal.merge import concatenate_schedules, delay_schedule, remap_ranks
 from repro.goal.schedule import GoalSchedule
@@ -82,7 +84,6 @@ class JobOutcome:
     isolated_runtime_ns: Optional[int] = None
     messages_delivered: int = 0
     bytes_delivered: int = 0
-    link_bytes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def slowdown(self) -> Optional[float]:
@@ -114,14 +115,19 @@ class CoTenancyResult:
     def contended_links(self) -> Dict[str, Dict[str, int]]:
         """Links carrying traffic of two or more jobs: ``{link: {job: bytes}}``.
 
-        The per-link contention breakdown of the run — on a healthy packed
+        A view of ``result.links.group_bytes`` (a job is its op group).  The
+        per-link contention breakdown of the run — on a healthy packed
         placement this is empty or confined to core links, while fragmented
         placements light up shared first-hop switches as well.
         """
+        links = self.result.links
         per_link: Dict[str, Dict[str, int]] = {}
         for out in self.outcomes:
-            for link, byts in out.link_bytes.items():
-                per_link.setdefault(link, {})[out.name] = byts
+            arr = links.group_bytes.get(out.job)
+            if arr is None:
+                continue
+            for link in np.flatnonzero(arr):
+                per_link.setdefault(links.names[link], {})[out.name] = int(arr[link])
         return {
             link: jobs for link, jobs in per_link.items() if len(jobs) >= 2
         }
@@ -313,7 +319,6 @@ def run_cotenant(
                 isolated_runtime_ns=isolated,
                 messages_delivered=stats.messages_delivered,
                 bytes_delivered=stats.bytes_delivered,
-                link_bytes=dict(stats.link_bytes),
             )
         )
     return CoTenancyResult(outcomes=outcomes, result=result, plan=plan)

@@ -68,11 +68,11 @@ class ConvergenceSummary:
 def summarize_convergence(
     records: Sequence["ConvergenceRecord"], stats: "NetworkStats"
 ) -> ConvergenceSummary:
-    """Summarize a backend's convergence report against its run statistics.
+    """Summarize a run's convergence records against its statistics.
 
-    ``records`` is a backend's ``convergence_report()`` (empty under the
-    oracle control plane); ``stats`` the matching ``collect_stats()``
-    output.  The message-level backend reports ``packets_sent == 0``, so
+    ``records`` is a result's ``convergence_records`` (empty under the
+    oracle control plane) and ``stats`` the same result's ``stats``.  The
+    message-level backend reports ``packets_sent == 0``, so
     its summaries carry TTR and message counts but a zero blackhole
     fraction — blackholes are a packet-level observable.
     """

@@ -40,6 +40,7 @@ from repro.network.faults import (
 from repro.network.backend import (
     NetworkBackend,
     SimulationResult,
+    LinkStats,
     MessageRecord,
     MessageRecords,
     NetworkStats,
@@ -65,6 +66,7 @@ __all__ = [
     "NetworkPartitionError",
     "NetworkBackend",
     "SimulationResult",
+    "LinkStats",
     "MessageRecord",
     "MessageRecords",
     "NetworkStats",

@@ -129,7 +129,9 @@ class NetworkStats:
     Message-level backends fill only the message counters; the packet-level
     backend additionally reports packet, drop, trim, ECN and retransmission
     counters — the "fine-grained details only packet-level simulators can
-    provide" highlighted in the paper's §6.2.
+    provide" highlighted in the paper's §6.2.  Drops, trims, ECN marks and
+    ``max_queue_bytes`` are the totals and the peak of the per-link
+    :class:`LinkStats` record.
     """
 
     messages_delivered: int = 0
@@ -161,7 +163,6 @@ class NetworkStats:
     route_cache_hits: int = 0
     route_cache_misses: int = 0
     route_cache_evictions: int = 0
-    queue_drop_events: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "NetworkStats") -> "NetworkStats":
         """Field-wise fold of two stats objects: counters sum, peaks take the max."""
@@ -177,9 +178,8 @@ _STATS_MAX_FIELDS = frozenset({"max_queue_bytes", "time_to_recover_ns"})
 def _fold_counters(a, b, max_fields=frozenset(), key_fields=frozenset()):
     """Fold two instances of one stats dataclass, field by field.
 
-    Integer counters sum, per-name counter dicts sum per key (``a``'s keys
-    first, then ``b``'s new ones), ``max_fields`` take the max and
-    ``key_fields`` identify the record (``a``'s value is kept).
+    Integer counters sum, ``max_fields`` take the max and ``key_fields``
+    identify the record (``a``'s value is kept).
     """
     out = {}
     for f in fields(a):
@@ -188,14 +188,69 @@ def _fold_counters(a, b, max_fields=frozenset(), key_fields=frozenset()):
             out[f.name] = x
         elif f.name in max_fields:
             out[f.name] = max(x, y)
-        elif isinstance(x, dict):
-            summed = dict(x)
-            for k, v in y.items():
-                summed[k] = summed.get(k, 0) + v
-            out[f.name] = summed
         else:
             out[f.name] = x + y
     return type(a)(**out)
+
+
+#: The per-link counter columns of :class:`LinkStats`, in field order.
+LINK_COLUMNS = ("busy_ns", "max_queued_bytes", "drops", "trims", "ecn_marks", "routed_bytes")
+
+
+@dataclass(eq=False)
+class LinkStats:
+    """Per-link facts of a run: one ``int64`` column per counter, indexed by link id.
+
+    The packet backend fills ``busy_ns`` (serialisation time), the peak
+    ``max_queued_bytes`` and the ``drops``, ``trims`` and ``ecn_marks`` of
+    each link's queue; the LogGOPS backend fills ``routed_bytes`` in
+    topology-aware mode.  A column a backend does not model is zeros.
+    ``group_bytes`` maps an op group to its bytes per link, only when the
+    scheduler was given ``op_groups``: the packet backend charges every
+    injected DATA packet (retransmissions included) to each link of its
+    route, LogGOPS every routed message.  A run with no modelled links
+    (LogGOPS in flat-``L`` mode) has an empty record.  Records compare equal
+    when names, columns and group bytes are.
+    """
+
+    names: Tuple[str, ...]
+    busy_ns: np.ndarray
+    max_queued_bytes: np.ndarray
+    drops: np.ndarray
+    trims: np.ndarray
+    ecn_marks: np.ndarray
+    routed_bytes: np.ndarray
+    group_bytes: Dict[int, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, names: Sequence[str] = ()) -> "LinkStats":
+        """A record of all-zero columns for links called ``names``."""
+        n = len(names)
+        return cls(tuple(names), *(np.zeros(n, dtype=np.int64) for _ in LINK_COLUMNS))
+
+    def merge(self, other: "LinkStats") -> "LinkStats":
+        """Elementwise sum of two shards' records of one topology.
+
+        A link's counters live only on the shard that owns it (its source
+        device's) and a packet's group bytes on its sender's, so the sum is
+        exact, peaks included.
+        """
+        groups = dict(self.group_bytes)
+        for group, arr in other.group_bytes.items():
+            groups[group] = groups[group] + arr if group in groups else arr
+        return LinkStats(
+            self.names, *(getattr(self, c) + getattr(other, c) for c in LINK_COLUMNS), groups
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinkStats):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in LINK_COLUMNS)
+            and self.group_bytes.keys() == other.group_bytes.keys()
+            and all(np.array_equal(a, other.group_bytes[g]) for g, a in self.group_bytes.items())
+        )
 
 
 @dataclass
@@ -217,19 +272,14 @@ class GroupStats:
     messages_delivered / bytes_delivered:
         Messages sent by the group's ops that were fully delivered, and
         their payload bytes.
-    link_bytes:
-        Bytes of the group's traffic per link name.  The packet backend
-        charges every injected DATA packet (including retransmissions) to
-        each link of its route; the message-level backend attributes routed
-        bytes in topology-aware mode and is empty in flat-``L`` mode (there
-        are no modelled links to attribute to).
+
+    The group's bytes per link are ``SimulationResult.links.group_bytes``.
     """
 
     group: int
     finish_ns: int = 0
     messages_delivered: int = 0
     bytes_delivered: int = 0
-    link_bytes: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "GroupStats") -> "GroupStats":
         """Fold two partial records of the same group (one per shard)."""
@@ -264,6 +314,8 @@ class SimulationResult:
     groups:
         Per-group :class:`GroupStats` keyed by group id (empty unless the
         scheduler was given ``op_groups``).
+    links:
+        The per-link :class:`LinkStats` record, indexed by link id.
     convergence_records:
         Per-fault-event :class:`~repro.network.control_plane.ConvergenceRecord`
         list; empty under ``control_plane="oracle"`` or when the backend
@@ -280,6 +332,7 @@ class SimulationResult:
     backend: str = ""
     wall_clock_s: float = 0.0
     groups: Dict[int, GroupStats] = field(default_factory=dict)
+    links: LinkStats = field(default_factory=LinkStats.of)
     convergence_records: List = field(default_factory=list)
 
     @property
@@ -320,8 +373,9 @@ class NetworkBackend(abc.ABC):
     fault application (:meth:`_apply_fault`), ``calc`` ops, op completion,
     delivered-message accounting and the stats fold.  A subclass implements
     :meth:`issue_send`, :meth:`issue_recv` and :meth:`run`, and extends
-    :meth:`setup` / :meth:`_apply_fault` / :meth:`collect_stats` with
-    whatever its model adds (see ``docs/architecture.md``).
+    :meth:`setup` / :meth:`_apply_fault` / :meth:`collect_links` /
+    :meth:`collect_stats` with whatever its model adds (see
+    ``docs/architecture.md``).
     """
 
     name: str = "abstract"
@@ -448,17 +502,13 @@ class NetworkBackend(abc.ABC):
         # the single hottest path of calc-dominated workloads
         if duration_ns < 0:
             raise ValueError("duration must be non-negative")
-        host = self.host
-        free = host._free_at
+        free = self.host._free_at
         key = (rank, stream)
         start = free.get(key, 0)
         if start < ready_time:
             start = ready_time
         end = start + duration_ns
         free[key] = end
-        if duration_ns:
-            busy = host.busy_ns
-            busy[rank] = busy.get(rank, 0) + duration_ns
         # inlined EventQueue.schedule (end >= ready_time >= now by
         # construction, so the past-check cannot fire)
         events = self.events
@@ -537,14 +587,33 @@ class NetworkBackend(abc.ABC):
         self._require_setup()
         return self.events.now
 
-    def collect_stats(self) -> NetworkStats:
+    def collect_links(self) -> LinkStats:
+        """The run's per-link :class:`LinkStats` record.
+
+        Names come from the topology (an empty record without one) and
+        group bytes from the attribution counters; a backend fills the
+        columns its model keeps.
+        """
+        self._require_setup()
+        topology = self.topology
+        links = LinkStats.of([] if topology is None else [link.name for link in topology.links])
+        links.group_bytes = dict(self._group_link_bytes)
+        return links
+
+    def collect_stats(self, links: LinkStats) -> NetworkStats:
         """Return aggregate statistics for the run so far (idempotent).
 
-        Folds in the worst convergence window and the fabric's route-cache
-        counters; backends with more counters fold theirs, then defer here.
+        Drops, trims and ECN marks are the sums of ``links``' columns and
+        ``max_queue_bytes`` its peak; then the worst convergence window and
+        the fabric's route-cache counters.  Backends with more counters fold
+        theirs, then defer here.
         """
         self._require_setup()
         stats = self.stats
+        stats.packets_dropped = int(links.drops.sum())
+        stats.packets_trimmed = int(links.trims.sum())
+        stats.packets_ecn_marked = int(links.ecn_marks.sum())
+        stats.max_queue_bytes = int(links.max_queued_bytes.max(initial=0))
         if self.convergence_events:
             stats.time_to_recover_ns = max(
                 r.time_to_recover_ns for r in self.convergence_events
@@ -556,15 +625,6 @@ class NetworkBackend(abc.ABC):
             stats.route_cache_evictions = cache["evictions"]
         return stats
 
-    def convergence_report(self) -> List:
-        """Per-fault-event :class:`~repro.network.control_plane.ConvergenceRecord` list.
-
-        Empty under ``control_plane="oracle"`` (no convergence windows
-        exist) and whenever no timed fault event fired.
-        """
-        self._require_setup()
-        return self.convergence_events
-
     def collect_message_records(self) -> MessageRecords:
         """The :class:`MessageRecords` store (empty unless ``collect_message_records`` is set)."""
         self._require_setup()
@@ -574,23 +634,14 @@ class NetworkBackend(abc.ABC):
         """Per-group records keyed by group id, in id order.
 
         ``finish`` holds the scheduler's per-group completion times; the
-        traffic counters are this backend's.  Empty without op groups.
+        message counters are this backend's.  Empty without op groups.
         """
         self._require_setup()
-        msgs, link_bytes = self._group_msgs, self._group_link_bytes
-        names = [link.name for link in self.topology.links] if link_bytes else []
-        out: Dict[int, GroupStats] = {}
-        for group in sorted(set(finish) | set(msgs) | set(link_bytes)):
-            messages, byts = msgs.get(group, (0, 0))
-            arr = link_bytes.get(group)
-            out[group] = GroupStats(
-                group,
-                finish.get(group, 0),
-                messages,
-                byts,
-                {} if arr is None else {names[i]: int(b) for i, b in enumerate(arr) if b},
-            )
-        return out
+        msgs = self._group_msgs
+        return {
+            group: GroupStats(group, finish.get(group, 0), *msgs.get(group, (0, 0)))
+            for group in sorted(set(finish) | set(msgs))
+        }
 
     def unmatched_state(self) -> Dict[str, int]:
         """Diagnostics for unmatched communication (should be all zero)."""

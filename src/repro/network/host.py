@@ -22,13 +22,11 @@ class HostCompute:
     use; an unused stream is free at time 0.
     """
 
-    __slots__ = ("_free_at", "busy_ns")
+    __slots__ = ("_free_at",)
 
     def __init__(self) -> None:
         # (rank, stream) -> time at which the stream becomes free
         self._free_at: Dict[Tuple[int, int], int] = {}
-        # (rank) -> total busy nanoseconds accumulated (for utilisation stats)
-        self.busy_ns: Dict[int, int] = {}
 
     def free_at(self, rank: int, stream: int) -> int:
         """Time at which ``stream`` of ``rank`` becomes free."""
@@ -46,11 +44,4 @@ class HostCompute:
         start = max(earliest, self._free_at.get(key, 0))
         end = start + duration
         self._free_at[key] = end
-        if duration:
-            self.busy_ns[rank] = self.busy_ns.get(rank, 0) + duration
         return start, end
-
-    def reset(self) -> None:
-        """Forget all reservations (used when a backend is reused)."""
-        self._free_at.clear()
-        self.busy_ns.clear()

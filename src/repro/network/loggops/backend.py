@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.backend import CompletionCallback, NetworkBackend
+from repro.network.backend import CompletionCallback, LinkStats, NetworkBackend
 from repro.network.config import SimulationConfig
 from repro.network.faults import LINK_DOWN, SWITCH_DRAIN, NetworkPartitionError
 
@@ -257,17 +257,13 @@ class LogGOPSBackend(NetworkBackend):
         p = self.params
         cost = self._o_int if p.O == 0.0 else int(round(p.o + size * p.O))
         # inlined HostCompute.reserve
-        host = self.host
-        free = host._free_at
+        free = self.host._free_at
         key = (rank, stream)
         cpu_start = free.get(key, 0)
         if cpu_start < time:
             cpu_start = time
         cpu_end = cpu_start + cost
         free[key] = cpu_end
-        if cost:
-            busy = host.busy_ns
-            busy[rank] = busy.get(rank, 0) + cost
 
         if size > p.S and p.S != 0:
             # Rendezvous: wait for the matching receive before transferring.
@@ -445,8 +441,7 @@ class LogGOPSBackend(NetworkBackend):
         """Charge the receiver-side overhead and report the recv op complete."""
         rank, stream, post_time, cost, op_id = recv
         # inlined HostCompute.reserve, from the later of arrival and post
-        host = self.host
-        free = host._free_at
+        free = self.host._free_at
         key = (rank, stream)
         start = free.get(key, 0)
         if start < arrival_time:
@@ -455,9 +450,6 @@ class LogGOPSBackend(NetworkBackend):
             start = post_time
         end = start + cost
         free[key] = end
-        if cost:
-            busy = host.busy_ns
-            busy[rank] = busy.get(rank, 0) + cost
         events = self.events
         heappush(events._heap, (end, 0, events._seq, self._complete_op, (rank, op_id)))
         events._seq += 1
@@ -468,16 +460,12 @@ class LogGOPSBackend(NetworkBackend):
         self._on_complete = on_complete
         return self.events.run()
 
-    # ---------------------------------------------------------------- queries
-    def link_loads(self) -> Dict[str, int]:
-        """Cumulative bytes routed over each link (topology-aware mode only)."""
-        if not self._routed:
-            return {}
-        return {
-            self.topology.links[link].name: int(load)
-            for link, load in enumerate(self._link_bytes)
-            if load
-        }
+    # ---------------------------------------------------------------- results
+    def collect_links(self) -> LinkStats:
+        links = super().collect_links()
+        if self._routed:
+            links.routed_bytes = self._link_bytes
+        return links
 
     def unmatched_state(self) -> Dict[str, int]:
         """Diagnostics about unmatched communication at the end of a run.

@@ -43,7 +43,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.backend import CompletionCallback, NetworkBackend, NetworkStats
+from repro.network.backend import CompletionCallback, LinkStats, NetworkBackend, NetworkStats
 from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.faults import NetworkPartitionError
@@ -115,7 +115,6 @@ class PacketBackend(NetworkBackend):
         self.queues = [
             BurstLinkQueue(
                 link,
-                self.stats,
                 capacity=config.buffer_size,
                 kmin=kmin,
                 kmax=kmax,
@@ -740,30 +739,20 @@ class PacketBackend(NetworkBackend):
         events.executed += executed
         return events._now
 
-    def collect_stats(self) -> NetworkStats:
+    # ----------------------------------------------------------------- results
+    def collect_links(self) -> LinkStats:
+        links = super().collect_links()
+        queues = self.queues
+        n = len(queues)
+        for column in ("busy_ns", "max_queued_bytes", "drops", "trims", "ecn_marks"):
+            setattr(links, column, np.fromiter((getattr(q, column) for q in queues), np.int64, n))
+        return links
+
+    def collect_stats(self, links: LinkStats) -> NetworkStats:
         self._require_setup()
         # fold the hot plain-int counters back in (assignment, so repeated
         # collect_stats calls stay idempotent)
         self.stats.packets_sent = self._n_sent
         self.stats.packets_delivered = self._n_delivered
         self.stats.acks_sent = self._n_acks
-        self.stats.queue_drop_events = {
-            q.link.name: q.drops for q in self.queues if q.drops
-        }
-        return super().collect_stats()
-
-    # ---------------------------------------------------------------- queries
-    def queue_statistics(self) -> List[Dict[str, object]]:
-        """Per-link queue statistics (drops, trims, marks, peak occupancy)."""
-        elapsed = max(1, self.events.now)
-        return [
-            {
-                "link": q.link.name,
-                "drops": q.drops,
-                "trims": q.trims,
-                "ecn_marks": q.ecn_marks,
-                "max_queued_bytes": q.max_queued_bytes,
-                "utilization": q.utilization(elapsed),
-            }
-            for q in self.queues
-        ]
+        return super().collect_stats(links)

@@ -28,7 +28,6 @@ from typing import Deque, Tuple
 
 import numpy as np
 
-from repro.network.backend import NetworkStats
 from repro.network.packet.packet import Packet
 from repro.network.topology.base import Link
 
@@ -55,7 +54,6 @@ class BurstLinkQueue:
 
     __slots__ = (
         "link",
-        "stats",
         "capacity",
         "kmin",
         "kmax",
@@ -81,14 +79,12 @@ class BurstLinkQueue:
     def __init__(
         self,
         link: Link,
-        stats: NetworkStats,
         capacity: int,
         kmin: int,
         kmax: int,
         rng: np.random.Generator,
     ) -> None:
         self.link = link
-        self.stats = stats
         self.capacity = capacity
         self.kmin = kmin
         self.kmax = kmax
@@ -163,10 +159,8 @@ class BurstLinkQueue:
                     packet.trimmed = True
                     packet.size = size = packet.flow.header_size
                     self.trims += 1
-                    self.stats.packets_trimmed += 1
                 else:
                     self.drops += 1
-                    self.stats.packets_dropped += 1
                     self.queued_bytes = qb
                     return False
             elif qb > kmin:
@@ -180,7 +174,6 @@ class BurstLinkQueue:
                 if mark and not packet.ecn:
                     packet.ecn = True
                     self.ecn_marks += 1
-                    self.stats.packets_ecn_marked += 1
 
         try:
             tx = self._tx_cache[size]
@@ -194,9 +187,6 @@ class BurstLinkQueue:
         self.queued_bytes = qb
         if qb > self.max_queued_bytes:
             self.max_queued_bytes = qb
-            stats = self.stats
-            if qb > stats.max_queue_bytes:
-                stats.max_queue_bytes = qb
         if head == _NEVER:
             self.head_depart = depart
         pending.append((depart, size))
@@ -206,10 +196,3 @@ class BurstLinkQueue:
             self.live = True
             heappush(self._streams, (depart + self.latency, depart, self._link_id))
         return True
-
-    # ---------------------------------------------------------------- queries
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of ``elapsed_ns`` this link spent transmitting."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self.busy_ns / elapsed_ns)

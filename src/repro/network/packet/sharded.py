@@ -97,7 +97,7 @@ import numpy as np
 
 from repro import workers
 from repro.goal.schedule import GoalSchedule
-from repro.network.backend import GroupStats, MessageRecords, NetworkStats, SimulationResult
+from repro.network.backend import GroupStats, LinkStats, MessageRecords, NetworkStats, SimulationResult
 from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.packet.backend import PacketBackend
@@ -288,7 +288,6 @@ class ShardPacketBackend(PacketBackend):
                 old = self.queues[link.link_id]
                 nq = _BoundaryBurstQueue(
                     link,
-                    self.stats,
                     capacity=old.capacity,
                     kmin=old.kmin,
                     kmax=old.kmax,
@@ -741,16 +740,20 @@ def _merge_results(
 ) -> SimulationResult:
     """Fold per-shard results into one :class:`SimulationResult`.
 
-    Counters sum (each event is counted at exactly one shard), per-rank and
-    per-group finish times max-merge (each rank completes at one shard),
-    and message records concatenate in a canonical sort.  Convergence
-    records are identical on every shard (the advertisement wave replays
-    on each one's full-topology replica), so shard 0's copy is canonical.
+    Counters sum (each event is counted at exactly one shard), the per-link
+    record sums elementwise (a link's counters live on its owner shard, as
+    in :func:`_merge_views`), per-rank and per-group finish times max-merge
+    (each rank completes at one shard), and message records concatenate in
+    a canonical sort.  Convergence records are identical on every shard
+    (the advertisement wave replays on each one's full-topology replica),
+    so shard 0's copy is canonical.
     """
     results = [c[0] for c in collected]
     stats: NetworkStats = results[0].stats
+    links: LinkStats = results[0].links
     for r in results[1:]:
         stats = stats.merge(r.stats)
+        links = links.merge(r.links)
     rank_finish = [0] * schedule.num_ranks
     groups: Dict[int, GroupStats] = {}
     finish = 0
@@ -777,5 +780,6 @@ def _merge_results(
         backend="htsim",
         wall_clock_s=wall,
         groups=dict(sorted(groups.items())),
+        links=links,
         convergence_records=list(results[0].convergence_records),
     )

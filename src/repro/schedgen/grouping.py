@@ -53,7 +53,8 @@ def group_ranks_into_nodes(
         Group consecutive ranks in blocks of this size (mutually exclusive
         with ``node_of``).
     node_of:
-        Explicit rank→node map (one entry per rank of ``schedule``).
+        Explicit rank→node map (one entry per rank of ``schedule``, each
+        ``>= 0``).
     intra_node_ns_per_byte:
         Cost per byte of an intra-node transfer (default 1/150 ns/B =
         150 GB/s, the GH200 NVLink bandwidth quoted in the paper).
@@ -75,6 +76,9 @@ def group_ranks_into_nodes(
         node_of = list(node_of)
         if len(node_of) != schedule.num_ranks:
             raise ValueError("node_of must have one entry per rank")
+        for rank, node in enumerate(node_of):
+            if node < 0:
+                raise ValueError(f"node_of[{rank}] is {node}: rank {rank} needs a node >= 0")
     num_nodes = max(node_of) + 1
 
     for rank in schedule.ranks:

@@ -140,7 +140,7 @@ class DirectDriveScheduleGenerator:
             last_ts[client] = record.timestamp
             cb = builder.rank(client)
             prev = arrival_chain[client]
-            arrival = cb.calc(gap_ns, requires=[prev] if prev is not None else [])
+            arrival = cb.calc(gap_ns, requires=(prev,) if prev is not None else ())
             arrival_chain[client] = arrival
 
             thread = i % cfg.server_threads
@@ -163,12 +163,12 @@ class DirectDriveScheduleGenerator:
             slb = builder.rank(cfg.slb_rank)
             r = slb.recv(CONTROL_BYTES, src=client, tag=tag)
             fwd_tag = self._tag()
-            fwd = slb.send(CONTROL_BYTES, dst=cfg.gs_rank, tag=fwd_tag, requires=[r])
+            fwd = slb.send(CONTROL_BYTES, dst=cfg.gs_rank, tag=fwd_tag, requires=(r,))
             gs = builder.rank(cfg.gs_rank)
             gr = gs.recv(CONTROL_BYTES, src=cfg.slb_rank, tag=fwd_tag)
             reply_tag = self._tag()
-            gs.send(CONTROL_BYTES, dst=client, tag=reply_tag, requires=[gr])
-            cb.recv(CONTROL_BYTES, src=cfg.gs_rank, tag=reply_tag, requires=[s])
+            gs.send(CONTROL_BYTES, dst=client, tag=reply_tag, requires=(gr,))
+            cb.recv(CONTROL_BYTES, src=cfg.gs_rank, tag=reply_tag, requires=(s,))
 
     def _emit_request(
         self, builder: GoalBuilder, index: int, record: SpcRecord, client: int, arrival: int, thread: int
@@ -181,12 +181,12 @@ class DirectDriveScheduleGenerator:
         # 1. client -> CCS lookup, CCS -> client response
         lookup_tag = self._tag()
         reply_tag = self._tag()
-        lookup = cb.send(CONTROL_BYTES, dst=ccs, tag=lookup_tag, cpu=thread, requires=[arrival])
+        lookup = cb.send(CONTROL_BYTES, dst=ccs, tag=lookup_tag, cpu=thread, requires=(arrival,))
         ccs_b = builder.rank(ccs)
         ccs_recv = ccs_b.recv(CONTROL_BYTES, src=client, tag=lookup_tag, cpu=thread)
-        ccs_work = ccs_b.calc(cfg.ccs_service_ns, cpu=thread, requires=[ccs_recv])
-        ccs_b.send(CONTROL_BYTES, dst=client, tag=reply_tag, cpu=thread, requires=[ccs_work])
-        ccs_reply = cb.recv(CONTROL_BYTES, src=ccs, tag=reply_tag, cpu=thread, requires=[lookup])
+        ccs_work = ccs_b.calc(cfg.ccs_service_ns, cpu=thread, requires=(ccs_recv,))
+        ccs_b.send(CONTROL_BYTES, dst=client, tag=reply_tag, cpu=thread, requires=(ccs_work,))
+        ccs_reply = cb.recv(CONTROL_BYTES, src=ccs, tag=reply_tag, cpu=thread, requires=(lookup,))
 
         if record.is_read:
             self._emit_read(builder, record, client, primary_bss, ccs_reply, thread)
@@ -200,13 +200,13 @@ class DirectDriveScheduleGenerator:
         cb = builder.rank(client)
         req_tag = self._tag()
         data_tag = self._tag()
-        req = cb.send(CONTROL_BYTES, dst=bss, tag=req_tag, cpu=thread, requires=[after])
+        req = cb.send(CONTROL_BYTES, dst=bss, tag=req_tag, cpu=thread, requires=(after,))
         bss_b = builder.rank(bss)
         bss_recv = bss_b.recv(CONTROL_BYTES, src=client, tag=req_tag, cpu=thread)
-        bss_work = bss_b.calc(cfg.bss_service_ns, cpu=thread, requires=[bss_recv])
-        bss_b.send(record.size, dst=client, tag=data_tag, cpu=thread, requires=[bss_work])
-        data = cb.recv(record.size, src=bss, tag=data_tag, cpu=thread, requires=[req])
-        cb.calc(cfg.client_service_ns, cpu=thread, requires=[data])
+        bss_work = bss_b.calc(cfg.bss_service_ns, cpu=thread, requires=(bss_recv,))
+        bss_b.send(record.size, dst=client, tag=data_tag, cpu=thread, requires=(bss_work,))
+        data = cb.recv(record.size, src=bss, tag=data_tag, cpu=thread, requires=(req,))
+        cb.calc(cfg.client_service_ns, cpu=thread, requires=(data,))
 
     def _emit_write(
         self, builder: GoalBuilder, record: SpcRecord, client: int, primary: int, after: int, thread: int
@@ -216,10 +216,10 @@ class DirectDriveScheduleGenerator:
         data_tag = self._tag()
         ack_tag = self._tag()
 
-        data = cb.send(record.size, dst=primary, tag=data_tag, cpu=thread, requires=[after])
+        data = cb.send(record.size, dst=primary, tag=data_tag, cpu=thread, requires=(after,))
         pb = builder.rank(primary)
         p_recv = pb.recv(record.size, src=client, tag=data_tag, cpu=thread)
-        p_work = pb.calc(cfg.bss_service_ns, cpu=thread, requires=[p_recv])
+        p_work = pb.calc(cfg.bss_service_ns, cpu=thread, requires=(p_recv,))
 
         # replicate to the next replication_factor - 1 BSS instances
         replica_acks: List[int] = []
@@ -230,29 +230,29 @@ class DirectDriveScheduleGenerator:
                 continue
             rep_tag = self._tag()
             rep_ack_tag = self._tag()
-            pb.send(record.size, dst=replica, tag=rep_tag, cpu=thread, requires=[p_work])
+            pb.send(record.size, dst=replica, tag=rep_tag, cpu=thread, requires=(p_work,))
             rb = builder.rank(replica)
             rr = rb.recv(record.size, src=primary, tag=rep_tag, cpu=thread)
-            rw = rb.calc(cfg.bss_service_ns, cpu=thread, requires=[rr])
-            rb.send(CONTROL_BYTES, dst=primary, tag=rep_ack_tag, cpu=thread, requires=[rw])
-            replica_acks.append(pb.recv(CONTROL_BYTES, src=replica, tag=rep_ack_tag, cpu=thread, requires=[p_work]))
+            rw = rb.calc(cfg.bss_service_ns, cpu=thread, requires=(rr,))
+            rb.send(CONTROL_BYTES, dst=primary, tag=rep_ack_tag, cpu=thread, requires=(rw,))
+            replica_acks.append(pb.recv(CONTROL_BYTES, src=replica, tag=rep_ack_tag, cpu=thread, requires=(p_work,)))
 
-        ack_deps = [p_work] + replica_acks
+        ack_deps = (p_work, *replica_acks)
         pb.send(CONTROL_BYTES, dst=client, tag=ack_tag, cpu=thread, requires=ack_deps)
-        ack = cb.recv(CONTROL_BYTES, src=primary, tag=ack_tag, cpu=thread, requires=[data])
-        cb.calc(cfg.client_service_ns, cpu=thread, requires=[ack])
+        ack = cb.recv(CONTROL_BYTES, src=primary, tag=ack_tag, cpu=thread, requires=(data,))
+        cb.calc(cfg.client_service_ns, cpu=thread, requires=(ack,))
 
     def _emit_metadata_refresh(self, builder: GoalBuilder, client: int, after: int, thread: int) -> None:
         cfg = self.config
         cb = builder.rank(client)
         req_tag = self._tag()
         reply_tag = self._tag()
-        req = cb.send(CONTROL_BYTES, dst=cfg.mds_rank, tag=req_tag, cpu=thread, requires=[after])
+        req = cb.send(CONTROL_BYTES, dst=cfg.mds_rank, tag=req_tag, cpu=thread, requires=(after,))
         mds = builder.rank(cfg.mds_rank)
         mr = mds.recv(CONTROL_BYTES, src=client, tag=req_tag, cpu=thread)
-        mw = mds.calc(cfg.ccs_service_ns, cpu=thread, requires=[mr])
-        mds.send(4096, dst=client, tag=reply_tag, cpu=thread, requires=[mw])
-        cb.recv(4096, src=cfg.mds_rank, tag=reply_tag, cpu=thread, requires=[req])
+        mw = mds.calc(cfg.ccs_service_ns, cpu=thread, requires=(mr,))
+        mds.send(4096, dst=client, tag=reply_tag, cpu=thread, requires=(mw,))
+        cb.recv(4096, src=cfg.mds_rank, tag=reply_tag, cpu=thread, requires=(req,))
 
 
 def storage_trace_to_goal(

@@ -212,15 +212,17 @@ class GoalScheduler:
         if self._completed != self._total_ops:
             raise self._deadlock_error()
 
+        links = self.backend.collect_links()
         return SimulationResult(
             finish_time_ns=self._finish_time,
             rank_finish_times_ns=list(self.backend.rank_finish),
-            stats=self.backend.collect_stats(),
+            stats=self.backend.collect_stats(links),
             message_records=self.backend.collect_message_records(),
             ops_completed=self._completed,
             backend=self.backend.name,
             wall_clock_s=wall_elapsed,
             groups=self.backend.group_stats(self._group_finish),
+            links=links,
             convergence_records=list(self.backend.convergence_events),
         )
 

@@ -8,9 +8,10 @@ list, the serial sweep), and this module is the one place they are compared:
 
 * :func:`everything` flattens a whole :class:`SimulationResult` plus the
   events executed into one dict: finish and per-rank finish times, ops
-  completed, message records, every ``NetworkStats`` field, per-job stats,
-  per-group finish times and convergence records.  Host wall clock and the
-  backend's name are not simulated and are left out.
+  completed, message records, every ``NetworkStats`` field, the per-group
+  ``GroupStats``, the per-link ``LinkStats`` record (group bytes included)
+  and convergence records.  Host wall clock and the backend's name are not
+  simulated and are left out.
 * :data:`ROWS` is the registry: for each input of :data:`INPUTS`, its
   rows.  A :class:`Row` names a :class:`Pair` (an engine side, a reference
   side, the keys that pair may differ on and the mutant that shows the
@@ -117,6 +118,7 @@ def everything(result: SimulationResult, events: Optional[int] = None) -> dict:
         "ops": result.ops_completed,
         "records": tuple(result.message_records),
         "groups": {group: vars(s) for group, s in result.groups.items()},
+        "links": result.links,
         "convergence": tuple(result.convergence_records),
         "events": events,
         **stats,
@@ -871,8 +873,13 @@ def _cotenant():
 
 
 # 4 shards over two 4-rank jobs: each job spans two shards, so the merge must
-# *fold* per-shard GroupStats, not just relabel them
-register("sharded/cotenant-job-stats", _cotenant, Row(shards(4, 1), lambda out: bool(_senders(out))))
+# *fold* per-shard GroupStats, not just relabel them, and sum the per-link
+# record, group bytes included
+register(
+    "sharded/cotenant-job-stats",
+    _cotenant,
+    Row(shards(4, 1, mutants=("merge-keeps-shard0-links",)), lambda out: bool(_senders(out))),
+)
 register(
     "sharded/allreduce16-op-groups",
     lambda: Sim(

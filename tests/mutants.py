@@ -18,6 +18,7 @@ pair's ``mutants`` field.
 """
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import inspect
 import re
@@ -89,6 +90,17 @@ def _boundary_route_from_replica(patch):
     namespace = {}
     exec(source, {**vars(sharded), "DATA": DATA}, namespace)
     patch.setattr(sharded.ShardPacketBackend, "_apply_inbox", namespace["_apply_inbox"])
+
+
+def _merge_keeps_shard0_links(patch):
+    """``_merge_results`` that keeps shard 0's per-link record instead of the
+    shards' elementwise sum."""
+    merge = sharded._merge_results
+
+    def shard0_links(collected, schedule, wall):
+        return dataclasses.replace(merge(collected, schedule, wall), links=collected[0][0].links)
+
+    patch.setattr(sharded, "_merge_results", shard0_links)
 
 
 def _seq_blind_run(self, until=None, max_events=None):
@@ -174,6 +186,9 @@ MUTANTS = {
     ),
     "boundary-route-from-replica": Mutant(
         _boundary_route_from_replica, lambda: differential.check("sharded/allreduce32K-dragonfly-1ns-flap-seed3")
+    ),
+    "merge-keeps-shard0-links": Mutant(
+        _merge_keeps_shard0_links, lambda: differential.check("sharded/cotenant-job-stats")
     ),
     "seq-blind-ready-queue": Mutant(
         lambda patch: patch.setattr(EventQueue, "run", _seq_blind_run),

@@ -139,10 +139,9 @@ def _fully_received(flow):
 class TransmissionLinkQueue:
     """FIFO output queue + transmitter of one directed link, event by event."""
 
-    def __init__(self, link, events, stats, deliver, capacity, kmin, kmax, rng):
+    def __init__(self, link, events, deliver, capacity, kmin, kmax, rng):
         self.link = link
         self.events = events
-        self.stats = stats
         self.deliver = deliver
         self.capacity = capacity
         self.kmin = kmin
@@ -163,20 +162,16 @@ class TransmissionLinkQueue:
             if self.queued_bytes + packet.size > self.capacity:
                 if not packet.flow.trimmable:
                     self.drops += 1
-                    self.stats.packets_dropped += 1
                     return False
                 packet.trimmed = True  # NDP: keep the header
                 packet.size = packet.flow.header_size
                 self.trims += 1
-                self.stats.packets_trimmed += 1
             else:
                 self._maybe_mark_ecn(packet)
         self.queue.append(packet)
         self.queued_bytes += packet.size
         if self.queued_bytes > self.max_queued_bytes:
             self.max_queued_bytes = self.queued_bytes
-            if self.queued_bytes > self.stats.max_queue_bytes:
-                self.stats.max_queue_bytes = self.queued_bytes
         if not self.busy:
             self._start_transmission(now)
         return True
@@ -193,7 +188,6 @@ class TransmissionLinkQueue:
         if mark and not packet.ecn:
             packet.ecn = True
             self.ecn_marks += 1
-            self.stats.packets_ecn_marked += 1
 
     def _start_transmission(self, now):
         packet = self.queue[0]
@@ -221,9 +215,6 @@ class TransmissionLinkQueue:
     def _arrive(self, now, packet):
         self.deliver(packet, now)
 
-    def utilization(self, elapsed_ns):
-        return 0.0 if elapsed_ns <= 0 else min(1.0, self.busy_ns / elapsed_ns)
-
 
 class PerTransmissionBackend(PacketBackend):
     """The packet backend on :class:`TransmissionLinkQueue` and the plain heap."""
@@ -233,7 +224,7 @@ class PerTransmissionBackend(PacketBackend):
         # queues are untouched before traffic, so swapping objects is exact
         self.queues = [
             TransmissionLinkQueue(
-                q.link, self.events, self.stats, self._on_link_delivery,
+                q.link, self.events, self._on_link_delivery,
                 q.capacity, q.kmin, q.kmax, q.rng,
             )
             for q in self.queues

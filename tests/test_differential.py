@@ -16,7 +16,7 @@ import pytest
 
 import differential
 from mutants import MUTANTS
-from repro.network.backend import GroupStats, MessageRecords, NetworkStats, SimulationResult
+from repro.network.backend import LINK_COLUMNS, GroupStats, LinkStats, MessageRecords, NetworkStats, SimulationResult
 from repro.network.control_plane import ConvergenceRecord
 
 #: Checks outside the registry that claim teeth, and the mutant that shows them.
@@ -69,6 +69,7 @@ _CHANGED = {
     "message_records": MessageRecords.from_columns(np.ones((1, 6))),
     "ops_completed": 2,
     "groups": {0: GroupStats(0, finish_ns=2)},
+    "links": LinkStats.of(["a->b"]),
     "convergence_records": [ConvergenceRecord(0, "link_down", (0,), 0, 0, "oracle")],
 }
 _RESULT = SimulationResult(1, [1], NetworkStats(), ops_completed=1)
@@ -87,9 +88,16 @@ def test_everything_sees_a_changed_result_field(field_name):
 
 def test_everything_sees_every_changed_stats_field():
     for f in fields(NetworkStats):
-        value = {"link": 1} if f.name == "queue_drop_events" else 1
-        changed = replace(_RESULT, stats=replace(NetworkStats(), **{f.name: value}))
+        changed = replace(_RESULT, stats=replace(NetworkStats(), **{f.name: 1}))
         assert differential.everything(changed) != differential.everything(_RESULT), f.name
+
+
+def test_everything_sees_every_changed_link_column():
+    one, ones = LinkStats.of(["a->b"]), np.ones(1, dtype=np.int64)
+    records = [one, *(replace(one, **{column: ones}) for column in LINK_COLUMNS)]
+    records += [replace(one, group_bytes={0: ones}), replace(one, group_bytes={0: 0 * ones})]
+    seen = [differential.everything(replace(_RESULT, links=links)) for links in records]
+    assert all(a != b for i, a in enumerate(seen) for b in seen[i + 1 :])
 
 
 #: The ways a DATA packet can end; the ledger sums them.

@@ -173,15 +173,8 @@ class TestHostCompute:
         with pytest.raises(ValueError):
             HostCompute().reserve(0, 0, 0, -1)
 
-    def test_busy_accounting(self):
+    def test_free_at_tracks_each_stream(self):
         host = HostCompute()
         host.reserve(3, 0, 0, 70)
         host.reserve(3, 1, 0, 30)
-        assert host.busy_ns[3] == 100
-
-    def test_reset(self):
-        host = HostCompute()
-        host.reserve(0, 0, 0, 100)
-        host.reset()
-        assert host.free_at(0, 0) == 0
-        assert host.busy_ns == {}
+        assert (host.free_at(3, 0), host.free_at(3, 1), host.free_at(3, 2)) == (70, 30, 0)

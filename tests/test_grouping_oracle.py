@@ -99,6 +99,14 @@ def test_half_transfer_costs_round_to_even():
     assert encode_goal(grouped) == encode_goal(list_group_ranks_into_nodes(schedule, [0, 0], 0.5, 0))
 
 
+def test_negative_node_names_the_rank():
+    schedule = GoalSchedule(3)
+    for rank in schedule.ranks:
+        rank.append_op(OpType.CALC, 10)
+    with pytest.raises(ValueError, match=r"^node_of\[1\] is -1: rank 1 needs a node >= 0$"):
+        group_ranks_into_nodes(schedule, node_of=[0, -1, 1])
+
+
 def test_cyclic_pairing_names_the_node():
     # on node 1, each rank receives before it sends what the other receives
     schedule = GoalSchedule(4)

@@ -95,14 +95,16 @@ class TestCongestionBehaviour:
         assert res.stats.packets_dropped == 0
         assert res.ops_completed == sched.num_ops()
 
-    def test_queue_statistics_exposed(self):
+    def test_link_record_exposed(self):
         cfg = SimulationConfig(topology="single_switch", buffer_size=1 << 15)
         backend = PacketBackend()
-        sched = incast(5, 1 << 18)
-        GoalScheduler(sched, backend=backend, config=cfg).run()
-        stats = backend.queue_statistics()
-        assert len(stats) == len(backend.topology.links)
-        assert any(q["max_queued_bytes"] > 0 for q in stats)
+        res = GoalScheduler(incast(5, 1 << 18), backend=backend, config=cfg).run()
+        links = res.links
+        assert links.names == tuple(link.name for link in backend.topology.links)
+        assert len(links.max_queued_bytes) == len(links.names)
+        assert links.max_queued_bytes.max() == res.stats.max_queue_bytes > 0
+        assert links.drops.sum() == res.stats.packets_dropped > 0
+        assert (links.busy_ns > 0).any() and not links.routed_bytes.any()
 
     def test_mct_statistics_present(self):
         cfg = SimulationConfig(topology="single_switch")

@@ -198,16 +198,11 @@ class TestBackendIntegration:
         ).finish_time_ns
         assert t_val > t_min  # valiant detours show up as extra wire latency
 
-    def test_loggops_link_loads_exposed(self):
-        from repro.network.loggops.backend import LogGOPSBackend
-        from repro.scheduler import GoalScheduler
-
-        schedule = all_to_all(4, 1 << 10)
-        backend = LogGOPSBackend()
-        GoalScheduler(
-            schedule,
-            backend=backend,
+    def test_loggops_routed_bytes_exposed(self):
+        links = simulate(
+            all_to_all(4, 1 << 10),
+            backend="lgs",
             config=SimulationConfig(topology="torus", torus_dims=(2, 2)),
-        ).run()
-        loads = backend.link_loads()
-        assert loads and all(v > 0 for v in loads.values())
+        ).links
+        assert links.routed_bytes.any() and len(links.routed_bytes) == len(links.names)
+        assert not links.busy_ns.any() and not links.drops.any()
