@@ -9,8 +9,10 @@ one all-to-all workload on a 4:1 oversubscribed fat tree while a core uplink
 fails mid-run, under the three convergence models in
 :mod:`repro.network.control_plane`:
 
-1. **oracle** — instantaneous global knowledge (the lower bound; today's
-   default, time-to-recover identically zero),
+1. **oracle** — no control plane: every switch knows the failure the
+   instant it happens (the default, time-to-recover identically zero).  It
+   is not a lower bound: a zero-delay ``ls`` wave still re-hashes flows and
+   learns after same-instant packets (see ``docs/control_plane.md``),
 2. **ls** — link-state flooding: one advertisement wave over the surviving
    switch graph,
 3. **dv** — distance-vector: per-neighbour exchange rounds, roughly twice

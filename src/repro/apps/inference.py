@@ -193,7 +193,7 @@ class BurstyArrivals(ArrivalProcess):
 class DiurnalArrivals(ArrivalProcess):
     """Non-homogeneous Poisson arrivals with a sinusoidal rate envelope.
 
-    The instantaneous rate is ``rate_rps * (1 + amplitude * sin(2*pi*t /
+    The rate at time ``t`` is ``rate_rps * (1 + amplitude * sin(2*pi*t /
     period))``, generated by thinning a homogeneous process at the envelope
     peak.  ``period_s`` is in *simulated* seconds (the simulator's diurnal
     "day" — scaled down like every other workload dimension).

@@ -862,9 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--control-plane",
             default="oracle",
             metavar="NAME[,NAME...]",
-            help="route-convergence model(s): oracle (instantaneous, the legacy "
-            "behavior), ls (link-state flooding), dv (distance-vector); a comma "
-            "list adds a sweep axis",
+            help="route-convergence model(s): oracle (every switch knows a fault "
+            "at once, the default), ls (link-state flooding), dv (distance-vector); "
+            "a comma list adds a sweep axis",
         )
         p.add_argument(
             "--cp-propagation-ns",

@@ -142,7 +142,6 @@ class NetworkStats:
     packets_trimmed: int = 0
     packets_ecn_marked: int = 0
     retransmissions: int = 0
-    acks_sent: int = 0
     max_queue_bytes: int = 0
     #: In-flight packets forced onto a surviving candidate route after a
     #: fault event (packet backend, fault injection only).
@@ -412,10 +411,11 @@ class NetworkBackend(abc.ABC):
         # of every global op id, handed over by the scheduler after setup
         # (None when attribution is off, so per-message and per-packet hot
         # paths pay a single predicate); group id -> [messages_delivered,
-        # bytes_delivered], and group id -> per-link bytes array
+        # bytes_delivered], and group id -> per-link bytes (a plain list:
+        # one add per hop is far cheaper than a numpy scalar add)
         self.op_group: Optional[Sequence[int]] = None
         self._group_msgs: Dict[int, List[int]] = {}
-        self._group_link_bytes: Dict[int, "np.ndarray"] = {}
+        self._group_link_bytes: Dict[int, List[int]] = {}
         self._on_complete: Optional[CompletionCallback] = None
         self._configured = True
 
@@ -435,8 +435,8 @@ class NetworkBackend(abc.ABC):
         plane.  With an empty schedule everything past the routing strategy
         is gated off.
 
-        A control plane exists exactly when ``control_plane != "oracle"``
-        *and* the fault schedule is non-empty — without faults no
+        A control plane exists exactly when ``control_plane`` is not
+        ``"oracle"`` *and* the fault schedule is non-empty — without faults no
         advertisement wave can ever originate, so the run is the oracle run.
         It is created after the static failures so switch views boot
         converged.
@@ -455,13 +455,12 @@ class NetworkBackend(abc.ABC):
             topology.fail_links(static)
         for time_ns, kind, ids in faults.resolved_events(topology):
             self.events.schedule(time_ns, self._apply_fault, (kind, ids))
-        if config.control_plane != "oracle":
-            self._cp = create_control_plane(
-                config.control_plane,
-                topology,
-                propagation_delay_ns=config.cp_propagation_ns,
-                processing_delay_ns=config.cp_processing_ns,
-            )
+        self._cp = create_control_plane(
+            config.control_plane,
+            topology,
+            propagation_delay_ns=config.cp_propagation_ns,
+            processing_delay_ns=config.cp_processing_ns,
+        )
 
     def _fabric_built(self) -> None:
         """Hook: the fabric exists and is still healthy (faulted runs only)."""
@@ -472,7 +471,7 @@ class NetworkBackend(abc.ABC):
         """Apply one timed fault event to the fabric; backends extend this.
 
         Flips the link state (failing links bumps the topology's fault
-        epoch, dropping its memoized alive tables).  Under a convergent
+        epoch, dropping its fault-filtered tables).  Under a convergent
         control plane the advertisement wave is then originated over the
         post-event surviving switch graph, its
         :class:`~repro.network.control_plane.ConvergenceRecord` is logged,
@@ -573,13 +572,11 @@ class NetworkBackend(abc.ABC):
         group = self.op_group[op_id]
         if group < 0:
             return
-        arr = self._group_link_bytes.get(group)
-        if arr is None:
-            arr = self._group_link_bytes[group] = np.zeros(
-                len(self.topology.links), dtype=np.int64
-            )
+        per_link = self._group_link_bytes.get(group)
+        if per_link is None:
+            per_link = self._group_link_bytes[group] = [0] * len(self.topology.links)
         for link in route:
-            arr[link] += size
+            per_link[link] += size
 
     # ----------------------------------------------------------------- results
     def now(self) -> int:
@@ -597,7 +594,10 @@ class NetworkBackend(abc.ABC):
         self._require_setup()
         topology = self.topology
         links = LinkStats.of([] if topology is None else [link.name for link in topology.links])
-        links.group_bytes = dict(self._group_link_bytes)
+        links.group_bytes = {
+            group: np.array(per_link, dtype=np.int64)
+            for group, per_link in self._group_link_bytes.items()
+        }
         return links
 
     def collect_stats(self, links: LinkStats) -> NetworkStats:

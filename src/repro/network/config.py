@@ -145,8 +145,8 @@ class SimulationConfig:
         (empty) schedule is bit-identical to the pre-fault behaviour.
     control_plane / cp_propagation_ns / cp_processing_ns:
         Route-convergence model (see :mod:`repro.network.control_plane`).
-        ``"oracle"`` (the default) is the legacy instantaneous model —
-        bit-identical to the pre-control-plane behaviour on both backends;
+        ``"oracle"`` (the default) builds no control plane: every switch
+        knows each fault the moment it happens;
         ``"ls"`` (link-state flooding) and ``"dv"`` (distance-vector) make
         switches learn of fault events hop-by-hop, forwarding on stale
         tables meanwhile.  ``cp_propagation_ns`` is the per-hop
@@ -239,8 +239,8 @@ class SimulationConfig:
     # without any fault machinery.
     faults: FaultSchedule = field(default_factory=FaultSchedule)
 
-    # control-plane convergence model: "oracle" keeps the legacy
-    # instantaneous fault visibility (bit-identical); "ls"/"dv" propagate
+    # control-plane convergence model: "oracle" builds no control plane
+    # (every switch knows each fault at once); "ls"/"dv" propagate
     # fault knowledge switch-by-switch with the delays below, black-holing
     # traffic that stale switches forward into the failed region (see
     # repro.network.control_plane and docs/control_plane.md).
@@ -336,12 +336,12 @@ class SimulationConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1 (1 = single-process engine)")
-        from repro.network.control_plane import CONTROL_PLANES
+        from repro.network.control_plane import control_plane_names
 
-        if self.control_plane not in CONTROL_PLANES:
+        if self.control_plane not in control_plane_names():
             raise ValueError(
                 f"unknown control plane {self.control_plane!r} "
-                f"(registered: {', '.join(sorted(CONTROL_PLANES))})"
+                f"(registered: {', '.join(control_plane_names())})"
             )
         for name in ("cp_propagation_ns", "cp_processing_ns"):
             if getattr(self, name) < 0:

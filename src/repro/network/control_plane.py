@@ -31,11 +31,15 @@ in :data:`CONTROL_PLANES` exactly like routing strategies in
   costs **two** propagation+processing rounds and the message bound doubles.
   Split horizon with poisoned reverse keeps the wave loop-free, which is
   what the property suite's bounded-message assertion checks,
-* ``"oracle"`` (:class:`OracleControlPlane`) — the legacy instantaneous
-  model: every switch learns at the event time, zero messages, zero
-  time-to-recover.  ``SimulationConfig.control_plane`` defaults to it, and
-  both backends keep their pre-control-plane code paths bit-identical under
-  it (regression-locked in ``tests/test_faults.py``).
+* ``"oracle"`` — no control plane is built (:func:`create_control_plane`
+  returns ``None``): the routing layer reads the topology's failed set
+  itself, so every switch knows a fault the instant it happens, with zero
+  messages and zero time-to-recover.  ``SimulationConfig.control_plane``
+  defaults to it.  It is *not* the zero-delay limit of ``"ls"``/``"dv"``:
+  a learning switch re-hashes every flow it sources (ECMP table churn),
+  and learn events at the fault instant run after the packets already
+  queued there, so a zero-delay wave still differs from the oracle (see
+  ``docs/control_plane.md``).
 
 Each event yields a :class:`ConvergenceRecord` whose
 ``time_to_recover_ns`` is the span from the event to the instant the last
@@ -60,12 +64,12 @@ bit-identical between ``shards=1`` and any shard count (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.network.faults import LINK_DOWN, SWITCH_DRAIN
 
 if TYPE_CHECKING:  # avoid importing numpy-heavy topology at module import
-    from repro.network.topology.base import Topology
+    from repro.network.topology.base import FailedLinks, Topology
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,9 @@ class ConvergenceRecord:
     link_ids:
         The resolved link ids the event flipped.
     converged_at_ns:
-        When the last reachable switch's local view caught up with the
-        event (equals ``time_ns`` for the oracle protocol).
+        When the last reachable switch's local view caught up with the event.
     messages:
-        Protocol messages exchanged by the wave (0 for the oracle).
+        Protocol messages exchanged by the wave.
     protocol:
         Name of the control plane that produced the record.
     """
@@ -120,8 +123,6 @@ class ControlPlane:
     """
 
     name = "base"
-    #: True when fault visibility is instantaneous (no convergence window).
-    instantaneous = False
     #: Vector-exchange rounds one wave hop costs (1 = flooding; the
     #: distance-vector protocol pays a withdraw + poisoned-reverse reply).
     rounds_per_hop = 1
@@ -148,13 +149,10 @@ class ControlPlane:
         # switch (every host's attachment) still holds a view
         for dev in range(topology.num_hosts, topology.num_devices):
             self._adjacency.setdefault(dev, [])
-        # local views: believed-failed link ids, reference-counted exactly
-        # like Topology._failed_links so overlapping causes compose
-        initial = dict(topology._failed_links)
-        self._views: Dict[int, Dict[int, int]] = {
-            sw: dict(initial) for sw in self._adjacency
-        }
-        self._view_keys: Dict[int, frozenset] = {}
+        # local views: believed-failed links, reference-counted like the
+        # topology's own failed set so overlapping causes compose
+        truth = topology.failed
+        self._views: Dict[int, "FailedLinks"] = {sw: truth.copy() for sw in self._adjacency}
         #: Total protocol messages exchanged over the control plane's life.
         self.messages_total = 0
 
@@ -195,8 +193,7 @@ class ControlPlane:
         can never learn, and no traffic can reach the failed region through
         them either.
         """
-        topology = self.topology
-        failed = topology._failed_links
+        failed = self.topology.failed_links
         hop_cost = self._hop_cost()
         base = event_time + self.processing_delay_ns
         learn: Dict[int, int] = {}
@@ -247,30 +244,14 @@ class ControlPlane:
     def apply(self, switches: Sequence[int], kind: str, link_ids: Sequence[int]) -> None:
         """Update the local views of ``switches`` with one learned event."""
         fail = kind in (LINK_DOWN, SWITCH_DRAIN)
-        unique = set(link_ids)
         for sw in switches:
-            view = self._views.get(sw)
-            if view is None:
-                continue
-            for link_id in unique:
-                count = view.get(link_id, 0)
-                if fail:
-                    view[link_id] = count + 1
-                elif count > 1:
-                    view[link_id] = count - 1
-                elif count == 1:
-                    del view[link_id]
-            self._view_keys.pop(sw, None)
+            self._views[sw].change(fail, link_ids)
 
     def view_key(self, switch: int) -> frozenset:
         """The switch's believed-failed link ids as a memoized frozenset."""
-        key = self._view_keys.get(switch)
-        if key is None:
-            key = frozenset(self._views.get(switch, ()))
-            self._view_keys[switch] = key
-        return key
+        return self._views[switch].key()
 
-    def knows(self, switch: int, route: Tuple[int, ...], hop: int, mask) -> bool:
+    def knows(self, switch: int, route: Tuple[int, ...], hop: int) -> bool:
         """Whether ``switch`` knows the first dead link on ``route[hop:]``.
 
         The packet backend calls this at the forwarding point where a
@@ -281,27 +262,16 @@ class ControlPlane:
         view = self._views.get(switch)
         if view is None:
             return True
+        failed = self.topology.failed_links
         for link in route[hop:]:
-            if not mask[link]:
+            if link in failed:
                 return link in view
         return True
 
     def converged(self) -> bool:
         """True when every switch's view equals the topology's failed set."""
         truth = self.topology.failed_links
-        return all(self.view_key(sw) == truth for sw in self._views)
-
-
-class OracleControlPlane(ControlPlane):
-    """Instantaneous fault visibility: the legacy (pre-convergence) model."""
-
-    name = "oracle"
-    instantaneous = True
-
-    def learn_times(
-        self, origins: Sequence[int], event_time: int
-    ) -> Tuple[Dict[int, int], int]:
-        return {sw: event_time for sw in self._adjacency}, 0
+        return all(view.key() == truth for view in self._views.values())
 
 
 class LinkStateControlPlane(ControlPlane):
@@ -325,8 +295,10 @@ class DistanceVectorControlPlane(ControlPlane):
     rounds_per_hop = 2
 
 
+#: The default ``control_plane``: no plane is built (see the module docstring).
+ORACLE = "oracle"
+
 CONTROL_PLANES: Dict[str, Type[ControlPlane]] = {
-    OracleControlPlane.name: OracleControlPlane,
     LinkStateControlPlane.name: LinkStateControlPlane,
     DistanceVectorControlPlane.name: DistanceVectorControlPlane,
 }
@@ -339,8 +311,8 @@ def register_control_plane(cls: Type[ControlPlane]) -> Type[ControlPlane]:
 
 
 def control_plane_names() -> Tuple[str, ...]:
-    """Names of all registered control-plane protocols (sorted)."""
-    return tuple(sorted(CONTROL_PLANES))
+    """Every valid ``control_plane`` value (sorted): the registered protocols and the oracle."""
+    return tuple(sorted((ORACLE, *CONTROL_PLANES)))
 
 
 def create_control_plane(
@@ -348,8 +320,13 @@ def create_control_plane(
     topology: "Topology",
     propagation_delay_ns: int = 500,
     processing_delay_ns: int = 100,
-) -> ControlPlane:
-    """Construct the registered protocol ``name`` bound to a topology."""
+) -> Optional[ControlPlane]:
+    """Construct the registered protocol ``name`` bound to a topology.
+
+    ``"oracle"`` builds none and returns ``None``.
+    """
+    if name == ORACLE:
+        return None
     try:
         cls = CONTROL_PLANES[name]
     except KeyError:
@@ -370,7 +347,7 @@ __all__ = [
     "ConvergenceRecord",
     "DistanceVectorControlPlane",
     "LinkStateControlPlane",
-    "OracleControlPlane",
+    "ORACLE",
     "control_plane_names",
     "create_control_plane",
     "register_control_plane",

@@ -175,7 +175,7 @@ class LogGOPSBackend(NetworkBackend):
     def _recompute_gamma(self) -> None:
         """Refresh the surviving-capacity factor after a fault-state change."""
         topo = self.topology
-        failed = topo._failed_links
+        failed = topo.failed_links
         alive_bw = sum(
             topo.links[i].bandwidth for i in self._fault_domain if i not in failed
         )
@@ -201,7 +201,7 @@ class LogGOPSBackend(NetworkBackend):
         post-convergence value at the event and steps toward the true value
         as each learn-time group of switches converges.
         """
-        kind, ids = payload
+        kind = payload[0]
         gamma_old = self._gamma
         wave = super()._apply_fault(time, payload)
         self._recompute_gamma()
@@ -232,19 +232,17 @@ class LogGOPSBackend(NetworkBackend):
             target = (
                 gamma_new if cum == total else start + (gamma_new - start) * cum / total
             )
-            self.events.schedule(
-                t, self._cp_gamma_step, (target, gen, kind, tuple(ids), group)
-            )
+            self.events.schedule(t, self._cp_gamma_step, (target, gen))
 
-    def _cp_gamma_step(self, time: int, payload) -> None:
-        """One learn-time group converges: views absorb the event, gamma steps.
+    def _cp_gamma_step(self, time: int, payload: Tuple[float, int]) -> None:
+        """One learn-time group converges: gamma steps toward its new truth.
 
-        Steps carry the generation of the fault event that scheduled them; a
+        No switch view is updated: this model never routes by a view.  Steps
+        carry the generation of the fault event that scheduled them; a
         later event supersedes the ramp (new generation), so stale steps are
         dropped instead of clobbering the newer ramp.
         """
-        target, gen, kind, ids, switches = payload
-        self._cp.apply(switches, kind, ids)
+        target, gen = payload
         if gen == self._gamma_gen:
             self._gamma = target
 

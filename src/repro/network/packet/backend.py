@@ -94,16 +94,12 @@ class PacketBackend(NetworkBackend):
     def setup(self, num_ranks: int, config: SimulationConfig) -> None:
         super().setup(num_ranks, config)
         self._bring_up_fabric()
-        # per-link alive flags shared with the topology (None while every
-        # link is up): refreshed by every fault event, read per forwarded
-        # DATA packet.  With an empty schedule every fault path below is
-        # gated off entirely.
-        self._fault_mask: Optional["np.ndarray"] = self.topology.alive_mask()
         # control-plane convergence (see repro.network.control_plane): under
         # "oracle" (the default) no ControlPlane object exists and every
-        # fault path below is byte-identical to the legacy instantaneous
-        # behaviour.  Under "dv"/"ls" fault events take the stale-table
-        # path instead: _cp_stale counts learn-time groups still in flight.
+        # switch acts on the topology's failed set at once.  Under "dv"/"ls"
+        # fault events take the stale-table path instead: _cp_stale counts
+        # learn-time groups still in flight.  With an empty schedule every
+        # fault path below is gated off entirely.
         self._cp_stale = 0
         if self._cp is not None:
             self._host_attach = [
@@ -146,7 +142,6 @@ class PacketBackend(NetworkBackend):
         # hot counters kept as plain ints and folded into stats on collect
         self._n_sent = 0
         self._n_delivered = 0
-        self._n_acks = 0
 
     # ----------------------------------------------------------------- issuing
     def issue_send(
@@ -381,15 +376,14 @@ class PacketBackend(NetworkBackend):
     def _apply_fault(self, time: int, payload: Tuple[str, List[int]]) -> None:
         """Apply one timed fault event and invalidate every affected route.
 
-        On top of the shared link-state flip this refreshes the alive mask
-        and re-picks the cached route of every live flow whose current route
-        crosses a failed link — so retransmissions and still-unsent packets
-        immediately use surviving candidates.  A live flow whose pair has no
+        On top of the shared link-state flip this re-picks the cached route
+        of every live flow whose current route crosses a failed link — so
+        retransmissions and still-unsent packets immediately use surviving
+        candidates.  A live flow whose pair has no
         surviving candidate raises
         :class:`~repro.network.faults.NetworkPartitionError`.
         """
         wave = super()._apply_fault(time, payload)
-        mask = self._fault_mask = self.topology.alive_mask()
         if wave is not None:
             # convergent control plane: no flow learns anything yet — every
             # switch's view (plus its sources' flows) updates only when the
@@ -401,11 +395,12 @@ class PacketBackend(NetworkBackend):
                     t, self._cp_switch_learn, (kind, tuple(ids), switches)
                 )
             return
-        if mask is None:
+        failed = self.topology.failed_links
+        if not failed:
             return
         for flow in self._repickable_flows():
             for link in flow.route:
-                if not mask[link]:
+                if link in failed:
                     self._fault_repick(flow)
                     break
 
@@ -475,7 +470,7 @@ class PacketBackend(NetworkBackend):
         cp = self._cp
         if cp is not None and self._cp_stale:
             switch = self.topology.links[pkt.route[hop - 1]].dst
-            if not cp.knows(switch, pkt.route, hop, self._fault_mask):
+            if not cp.knows(switch, pkt.route, hop):
                 self.stats.packets_blackholed += 1
                 self._handle_data_drop(pkt, now)
                 return False
@@ -483,11 +478,9 @@ class PacketBackend(NetworkBackend):
 
     def _masked(self, route: Tuple[int, ...], hop: int) -> bool:
         """Whether any remaining hop of ``route`` crosses a failed link."""
-        mask = self._fault_mask
-        if mask is None:
-            return False
+        failed = self.topology.failed_links
         for link in route[hop:]:
-            if not mask[link]:
+            if link in failed:
                 return True
         return False
 
@@ -735,7 +728,6 @@ class PacketBackend(NetworkBackend):
                     break
                 t = nt
         self._n_delivered += delivered
-        self._n_acks += delivered
         events.executed += executed
         return events._now
 
@@ -754,5 +746,4 @@ class PacketBackend(NetworkBackend):
         # collect_stats calls stay idempotent)
         self.stats.packets_sent = self._n_sent
         self.stats.packets_delivered = self._n_delivered
-        self.stats.acks_sent = self._n_acks
         return super().collect_stats(links)

@@ -164,7 +164,7 @@ class BurstLinkQueue:
                     self.queued_bytes = qb
                     return False
             elif qb > kmin:
-                # RED-style ECN on the instantaneous pre-enqueue depth
+                # RED-style ECN on the current pre-enqueue depth
                 kmax = self.kmax
                 if qb >= kmax:
                     mark = True

@@ -601,7 +601,9 @@ def _shard_advance(
 
 
 def _shard_collect(state: Any) -> Tuple[SimulationResult, int]:
-    return state.scheduler.finish(0.0), state.backend.events.executed
+    result = state.scheduler.finish(0.0)
+    result.links.names = ()  # the driver names the merged record itself
+    return result, state.backend.events.executed
 
 
 # ---------------------------------------------------------------- the driver
@@ -718,7 +720,9 @@ def run_sharded(
         collected = pool.each(_shard_collect, [()] * shards)
 
     wall = _time.perf_counter() - wall_start
-    return _merge_results(collected, schedule, wall), sum(c[1] for c in collected)
+    result = _merge_results(collected, schedule, wall)
+    result.links.names = tuple(link.name for link in topology.links)
+    return result, sum(c[1] for c in collected)
 
 
 def _merge_views(views: Sequence["np.ndarray"]) -> "np.ndarray":

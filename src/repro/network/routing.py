@@ -137,17 +137,13 @@ class RoutingStrategy:
         """
         topology = self.topology
         candidates = topology.valiant_routes(src, dst, self.rng, count=count)
-        if not candidates:
-            return candidates
-        if view is not None:
-            # a view that kills every detour yields no Valiant candidates:
-            # the caller falls back to the pair's minimal candidates
-            return tuple(
-                r for r in candidates if not any(link in view for link in r)
-            )
-        if topology.faulty:
-            candidates = tuple(r for r in candidates if topology.route_alive(r))
-        return candidates
+        if view is None:
+            if not topology.faulty:
+                return candidates
+            view = topology.failed_links
+        # a filter that kills every detour yields no Valiant candidates:
+        # the caller falls back to the pair's minimal candidates
+        return tuple(r for r in candidates if not any(link in view for link in r))
 
     def _pick(self, candidates: Sequence[Route]) -> Route:
         """Uniform random choice, consuming randomness only on real choices."""

@@ -10,7 +10,7 @@ link.  Regular topologies additionally provide *structural synthesis*
 (:meth:`Topology.synthesized_routes`): candidates derived from coordinates
 in closed form, so route lookup needs no per-pair precomputation at all.
 
-Derived per-pair state (route tables, alive/view-filtered tables) lives in
+Derived per-pair state (route tables, fault-filtered tables) lives in
 bounded LRU caches — an unbounded memo is O(N²) in hosts and does not
 survive datacenter-scale runs — and ECMP on a healthy fabric needs no table
 at all: :meth:`Topology.pick_minimal` draws one candidate in closed form
@@ -99,6 +99,69 @@ class LruCache:
 
     def __contains__(self, key) -> bool:
         return key in self._data
+
+
+class FailedLinks:
+    """Failed link ids, each with its number of causes.
+
+    A link can be failed by several overlapping causes (a static failure
+    plus a drain of either endpoint switch) and stays failed until every
+    cause is undone.  The topology holds the truth in one of these and a
+    control plane one per switch (its believed-failed set).
+
+    >>> failed = FailedLinks()
+    >>> failed.change(True, [3, 3, 5]), failed.change(True, [3])
+    (True, False)
+    >>> failed.change(False, [3]), 3 in failed, sorted(failed.key())
+    (False, True, [3, 5])
+    """
+
+    __slots__ = ("_causes", "_key")
+
+    def __init__(self) -> None:
+        self._causes: Dict[int, int] = {}
+        self._key: Optional[frozenset] = None
+
+    def change(self, fail: bool, link_ids: Sequence[int]) -> bool:
+        """Add (``fail``) or undo one cause of each link; return whether the set changed.
+
+        Duplicates within one call count once, and undoing a healthy link
+        is a no-op.
+        """
+        causes = self._causes
+        changed = False
+        for link_id in set(link_ids):
+            count = causes.get(link_id, 0)
+            if fail:
+                causes[link_id] = count + 1
+                changed |= count == 0
+            elif count > 1:
+                causes[link_id] = count - 1
+            elif count == 1:
+                del causes[link_id]
+                changed = True
+        if changed:
+            self._key = None
+        return changed
+
+    def key(self) -> frozenset:
+        """The failed link ids as a frozenset, the same object until the next change."""
+        key = self._key
+        if key is None:
+            key = self._key = frozenset(self._causes)
+        return key
+
+    def copy(self) -> "FailedLinks":
+        """An independent set with the same links and cause counts."""
+        twin = FailedLinks()
+        twin._causes = dict(self._causes)
+        return twin
+
+    def __contains__(self, link_id: int) -> bool:
+        return link_id in self._causes
+
+    def __bool__(self) -> bool:
+        return bool(self._causes)
 
 
 def pick_route(candidates: Sequence[Tuple[int, ...]], rng: "np.random.Generator") -> Tuple[int, ...]:
@@ -202,35 +265,23 @@ class Topology:
         # the per-pair key space is O(N²) in hosts.
         self.route_cache_budget = DEFAULT_ROUTE_CACHE_BUDGET
         self._route_tables = LruCache()
-        # fault state (see repro.network.faults): failure counts per link id
-        # (a link can be failed by several overlapping causes — a static
-        # failure plus a drain of either endpoint — and stays down until
-        # every cause is restored), a monotone epoch bumped on every change,
-        # and alive-filtered route tables evicted wholesale at each epoch
-        # change.  ``faulty`` stays False for the lifetime of a healthy
-        # topology, so the no-fault hot paths pay a single attribute read.
+        # fault state (see repro.network.faults): the failed links with
+        # their cause counts, a monotone epoch bumped on every change, and
+        # fault-filtered tables keyed by (pair, failed set) — the truth's
+        # or a control-plane view's.  An entry stays correct across epochs
+        # (its key is the set), but the cache is cleared at each epoch
+        # change so long convergence runs do not pile up believed sets no
+        # switch holds any more.  ``faulty`` stays False for the lifetime of
+        # a healthy topology, so the no-fault hot paths pay a single
+        # attribute read.
         self.faulty = False
-        self._failed_links: Dict[int, int] = {}
+        self.failed = FailedLinks()
         self._fault_epoch = 0
-        self._alive_mask = None  # numpy bool array, built lazily
-        # bumped by every per-link state change (faults *and* degradations);
-        # lazily derived link-state views key off it for invalidation
-        self.link_state_version = 0
-        self._alive_tables = LruCache()
-        # control-plane views: per-(pair, believed-failed set) filtered
-        # tables (see repro.network.control_plane).  Evicted wholesale on
-        # every true fault-epoch change: the partition fallback below bakes
-        # the live truth into an entry, and long convergence runs would
-        # otherwise accumulate stale believed-sets without bound.
-        self._view_tables = LruCache()
+        self._filtered_tables = LruCache()
         # the table caches feeding the hit/miss/eviction stats, and every
         # cache included in the configurable budget: subclasses append their
         # own per-pair memos (e.g. torus DOR path cache) to the latter
-        self._stat_caches: List[LruCache] = [
-            self._route_tables,
-            self._alive_tables,
-            self._view_tables,
-        ]
+        self._stat_caches: List[LruCache] = [self._route_tables, self._filtered_tables]
         self._bounded_caches: List[LruCache] = list(self._stat_caches)
 
     # -- construction helpers (used by subclasses) ---------------------------
@@ -358,9 +409,9 @@ class Topology:
         """Aggregate hit/miss/eviction counters across the route-table caches.
 
         ``entries`` counts live entries across *all* bounded caches (the
-        memory-relevant number); hits/misses/evictions cover the three
-        route-table caches that back :meth:`route_table`,
-        :meth:`alive_table` and :meth:`view_table`.
+        memory-relevant number); hits/misses/evictions cover the two
+        route-table caches: the one behind :meth:`route_table` and the
+        fault-filtered one behind :meth:`alive_table` and :meth:`view_table`.
         """
         return {
             "hits": sum(c.hits for c in self._stat_caches),
@@ -373,89 +424,27 @@ class Topology:
     def fail_links(self, link_ids: Sequence[int]) -> None:
         """Mark ``link_ids`` failed: routing stops offering routes over them.
 
-        Failures are reference-counted per link, so a link failed by two
-        overlapping causes (say, drains of both its endpoint switches) only
-        comes back up once both causes are restored.  Duplicates within one
-        call count once.
+        Failures are reference-counted per link (see :class:`FailedLinks`),
+        so a link failed by two overlapping causes only comes back up once
+        both are restored.
         """
-        failed = self._failed_links
-        changed = False
-        for link_id in set(link_ids):
-            count = failed.get(link_id, 0)
-            failed[link_id] = count + 1
-            if count == 0:
-                changed = True
-        if changed:
+        if self.failed.change(True, link_ids):
             self._fault_change()
 
     def restore_links(self, link_ids: Sequence[int]) -> None:
-        """Undo one failure cause of each link (no-op for healthy links).
-
-        A link stays down while any other cause still holds it failed.
-        """
-        failed = self._failed_links
-        changed = False
-        for link_id in set(link_ids):
-            count = failed.get(link_id, 0)
-            if count > 1:
-                failed[link_id] = count - 1
-            elif count == 1:
-                del failed[link_id]
-                changed = True
-        if changed:
+        """Undo one failure cause of each link (no-op for healthy links)."""
+        if self.failed.change(False, link_ids):
             self._fault_change()
 
     def _fault_change(self) -> None:
         self._fault_epoch += 1
-        self.faulty = bool(self._failed_links)
-        # Per-fault-epoch eviction: alive tables are only valid for the
-        # epoch they were filtered under, and view tables may embed the
-        # live-truth fallback — both are dropped wholesale so a long
-        # FaultSchedule cannot accumulate stale entries.
-        self._alive_tables.clear()
-        self._view_tables.clear()
-        self._link_state_change()
-
-    def _link_state_change(self) -> None:
-        """Invalidate lazily derived per-link state (mask, version-keyed views).
-
-        Called on every fault transition *and* on non-fault link mutations
-        such as :meth:`degrade_link`, so consumers that key off
-        ``link_state_version`` (or hold the numpy alive mask) never read a
-        stale view of the link array.
-        """
-        self._alive_mask = None
-        self.link_state_version += 1
+        self.faulty = bool(self.failed)
+        self._filtered_tables.clear()
 
     @property
     def failed_links(self) -> frozenset:
-        """Ids of the currently failed links."""
-        return frozenset(self._failed_links)
-
-    def alive_mask(self) -> Optional["np.ndarray"]:
-        """Per-link alive flags, or ``None`` while every link is up.
-
-        The mask is rebuilt lazily after a fault-state change and shared by
-        every caller until the next change, so per-packet checks are array
-        reads, not set lookups.
-        """
-        if not self.faulty:
-            return None
-        mask = self._alive_mask
-        if mask is None:
-            import numpy as np
-
-            mask = np.ones(len(self.links), dtype=bool)
-            mask[list(self._failed_links)] = False
-            self._alive_mask = mask
-        return mask
-
-    def route_alive(self, route: Tuple[int, ...]) -> bool:
-        """Whether every link of ``route`` is currently up."""
-        if not self.faulty:
-            return True
-        failed = self._failed_links
-        return not any(link in failed for link in route)
+        """Ids of the currently failed links (one object until the next change)."""
+        return self.failed.key()
 
     def alive_table(self, src_host: int, dst_host: int) -> RouteTable:
         """Like :meth:`route_table`, filtered to candidates that survive faults.
@@ -471,23 +460,52 @@ class Topology:
         full = self.route_table(src_host, dst_host)
         if not self.faulty:
             return full
-        key = (src_host, dst_host)
-        table = self._alive_tables.get(key)
+        table = self._filtered(src_host, dst_host, full, self.failed.key())
+        if table is None:
+            raise self._partition_error(src_host, dst_host, full)
+        return table
+
+    def view_table(self, src_host: int, dst_host: int, believed_failed: frozenset) -> RouteTable:
+        """Like :meth:`alive_table`, filtered by a *believed*-failed link set.
+
+        Used by the control plane (see :mod:`repro.network.control_plane`):
+        a source whose first-hop switch holds a stale routing view selects
+        routes as if ``believed_failed`` were the truth — the selected route
+        may well cross a link that is actually down (that packet black-holes
+        at the stale switch).  A view that believes the pair partitioned
+        falls back to the truth-alive table, modelling a switch that keeps
+        its last usable route rather than dropping at the source.
+        """
+        full = self.route_table(src_host, dst_host)
+        if not believed_failed:
+            return full
+        table = self._filtered(src_host, dst_host, full, believed_failed)
+        return self.alive_table(src_host, dst_host) if table is None else table
+
+    def _filtered(
+        self, src_host: int, dst_host: int, full: RouteTable, failed_key: frozenset
+    ) -> Optional[RouteTable]:
+        """``full`` without the candidates crossing ``failed_key``, or ``None``.
+
+        One LRU cache keyed by ``(src, dst, failed set)`` serves the truth
+        and every view; an empty result is not cached.
+        """
+        key = (src_host, dst_host, failed_key)
+        table = self._filtered_tables.get(key)
         if table is not None:
             return table
-        failed = self._failed_links
         alive = tuple(
             route
             for route in full.candidates
-            if not any(link in failed for link in route)
+            if not any(link in failed_key for link in route)
         )
         if not alive:
-            raise self._partition_error(src_host, dst_host, full)
+            return None
         if len(alive) == len(full.candidates):
             table = full
         else:
             table = RouteTable(alive, self.links)
-        self._alive_tables.put(key, table)
+        self._filtered_tables.put(key, table)
         return table
 
     def _partition_error(self, src_host: int, dst_host: int, full: RouteTable):
@@ -503,7 +521,7 @@ class Topology:
         """
         from repro.network.faults import NetworkPartitionError
 
-        failed = self._failed_links
+        failed = self.failed.key()
         max_hops = max(len(route) for route in full.candidates)
         prefix_parts = []
         for k in range(1, max_hops + 1):
@@ -525,42 +543,6 @@ class Topology:
             f"(failed: {', '.join(shown)}{suffix})"
         )
 
-    def view_table(self, src_host: int, dst_host: int, believed_failed: frozenset) -> RouteTable:
-        """Like :meth:`alive_table`, filtered by a *believed*-failed link set.
-
-        Used by the control plane (see :mod:`repro.network.control_plane`):
-        a source whose first-hop switch holds a stale routing view selects
-        routes as if ``believed_failed`` were the truth — the selected route
-        may well cross a link that is actually down (that packet black-holes
-        at the stale switch).  Tables are LRU-cached per
-        ``(pair, believed set)`` and evicted wholesale on every true
-        fault-epoch change, so convergence runs with many advertisement
-        waves stay bounded.  A view that believes the pair partitioned
-        falls back to the truth-alive table *uncached* (it depends on the
-        live fault epoch), modelling a switch that keeps its last usable
-        route rather than dropping at the source.
-        """
-        full = self.route_table(src_host, dst_host)
-        if not believed_failed:
-            return full
-        key = (src_host, dst_host, believed_failed)
-        table = self._view_tables.get(key)
-        if table is not None:
-            return table
-        alive = tuple(
-            route
-            for route in full.candidates
-            if not any(link in believed_failed for link in route)
-        )
-        if not alive:
-            return self.alive_table(src_host, dst_host)
-        if len(alive) == len(full.candidates):
-            table = full
-        else:
-            table = RouteTable(alive, self.links)
-        self._view_tables.put(key, table)
-        return table
-
     def degrade_link(self, link_id: int, capacity_factor: float) -> None:
         """Scale a link's bandwidth by ``capacity_factor`` (static degradation).
 
@@ -579,7 +561,6 @@ class Topology:
         self.links[link_id] = dataclasses.replace(
             link, bandwidth=link.bandwidth * capacity_factor
         )
-        self._link_state_change()
 
     def valiant_routes(
         self, src_host: int, dst_host: int, rng: "np.random.Generator", count: int = 4

@@ -545,7 +545,7 @@ class ResilienceEntry:
     #: :attr:`slowdown`.
     baseline_finish_ns: int = 0
     #: Convergence model of the cell (see repro.network.control_plane);
-    #: "oracle" keeps the legacy instantaneous behaviour.
+    #: "oracle" builds none (every switch knows each fault at once).
     control_plane: str = "oracle"
     #: Worst per-event convergence window of the cell (0 under oracle, and
     #: in static-only cells where no timed event fires).
@@ -636,7 +636,7 @@ def resilience_sweep(
     ``fail_time_ns`` mid-run, which is what gives dv/ls cells a non-zero
     convergence window.
     """
-    from repro.network.control_plane import CONTROL_PLANES
+    from repro.network.control_plane import control_plane_names
     from repro.network.faults import FaultSchedule, random_failed_link_ids
     from repro.network.topology import build_topology
 
@@ -648,10 +648,10 @@ def resilience_sweep(
     if not control_planes:
         raise ValueError("need at least one control plane")
     for cp in control_planes:
-        if cp not in CONTROL_PLANES:
+        if cp not in control_plane_names():
             raise ValueError(
                 f"unknown control plane {cp!r} "
-                f"(registered: {', '.join(sorted(CONTROL_PLANES))})"
+                f"(registered: {', '.join(control_plane_names())})"
             )
     if fail_time_ns is not None and fail_time_ns < 0:
         raise ValueError(f"fail_time_ns must be non-negative, got {fail_time_ns}")

@@ -314,7 +314,6 @@ class PerTransmissionBackend(PacketBackend):
         # a fresh ACK echoing the ECN mark and the send time
         ack = Packet(flow, ACK, packet.seq, self.config.ack_size, flow.ack_route, sent_time=packet.sent_time)
         ack.ecn = packet.ecn
-        self._n_acks += 1
         self.queues[flow.ack_route[0]].enqueue(ack, now)
         if flow.cc.receiver_driven and not _fully_received(flow):
             self._request_pull(flow, now)

@@ -20,6 +20,7 @@ from repro.network.faults import (
     resolve_link_ids,
     switch_link_ids,
 )
+from repro.network.topology.base import FailedLinks
 from repro.network.topology.fattree import FatTreeTopology
 from repro.schedgen import all_to_all, incast
 from repro.scheduler import simulate
@@ -236,6 +237,40 @@ class TestResolution:
         assert fs.static_failed_ids(self.topo) == [link_id]
 
 
+# ----------------------------------------------------------------- the failed set
+class TestFailedLinks:
+    def test_duplicates_within_one_call_count_once(self):
+        failed = FailedLinks()
+        assert failed.change(True, [7, 7])
+        assert failed.change(False, [7])
+        assert not failed and 7 not in failed
+
+    def test_spurious_restore_is_a_noop(self):
+        failed = FailedLinks()
+        assert not failed.change(False, [7])
+        assert failed.change(True, [7])
+        assert failed.change(False, [7, 7])
+        assert not failed.change(False, [7])
+        assert not failed and failed.key() == frozenset()
+
+    def test_key_keeps_its_identity_until_a_change(self):
+        failed = FailedLinks()
+        failed.change(True, [3, 5])
+        key = failed.key()
+        assert key == frozenset([3, 5]) and failed.key() is key
+        assert not failed.change(True, [3])  # a second cause changes no membership
+        assert failed.key() is key
+        assert failed.change(True, [9])
+        assert failed.key() == frozenset([3, 5, 9])
+
+    def test_copy_is_independent(self):
+        failed = FailedLinks()
+        failed.change(True, [3])
+        twin = failed.copy()
+        twin.change(False, [3])
+        assert 3 in failed and 3 not in twin
+
+
 # ----------------------------------------------------------------- topology state
 class TestTopologyFaultState:
     def setup_method(self):
@@ -244,15 +279,14 @@ class TestTopologyFaultState:
     def test_fail_restore_roundtrip(self):
         link_id = _link_id(self.topo, "tor0->core0")
         assert not self.topo.faulty
-        assert self.topo.alive_mask() is None
+        assert self.topo.failed_links == frozenset()
         self.topo.fail_links([link_id])
         assert self.topo.faulty
-        mask = self.topo.alive_mask()
-        assert not mask[link_id] and mask.sum() == len(self.topo.links) - 1
-        assert not self.topo.route_alive((link_id,))
+        assert self.topo.failed_links == frozenset([link_id])
+        assert link_id in self.topo.failed and link_id + 1 not in self.topo.failed
         self.topo.restore_links([link_id])
         assert not self.topo.faulty
-        assert self.topo.alive_mask() is None
+        assert not self.topo.failed and self.topo.failed_links == frozenset()
 
     def test_alive_table_filters_candidates(self):
         full = self.topo.route_table(0, 4).candidates
@@ -321,7 +355,7 @@ class TestTopologyFaultState:
         assert self.topo.faulty
         assert self.topo.failed_links == frozenset(drain_core)
         for link_id in shared:
-            assert not self.topo.route_alive((link_id,))
+            assert link_id in self.topo.failed
         self.topo.restore_links(drain_core)
         assert not self.topo.faulty
 

@@ -30,7 +30,8 @@ class TestBasics:
         res = simulate(_pingpong(100), backend="htsim", config=cfg)
         assert res.stats.packets_sent == 1
         assert res.stats.packets_delivered == 1
-        assert res.stats.acks_sent == 1
+        # the packet's ACK came back: nothing timed out into a retransmission
+        assert res.stats.retransmissions == 0
 
     def test_packet_count_matches_mtu_segmentation(self):
         cfg = SimulationConfig(topology="single_switch", mtu=4096)

@@ -7,11 +7,12 @@ PR bounds them with LRU caches (see docs/scaling.md).  Covered here:
 * the :class:`LruCache` primitive itself (hits, misses, eviction order,
   budget changes, 0 = unbounded),
 * eviction exactness — a tiny budget must not change simulated results,
-* per-fault-epoch eviction of the alive/view tables (the `_view_tables`
-  unbounded-growth regression), including across a multi-event
+* the one fault-filtered cache behind ``alive_table`` and ``view_table``:
+  keyed by the failed set, evicted at every fault-epoch change (the
+  unbounded view-growth regression), including across a multi-event
   ``FaultSchedule``,
-* the ``alive_mask`` invalidation hook on `degrade_link`-style changes, as
-  a property test over interleaved fail/restore/drain/degrade sequences,
+* the failed set tracking a model through interleaved
+  fail/restore/drain/degrade sequences (a property test),
 * route-cache hit/miss/eviction counters surfacing on ``NetworkStats``
   (both backends) and summing under ``merge``.
 
@@ -157,18 +158,28 @@ class TestFaultEpochEviction:
         dead = _link_id(self.topo, "tor0->core0")
         self.topo.fail_links([dead])
         self.topo.alive_table(0, 4)
-        assert len(self.topo._alive_tables) == 1
+        assert len(self.topo._filtered_tables) == 1
         self.topo.restore_links([dead])
-        assert len(self.topo._alive_tables) == 0
+        assert len(self.topo._filtered_tables) == 0
 
     def test_view_tables_evicted_on_fault_change(self):
-        """Regression: _view_tables used to grow without bound across epochs."""
+        """Regression: view tables used to grow without bound across epochs."""
         dead = _link_id(self.topo, "tor0->core0")
         for h in range(4, 8):
             self.topo.view_table(0, h, frozenset([dead]))
-        assert len(self.topo._view_tables) == 4
+        assert len(self.topo._filtered_tables) == 4
         self.topo.fail_links([dead])
-        assert len(self.topo._view_tables) == 0
+        assert len(self.topo._filtered_tables) == 0
+
+    def test_alive_and_view_tables_are_separate_entries(self):
+        """One cache serves both, so its key must carry the failed set."""
+        dead, believed = (_link_id(self.topo, f"tor0->core{c}") for c in (0, 1))
+        self.topo.fail_links([dead])
+        alive = self.topo.alive_table(0, 4).candidates
+        view = self.topo.view_table(0, 4, frozenset([believed])).candidates
+        assert len(self.topo._filtered_tables) == 2
+        assert all(dead not in r for r in alive) and any(believed in r for r in alive)
+        assert all(believed not in r for r in view) and any(dead in r for r in view)
 
     def test_view_tables_bounded_across_multi_event_schedule(self):
         """A long convergence run must keep every per-pair cache bounded."""
@@ -193,21 +204,21 @@ class TestFaultEpochEviction:
             assert len(cache) <= 16, "a per-pair cache escaped its budget"
 
 
-# ------------------------------------------------- alive_mask invalidation
-class TestAliveMaskInvalidation:
-    def test_degrade_link_invalidates_mask_and_bumps_version(self):
+# ------------------------------------------------------ failed-set tracking
+class TestFailedSetTracking:
+    def test_degrade_link_leaves_fault_state(self):
+        # a degradation changes a bandwidth, not which candidates survive
         topo = FatTreeTopology(8, nodes_per_tor=4)
         topo.fail_links([_link_id(topo, "tor0->core0")])
-        mask = topo.alive_mask()
-        version = topo.link_state_version
+        key, table = topo.failed_links, topo.alive_table(0, 4)
         topo.degrade_link(_link_id(topo, "tor0->core1"), 0.5)
-        assert topo.link_state_version == version + 1
-        assert topo._alive_mask is None  # rebuilt on next read
-        assert topo.alive_mask() is not mask
+        assert topo.failed_links is key
+        assert topo.alive_table(0, 4) is table
 
     def test_property_interleaved_fault_sequences(self):
-        """alive_mask / route_alive must track a model set through any
-        interleaving of fail / restore / drain / undrain / degrade."""
+        """The failed set must track a model set through any interleaving
+        of fail / restore / drain / undrain / degrade, and its key keeps
+        its identity across every step that changes nothing."""
         rng = np.random.default_rng(1234)
         topo = FatTreeTopology(16, nodes_per_tor=4)
         cables = [l.link_id for l in topo.links]
@@ -226,8 +237,8 @@ class TestAliveMaskInvalidation:
                 elif i in causes:
                     del causes[i]
 
-        version = topo.link_state_version
         for _ in range(200):
+            before, key = set(causes), topo.failed_links
             op = rng.integers(5)
             if op == 0:
                 ids = [int(c) for c in rng.choice(cables, size=2)]
@@ -251,23 +262,15 @@ class TestAliveMaskInvalidation:
                 topo.restore_links([link])
                 # a no-op when the link is healthy, a decrement when it isn't
                 model_restore([link])
-            # every mutation above must keep the version monotone
-            assert topo.link_state_version >= version
-            version = topo.link_state_version
-            # the mask and the scalar predicate must both match the model
-            mask = topo.alive_mask()
-            if not causes:
-                assert not topo.faulty and mask is None
-            else:
-                assert topo.faulty
-                dead = set(causes)
-                assert set(np.flatnonzero(~mask).tolist()) == dead
-                for link in list(dead)[:3]:
-                    assert not topo.route_alive((link,))
+            assert topo.faulty == bool(causes)
+            assert topo.failed_links == set(causes)
+            assert all(link in topo.failed for link in causes)
+            if op != 2 and set(causes) == before:
+                assert topo.failed_links is key
             alive_link = next(
                 l for l in cables if l not in causes
             )
-            assert topo.route_alive((alive_link,))
+            assert alive_link not in topo.failed
 
 
 # ------------------------------------------------------------- stats plumbing
