@@ -150,11 +150,11 @@ class ControlPlane:
         for dev in range(topology.num_hosts, topology.num_devices):
             self._adjacency.setdefault(dev, [])
         # local views: believed-failed links, reference-counted like the
-        # topology's own failed set so overlapping causes compose
-        truth = topology.failed
-        self._views: Dict[int, "FailedLinks"] = {sw: truth.copy() for sw in self._adjacency}
-        #: Total protocol messages exchanged over the control plane's life.
-        self.messages_total = 0
+        # topology's own failed set so overlapping causes compose.  Every
+        # switch boots with the failed set of now; a switch gets a view of
+        # its own when it first learns an event (LogGOPS never applies one)
+        self._boot = topology.failed.copy()
+        self._views: Dict[int, "FailedLinks"] = {}
 
     # -- protocol hook -------------------------------------------------------
     def _hop_cost(self) -> int:
@@ -228,7 +228,6 @@ class ControlPlane:
         """
         origins = self._origin_switches(link_ids)
         learn, messages = self.learn_times(origins, event_time)
-        self.messages_total += messages
         converged = max(learn.values()) if learn else event_time
         record = ConvergenceRecord(
             time_ns=event_time,
@@ -244,12 +243,16 @@ class ControlPlane:
     def apply(self, switches: Sequence[int], kind: str, link_ids: Sequence[int]) -> None:
         """Update the local views of ``switches`` with one learned event."""
         fail = kind in (LINK_DOWN, SWITCH_DRAIN)
+        views = self._views
         for sw in switches:
-            self._views[sw].change(fail, link_ids)
+            view = views.get(sw)
+            if view is None:
+                view = views[sw] = self._boot.copy()
+            view.change(fail, link_ids)
 
     def view_key(self, switch: int) -> frozenset:
         """The switch's believed-failed link ids as a memoized frozenset."""
-        return self._views[switch].key()
+        return self._views.get(switch, self._boot).key()
 
     def knows(self, switch: int, route: Tuple[int, ...], hop: int) -> bool:
         """Whether ``switch`` knows the first dead link on ``route[hop:]``.
@@ -259,19 +262,14 @@ class ControlPlane:
         learned of the failure repairs locally (like the oracle), one that
         has not forwards into the black hole.
         """
-        view = self._views.get(switch)
-        if view is None:
+        if switch not in self._adjacency:
             return True
+        view = self._views.get(switch, self._boot)
         failed = self.topology.failed_links
         for link in route[hop:]:
             if link in failed:
                 return link in view
         return True
-
-    def converged(self) -> bool:
-        """True when every switch's view equals the topology's failed set."""
-        truth = self.topology.failed_links
-        return all(view.key() == truth for view in self._views.values())
 
 
 class LinkStateControlPlane(ControlPlane):

@@ -34,7 +34,8 @@ that reaches its destination turns around in place as its own ACK (or NACK)
 with no helper call on the way, a flow's ECMP route is drawn in closed form
 and its base RTT summed from per-link delay lists (no per-pair table or
 cache on a healthy fat tree), and per-size serialisation times are memoized
-— see ``docs/performance.md`` for measurements.
+in one table per link bandwidth — see ``docs/performance.md`` for
+measurements.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.faults import NetworkPartitionError
 from repro.network.packet.flow import Flow
-from repro.network.packet.linkqueue import BurstLinkQueue
+from repro.network.packet.linkqueue import _NEVER, BurstLinkQueue
 from repro.network.packet.packet import ACK, DATA, NACK, PULL, Packet
 
 
@@ -108,6 +109,9 @@ class PacketBackend(NetworkBackend):
         kmin = int(config.ecn_kmin_frac * config.buffer_size)
         kmax = int(config.ecn_kmax_frac * config.buffer_size)
         self._stream_heads: List[Tuple[int, int, int]] = []
+        # serialisation ns per packet size, one table per distinct link
+        # bandwidth (bandwidths are final here: static degradations applied)
+        tables: Dict[float, Dict[int, int]] = {}
         self.queues = [
             BurstLinkQueue(
                 link,
@@ -115,6 +119,7 @@ class PacketBackend(NetworkBackend):
                 kmin=kmin,
                 kmax=kmax,
                 rng=self.rng,
+                tx=tables.setdefault(link.bandwidth, {}),
             )
             for link in self.topology.links
         ]
@@ -300,6 +305,7 @@ class PacketBackend(NetworkBackend):
             self._charge_group_links(flow.op_id, route, size)
         if not flow.route_q0.enqueue(pkt, now):
             self._handle_data_drop(pkt, now)
+            pkt.flow = None
             free.append(pkt)
         if (
             not flow.send_op_completed
@@ -630,10 +636,24 @@ class PacketBackend(NetworkBackend):
                 break
             t, depart, link = heappop(streams)
             q = queues[link]
-            out = q.out
             lat = q.latency
+            pkt = q.head
             while True:
-                pkt = out.popleft()
+                nxt = q.head = pkt.nxt
+                if q.undrained is pkt:
+                    # delivered before any drain reached it: it leaves the
+                    # chain, so the ledger retires it here
+                    q.undrained = nxt
+                    if lat:
+                        q.queued_bytes -= pkt.size
+                        q.head_depart = _NEVER if nxt is None else nxt.depart
+                    else:
+                        # it departs at this very instant and occupies the
+                        # buffer until strictly after it: hold its bytes
+                        # (a previous tie departed earlier, so it goes)
+                        q.queued_bytes -= q.tie_bytes
+                        q.tie_bytes = pkt.size
+                        q.head_depart = t
                 events._now = t
                 executed += 1
                 hop = pkt.hop + 1
@@ -649,9 +669,11 @@ class PacketBackend(NetworkBackend):
                         and self._masked(pkt.route, hop)
                         and not self._fault_forward(pkt, hop, t)
                     ):
+                        pkt.flow = None
                         free_append(pkt)
                     elif not queues[pkt.route[hop]].enqueue(pkt, t):
                         handle_drop(pkt, t)
+                        pkt.flow = None
                         free_append(pkt)
                 elif pkt.kind == DATA:
                     # the packet turns around as the ACK it triggers (the
@@ -709,11 +731,14 @@ class PacketBackend(NetworkBackend):
                         handle_nack(pkt, t)
                     else:
                         handle_pull(pkt, t)
+                    pkt.flow = None
                     free_append(pkt)
-                if not out:
+                # the handlers may have linked packets onto this very chain
+                pkt = q.head
+                if pkt is None:
                     q.live = False
                     break
-                nd = out[0].depart
+                nd = pkt.depart
                 nt = nd + lat
                 if bounded and nt > until:
                     heappush(streams, (nt, nd, link))

@@ -13,18 +13,29 @@ Each directed link owns one FIFO output queue with
 :class:`BurstLinkQueue` serialises *arithmetically*: because the queue is
 FIFO and work-conserving, the departure time of a packet is fully determined
 at enqueue time (``depart = max(free_at, now) + tx``), so the queue schedules
-exactly **one** event per packet — its delivery at the far end — and keeps
-occupancy as a lazily-drained ledger of ``(depart, size)`` records.  A whole
+exactly **one** event per packet — its delivery at the far end.  A whole
 congestion window enqueued in one burst therefore advances with one heap
 operation per packet.  The event-per-transmission formulation of the same
 model (enqueue bookkeeping + transmission completion + propagation arrival)
 lives in ``tests/packet_oracle.py`` as the differential oracle.
+
+A link is a few scalars.  Its accepted packets form one intrusive FIFO,
+threaded through each packet's ``nxt`` slot from ``head`` (the next
+delivery) to ``tail``; the packets themselves are the backend's pooled
+records, so a link that never carries traffic holds no container at all.
+Occupancy is a lazily drained ledger over the same chain: ``undrained``
+points at the oldest packet whose bytes still count, and a drain walks the
+chain from there.  A packet delivered before any drain reached it leaves
+the chain, so it is retired at delivery: its bytes are subtracted then, or,
+when it departs at that very instant (a 0 ns link), held in ``tie_bytes``
+until a drain after that instant, ``head_depart`` being the instant.
+Serialisation times come from a ``size -> ns`` table the backend shares
+among all links of one bandwidth.
 """
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappush
-from typing import Deque, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -37,12 +48,12 @@ _NEVER = (1 << 62)  # "no pending departure" sentinel for the drain fast path
 class BurstLinkQueue:
     """Arithmetic FIFO serialiser of one directed link (one event per packet).
 
-    Accepted packets are appended to the ``out`` stream with their computed
+    Accepted packets are linked onto the queue's chain with their computed
     departure times; the backend's merge loop
     (:meth:`~repro.network.packet.backend.PacketBackend._run_merged`)
-    consumes the per-queue streams in canonical order and performs the
-    deliveries — the queue itself never fires transmission-completion
-    events.
+    consumes the per-queue chains in canonical order, performs the
+    deliveries and retires undrained packets as they leave — the queue
+    itself never fires transmission-completion events.
 
     Occupancy is defined by the ledger's tie rule: a packet occupies the
     buffer from its enqueue until *strictly after* its departure instant, so
@@ -58,7 +69,7 @@ class BurstLinkQueue:
         "kmin",
         "kmax",
         "rng",
-        "pending",
+        "tx",
         "queued_bytes",
         "free_at",
         "latency",
@@ -67,11 +78,12 @@ class BurstLinkQueue:
         "ecn_marks",
         "max_queued_bytes",
         "busy_ns",
-        "_tx_cache",
-        "_bandwidth",
         "_link_id",
         "head_depart",
-        "out",
+        "head",
+        "tail",
+        "undrained",
+        "tie_bytes",
         "live",
         "_streams",
     )
@@ -83,14 +95,16 @@ class BurstLinkQueue:
         kmin: int,
         kmax: int,
         rng: np.random.Generator,
+        tx: Dict[int, int],
     ) -> None:
         self.link = link
         self.capacity = capacity
         self.kmin = kmin
         self.kmax = kmax
         self.rng = rng
-        # (departure time, size) of every accepted, not-yet-departed packet
-        self.pending: Deque[Tuple[int, int]] = deque()
+        # serialisation ns per packet size, shared by every link of this
+        # link's bandwidth (filled on first use of each size)
+        self.tx = tx
         self.queued_bytes = 0
         self.free_at = 0
         self.latency = link.latency
@@ -99,40 +113,38 @@ class BurstLinkQueue:
         self.ecn_marks = 0
         self.max_queued_bytes = 0
         self.busy_ns = 0
-        self._tx_cache: dict = {}
-        self._bandwidth = link.bandwidth
         self._link_id = link.link_id
-        # departure time of the oldest pending packet (sys.maxsize when the
-        # ledger is empty): one int compare short-circuits the drain loop
+        # the earliest instant after which a drain changes the ledger: the
+        # oldest undrained departure, or the departure instant of the
+        # packet ``tie_bytes`` holds; _NEVER when neither exists, so one
+        # int compare short-circuits the drain
         self.head_depart = _NEVER
-        # outgoing deliveries as packets in departure order (each packet's
-        # ``depart`` slot holds its departure from this link) — a plain
-        # FIFO, already time-sorted because departures are monotone.  The
-        # backend's merge loop interleaves the per-queue streams in the
-        # canonical (time, depart, link) order; ``live`` records whether the
-        # stream's head is currently represented in the merge heap.
-        self.out: Deque[Packet] = deque()
+        # the chain of accepted packets in departure order (each packet's
+        # ``depart`` slot holds its departure from this link) — already
+        # time-sorted because departures are monotone.  The backend's merge
+        # loop interleaves the per-queue chains in the canonical (time,
+        # depart, link) order; ``live`` records whether the chain's head is
+        # currently represented in the merge heap.
+        self.head: Optional[Packet] = None
+        self.tail: Optional[Packet] = None
+        self.undrained: Optional[Packet] = None
+        self.tie_bytes = 0
         self.live = False
         self._streams: list = []  # reassigned by the backend (shared heap)
 
     # ------------------------------------------------------------------ enqueue
-    def tx_time(self, size: int) -> int:
-        """Serialisation time of ``size`` bytes (integer ns, cached per size)."""
-        tx = self._tx_cache.get(size)
-        if tx is None:
-            tx = max(1, int(round(size / self._bandwidth)))
-            self._tx_cache[size] = tx
-        return tx
-
     def occupancy(self, now: int) -> int:
         """Queued bytes at ``now``, draining departures strictly before it."""
         if self.head_depart < now:
-            pending = self.pending
-            qb = self.queued_bytes
-            while pending and pending[0][0] < now:
-                qb -= pending.popleft()[1]
+            qb = self.queued_bytes - self.tie_bytes
+            self.tie_bytes = 0
+            p = self.undrained
+            while p is not None and p.depart < now:
+                qb -= p.size
+                p = p.nxt
+            self.undrained = p
             self.queued_bytes = qb
-            self.head_depart = pending[0][0] if pending else _NEVER
+            self.head_depart = _NEVER if p is None else p.depart
         return self.queued_bytes
 
     def enqueue(self, packet: Packet, now: int) -> bool:
@@ -145,11 +157,17 @@ class BurstLinkQueue:
         """
         qb = self.queued_bytes
         head = self.head_depart
-        pending = self.pending
         if head < now:
-            while pending and pending[0][0] < now:
-                qb -= pending.popleft()[1]
-            head = self.head_depart = pending[0][0] if pending else _NEVER
+            # a held tie departed strictly before ``now`` (it holds
+            # head_depart), and so did every chain packet walked here
+            qb -= self.tie_bytes
+            self.tie_bytes = 0
+            p = self.undrained
+            while p is not None and p.depart < now:
+                qb -= p.size
+                p = p.nxt
+            self.undrained = p
+            head = self.head_depart = _NEVER if p is None else p.depart
         size = packet.size
         if packet.kind == 0 and not packet.trimmed:  # DATA
             kmin = self.kmin
@@ -175,10 +193,11 @@ class BurstLinkQueue:
                     packet.ecn = True
                     self.ecn_marks += 1
 
+        table = self.tx
         try:
-            tx = self._tx_cache[size]
+            tx = table[size]
         except KeyError:
-            tx = self.tx_time(size)
+            tx = table[size] = max(1, int(round(size / self.link.bandwidth)))
         free = self.free_at
         depart = (free if free > now else now) + tx
         self.free_at = depart
@@ -187,11 +206,17 @@ class BurstLinkQueue:
         self.queued_bytes = qb
         if qb > self.max_queued_bytes:
             self.max_queued_bytes = qb
-        if head == _NEVER:
-            self.head_depart = depart
-        pending.append((depart, size))
         packet.depart = depart
-        self.out.append(packet)
+        packet.nxt = None
+        if self.head is None:
+            self.head = packet
+        else:
+            self.tail.nxt = packet
+        self.tail = packet
+        if self.undrained is None:
+            self.undrained = packet
+            if head == _NEVER:
+                self.head_depart = depart
         if not self.live:
             self.live = True
             heappush(self._streams, (depart + self.latency, depart, self._link_id))

@@ -47,6 +47,11 @@ class Packet:
     sent_time:
         Time the data packet was injected by the sender (echoed in the ACK
         for RTT measurement).
+    depart:
+        Departure instant from the link currently transmitting the packet.
+    nxt:
+        The packet behind this one on that link's FIFO (``None`` at its
+        tail); see :mod:`repro.network.packet.linkqueue`.
     """
 
     __slots__ = (
@@ -61,6 +66,7 @@ class Packet:
         "trimmed",
         "sent_time",
         "depart",
+        "nxt",
     )
 
     def __init__(
@@ -82,9 +88,11 @@ class Packet:
         self.ecn = False
         self.trimmed = False
         self.sent_time = sent_time
-        # departure instant from the link currently transmitting this packet;
-        # maintained by the burst engine as part of the canonical event key
+        # departure instant from the link currently transmitting this packet
+        # and the link chain's next packet; both maintained by the burst
+        # engine (``depart`` is part of the canonical event key)
         self.depart = 0
+        self.nxt = None
 
     def reset(
         self,

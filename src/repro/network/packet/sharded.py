@@ -89,9 +89,10 @@ computed values).
 from __future__ import annotations
 
 import time as _time
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,7 +103,7 @@ from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
 from repro.network.packet.backend import PacketBackend
 from repro.network.packet.flow import Flow
-from repro.network.packet.linkqueue import BurstLinkQueue
+from repro.network.packet.linkqueue import _NEVER, BurstLinkQueue
 from repro.network.packet.packet import Packet
 from repro.network.topology import build_topology
 from repro.network.topology.base import Topology
@@ -221,24 +222,42 @@ def _validate_sharded(config: SimulationConfig, plan: ShardPlan) -> None:
 class _BoundaryBurstQueue(BurstLinkQueue):
     """Burst queue of a cut link at its owning (transmitting) shard.
 
-    ``live`` is pinned True so the base enqueue never registers the stream
-    in the local merge heap; every accepted packet is immediately diverted
-    from ``out`` to the shard's outbox (deliveries happen on the receiving
-    shard).  Drop/trim/ECN decisions still run here, at the link's owner,
-    exactly as in the serial engine.
+    Drop/trim/ECN decisions run here, at the link's owner, exactly as in
+    the serial engine, but deliveries happen on the receiving shard: every
+    accepted packet goes straight to the shard's outbox, where it is
+    encoded and its object pooled.  So no packet stays on this queue's
+    chain — the chain is empty between enqueues — and the link's occupancy
+    ledger is a small deque of ``(depart, size)`` records of its own,
+    drained by the same strictly-before rule.  ``live`` is pinned True so
+    the base enqueue never registers a stream in the local merge heap.
     """
 
-    __slots__ = ("outbox",)
+    __slots__ = ("outbox", "ledger")
 
     def __init__(self, *args: Any, outbox: List[Tuple[int, Packet]], **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.outbox = outbox
+        self.ledger: Deque[Tuple[int, int]] = deque()
         self.live = True
 
+    def occupancy(self, now: int) -> int:
+        ledger = self.ledger
+        qb = self.queued_bytes
+        while ledger and ledger[0][0] < now:
+            qb -= ledger.popleft()[1]
+        self.queued_bytes = qb
+        return qb
+
     def enqueue(self, packet: Packet, now: int) -> bool:
+        # drained here, the base enqueue finds an empty chain and no
+        # pending departure (head_depart stays _NEVER between enqueues)
+        self.occupancy(now)
         if not BurstLinkQueue.enqueue(self, packet, now):
             return False
-        self.outbox.append((self._link_id, self.out.pop()))
+        self.head = self.undrained = None
+        self.head_depart = _NEVER
+        self.ledger.append((packet.depart, packet.size))
+        self.outbox.append((self._link_id, packet))
         return True
 
 
@@ -292,6 +311,7 @@ class ShardPacketBackend(PacketBackend):
                     kmin=old.kmin,
                     kmax=old.kmax,
                     rng=old.rng,
+                    tx=old.tx,
                     outbox=self._out_packets,
                 )
                 nq._streams = self._stream_heads
@@ -513,9 +533,16 @@ class ShardPacketBackend(PacketBackend):
             pkt.trimmed = trimmed
             pkt.depart = depart
             # the cut link's local queue object is the mailbox: per-link
-            # departures are monotone, so appends keep ``out`` sorted
+            # departures are monotone, so linking at the tail keeps its
+            # chain sorted.  Its ledger lives at the sending shard, so the
+            # packet is linked for delivery only (it is never undrained)
             q = self.queues[link_id]
-            q.out.append(pkt)
+            if q.head is None:
+                q.head = pkt
+            else:
+                q.tail.nxt = pkt
+            q.tail = pkt
+            pkt.nxt = None
             if not q.live:
                 q.live = True
                 heappush(streams, (depart + q.latency, depart, link_id))
@@ -563,6 +590,7 @@ class ShardPacketBackend(PacketBackend):
                     ),
                 )
             )
+            pkt.flow = None
             self._packet_free.append(pkt)
         self._out_packets.clear()
         for dest, key, seq, fire in self._loss_out:

@@ -38,6 +38,8 @@ new, with the keys it may legitimately change in ``exempt``) and its mutant to
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import json
 import random
 import sys
 from dataclasses import dataclass
@@ -413,9 +415,35 @@ def _issue_for_later(backend_cls):
     return side
 
 
+#: ``everything()`` of the 0 ns incast rows as recorded before the burst
+#: queue's ledger moved onto its packet chain; see :func:`pin_key`.
+PINNED_0NS = Path(__file__).with_name("pinned_0ns.json")
+
+
+def pin_key(sim) -> str:
+    """The entry of :data:`PINNED_0NS` that holds ``sim``'s recorded run."""
+    return f"{sim.config.cc_algorithm}-shards{sim.config.shards}"
+
+
+def as_json(out: dict) -> dict:
+    """``out`` as its JSON text reads back: tuples as lists, dataclasses
+    (link columns, convergence records) as dicts, group ids as strings."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, np.integer):
+            return int(value)
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+    return json.loads(json.dumps(out, default=plain))
+
+
 #: Each side maps an input to what is compared.
 SIDES: Dict[str, Callable[[object], object]] = {
     "htsim": lambda sim: _simulate("htsim", sim),
+    "htsim as json": lambda sim: as_json(_simulate("htsim", sim)),
+    "pinned": lambda sim: json.loads(PINNED_0NS.read_text())[pin_key(sim)],
     "per-transmission": _per_transmission,
     "lgs": lambda sim: _simulate("lgs", sim),
     "five-event": lambda sim: _simulate(FiveEventLogGOPSBackend(), sim),
@@ -458,6 +486,8 @@ LOGGOPS = Pair("lgs", "five-event", mutants=("seq-blind-ready-queue",))
 LOGGOPS_CELLS = Pair("lgs cells", "five-event cells", mutants=("seq-blind-ready-queue",))
 LOGGOPS_API = Pair("lgs api", "five-event api")
 HTSIM_TWICE = Pair("htsim", "htsim")
+#: Where no oracle reaches (``link_latency=0``), the run as first recorded.
+PINNED = Pair("htsim as json", "pinned", mutants=("tie-bytes-stop-at-delivery",))
 LGS_TWICE = Pair("lgs", "lgs")
 #: A shard cannot share its neighbour's ACK-route lookup, so only the total
 #: of route-cache hits and misses is layout-invariant.
@@ -486,7 +516,7 @@ SWEEP3 = Pair("parallel=3", "serial sweep")
 # ---------------------------------------------------------------------------
 # The per-transmission oracle is scoped to ``link_latency >= 1`` (see its
 # module docstring); at 0 the engine's tie rule is the definition, so there
-# the engine is held to its ledger and to itself.
+# the engine is held to its ledger, to itself and to its recorded run.
 _LOSSY = dict(nodes_per_tor=4, buffer_size=1 << 16)
 
 
@@ -535,6 +565,7 @@ for _cc in ("dctcp", "ndp"):
                 and out["messages_delivered"] == 11
                 and out["bytes_delivered"] == 11 * (1 << 19),
             ),
+            Row(PINNED),
             inline=True,  # a 0 ns lookahead means a barrier per instant
         )
 for _topology, _extra in (

@@ -53,13 +53,50 @@ def _retire_at_departure(patch):
     enqueue = linkqueue.BurstLinkQueue.enqueue
 
     def early_retire(self, packet, now):
-        pending = self.pending
-        while pending and pending[0][0] <= now:
-            self.queued_bytes -= pending.popleft()[1]
-        self.head_depart = pending[0][0] if pending else linkqueue._NEVER
+        if self.head_depart <= now:
+            self.queued_bytes -= self.tie_bytes
+            self.tie_bytes = 0
+            p = self.undrained
+            while p is not None and p.depart <= now:
+                self.queued_bytes -= p.size
+                p = p.nxt
+            self.undrained = p
+            self.head_depart = linkqueue._NEVER if p is None else p.depart
         return enqueue(self, packet, now)
 
     patch.setattr(linkqueue.BurstLinkQueue, "enqueue", early_retire)
+
+
+def _tie_bytes_stop_at_delivery(patch):
+    """A packet delivered at its own departure instant (a 0 ns link) stops
+    occupying the buffer at delivery instead of strictly after it:
+    ``_run_merged`` recompiled to retire it like a packet that departed
+    earlier (``if True:`` for ``if lat:``)."""
+    source = textwrap.dedent(inspect.getsource(backend.PacketBackend._run_merged))
+    source, n = re.subn(r"^( +)if lat:$", r"\1if True:", source, flags=re.M)
+    assert n == 1, "the delivery-time retirement moved"
+    namespace = {}
+    exec(source, vars(backend), namespace)
+    patch.setattr(backend.PacketBackend, "_run_merged", namespace["_run_merged"])
+
+
+def _every_row(*names):
+    """Run the registry checks ``names``: pass when every one passes, raise
+    a :class:`differential.Mismatch` when every one raises it, and fail
+    (a plain ``AssertionError``) when only some do."""
+
+    def run():
+        caught = []
+        for name in names:
+            try:
+                differential.check(name)
+            except differential.Mismatch as exc:
+                caught.append(exc)
+        if caught:
+            assert len(caught) == len(names), f"{len(caught)} of {len(names)} rows caught the break"
+            raise caught[-1]
+
+    return run
 
 
 def _turnaround_drops_ecn_echo(patch):
@@ -180,6 +217,10 @@ def _emission_pins():
 MUTANTS = {
     "ledger-retires-at-departure": Mutant(
         _retire_at_departure, lambda: differential.check("packet/incast12-dctcp")
+    ),
+    "tie-bytes-stop-at-delivery": Mutant(
+        _tie_bytes_stop_at_delivery,
+        _every_row(*(f"packet/incast12-{cc}-0ns-shards{k}" for cc in ("dctcp", "ndp") for k in (1, 2))),
     ),
     "turnaround-drops-ecn-echo": Mutant(
         _turnaround_drops_ecn_echo, lambda: differential.check("packet/incast12-mprdma")
