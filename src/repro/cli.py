@@ -102,11 +102,6 @@ _PATTERNS = {
     "allreduce": ring_allreduce_microbenchmark,
 }
 
-#: Fault counters reported by both ``atlahs faults`` modes.
-_FAULT_COUNTERS = (
-    "packets_rerouted", "packets_lost_to_faults", "packets_blackholed", "time_to_recover_ns",
-)
-
 
 def _dest(flag: str) -> str:
     """The argparse dest of an option flag (``--nodes-per-tor`` -> ``nodes_per_tor``)."""
@@ -199,14 +194,11 @@ def _pick(obj, *names: str) -> dict:
 
 
 def _print_result(name: str, result, **extra) -> int:
+    """One run's report: what it simulated (its digest) and its host wall clock."""
     return _print_json({
         "workload": name,
         "backend": result.backend,
-        "simulated_time_s": result.finish_time_s,
-        "ops_completed": result.ops_completed,
-        "messages": result.stats.messages_delivered,
-        "bytes": result.stats.bytes_delivered,
-        "packet_drops": result.stats.packets_dropped,
+        **result.digest(),
         "wall_clock_s": round(result.wall_clock_s, 3),
         **extra,
     })
@@ -496,9 +488,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             "slowdown": (
                 faulted.finish_time_ns / healthy.finish_time_ns if healthy.finish_time_ns else None
             ),
-            **_pick(faulted.stats, *_FAULT_COUNTERS),
-            "packet_drops": faulted.stats.packets_dropped,
-            "retransmissions": faulted.stats.retransmissions,
+            **faulted.digest(),
         })
 
     # failure-rate sweep
@@ -532,7 +522,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             {
                 **_pick(
                     e, "routing", "control_plane", "failure_rate", "failed_links",
-                    "finish_time_ms", "slowdown", *_FAULT_COUNTERS,
+                    "finish_time_ms", "slowdown", "packets_rerouted", "packets_lost_to_faults",
+                    "packets_blackholed", "time_to_recover_ns",
                 ),
                 "packet_drops": e.packets_dropped,
             }

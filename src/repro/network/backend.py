@@ -19,10 +19,11 @@ Two backends implement this API: the message-level LogGOPS backend
 from __future__ import annotations
 
 import abc
+import hashlib
 import heapq
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -158,7 +159,8 @@ class NetworkStats:
     time_to_recover_ns: int = 0
     #: Route-table LRU cache counters (see docs/scaling.md): lookups served
     #: from / missing the bounded per-pair route caches, and entries evicted
-    #: to stay within ``SimulationConfig.route_cache_entries``.
+    #: to stay within ``SimulationConfig.route_cache_entries``.  They count
+    #: host work, not simulated facts (:data:`ROUTE_CACHE_COUNTERS`).
     route_cache_hits: int = 0
     route_cache_misses: int = 0
     route_cache_evictions: int = 0
@@ -167,6 +169,11 @@ class NetworkStats:
         """Field-wise fold of two stats objects: counters sum, peaks take the max."""
         return _fold_counters(self, other, max_fields=_STATS_MAX_FIELDS)
 
+
+#: The :class:`NetworkStats` counters of host work (route-table lookups):
+#: two runs that simulate the same thing may differ on them, so
+#: :meth:`SimulationResult.digest` leaves them out.
+ROUTE_CACHE_COUNTERS = ("route_cache_hits", "route_cache_misses", "route_cache_evictions")
 
 #: :class:`NetworkStats` fields that are peaks rather than counters: merging
 #: two shards' stats takes their max.  Every other field sums, so a newly
@@ -356,6 +363,48 @@ class SimulationResult:
             "max": float(latencies[-1]),
             "count": float(n),
         }
+
+    def digest(self) -> dict:
+        """Every simulated fact of the run, as one canonical dict.
+
+        Keys are this record's own names: ``finish_time_ns``,
+        ``ops_completed``, every :class:`NetworkStats` field but the
+        :data:`ROUTE_CACHE_COUNTERS`, and ``groups`` and
+        ``convergence_records`` inline (as lists of dicts, in group id and
+        event order).  ``rank_finish_times_ns``, ``links`` (names, columns
+        and group bytes) and ``message_records`` are each one blake2b hex
+        over little-endian 64-bit integers; the records are lexsorted on all
+        six fields first, a multiset, so serial and sharded runs agree.
+        ``backend`` and ``wall_clock_s`` are host facts and left out.  The
+        dict is plain JSON: ``json.loads(json.dumps(d)) == d``.  Computed
+        afresh on every call; see ``docs/architecture.md``.
+        """
+        stats, links = self.stats, self.links
+        records = self.message_records.columns()
+        return {
+            "finish_time_ns": self.finish_time_ns,
+            "ops_completed": self.ops_completed,
+            **{f.name: getattr(stats, f.name) for f in fields(stats) if f.name not in ROUTE_CACHE_COUNTERS},
+            "groups": [asdict(g) for _, g in sorted(self.groups.items())],
+            "convergence_records": [
+                {**asdict(r), "link_ids": list(r.link_ids)} for r in self.convergence_records
+            ],
+            "rank_finish_times_ns": _blake2(self.rank_finish_times_ns),
+            "links": _blake2(
+                "".join(f"{name}\n" for name in links.names).encode(),
+                *(getattr(links, c) for c in LINK_COLUMNS),
+                *(part for g in sorted(links.group_bytes) for part in ([g], links.group_bytes[g])),
+            ),
+            "message_records": _blake2(records[np.lexsort(records.T[::-1])]),
+        }
+
+
+def _blake2(*parts) -> str:
+    """One blake2b hex over ``parts``: bytes as they are, integers as ``<i8``."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else np.asarray(part, dtype="<i8").tobytes())
+    return h.hexdigest()
 
 
 #: ``eventOver``: called as ``on_complete(time, rank, op_id)``.

@@ -64,9 +64,6 @@ class EventQueue:
         """Current simulation time (the timestamp of the last popped event)."""
         return self._now
 
-    def __len__(self) -> int:
-        return len(self._heap) + len(self._ready)
-
     def schedule(self, time: int, callback: EventCallback, payload: Any = None) -> None:
         """Schedule ``callback(time, payload)`` at simulation time ``time``.
 
@@ -88,66 +85,26 @@ class EventQueue:
             return self._now
         return self._heap[0][0] if self._heap else None
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains (or a limit is hit).
-
-        Parameters
-        ----------
-        until:
-            Stop (without executing) events scheduled after this time.
-        max_events:
-            Safety valve against runaway simulations: at most ``max_events``
-            events execute, and ``RuntimeError`` is raised if more remain.
-
-        Returns
-        -------
-        int
-            The simulation time after the last executed event.
-        """
+    def run(self) -> int:
+        """Run events until the queue drains; return the time of the last one."""
         executed = 0
         heap = self._heap
         ready = self._ready
         pop = heapq.heappop
         popleft = ready.popleft
-        if until is None and max_events is None:
-            # hot path: no limit checks inside the loop.  A ready entry is
-            # due now, and so is a heap top that sorts before it.
-            while True:
-                if ready:
-                    entry = ready[0]
-                    if heap and heap[0] < entry:
-                        entry = pop(heap)
-                    else:
-                        popleft()
-                elif heap:
-                    entry = pop(heap)
-                    self._now = entry[0]
-                else:
-                    break
-                entry[-2](entry[0], entry[-1])
-                executed += 1
-            self.executed += executed
-            return self._now
-        while ready or heap:
+        # a ready entry is due now, and so is a heap top that sorts before it
+        while True:
             if ready:
                 entry = ready[0]
-                from_heap = bool(heap) and heap[0] < entry
-            else:
-                entry = heap[0]
-                from_heap = True
-                if until is not None and entry[0] > until:
-                    break
-            if max_events is not None and executed >= max_events:
-                self.executed += executed
-                raise RuntimeError(
-                    f"event limit exceeded ({max_events} events); "
-                    "simulation is likely livelocked"
-                )
-            if from_heap:
+                if heap and heap[0] < entry:
+                    entry = pop(heap)
+                else:
+                    popleft()
+            elif heap:
                 entry = pop(heap)
                 self._now = entry[0]
             else:
-                popleft()
+                break
             entry[-2](entry[0], entry[-1])
             executed += 1
         self.executed += executed

@@ -28,10 +28,6 @@ class HostCompute:
         # (rank, stream) -> time at which the stream becomes free
         self._free_at: Dict[Tuple[int, int], int] = {}
 
-    def free_at(self, rank: int, stream: int) -> int:
-        """Time at which ``stream`` of ``rank`` becomes free."""
-        return self._free_at.get((rank, stream), 0)
-
     def reserve(self, rank: int, stream: int, earliest: int, duration: int) -> Tuple[int, int]:
         """Reserve ``duration`` ns on ``(rank, stream)`` not earlier than ``earliest``.
 

@@ -6,12 +6,11 @@ formulation of the same model exactly.  The references live in ``tests/``
 scalar UGAL below, the serial sharded engine, the delivery-order record
 list, the serial sweep), and this module is the one place they are compared:
 
-* :func:`everything` flattens a whole :class:`SimulationResult` plus the
-  events executed into one dict: finish and per-rank finish times, ops
-  completed, message records, every ``NetworkStats`` field, the per-group
-  ``GroupStats``, the per-link ``LinkStats`` record (group bytes included)
-  and convergence records.  Host wall clock and the backend's name are not
-  simulated and are left out.
+* :func:`everything` is what a run simulated,
+  :meth:`SimulationResult.digest`, plus, by name, the events executed, the
+  route-cache counters and the message records in the order the store
+  holds them (``order``; the digest holds them as a multiset).  Host wall
+  clock and the backend's name are not simulated and are left out.
 * :data:`ROWS` is the registry: for each input of :data:`INPUTS`, its
   rows.  A :class:`Row` names a :class:`Pair` (an engine side, a reference
   side, the keys that pair may differ on and the mutant that shows the
@@ -38,11 +37,10 @@ new, with the keys it may legitimately change in ``exempt``) and its mutant to
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
@@ -68,12 +66,17 @@ from repro.goal import (
 )
 from repro.network import LogGOPSParams, SimulationConfig
 from repro.network.backend import (
+    LINK_COLUMNS,
+    ROUTE_CACHE_COUNTERS,
+    GroupStats,
+    LinkStats,
     MessageRecord,
     MessageRecords,
     NetworkBackend,
     NetworkStats,
     SimulationResult,
 )
+from repro.network.control_plane import ConvergenceRecord
 from repro.network.faults import (
     LINK_DOWN,
     LINK_UP,
@@ -112,19 +115,15 @@ from schedule_oracle import ListScheduler, generated, list_encode_goal, list_wri
 # what a run simulated
 # ---------------------------------------------------------------------------
 def everything(result: SimulationResult, events: Optional[int] = None) -> dict:
-    """The whole result, one key per comparable field (see the module docstring)."""
-    stats = vars(result.stats)
+    """The result's digest, the events executed, the route-cache counters and
+    the record order (see the module docstring)."""
+    stats = result.stats
     return {
-        "finish": result.finish_time_ns,
-        "rank_finish": tuple(result.rank_finish_times_ns),
-        "ops": result.ops_completed,
-        "records": tuple(result.message_records),
-        "groups": {group: vars(s) for group, s in result.groups.items()},
-        "links": result.links,
-        "convergence": tuple(result.convergence_records),
+        **result.digest(),
         "events": events,
-        **stats,
-        "route_cache_lookups": stats["route_cache_hits"] + stats["route_cache_misses"],
+        **{name: getattr(stats, name) for name in ROUTE_CACHE_COUNTERS},
+        "route_cache_lookups": stats.route_cache_hits + stats.route_cache_misses,
+        "order": tuple(result.message_records),
     }
 
 
@@ -253,18 +252,6 @@ def _per_transmission(sim):
     return _simulate(PerTransmissionBackend(), sim)
 
 
-def _sharded(k):
-    """The packet engine at ``shards=k`` (``serial`` at 1).  Merged records
-    come out in merge-key order, serial ones in delivery order, so the shard
-    family compares them as a multiset."""
-
-    def side(sim):
-        out = _simulate("htsim", sim, shards=k)
-        return {**out, "records": tuple(sorted(out["records"]))} if "records" in out else out
-
-    return side
-
-
 def _cells(side):
     return lambda cells: {k: side(cell) for k, cell in enumerate(cells)}
 
@@ -303,13 +290,13 @@ def delivery_spy():
 
 
 def _spied(backend):
-    """The run with its records as the list path built them."""
+    """The run with its records in the order the list path built them."""
 
     def side(sim):
         with inline_workers(), delivery_spy() as spied:  # the spy sees this process only
             out = _simulate(backend, sim)
         assert len(spied) == sim.config.shards
-        return {**out, "records": tuple(_list_path(spied))}
+        return {**out, "order": tuple(_list_path(spied))}
 
     return side
 
@@ -415,8 +402,11 @@ def _issue_for_later(backend_cls):
     return side
 
 
-#: ``everything()`` of the 0 ns incast rows as recorded before the burst
-#: queue's ledger moved onto its packet chain; see :func:`pin_key`.
+#: The 0 ns incast rows' results as recorded before the burst queue's ledger
+#: moved onto its packet chain, one flat dict each (the harness's shape
+#: then: ``finish``, ``rank_finish``, ``ops``, ``records``, ``groups``,
+#: ``links``, ``convergence``, ``events`` and every ``NetworkStats`` field);
+#: see :func:`pin_key` and :func:`_pinned`.
 PINNED_0NS = Path(__file__).with_name("pinned_0ns.json")
 
 
@@ -425,25 +415,31 @@ def pin_key(sim) -> str:
     return f"{sim.config.cc_algorithm}-shards{sim.config.shards}"
 
 
-def as_json(out: dict) -> dict:
-    """``out`` as its JSON text reads back: tuples as lists, dataclasses
-    (link columns, convergence records) as dicts, group ids as strings."""
-
-    def plain(value):
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if isinstance(value, np.integer):
-            return int(value)
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-
-    return json.loads(json.dumps(out, default=plain))
+def _pinned(sim):
+    """``sim``'s recorded run, rebuilt as a result, through :func:`everything`."""
+    pin = json.loads(PINNED_0NS.read_text())[pin_key(sim)]
+    links = pin["links"]
+    result = SimulationResult(
+        pin["finish"],
+        pin["rank_finish"],
+        NetworkStats(**{f.name: pin[f.name] for f in fields(NetworkStats)}),
+        MessageRecords.from_columns(np.array(pin["records"], dtype=np.uint64).reshape(-1, 6)),
+        pin["ops"],
+        groups={int(g): GroupStats(**s) for g, s in pin["groups"].items()},
+        links=LinkStats(
+            tuple(links["names"]),
+            *(np.array(links[c], dtype=np.int64) for c in LINK_COLUMNS),
+            {int(g): np.array(b, dtype=np.int64) for g, b in links["group_bytes"].items()},
+        ),
+        convergence_records=[ConvergenceRecord(**r) for r in pin["convergence"]],
+    )
+    return everything(result, pin["events"])
 
 
 #: Each side maps an input to what is compared.
 SIDES: Dict[str, Callable[[object], object]] = {
     "htsim": lambda sim: _simulate("htsim", sim),
-    "htsim as json": lambda sim: as_json(_simulate("htsim", sim)),
-    "pinned": lambda sim: json.loads(PINNED_0NS.read_text())[pin_key(sim)],
+    "pinned": _pinned,
     "per-transmission": _per_transmission,
     "lgs": lambda sim: _simulate("lgs", sim),
     "five-event": lambda sim: _simulate(FiveEventLogGOPSBackend(), sim),
@@ -451,7 +447,10 @@ SIDES: Dict[str, Callable[[object], object]] = {
     "five-event cells": _cells(lambda sim: _simulate(FiveEventLogGOPSBackend(), sim)),
     "lgs api": _issue_for_later(LogGOPSBackend),
     "five-event api": _issue_for_later(FiveEventLogGOPSBackend),
-    **{("serial" if k == 1 else f"shards={k}"): _sharded(k) for k in (1, 2, 3, 4)},
+    **{
+        ("serial" if k == 1 else f"shards={k}"): (lambda sim, k=k: _simulate("htsim", sim, shards=k))
+        for k in (1, 2, 3, 4)
+    },
     "lgs list path": _spied("lgs"),
     "htsim list path": _spied("htsim"),
     "merge": _merged,
@@ -487,7 +486,7 @@ LOGGOPS_CELLS = Pair("lgs cells", "five-event cells", mutants=("seq-blind-ready-
 LOGGOPS_API = Pair("lgs api", "five-event api")
 HTSIM_TWICE = Pair("htsim", "htsim")
 #: Where no oracle reaches (``link_latency=0``), the run as first recorded.
-PINNED = Pair("htsim as json", "pinned", mutants=("tie-bytes-stop-at-delivery",))
+PINNED = Pair("htsim", "pinned", mutants=("tie-bytes-stop-at-delivery",))
 LGS_TWICE = Pair("lgs", "lgs")
 #: A shard cannot share its neighbour's ACK-route lookup, so only the total
 #: of route-cache hits and misses is layout-invariant.
@@ -495,8 +494,11 @@ CACHE_SPLIT = frozenset({"route_cache_hits", "route_cache_misses"})
 
 
 def shards(engine: int, reference: int, mutants: Tuple[str, ...] = ()) -> Pair:
+    """The packet engine at two shard counts (``serial`` at 1).  Merged
+    records come out in merge-key order, serial ones in delivery order, so
+    the shard family compares them as the digest's multiset only."""
     name = lambda k: "serial" if k == 1 else f"shards={k}"  # noqa: E731
-    return Pair(name(engine), name(reference), CACHE_SPLIT, mutants)
+    return Pair(name(engine), name(reference), CACHE_SPLIT | {"order"}, mutants)
 
 
 RECORDS_LGS = Pair("lgs", "lgs list path")
@@ -673,7 +675,7 @@ for _shape_name, _shape in (
 def _healthy_records_differ(sim):
     """The faults move traffic: the same input without them delivers differently."""
     healthy = _simulate("lgs", sim._replace(config=sim.config.replace(faults=FaultSchedule())))
-    return lambda out: out["records"] != healthy["records"]
+    return lambda out: out["message_records"] != healthy["message_records"]
 
 
 def _lulesh_flaps(control_plane):
@@ -711,7 +713,7 @@ for _cp in ("oracle", "dv", "ls"):
         lambda cp=_cp: _lulesh_flaps(cp),
         Row(
             LOGGOPS,
-            lambda out, cp=_cp: len(out["convergence"]) == (0 if cp == "oracle" else 4)
+            lambda out, cp=_cp: len(out["convergence_records"]) == (0 if cp == "oracle" else 4)
             and _healthy_records_differ(_lulesh_flaps(cp))(out),
         ),
     )
@@ -721,7 +723,8 @@ for _cp in ("dv", "ls"):
         lambda cp=_cp: _hpcg_routed_fault(cp),
         Row(
             LOGGOPS,
-            lambda out, cp=_cp: bool(out["convergence"]) and _healthy_records_differ(_hpcg_routed_fault(cp))(out),
+            lambda out, cp=_cp: bool(out["convergence_records"])
+            and _healthy_records_differ(_hpcg_routed_fault(cp))(out),
         ),
     )
 def _tag_grouped(app, width, config):
@@ -733,7 +736,7 @@ def _tag_grouped(app, width, config):
 
 def _senders(out):
     """The groups that sent a delivered message."""
-    return [g for g, s in out["groups"].items() if s["messages_delivered"]]
+    return [g["group"] for g in out["groups"] if g["messages_delivered"]]
 
 
 register(
@@ -746,7 +749,7 @@ register(
             collect_message_records=False, loggops=_RENDEZVOUS, seed=7,
         ),
     ),
-    Row(LOGGOPS, lambda out: out["records"] == () and bool(_senders(out))),
+    Row(LOGGOPS, lambda out: out["order"] == () and bool(_senders(out))),
 )
 register(
     "loggops/hpcg-job-tags",
@@ -918,7 +921,7 @@ register(
         SimulationConfig(topology="fat_tree", routing="minimal", cc_algorithm="mprdma"),
         [[rank % 2] * len(ops) for rank, ops in enumerate(allreduce().ranks)],
     ),
-    Row(shards(2, 1), lambda out: set(out["groups"]) == {0, 1}),
+    Row(shards(2, 1), lambda out: {g["group"] for g in out["groups"]} == {0, 1}),
 )
 
 # fault grids: identical across every shard count >= 2, payload conserved
@@ -1022,8 +1025,8 @@ for _protocol in ("dv", "ls"):
             *(Row(pair, exempt=_REPLAYED) for pair in _INVARIANT),
             Row(
                 shards(2, 1),
-                lambda out: out["time_to_recover_ns"] > 0 and len(out["convergence"]) == 2,
-                only("convergence", "time_to_recover_ns"),
+                lambda out: out["time_to_recover_ns"] > 0 and len(out["convergence_records"]) == 2,
+                only("convergence_records", "time_to_recover_ns"),
             ),
             slow=True,
         )
@@ -1035,7 +1038,7 @@ register(
     "sharded/allreduce32K-adaptive-auto",
     lambda: Sim(allreduce(size=1 << 15), _ADAPTIVE),
     *map(Row, _INVARIANT),
-    Row(shards(4, 1), exempt=only("messages_delivered", "bytes_delivered", "ops")),
+    Row(shards(4, 1), exempt=only("messages_delivered", "bytes_delivered", "ops_completed")),
     slow=True,
 )
 # at seed 5 this flap moves the finish time against the unfaulted run
@@ -1116,7 +1119,7 @@ for _protocol, _params in (("eager", LogGOPSParams()), ("rendezvous", RING_RENDE
     register(
         f"records/mixed-ring-lgs-{_protocol}",
         lambda p=_params: Sim(mixed_ring(), SimulationConfig(loggops=p)),
-        Row(RECORDS_LGS, lambda out: len(out["records"]) == 12),
+        Row(RECORDS_LGS, lambda out: len(out["order"]) == 12),
     )
 for _cc in ("mprdma", "ndp"):
     # small buffers: drops (or NDP trims) and retransmissions
@@ -1129,7 +1132,7 @@ for _cc in ("mprdma", "ndp"):
                 cc_algorithm=cc, buffer_size=1 << 14, seed=3,
             ),
         ),
-        Row(RECORDS_HTSIM, lambda out: out["retransmissions"] > 0 and len(out["records"]) == 240),
+        Row(RECORDS_HTSIM, lambda out: out["retransmissions"] > 0 and len(out["order"]) == 240),
     )
 register(
     "records/allreduce16-shards2",

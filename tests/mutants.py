@@ -140,7 +140,7 @@ def _merge_keeps_shard0_links(patch):
     patch.setattr(sharded, "_merge_results", shard0_links)
 
 
-def _seq_blind_run(self, until=None, max_events=None):
+def _seq_blind_run(self):
     """``EventQueue.run`` that runs every ready entry before any heap entry."""
     heap, ready = self._heap, self._ready
     while ready or heap:

@@ -553,7 +553,7 @@ class TestMisnamedGoalFiles:
 
         assert main(["simulate", self._write(tmp_path, name, binary), "--backend", "lgs"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ops_completed"] == 2 and payload["messages"] == 1
+        assert payload["ops_completed"] == 2 and payload["messages_delivered"] == 1
 
     def test_cotenant_job_specs_read_either_codec(self, tmp_path, capsys):
         import json
@@ -603,7 +603,7 @@ class TestShardingFlagErrors:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["messages"] > 0
+        assert payload["messages_delivered"] > 0
 
 
 @pytest.mark.parametrize(

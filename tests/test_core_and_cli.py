@@ -90,7 +90,7 @@ class TestCli:
         rc = main(["synthetic", "incast", "--ranks", "4", "--message-size", "65536"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["messages"] == 3
+        assert payload["messages_delivered"] == 3
 
     def test_hpc_command(self, capsys):
         rc = main(["hpc", "lammps", "--ranks", "4", "--iterations", "1", "--cells-per-rank", "2000"])
@@ -109,7 +109,7 @@ class TestCli:
         rc = main(["simulate", path, "--backend", "lgs"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["messages"] == 1
+        assert payload["messages_delivered"] == 1
 
     def test_ai_command(self, capsys):
         rc = main([
@@ -145,10 +145,15 @@ class TestCli:
 
 # Every report-printing subcommand on a tiny input, with the key paths of
 # its JSON report as captured before the CLI's flags, list parsing and
-# printing were each reduced to one place ("a[].b": key b of a's items).
-_RESULT_KEYS = (
-    "workload backend simulated_time_s ops_completed messages bytes packet_drops wall_clock_s"
+# printing were each reduced to one place ("a[].b": key b of a's items); a
+# run's block is SimulationResult.digest(), under its own key names.
+_DIGEST_KEYS = (
+    "finish_time_ns ops_completed messages_delivered bytes_delivered packets_sent "
+    "packets_delivered packets_dropped packets_trimmed packets_ecn_marked retransmissions "
+    "max_queue_bytes packets_rerouted packets_lost_to_faults packets_blackholed "
+    "time_to_recover_ns groups convergence_records rank_finish_times_ns links message_records"
 )
+_RESULT_KEYS = f"workload backend {_DIGEST_KEYS} wall_clock_s"
 _REPORTS = {
     "simulate": (["simulate", "{goal}"], _RESULT_KEYS),
     "hpc": (
@@ -195,8 +200,7 @@ _REPORTS = {
          "--fail-links", "tor0->core0", "--link-down", "core0->tor0@3000"],
         "workload backend control_plane scenario scenario.failed_links scenario.events "
         "scenario.events[].time_ns scenario.events[].kind scenario.events[].target "
-        "healthy_time_ms faulted_time_ms slowdown packets_rerouted packets_lost_to_faults "
-        "packets_blackholed time_to_recover_ns packet_drops retransmissions",
+        "healthy_time_ms faulted_time_ms slowdown " + _DIGEST_KEYS,
     ),
     "faults-sweep": (
         ["faults", "incast:4:4096", "--rates", "0,0.25", "--nodes-per-tor", "2"],

@@ -10,7 +10,7 @@ the tree as the reference, so every test here is differential:
   route, same generator state afterwards — on every registered topology,
   the extra fat-tree/torus/dragonfly shapes, and sampled pairs at 2048
   hosts x 32 cores,
-* whole simulations are bit-identical with ``route_synthesis`` off (the
+* whole simulations have equal digests with ``route_synthesis`` off (the
   table path), serial and sharded, and across a timed LINK_DOWN -> LINK_UP
   that crosses closed form -> table -> closed form,
 * the per-link RTT sum equals the formula it replaced, under degradations,
@@ -19,8 +19,6 @@ the tree as the reference, so every test here is differential:
 
 This file runs in the CI flake-guard job under two PYTHONHASHSEEDs.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -35,19 +33,6 @@ from repro.schedgen import all_to_all
 from repro.scheduler import GoalScheduler, simulate
 from test_route_synthesis import EXTRA_INSTANCES, SMALL_INSTANCES
 from inline_workers import inline_workers  # shards in-process: no spawn per cell
-
-_PATH_ONLY = dict(route_cache_hits=0, route_cache_misses=0, route_cache_evictions=0)
-
-
-def _simulated(result):
-    """Everything a run simulated; the cache counters only name the lookup path."""
-    return (
-        result.finish_time_ns,
-        result.rank_finish_times_ns,
-        result.ops_completed,
-        dataclasses.replace(result.stats, **_PATH_ONLY),
-        sorted(result.message_records),
-    )
 
 
 def _assert_hook_matches_table(topo, pairs) -> None:
@@ -181,7 +166,7 @@ def test_table_paths_reproduce_the_closed_form_run(cc, shards):
         assert default.stats.messages_delivered == 16 * 15
         for knobs in _TABLE_PATHS:
             other = simulate(schedule, backend="htsim", config=config.replace(**knobs))
-            assert _simulated(other) == _simulated(default), knobs
+            assert other.digest() == default.digest(), knobs
             assert other.stats.route_cache_misses > 0
 
 
@@ -195,7 +180,7 @@ def test_table_paths_reproduce_the_closed_form_run_per_topology(topology):
     assert (default.stats.route_cache_misses == 0) == topology.startswith("fat_tree")
     for knobs in _TABLE_PATHS:
         other = simulate(schedule, backend="htsim", config=config.replace(**knobs))
-        assert _simulated(other) == _simulated(default), knobs
+        assert other.digest() == default.digest(), knobs
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -216,7 +201,7 @@ def test_link_flap_crosses_closed_form_table_closed_form(shards):
         lookups = default.stats.route_cache_hits + default.stats.route_cache_misses
         for knobs in _TABLE_PATHS:
             other = simulate(schedule, backend="htsim", config=config.replace(**knobs))
-            assert _simulated(other) == _simulated(default), knobs
+            assert other.digest() == default.digest(), knobs
             # tables all run long there; here only during the outage
             stats = other.stats
             assert 0 < lookups < stats.route_cache_hits + stats.route_cache_misses
@@ -234,7 +219,7 @@ def test_loggops_routed_latency_unchanged_by_the_table_paths():
     assert default.stats.route_cache_hits == 0
     for knobs in _TABLE_PATHS:
         other = simulate(schedule, backend="lgs", config=config.replace(**knobs))
-        assert _simulated(other) == _simulated(default), knobs
+        assert other.digest() == default.digest(), knobs
 
 
 # ------------------------------------------------------------ per-link RTT

@@ -10,7 +10,6 @@ bit-identical with synthesis on and off across every routing strategy.
 This file runs in the CI flake-guard job under two PYTHONHASHSEEDs: the
 closed-form link-id arithmetic must not depend on dict/set iteration order.
 """
-import dataclasses
 
 import pytest
 
@@ -150,16 +149,14 @@ def test_simulation_bit_identical_across_synthesis(topology, routing):
     off = simulate(
         schedule, backend="htsim", config=config.replace(route_synthesis=False)
     )
-    assert on.finish_time_ns == off.finish_time_ns
-    expected = off.stats
+    assert on.digest() == off.digest()
     if routing == "minimal" and topology.startswith("fat_tree"):
         # the cache counters describe the lookup path, not the simulation: a
         # healthy minimal fat-tree run with synthesis on builds no table
         assert off.stats.route_cache_misses > 0
-        expected = dataclasses.replace(
-            off.stats, route_cache_hits=0, route_cache_misses=0, route_cache_evictions=0
-        )
-    assert on.stats == expected
+        assert on.stats.route_cache_hits == on.stats.route_cache_misses == 0
+    else:
+        assert on.stats == off.stats
 
 
 @pytest.mark.parametrize("topology", ["torus", "slimfly"])
@@ -172,5 +169,5 @@ def test_loggops_bit_identical_across_synthesis(topology):
     off = simulate(
         schedule, backend="lgs", config=config.replace(route_synthesis=False)
     )
-    assert on.finish_time_ns == off.finish_time_ns
+    assert on.digest() == off.digest()
     assert on.stats == off.stats
