@@ -111,7 +111,7 @@ class LogGOPSBackend(NetworkBackend):
         # routes every message; _link_bytes — cumulative bytes routed per
         # link — is the load signal handed to the routing strategy
         self._routed = config.loggops_topology_enabled()
-        self._link_bytes: Optional[np.ndarray] = None
+        self._link_bytes: Optional[List[int]] = None
         # faults degrade this backend through a capacity factor gamma — the
         # surviving fraction of fabric bandwidth over the switch-to-switch
         # links (or all links on switchless topologies) — which inflates the
@@ -125,7 +125,7 @@ class LogGOPSBackend(NetworkBackend):
         if self._routed or self._faults_enabled:
             self._bring_up_fabric()
         if self._routed:
-            self._link_bytes = np.zeros(len(self.topology.links), dtype=np.int64)
+            self._link_bytes = [0] * len(self.topology.links)
             self._link_ns = self.topology.link_delays()
         if self._faults_enabled:
             self._recompute_gamma()
@@ -424,7 +424,7 @@ class LogGOPSBackend(NetworkBackend):
         # with the data transfer's _wire_latency)
         if self._routed:
             # alive_table is the full table while the fabric is healthy
-            first = self.topology.alive_table(dst, src).candidates[0]
+            first = self.topology.alive_table(dst, src)[0]
             handshake_latency = sum(map(self._link_ns.__getitem__, first))
         else:
             handshake_latency = self.params.L
@@ -462,7 +462,7 @@ class LogGOPSBackend(NetworkBackend):
     def collect_links(self) -> LinkStats:
         links = super().collect_links()
         if self._routed:
-            links.routed_bytes = self._link_bytes
+            links.routed_bytes = np.array(self._link_bytes, dtype=np.int64)
         return links
 
     def unmatched_state(self) -> Dict[str, int]:

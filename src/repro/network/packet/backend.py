@@ -8,7 +8,7 @@ The backend owns
 * a :class:`~repro.network.routing.RoutingStrategy` that picks each flow's
   route at injection time from the topology's memoized route tables
   (minimal/ECMP, Valiant, or UGAL-style adaptive fed by live queue
-  occupancy exposed as a numpy array view),
+  occupancy, read per link through one view),
 * one :class:`~repro.network.packet.flow.Flow` per GOAL send,
 * per-flow congestion control (sender-based MPRDMA / Swift / DCTCP /
   fixed-window, or receiver-driven NDP with trimming and pull pacing),
@@ -47,6 +47,7 @@ import numpy as np
 from repro.network.backend import CompletionCallback, LinkStats, NetworkBackend, NetworkStats
 from repro.network.config import SimulationConfig
 from repro.network.congestion import create_congestion_control
+from repro.network.events import EventQueue
 from repro.network.faults import NetworkPartitionError
 from repro.network.packet.flow import Flow
 from repro.network.packet.linkqueue import _NEVER, BurstLinkQueue
@@ -84,6 +85,24 @@ class _PullPacer:
         self.active = False
         self.epoch = 0
         self.emitted = 0
+
+
+class _Occupancy:
+    """Queue occupancy by link id: ``view[l]`` is link ``l``'s queued bytes now.
+
+    A read drains only the queue it reads.  Drains are exact at any instant,
+    so a routing decision costs the links of the candidates it weighs, not
+    every queue of the fabric.
+    """
+
+    __slots__ = ("queues", "events")
+
+    def __init__(self, queues: List[BurstLinkQueue], events: EventQueue) -> None:
+        self.queues = queues
+        self.events = events
+
+    def __getitem__(self, link_id: int) -> int:
+        return self.queues[link_id].occupancy(self.events._now)
 
 
 class PacketBackend(NetworkBackend):
@@ -136,9 +155,7 @@ class PacketBackend(NetworkBackend):
         self._pull_bandwidth = config.link_bandwidth
         self._pull_credits: Dict[int, int] = {}
         self._needs_load = self.routing.needs_link_load
-        self._load_view = (
-            np.zeros(len(self.topology.links), dtype=np.int64) if self._needs_load else None
-        )
+        self._occupancy = _Occupancy(self.queues, self.events)
         # per-link one-way delay of a full data packet / an ACK; link
         # bandwidths are final here (static degradations already applied)
         self._data_ns = self.topology.link_delays(config.mtu)
@@ -160,17 +177,9 @@ class PacketBackend(NetworkBackend):
         self.events.schedule(ready_time, self._post_recv, (rank, src, size, tag, stream, op_id))
 
     # ------------------------------------------------------------------- flows
-    def _link_load_view(self) -> "np.ndarray":
-        """Queue occupancy of every link as an array indexed by link id.
-
-        Queues with no departure earlier than ``now`` need no drain, so the
-        common idle/fresh case is a slot read instead of a method call.
-        """
-        now = self.events.now
-        view = self._load_view
-        for i, q in enumerate(self.queues):
-            view[i] = q.occupancy(now) if q.head_depart < now else q.queued_bytes
-        return view
+    def _link_load_view(self) -> "_Occupancy":
+        """The link load a load-reading strategy is handed: the occupancy view."""
+        return self._occupancy
 
     def _pick_route(self, src: int, dst: int, size: int = 0) -> Tuple[int, ...]:
         # control-plane convergence: route with the *belief* of the source's
@@ -441,7 +450,7 @@ class PacketBackend(NetworkBackend):
         """
         flow = pkt.flow
         try:
-            candidates = self.topology.alive_table(flow.src, flow.dst).candidates
+            candidates = self.topology.alive_table(flow.src, flow.dst)
         except NetworkPartitionError:
             # only reachable for stragglers of already-delivered flows
             # (_apply_fault raises for live flows on partitioned pairs)

@@ -21,44 +21,57 @@ Three strategies ship with the toolchain:
 Strategies are registered in :data:`ROUTING_STRATEGIES` and constructed via
 :func:`create_routing`; ``SimulationConfig.routing`` selects one by name.
 
-Link load is supplied by the backend as a numpy array indexed by link id:
-the packet backend exposes queue occupancy as an array view, the LogGOPS
-backend an array of cumulative bytes routed.
+Link load is supplied by the backend as anything indexable by link id,
+and a strategy reads it only for the links of the candidates it costs: the
+packet backend passes a view whose ``view[l]`` is link ``l``'s queue
+occupancy now, the sharded packet engine its barrier snapshot array, and
+the LogGOPS backend its list of cumulative bytes routed.
 
 Fault awareness
 ---------------
 When the topology carries failed links (see :mod:`repro.network.faults`),
 every strategy filters its candidates — minimal and Valiant alike — through
-the topology's alive-masked route tables, and a pair left with no surviving
-candidate raises :class:`~repro.network.faults.NetworkPartitionError`.  On a
-healthy fabric the filter is a single boolean read, and the selected routes
-(and RNG consumption) are exactly those of the pre-fault code paths.
+the topology's alive-filtered route tables, and a pair left with no
+surviving candidate raises :class:`~repro.network.faults.NetworkPartitionError`.
+On a healthy fabric the filter is a single boolean read, and the selected
+routes (and RNG consumption) are exactly those of the pre-fault code paths.
 
 Hot path
 --------
-Minimal routing on a healthy fabric draws its route through
+Minimal routing on a healthy fabric, and each leg of a base Valiant detour,
+draws its route through
 :meth:`~repro.network.topology.base.Topology.pick_minimal` — on a fat tree a
 closed form that touches no table.  Otherwise strategies read the
-topology's lazily built, LRU-bounded
-:class:`~repro.network.topology.base.RouteTable` caches, and the UGAL cost
-of all candidates is evaluated in one numpy gather + ``reduceat`` (a scalar
-per-link formulation is the oracle in ``tests/test_routing.py``).  Cache
-eviction is invisible here — an evicted table is rebuilt bit-identically
-(from structural synthesis or the enumeration reference, per
-``SimulationConfig.route_synthesis``) on the next lookup, so strategies
-never observe cache state (see docs/scaling.md).
+topology's lazily built, LRU-bounded route tables: a pair's table is its
+tuple of candidate routes.  UGAL has one cost formula, :func:`ugal_cost`,
+applied to the minimal and the Valiant candidates alike, so a decision
+reads the load of at most the links of the candidates it weighs (the
+``routes()``-based scalar formulation is the oracle in
+``tests/differential.py``).  Cache eviction is invisible here — an evicted
+table is rebuilt bit-identically (from structural synthesis or the
+enumeration reference, per ``SimulationConfig.route_synthesis``) on the
+next lookup, so strategies never observe cache state (see docs/scaling.md).
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Type
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Type
 
 from repro.network.topology.base import Topology, pick_route
 
+if TYPE_CHECKING:  # the generator type only; routing needs no numpy
+    import numpy as np
+
 Route = Tuple[int, ...]
-#: Link load in bytes as a numpy array indexed by link id.
-LinkLoad = np.ndarray
+#: Link load in bytes: anything indexable by link id.
+LinkLoad = Any
+
+
+def ugal_cost(route: Route, link_load: LinkLoad) -> int:
+    """UGAL cost of ``route``: ``(1 + bytes queued along it) x hops``.
+
+    Reads ``link_load`` only at the route's own links.
+    """
+    return (1 + sum(map(link_load.__getitem__, route))) * len(route)
 
 
 class RoutingStrategy:
@@ -92,8 +105,10 @@ class RoutingStrategy:
     ) -> Route:
         """Return the route (tuple of link ids) a ``size``-byte message takes.
 
-        ``link_load`` holds every link's current load in bytes, indexed by
-        link id; strategies that ignore congestion may disregard it.
+        ``link_load`` maps a link id to that link's current load in bytes
+        (see the module docstring); strategies that ignore congestion may
+        disregard it, and the others read it only at the links of the
+        candidates they cost.
         ``view``, when given, is the source's first-hop switch's *believed*
         failed-link set (control-plane convergence: the selection filters by
         the stale belief instead of the topology's true fault state, so the
@@ -104,8 +119,10 @@ class RoutingStrategy:
         raise NotImplementedError
 
     # -- helpers shared by subclasses ---------------------------------------
-    def _table(self, src: int, dst: int, view: Optional[frozenset] = None):
-        """The pair's minimal-candidate :class:`RouteTable` under the fault state.
+    def _candidates(
+        self, src: int, dst: int, view: Optional[frozenset] = None
+    ) -> Sequence[Route]:
+        """The pair's minimal candidates under the fault state.
 
         On a faulty fabric (failed links present) the candidates are read
         through the topology's alive-filtered tables — candidate order is
@@ -120,12 +137,6 @@ class RoutingStrategy:
         if topology.faulty:
             return topology.alive_table(src, dst)
         return topology.route_table(src, dst)
-
-    def _candidates(
-        self, src: int, dst: int, view: Optional[frozenset] = None
-    ) -> Sequence[Route]:
-        """Minimal candidates of the pair (see :meth:`_table`)."""
-        return self._table(src, dst, view).candidates
 
     def _alive_valiant(
         self, src: int, dst: int, count: int, view: Optional[frozenset] = None
@@ -182,9 +193,10 @@ class ValiantRouting(RoutingStrategy):
 
     Topologies override :meth:`~repro.network.topology.base.Topology.
     valiant_routes` to bounce through an intermediate *switch* where that is
-    natural (torus, Slim Fly); the base implementation composes minimal
-    routes through a random intermediate host.  Pairs with no non-minimal
-    candidate (e.g. two hosts on a single switch) fall back to minimal.
+    natural (torus, Slim Fly); the base implementation joins two ECMP draws
+    (:meth:`~repro.network.topology.base.Topology.pick_minimal`) through a
+    random intermediate host.  Pairs with no non-minimal candidate (e.g.
+    two hosts on a single switch) fall back to minimal.
     """
 
     name = "valiant"
@@ -218,13 +230,14 @@ class AdaptiveRouting(RoutingStrategy):
     minimally and a congested one spills onto non-minimal paths exactly when
     the detour is cheaper than the queueing.
 
-    The cost of every minimal candidate is evaluated in a single numpy
-    gather over the route table's CSR link index — one ``reduceat`` per
-    decision.  Cost-tied minimal candidates are drawn from at random, which
-    keeps ECMP spreading alive when loads are equal (e.g. at an idle start).
+    Both candidate sets are costed by the one formula :func:`ugal_cost`, so
+    a decision reads ``link_load`` at most once per link of each candidate
+    it weighs and never at the rest of the fabric.  Cost-tied minimal
+    candidates are drawn from at random, which keeps ECMP spreading alive
+    when loads are equal (e.g. at an idle start).
 
     Under the sharded packet engine (``SimulationConfig.shards > 1``) the
-    live ``link_load`` array is replaced by **barrier load snapshots**
+    live ``link_load`` view is replaced by **barrier load snapshots**
     merged from all shards every minimum link latency of the topology.
     Decisions then read a slightly stale global view — a documented
     approximation whose semantics depend only on the topology, never on the
@@ -249,25 +262,20 @@ class AdaptiveRouting(RoutingStrategy):
         link_load: Optional[LinkLoad] = None,
         view: Optional[frozenset] = None,
     ) -> Route:
-        table = self._table(src, dst, view)
-        candidates = table.candidates
+        minimal = self._candidates(src, dst, view)
         if link_load is None:
-            route_loads = np.zeros(len(candidates), dtype=np.int64)
+            costs = [len(r) for r in minimal]
         else:
-            route_loads = np.add.reduceat(link_load[table.links_flat], table.offsets[:-1])
-        costs = (1 + route_loads) * table.hops
-        min_cost = int(costs.min())
-        tied = [candidates[i] for i in np.nonzero(costs == min_cost)[0]]
-        best_min = self._pick(tied)
+            costs = [ugal_cost(r, link_load) for r in minimal]
+        min_cost = min(costs)
+        best_min = self._pick([r for r, c in zip(minimal, costs) if c == min_cost])
         if link_load is None:
             return best_min
         valiant = self._alive_valiant(src, dst, self.count, view)
         if not valiant:
             return best_min
         # the first minimum wins among Valiant candidates
-        val_costs = [
-            (1 + sum(int(link_load[l]) for l in r)) * len(r) for r in valiant
-        ]
+        val_costs = [ugal_cost(r, link_load) for r in valiant]
         best_i = min(range(len(valiant)), key=val_costs.__getitem__)
         if val_costs[best_i] < min_cost:
             return valiant[best_i]

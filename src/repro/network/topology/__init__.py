@@ -31,7 +31,7 @@ flag, and shows up in ``atlahs topologies``.
 """
 from typing import Callable, Dict, Tuple
 
-from repro.network.topology.base import Link, LruCache, RouteTable, Topology
+from repro.network.topology.base import Link, LruCache, Topology
 from repro.network.topology.single import SingleSwitchTopology
 from repro.network.topology.fattree import (
     FatTreeTopology,
@@ -175,7 +175,6 @@ def build_topology(config, num_hosts: int) -> Topology:
 __all__ = [
     "Link",
     "LruCache",
-    "RouteTable",
     "Topology",
     "SingleSwitchTopology",
     "FatTreeTopology",

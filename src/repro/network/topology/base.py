@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # avoid a hard numpy dependency at import time
 DEFAULT_ROUTE_CACHE_BUDGET = 16384
 
 
+#: A pair's route table: its candidate routes, each a tuple of link ids.
+Candidates = Tuple[Tuple[int, ...], ...]
+
+
 #: Sentinel distinguishing "absent" from "cached None" in LruCache.get.
 _MISS = object()
 
@@ -175,51 +179,6 @@ def pick_route(candidates: Sequence[Tuple[int, ...]], rng: "np.random.Generator"
     return candidates[int(rng.integers(len(candidates)))]
 
 
-class RouteTable:
-    """Precomputed candidate-route table for one ``(src, dst)`` host pair.
-
-    Built lazily by :meth:`Topology.route_table` and memoized, so routing
-    strategies stop re-deriving candidate tuples once per message.  Besides
-    the candidate tuples themselves the table offers flat numpy views,
-    built on first read because only the vectorized UGAL cost consults
-    them:
-
-    * ``hops`` — path length per candidate,
-    * ``latency`` — summed propagation latency per candidate (ns),
-    * ``links_flat`` / ``offsets`` — CSR layout of the candidates' link ids,
-      so per-candidate queued-bytes sums are one gather + ``reduceat``.
-    """
-
-    __slots__ = ("candidates", "_links", "_views")
-
-    def __init__(self, candidates: Tuple[Tuple[int, ...], ...], links: Sequence[Link]) -> None:
-        self.candidates = candidates
-        self._links = links
-        self._views = None
-
-    def _build_views(self) -> tuple:
-        import numpy as np
-
-        candidates, links = self.candidates, self._links
-        hops = np.array([len(r) for r in candidates], dtype=np.int64)
-        latency = np.array(
-            [sum(links[l].latency for l in r) for r in candidates], dtype=np.int64
-        )
-        links_flat = np.array([l for r in candidates for l in r], dtype=np.intp)
-        offsets = np.zeros(len(candidates) + 1, dtype=np.intp)
-        np.cumsum(hops, out=offsets[1:])
-        self._views = views = (hops, latency, links_flat, offsets)
-        return views
-
-    hops = property(lambda self: (self._views or self._build_views())[0])
-    latency = property(lambda self: (self._views or self._build_views())[1])
-    links_flat = property(lambda self: (self._views or self._build_views())[2])
-    offsets = property(lambda self: (self._views or self._build_views())[3])
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
 @dataclass(frozen=True)
 class Link:
     """A directed link between two devices.
@@ -335,8 +294,8 @@ class Topology:
         """
         return self.routes(src_host, dst_host)
 
-    def route_table(self, src_host: int, dst_host: int) -> RouteTable:
-        """Lazily built, LRU-cached :class:`RouteTable` of the pair's candidates.
+    def route_table(self, src_host: int, dst_host: int) -> Candidates:
+        """The pair's candidate routes as a tuple, lazily built and LRU-cached.
 
         The table is built from :meth:`synthesized_routes` (or from the
         :meth:`routes` enumeration reference when synthesis is disabled) on
@@ -350,22 +309,25 @@ class Topology:
         table = self._route_tables.get(key)
         if table is None:
             source = self.synthesized_routes if self.use_synthesis else self.routes
-            table = RouteTable(tuple(source(src_host, dst_host)), self.links)
+            table = tuple(source(src_host, dst_host))
             self._route_tables.put(key, table)
         return table
 
     def pick_minimal(self, src_host: int, dst_host: int, rng: "np.random.Generator") -> Tuple[int, ...]:
-        """ECMP draw: one uniformly chosen minimal candidate of the pair.
+        """ECMP draw: one uniformly chosen candidate of the pair's *full* set.
 
-        Exactly ``pick_route(route_table(src, dst).candidates, rng)`` — same
-        route, same randomness (one ``integers(n)`` iff ``n > 1``) — which is
-        all the base implementation does.  The fat-tree family overrides it
-        with the closed form of the drawn candidate alone, so a healthy
-        fat tree builds and caches no table to start a flow.  Valid only
-        while no link is failed and synthesis is on; :class:`~repro.network.
-        routing.MinimalRouting` checks both and otherwise reads the tables.
+        Exactly ``pick_route(route_table(src, dst), rng)`` — same route,
+        same randomness (one ``integers(n)`` iff ``n > 1``) — which is all
+        the base implementation does.  The draw is over every candidate,
+        failed links or not: fault filtering is the caller's (Valiant legs
+        are filtered as whole detours; :class:`~repro.network.routing.
+        MinimalRouting` calls this only on a healthy fabric with synthesis
+        on and otherwise reads the filtered tables).  The fat-tree family
+        overrides it with the closed form of the drawn candidate alone, so
+        a healthy fat tree builds and caches no table to start a flow or to
+        draw a Valiant leg.
         """
-        return pick_route(self.route_table(src_host, dst_host).candidates, rng)
+        return pick_route(self.route_table(src_host, dst_host), rng)
 
     def link_delays(self, size: int = 0) -> List[int]:
         """Per-link delay (ns) of one ``size``-byte packet, indexed by link id.
@@ -446,14 +408,14 @@ class Topology:
         """Ids of the currently failed links (one object until the next change)."""
         return self.failed.key()
 
-    def alive_table(self, src_host: int, dst_host: int) -> RouteTable:
+    def alive_table(self, src_host: int, dst_host: int) -> Candidates:
         """Like :meth:`route_table`, filtered to candidates that survive faults.
 
         Returns the full table while the fabric is healthy.  With failed
-        links, a filtered :class:`RouteTable` (candidate order preserved) is
-        built lazily per pair and LRU-cached; every fault-state change
-        evicts the whole cache (see :meth:`_fault_change`) — the
-        "cached-route invalidation" the packet backend relies on.  Raises
+        links, a filtered table (candidate order preserved) is built lazily
+        per pair and LRU-cached; every fault-state change evicts the whole
+        cache (see :meth:`_fault_change`) — the "cached-route invalidation"
+        the packet backend relies on.  Raises
         :class:`~repro.network.faults.NetworkPartitionError` when no
         candidate survives.
         """
@@ -465,7 +427,7 @@ class Topology:
             raise self._partition_error(src_host, dst_host, full)
         return table
 
-    def view_table(self, src_host: int, dst_host: int, believed_failed: frozenset) -> RouteTable:
+    def view_table(self, src_host: int, dst_host: int, believed_failed: frozenset) -> Candidates:
         """Like :meth:`alive_table`, filtered by a *believed*-failed link set.
 
         Used by the control plane (see :mod:`repro.network.control_plane`):
@@ -483,8 +445,8 @@ class Topology:
         return self.alive_table(src_host, dst_host) if table is None else table
 
     def _filtered(
-        self, src_host: int, dst_host: int, full: RouteTable, failed_key: frozenset
-    ) -> Optional[RouteTable]:
+        self, src_host: int, dst_host: int, full: Candidates, failed_key: frozenset
+    ) -> Optional[Candidates]:
         """``full`` without the candidates crossing ``failed_key``, or ``None``.
 
         One LRU cache keyed by ``(src, dst, failed set)`` serves the truth
@@ -494,21 +456,19 @@ class Topology:
         table = self._filtered_tables.get(key)
         if table is not None:
             return table
-        alive = tuple(
+        table = tuple(
             route
-            for route in full.candidates
+            for route in full
             if not any(link in failed_key for link in route)
         )
-        if not alive:
+        if not table:
             return None
-        if len(alive) == len(full.candidates):
+        if len(table) == len(full):
             table = full
-        else:
-            table = RouteTable(alive, self.links)
         self._filtered_tables.put(key, table)
         return table
 
-    def _partition_error(self, src_host: int, dst_host: int, full: RouteTable):
+    def _partition_error(self, src_host: int, dst_host: int, full: Candidates):
         """Build the :class:`NetworkPartitionError` for a fully dead pair.
 
         At datacenter scale "all N candidates cross failed links" is not
@@ -522,12 +482,12 @@ class Topology:
         from repro.network.faults import NetworkPartitionError
 
         failed = self.failed.key()
-        max_hops = max(len(route) for route in full.candidates)
+        max_hops = max(len(route) for route in full)
         prefix_parts = []
         for k in range(1, max_hops + 1):
             surviving = sum(
                 1
-                for route in full.candidates
+                for route in full
                 if not any(link in failed for link in route[:k])
             )
             prefix_parts.append(f"{surviving} alive through hop {k}")
@@ -538,7 +498,7 @@ class Topology:
         return NetworkPartitionError(
             f"no surviving route from host {src_host} to host {dst_host} "
             f"at fault epoch {self._fault_epoch}: "
-            f"all {len(full.candidates)} candidate route(s) cross failed links; "
+            f"all {len(full)} candidate route(s) cross failed links; "
             f"surviving candidates by hop prefix: {'; '.join(prefix_parts)} "
             f"(failed: {', '.join(shown)}{suffix})"
         )
@@ -567,10 +527,11 @@ class Topology:
     ) -> Sequence[Tuple[int, ...]]:
         """Non-minimal (Valiant) candidate routes via random intermediates.
 
-        The base implementation composes minimal routes through up to
-        ``count`` random intermediate *hosts*; topologies whose structure
-        offers a natural intermediate switch (torus routers, Slim Fly
-        routers) override this to avoid descending to a host NIC mid-path.
+        The base implementation joins two ECMP draws (:meth:`pick_minimal`,
+        over each leg's full candidate set) through up to ``count`` random
+        intermediate *hosts*; topologies whose structure offers a natural
+        intermediate switch (torus routers, Slim Fly routers) override this
+        to avoid descending to a host NIC mid-path.
         Returns an empty sequence when no intermediate exists (fewer than
         three hosts), in which case callers fall back to minimal routing.
         """
@@ -583,8 +544,8 @@ class Topology:
             via = int(rng.integers(self.num_hosts))
             while via == src_host or via == dst_host:
                 via = int(rng.integers(self.num_hosts))
-            leg1 = pick_route(self.routes(src_host, via), rng)
-            leg2 = pick_route(self.routes(via, dst_host), rng)
+            leg1 = self.pick_minimal(src_host, via, rng)
+            leg2 = self.pick_minimal(via, dst_host, rng)
             candidates.append(leg1 + leg2)
         return tuple(candidates)
 
@@ -597,7 +558,7 @@ class Topology:
         num_routers: int,
         router_of,
         router_paths,
-    ) -> Tuple[Tuple[int, ...], ...]:
+    ) -> Candidates:
         """Compose Valiant candidates through random intermediate *routers*.
 
         Shared by switch-centric topologies (torus, Slim Fly) that expose a
@@ -646,7 +607,7 @@ class Topology:
     def min_path_latency(self, src_host: int, dst_host: int) -> int:
         """Propagation latency along the first candidate route (ns)."""
         links = self.links
-        return sum(links[l].latency for l in self.route_table(src_host, dst_host).candidates[0])
+        return sum(links[l].latency for l in self.route_table(src_host, dst_host)[0])
 
     def describe(self) -> Dict[str, object]:
         """Summary of the topology (device/link counts) for reports."""

@@ -155,10 +155,6 @@ class FatTreeTopology(Topology):
             2 * dst_host + 1,
         )
 
-    def core_uplinks(self, tor: int) -> List[int]:
-        """Link ids of the uplinks of ToR ``tor`` (useful for drop statistics)."""
-        return [self._tor_up[(tor, c)] for c in range(self.num_cores)]
-
     def describe(self) -> Dict[str, object]:
         d = super().describe()
         d.update(
@@ -289,10 +285,6 @@ class RailOptimizedFatTreeTopology(FatTreeTopology):
 
     def _num_tors(self) -> int:
         return self.num_pods * self.rails
-
-    def server_of(self, host: int) -> int:
-        """Server that GPU ``host`` belongs to."""
-        return host // self.rails
 
     def tor_of(self, host: int) -> int:
         """Rail switch of ``host``: pod-major, rail-minor."""

@@ -94,7 +94,7 @@ from repro.network.topology import (
     SlimFlyTopology,
     TorusTopology,
 )
-from repro.network.topology.base import pick_route
+from repro.network.topology.base import Topology, pick_route
 from repro.schedgen import (
     DirectDriveConfig,
     all_to_all,
@@ -329,10 +329,33 @@ def _list_codecs(gen):
     }
 
 
+def _enumerated_valiant(topo, src, dst, rng, count):
+    """Valiant candidates whose legs are drawn from the enumeration reference.
+
+    The base composition without the route tables or the ``pick_minimal``
+    hook: a random intermediate host, then one uniform draw over
+    ``routes()`` for each leg.  Router-level detours (torus, Slim Fly) are
+    the topology's own and are taken as they are."""
+    if type(topo).valiant_routes is not Topology.valiant_routes:
+        return topo.valiant_routes(src, dst, rng, count=count)
+    if topo.num_hosts <= 2:
+        return ()
+    candidates = []
+    for _ in range(count):
+        via = int(rng.integers(topo.num_hosts))
+        while via == src or via == dst:
+            via = int(rng.integers(topo.num_hosts))
+        leg1 = pick_route(topo.routes(src, via), rng)
+        leg2 = pick_route(topo.routes(via, dst), rng)
+        candidates.append(leg1 + leg2)
+    return tuple(candidates)
+
+
 def _scalar_ugal(topo, rng, src, dst, loads, count=2):
-    """UGAL link by link and candidate by candidate: the oracle for the
-    one-``reduceat`` evaluation in :class:`AdaptiveRouting`.  Candidates come
-    from the enumeration reference, not the route tables."""
+    """UGAL link by link and candidate by candidate: the oracle for
+    :class:`AdaptiveRouting`'s one cost formula.  Candidates, minimal and
+    Valiant, come from the enumeration reference, not the route tables or
+    the ``pick_minimal`` hook."""
 
     def cost(route):
         return (1 + sum(int(loads[link]) for link in route)) * len(route)
@@ -342,7 +365,7 @@ def _scalar_ugal(topo, rng, src, dst, loads, count=2):
     min_cost = min(costs)
     # random choice among cost-tied minimal candidates (ECMP spreading)
     best_min = pick_route([r for r, c in zip(minimal, costs) if c == min_cost], rng)
-    valiant = topo.valiant_routes(src, dst, rng, count=count)
+    valiant = _enumerated_valiant(topo, src, dst, rng, count)
     if not valiant:
         return best_min
     best_val = min(valiant, key=cost)  # first minimum
@@ -479,7 +502,10 @@ SIDES: Dict[str, Callable[[object], object]] = {
 # ---------------------------------------------------------------------------
 #: The event-per-transmission oracle executes more events by construction.
 PACKET = Pair(
-    "htsim", "per-transmission", frozenset({"events"}), ("ledger-retires-at-departure", "turnaround-drops-ecn-echo")
+    "htsim",
+    "per-transmission",
+    frozenset({"events"}),
+    ("ledger-retires-at-departure", "turnaround-drops-ecn-echo", "load-view-skips-drain"),
 )
 LOGGOPS = Pair("lgs", "five-event", mutants=("seq-blind-ready-queue",))
 LOGGOPS_CELLS = Pair("lgs cells", "five-event cells", mutants=("seq-blind-ready-queue",))
@@ -580,6 +606,18 @@ for _topology, _extra in (
             permutation(16, 1 << 16, seed=5), SimulationConfig(topology=t, routing="adaptive", **x)
         ),
         Row(PACKET),
+    )
+# A 128-host 4:1 fat tree has 320 links.  An adaptive pick weighs the 4
+# minimal and 2 Valiant candidates (32 links): the engine reads occupancy
+# link by link where the oracle builds the whole array, with queues holding
+# bytes when later rounds pick.  Valiant draws every leg in closed form.
+for _routing in ("valiant", "adaptive"):
+    register(
+        f"packet/allreduce128x64K-{_routing}",
+        lambda r=_routing: Sim(
+            allreduce(128, 1 << 16), SimulationConfig(nodes_per_tor=16, oversubscription=4, routing=r, seed=3)
+        ),
+        Row(PACKET, lambda out: out["packets_ecn_marked"] > 0),
     )
 register(
     "packet/alltoall8-adaptive-seed11",

@@ -183,7 +183,7 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
         self, send_op_id, src, dst, size, tag, send_stream, sender_ready, sender_post_time, recv
     ):
         if self._routed:
-            first = self.topology.alive_table(dst, src).candidates[0]
+            first = self.topology.alive_table(dst, src)[0]
             handshake_latency = sum(map(self._link_ns.__getitem__, first))
         else:
             handshake_latency = self.params.L

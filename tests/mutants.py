@@ -111,6 +111,12 @@ def _turnaround_drops_ecn_echo(patch):
     patch.setattr(backend.PacketBackend, "_run_merged", namespace["_run_merged"])
 
 
+def _load_view_skips_drain(patch):
+    """The occupancy view reads a queue's ledger without draining it, so a
+    load-reading pick counts bytes that have already left the link."""
+    patch.setattr(backend._Occupancy, "__getitem__", lambda self, link_id: self.queues[link_id].queued_bytes)
+
+
 def _boundary_route_from_replica(patch):
     """A packet crossing shards takes its route from the receiving shard's
     copy of the flow (``flow.route`` for DATA, ``flow.ack_route`` for the
@@ -224,6 +230,9 @@ MUTANTS = {
     ),
     "turnaround-drops-ecn-echo": Mutant(
         _turnaround_drops_ecn_echo, lambda: differential.check("packet/incast12-mprdma")
+    ),
+    "load-view-skips-drain": Mutant(
+        _load_view_skips_drain, lambda: differential.check("packet/allreduce128x64K-adaptive")
     ),
     "boundary-route-from-replica": Mutant(
         _boundary_route_from_replica, lambda: differential.check("sharded/allreduce32K-dragonfly-1ns-flap-seed3")

@@ -215,7 +215,7 @@ class TestViews:
         cp = create_control_plane("ls", topo)
         cable = _ids(topo, "tor0->core0", "core0->tor0")
         route = next(
-            r for r in topo.route_table(0, 4).candidates if cable[0] in r
+            r for r in topo.route_table(0, 4) if cable[0] in r
         )
         topo.fail_links(cable)
         tor0 = topo.attachment(0)

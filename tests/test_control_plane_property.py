@@ -134,9 +134,9 @@ def test_protocols_converge_to_the_oracle_routes(seed, protocol):
             continue
         view = cp.view_key(topo.attachment(src))
         try:
-            oracle = topo.alive_table(src, dst).candidates
+            oracle = topo.alive_table(src, dst)
         except NetworkPartitionError:
             with pytest.raises(NetworkPartitionError):
                 topo.view_table(src, dst, view)
             continue
-        assert topo.view_table(src, dst, view).candidates == oracle
+        assert topo.view_table(src, dst, view) == oracle

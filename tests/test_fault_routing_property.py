@@ -99,14 +99,14 @@ def test_selected_routes_use_only_alive_links(seed):
     ]
     for src, dst in _random_pairs(rng, topo.num_hosts, 12):
         try:
-            alive = topo.alive_table(src, dst).candidates
+            alive = topo.alive_table(src, dst)
         except NetworkPartitionError:
             # the no-route case: every healthy candidate must cross a failure
-            for route in topo.route_table(src, dst).candidates:
+            for route in topo.route_table(src, dst):
                 assert failed & set(route)
             continue
         # filtering preserves healthy candidate order
-        healthy = topo.route_table(src, dst).candidates
+        healthy = topo.route_table(src, dst)
         assert list(alive) == [
             r for r in healthy if not (failed & set(r))
         ]
@@ -126,7 +126,7 @@ def test_partition_raises_and_restoring_heals(seed):
     src, dst = _random_pairs(rng, topo.num_hosts, 1)[0]
     # fail exactly the links of every candidate of this pair: a guaranteed
     # no-route case regardless of the topology drawn
-    doomed = sorted({l for r in topo.route_table(src, dst).candidates for l in r})
+    doomed = sorted({l for r in topo.route_table(src, dst) for l in r})
     topo.fail_links(doomed)
     with pytest.raises(NetworkPartitionError, match=f"host {src} to host {dst}"):
         topo.alive_table(src, dst)
@@ -142,7 +142,7 @@ def test_partition_raises_and_restoring_heals(seed):
             strategy.select_route(src, dst, 4096, None)
     topo.restore_links(doomed)
     assert not topo.faulty
-    assert topo.alive_table(src, dst).candidates == topo.route_table(src, dst).candidates
+    assert topo.alive_table(src, dst) == topo.route_table(src, dst)
 
 
 @pytest.mark.parametrize("seed", range(NUM_RANDOM_SCENARIOS))

@@ -289,10 +289,10 @@ class TestTopologyFaultState:
         assert not self.topo.failed and self.topo.failed_links == frozenset()
 
     def test_alive_table_filters_candidates(self):
-        full = self.topo.route_table(0, 4).candidates
+        full = self.topo.route_table(0, 4)
         dead = _link_id(self.topo, "tor0->core0")
         self.topo.fail_links([dead])
-        alive = self.topo.alive_table(0, 4).candidates
+        alive = self.topo.alive_table(0, 4)
         assert len(alive) == len(full) - 1
         assert all(dead not in route for route in alive)
         # candidate order is preserved
@@ -313,7 +313,7 @@ class TestTopologyFaultState:
         with pytest.raises(NetworkPartitionError, match="tor0->core0"):
             self.topo.alive_table(0, 4)
         # intra-ToR pairs are unaffected
-        assert self.topo.alive_table(0, 1).candidates
+        assert self.topo.alive_table(0, 1)
 
     def test_partition_error_reports_epoch_and_hop_prefixes(self):
         # four fail_links calls -> fault epoch 4; all 4 candidates die at

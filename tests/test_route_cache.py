@@ -111,9 +111,9 @@ class TestBoundedTopologyCaches:
     def test_eviction_rebuilds_bit_identically(self):
         topo = FatTreeTopology(8, nodes_per_tor=4)
         topo.set_route_cache_budget(1)
-        first = topo.route_table(0, 4).candidates
+        first = topo.route_table(0, 4)
         topo.route_table(4, 0)  # evicts (0, 4)
-        assert topo.route_table(0, 4).candidates == first
+        assert topo.route_table(0, 4) == first
 
     def test_default_budget_is_bounded(self):
         topo = FatTreeTopology(8, nodes_per_tor=4)
@@ -146,10 +146,9 @@ class TestBoundedTopologyCaches:
 
     def test_one_entry_budget_digest_equals_the_default_on_a_multipath_fabric(self):
         """Adaptive routing on a dragonfly scores many candidates per pair
-        from the tables: a one-entry cache rebuilds nearly every table and
-        simulates the same run.  (Valiant routing composes its detours from
-        the ``routes`` enumeration and reads no table, so it would not
-        exercise the cache.)"""
+        from the tables, and draws each leg of its Valiant detours through
+        one table lookup: a one-entry cache rebuilds nearly every table and
+        simulates the same run."""
         schedule = all_to_all(16, 1 << 12)
         config = SimulationConfig(topology="dragonfly", routing="adaptive", seed=3)
         default = simulate(schedule, backend="htsim", config=config)
@@ -184,8 +183,8 @@ class TestFaultEpochEviction:
         """One cache serves both, so its key must carry the failed set."""
         dead, believed = (_link_id(self.topo, f"tor0->core{c}") for c in (0, 1))
         self.topo.fail_links([dead])
-        alive = self.topo.alive_table(0, 4).candidates
-        view = self.topo.view_table(0, 4, frozenset([believed])).candidates
+        alive = self.topo.alive_table(0, 4)
+        view = self.topo.view_table(0, 4, frozenset([believed]))
         assert len(self.topo._filtered_tables) == 2
         assert all(dead not in r for r in alive) and any(believed in r for r in alive)
         assert all(believed not in r for r in view) and any(dead in r for r in view)

@@ -6,7 +6,7 @@ its base RTT is summed from two per-link delay lists, and the backend keeps
 only *live* flows.  Each of those replaced a table or a cache that stays in
 the tree as the reference, so every test here is differential:
 
-* the hook equals ``pick_route(route_table(s, d).candidates, rng)`` — same
+* the hook equals ``pick_route(route_table(s, d), rng)`` — same
   route, same generator state afterwards — on every registered topology,
   the extra fat-tree/torus/dragonfly shapes, and sampled pairs at 2048
   hosts x 32 cores,
@@ -40,7 +40,7 @@ def _assert_hook_matches_table(topo, pairs) -> None:
     hook_rng = np.random.default_rng(5)
     table_rng = np.random.default_rng(5)
     for src, dst in pairs:
-        expected = pick_route(topo.route_table(src, dst).candidates, table_rng)
+        expected = pick_route(topo.route_table(src, dst), table_rng)
         assert topo.pick_minimal(src, dst, hook_rng) == expected, (src, dst)
     assert hook_rng.bit_generator.state == table_rng.bit_generator.state
 
@@ -130,22 +130,6 @@ def test_minimal_routing_takes_the_hook_only_when_it_is_exact():
     assert lookups(use_synthesis=False) > 0
     assert lookups(fail=(24,)) > 0
     assert lookups(view=frozenset({24})) > 0
-
-
-def test_route_table_views_are_lazy_and_unchanged():
-    config, num_hosts = SMALL_INSTANCES["torus"]
-    topo = build_topology(config, num_hosts)
-    table = topo.route_table(0, 4)
-    assert table._views is None
-    hops = table.hops
-    assert table._views is not None and table.hops is hops
-    assert hops.tolist() == [len(r) for r in table.candidates]
-    assert table.latency.tolist() == [
-        sum(topo.links[l].latency for l in r) for r in table.candidates
-    ]
-    assert table.links_flat.tolist() == [l for r in table.candidates for l in r]
-    assert table.offsets.tolist() == [0, *np.cumsum(hops).tolist()]
-    assert topo.min_path_latency(0, 4) == int(table.latency[0])
 
 
 # ------------------------------------------------------- whole simulations
@@ -245,8 +229,8 @@ def test_per_link_rtt_equals_old_formula_under_degradations(name):
     assert topo.links[1].bandwidth == probe.links[1].bandwidth * 0.5
     assert backend._data_ns != probe.link_delays(1500)  # built after degrading
     for src, dst in _all_pairs(num_hosts):
-        for route in topo.route_table(src, dst).candidates:
-            for ack_route in topo.route_table(dst, src).candidates[:2]:
+        for route in topo.route_table(src, dst):
+            for ack_route in topo.route_table(dst, src)[:2]:
                 assert backend._base_rtt(route, ack_route) == _old_base_rtt(
                     backend, route, ack_route
                 )

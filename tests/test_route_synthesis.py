@@ -3,7 +3,7 @@
 Regular topologies compute candidate routes in closed form from coordinates
 (:meth:`Topology.synthesized_routes`); the pre-existing :meth:`Topology.routes`
 enumeration stays as the reference.  These tests prove the two bit-identical —
-same candidate tuples, same order, same hop latencies — on small instances of
+same candidate tuples in the same order — on small instances of
 *every registered topology*, then prove that whole simulations are
 bit-identical with synthesis on and off across every routing strategy.
 
@@ -16,7 +16,6 @@ import pytest
 from repro.network.config import SimulationConfig
 from repro.network.routing import routing_names
 from repro.network.topology import build_topology, topology_names
-from repro.network.topology.base import RouteTable
 from repro.schedgen import all_to_all
 from repro.scheduler import simulate
 
@@ -90,11 +89,6 @@ def _assert_synthesis_matches(topo) -> None:
                 f"{type(topo).__name__}: candidates diverge for "
                 f"({src}, {dst}): {synthesized} != {enumerated}"
             )
-            # same hop latencies, via the same numpy tables the strategies read
-            syn_table = RouteTable(synthesized, topo.links)
-            enum_table = RouteTable(enumerated, topo.links)
-            assert syn_table.latency.tolist() == enum_table.latency.tolist()
-            assert syn_table.hops.tolist() == enum_table.hops.tolist()
 
 
 def test_every_registered_topology_is_covered():
@@ -131,8 +125,8 @@ def test_route_tables_identical_with_synthesis_off(name):
             if src == dst:
                 continue
             assert (
-                syn.route_table(src, dst).candidates
-                == ref.route_table(src, dst).candidates
+                syn.route_table(src, dst)
+                == ref.route_table(src, dst)
             )
 
 

@@ -61,10 +61,6 @@ class TestFatTree:
     def test_routes_valid(self):
         FatTreeTopology(12, nodes_per_tor=4, oversubscription=2.0).check_routes()
 
-    def test_core_uplinks_listed(self):
-        topo = FatTreeTopology(8, nodes_per_tor=4, oversubscription=1.0)
-        assert len(topo.core_uplinks(0)) == topo.num_cores
-
     def test_describe(self):
         d = FatTreeTopology(8, nodes_per_tor=4, oversubscription=4.0).describe()
         assert d["num_cores"] == 1 and d["oversubscription"] == 4.0
