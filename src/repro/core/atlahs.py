@@ -14,7 +14,7 @@ from repro.apps.ai import LlmTrainer, ModelConfig, ParallelismConfig
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
 from repro.baselines.astrasim import AstraSimBaseline, nsys_to_chakra
 from repro.collectives.nccl import NcclConfig
-from repro.goal.binary import encode_goal
+from repro.goal.binary import encode_goal_chunks
 from repro.goal.schedule import GoalSchedule
 from repro.goal.validate import validate_schedule
 from repro.network.backend import SimulationResult
@@ -99,9 +99,9 @@ class Atlahs:
             if simulate_schedule
             else None
         )
-        return PipelineResult(
-            schedule=schedule, result=result, goal_bytes=len(encode_goal(schedule)), **fields
-        )
+        # the encoding's size, counted batch by batch: no blob is built
+        goal_bytes = sum(map(len, encode_goal_chunks(schedule)))
+        return PipelineResult(schedule=schedule, result=result, goal_bytes=goal_bytes, **fields)
 
     # --------------------------------------------------------------------- HPC
     def run_hpc(

@@ -20,9 +20,13 @@ Public surface
 :class:`~repro.goal.builder.GoalBuilder`, :class:`~repro.goal.builder.RankBuilder`
     Programmatic construction API used by all schedule generators.
 :func:`~repro.goal.parser.parse_goal` / :func:`~repro.goal.writer.write_goal`
-    Textual GOAL format (the human-readable format shown in the paper's Fig. 3).
+    Textual GOAL format (the human-readable format shown in the paper's Fig. 3);
+    :func:`~repro.goal.writer.write_goal_blocks` yields the text rank block by
+    rank block.
 :func:`~repro.goal.binary.encode_goal` / :func:`~repro.goal.binary.decode_goal`
-    Compact binary format used for storage/execution efficiency.
+    Compact binary format used for storage/execution efficiency;
+    :func:`~repro.goal.binary.encode_goal_chunks` yields the bytes batch by
+    batch.
 :func:`read_goal`
     Read a GOAL file of either format, told apart by the binary magic (not by
     the file name).
@@ -36,8 +40,8 @@ from repro.goal.ops import Op, OpType
 from repro.goal.schedule import GoalSchedule, RankSchedule
 from repro.goal.builder import GoalBuilder, RankBuilder
 from repro.goal.parser import parse_goal, GoalParseError
-from repro.goal.writer import write_goal, write_goal_file
-from repro.goal.binary import MAGIC, encode_goal, decode_goal, write_goal_binary
+from repro.goal.writer import write_goal, write_goal_blocks, write_goal_file
+from repro.goal.binary import MAGIC, encode_goal, encode_goal_chunks, decode_goal, write_goal_binary
 from repro.goal.validate import validate_schedule, GoalValidationError
 from repro.goal.merge import remap_ranks, concatenate_schedules, delay_schedule
 
@@ -57,6 +61,7 @@ def read_goal(path: str) -> GoalSchedule:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GoalParseError(f"{path}: neither a GOAL binary nor UTF-8 text ({exc})") from None
+    del data  # the text alone is parsed: hold it once, not twice
     return parse_goal(text, name=path)
 
 
@@ -70,8 +75,10 @@ __all__ = [
     "parse_goal",
     "GoalParseError",
     "write_goal",
+    "write_goal_blocks",
     "write_goal_file",
     "encode_goal",
+    "encode_goal_chunks",
     "decode_goal",
     "write_goal_binary",
     "read_goal",

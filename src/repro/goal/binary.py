@@ -27,19 +27,33 @@ All integers use unsigned LEB128 varints; dependency targets are encoded as
 ``vertex_index - dep_index`` (always >= 1), which keeps most deltas in a
 single byte because dependencies are overwhelmingly local.
 
-Decoding and encoding are vectorised.  Every op header byte is below
-``0x80``, so everything after the schedule name is *one* LEB128 stream, which
-numpy turns into a uint64 array and back (continuation mask -> group starts ->
-shifted 7-bit payloads -> ``np.add.reduceat``, and the inverse), a bounded
-chunk at a time.  Between that array and the schedule's columns
-(:mod:`repro.goal.schedule`) lies only a change of layout.  The encoder
-computes every record's length from its header, hence every field's position,
-and scatters the columns into place.  The decoder computes, for *every*
-position of the array, where the next record would start if one started here
-(a header fixes the record's length up to its dependency count, which sits at
-a known offset), follows that chain from the first record -- one array lookup
-per op, the only per-op Python -- and gathers the columns from the positions
-it visited.  Values are limited to 64 bits on both sides.
+Decoding and encoding are vectorised, and both work one bounded piece at a
+time, so what they hold beside their input and output is a few windows'
+worth of numpy temporaries however large the trace is.  Every op header
+byte is below ``0x80``, so everything after the schedule name is *one*
+LEB128 stream, which numpy turns into a uint64 array and back (continuation
+mask -> group starts -> shifted 7-bit payloads, and the inverse).  Between
+that array and the schedule's columns (:mod:`repro.goal.schedule`) lies only
+a change of layout.
+
+The encoder (:func:`encode_goal_chunks`) takes at most ``_CHUNK >> 4`` ops
+at a time -- a rank may be cut between two batches -- computes every
+record's length from its header, hence every field's position, scatters the
+columns into place and yields the batch's bytes.
+
+The decoder reads the stream a window of about ``_CHUNK`` bytes at a time (a
+varint cut by the window's edge is finished in it).  For every position of
+a window it computes where the next record would start if one started here
+(a header fixes the record's length up to its dependency count, which sits
+at a known offset), follows that chain through the window -- one array
+lookup per op, the only per-op Python -- gathers the columns of the records
+it visited and appends them to their ranks.  A record or rank count that
+the window's edge cuts is carried into the next window.  A counting pass
+over the bytes (one per varint is below ``0x80``) gives the stream's length
+up front, so an absurd rank or op count fails before anything is read, and
+every varint is decoded before a structural fault is reported, so a blob
+fails with the same message whatever the window size.  Values are limited
+to 64 bits on both sides.
 
 Labels are intentionally *not* stored — they are a debugging aid of the
 textual format only — which is one reason GOAL binaries stay much smaller
@@ -47,8 +61,9 @@ than Chakra traces.
 """
 from __future__ import annotations
 
+import os
 from array import array
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,10 +71,10 @@ from repro.goal.ops import _CALC
 from repro.goal.schedule import (
     GoalSchedule,
     RankSchedule,
+    append_stacked,
     csr_from_edges,
     edge_owners,
     index_within,
-    stack_ranks,
 )
 
 MAGIC = b"GOAL"
@@ -75,9 +90,10 @@ _HEADER_MAX = _KIND_MASK | _FLAG_TAG | _FLAG_CPU | _FLAG_DEPS
 _MAX_VARINT_BYTES = 10
 # _SIZE_STEPS[k] is the smallest value that needs k + 2 bytes.
 _SIZE_STEPS = np.array([1 << (7 * k) for k in range(1, _MAX_VARINT_BYTES)], dtype=np.uint64)
-# Bytes (decode), values or ops (encode) per numpy pass: bounds the
-# temporaries at a few tens of MB however large the trace is.
-_CHUNK = 1 << 20
+# Stream bytes per decode window; an encode batch is ``_CHUNK >> 4`` ops,
+# about half a window of stream (LULESH averages 7.7 bytes per record).
+# Either way a numpy pass holds a few hundred KB, however large the trace is.
+_CHUNK = 1 << 16
 
 
 class GoalBinaryError(ValueError):
@@ -90,46 +106,49 @@ class GoalBinaryError(ValueError):
 # ---------------------------------------------------------------------------
 def _encode_varints(values: np.ndarray) -> bytes:
     """LEB128-encode the uint64 array ``values`` into one byte string."""
-    parts = []
-    for at in range(0, len(values), _CHUNK):
-        chunk = values[at : at + _CHUNK]
-        # Most values (headers, small sizes, deltas) take one byte: lay every
-        # value's low byte down first, then loop over the longer ones only.
-        long = np.flatnonzero(chunk > 0x7F)
-        rest = chunk[long]
-        sizes = np.ones(len(chunk), dtype=np.intp)
-        sizes[long] = np.searchsorted(_SIZE_STEPS, rest, side="right") + 1
-        ends = np.cumsum(sizes)
-        where = ends - sizes
-        out = np.empty(int(ends[-1]), dtype=np.uint8)
-        out[where] = chunk & 0x7F
-        where = where[long]
+    if not len(values):
+        return b""
+    # Most values (headers, small sizes, deltas) take one byte: lay every
+    # value's low byte down first, then loop over the longer ones only.
+    long = np.flatnonzero(values > 0x7F)
+    rest = values[long]
+    sizes = np.ones(len(values), dtype=np.intp)
+    sizes[long] = np.searchsorted(_SIZE_STEPS, rest, side="right") + 1
+    ends = np.cumsum(sizes)
+    where = ends - sizes
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    out[where] = values & 0x7F
+    where = where[long]
+    rest >>= 7
+    while rest.size:
+        out[where] |= 0x80  # the byte before has a successor
+        where += 1
+        out[where] = rest & 0x7F
         rest >>= 7
-        while rest.size:
-            out[where] |= 0x80  # the byte before has a successor
-            where += 1
-            out[where] = rest & 0x7F
-            rest >>= 7
-            more = rest != 0
-            rest = rest[more]
-            where = where[more]
-        parts.append(out.tobytes())
-    return b"".join(parts)
+        more = rest != 0
+        rest = rest[more]
+        where = where[more]
+    return out.tobytes()
 
 
 def _decode_varints(stream: np.ndarray) -> Iterator[np.ndarray]:
-    """Decode the LEB128 ``stream`` (uint8), yielding one uint64 array per chunk."""
+    """Decode the LEB128 ``stream`` (uint8), yielding one uint64 array per window.
+
+    ``stream`` must end with the last byte of a varint.  A window is about
+    ``_CHUNK`` bytes, stretched to finish the varint its edge cuts; a run of
+    continuation bytes too long to finish is carried into the next window,
+    which reports it.
+    """
     pos, total = 0, len(stream)
     while pos < total:
-        chunk = stream[pos : pos + _CHUNK]
+        end = min(pos + _CHUNK, total)
+        if stream[end - 1] >= 0x80:
+            finish = np.flatnonzero(stream[end : end + _MAX_VARINT_BYTES] < 0x80)
+            end += int(finish[0]) + 1 if finish.size else _MAX_VARINT_BYTES
+        chunk = stream[pos:end]
         ends = np.flatnonzero(chunk < 0x80)
         if not ends.size:
-            if len(chunk) > _MAX_VARINT_BYTES:
-                raise GoalBinaryError("varint too long")
-            raise GoalBinaryError("truncated varint")
-        used = int(ends[-1]) + 1
-        if used < len(chunk) and pos + len(chunk) == total:
-            raise GoalBinaryError("truncated varint")
+            raise GoalBinaryError("varint too long")
         starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
@@ -156,7 +175,7 @@ def _decode_varints(stream: np.ndarray) -> Iterator[np.ndarray]:
                 more = at != last
                 long, at, last = long[more], at[more], last[more]
         yield values
-        pos += used
+        pos += int(ends[-1]) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +188,60 @@ def encode_goal(schedule: GoalSchedule) -> bytes:
     that does not point backwards (which :func:`decode_goal` would refuse);
     the op fields themselves cannot be out of range.
     """
+    return b"".join(encode_goal_chunks(schedule))
+
+
+def encode_goal_chunks(schedule: GoalSchedule) -> Iterator[bytes]:
+    """The bytes of :func:`encode_goal` in pieces: the head, then one piece per batch of ops.
+
+    A batch is at most ``_CHUNK >> 4`` ops (a rank may straddle two), so the
+    encoder's temporaries do not grow with the schedule.  The error of
+    :func:`encode_goal` is raised on reaching the batch that holds the bad
+    dependency.
+    """
     name_bytes = schedule.name.encode("utf-8")
-    parts = [
+    yield b"".join((
         MAGIC,
         bytes([VERSION]),
         _encode_varints(np.array([len(name_bytes)], dtype=np.uint64)),
         name_bytes,
         _encode_varints(np.array([schedule.num_ranks], dtype=np.uint64)),
-    ]
-    batch: List[RankSchedule] = []
-    ops = 0
+    ))
+    batch_ops = max(1, _CHUNK >> 4)
+    batch: List[Tuple[RankSchedule, int, int]] = []
+    room = batch_ops
     for rank in schedule.ranks:
-        batch.append(rank)
-        ops += len(rank)
-        if ops >= _CHUNK:
-            parts.append(_encode_varints(_rank_stream(batch)))
-            batch, ops = [], 0
-    parts.append(_encode_varints(_rank_stream(batch)))
-    return b"".join(parts)
+        lo, n = 0, len(rank)
+        while True:
+            hi = min(n, lo + room)
+            batch.append((rank, lo, hi))
+            room -= max(hi - lo, 1)  # an empty rank still costs its op count
+            if not room:
+                yield _encode_varints(_batch_stream(batch))
+                batch, room = [], batch_ops
+            if hi == n:
+                break
+            lo = hi
+    if batch:
+        yield _encode_varints(_batch_stream(batch))
 
 
-def _rank_stream(ranks: Sequence[RankSchedule]) -> np.ndarray:
-    """The integer stream of consecutive ``ranks``: each one's op count, then its records."""
-    if not ranks:
-        return np.empty(0, dtype=np.uint64)
-    kind, size, peer, tag, cpu, degree, dep, rank_of, vertex = stack_ranks(ranks)
-    counts = np.bincount(rank_of, minlength=len(ranks))
-    first = np.cumsum(counts) - counts  # (stack index of each rank's vertex 0)
+def _batch_stream(batch: Sequence[Tuple[RankSchedule, int, int]]) -> np.ndarray:
+    """The integer stream of ``batch``: vertices ``lo:hi`` of each ``(rank, lo, hi)`` in turn,
+    each piece that starts its rank (``lo == 0``) led by the rank's op count."""
+    pieces = []
+    for rank, lo, hi in batch:
+        ptr, idx = rank.pred_csr()
+        pieces.append(
+            (*(column[lo:hi] for column in rank.columns()), np.diff(ptr[lo : hi + 1]), idx[ptr[lo] : ptr[hi]])
+        )
+    kind, size, peer, tag, cpu, degree, dep = (np.concatenate(column) for column in zip(*pieces))
+    spans = np.array([hi - lo for _, lo, hi in batch], dtype=np.int64)
+    piece_of = edge_owners(spans)
+    vertex = np.array([lo for _, lo, _ in batch], dtype=np.int64)[piece_of] + index_within(spans)
+    leads = np.array([lo == 0 for _, lo, _ in batch])
+    # op counts up to and including each piece's own
+    counted = np.cumsum(leads)
 
     comm = kind != _CALC
     has_tag = tag != 0
@@ -203,10 +249,12 @@ def _rank_stream(ranks: Sequence[RankSchedule]) -> np.ndarray:
     has_deps = degree != 0
     length = 2 + comm + has_tag + has_cpu + has_deps + degree
     ends = np.cumsum(length)
-    # a record starts after the records before it and the op counts up to its rank's
-    at = ends - length + rank_of + 1
-    out = np.empty(int(ends[-1]) + len(ranks) if len(kind) else len(ranks), dtype=np.uint64)
-    out[np.concatenate(([0], ends))[first] + np.arange(len(ranks))] = counts
+    # a record starts after the records before it and the op counts up to its piece's
+    at = ends - length + counted[piece_of]
+    out = np.empty((int(ends[-1]) if len(ends) else 0) + int(counted[-1]), dtype=np.uint64)
+    leads = np.flatnonzero(leads)
+    before = np.concatenate(([0], ends))[np.cumsum(spans) - spans]
+    out[before[leads] + counted[leads] - 1] = [len(batch[p][0]) for p in leads.tolist()]
     out[at] = kind | (has_tag * _FLAG_TAG) | (has_cpu * _FLAG_CPU) | (has_deps * _FLAG_DEPS)
     out[at + 1] = size
     out[at[comm] + 2] = peer[comm]
@@ -221,7 +269,7 @@ def _rank_stream(ranks: Sequence[RankSchedule]) -> np.ndarray:
     if len(delta) and delta.min() < 1:
         bad = int(np.flatnonzero(delta < 1)[0])
         raise GoalBinaryError(
-            f"rank {ranks[rank_of[owner[bad]]].rank} vertex {vertex[owner[bad]]}: dependency "
+            f"rank {batch[piece_of[owner[bad]]][0].rank} vertex {vertex[owner[bad]]}: dependency "
             f"delta {delta[bad]} does not fit the binary format (a vertex may only "
             "require earlier vertices)"
         )
@@ -249,18 +297,7 @@ def decode_goal(data: bytes) -> GoalSchedule:
         name = bytes(data[pos : pos + name_len]).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GoalBinaryError(f"schedule name is not valid UTF-8: {exc}") from None
-    chunks = list(_decode_varints(buf[pos + name_len :]))
-    if not chunks:
-        raise GoalBinaryError("truncated GOAL binary (no rank count)")
-    values = np.concatenate(chunks)
-    del chunks
-    num_ranks = int(values[0])
-    if num_ranks <= 0:
-        raise GoalBinaryError("num_ranks must be positive")
-    # every rank costs at least its op-count varint
-    if num_ranks >= len(values):
-        raise GoalBinaryError(f"truncated: {num_ranks} ranks declared")
-    return _schedule_from_stream(name, num_ranks, values)
+    return _decode_ranks(name, buf[pos + name_len :])
 
 
 def _leading_varint(head: np.ndarray) -> Tuple[int, int]:
@@ -294,57 +331,162 @@ def _next_record(values: np.ndarray) -> array:
     ``len(values) + 1`` where no complete, well-formed record starts.
     """
     total = len(values)
-    following = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        header = np.minimum(values[lo:hi], _HEADER_MAX + 1).astype(np.intp)
-        # the dependency count, if any, comes right after the fixed part
-        count_at = np.arange(lo, hi) + _FIXED_LENGTH[header]
-        count = np.minimum(values[np.minimum(count_at, total - 1)], total).astype(np.int64)
-        count += 1
-        count *= _HAS_DEPS[header]
-        count += count_at
-        np.minimum(count, total + 1, out=following[lo:hi])
+    header = np.minimum(values, _HEADER_MAX + 1).astype(np.intp)
+    # the dependency count, if any, comes right after the fixed part
+    count_at = np.arange(total) + _FIXED_LENGTH[header]
+    following = np.minimum(values[np.minimum(count_at, total - 1)], total).astype(np.int64)
+    following += 1
+    following *= _HAS_DEPS[header]
+    following += count_at
+    np.minimum(following, total + 1, out=following)
     return array("q", following.tobytes())
 
 
-def _schedule_from_stream(name: str, num_ranks: int, values: np.ndarray) -> GoalSchedule:
-    """Build the schedule from the integer stream ``values`` (``values[0]`` is ``num_ranks``)."""
-    total = len(values)
-    following = _next_record(values)
-    # The one per-op loop: follow the chain of record starts.  It leaves the
-    # stream (IndexError) where the stream ends early, and one step after a
-    # record that is malformed or cut short.
-    heads = array("q")
-    visit = heads.append
-    counts: List[int] = []
-    pos = 1
-    try:
-        for _ in range(num_ranks):
-            count = int(values[pos])
-            pos += 1
-            # every op takes at least two values
-            if count > total - pos:
-                raise GoalBinaryError("truncated GOAL binary (stream ends inside a rank)")
-            counts.append(count)
-            for _ in range(count):
-                after = following[pos]
-                visit(pos)
-                pos = after
-        complete = True
-    except IndexError:
-        complete = False
-    bad_last = pos > total  # the last record visited is not one
-    del following
+def _record_extent(values: np.ndarray, at: int) -> Optional[int]:
+    """How many values the record at ``values[at]`` spans, as far as ``values`` tells.
 
-    at = np.frombuffer(heads, dtype=np.int64)[: len(heads) - bad_last]
+    ``None`` for a value that is no op header; a lower bound when the
+    dependency count lies beyond ``values``.
+    """
+    header = int(values[at])
+    if header > _HEADER_MAX or header & _KIND_MASK > _CALC:
+        return None
+    extent = int(_FIXED_LENGTH[header])
+    if _HAS_DEPS[header]:
+        extent += 1 + (int(values[at + extent]) if at + extent < len(values) else 0)
+    return extent
+
+
+def _decode_ranks(name: str, stream: np.ndarray) -> GoalSchedule:
+    """Build the schedule from the varint ``stream`` after its name, one window at a time."""
+    total = sum(
+        int(np.count_nonzero(stream[at : at + _CHUNK] < 0x80)) for at in range(0, len(stream), _CHUNK)
+    )
+    if len(stream) and stream[-1] >= 0x80:
+        # a stream that ends inside a varint is reported as that, wherever
+        # else it is at fault
+        raise GoalBinaryError(
+            "varint too long" if not total and len(stream) > _MAX_VARINT_BYTES else "truncated varint"
+        )
+    windows = _decode_varints(stream)
+
+    def fail(message: str) -> NoReturn:
+        # every varint is checked before a record is blamed, as if the
+        # stream had been decoded whole before the walk
+        for _ in windows:
+            pass
+        raise GoalBinaryError(message)
+
+    values = next(windows, None)
+    if values is None:
+        raise GoalBinaryError("truncated GOAL binary (no rank count)")
+    num_ranks = int(values[0])
+    if num_ranks <= 0:
+        fail("num_ranks must be positive")
+    # every rank costs at least its op-count varint
+    if num_ranks >= total:
+        fail(f"truncated: {num_ranks} ranks declared")
+
+    ranks: List[RankSchedule] = []
+    # values[0] is value number ``base`` of the stream; the walk goes on at values[pos]
+    base, pos = 0, 1
+    count = left = 0  # the open rank's op count, and how many of them are still to read
+    delta_error: Optional[str] = None
+    while True:
+        size = len(values)
+        following = _next_record(values)
+        heads = array("q")
+        visit = heads.append
+        # (rank, index in heads of its first record here, that record's vertex)
+        segments = [(ranks[-1], 0, count - left)] if left else []
+        # The one per-op loop: follow the chain of record starts.  It leaves
+        # the window (IndexError) where the window ends, and one step after
+        # a record that is malformed or does not end in the window.
+        try:
+            while True:
+                if not left:
+                    if len(ranks) == num_ranks:
+                        break
+                    count = int(values[pos])
+                    # every op takes at least two values
+                    if count > total - base - pos - 1:
+                        fail("truncated GOAL binary (stream ends inside a rank)")
+                    pos += 1
+                    ranks.append(RankSchedule(len(ranks)))
+                    segments.append((ranks[-1], len(heads), 0))
+                    left = count
+                    continue
+                for left in range(left, 0, -1):
+                    after = following[pos]
+                    visit(pos)
+                    pos = after
+                left = 0
+        except IndexError:
+            pass
+        bad_last = False
+        if pos > size:  # the last record visited does not end in this window
+            at = heads[-1]
+            extent = _record_extent(values, at)
+            if extent is None or base + at + extent > total:
+                bad_last = True
+            else:  # it goes on in the next window: read it again there
+                heads.pop()
+                pos, left = at, left + 1
+        if delta_error is None:
+            delta_error = _append_window(values, heads, len(heads) - bad_last, segments)
+        done = len(ranks) == num_ranks and not left and not bad_last
+        if done or bad_last or base + size == total:
+            if delta_error:
+                fail(delta_error)
+            if bad_last:
+                _, first, vertex = segments[-1]
+                header = int(values[heads[-1]])
+                if header > _HEADER_MAX:
+                    fail(f"invalid op header {header:#x} for vertex {vertex + len(heads) - 1 - first}")
+                if header & _KIND_MASK > _CALC:
+                    fail(f"invalid op kind {header & _KIND_MASK}")
+            if not done:
+                fail("truncated GOAL binary (stream ends inside a rank)")
+            if base + pos != total:
+                fail(f"{total - base - pos} trailing varints after last rank")
+            return GoalSchedule.from_ranks(ranks, name)
+        # carry what is left of this window into the next, with enough of
+        # the stream for the record or rank count it begins with
+        need = _record_extent(values, pos) if left and pos < size else 1
+        parts = [values[pos:]]
+        held = size - pos
+        while held < need:
+            parts.append(next(windows))
+            held += len(parts[-1])
+        base += pos
+        pos = 0
+        values = np.concatenate(parts)
+
+
+def _append_window(
+    values: np.ndarray,
+    heads: array,
+    n: int,
+    segments: List[Tuple[RankSchedule, int, int]],
+) -> Optional[str]:
+    """Gather the first ``n`` records starting at ``heads`` and append them to their ranks.
+
+    Records ``segments[i][1]`` up to the next segment's first belong to rank
+    ``segments[i][0]`` and are its vertices from ``segments[i][2]`` on.
+    Returns the message for the first dependency delta that points outside
+    its rank, appending nothing, or ``None``.
+    """
+    at = np.frombuffer(heads, dtype=np.int64)[:n]
+    total = len(values)
+    firsts = [first for _, first, _ in segments]
+    counts = np.diff(np.array(firsts + [n], dtype=np.int64))
+    vertex = index_within(counts) + np.repeat([v for _, _, v in segments], counts)
     header = values[at].astype(np.uint8)  # (all valid: the walk stops on any other)
     kind = header & _KIND_MASK
     comm = kind != _CALC
     tagged = (header & _FLAG_TAG) != 0
     pinned = (header & _FLAG_CPU) != 0
     fixed = _FIXED_LENGTH[header]
-    vertex = index_within(counts)[: len(heads)]
     degree = np.where(
         _HAS_DEPS[header] != 0, values[np.minimum(at + fixed, total - 1)].astype(np.int64), 0
     )
@@ -354,29 +496,16 @@ def _schedule_from_stream(name: str, num_ranks: int, values: np.ndarray) -> Goal
     bad = (delta == 0) | (delta > vertex[owner].astype(np.uint64))
     if bad.any():
         edge = int(np.flatnonzero(bad)[0])
-        raise GoalBinaryError(
-            f"invalid dependency delta {delta[edge]} for vertex {vertex[owner[edge]]}"
-        )
-    if bad_last:
-        header = int(values[heads[-1]])
-        if header > _HEADER_MAX:
-            raise GoalBinaryError(f"invalid op header {header:#x} for vertex {vertex[-1]}")
-        if header & _KIND_MASK > _CALC:
-            raise GoalBinaryError(f"invalid op kind {header & _KIND_MASK}")
-    if bad_last or not complete:
-        raise GoalBinaryError("truncated GOAL binary (stream ends inside a rank)")
-    if pos != total:
-        raise GoalBinaryError(f"{total - pos} trailing varints after last rank")
-
+        return f"invalid dependency delta {delta[edge]} for vertex {vertex[owner[edge]]}"
     dep = vertex[owner] - delta.astype(np.int64)
     if len(delta) > 1 and ((owner[1:] == owner[:-1]) & (delta[1:] >= delta[:-1])).any():
         # a foreign encoder listed some vertex's dependencies unsorted or twice
-        # (stack indices keep the ranks' edges apart while they are sorted)
-        ptr, pred = csr_from_edges(len(at), owner, owner - delta.astype(np.int64))
+        # (window indices keep the records' edges apart while they are sorted)
+        ptr, pred = csr_from_edges(n, owner, owner - delta.astype(np.int64))
         degree = np.diff(ptr)
-        dep = pred - (np.arange(len(at)) - vertex)[edge_owners(degree)]
-    return GoalSchedule.from_stacked(
-        name,
+        dep = pred - (np.arange(n) - vertex)[edge_owners(degree)]
+    append_stacked(
+        [rank for rank, _, _ in segments],
         counts,
         kind,
         values[at + 1],
@@ -386,15 +515,23 @@ def _schedule_from_stream(name: str, num_ranks: int, values: np.ndarray) -> Goal
         degree,
         dep,
     )
+    return None
 
 
 # ---------------------------------------------------------------------------
 # file helpers
 # ---------------------------------------------------------------------------
 def write_goal_binary(schedule: GoalSchedule, path: str) -> int:
-    """Write ``schedule`` in binary form to ``path``; return the byte count."""
-    blob = encode_goal(schedule)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+    """Write ``schedule`` in binary form to ``path``, one batch at a time; return the byte count.
 
+    A schedule the encoder refuses leaves no file behind.
+    """
+    written = 0
+    try:
+        with open(path, "wb") as fh:
+            for chunk in encode_goal_chunks(schedule):
+                written += fh.write(chunk)
+    except GoalBinaryError:
+        os.remove(path)
+        raise
+    return written

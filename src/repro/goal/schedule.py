@@ -37,8 +37,8 @@ Append-only
 -----------
 A rank grows only by appending (:meth:`RankSchedule.append_op`,
 :meth:`RankSchedule.add_op`, :meth:`RankSchedule.append_sendrecv`,
-:meth:`RankSchedule.extend`, :meth:`GoalSchedule.from_stacked`), each of
-which checks what it is given; transforms (:mod:`repro.goal.merge`) return
+:meth:`RankSchedule.extend`, :func:`append_stacked`), each of which checks
+what it is given; transforms (:mod:`repro.goal.merge`) return
 new schedules; the views are read-only (an ``Op`` refuses field assignment,
 the numpy views refuse writes).  The raw ``array`` columns stay public
 attributes for the readers that walk them, so the validator and the encoder
@@ -216,6 +216,47 @@ def stack_ranks(ranks: Sequence["RankSchedule"]) -> StackedRanks:
         np.concatenate([idx for _, idx in csrs]),
         edge_owners(counts), index_within(counts),
     )
+
+
+def append_stacked(
+    ranks: Sequence["RankSchedule"],
+    counts: object,
+    kind: object,
+    size: object,
+    peer: object,
+    tag: object,
+    cpu: object,
+    degree: object,
+    dep: object,
+) -> None:
+    """Append ``counts[i]`` vertices to ``ranks[i]`` from their columns end to end.
+
+    The inverse of :func:`stack_ranks`, onto ranks that may already hold
+    vertices: ``degree`` is the number of dependencies per new vertex and
+    ``dep`` the required vertices (rank-local indices, so a new vertex may
+    require one the rank held before), row after row, each row sorted and
+    duplicate-free.  Checked in one array pass, like
+    :meth:`RankSchedule.extend`; what the binary decoder calls, once per
+    window of the stream.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    held = np.array([len(rank) for rank in ranks], dtype=np.int64)
+    kind, size, peer, tag, cpu, degree, dep = _checked_columns(
+        kind, size, peer, tag, cpu, degree, dep, index_within(counts) + np.repeat(held, counts)
+    )
+    op_ends = np.cumsum(counts)
+    edge_ends = np.concatenate(([0], np.cumsum(degree)))[op_ends].tolist()
+    edge_start = 0
+    for rank, start, end, edge_end, base in zip(
+        ranks, (op_ends - counts).tolist(), op_ends.tolist(), edge_ends, held.tolist()
+    ):
+        if end > start:
+            ops = slice(start, end)
+            rank._append_columns(
+                kind[ops], size[ops], peer[ops], tag[ops], cpu[ops], degree[ops],
+                dep[edge_start:edge_end] - base,
+            )
+        edge_start = edge_end
 
 
 def _op_at(rank: "RankSchedule", vertex: int) -> Op:
@@ -665,44 +706,21 @@ class GoalSchedule:
         self.ranks: List[RankSchedule] = [RankSchedule(r) for r in range(num_ranks)]
 
     @classmethod
-    def from_stacked(
-        cls,
-        name: str,
-        counts: Sequence[int],
-        kind: object,
-        size: object,
-        peer: object,
-        tag: object,
-        cpu: object,
-        degree: object,
-        dep: object,
-    ) -> "GoalSchedule":
-        """Build a schedule from its ranks' columns end to end (the inverse of :func:`stack_ranks`).
+    def from_ranks(cls, ranks: Sequence[RankSchedule], name: str = "goal") -> "GoalSchedule":
+        """The schedule made of ``ranks`` (kept, not copied), rank ``r`` at index ``r``.
 
-        ``counts[r]`` vertices belong to rank ``r``; ``degree`` is the number
-        of dependencies per vertex and ``dep`` the required vertices
-        (rank-local indices), row after row, each row sorted and
-        duplicate-free.  Checked in one array pass, like
-        :meth:`RankSchedule.extend`; what the binary decoder calls.
+        What the binary decoder returns: it creates each rank when the stream
+        reaches it, so a blob that declares more ranks than it holds fails
+        before they are all allocated.
         """
-        schedule = cls(len(counts), name=name)
-        op_ends = np.cumsum(counts)
-        first = op_ends - counts
-        kind, size, peer, tag, cpu, degree, dep = _checked_columns(
-            kind, size, peer, tag, cpu, degree, dep, index_within(counts)
-        )
-        edge_ends = np.concatenate(([0], np.cumsum(degree)))[op_ends].tolist()
-        edge_start = 0
-        for rank, start, end, edge_end in zip(
-            schedule.ranks, first.tolist(), op_ends.tolist(), edge_ends
-        ):
-            if end > start:
-                ops = slice(start, end)
-                rank._append_columns(
-                    kind[ops], size[ops], peer[ops], tag[ops], cpu[ops], degree[ops],
-                    dep[edge_start:edge_end],
-                )
-            edge_start = edge_end
+        if not ranks:
+            raise ValueError("num_ranks must be positive, got 0")
+        for index, rank in enumerate(ranks):
+            if rank.rank != index:
+                raise ValueError(f"rank {rank.rank} given at index {index}")
+        schedule = cls.__new__(cls)
+        schedule.name = name
+        schedule.ranks = list(ranks)
         return schedule
 
     # -- accessors ----------------------------------------------------------

@@ -31,8 +31,11 @@ Fault awareness
 ---------------
 When the topology carries failed links (see :mod:`repro.network.faults`),
 every strategy filters its candidates — minimal and Valiant alike — through
-the topology's alive-filtered route tables, and a pair left with no
-surviving candidate raises :class:`~repro.network.faults.NetworkPartitionError`.
+the topology's alive-filtered route tables.  Valiant and adaptive routing
+detour a pair whose minimal candidates all died, through
+:meth:`RoutingStrategy._detour` when none of the drawn detours survives
+either, so only a pair that no candidate of either kind survives raises
+:class:`~repro.network.faults.NetworkPartitionError`.
 On a healthy fabric the filter is a single boolean read, and the selected
 routes (and RNG consumption) are exactly those of the pre-fault code paths.
 
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Type
 
+from repro.network.faults import NetworkPartitionError
 from repro.network.topology.base import Topology, pick_route
 
 if TYPE_CHECKING:  # the generator type only; routing needs no numpy
@@ -160,6 +164,31 @@ class RoutingStrategy:
         """Uniform random choice, consuming randomness only on real choices."""
         return pick_route(candidates, self.rng)
 
+    def _detour(
+        self, src: int, dst: int, view: Optional[frozenset], error: NetworkPartitionError
+    ) -> Route:
+        """A surviving detour for a pair whose minimal candidates and drawn detours all died.
+
+        Scans the intermediate hosts from a random one on and, at the first
+        that both legs survive to, joins a random surviving candidate of
+        each; raises ``error`` (the pair's partition) when there is none.
+        """
+        topology = self.topology
+        failed = topology.failed_links if view is None else view
+        hosts = topology.num_hosts
+        first = int(self.rng.integers(hosts))
+        for step in range(hosts):
+            via = (first + step) % hosts
+            if via == src or via == dst:
+                continue
+            legs = [
+                [route for route in topology.route_table(a, b) if failed.isdisjoint(route)]
+                for a, b in ((src, via), (via, dst))
+            ]
+            if legs[0] and legs[1]:
+                return self._pick(legs[0]) + self._pick(legs[1])
+        raise error
+
 
 class MinimalRouting(RoutingStrategy):
     """ECMP over the topology's minimal candidate routes.
@@ -216,9 +245,12 @@ class ValiantRouting(RoutingStrategy):
         view: Optional[frozenset] = None,
     ) -> Route:
         candidates = self._alive_valiant(src, dst, self.count, view)
-        if not candidates:
+        if candidates:
+            return self._pick(candidates)
+        try:
             return self._pick(self._candidates(src, dst, view))
-        return self._pick(candidates)
+        except NetworkPartitionError as error:
+            return self._detour(src, dst, view, error)
 
 
 class AdaptiveRouting(RoutingStrategy):
@@ -262,7 +294,16 @@ class AdaptiveRouting(RoutingStrategy):
         link_load: Optional[LinkLoad] = None,
         view: Optional[frozenset] = None,
     ) -> Route:
-        minimal = self._candidates(src, dst, view)
+        try:
+            minimal = self._candidates(src, dst, view)
+        except NetworkPartitionError as error:
+            # every minimal candidate is dead: the cheapest surviving detour
+            valiant = self._alive_valiant(src, dst, self.count, view)
+            if not valiant:
+                return self._detour(src, dst, view, error)
+            if link_load is None:
+                return min(valiant, key=len)
+            return min(valiant, key=lambda route: ugal_cost(route, link_load))
         if link_load is None:
             costs = [len(r) for r in minimal]
         else:

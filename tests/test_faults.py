@@ -603,6 +603,75 @@ class TestLogGOPSBackendFaults:
         assert any(name.startswith("tor0->core") for name in loads)
 
 
+# ------------------------------------------------------- detours around a dead pair
+class TestDetourAroundDeadMinimalRoutes:
+    """On the default 16-host dragonfly, ``r0.0->r0.1`` is the one minimal route
+    from every host of ``r0.0`` to every host of ``r0.1``: with it down, Valiant
+    and adaptive routing must detour rather than declare the pair partitioned."""
+
+    DEAD = "r0.0->r0.1"
+
+    def _topology(self):
+        import numpy as np
+
+        from repro.network.topology import build_topology
+
+        topo = build_topology(SimulationConfig(topology="dragonfly"), 16)
+        topo.fail_links([_link_id(topo, self.DEAD)])
+        return topo, np.random.default_rng(0)
+
+    def _assert_detour(self, topo, route, src, dst):
+        links = [topo.links[l] for l in route]
+        assert links[0].src == src and links[-1].dst == dst
+        assert all(a.dst == b.src for a, b in zip(links, links[1:]))
+        assert not topo.failed_links & set(route)
+
+    @pytest.mark.parametrize("routing", ["adaptive", "valiant"])
+    @pytest.mark.parametrize("control_plane", ["oracle", "ls"])
+    @pytest.mark.parametrize("backend", ["htsim", "lgs"])
+    def test_all_to_all_completes_with_the_only_minimal_route_down(
+        self, routing, control_plane, backend
+    ):
+        schedule = all_to_all(16, 8192)
+        config = SimulationConfig(
+            topology="dragonfly",
+            routing=routing,
+            control_plane=control_plane,
+            loggops_use_topology=backend == "lgs",
+            faults=FaultSchedule(events=(FaultEvent(2000, LINK_DOWN, self.DEAD),)),
+        )
+        result = simulate(schedule, backend=backend, config=config)
+        assert result.ops_completed == schedule.num_ops()
+        assert result.stats.messages_delivered == 16 * 15
+
+    def test_adaptive_takes_the_cheapest_surviving_detour(self):
+        from repro.network.routing import AdaptiveRouting
+
+        topo, rng = self._topology()
+        for src, dst in ((3, 4), (0, 7)):
+            route = AdaptiveRouting(topo, rng).select_route(src, dst, link_load=[0] * len(topo.links))
+            self._assert_detour(topo, route, src, dst)
+
+    def test_valiant_detours_when_every_drawn_detour_died(self):
+        from repro.network.routing import ValiantRouting
+
+        topo, rng = self._topology()
+        # no detour is drawn at all: the scan over intermediates must find one
+        route = ValiantRouting(topo, rng, count=0).select_route(3, 4)
+        self._assert_detour(topo, route, 3, 4)
+        # host3 -> r0.0 -> r0.x -> host -> r0.x -> r0.1 -> host4, through another router
+        assert len(route) == 6
+
+    def test_a_pair_cut_off_from_every_host_still_raises(self):
+        from repro.network.routing import AdaptiveRouting, ValiantRouting
+
+        topo, rng = self._topology()
+        topo.fail_links([_link_id(topo, "r0.1->host4")])
+        for strategy in (AdaptiveRouting(topo, rng), ValiantRouting(topo, rng, count=0)):
+            with pytest.raises(NetworkPartitionError, match="from host 3 to host 4"):
+                strategy.select_route(3, 4, link_load=[0] * len(topo.links))
+
+
 # ------------------------------------------------------------------- config layer
 class TestConfigIntegration:
     def test_config_rejects_non_schedule(self):

@@ -15,7 +15,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.goal import GoalParseError, decode_goal, encode_goal, parse_goal, write_goal
+from repro.goal import GoalParseError, decode_goal, encode_goal, parse_goal, write_goal, write_goal_binary
 from repro.goal import binary
 from repro.goal.binary import GoalBinaryError
 from repro.goal.ops import Op, OpType
@@ -219,6 +219,16 @@ class TestValueBound:
         sched.ranks[1].pred_idx.append(1)
         with pytest.raises(GoalBinaryError, match="rank 1 vertex 0: dependency delta -1"):
             encode_goal(sched)
+
+    def test_a_refused_schedule_leaves_no_file(self, tmp_path):
+        sched = GoalSchedule(2)
+        sched.ranks[1].add_op(Op.calc(1))
+        sched.ranks[1].pred_ptr[1:] = array("q", [1])
+        sched.ranks[1].pred_idx.append(0)  # a vertex that requires itself
+        path = tmp_path / "refused.goalbin"
+        with pytest.raises(GoalBinaryError, match="rank 1 vertex 0: dependency delta 0"):
+            write_goal_binary(sched, str(path))
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
