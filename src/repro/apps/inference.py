@@ -643,18 +643,14 @@ def _emit_schedule(
         tag = req.id * TAG_BLOCK
 
         frontend = builder.rank(fe)
-        arrival = _track(fe, frontend.calc(req.arrival_ns, cpu=stream, label=f"arrival r{req.id}"))
+        arrival = _track(fe, frontend.calc(req.arrival_ns, cpu=stream))
         _track(fe, frontend.send(prompt_bytes, dst=pf, tag=tag, cpu=stream, requires=(arrival,)))
 
         prefill = builder.rank(pf)
         prompt_in = _track(pf, prefill.recv(prompt_bytes, src=fe, tag=tag))
         compute = _track(
             pf,
-            prefill.calc(
-                req.prompt_tokens * cluster.prefill_ns_per_token,
-                requires=(prompt_in,),
-                label=f"prefill r{req.id}",
-            ),
+            prefill.calc(req.prompt_tokens * cluster.prefill_ns_per_token, requires=(prompt_in,)),
         )
         _track(pf, prefill.send(kv_bytes, dst=de, tag=tag + 1, requires=(compute,)))
         kv_recv[req.id] = _track(de, builder.rank(de).recv(kv_bytes, src=pf, tag=tag + 1))
@@ -667,10 +663,7 @@ def _emit_schedule(
             deps = [kv_recv[rid] for rid in step.joins]
             if prev is not None:
                 deps.append(prev)
-            prev = _track(
-                rank,
-                decode.calc(step.duration_ns, requires=deps, label=f"decode step {step.index}"),
-            )
+            prev = _track(rank, decode.calc(step.duration_ns, requires=deps))
             for rid, token in step.members:
                 req = by_id[rid]
                 tag = rid * TAG_BLOCK + 2 + token

@@ -55,9 +55,9 @@ every varint is decoded before a structural fault is reported, so a blob
 fails with the same message whatever the window size.  Values are limited
 to 64 bits on both sides.
 
-Labels are intentionally *not* stored — they are a debugging aid of the
-textual format only — which is one reason GOAL binaries stay much smaller
-than Chakra traces.
+A vertex has no name here, as in the schedule: it is its fields and its
+dependency deltas, which is one reason GOAL binaries stay much smaller than
+Chakra traces.
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ Example
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.goal.ops import _CALC, _RECV, _SEND
 from repro.goal.schedule import GoalSchedule, RankSchedule
@@ -56,10 +56,9 @@ class RankBuilder:
         tag: int = 0,
         cpu: int = 0,
         requires: Iterable[VertexHandle] = (),
-        label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a ``send`` of ``size`` bytes to rank ``dst``; return its handle."""
-        return self._append(_SEND, size, dst, tag, cpu, requires, label)
+        return self._append(_SEND, size, dst, tag, cpu, requires)
 
     def recv(
         self,
@@ -68,10 +67,9 @@ class RankBuilder:
         tag: int = 0,
         cpu: int = 0,
         requires: Iterable[VertexHandle] = (),
-        label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a ``recv`` of ``size`` bytes from rank ``src``; return its handle."""
-        return self._append(_RECV, size, src, tag, cpu, requires, label)
+        return self._append(_RECV, size, src, tag, cpu, requires)
 
     def sendrecv(
         self, send_bytes: int, dst: int, recv_bytes: int, src: int, tag: int = 0, cpu: int = 0,
@@ -86,36 +84,17 @@ class RankBuilder:
         duration_ns: int,
         cpu: int = 0,
         requires: Iterable[VertexHandle] = (),
-        label: Optional[str] = None,
     ) -> VertexHandle:
         """Add a ``calc`` of ``duration_ns`` nanoseconds; return its handle."""
-        return self._append(_CALC, duration_ns, None, 0, cpu, requires, label)
+        return self._append(_CALC, duration_ns, None, 0, cpu, requires)
 
-    def dummy(
-        self,
-        cpu: int = 0,
-        requires: Iterable[VertexHandle] = (),
-        label: Optional[str] = None,
-    ) -> VertexHandle:
-        """Add a zero-cost synchronisation vertex; return its handle."""
-        return self._append(_CALC, 0, None, 0, cpu, requires, label)
-
-    def join(self, deps: Iterable[VertexHandle], cpu: int = 0, label: Optional[str] = None) -> VertexHandle:
+    def join(self, deps: Iterable[VertexHandle], cpu: int = 0) -> VertexHandle:
         """Insert a dummy vertex depending on all of ``deps`` and return it.
 
         This is the "dummy node" construction used in Stages 2 and 4 of the
         NCCL pipeline to synchronise streams.
         """
-        return self._append(_CALC, 0, None, 0, cpu, deps, label)
-
-    def fork(self, dep: VertexHandle, count: int, cpu: int = 0) -> List[VertexHandle]:
-        """Insert ``count`` dummy vertices all depending on ``dep``."""
-        return [self._append(_CALC, 0, None, 0, cpu, (dep,)) for _ in range(count)]
-
-    def last(self) -> Optional[VertexHandle]:
-        """Handle of the most recently added vertex, or ``None`` if empty."""
-        n = len(self._sched)
-        return n - 1 if n else None
+        return self._append(_CALC, 0, None, 0, cpu, deps)
 
 
 class GoalBuilder:

@@ -49,8 +49,8 @@ def _place(
     rank: RankSchedule, onto: RankSchedule, targets: np.ndarray, job: int, fused: bool
 ) -> None:
     """Append ``rank``'s vertices to ``onto``: peers looked up in ``targets``,
-    tags moved into job ``job``'s window (streams too, if ``fused``), labels
-    dropped, dependencies kept (relative to the block)."""
+    tags moved into job ``job``'s window (streams too, if ``fused``),
+    dependencies kept (relative to the block)."""
     kind, size, peer, tag, cpu = rank.columns()
     comm = kind != _CALC
     if peer.size and int(peer.max()) >= len(targets):
@@ -145,8 +145,6 @@ def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
         kept = np.ones(len(new_idx), dtype=bool)
         kept[new_ptr[1:-1][degree == 0]] = False
         new_idx[kept] = idx + 1
-        # labels survive (only the unlabeled delay vertex is new); the
-        # multi-job merge strips labels itself when composing
         out.ranks[rank.rank].extend(
             np.concatenate(([_CALC], kind)),
             np.concatenate((delay, size)),
@@ -155,7 +153,6 @@ def delay_schedule(schedule: GoalSchedule, delay_ns: int) -> GoalSchedule:
             np.concatenate((zero, cpu)),
             new_ptr,
             new_idx,
-            {label: vertex + 1 for label, vertex in rank.labels.items()},
         )
     return out
 

@@ -111,15 +111,13 @@ class Op:
         Message tag used to match sends with receives.  Defaults to 0.
     cpu:
         Compute-stream index this op executes on.  Defaults to 0.
-    label:
-        Optional human-readable label (the ``lN`` names in textual GOAL).
 
     All numbers must be integers in ``0 <= value < 2**64``; anything else is
     refused here with a ``ValueError`` (``TypeError`` for a non-integer)
     naming the field.  The fields are read-only: build a new ``Op`` instead.
     """
 
-    __slots__ = ("kind", "size", "peer", "tag", "cpu", "label")
+    __slots__ = ("kind", "size", "peer", "tag", "cpu")
 
     def __init__(
         self,
@@ -128,9 +126,8 @@ class Op:
         peer: Optional[int] = None,
         tag: int = 0,
         cpu: int = 0,
-        label: Optional[str] = None,
     ) -> None:
-        for name, value in zip(self.__slots__, (*checked_fields(kind, size, peer, tag, cpu), label)):
+        for name, value in zip(self.__slots__, checked_fields(kind, size, peer, tag, cpu)):
             _set_slot(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -140,28 +137,23 @@ class Op:
         raise AttributeError(f"Op is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return Op, (self.kind, self.size, self.peer, self.tag, self.cpu, self.label)
+        return Op, (self.kind, self.size, self.peer, self.tag, self.cpu)
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def send(cls, size: int, dst: int, tag: int = 0, cpu: int = 0, label: Optional[str] = None) -> "Op":
+    def send(cls, size: int, dst: int, tag: int = 0, cpu: int = 0) -> "Op":
         """Create a ``send`` op of ``size`` bytes to rank ``dst``."""
-        return cls(_SEND, size, peer=dst, tag=tag, cpu=cpu, label=label)
+        return cls(_SEND, size, peer=dst, tag=tag, cpu=cpu)
 
     @classmethod
-    def recv(cls, size: int, src: int, tag: int = 0, cpu: int = 0, label: Optional[str] = None) -> "Op":
+    def recv(cls, size: int, src: int, tag: int = 0, cpu: int = 0) -> "Op":
         """Create a ``recv`` op of ``size`` bytes from rank ``src``."""
-        return cls(_RECV, size, peer=src, tag=tag, cpu=cpu, label=label)
+        return cls(_RECV, size, peer=src, tag=tag, cpu=cpu)
 
     @classmethod
-    def calc(cls, duration_ns: int, cpu: int = 0, label: Optional[str] = None) -> "Op":
+    def calc(cls, duration_ns: int, cpu: int = 0) -> "Op":
         """Create a ``calc`` op costing ``duration_ns`` nanoseconds."""
-        return cls(_CALC, duration_ns, peer=None, cpu=cpu, label=label)
-
-    @classmethod
-    def dummy(cls, cpu: int = 0, label: Optional[str] = None) -> "Op":
-        """Create a zero-cost synchronisation vertex (``calc 0``)."""
-        return cls(_CALC, 0, peer=None, cpu=cpu, label=label)
+        return cls(_CALC, duration_ns, peer=None, cpu=cpu)
 
     # -- predicates --------------------------------------------------------
     @property
@@ -176,16 +168,6 @@ class Op:
     def is_calc(self) -> bool:
         return self.kind == OpType.CALC
 
-    @property
-    def is_comm(self) -> bool:
-        """True for sends and receives (network-visible ops)."""
-        return self.kind != OpType.CALC
-
-    @property
-    def is_dummy(self) -> bool:
-        """True for zero-cost calcs used only for synchronisation."""
-        return self.kind == OpType.CALC and self.size == 0
-
     # -- dunder ------------------------------------------------------------
     def __repr__(self) -> str:
         if self.kind == OpType.CALC:
@@ -195,8 +177,7 @@ class Op:
         else:
             core = f"recv {self.size}b from {self.peer} tag {self.tag}"
         extra = f" cpu {self.cpu}" if self.cpu else ""
-        lbl = f"{self.label}: " if self.label else ""
-        return f"Op({lbl}{core}{extra})"
+        return f"Op({core}{extra})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Op):

@@ -24,7 +24,13 @@ rank::
 Rules
 -----
 * ``num_ranks N`` may appear once before the first rank block; if absent the
-  number of ranks is inferred as ``max(rank id) + 1``.
+  number of ranks is inferred as ``max(rank id) + 1``.  Every rank ``0 ..
+  N - 1`` has a block (``rank 3 { }`` for one without ops), so a schedule
+  holds no rank the text does not.
+* A label (``l1:``) names an op for the ``requires`` lines of its own rank
+  block and nothing else: it is forgotten at the block's ``}``, and the
+  schedule keeps the op's fields only (:func:`repro.goal.writer.write_goal`
+  names vertex ``i`` of a block ``op{i}``).
 * Sizes may carry a ``b`` suffix (bytes) for sends/receives; calc takes a bare
   integer (nanoseconds).
 * ``cpu K`` optionally pins an op to compute stream ``K`` (``cpuK`` is also
@@ -75,8 +81,8 @@ class GoalParseError(ValueError):
         super().__init__(prefix + message)
 
 
-#: The label grammar, shared with the writer (which renames labels outside it).
-LABEL_RE = re.compile(r"[A-Za-z_][\w.-]*")
+# the label grammar
+_LABEL_RE = re.compile(r"[A-Za-z_][\w.-]*")
 
 # keyword -> (kind, the word that introduces the peer)
 _COMM = {"send": (_SEND, "to"), "recv": (_RECV, "from")}
@@ -85,7 +91,7 @@ _REQUIRES = ("requires", "irequires")
 
 def _is_label(word: str) -> bool:
     # ASCII identifiers are the common case and need no regex.
-    return (word.isascii() and word.isidentifier()) or LABEL_RE.fullmatch(word) is not None
+    return (word.isascii() and word.isidentifier()) or _LABEL_RE.fullmatch(word) is not None
 
 
 def _parse_op(toks: List[str], i: int) -> Optional[Tuple[int, int, int, int, int]]:
@@ -189,7 +195,8 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
 
     # The open rank block (``rank is None`` between blocks): five numbers per
     # op (kind, size, peer, tag, cpu) and two per edge (vertex, required
-    # vertex), both in the order the file states them.
+    # vertex), both in the order the file states them, and its labels, which
+    # die with it.
     rank: Optional[int] = None
     ops, edges = array("Q"), array("q")
     labels: Dict[str, int] = {}
@@ -213,9 +220,7 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
         fields = np.frombuffer(ops, dtype=np.uint64).reshape(-1, 5)
         pairs = np.frombuffer(edges, dtype=np.int64).reshape(-1, 2)
         blocks[rank] = RankSchedule(rank)
-        blocks[rank].extend(
-            *fields.T, *csr_from_edges(len(fields), pairs[:, 0], pairs[:, 1]), labels
-        )
+        blocks[rank].extend(*fields.T, *csr_from_edges(len(fields), pairs[:, 0], pairs[:, 1]))
         rank = None
 
     def statement(toks: List[str]) -> bool:
@@ -290,7 +295,7 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
                 )
             # as the labelled form reports it: the part after a well-formed "label:"
             label, _, body = part.partition(":")
-            if body.strip() and LABEL_RE.fullmatch(label.strip()):
+            if body.strip() and _LABEL_RE.fullmatch(label.strip()):
                 part = body.strip()
             raise GoalParseError(f"unrecognised op syntax: {part!r}", line_no)
 
@@ -306,9 +311,9 @@ def parse_goal(text: str, name: str = "goal") -> GoalSchedule:
         raise GoalParseError(
             f"rank {max_rank} defined but num_ranks is {num_ranks}"
         )
-
-    schedule = GoalSchedule(num_ranks, name=name)
-    for rank_id, sched in blocks.items():
-        schedule.ranks[rank_id] = sched
-    return schedule
+    if len(blocks) < num_ranks:
+        # the first gap is at most len(blocks): found without touching num_ranks
+        missing = next(r for r in range(len(blocks) + 1) if r not in blocks)
+        raise GoalParseError(f"no block for rank {missing} (num_ranks is {num_ranks})")
+    return GoalSchedule.from_ranks([blocks[r] for r in range(num_ranks)], name=name)
 

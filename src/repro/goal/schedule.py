@@ -28,10 +28,11 @@ no copy) for everything that works on whole columns -- codecs, validation,
 merging.  Such a view must not be kept: an ``array`` that exports a buffer
 cannot grow.
 
-Labels (a debugging aid of the textual format) live in a dict beside the
-columns.  :class:`~repro.goal.ops.Op` remains the value type of the API:
-``rank.ops`` and ``rank.preds`` are sequence views that build an ``Op`` / a
-list per access.
+A vertex is its five fields and its dependencies, nothing more: the names
+of the textual format (``l1:``) are local to the parser's rank block and
+never reach a schedule.  :class:`~repro.goal.ops.Op` remains the value type
+of the API: ``rank.ops`` and ``rank.preds`` are sequence views that build an
+``Op`` / a list per access.
 
 Append-only
 -----------
@@ -48,8 +49,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -269,7 +269,6 @@ def _op_at(rank: "RankSchedule", vertex: int) -> Op:
         ("peer", None if kind == _CALC else rank.peer[vertex]),
         ("tag", rank.tag[vertex]),
         ("cpu", rank.cpu[vertex]),
-        ("label", rank.label_of(vertex)),
     ):
         _set_slot(op, name, value)
     return op
@@ -279,8 +278,8 @@ class OpsView(Sequence):
     """``rank.ops``: the rank's vertices as a read-only sequence of :class:`Op`.
 
     Indexing and iteration build an (immutable) ``Op`` from the columns.
-    ``==`` compares field columns (labels are ignored, as by ``Op.__eq__``)
-    against another view, or op by op against a list.
+    ``==`` compares field columns against another view, or op by op against
+    a list.
     """
 
     __slots__ = ("_rank",)
@@ -395,9 +394,6 @@ class RankSchedule:
         self.pred_ptr = array("q", (0,))
         self.pred_idx = array("q")
         self._succ: Optional[Tuple[array, array]] = None
-        self._labels: Dict[str, int] = {}
-        # vertex -> label, derived from _labels when first asked for
-        self._names: Optional[Dict[int, str]] = None
 
     # -- views ---------------------------------------------------------------
     @property
@@ -409,11 +405,6 @@ class RankSchedule:
     def preds(self) -> PredsView:
         """Per vertex, the list of vertices it requires (see :class:`PredsView`)."""
         return PredsView(self)
-
-    @property
-    def labels(self) -> Mapping[str, int]:
-        """Label -> vertex, for the labelled vertices only (read-only)."""
-        return MappingProxyType(self._labels)
 
     def _pred_rows(self) -> List[List[int]]:
         ptr = self.pred_ptr.tolist()
@@ -429,7 +420,6 @@ class RankSchedule:
         tag: int = 0,
         cpu: int = 0,
         requires: Iterable[int] = (),
-        label: Optional[str] = None,
     ) -> int:
         """Append one vertex given by its fields and return its index.
 
@@ -452,8 +442,6 @@ class RankSchedule:
             deps = requires
         else:
             deps = _checked_deps(requires, idx)
-        if label is not None and label in self._labels:
-            raise ValueError(f"duplicate label {label!r} in rank {self.rank}")
         edges = len(self.pred_idx)
         try:
             # the arrays refuse what an Op would: non-integers, negatives, >= 2**64
@@ -471,9 +459,6 @@ class RankSchedule:
             checked_fields(kind, size, peer, tag, cpu)  # raises, naming the field
             raise
         self.pred_ptr.append(edges + len(deps))
-        if label is not None:
-            self._labels[label] = idx
-            self._names = None
         self._succ = None
         return idx
 
@@ -523,7 +508,7 @@ class RankSchedule:
         construction.  The op's fields are copied into the columns; ``op``
         itself is not kept.
         """
-        return self.append_op(op.kind, op.size, op.peer, op.tag, op.cpu, requires, op.label)
+        return self.append_op(op.kind, op.size, op.peer, op.tag, op.cpu, requires)
 
     def extend(
         self,
@@ -534,35 +519,21 @@ class RankSchedule:
         cpu: object,
         pred_ptr: object,
         pred_idx: object,
-        labels: Optional[Mapping[str, int]] = None,
     ) -> int:
         """Append a block of vertices given as whole columns; return its first index.
 
         The column form of :meth:`append_op`, with the same checks at array
         speed.  ``pred_ptr`` / ``pred_idx`` is the block's dependency CSR
         with indices *relative to the block* (a vertex of the block can only
-        require earlier vertices of the block); ``labels`` maps label ->
-        block-relative vertex.
+        require earlier vertices of the block).
         """
         ptr = np.asarray(pred_ptr, dtype=np.int64)
         n = len(ptr) - 1
         if n < 0 or ptr[0] != 0 or ptr[-1] != len(pred_idx):
             raise ValueError("pred_ptr must rise from 0 to len(pred_idx), one entry per vertex and one more")
-        block = _checked_columns(kind, size, peer, tag, cpu, np.diff(ptr), pred_idx, np.arange(n))
-        if labels:
-            taken = self._labels.keys() & labels.keys()
-            if taken:
-                raise ValueError(f"duplicate label {min(taken)!r} in rank {self.rank}")
-            named = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
-            if named.min() < 0 or named.max() >= n:
-                raise ValueError("a label names a vertex outside the block")
-        base = self._append_columns(*block)
-        if labels:
-            self._labels.update(
-                {label: base + vertex for label, vertex in labels.items()} if base else labels
-            )
-            self._names = None
-        return base
+        return self._append_columns(
+            *_checked_columns(kind, size, peer, tag, cpu, np.diff(ptr), pred_idx, np.arange(n))
+        )
 
     def _append_columns(
         self,
@@ -586,16 +557,6 @@ class RankSchedule:
         self.pred_idx.frombytes((dep + base).tobytes())
         self._succ = None
         return base
-
-    def vertex_by_label(self, label: str) -> int:
-        """Return the vertex index for ``label``; raises ``KeyError`` if absent."""
-        return self._labels[label]
-
-    def label_of(self, vertex: int) -> Optional[str]:
-        """Return the label of ``vertex``, or ``None`` if it has none."""
-        if self._names is None:
-            self._names = {vertex: label for label, vertex in self._labels.items()}
-        return self._names.get(vertex)
 
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:
@@ -709,8 +670,8 @@ class GoalSchedule:
     def from_ranks(cls, ranks: Sequence[RankSchedule], name: str = "goal") -> "GoalSchedule":
         """The schedule made of ``ranks`` (kept, not copied), rank ``r`` at index ``r``.
 
-        What the binary decoder returns: it creates each rank when the stream
-        reaches it, so a blob that declares more ranks than it holds fails
+        What both decoders return: each creates a rank when its input reaches
+        it, so a blob or a text that declares more ranks than it holds fails
         before they are all allocated.
         """
         if not ranks:

@@ -123,7 +123,7 @@ def _scale_computation(schedule: GoalSchedule, factor: float) -> GoalSchedule:
             raise ValueError(f"a calc scaled by {factor} does not fit 64 bits")
         size = size.copy()
         size[calc] = np.maximum(stretched, 0).astype(np.uint64)
-        scaled.ranks[rank.rank].extend(kind, size, peer, tag, cpu, *rank.pred_csr(), rank.labels)
+        scaled.ranks[rank.rank].extend(kind, size, peer, tag, cpu, *rank.pred_csr())
     return scaled
 
 

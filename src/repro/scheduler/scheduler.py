@@ -33,6 +33,10 @@ _ISSUED = 1
 _DONE = 2
 #: Ranks whose first blocked vertex a deadlock report names.
 _REPORT_RANKS = 8
+#: The simulated clock is a signed 64-bit count of nanoseconds (what a
+#: result's digest hashes); a run that passes it is refused.
+_CLOCK_LIMIT = 1 << 63
+_CLOCK_OVERFLOW = "simulated time does not fit 64 bits (must be < 2**63 ns)"
 
 
 class SchedulerDeadlockError(RuntimeError):
@@ -166,23 +170,31 @@ class GoalScheduler:
 
     # ------------------------------------------------------------------ public
     def run(self) -> SimulationResult:
-        """Simulate the schedule to completion and return the result."""
-        if self.config.shards > 1:
-            # conservative-window parallel packet engine (docs/scaling.md):
-            # the driver builds one rank-restricted scheduler per shard and
-            # steps their event loops in lookahead windows via start()/
-            # finish() — never run(), so this dispatch cannot recurse.
-            check_shards(self.config.shards, self.backend.name)
-            from repro.network.packet.sharded import run_sharded
+        """Simulate the schedule to completion and return the result.
 
-            result, self._sharded_events = run_sharded(
-                self.schedule, self.config, op_groups=self._op_groups
-            )
-            return result
-        wall_start = _time.perf_counter()
-        self.start()
-        self.backend.run(self.completion_callback())
-        wall_elapsed = _time.perf_counter() - wall_start
+        A run whose clock passes 64 bits is one ``ValueError``: :meth:`finish`
+        checks the finish time, and a time past ``2**64`` that reached a
+        64-bit store inside the event loop surfaces here as ``OverflowError``.
+        """
+        try:
+            if self.config.shards > 1:
+                # conservative-window parallel packet engine (docs/scaling.md):
+                # run_sharded builds one rank-restricted scheduler per shard and
+                # steps their event loops in lookahead windows via start()/
+                # finish() — never run(), so this dispatch cannot recurse.
+                check_shards(self.config.shards, self.backend.name)
+                from repro.network.packet.sharded import run_sharded
+
+                result, self._sharded_events = run_sharded(
+                    self.schedule, self.config, op_groups=self._op_groups
+                )
+                return result
+            wall_start = _time.perf_counter()
+            self.start()
+            self.backend.run(self.completion_callback())
+            wall_elapsed = _time.perf_counter() - wall_start
+        except OverflowError:
+            raise ValueError(_CLOCK_OVERFLOW) from None
         return self.finish(wall_elapsed)
 
     def start(self) -> None:
@@ -211,6 +223,8 @@ class GoalScheduler:
         """Verify completion after the event loop drained; assemble the result."""
         if self._completed != self._total_ops:
             raise self._deadlock_error()
+        if self._finish_time >= _CLOCK_LIMIT:
+            raise ValueError(f"{_CLOCK_OVERFLOW}: the run ends at {self._finish_time} ns")
 
         links = self.backend.collect_links()
         return SimulationResult(

@@ -315,8 +315,8 @@ def _codecs(gen):
     return {
         "text": text,
         "blob": blob,
-        "parsed": views(parse_goal(text, name=gen.columnar.name), labels=False),
-        "decoded": views(decode_goal(blob), labels=False),
+        "parsed": views(parse_goal(text, name=gen.columnar.name)),
+        "decoded": views(decode_goal(blob)),
     }
 
 
@@ -324,8 +324,8 @@ def _list_codecs(gen):
     return {
         "text": list_write_goal(gen.oracle),
         "blob": list_encode_goal(gen.oracle),
-        "parsed": views(gen.oracle, labels=False),
-        "decoded": views(gen.oracle, labels=False),
+        "parsed": views(gen.oracle),
+        "decoded": views(gen.oracle),
     }
 
 

@@ -95,7 +95,7 @@ class ListSchedule:
 
 
 def _moved(op, placement, tag_offset=0, cpu_offset=0):
-    """``op`` unlabelled, its peer placed and its tag and stream shifted."""
+    """``op`` with its peer placed and its tag and stream shifted."""
     if op.is_calc:
         return Op(op.kind, op.size, None, op.tag, op.cpu + cpu_offset)
     return Op(op.kind, op.size, placement[op.peer], op.tag + tag_offset, op.cpu + cpu_offset)
@@ -147,7 +147,7 @@ def list_merge(schedules, placements, num_ranks, name):
 
 
 def list_write_goal(schedule):
-    """The old writer, for schedules without user labels."""
+    """The old writer: vertex ``i`` of a rank block is ``op{i}``."""
     lines = [f"num_ranks {schedule.num_ranks}", ""]
     for rank in schedule.ranks:
         lines.append(f"rank {rank.rank} {{")
@@ -287,10 +287,8 @@ def to_oracle(schedule):
     return oracle
 
 
-def views(schedule, labels=True):
-    """Everything compared of a schedule, as plain values.  ``labels=False``
-    for a schedule that came through a codec (binary drops labels, text names
-    every vertex)."""
+def views(schedule):
+    """Everything compared of a schedule, as plain values."""
     return {
         "num_ranks": schedule.num_ranks,
         "summary": schedule.summary(),
@@ -298,7 +296,6 @@ def views(schedule, labels=True):
             (
                 rank.rank,
                 list(rank.ops),
-                [op.label for op in rank.ops] if labels else None,
                 [list(deps) for deps in rank.preds],
                 rank.successors(),
                 rank.in_degrees(),
@@ -322,9 +319,9 @@ def generated(build):
     def ref(rank):
         return fed.setdefault(id(rank), (rank, ListRank(rank.rank)))[1]
 
-    def spy_op(self, kind, size, peer=None, tag=0, cpu=0, requires=(), label=None):
-        ref(self).add_op(Op(kind, size, peer, tag, cpu, label), requires)
-        return real_op(self, kind, size, peer, tag, cpu, requires, label)
+    def spy_op(self, kind, size, peer=None, tag=0, cpu=0, requires=()):
+        ref(self).add_op(Op(kind, size, peer, tag, cpu), requires)
+        return real_op(self, kind, size, peer, tag, cpu, requires)
 
     def spy_round(self, send_size, dst, recv_size, src, tag=0, cpu=0, requires=()):
         oracle, first = ref(self), len(self)
@@ -333,15 +330,14 @@ def generated(build):
         oracle.add_op(Op.calc(0, cpu), (first, first + 1))
         return real_round(self, send_size, dst, recv_size, src, tag, cpu, requires)
 
-    def spy_block(self, kind, size, peer, tag, cpu, pred_ptr, pred_idx, labels=None):
+    def spy_block(self, kind, size, peer, tag, cpu, pred_ptr, pred_idx):
         oracle, first = ref(self), len(self)
-        names = {vertex: label for label, vertex in (labels or {}).items()}
         ptr, idx = list(pred_ptr), list(pred_idx)
         rows = zip(*(np.asarray(column).tolist() for column in (kind, size, peer, tag, cpu)))
         for v, (k, n, p, t, c) in enumerate(rows):
             deps = [first + d for d in idx[ptr[v] : ptr[v + 1]]]
-            oracle.add_op(Op(k, n, None if k == OpType.CALC else p, t, c, names.get(v)), deps)
-        return real_block(self, kind, size, peer, tag, cpu, pred_ptr, pred_idx, labels)
+            oracle.add_op(Op(k, n, None if k == OpType.CALC else p, t, c), deps)
+        return real_block(self, kind, size, peer, tag, cpu, pred_ptr, pred_idx)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RankSchedule, "append_op", spy_op)

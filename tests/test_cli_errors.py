@@ -5,7 +5,8 @@ Covers ``atlahs cotenant``, ``atlahs faults`` and ``atlahs inference``: bad
 ``pattern:ranks:size`` job specs, malformed/overlapping arrival lists,
 unknown placement strategies, bad failure rates, unknown link names,
 malformed timed-event specs, malformed tenant-mix specs, negative offered
-rates and unknown arrival processes; for every subcommand, network flags
+rates and unknown arrival processes; a GOAL file whose run passes a 64-bit
+clock; for every subcommand, network flags
 ``SimulationConfig`` rejects, a negative ``--parallel`` and worker
 processes that cannot start.  Every case asserts a
 :class:`SystemExit` whose message names the offending input, which is what
@@ -520,6 +521,37 @@ class TestSimulateErrors:
         path.write_text(self.CYCLIC)
         message = self._simulate(path)
         assert "deadlocked" in message and "rank 1 vertex 0 (recv 8 B from 0 tag 0)" in message
+
+
+class TestClockOverflow:
+    """A run whose simulated clock passes 64 bits is one ``ValueError``, which
+    ``cli.main`` prints as one ``atlahs simulate: ...`` line."""
+
+    # the largest calc there is: the run ends past 2**63 ns, or a message
+    # after it is posted past 2**64 ns, inside the event loop
+    CLOCK_OVERFLOWS = {
+        "calc": "num_ranks 1\nrank 0 {\n  a: calc 18446744073709551615\n}\n",
+        "calc-then-send": (
+            "num_ranks 2\n"
+            "rank 0 {\n  a: calc 18446744073709551615\n  b: send 8b to 1\n  b requires a\n}\n"
+            "rank 1 {\n  r: recv 8b from 0\n}\n"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "lgs"], ["--backend", "htsim"], ["--backend", "htsim", "--shards", "2"]],
+        ids=["lgs", "htsim", "htsim-shards2"],
+    )
+    @pytest.mark.parametrize("case", sorted(CLOCK_OVERFLOWS))
+    def test_a_clock_past_64_bits_is_one_line(self, tmp_path, case, flags):
+        path = tmp_path / f"{case}.goal"
+        path.write_text(self.CLOCK_OVERFLOWS[case])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(path), *flags])
+        message = _exit_message(excinfo)
+        assert message.startswith("atlahs simulate: simulated time does not fit 64 bits (must be < 2**63 ns)")
+        assert "\n" not in message
 
 
 class TestMisnamedGoalFiles:

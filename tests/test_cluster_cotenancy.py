@@ -9,7 +9,7 @@ from repro.cluster import (
     build_cotenant_schedule,
     run_cotenant,
 )
-from repro.goal import GoalBuilder, OpType, delay_schedule
+from repro.goal import GoalBuilder, Op, OpType, delay_schedule
 from repro.network import SimulationConfig
 from repro.placement import fragmented_placement, random_interleaved_placement, JobRequest
 from repro.scheduler import simulate
@@ -65,12 +65,13 @@ class TestDelaySchedule:
             assert rank.roots() == [0]
             assert rank.ops[0].is_calc and rank.ops[0].size == 10
 
-    def test_delay_preserves_labels(self):
-        b = GoalBuilder(2, name="labelled")
-        b.rank(0).send(8, dst=1, tag=1, label="x")
+    def test_delay_shifts_each_vertex_by_one(self):
+        b = GoalBuilder(2, name="shifted")
+        b.rank(0).send(8, dst=1, tag=1)
         b.rank(1).recv(8, src=0, tag=1)
         delayed = delay_schedule(b.build(), 7)
-        assert delayed.ranks[0].vertex_by_label("x") == 1
+        assert delayed.ranks[0].ops[1] == Op.send(8, dst=1, tag=1)
+        assert delayed.ranks[0].preds == [[], [0]]
 
 
 class TestBitIdentity:

@@ -135,7 +135,7 @@ class TestOtherCollectives:
         b, ctx = _ctx(8)
         calgs.dissemination_barrier(ctx)
         sched = b.build()
-        assert all(op.size == 1 for r in sched.ranks for op in r.ops if op.is_comm)
+        assert all(op.size == 1 for r in sched.ranks for op in r.ops if not op.is_calc)
         validate_schedule(sched)
 
     def test_barrier_round_count(self):

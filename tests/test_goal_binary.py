@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.goal import GoalBuilder, decode_goal, encode_goal, read_goal, write_goal
+from repro.goal import GoalBuilder, decode_goal, encode_goal, parse_goal, read_goal, write_goal
 from repro.goal.binary import GoalBinaryError, write_goal_binary
 from repro.goal.ops import Op, OpType
 from repro.goal.schedule import GoalSchedule
@@ -43,10 +43,11 @@ class TestRoundTrip:
         assert encode_goal(loaded) == encode_goal(sched)
 
     def test_labels_are_dropped(self):
-        b = GoalBuilder(1)
-        b.rank(0).calc(1, label="will-disappear")
-        decoded = decode_goal(encode_goal(b.build()))
-        assert decoded.ranks[0].ops[0].label is None
+        parsed = parse_goal("rank 0 {\n will-disappear: calc 1\n}")
+        decoded = decode_goal(encode_goal(parsed))
+        assert decoded.ranks[0].ops == parsed.ranks[0].ops == [Op.calc(1)]
+        assert "will-disappear" not in write_goal(decoded)
+        assert write_goal(decoded) == write_goal(parsed)
 
 
 class TestErrors:

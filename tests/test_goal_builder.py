@@ -1,7 +1,7 @@
 """Unit tests for the GoalBuilder / RankBuilder fluent API."""
 import pytest
 
-from repro.goal import GoalBuilder, OpType
+from repro.goal import GoalBuilder, Op, OpType
 
 
 class TestRankBuilder:
@@ -10,11 +10,7 @@ class TestRankBuilder:
         r = b.rank(0)
         assert r.calc(1) == 0
         assert r.calc(1) == 1
-        assert r.last() == 1
-
-    def test_last_on_empty_rank(self):
-        b = GoalBuilder(2)
-        assert b.rank(1).last() is None
+        assert len(r) == 2
 
     def test_requires_accepts_any_iterable(self):
         b = GoalBuilder(1)
@@ -22,7 +18,7 @@ class TestRankBuilder:
         a = r.calc(1)
         c = r.calc(1)
         d = r.calc(1, requires=[c, a, c])
-        e = r.dummy(requires={a, d})
+        e = r.join({a, d})
         f = r.calc(1, requires=(v for v in (c, e)))
         preds = b.build().ranks[0].preds
         assert preds[d] == [a, c] and preds[e] == [a, d] and preds[f] == [c, e]
@@ -32,19 +28,19 @@ class TestRankBuilder:
         r = b.rank(0)
         a, c = r.calc(1), r.calc(2)
         j = r.join([a, c])
-        op = b.build().ranks[0].ops[j]
-        assert op.is_dummy
+        assert b.build().ranks[0].ops[j] == Op.calc(0)
         assert sorted(b.build().ranks[0].preds[j]) == [a, c]
 
     def test_fork_creates_dependent_dummies(self):
         b = GoalBuilder(1)
         r = b.rank(0)
         a = r.calc(1)
-        forks = r.fork(a, 3)
+        forks = [r.join([a]) for _ in range(3)]
         sched = b.build()
-        assert len(forks) == 3
+        assert forks == [1, 2, 3]
         for f in forks:
             assert sched.ranks[0].preds[f] == [a]
+            assert sched.ranks[0].ops[f] == Op.calc(0)
 
     def test_send_recv_fields(self):
         b = GoalBuilder(2)

@@ -262,6 +262,8 @@ _PARSE_ERRORS = [
     ("second num_ranks", "num_ranks 2\nnum_ranks 2\nrank 0 { a: calc 1 }", "num_ranks declared more than once", 2),
     ("zero num_ranks", "\nnum_ranks 0\nrank 0 { a: calc 1 }", "num_ranks must be positive", 2),
     ("rank >= num_ranks", "num_ranks 1\nrank 3 { a: calc 1 }", "rank 3 defined but num_ranks is 1", None),
+    ("missing rank block", "num_ranks 3\nrank 0 { a: calc 1 }\nrank 2 { }", "no block for rank 1 (num_ranks is 3)", None),
+    ("missing block below an inferred num_ranks", "rank 1 { a: calc 1 }", "no block for rank 0 (num_ranks is 2)", None),
     ("text outside a block", "num_ranks 1\n\na: calc 1\n", "expected 'num_ranks' or 'rank N {', got 'a: calc 1'", 3),
     ("brace outside a block", "rank 0 { a: calc 1 }\n}", "expected 'num_ranks' or 'rank N {', got '}'", 2),
     ("brace on its own line", "rank 0\n{ a: calc 1 }", "expected 'num_ranks' or 'rank N {', got 'rank 0'", 1),
@@ -291,7 +293,6 @@ class TestAcceptedForms:
     def test_one_line_block(self):
         sched = parse_goal("rank 0 { a: calc 1 }")
         assert sched.num_ranks == 1 and sched.ranks[0].ops == [Op.calc(1)]
-        assert sched.ranks[0].vertex_by_label("a") == 0
 
     def test_several_statements_on_one_line_need_braces_to_separate(self):
         sched = parse_goal("num_ranks 2\nrank 0{a:calc 1}rank 1 { calc 2 } # done")
@@ -319,8 +320,6 @@ class TestAcceptedForms:
     def test_unlabelled_ops(self):
         rank = parse_goal("rank 0 {\n calc 5\n send 8b to 1\n recv 8 from 1 tag 3\n}").ranks[0]
         assert rank.ops == [Op.calc(5), Op.send(8, dst=1), Op.recv(8, src=1, tag=3)]
-        with pytest.raises(KeyError):
-            rank.vertex_by_label("calc")
 
     def test_sizes_with_without_and_apart_from_the_suffix(self):
         ops = _ops("rank 0 {\n send 10b to 1\n send 10 to 1\n send 10 b to 1\n recv 10 b from 1 tag 4\n}")
@@ -341,22 +340,37 @@ class TestAcceptedForms:
 
     def test_label_alphabet(self):
         rank = parse_goal("rank 0 {\n _a.b-c9: calc 1\n Xé: calc 2\n xé.1: calc 3\n xé.1 requires _a.b-c9\n}").ranks[0]
-        assert rank.preds == [[], [], [0]] and rank.vertex_by_label("Xé") == 1
+        assert rank.preds == [[], [], [0]] and rank.ops[1] == Op.calc(2)
 
     def test_unicode_decimal_digits_are_numbers(self):
         assert _ops("rank 0 {\n calc ٣\n}")[0].size == 3  # \d matched these too
 
 
 # ---------------------------------------------------------------------------
-# text: the writer only emits labels the parser accepts
+# text: labels are names local to a block; the writer names vertex i op{i}
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("label", ["a b", "9x", "x#y", "a:b", "", "x//y", "{", "ok.label-1"])
 def test_written_labels_round_trip(label):
-    sched = GoalSchedule(1)
-    first = sched.ranks[0].add_op(Op.calc(1, label=label))
-    sched.ranks[0].add_op(Op.calc(2, label="tail"), [first])
-    parsed = parse_goal(write_goal(sched))
-    assert parsed.ranks[0].ops == sched.ranks[0].ops
-    assert parsed.ranks[0].preds == sched.ranks[0].preds
-    kept = label == "ok.label-1"
-    assert (label in parsed.ranks[0]._labels) == kept
+    # Only a label that fits the grammar reads; none is written back, so the
+    # text the writer gives parses to the same graph under op0, op1.
+    text = f"rank 0 {{\n {label}: calc 1\n tail: calc 2\n tail requires {label}\n}}\n"
+    if label != "ok.label-1":
+        with pytest.raises(GoalParseError, match="^line 2: unrecognised op syntax"):
+            parse_goal(text)
+        return
+    sched = parse_goal(text)
+    written = write_goal(sched)
+    parsed = parse_goal(written)
+    assert parsed.ranks[0].ops == sched.ranks[0].ops == [Op.calc(1), Op.calc(2)]
+    assert parsed.ranks[0].preds == sched.ranks[0].preds == [[], [0]]
+    assert label not in written and "op1 requires op0" in written
+
+
+@pytest.mark.parametrize("first, second", [("a", "b"), ("ok.label-1", "Xé"), ("op1", "op0"), ("op0_", "_")])
+def test_labels_are_block_local_names(first, second):
+    text = f"rank 0 {{\n {second} requires {first}\n {first}: calc 1\n {second}: calc 2\n}}\n"
+    sched = parse_goal(text)
+    assert sched.ranks[0].ops == [Op.calc(1), Op.calc(2)] and sched.ranks[0].preds == [[], [0]]
+    assert write_goal(sched) == (
+        "num_ranks 1\n\nrank 0 {\n    op0: calc 1\n    op1: calc 2\n    op1 requires op0\n}\n"
+    )

@@ -47,8 +47,8 @@ from schedule_oracle import (
 BIG = (1 << 63, (1 << 64) - 1)
 
 
-def assert_same(columnar, oracle, labels=True):
-    assert views(columnar, labels) == views(oracle, labels)
+def assert_same(columnar, oracle):
+    assert views(columnar) == views(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,10 @@ _small = st.integers(0, 40)
 
 @st.composite
 def programs(draw, max_cpu=None, max_tag=None):
-    """Construction steps for one schedule: ops with dependencies and labels."""
+    """Construction steps for one schedule: ops with dependencies."""
     num_ranks = draw(st.integers(1, 4))
     steps, sizes = [], [0] * num_ranks
-    for i in range(draw(st.integers(0, 30))):
+    for _ in range(draw(st.integers(0, 30))):
         rank = draw(st.integers(0, num_ranks - 1))
         n = sizes[rank]
         kind = draw(st.sampled_from(list(OpType)))
@@ -72,8 +72,7 @@ def programs(draw, max_cpu=None, max_tag=None):
         cpu = draw(_values if max_cpu is None else st.integers(0, max_cpu))
         # dependencies in any order, with repeats
         deps = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
-        label = f"v{i}" if draw(st.booleans()) else None
-        steps.append((rank, (kind, draw(_values), peer, 0 if peer is None else tag, cpu, label), deps))
+        steps.append((rank, (kind, draw(_values), peer, 0 if peer is None else tag, cpu), deps))
         sizes[rank] += 1
     return num_ranks, steps
 
@@ -101,8 +100,8 @@ class TestRandomPrograms:
         num_ranks, steps = program
         by_ops, _ = build_both(program)
         by_scalars = GoalSchedule(num_ranks, "prog")
-        for rank, (kind, size, peer, tag, cpu, label), deps in steps:
-            by_scalars.ranks[rank].append_op(kind, size, peer, tag, cpu, np.array(deps, dtype=np.int64), label)
+        for rank, (kind, size, peer, tag, cpu), deps in steps:
+            by_scalars.ranks[rank].append_op(kind, size, peer, tag, cpu, np.array(deps, dtype=np.int64))
         assert_same(by_scalars, to_oracle(by_ops))
 
     @settings(max_examples=100, deadline=None)
@@ -153,10 +152,9 @@ class TestRandomPrograms:
         columnar, oracle = build_both(program)
         blob = encode_goal(columnar)
         assert blob == list_encode_goal(oracle)
-        assert_same(decode_goal(blob), oracle, labels=False)
-        assert_same(parse_goal(write_goal(columnar), name="prog"), oracle, labels=False)
-        plain = remap_ranks(columnar, {r: r for r in range(columnar.num_ranks)})  # (drops labels)
-        assert write_goal(plain) == list_write_goal(oracle)
+        assert_same(decode_goal(blob), oracle)
+        assert_same(parse_goal(write_goal(columnar), name="prog"), oracle)
+        assert write_goal(columnar) == list_write_goal(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ class TestRandomPrograms:
 class TestViews:
     def _rank(self):
         rank = RankSchedule(0)
-        a = rank.add_op(Op.calc(10, label="a"))
+        a = rank.add_op(Op.calc(10))
         b = rank.add_op(Op.send(8, dst=1, tag=3), requires=[a])
         rank.add_op(Op.recv(8, src=1, cpu=2), requires=[a, b])
         return rank
@@ -178,7 +176,6 @@ class TestViews:
         assert [rank.ops] == [expected]
         assert rank.ops[-1] == expected[-1] and rank.ops[1:] == expected[1:]
         assert expected[1] in rank.ops and rank.ops.index(expected[2]) == 2
-        assert rank.ops[0].label == "a" and rank.ops[1].label is None
         assert rank.ops[1].kind is OpType.SEND and rank.ops[0].peer is None
         with pytest.raises(IndexError):
             rank.ops[3]
@@ -190,7 +187,7 @@ class TestViews:
         assert rank.preds[-1] == [0, 1] and rank.preds[:2] == [[], [0]]
         assert len(rank.preds) == 3 and list(rank.preds) == [[], [0], [0, 1]]
 
-    @pytest.mark.parametrize("field", ["kind", "size", "peer", "tag", "cpu", "label"])
+    @pytest.mark.parametrize("field", ["kind", "size", "peer", "tag", "cpu"])
     def test_an_op_refuses_field_assignment(self, field):
         rank = self._rank()
         read = rank.ops[1]
@@ -202,15 +199,14 @@ class TestViews:
         with pytest.raises(AttributeError):
             read.size += 1
         assert read == Op.send(8, dst=1, tag=3) and rank.ops == self._rank().ops
-        assert rank.vertex_by_label("a") == 0
 
     def test_equal_ops_hash_alike_and_survive_pickling(self):
         rank = self._rank()
-        assert {rank.ops[1], Op.send(8, dst=1, tag=3, label="x")} == {Op.send(8, dst=1, tag=3)}
+        assert {rank.ops[1], Op.send(8, dst=1, tag=3)} == {Op.send(8, dst=1, tag=3)}
         assert {rank.ops[2]: "recv"}[Op.recv(8, src=1, cpu=2)] == "recv"
         for op in rank.ops:
             again = pickle.loads(pickle.dumps(op))
-            assert again == op and again.label == op.label and hash(again) == hash(op)
+            assert again == op and hash(again) == hash(op)
 
     def test_numpy_views_refuse_writes(self):
         rank = self._rank()
@@ -220,13 +216,10 @@ class TestViews:
                 view[0] = 1
             with pytest.raises(ValueError):
                 view.flags.writeable = True
-        with pytest.raises(TypeError):
-            rank.labels["b"] = 1
         rank.preds[1].append(2)  # a fresh list: changes nothing
         with pytest.raises(TypeError):
             rank.preds[1] = [0]
         assert rank.ops == self._rank().ops and rank.preds == [[], [0], [0, 1]]
-        assert dict(rank.labels) == {"a": 0}
 
     def test_raw_csr_writes_are_caught_by_the_validator(self):
         # the CSR arrays are public, so a backward edge is still checked
@@ -311,7 +304,7 @@ class TestEntryChecks:
             parse_goal(write_goal(sched), name="big"),
             remap_ranks(sched, {0: 0, 1: 1}),
         ):
-            assert_same(other, oracle, labels=False)
+            assert_same(other, oracle)
         assert sched.total_calc_ns() == value and sched.total_bytes() == value
         assert sched.ranks[0].critical_path_ns() == value
         assert sched.ranks[0].compute_streams() == [value]
@@ -323,10 +316,10 @@ class TestEntryChecks:
 
     def test_extend_checks_whole_columns(self):
         rank = RankSchedule(0)
-        rank.add_op(Op.calc(1, label="a"))
-        base = rank.extend([2, 0], [5, 6], [0, 1], [0, 9], [0, 0], [0, 0, 1], [0], {"b": 1})
+        rank.add_op(Op.calc(1))
+        base = rank.extend([2, 0], [5, 6], [0, 1], [0, 9], [0, 0], [0, 0, 1], [0])
         assert base == 1 and rank.ops == [Op.calc(1), Op.calc(5), Op.send(6, 1, tag=9)]
-        assert rank.preds == [[], [], [1]] and rank.vertex_by_label("b") == 2
+        assert rank.preds == [[], [], [1]]
         bad = [
             ([3], [1], [0], [0], [0], [0, 0], []),  # kind
             ([2], [-1], [0], [0], [0], [0, 0], []),  # negative
@@ -342,8 +335,6 @@ class TestEntryChecks:
         for columns in bad:
             with pytest.raises(ValueError):
                 rank.extend(*columns)
-        with pytest.raises(ValueError, match="duplicate label 'a'"):
-            rank.extend([2], [1], [0], [0], [0], [0, 0], [], {"a": 0})
         assert len(rank) == 3 and rank.preds == [[], [], [1]]
 
     def test_decoder_sorts_and_dedupes_foreign_dependency_lists(self):

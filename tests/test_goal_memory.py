@@ -20,7 +20,10 @@ from hypothesis import given, settings
 
 import repro.goal as goal_package
 from repro.apps.hpc import HPC_APPLICATIONS, HpcRunConfig
-from repro.goal import decode_goal, encode_goal, read_goal, write_goal, write_goal_binary, write_goal_file
+from repro.goal import (
+    GoalParseError, decode_goal, encode_goal, parse_goal, read_goal, write_goal, write_goal_binary,
+    write_goal_file,
+)
 from repro.goal import binary
 from repro.goal.binary import GoalBinaryError
 from repro.goal.ops import Op
@@ -82,6 +85,30 @@ def test_decode_holds_little_beyond_the_schedule(lulesh):
     decoded, peak, retained = _traced(lambda: decode_goal(blob))
     assert decoded.num_ops() == lulesh.num_ops()
     assert peak <= 2.5 * retained
+
+
+def test_a_parsed_schedule_keeps_only_its_columns(lulesh):
+    """Text names every vertex, but the names die with their rank block: a parsed
+    schedule keeps what a decoded one does, within the 64 bytes per op of
+    ``tests/test_goal_columnar.py::test_resident_bytes_per_op_of_the_hpcg_schedule``."""
+    text = write_goal(lulesh)
+    parsed, _, retained = _traced(lambda: parse_goal(text))
+    assert parsed.num_ops() == lulesh.num_ops()
+    assert retained / parsed.num_ops() <= 64
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [("num_ranks 1000000000\nrank 0 { a: calc 1 }", 1), ("rank 999999999 { a: calc 1 }", 0)],
+    ids=["declared", "inferred"],
+)
+def test_ranks_the_text_lacks_are_refused_before_any_is_allocated(text, missing):
+    def parse():
+        with pytest.raises(GoalParseError, match=f"no block for rank {missing} \\(num_ranks is 1000000000\\)"):
+            parse_goal(text)
+
+    _, peak, _ = _traced(parse)
+    assert peak < MB
 
 
 def test_write_holds_little_beyond_the_text(lulesh):

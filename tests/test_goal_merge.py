@@ -84,8 +84,8 @@ class TestConcatenate:
 
     def test_tags_kept_disjoint_across_jobs(self):
         merged = concatenate_schedules([_pingpong("a"), _pingpong("b")])
-        tags_job0 = {op.tag for op in merged.ranks[0].ops if op.is_comm}
-        tags_job1 = {op.tag for op in merged.ranks[2].ops if op.is_comm}
+        tags_job0 = {op.tag for op in merged.ranks[0].ops if not op.is_calc}
+        tags_job1 = {op.tag for op in merged.ranks[2].ops if not op.is_calc}
         assert tags_job0.isdisjoint(tags_job1)
 
     def test_empty_input_rejected(self):
@@ -233,7 +233,7 @@ class TestMergeDeterminism:
     def test_job_order_defines_tag_windows(self):
         merged = concatenate_schedules(self._jobs())
         for job_idx, base_rank in enumerate((0, 2, 4)):
-            tags = {op.tag for op in merged.ranks[base_rank].ops if op.is_comm}
+            tags = {op.tag for op in merged.ranks[base_rank].ops if not op.is_calc}
             assert tags == {job_idx * TAG_STRIDE + 1, job_idx * TAG_STRIDE + 2}
 
     @staticmethod

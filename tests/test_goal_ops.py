@@ -1,18 +1,17 @@
 """Unit tests for the GOAL op (vertex) type."""
 import pytest
 
-from repro.goal import Op, OpType
+from repro.goal import Op, OpType, parse_goal
 
 
 class TestConstruction:
     def test_send_constructor(self):
-        op = Op.send(1024, dst=3, tag=7, cpu=1, label="s")
+        op = Op.send(1024, dst=3, tag=7, cpu=1)
         assert op.kind == OpType.SEND
         assert op.size == 1024
         assert op.peer == 3
         assert op.tag == 7
         assert op.cpu == 1
-        assert op.label == "s"
 
     def test_recv_constructor(self):
         op = Op.recv(64, src=0)
@@ -26,8 +25,10 @@ class TestConstruction:
         assert op.peer is None
 
     def test_dummy_is_zero_cost_calc(self):
-        op = Op.dummy()
-        assert op.is_calc and op.is_dummy and op.size == 0
+        # a dummy vertex (a join point) is a calc of size 0
+        op = Op.calc(0)
+        assert op.is_calc and op.size == 0 and op.peer is None
+        assert op == Op(OpType.CALC, 0)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -56,9 +57,10 @@ class TestConstruction:
 
 class TestPredicates:
     def test_comm_predicates(self):
-        assert Op.send(1, dst=0).is_comm
-        assert Op.recv(1, src=0).is_comm
-        assert not Op.calc(1).is_comm
+        send, recv, calc = Op.send(1, dst=0), Op.recv(1, src=0), Op.calc(1)
+        assert not send.is_recv and not send.is_calc
+        assert not recv.is_send and not recv.is_calc
+        assert not calc.is_send and not calc.is_recv
 
     def test_is_send_recv_calc(self):
         assert Op.send(1, dst=0).is_send
@@ -66,7 +68,8 @@ class TestPredicates:
         assert Op.calc(1).is_calc
 
     def test_nonzero_calc_is_not_dummy(self):
-        assert not Op.calc(5).is_dummy
+        op = Op.calc(5)
+        assert op.size == 5 and op != Op.calc(0)
 
     def test_short_names(self):
         assert OpType.SEND.short() == "send"
@@ -76,7 +79,12 @@ class TestPredicates:
 
 class TestEqualityAndCopy:
     def test_equality_ignores_label(self):
-        assert Op.send(8, dst=1, tag=2, label="a") == Op.send(8, dst=1, tag=2, label="b")
+        # a label names a vertex only inside its text block; the op has none
+        def first(label):
+            text = f"rank 0 {{\n {label}: send 8b to 1 tag 2\n}}\nrank 1 {{\n}}\n"
+            return parse_goal(text).ranks[0].ops[0]
+
+        assert first("a") == first("b") == Op.send(8, dst=1, tag=2)
 
     def test_inequality_on_size(self):
         assert Op.calc(1) != Op.calc(2)
@@ -86,7 +94,7 @@ class TestEqualityAndCopy:
         assert hash(a) == hash(b)
 
     def test_fields_are_read_only(self):
-        op = Op.send(10, dst=1, tag=3, cpu=2, label="x")
+        op = Op.send(10, dst=1, tag=3, cpu=2)
         with pytest.raises(AttributeError, match="immutable"):
             op.peer = 5
         assert op.peer == 1 and op == Op.send(10, dst=1, tag=3, cpu=2)

@@ -1,7 +1,7 @@
 """Randomized round-trip property tests for the GOAL codecs.
 
 A seeded RNG generates random schedules — random op mixes, sizes, tags,
-compute streams, labels and backward dependency edges — and asserts the
+compute streams and backward dependency edges — and asserts the
 parse/write and encode/decode *fixpoints*:
 
 * text:   ``parse(write(s))`` is structurally equal to ``s``, and
@@ -10,10 +10,8 @@ parse/write and encode/decode *fixpoints*:
   ``encode(decode(encode(s)))`` is byte-identical to ``encode(s)``,
 * cross:  text and binary round trips agree with each other.
 
-Labels are a debugging aid of the textual format (binary drops them; the
-writer regenerates them), so structural equality compares op fields
-(kind/size/peer/tag/cpu — exactly ``Op.__eq__``) and dependency lists, not
-labels.  Deliberate edge cases ride along: label-heavy ranks, dense
+Structural equality compares op fields (kind/size/peer/tag/cpu — exactly
+``Op.__eq__``) and dependency lists.  Deliberate edge cases ride along: dense
 dependency chains, comment/whitespace injection, and empty ranks.
 """
 import random
@@ -32,7 +30,7 @@ from repro.goal import (
 NUM_RANDOM_SCHEDULES = 30
 
 
-def _random_schedule(rng: random.Random, with_labels: bool = True) -> GoalSchedule:
+def _random_schedule(rng: random.Random) -> GoalSchedule:
     """One random GOAL schedule (not necessarily send/recv matched)."""
     num_ranks = rng.randint(1, 5)
     sched = GoalSchedule(num_ranks, name=f"prop-{rng.randrange(1 << 16)}")
@@ -40,20 +38,16 @@ def _random_schedule(rng: random.Random, with_labels: bool = True) -> GoalSchedu
         for idx in range(rng.randint(0, 12)):
             kind = rng.choice(("send", "recv", "calc"))
             cpu = rng.choice((0, 0, 0, 1, 2, 7))
-            label = None
-            if with_labels and rng.random() < 0.5:
-                # exercise the label alphabet: letters, digits, _ . -
-                label = rng.choice(("l", "op_", "a.b-", "x")) + str(idx)
             if kind == "calc":
-                op = Op.calc(rng.randrange(0, 1 << 20), cpu=cpu, label=label)
+                op = Op.calc(rng.randrange(0, 1 << 20), cpu=cpu)
             else:
                 peer = rng.randrange(num_ranks)
                 size = rng.randrange(1, 1 << 22)
                 tag = rng.choice((0, 0, rng.randrange(1, 1 << 16)))
                 if kind == "send":
-                    op = Op.send(size, dst=peer, tag=tag, cpu=cpu, label=label)
+                    op = Op.send(size, dst=peer, tag=tag, cpu=cpu)
                 else:
-                    op = Op.recv(size, src=peer, tag=tag, cpu=cpu, label=label)
+                    op = Op.recv(size, src=peer, tag=tag, cpu=cpu)
             # random backward dependencies (0..3 distinct earlier vertices)
             deps = rng.sample(range(idx), k=min(idx, rng.randint(0, 3)))
             rank.add_op(op, deps)
@@ -63,7 +57,7 @@ def _random_schedule(rng: random.Random, with_labels: bool = True) -> GoalSchedu
 def _assert_structurally_equal(a: GoalSchedule, b: GoalSchedule) -> None:
     assert a.num_ranks == b.num_ranks
     for rank_a, rank_b in zip(a.ranks, b.ranks):
-        assert rank_a.ops == rank_b.ops  # Op.__eq__ ignores labels
+        assert rank_a.ops == rank_b.ops
         assert rank_a.preds == rank_b.preds
 
 
@@ -125,15 +119,6 @@ def test_dependency_edges_survive_roundtrip(seed):
         rank.add_op(Op.calc(idx), rng.sample(range(idx), k=k))
     _assert_structurally_equal(sched, parse_goal(write_goal(sched)))
     _assert_structurally_equal(sched, decode_goal(encode_goal(sched)))
-
-
-def test_labels_preserved_when_unique():
-    sched = GoalSchedule(1, name="labelled")
-    sched.ranks[0].add_op(Op.calc(5, label="first"))
-    sched.ranks[0].add_op(Op.calc(7, label="second"), [0])
-    parsed = parse_goal(write_goal(sched))
-    assert parsed.ranks[0].vertex_by_label("first") == 0
-    assert parsed.ranks[0].vertex_by_label("second") == 1
 
 
 def test_empty_ranks_roundtrip():

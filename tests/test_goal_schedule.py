@@ -1,7 +1,7 @@
 """Unit tests for RankSchedule / GoalSchedule."""
 import pytest
 
-from repro.goal import GoalSchedule, Op
+from repro.goal import GoalParseError, GoalSchedule, Op, parse_goal
 from repro.goal.schedule import RankSchedule
 
 
@@ -25,17 +25,11 @@ class TestRankSchedule:
         assert len(rank) == 1 and rank.preds == [[]]
 
     def test_duplicate_label_rejected(self):
-        rank = RankSchedule(0)
-        rank.add_op(Op.calc(1, label="a"))
-        with pytest.raises(ValueError):
-            rank.add_op(Op.calc(2, label="a"))
-
-    def test_vertex_by_label(self):
-        rank = RankSchedule(0)
-        rank.add_op(Op.calc(1, label="x"))
-        assert rank.vertex_by_label("x") == 0
-        with pytest.raises(KeyError):
-            rank.vertex_by_label("missing")
+        # labels live in a text block, which refuses to name two vertices alike
+        with pytest.raises(GoalParseError, match="duplicate label 'a' in rank 0"):
+            parse_goal("rank 0 {\n a: calc 1\n a: calc 2\n}")
+        rank = parse_goal("rank 0 {\n a: calc 1\n}\nrank 1 {\n a: calc 2\n}").ranks
+        assert rank[0].ops == [Op.calc(1)] and rank[1].ops == [Op.calc(2)]
 
     def test_successors_and_in_degrees(self):
         rank = RankSchedule(0)

@@ -35,23 +35,21 @@ class TestParser:
 
     def test_parse_dependencies(self):
         sched = parse_goal(EXAMPLE)
-        r0 = sched.ranks[0]
-        l4 = r0.vertex_by_label("l4")
-        assert sorted(r0.preds[l4]) == [r0.vertex_by_label("l2"), r0.vertex_by_label("l3")]
+        # l1 .. l4 are vertices 0 .. 3, in the order the block defines them
+        assert sched.ranks[0].preds == [[], [0], [0], [1, 2]]
 
     def test_parse_cpu_assignment(self):
         sched = parse_goal(EXAMPLE)
-        r0 = sched.ranks[0]
-        assert r0.ops[r0.vertex_by_label("l3")].cpu == 1
+        assert [op.cpu for op in sched.ranks[0].ops] == [0, 0, 1, 0]
 
     def test_parse_send_fields(self):
         sched = parse_goal(EXAMPLE)
-        op = sched.ranks[0].ops[sched.ranks[0].vertex_by_label("l4")]
+        op = sched.ranks[0].ops[3]
         assert op.kind == OpType.SEND and op.size == 10 and op.peer == 1 and op.tag == 5
 
     def test_num_ranks_inferred_when_missing(self):
-        sched = parse_goal("rank 0 { a: calc 1 }\nrank 2 { b: calc 1 }")
-        assert sched.num_ranks == 3
+        sched = parse_goal("rank 0 { a: calc 1 }\nrank 2 { b: calc 1 }\nrank 1 { }")
+        assert sched.num_ranks == 3 and [len(rank) for rank in sched.ranks] == [1, 0, 1]
 
     def test_comments_and_blank_lines_ignored(self):
         text = "num_ranks 1\n\n// comment\nrank 0 {\n  # inline\n  a: calc 1 // trailing\n}\n"

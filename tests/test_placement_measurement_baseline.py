@@ -157,14 +157,14 @@ class TestMeasurement:
 
     def test_reference_measurement_leaves_its_input_unchanged(self):
         b = GoalBuilder(2, name="scaled")
-        c = b.rank(0).calc(5000, label="work")
+        c = b.rank(0).calc(5000)
         b.rank(0).send(1 << 12, dst=1, tag=1, requires=[c])
         b.rank(1).recv(1 << 12, src=0, tag=1)
         sched = b.build()
         before = encode_goal(sched)
         cfg = SimulationConfig(topology="single_switch")
         measured = measure_reference_runtime(sched, base_config=cfg, trials=3, compute_jitter=0.5, seed=1)
-        assert encode_goal(sched) == before and dict(sched.ranks[0].labels) == {"work": 0}
+        assert encode_goal(sched) == before
         # the jitter did reach the calcs, on new schedules
         assert len(set(measured.trial_runtimes_ns)) == 3
 
