@@ -61,7 +61,7 @@ def test_cotenancy_interference(benchmark):
         (
             e.strategy,
             e.job,
-            f"{e.runtime_ms:.3f} ms",
+            f"{e.runtime_ns / 1e6:.3f} ms",
             f"{e.slowdown:.2f}x",
             e.contended_link_count,
         )

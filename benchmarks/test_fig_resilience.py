@@ -113,7 +113,7 @@ def test_fig_resilience_random_rate_sweep():
         "Random-cable failure-rate sweep (nested draws, seed 1)",
         ["rate", "failed links", "runtime", "slowdown"],
         [
-            (e.failure_rate, e.failed_links, f"{e.finish_time_ms:.3f} ms", f"{e.slowdown:.3f}x")
+            (e.failure_rate, e.failed_links, f"{e.finish_time_ns / 1e6:.3f} ms", f"{e.slowdown:.3f}x")
             for e in entries
         ],
     )

@@ -46,7 +46,7 @@ def test_topology_routing_sweep(benchmark):
         (
             e.topology,
             e.routing,
-            f"{e.finish_time_ms:.2f} ms",
+            f"{e.finish_time_ns / 1e6:.2f} ms",
             e.packets_dropped,
             e.packets_ecn_marked,
             f"{e.max_queue_bytes >> 10} KiB",

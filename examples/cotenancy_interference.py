@@ -68,7 +68,7 @@ def main() -> None:
     for e in entries:
         vs_packed = e.runtime_ns / packed_runtime[e.job]
         print(
-            f"{e.strategy:<14} {e.job:<8} {e.runtime_ms:>13.2f} "
+            f"{e.strategy:<14} {e.job:<8} {e.runtime_ns / 1e6:>13.2f} "
             f"{e.slowdown:>8.2f}x {vs_packed:>9.2f}x {e.contended_link_count:>16d}"
         )
 

@@ -45,7 +45,7 @@ def main() -> None:
     for e in entries:
         print(
             f"{e.routing:<10} {e.failure_rate:>12.3f} {e.failed_links:>13d} "
-            f"{e.finish_time_ms:>13.3f} {e.slowdown:>8.3f}x"
+            f"{e.finish_time_ns / 1e6:>13.3f} {e.slowdown:>8.3f}x"
         )
 
     # 2. link flap: a core uplink goes down mid-run, comes back 100 us later

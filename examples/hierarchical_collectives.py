@@ -47,14 +47,14 @@ def main() -> None:
         marker = " <- auto" if e.algorithm == "auto" else ""
         print(
             f"{e.topology:14s} {e.size:>10d} {e.resolved:>28s} "
-            f"{e.finish_time_us:>8.1f}us   {e.autotuner_pick}{marker}"
+            f"{e.finish_time_ns / 1e3:>8.1f}us   {e.autotuner_pick}{marker}"
         )
     print("\nmeasured winners:")
     for (topo, size), e in sorted(winners.items()):
         agree = "agrees" if e.autotuner_pick == e.resolved else "disagrees"
         print(
             f"  {topo:14s} {size:>10d}B -> {e.resolved} "
-            f"({e.finish_time_us:.1f}us; autotuner {agree})"
+            f"({e.finish_time_ns / 1e3:.1f}us; autotuner {agree})"
         )
 
 

@@ -50,7 +50,7 @@ def main() -> None:
     print("-" * len(header))
     for e in entries:
         print(
-            f"{e.topology:<11} {e.routing:<9} {e.finish_time_ms:>8.2f}ms "
+            f"{e.topology:<11} {e.routing:<9} {e.finish_time_ns / 1e6:>8.2f}ms "
             f"{e.packets_dropped:>6d} {e.packets_ecn_marked:>10d}"
         )
 

@@ -520,9 +520,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         "fail_time_ns": args.fail_time_ns,
         "cells": [
             {
+                **_pick(e, "routing", "control_plane", "failure_rate", "failed_links"),
+                "finish_time_ms": e.finish_time_ns / 1e6,
                 **_pick(
-                    e, "routing", "control_plane", "failure_rate", "failed_links",
-                    "finish_time_ms", "slowdown", "packets_rerouted", "packets_lost_to_faults",
+                    e, "slowdown", "packets_rerouted", "packets_lost_to_faults",
                     "packets_blackholed", "time_to_recover_ns",
                 ),
                 "packet_drops": e.packets_dropped,
@@ -685,7 +686,7 @@ def _cmd_collectives(args: argparse.Namespace) -> int:
         "cells": [
             {
                 **_pick(e, "topology", "algorithm", "resolved", "size"),
-                "finish_time_us": round(e.finish_time_us, 1),
+                "finish_time_us": round(e.finish_time_ns / 1e3, 1),
                 "autotuner_pick": e.autotuner_pick,
                 "messages": e.messages_delivered,
             }
@@ -696,7 +697,7 @@ def _cmd_collectives(args: argparse.Namespace) -> int:
                 "topology": topo,
                 "size": size,
                 "algorithm": best.resolved,
-                "finish_time_us": round(best.finish_time_us, 1),
+                "finish_time_us": round(best.finish_time_ns / 1e3, 1),
                 "autotuner_pick": best.autotuner_pick,
             }
             for (topo, size), best in sorted(winners.items())
@@ -996,10 +997,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WorkerError) as exc:
+    except (ValueError, WorkerError, MemoryError) as exc:
         # the one error boundary: a value the library rejects (it names the
-        # field or value) or a dead --shards / --parallel worker is one line
-        raise SystemExit(f"atlahs {args.command}: {exc}") from None
+        # field or value), a dead --shards / --parallel worker or a run this
+        # host has no memory for is one line
+        raise SystemExit(f"atlahs {args.command}: {str(exc) or type(exc).__name__}") from None
 
 
 if __name__ == "__main__":

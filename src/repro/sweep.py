@@ -1,10 +1,16 @@
 """Sweep APIs: topology x routing, collectives, co-tenancy and resilience grids.
 
+Every sweep returns one :class:`SweepRecord` per cell (per job, for the
+co-tenancy grid): the cell's coordinates (``key``), what its run simulated
+(``digest``, :meth:`~repro.network.backend.SimulationResult.digest`) and
+what the sweep derived from the run (``values``).  ``record.name`` reads
+the three in that order.  Host time is never in a record; a single run's
+is ``result.wall_clock_s``.
+
 :func:`topology_routing_sweep` runs one GOAL schedule across a grid of
-topologies and routing strategies and collects runtime plus congestion
-signals for each combination — the programmatic form of the paper's "same
-workload, different interconnect" experiments, extended over the pluggable
-routing subsystem.
+topologies and routing strategies — the programmatic form of the paper's
+"same workload, different interconnect" experiments, extended over the
+pluggable routing subsystem.
 
 :func:`interference_sweep` runs a *set of concurrent jobs* across a grid of
 placement strategies and topology configurations through the co-tenancy
@@ -14,11 +20,11 @@ paper's Fig. 13 placement case study.
 
 :func:`resilience_sweep` runs one schedule across a workload x topology x
 link-failure-rate grid (see :mod:`repro.network.faults`) and reports each
-cell's runtime plus its slowdown against the healthy cell of the same
-(topology, routing) — the degradation curves behind
-``benchmarks/test_fig_resilience.py`` and ``atlahs faults``.  Random
-failure draws are nested across rates for a fixed seed, so the curves are
-monotone in the failed set, not just in expectation.
+cell's slowdown against the healthy cell of the same (topology, routing) —
+the degradation curves behind ``benchmarks/test_fig_resilience.py`` and
+``atlahs faults``.  Random failure draws are nested across rates for a
+fixed seed, so the curves are monotone in the failed set, not just in
+expectation.
 
 :func:`inference_sweep` runs the inference-serving workload family
 (:mod:`repro.apps.inference`) across an offered-load grid and reports each
@@ -40,11 +46,11 @@ Typical use::
     from repro.sweep import default_topology_configs, topology_routing_sweep
 
     configs = default_topology_configs(schedule.num_ranks)
-    entries = topology_routing_sweep(schedule, configs,
+    records = topology_routing_sweep(schedule, configs,
                                      routings=("minimal", "valiant", "adaptive"),
                                      backend="htsim", parallel=4)
-    for e in entries:
-        print(e.topology, e.routing, e.finish_time_ns, e.packets_dropped)
+    for r in records:
+        print(r.topology, r.routing, r.finish_time_ns / 1e6, r.packets_dropped)
 
 Parallel execution
 ------------------
@@ -53,9 +59,10 @@ Parallel execution
 the cell list once and are handed cell indices.  Results are *identical*
 to the serial engine: every cell's configuration — including its seed —
 is derived deterministically before any worker starts, each simulation
-owns its private RNG seeded only from that configuration, and entries are
+owns its private RNG seeded only from that configuration, and records are
 returned in grid order regardless of which worker finished first.
-``tests/differential.py``'s ``sweep/*`` rows assert the parallel/serial equality.
+``tests/differential.py``'s ``sweep/*`` rows assert the parallel/serial
+equality of whole records for all five sweeps.
 Failures are loud, never a serial rerun: a cell's exception keeps its
 type, a dead worker is one :class:`~repro.workers.WorkerError` naming its
 cell, and where processes cannot start the error says ``parallel=None``.
@@ -70,7 +77,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import workers
 from repro.goal.schedule import GoalSchedule
@@ -79,22 +86,30 @@ from repro.scheduler import simulate
 
 
 @dataclass(frozen=True)
-class SweepEntry:
-    """Result of one (topology, routing, backend) cell of a sweep."""
+class SweepRecord:
+    """One cell of a sweep (one job of a co-tenancy cell), read by name.
 
-    topology: str
-    routing: str
-    backend: str
-    finish_time_ns: int
-    wall_clock_s: float
-    messages_delivered: int
-    packets_dropped: int
-    packets_ecn_marked: int
-    max_queue_bytes: int
+    ``key`` holds the cell's coordinates (``topology``, ``routing``,
+    ``backend``, ``strategy``, ``job``, ``size``, ...), ``digest`` the run's
+    :meth:`~repro.network.backend.SimulationResult.digest`, and ``values``
+    what the sweep derived from the run (``slowdown``, ``autotuner_pick``,
+    the serving metrics, ...).  ``record.name`` looks in ``key``, then
+    ``values``, then ``digest``, so a job's own ``finish_time_ns`` shadows
+    its co-tenant run's.
+    """
 
-    @property
-    def finish_time_ms(self) -> float:
-        return self.finish_time_ns / 1e6
+    key: Dict[str, Any]
+    digest: Dict[str, Any]
+    values: Dict[str, Any]
+
+    def __getattr__(self, name: str):
+        # only reached for names that are not attributes; dunders and the
+        # fields themselves (absent while unpickling) must not recurse
+        if not name.startswith("__") and name not in ("key", "digest", "values"):
+            for part in (self.key, self.values, self.digest):
+                if name in part:
+                    return part[name]
+        raise AttributeError(f"{type(self).__name__} has no {name!r}")
 
 
 def default_topology_configs(
@@ -176,21 +191,11 @@ def _cell_at(state, k: int):
     return fn(cells[k])
 
 
-def _entry(cls, result, **given):
-    """A ``cls`` record: ``given`` fields, every other one read by name from
-    the :class:`~repro.network.backend.SimulationResult` or its ``stats``."""
-    for f in dataclasses.fields(cls):
-        if f.name not in given:
-            source = result if hasattr(result, f.name) else result.stats
-            given[f.name] = getattr(source, f.name)
-    return cls(**given)
-
-
-def _run_cell(args: Tuple[GoalSchedule, str, str, SimulationConfig, str]) -> SweepEntry:
-    """Simulate one sweep cell (module-level so worker processes can pickle it)."""
-    schedule, label, routing, config, backend = args
-    result = simulate(schedule, backend=backend, config=config)
-    return _entry(SweepEntry, result, topology=label, routing=routing)
+def _run_cell(cell: Dict) -> SweepRecord:
+    """Simulate ``cell["schedule"]`` on ``cell["config"]`` (module-level so
+    worker processes can pickle it)."""
+    result = simulate(cell["schedule"], backend=cell["key"]["backend"], config=cell["config"])
+    return SweepRecord(cell["key"], result.digest(), cell["values"])
 
 
 def topology_routing_sweep(
@@ -199,8 +204,12 @@ def topology_routing_sweep(
     routings: Sequence[str] = ("minimal", "valiant", "adaptive"),
     backend: str = "htsim",
     parallel: Optional[int] = None,
-) -> List[SweepEntry]:
+) -> List[SweepRecord]:
     """Simulate ``schedule`` for every (topology config) x (routing) cell.
+
+    Records are keyed by ``topology``, ``routing`` and ``backend``; the
+    congestion signals (``packets_dropped``, ``max_queue_bytes``, ...) are
+    the digest's.
 
     Parameters
     ----------
@@ -208,8 +217,8 @@ def topology_routing_sweep(
         The GOAL program to replay in every cell.
     configs:
         Mapping of topology label to the :class:`SimulationConfig` to use
-        (see :func:`default_topology_configs`); the label is echoed into
-        :attr:`SweepEntry.topology`.
+        (see :func:`default_topology_configs`); the label is the record's
+        ``topology``.
     routings:
         Routing strategy names to apply to each config.
     backend:
@@ -223,56 +232,16 @@ def topology_routing_sweep(
         Number of worker processes; ``None``, ``0`` or ``1`` runs serially
         in-process, a negative count raises :class:`ValueError`.  Cells are
         independent simulations with per-cell seeds fixed up front, so the
-        parallel engine returns entries identical to the serial one, in the
+        parallel engine returns records identical to the serial one, in the
         same grid order.
     """
     cells = [
-        (schedule, label, routing, config.replace(routing=routing), backend)
+        {"key": {"topology": label, "routing": routing, "backend": backend}, "schedule": schedule,
+         "config": config.replace(routing=routing), "values": {}}
         for label, config in configs.items()
         for routing in routings
     ]
     return _execute_cells(_run_cell, cells, parallel)
-
-
-@dataclass(frozen=True)
-class CollectiveSweepEntry:
-    """Result of one (topology, algorithm, size) cell of a collective sweep.
-
-    Attributes
-    ----------
-    topology / collective / size / num_ranks / backend:
-        The cell's coordinates (``size`` in bytes — the collective's total
-        buffer, or bytes per pair for ``alltoall``).
-    algorithm:
-        The algorithm as requested (possibly ``"auto"``).
-    resolved:
-        The algorithm that actually ran (``algorithm`` unless ``"auto"``).
-    autotuner_pick:
-        What :func:`repro.collectives.select_algorithm` chooses for this
-        cell's (size, topology, groups) — lets reports show where the
-        autotuner agrees with the measured winner.
-    finish_time_ns / wall_clock_s / messages_delivered / bytes_delivered:
-        Simulation outcome of the cell (simulated ns, host seconds,
-        delivered message count and payload bytes).
-    """
-
-    topology: str
-    collective: str
-    algorithm: str
-    resolved: str
-    autotuner_pick: str
-    size: int
-    num_ranks: int
-    backend: str
-    finish_time_ns: int
-    wall_clock_s: float
-    messages_delivered: int
-    bytes_delivered: int
-
-    @property
-    def finish_time_us(self) -> float:
-        """Finish time in microseconds."""
-        return self.finish_time_ns / 1e3
 
 
 def _autotuner_pick(collective: str, config: SimulationConfig, size: int, num_ranks: int):
@@ -290,23 +259,19 @@ def _autotuner_pick(collective: str, config: SimulationConfig, size: int, num_ra
     return choice.name, groups
 
 
-def _run_collective_cell(args) -> CollectiveSweepEntry:
-    """Simulate one collective cell (module-level so workers can pickle it)."""
+def _run_collective_cell(cell: Dict) -> SweepRecord:
+    """Build and simulate one collective cell (module-level so workers can pickle it)."""
     from repro.collectives import build_collective_schedule
 
-    collective, algorithm, label, config, size, num_ranks, backend = args
-    pick, groups = _autotuner_pick(collective, config, size, num_ranks)
-    resolved = pick if algorithm == "auto" else algorithm
+    key, config = cell["key"], cell["config"]
+    collective, algorithm, size = key["collective"], key["algorithm"], key["size"]
+    pick, groups = _autotuner_pick(collective, config, size, key["num_ranks"])
     schedule = build_collective_schedule(
-        collective, resolved, num_ranks, size, groups=groups,
-        name=f"{collective}-{resolved}-{label}-{size}",
+        collective, algorithm, key["num_ranks"], size, groups=groups,
+        name=f"{collective}-{algorithm}-{key['topology']}-{size}",
     )
-    result = simulate(schedule, backend=backend, config=config)
-    return _entry(
-        CollectiveSweepEntry, result, topology=label, collective=collective,
-        algorithm=algorithm, resolved=resolved, autotuner_pick=pick, size=size,
-        num_ranks=num_ranks,
-    )
+    result = simulate(schedule, backend=key["backend"], config=config)
+    return SweepRecord(key, result.digest(), {"resolved": algorithm, "autotuner_pick": pick})
 
 
 def collective_sweep(
@@ -317,13 +282,18 @@ def collective_sweep(
     collective: str = "allreduce",
     backend: str = "htsim",
     parallel: Optional[int] = None,
-) -> List[CollectiveSweepEntry]:
+) -> List[SweepRecord]:
     """Simulate ``collective`` for every (topology, algorithm, size) cell.
 
     Every cell emits a standalone schedule of the collective via
     :func:`repro.collectives.build_collective_schedule` — hierarchical
     algorithms use the topology's locality groups under the packed
     placement (rank ``r`` on host ``r``) — and simulates it on ``backend``.
+    Records are keyed by ``topology``, ``collective``, ``algorithm`` (as
+    requested, possibly ``"auto"``), ``size`` (bytes), ``num_ranks`` and
+    ``backend``; their values are ``resolved`` (the algorithm that ran) and
+    ``autotuner_pick`` (what :func:`repro.collectives.select_algorithm`
+    chooses for the cell).
 
     Parameters
     ----------
@@ -359,107 +329,45 @@ def collective_sweep(
     # auto cell that lands on an algorithm already in the grid reuses that
     # cell's simulation instead of re-running an identical schedule
     grid = []  # (requested algorithm, unique-cell key) in grid order
-    unique: Dict[Tuple[str, str, int], Tuple] = {}
+    unique: Dict[tuple, Dict] = {}
     for label, config in configs.items():
         for algorithm in algorithms:
-            for size in sizes:
-                size = int(size)
-                resolved = (
-                    _autotuner_pick(collective, config, size, num_ranks)[0]
-                    if algorithm == "auto"
-                    else algorithm
-                )
-                key = (label, resolved, size)
-                grid.append((algorithm, key))
-                unique.setdefault(
-                    key,
-                    (collective, resolved, label, config, size, num_ranks, backend),
-                )
-    results = _execute_cells(_run_collective_cell, list(unique.values()), parallel)
-    by_key = dict(zip(unique.keys(), results))
+            for size in map(int, sizes):
+                auto = algorithm == "auto"
+                resolved = _autotuner_pick(collective, config, size, num_ranks)[0] if auto else algorithm
+                grid.append((algorithm, (label, resolved, size)))
+                unique.setdefault((label, resolved, size), {
+                    "key": dict(topology=label, collective=collective, algorithm=resolved,
+                                size=size, num_ranks=num_ranks, backend=backend),
+                    "config": config,
+                })
+    records = dict(zip(unique, _execute_cells(_run_collective_cell, list(unique.values()), parallel)))
     return [
-        dataclasses.replace(by_key[key], algorithm=algorithm)
-        for algorithm, key in grid
+        dataclasses.replace(records[cell], key={**records[cell].key, "algorithm": algorithm})
+        for algorithm, cell in grid
     ]
 
 
-@dataclass(frozen=True)
-class InferenceSweepEntry:
-    """Serving metrics of one (topology, offered-rate) inference cell."""
-
-    topology: str
-    backend: str
-    process: str
-    rate_rps: float
-    offered_rps: float
-    requests: int
-    good_requests: int
-    throughput_rps: float
-    goodput_rps: float
-    ttft_p50_ns: float
-    ttft_p99_ns: float
-    ttft_p999_ns: float
-    tpot_p50_ns: float
-    tpot_p99_ns: float
-    mean_batch: float
-    finish_time_ns: int
-    wall_clock_s: float
-
-    @property
-    def ttft_p999_ms(self) -> float:
-        return self.ttft_p999_ns / 1e6
-
-
-def _run_inference_cell(args) -> InferenceSweepEntry:
+def _run_inference_cell(cell: Dict) -> SweepRecord:
     """Simulate one inference cell (module-level so workers can pickle it)."""
     from repro.apps.inference import build_inference_workload
     from repro.measurement.serving import compute_serving_metrics
 
-    (
-        label,
-        config,
-        backend,
-        num_requests,
-        rate,
-        process,
-        tenants,
-        cluster,
-        seed,
-        slo,
-        process_kwargs,
-    ) = args
-    plan = build_inference_workload(
-        num_requests=num_requests,
-        rate_rps=rate,
-        process=process,
-        tenants=tenants,
-        cluster=cluster,
-        seed=seed,
-        **process_kwargs,
-    )
+    key = cell["key"]
+    plan = build_inference_workload(rate_rps=key["rate_rps"], process=key["process"], **cell["workload"])
     result = simulate(
-        plan.schedule, backend=backend, config=config, op_groups=plan.op_groups
+        plan.schedule, backend=key["backend"], config=cell["config"], op_groups=plan.op_groups
     )
-    metrics = compute_serving_metrics(plan, result, slo=slo)
-    return InferenceSweepEntry(
-        topology=label,
-        backend=result.backend,
-        process=process,
-        rate_rps=rate,
-        offered_rps=metrics.offered_rps,
-        requests=metrics.num_requests,
-        good_requests=metrics.good_requests,
-        throughput_rps=metrics.throughput_rps,
-        goodput_rps=metrics.goodput_rps,
-        ttft_p50_ns=metrics.ttft_percentiles_ns["p50"],
-        ttft_p99_ns=metrics.ttft_percentiles_ns["p99"],
-        ttft_p999_ns=metrics.ttft_percentiles_ns["p999"],
-        tpot_p50_ns=metrics.tpot_percentiles_ns["p50"],
-        tpot_p99_ns=metrics.tpot_percentiles_ns["p99"],
-        mean_batch=metrics.batch_occupancy["mean_batch"],
-        finish_time_ns=result.finish_time_ns,
-        wall_clock_s=result.wall_clock_s,
-    )
+    metrics = compute_serving_metrics(plan, result, slo=cell["slo"])
+    ttft, tpot = metrics.ttft_percentiles_ns, metrics.tpot_percentiles_ns
+    return SweepRecord(key, result.digest(), {
+        "offered_rps": metrics.offered_rps, "requests": metrics.num_requests,
+        "good_requests": metrics.good_requests, "throughput_rps": metrics.throughput_rps,
+        "goodput_rps": metrics.goodput_rps,
+        "ttft_p50_ns": ttft["p50"], "ttft_p99_ns": ttft["p99"], "ttft_p999_ns": ttft["p999"],
+        "tpot_p50_ns": tpot["p50"], "tpot_p99_ns": tpot["p99"],
+        "mean_batch": metrics.batch_occupancy["mean_batch"],
+    })
 
 
 def inference_sweep(
@@ -474,15 +382,19 @@ def inference_sweep(
     slo=None,
     parallel: Optional[int] = None,
     **process_kwargs,
-) -> List[InferenceSweepEntry]:
+) -> List[SweepRecord]:
     """Run the serving workload across a (topology config) x offered-rate grid.
 
     Every cell generates an open-loop serving workload at one offered rate
     via :func:`repro.apps.inference.build_inference_workload` (with a fixed
     ``seed``, so the *same request population* arrives faster or slower as
     the rate changes), simulates it with per-request op groups, and folds
-    the group finish times into an :class:`InferenceSweepEntry` through
-    :func:`repro.measurement.serving.compute_serving_metrics`.
+    the group finish times into the record's values through
+    :func:`repro.measurement.serving.compute_serving_metrics`: ``offered_rps``,
+    ``requests``, ``good_requests``, ``throughput_rps``, ``goodput_rps``,
+    ``ttft_p{50,99,999}_ns``, ``tpot_p{50,99}_ns`` and ``mean_batch``.
+    Records are keyed by ``topology``, ``backend``, ``process`` and
+    ``rate_rps``.
 
     Parameters
     ----------
@@ -505,94 +417,16 @@ def inference_sweep(
         raise ValueError("need at least one offered rate")
     if configs is None:
         configs = {"fat_tree": SimulationConfig()}
+    workload = dict(
+        num_requests=num_requests, tenants=tenants, cluster=cluster, seed=seed, **process_kwargs
+    )
     cells = [
-        (
-            label,
-            config,
-            backend,
-            num_requests,
-            float(rate),
-            process,
-            tenants,
-            cluster,
-            seed,
-            slo,
-            process_kwargs,
-        )
+        {"key": {"topology": label, "backend": backend, "process": process, "rate_rps": float(rate)},
+         "config": config, "workload": workload, "slo": slo}
         for label, config in configs.items()
         for rate in rates
     ]
     return _execute_cells(_run_inference_cell, cells, parallel)
-
-
-@dataclass(frozen=True)
-class ResilienceEntry:
-    """Result of one (topology, routing, control-plane, failure-rate) cell."""
-
-    topology: str
-    routing: str
-    backend: str
-    failure_rate: float
-    failed_links: int
-    finish_time_ns: int
-    wall_clock_s: float
-    messages_delivered: int
-    packets_dropped: int
-    packets_rerouted: int
-    packets_lost_to_faults: int
-    #: Finish time of the healthy (rate-0) cell of the same
-    #: (topology, routing, control_plane) group; the denominator of
-    #: :attr:`slowdown`.
-    baseline_finish_ns: int = 0
-    #: Convergence model of the cell (see repro.network.control_plane);
-    #: "oracle" builds none (every switch knows each fault at once).
-    control_plane: str = "oracle"
-    #: Worst per-event convergence window of the cell (0 under oracle, and
-    #: in static-only cells where no timed event fires).
-    time_to_recover_ns: int = 0
-    #: Packets lost into black holes during convergence (packet backend,
-    #: dv/ls with timed events only).
-    packets_blackholed: int = 0
-
-    @property
-    def slowdown(self) -> float:
-        """Runtime over the healthy cell's runtime (>1 = fault degradation)."""
-        if not self.baseline_finish_ns:
-            return float("nan")
-        return self.finish_time_ns / self.baseline_finish_ns
-
-    @property
-    def finish_time_ms(self) -> float:
-        return self.finish_time_ns / 1e6
-
-
-def _run_resilience_cell(args) -> ResilienceEntry:
-    """Simulate one resilience cell (module-level so workers can pickle it)."""
-    from repro.network.faults import FaultEvent, FaultSchedule, LINK_DOWN, random_failed_link_ids
-    from repro.network.topology import build_topology
-
-    schedule, label, routing, config, backend, rate, seed, failed, control_plane, fail_time_ns = args
-    if fail_time_ns is None:
-        faults = FaultSchedule(link_failure_rate=rate, failure_seed=seed)
-    else:
-        # timed mode: the same nested cable draw, but the links die at
-        # fail_time_ns instead of time 0 — so dv/ls cells expose a real
-        # convergence window (TTR, blackholes) rather than booting converged
-        ids = random_failed_link_ids(
-            build_topology(config, schedule.num_ranks), rate, seed
-        )
-        faults = FaultSchedule(
-            events=tuple(FaultEvent(fail_time_ns, LINK_DOWN, i) for i in ids)
-        )
-    cell_config = config.replace(
-        routing=routing, faults=faults, control_plane=control_plane
-    )
-    result = simulate(schedule, backend=backend, config=cell_config)
-    # the slowdown baseline is filled in once the whole grid has run
-    return _entry(
-        ResilienceEntry, result, topology=label, routing=routing, failure_rate=rate,
-        failed_links=failed, control_plane=control_plane, baseline_finish_ns=0,
-    )
 
 
 def resilience_sweep(
@@ -605,17 +439,21 @@ def resilience_sweep(
     parallel: Optional[int] = None,
     control_planes: Sequence[str] = ("oracle",),
     fail_time_ns: Optional[int] = None,
-) -> List[ResilienceEntry]:
+) -> List[SweepRecord]:
     """Simulate ``schedule`` for every (topology config) x routing x rate cell.
 
     Every cell runs with a :class:`~repro.network.faults.FaultSchedule`
     failing ``rate`` of the fabric's switch-to-switch cables from time 0,
     drawn with ``failure_seed``.  Draws are nested across rates (same seed),
     so within one (topology, routing) group a higher rate always fails a
-    superset of the lower rate's cables.  Each entry carries the finish time
-    of its group's *healthy* (rate 0) cell as the slowdown baseline; a 0.0
-    rate is added to the grid when ``failure_rates`` omits it, so slowdowns
-    always measure degradation against an intact fabric.
+    superset of the lower rate's cables.  Records are keyed by
+    ``topology``, ``routing``, ``backend``, ``control_plane`` and
+    ``failure_rate``; their values are ``failed_links`` (cables' links
+    down), ``baseline_finish_ns`` (the finish time of the group's *healthy*,
+    rate 0, cell) and ``slowdown`` (finish time over that baseline, NaN
+    when the baseline is 0).  A 0.0 rate is added to the grid when
+    ``failure_rates`` omits it, so slowdowns always measure degradation
+    against an intact fabric.
 
     Parameters mirror :func:`topology_routing_sweep`; cells run on the
     shared :func:`_execute_cells` executor (grid order, per-cell
@@ -627,9 +465,9 @@ def resilience_sweep(
 
     ``control_planes`` adds a convergence-model axis (see
     :mod:`repro.network.control_plane`): every (topology, routing, rate)
-    cell runs once per protocol, and entries carry the per-cell
-    ``time_to_recover_ns`` and ``packets_blackholed`` columns.  With the
-    default ``("oracle",)`` the grid and every result are exactly the
+    cell runs once per protocol, and the digest carries the per-cell
+    ``time_to_recover_ns`` and ``packets_blackholed``.  With the default
+    ``("oracle",)`` the grid and every result are exactly the
     pre-control-plane sweep.  ``fail_time_ns`` switches the fault model
     from static (cables down from time 0 — convergence-free by definition,
     the views boot converged) to timed: the same nested cable draw dies at
@@ -637,7 +475,7 @@ def resilience_sweep(
     convergence window.
     """
     from repro.network.control_plane import control_plane_names
-    from repro.network.faults import FaultSchedule, random_failed_link_ids
+    from repro.network.faults import FaultEvent, FaultSchedule, LINK_DOWN, random_failed_link_ids
     from repro.network.topology import build_topology
 
     if not failure_rates:
@@ -656,107 +494,69 @@ def resilience_sweep(
     if fail_time_ns is not None and fail_time_ns < 0:
         raise ValueError(f"fail_time_ns must be non-negative, got {fail_time_ns}")
     rates = sorted({0.0} | {float(r) for r in failure_rates})
-    # failed-link counts depend only on (topology config, rate, seed):
-    # resolve them once per (label, rate) instead of once per cell
-    failed_counts = {
-        (label, rate): len(
-            random_failed_link_ids(
-                build_topology(config, schedule.num_ranks), rate, failure_seed
+    # the failed links depend only on (topology config, rate, seed): draw
+    # them once per (label, rate); in timed mode they die at fail_time_ns,
+    # so dv/ls cells expose a real convergence window (TTR, blackholes)
+    # rather than booting converged
+    drawn = {}  # (label, rate) -> (failed link count, fault schedule)
+    for label, config in configs.items():
+        topology = build_topology(config, schedule.num_ranks)
+        for rate in rates:
+            ids = random_failed_link_ids(topology, rate, failure_seed)
+            drawn[label, rate] = len(ids), (
+                FaultSchedule(link_failure_rate=rate, failure_seed=failure_seed)
+                if fail_time_ns is None
+                else FaultSchedule(events=tuple(FaultEvent(fail_time_ns, LINK_DOWN, i) for i in ids))
             )
-        )
-        for label, config in configs.items()
-        for rate in rates
-    }
     cells = [
-        (
-            schedule,
-            label,
-            routing,
-            config,
-            backend,
-            rate,
-            failure_seed,
-            failed_counts[(label, rate)],
-            control_plane,
-            fail_time_ns,
-        )
+        {"key": {"topology": label, "routing": routing, "backend": backend,
+                 "control_plane": control_plane, "failure_rate": rate},
+         "schedule": schedule,
+         "config": config.replace(
+             routing=routing, faults=drawn[label, rate][1], control_plane=control_plane
+         ),
+         "values": {"failed_links": drawn[label, rate][0]}}
         for label, config in configs.items()
         for routing in routings
         for control_plane in control_planes
         for rate in rates
     ]
-    entries: List[ResilienceEntry] = _execute_cells(_run_resilience_cell, cells, parallel)
-    baselines = {
-        (e.topology, e.routing, e.control_plane): e.finish_time_ns
-        for e in entries
-        if e.failure_rate == 0.0
-    }
+    records = _execute_cells(_run_cell, cells, parallel)
+    group = lambda r: (r.topology, r.routing, r.control_plane)  # noqa: E731
+    baselines = {group(r): r.finish_time_ns for r in records if r.failure_rate == 0.0}
     return [
-        dataclasses.replace(
-            e, baseline_finish_ns=baselines[(e.topology, e.routing, e.control_plane)]
-        )
-        for e in entries
+        dataclasses.replace(r, values={
+            **r.values,
+            "baseline_finish_ns": baselines[group(r)],
+            "slowdown": r.finish_time_ns / baselines[group(r)] if baselines[group(r)] else math.nan,
+        })
+        for r in records
     ]
 
 
-@dataclass(frozen=True)
-class InterferenceEntry:
-    """Per-job result of one (topology config, placement strategy) cell."""
-
-    topology: str
-    strategy: str
-    backend: str
-    job: str
-    arrival_ns: int
-    finish_time_ns: int
-    runtime_ns: int
-    isolated_runtime_ns: int
-    messages_delivered: int
-    bytes_delivered: int
-    contended_link_count: int
-
-    @property
-    def slowdown(self) -> float:
-        """Co-tenant runtime over isolated runtime (>1 = interference)."""
-        if not self.isolated_runtime_ns:
-            return float("nan")
-        return self.runtime_ns / self.isolated_runtime_ns
-
-    @property
-    def runtime_ms(self) -> float:
-        return self.runtime_ns / 1e6
-
-
-def _run_interference_cell(args) -> List[InterferenceEntry]:
-    """Simulate one (config, strategy) cell of an interference sweep."""
+def _run_interference_cell(cell: Dict) -> List[SweepRecord]:
+    """Simulate one (config, strategy) cell of an interference sweep: one
+    record per job, all sharing the co-tenant run's digest."""
     from repro.cluster import run_cotenant
-    from repro.placement import filter_strategy_kwargs
 
-    jobs, label, strategy, config, backend, cluster_nodes, strategy_kwargs = args
-    kwargs = filter_strategy_kwargs(strategy, strategy_kwargs)
+    key = cell["key"]
     res = run_cotenant(
-        jobs,
-        cluster_nodes=cluster_nodes,
-        strategy=strategy,
-        backend=backend,
-        config=config,
-        **kwargs,
+        cell["jobs"],
+        cluster_nodes=cell["cluster_nodes"],
+        strategy=key["strategy"],
+        backend=key["backend"],
+        config=cell["config"],
+        **cell["strategy_kwargs"],
     )
-    contended = res.contended_links()
+    digest, contended = res.result.digest(), res.contended_links()
     return [
-        InterferenceEntry(
-            topology=label,
-            strategy=strategy,
-            backend=backend,
-            job=out.name,
-            arrival_ns=out.arrival_ns,
-            finish_time_ns=out.finish_ns,
-            runtime_ns=out.runtime_ns,
-            isolated_runtime_ns=out.isolated_runtime_ns or 0,
-            messages_delivered=out.messages_delivered,
-            bytes_delivered=out.bytes_delivered,
-            contended_link_count=sum(1 for links in contended.values() if out.name in links),
-        )
+        SweepRecord({**key, "job": out.name}, digest, {
+            "arrival_ns": out.arrival_ns, "finish_time_ns": out.finish_ns, "runtime_ns": out.runtime_ns,
+            "isolated_runtime_ns": out.isolated_runtime_ns or 0,
+            "messages_delivered": out.messages_delivered, "bytes_delivered": out.bytes_delivered,
+            "contended_link_count": sum(1 for links in contended.values() if out.name in links),
+            "slowdown": out.slowdown if out.isolated_runtime_ns else math.nan,
+        })
         for out in res.outcomes
     ]
 
@@ -769,15 +569,20 @@ def interference_sweep(
     backend: str = "htsim",
     parallel: Optional[int] = None,
     **strategy_kwargs,
-) -> List[InterferenceEntry]:
+) -> List[SweepRecord]:
     """Run a jobs x placement x topology interference grid.
 
     Every cell simulates all ``jobs`` *concurrently* on one fabric through
     :func:`repro.cluster.run_cotenant` (including each job's isolated
     baseline under the same placement, so slowdowns are comparable across
-    strategies), and yields one :class:`InterferenceEntry` per job.  Entries
-    come back flattened in grid order: configs (insertion order) x
-    strategies x jobs.
+    strategies), and yields one record per job, keyed by ``topology``,
+    ``strategy``, ``backend`` and ``job``.  Its values are the job's own
+    ``arrival_ns``, ``finish_time_ns``, ``runtime_ns``,
+    ``isolated_runtime_ns``, ``messages_delivered``, ``bytes_delivered``,
+    ``contended_link_count`` and ``slowdown`` (runtime over isolated
+    runtime, NaN without one); they shadow the co-tenant digest's keys of
+    the same name.  Records come back flattened in grid order: configs
+    (insertion order) x strategies x jobs.
 
     Parameters
     ----------
@@ -809,9 +614,11 @@ def interference_sweep(
         configs = {"fat_tree": SimulationConfig()}
     jobs = list(jobs)
     cells = [
-        (jobs, label, strategy, config, backend, cluster_nodes, strategy_kwargs)
+        {"key": {"topology": label, "strategy": strategy, "backend": backend}, "jobs": jobs,
+         "cluster_nodes": cluster_nodes, "config": config,
+         "strategy_kwargs": filter_strategy_kwargs(strategy, strategy_kwargs)}
         for label, config in configs.items()
         for strategy in strategies
     ]
     nested = _execute_cells(_run_interference_cell, cells, parallel)
-    return [entry for cell_entries in nested for entry in cell_entries]
+    return [record for cell_records in nested for record in cell_records]

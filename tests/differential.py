@@ -106,7 +106,14 @@ from repro.schedgen import (
     storage_trace_to_goal,
 )
 from repro.scheduler import GoalScheduler, SchedulerDeadlockError
-from repro.sweep import default_topology_configs, interference_sweep, topology_routing_sweep
+from repro.sweep import (
+    collective_sweep,
+    default_topology_configs,
+    inference_sweep,
+    interference_sweep,
+    resilience_sweep,
+    topology_routing_sweep,
+)
 from repro.tracers.storage import FinancialWorkloadGenerator
 from schedule_oracle import ListScheduler, generated, list_encode_goal, list_write_goal, to_oracle, views
 
@@ -397,14 +404,8 @@ def _ugal(scalar):
 
 
 def _sweep(parallel):
-    def side(call):
-        fn, kwargs = call
-        return [
-            {k: v for k, v in vars(e).items() if k != "wall_clock_s"}
-            for e in fn(**kwargs, parallel=parallel)
-        ]
-
-    return side
+    """A sweep's whole records: every key, digest and derived value."""
+    return lambda call: call[0](**call[1], parallel=parallel)
 
 
 def _issue_for_later(backend_cls):
@@ -1263,6 +1264,43 @@ def _topology_sweep(routings, backend):
 
 register("sweep/topology-routing-htsim", lambda: _topology_sweep(("minimal", "adaptive"), "htsim"), Row(SWEEP2))
 register("sweep/topology-routing-lgs", lambda: _topology_sweep(("minimal",), "lgs"), Row(SWEEP3))
+# the auto cells resolve to recursive doubling and share those cells' runs
+register(
+    "sweep/collective",
+    lambda: (collective_sweep, dict(
+        configs={"fat_tree": SimulationConfig(nodes_per_tor=4), "torus": SimulationConfig(topology="torus")},
+        num_ranks=8, sizes=(4096, 65536), algorithms=("hier_rs", "recursive_doubling", "auto"), backend="htsim",
+    )),
+    Row(SWEEP2, lambda out: {r.resolved for r in out if r.algorithm == "auto"} == {"recursive_doubling"}),
+)
+register(
+    "sweep/inference",
+    lambda: (inference_sweep, dict(rates=(200.0, 2000.0), num_requests=8, backend="htsim", seed=3)),
+    Row(SWEEP2, lambda out: all(r.requests == 8 for r in out) and out[0].ttft_p999_ns < out[1].ttft_p999_ns),
+)
+# timed faults under the distance-vector plane: convergence windows and
+# slowdowns against each group's healthy cell
+register(
+    "sweep/resilience",
+    lambda: (resilience_sweep, dict(
+        schedule=all_to_all(8, 1 << 13), configs={"ft": SimulationConfig(nodes_per_tor=4)},
+        failure_rates=(0.25,), routings=("minimal", "adaptive"), control_planes=("oracle", "dv"),
+        fail_time_ns=1_000, failure_seed=1,
+    )),
+    Row(SWEEP2, lambda out: any(r.packets_blackholed for r in out) and any(r.slowdown > 1 for r in out)),
+)
+register(
+    "sweep/interference",
+    lambda: (interference_sweep, dict(
+        jobs=[
+            ClusterJob(all_to_all(4, 1 << 12), name="a"),
+            ClusterJob(all_to_all(4, 1 << 12), arrival_ns=500, name="b"),
+        ],
+        cluster_nodes=8, strategies=("packed", "random"), configs={"ft": SimulationConfig(nodes_per_tor=2)},
+        seed=3,
+    )),
+    Row(SWEEP2, lambda out: all(r.slowdown >= 1 for r in out) and any(r.contended_link_count for r in out)),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ unknown placement strategies, bad failure rates, unknown link names,
 malformed timed-event specs, malformed tenant-mix specs, negative offered
 rates and unknown arrival processes; a GOAL file whose run passes a 64-bit
 clock; for every subcommand, network flags
-``SimulationConfig`` rejects, a negative ``--parallel`` and worker
-processes that cannot start.  Every case asserts a
+``SimulationConfig`` rejects, a negative ``--parallel``, worker
+processes that cannot start and a run the host has no memory for.  Every case asserts a
 :class:`SystemExit` whose message names the offending input, which is what
 separates a diagnosable CLI error from a stack trace.
 """
@@ -676,6 +676,24 @@ def test_negative_parallel_is_one_line(command):
     message = _exit_message(excinfo)
     assert "parallel must be" in message and "got -2" in message
     assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [(MemoryError(), "MemoryError"), (MemoryError("fabric of 2000000 links"), "fabric of 2000000 links")],
+    ids=["bare", "named"],
+)
+def test_memory_error_is_one_line(monkeypatch, error, line):
+    # a fabric too large for the host used to end in a MemoryError traceback
+    from repro.network import backend
+
+    def no_memory(*args):
+        raise error
+
+    monkeypatch.setattr(backend, "build_topology", no_memory)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synthetic", "incast", "--ranks", "4", "--backend", "htsim"])
+    assert _exit_message(excinfo) == f"atlahs synthetic: {line}"
 
 
 def test_worker_error_is_one_line(monkeypatch):
