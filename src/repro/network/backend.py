@@ -7,10 +7,11 @@ completion callback ``eventOver``.  In this reproduction:
 * :meth:`NetworkBackend.setup` is ``simulationSetup``,
 * :meth:`NetworkBackend.issue_send` / :meth:`issue_recv` /
   :meth:`issue_calc` post work for a rank once its dependencies are met,
-* the ``on_complete`` callback passed to :meth:`NetworkBackend.run` is
-  ``eventOver``: the backend reports each finished operation together with
-  the simulation time at which it finished, and the scheduler may issue new
-  operations from inside the callback (at the current time or later).
+* the scheduler's completion handler, handed over as
+  :attr:`NetworkBackend.on_complete` right after ``setup``, is
+  ``eventOver``: the backend's events call it as ``on_complete(time, (rank,
+  op_id))`` for each finished operation, and the scheduler may issue new
+  operations from inside it (at the current time or later).
 
 Two backends implement this API: the message-level LogGOPS backend
 (:class:`repro.network.loggops.LogGOPSBackend`) and the packet-level backend
@@ -24,7 +25,7 @@ import heapq
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -407,8 +408,17 @@ def _blake2(*parts) -> str:
     return h.hexdigest()
 
 
-#: ``eventOver``: called as ``on_complete(time, rank, op_id)``.
-CompletionCallback = Callable[[int, int, int], None]
+#: ``eventOver``: called as ``on_complete(time, (rank, op_id))``, the
+#: signature of an event handler, so an event can call it directly.
+CompletionCallback = Callable[[int, Tuple[int, int]], None]
+
+
+def _no_handler(time: int, payload: Tuple[int, int]) -> None:
+    """What an op issued before the handover completes through."""
+    raise RuntimeError(
+        f"op {payload[1]} of rank {payload[0]} finished with no completion handler: "
+        "hand it over as backend.on_complete right after setup()"
+    )
 
 
 class NetworkBackend(abc.ABC):
@@ -416,14 +426,15 @@ class NetworkBackend(abc.ABC):
 
     A backend is only its timing model.  Everything around the five-call
     API is shared and lives here: the :meth:`setup` preamble (event queue,
-    host compute, message matching, stats, records, per-rank finish times,
-    group attribution), the fabric bring-up (:meth:`_bring_up_fabric`), timed
-    fault application (:meth:`_apply_fault`), ``calc`` ops, op completion,
-    delivered-message accounting and the stats fold.  A subclass implements
-    :meth:`issue_send`, :meth:`issue_recv` and :meth:`run`, and extends
-    :meth:`setup` / :meth:`_apply_fault` / :meth:`collect_links` /
-    :meth:`collect_stats` with whatever its model adds (see
-    ``docs/architecture.md``).
+    host compute, message matching, stats, records, group attribution), the
+    fabric bring-up (:meth:`_bring_up_fabric`), timed fault application
+    (:meth:`_apply_fault`), issuing (``calc`` ops, and the posts of sends and
+    receives), delivered-message accounting and the stats fold.  A subclass
+    implements the two post handlers :meth:`_start_send` and
+    :meth:`_post_recv`, and :meth:`run`, and extends :meth:`setup` /
+    :meth:`_apply_fault` / :meth:`collect_links` / :meth:`collect_stats`
+    with whatever its model adds (see ``docs/architecture.md``).  Its events
+    report a finished op by calling :attr:`on_complete` directly.
     """
 
     name: str = "abstract"
@@ -450,7 +461,6 @@ class NetworkBackend(abc.ABC):
         self.records = MessageRecords()
         # one extend of six fields per delivered message; None when off
         self._record = self.records._flat.extend if config.collect_message_records else None
-        self.rank_finish: List[int] = [0] * num_ranks
         self.topology = None
         self.routing = None
         self._faults_enabled = bool(config.faults)
@@ -465,7 +475,10 @@ class NetworkBackend(abc.ABC):
         self.op_group: Optional[Sequence[int]] = None
         self._group_msgs: Dict[int, List[int]] = {}
         self._group_link_bytes: Dict[int, List[int]] = {}
-        self._on_complete: Optional[CompletionCallback] = None
+        #: The scheduler's completion handler (``eventOver``), handed over
+        #: right after setup like ``op_group``: every op issued from then on
+        #: completes through it (one issued before fails when it finishes).
+        self.on_complete: CompletionCallback = _no_handler
         self._configured = True
 
     def _require_setup(self) -> None:
@@ -544,6 +557,12 @@ class NetworkBackend(abc.ABC):
         return [(t, tuple(groups[t])) for t in sorted(groups)]
 
     # ----------------------------------------------------------------- issuing
+    # The scheduler issues an op at its last predecessor's completion time,
+    # the current time, so a post due now goes onto the event queue's
+    # same-instant ready queue (see repro.network.events) and anything later
+    # onto the heap; either way it takes the next sequence number, so it runs
+    # where the heap alone would have run it.
+
     def issue_calc(self, rank: int, stream: int, duration_ns: int, op_id: int, ready_time: int) -> None:
         """Post a computation of ``duration_ns`` on ``(rank, stream)``, ready at ``ready_time``."""
         # inlined HostCompute.reserve — one call frame and one tuple less on
@@ -557,44 +576,59 @@ class NetworkBackend(abc.ABC):
             start = ready_time
         end = start + duration_ns
         free[key] = end
-        # inlined EventQueue.schedule (end >= ready_time >= now by
-        # construction, so the past-check cannot fire)
+        # end >= ready_time >= now by construction: no past-check needed; a
+        # zero-cost calc on a free stream (a join) completes now
         events = self.events
-        heapq.heappush(events._heap, (end, 0, events._seq, self._complete_op, (rank, op_id)))
+        entry = (end, 0, events._seq, self.on_complete, (rank, op_id))
+        if end == events._now:
+            events._ready.append(entry)
+        else:
+            heapq.heappush(events._heap, entry)
         events._seq += 1
 
-    @abc.abstractmethod
     def issue_send(
         self, rank: int, dst: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
     ) -> None:
-        """Post a send of ``size`` bytes from ``rank`` to ``dst`` with ``tag``."""
+        """Post a send of ``size`` bytes from ``rank`` to ``dst`` with ``tag``:
+        :meth:`_start_send` runs at ``ready_time``."""
+        events = self.events
+        entry = (ready_time, 0, events._seq, self._start_send, (rank, dst, size, tag, stream, op_id))
+        if ready_time == events._now:
+            events._ready.append(entry)
+        else:
+            heapq.heappush(events._heap, entry)
+        events._seq += 1
 
-    @abc.abstractmethod
     def issue_recv(
         self, rank: int, src: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
     ) -> None:
-        """Post a receive of ``size`` bytes at ``rank`` from ``src`` with ``tag``."""
+        """Post a receive of ``size`` bytes at ``rank`` from ``src`` with
+        ``tag``: :meth:`_post_recv` runs at ``ready_time``."""
+        events = self.events
+        entry = (ready_time, 0, events._seq, self._post_recv, (rank, src, size, tag, stream, op_id))
+        if ready_time == events._now:
+            events._ready.append(entry)
+        else:
+            heapq.heappush(events._heap, entry)
+        events._seq += 1
+
+    @abc.abstractmethod
+    def _start_send(self, time: int, payload: Tuple[int, int, int, int, int, int]) -> Any:
+        """Event handler: the send ``(rank, dst, size, tag, stream, op_id)`` starts at ``time``."""
+
+    @abc.abstractmethod
+    def _post_recv(self, time: int, payload: Tuple[int, int, int, int, int, int]) -> None:
+        """Event handler: the receive ``(rank, src, size, tag, stream, op_id)`` is posted at ``time``."""
 
     @abc.abstractmethod
     def run(self, on_complete: CompletionCallback) -> int:
-        """Run the event loop to completion; call ``on_complete`` for every op.
+        """Run the event loop to completion; return the final simulation time in ns.
 
-        Implementations store ``on_complete`` as ``self._on_complete``;
-        :meth:`_complete_op` invokes it as ``on_complete(time, rank, op_id)``
-        once per finished operation.  Returns the final simulation time in
-        nanoseconds.
+        ``on_complete`` is the handler handed over as :attr:`on_complete`
+        after setup; ops issued before the loop already complete through it.
         """
 
-    # ------------------------------------------------------------- completions
-    def _complete_op(self, time: int, payload: Tuple[int, int]) -> None:
-        """Event handler: op ``(rank, op_id)`` finished at ``time`` (``eventOver``)."""
-        rank, op_id = payload
-        if time > self.rank_finish[rank]:
-            self.rank_finish[rank] = time
-        on_complete = self._on_complete
-        if on_complete is not None:
-            on_complete(time, rank, op_id)
-
+    # ------------------------------------------------------ delivered messages
     def _message_delivered(
         self, src: int, dst: int, size: int, tag: int, post_time: int, time: int, op_id: int
     ) -> None:

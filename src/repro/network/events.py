@@ -13,18 +13,20 @@ runs the oldest ready entry unless the heap holds an entry at ``now`` with a
 smaller sequence number, so every event still runs in ``(time, sequence)``
 order — the order a heap holding both would pop — whatever else is pushed at
 ``now`` meanwhile.  Ready entries count in :attr:`EventQueue.executed` like
-any other event.  The LogGOPS backend posts every send and receive this way
-(the scheduler issues an op at its last predecessor's completion time, which
-is the current time); the packet backend never uses the ready queue.
+any other event.  Both backends post every send and receive this way, and
+the completion of every calc that ends now (the scheduler issues an op at
+its last predecessor's completion time, which is the current time; see
+:class:`~repro.network.backend.NetworkBackend`); the packet backend's merge
+loop consults the ready queue under the same rule.
 
 Packet deliveries (event class 1) are not on this heap.  The packet
 backend's merge loop
 (:meth:`~repro.network.packet.backend.PacketBackend._run_merged`) interleaves
 the per-link delivery streams in ``(time, departure time, link id)`` order
-and runs same-time handler events first.  Those keys are physical properties
-of the simulated network, so the order of same-timestamp events — and with
-it a whole simulation — does not depend on how an engine happened to
-schedule them; the event-per-transmission oracle in ``tests/packet_oracle.py``
+and runs same-time handler events, ready entries included, first.  Those
+keys are physical properties of the simulated network, so the order of
+same-timestamp events — and with it a whole simulation — does not depend on
+how an engine happened to schedule them; the event-per-transmission oracle in ``tests/packet_oracle.py``
 pushes the same keys onto this heap and pops the same sequence.
 
 The queue stores flat tuples rather than event objects; in the hot

@@ -36,16 +36,17 @@ Hot path
 --------
 An eager message is five events — post the send, the send completes, the
 message arrives, post the receive, the receive completes — of which only
-three go through the heap: ``issue_send`` / ``issue_recv`` are called at the
-current time, so they append ``_start_send`` / ``_post_recv`` to the event
-queue's same-instant ready queue (see :mod:`repro.network.events`), which
-runs them in the order the heap would have.  The four handlers are flat:
-each reserves its CPU stream, computes the cost (the integer ``o`` when
-``O == 0``), evaluates the flat-``L`` recurrence above, matches on the
-shared matcher's FIFOs, counts the delivery and pushes its heap tuples
-itself; a posted receive is a plain tuple and an unexpected arrival just its
-arrival time.  Rendezvous, routed latency, the fault derate ``gamma`` and
-per-job attribution stay behind their own branches.
+three go through the heap: the scheduler issues at the current time, so the
+shared ``issue_send`` / ``issue_recv`` append ``_start_send`` / ``_post_recv``
+to the event queue's same-instant ready queue (see
+:mod:`repro.network.events`), which runs them in the order the heap would
+have, and each completion event calls the scheduler's handler directly.  The
+four handlers are flat: each reserves its CPU stream, computes the cost (the
+integer ``o`` when ``O == 0``), evaluates the flat-``L`` recurrence above,
+matches on the shared matcher's FIFOs, counts the delivery and pushes its
+heap tuples itself; a posted receive is a plain tuple and an unexpected
+arrival just its arrival time.  Rendezvous, routed latency, the fault derate
+``gamma`` and per-job attribution stay behind their own branches.
 ``tests/loggops_oracle.py`` keeps the five-heap-event formulation as the
 oracle this engine is held to (see ``docs/performance.md``).
 
@@ -146,30 +147,6 @@ class LogGOPSBackend(NetworkBackend):
         self._domain_total_bw = sum(
             topo.links[i].bandwidth for i in self._fault_domain
         )
-
-    # ----------------------------------------------------------------- issuing
-    def issue_send(
-        self, rank: int, dst: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
-    ) -> None:
-        events = self.events
-        entry = (ready_time, 0, events._seq, self._start_send, (rank, dst, size, tag, stream, op_id))
-        # the scheduler issues at the current time: onto the ready queue
-        if ready_time == events._now:
-            events._ready.append(entry)
-        else:
-            heappush(events._heap, entry)
-        events._seq += 1
-
-    def issue_recv(
-        self, rank: int, src: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
-    ) -> None:
-        events = self.events
-        entry = (ready_time, 0, events._seq, self._post_recv, (rank, src, size, tag, stream, op_id))
-        if ready_time == events._now:
-            events._ready.append(entry)
-        else:
-            heappush(events._heap, entry)
-        events._seq += 1
 
     # ------------------------------------------------------------------ faults
     def _recompute_gamma(self) -> None:
@@ -303,7 +280,7 @@ class LogGOPSBackend(NetworkBackend):
         events = self.events
         heap = events._heap
         seq = events._seq
-        heappush(heap, (cpu_end, 0, seq, self._complete_op, (rank, op_id)))
+        heappush(heap, (cpu_end, 0, seq, self.on_complete, (rank, op_id)))
         heappush(
             heap, (arrival, 0, seq + 1, self._on_arrival, (rank, dst, size, tag, cpu_start, op_id))
         )
@@ -432,7 +409,7 @@ class LogGOPSBackend(NetworkBackend):
         arrival = self._transfer(src, dst, size, handshake_done, send_op_id)
         self._message_delivered(src, dst, size, tag, sender_post_time, arrival, send_op_id)
         # The send op completes when the transfer completes (sender blocks).
-        self.events.schedule(arrival, self._complete_op, (src, send_op_id))
+        self.events.schedule(arrival, self.on_complete, (src, send_op_id))
         self._complete_recv(recv, arrival)
 
     def _complete_recv(self, recv: Tuple[int, int, int, int, int], arrival_time: int) -> None:
@@ -449,13 +426,13 @@ class LogGOPSBackend(NetworkBackend):
         end = start + cost
         free[key] = end
         events = self.events
-        heappush(events._heap, (end, 0, events._seq, self._complete_op, (rank, op_id)))
+        heappush(events._heap, (end, 0, events._seq, self.on_complete, (rank, op_id)))
         events._seq += 1
 
     # -------------------------------------------------------------------- run
     def run(self, on_complete: CompletionCallback) -> int:
         self._require_setup()
-        self._on_complete = on_complete
+        self.on_complete = on_complete
         return self.events.run()
 
     # ---------------------------------------------------------------- results

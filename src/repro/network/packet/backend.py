@@ -165,17 +165,6 @@ class PacketBackend(NetworkBackend):
         self._n_sent = 0
         self._n_delivered = 0
 
-    # ----------------------------------------------------------------- issuing
-    def issue_send(
-        self, rank: int, dst: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
-    ) -> None:
-        self.events.schedule(ready_time, self._start_flow, (rank, dst, size, tag, stream, op_id))
-
-    def issue_recv(
-        self, rank: int, src: int, size: int, tag: int, stream: int, op_id: int, ready_time: int
-    ) -> None:
-        self.events.schedule(ready_time, self._post_recv, (rank, src, size, tag, stream, op_id))
-
     # ------------------------------------------------------------------- flows
     def _link_load_view(self) -> "_Occupancy":
         """The link load a load-reading strategy is handed: the occupancy view."""
@@ -209,7 +198,7 @@ class PacketBackend(NetworkBackend):
             return free.pop().reset(flow, kind, seq, size, route, sent_time)
         return Packet(flow, kind, seq, size, route, sent_time=sent_time)
 
-    def _start_flow(self, time: int, payload: Any) -> Flow:
+    def _start_send(self, time: int, payload: Any) -> Flow:
         rank, dst, size, tag, stream, op_id = payload
         cfg = self.config
         _, overhead_end = self.host.reserve(rank, stream, time, cfg.host_overhead)
@@ -322,7 +311,7 @@ class PacketBackend(NetworkBackend):
             and not flow.retransmit_queue
         ):
             flow.send_op_completed = True
-            self._complete_op(now, (flow.src, flow.op_id))
+            self.on_complete(now, (flow.src, flow.op_id))
 
     # --------------------------------------------------------------- forwarding
     def _handle_data_drop(self, packet: Packet, now: int) -> None:
@@ -522,7 +511,7 @@ class PacketBackend(NetworkBackend):
     def _complete_recv(self, recv: _PendingRecv, arrival_time: int) -> None:
         earliest = max(arrival_time, recv.post_time)
         _, end = self.host.reserve(recv.rank, recv.stream, earliest, self.config.host_overhead)
-        self.events.schedule(end, self._complete_op, (recv.rank, recv.op_id))
+        self.events.schedule(end, self.on_complete, (recv.rank, recv.op_id))
 
     # -------------------------------------------------------------- sender side
     def _handle_nack(self, packet: Packet, now: int) -> None:
@@ -586,7 +575,7 @@ class PacketBackend(NetworkBackend):
     # -------------------------------------------------------------------- run
     def run(self, on_complete: CompletionCallback) -> int:
         self._require_setup()
-        self._on_complete = on_complete
+        self.on_complete = on_complete
         return self._run_merged()
 
     def _run_merged(self, until: Optional[int] = None) -> int:
@@ -597,11 +586,13 @@ class PacketBackend(NetworkBackend):
         the per-queue streams with a heap of at most one head entry per
         link, and drains consecutive same-queue deliveries with no heap
         traffic at all.  Handler events stay on the (now tiny) EventQueue
-        heap.  The interleaving realised here *is* the canonical order:
-        ``(time, depart, link)`` among deliveries, handler events first on
-        timestamp ties (see :mod:`repro.network.events`); the
-        event-per-transmission oracle in ``tests/packet_oracle.py`` checks
-        it differentially.
+        heap, or on its ready queue when due now.  The interleaving realised
+        here *is* the canonical order: ``(time, depart, link)`` among
+        deliveries, handler events first on timestamp ties, in ``(time,
+        sequence)`` order whichever of the two holds them (see
+        :mod:`repro.network.events`); the event-per-transmission oracle in
+        ``tests/packet_oracle.py``, which posts everything on the heap,
+        checks it differentially.
 
         When ``until`` is given the loop stops *before* executing any event
         scheduled after it (events at exactly ``until`` still run), leaving
@@ -613,6 +604,7 @@ class PacketBackend(NetworkBackend):
 
         events = self.events
         heap = events._heap
+        ready = events._ready
         streams = self._stream_heads
         queues = self.queues
         free_append = self._packet_free.append
@@ -628,6 +620,13 @@ class PacketBackend(NetworkBackend):
         executed = 0
         delivered = 0
         while True:
+            if ready and not (heap and heap[0] < ready[0]):
+                # due now, and no older heap entry is (that one is popped
+                # below); every same-instant delivery runs after both
+                entry = ready.popleft()
+                entry[3](entry[0], entry[4])
+                executed += 1
+                continue
             st = streams[0][0] if streams else None
             if heap and (st is None or heap[0][0] <= st):
                 if bounded and heap[0][0] > until:
@@ -753,8 +752,9 @@ class PacketBackend(NetworkBackend):
                     heappush(streams, (nt, nd, link))
                     break
                 # keep draining this stream only while its next delivery
-                # precedes every other pending event (handlers win ties)
-                if heap and heap[0][0] <= nt:
+                # precedes every other pending event (handlers win ties,
+                # and a ready entry is due now)
+                if ready or (heap and heap[0][0] <= nt):
                     heappush(streams, (nt, nd, link))
                     break
                 if streams and (nt, nd, link) >= streams[0]:

@@ -339,7 +339,7 @@ class ShardPacketBackend(PacketBackend):
             ]
 
     # ------------------------------------------------------------- keyed flows
-    def _start_flow(self, time: int, payload: Any) -> Flow:
+    def _start_send(self, time: int, payload: Any) -> Flow:
         rank, dst = payload[0], payload[1]
         pair = (rank, dst)
         occurrence = self._pair_seq.get(pair, 0)
@@ -350,7 +350,7 @@ class ShardPacketBackend(PacketBackend):
         saved = routing.rng
         routing.rng = _KeyedRng(self._seed, _FLOW_STREAM, rank, dst, occurrence)
         try:
-            flow = super()._start_flow(time, payload)
+            flow = super()._start_send(time, payload)
         finally:
             routing.rng = saved
         flow.key = key = (rank, dst, occurrence)
@@ -616,7 +616,6 @@ def _shard_start(state: Any, shard_id: int) -> Optional[int]:
         ranks=plan.shard_ranks[shard_id],
     )
     scheduler.start()
-    backend._on_complete = scheduler.completion_callback()
     return backend.next_event_time()
 
 

@@ -13,7 +13,7 @@ the :class:`~repro.network.backend.NetworkBackend` API.
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.goal.ops import OpType
 from repro.goal.schedule import GoalSchedule
@@ -129,7 +129,6 @@ class GoalScheduler:
         self._ranks = (
             list(range(schedule.num_ranks)) if ranks is None else sorted(ranks)
         )
-        self._rank_set = None if ranks is None else frozenset(self._ranks)
         self._total_ops = (
             total
             if ranks is None
@@ -151,7 +150,9 @@ class GoalScheduler:
         self._issue_send = self.backend.issue_send
         self._issue_recv = self.backend.issue_recv
         self._completed = 0
-        self._finish_time = 0
+        # per-rank completion time of the rank's last op; the run's finish
+        # time is their max
+        self._rank_finish: List[int] = [0] * schedule.num_ranks
         self._sharded_events: Optional[int] = None
 
         self._op_groups = op_groups
@@ -198,7 +199,8 @@ class GoalScheduler:
         return self.finish(wall_elapsed)
 
     def start(self) -> None:
-        """Set up the backend and issue every root vertex (ready at t=0).
+        """Set up the backend, hand it the op groups and the completion
+        handler, and issue every root vertex (ready at t=0).
 
         Together with :meth:`completion_callback` and :meth:`finish` this is
         the decomposed form of :meth:`run` for callers that drive the
@@ -207,6 +209,7 @@ class GoalScheduler:
         """
         self.backend.setup(self.schedule.num_ranks, self.config)
         self.backend.op_group = self._op_group
+        self.backend.on_complete = self.completion_callback()
         ranks = self.schedule.ranks
         for r in self._ranks:
             rank = ranks[r]
@@ -214,7 +217,8 @@ class GoalScheduler:
                 self._issue(rank.rank, vertex, 0)
 
     def completion_callback(self):
-        """The ``eventOver`` callback the backend must call per finished op."""
+        """The ``eventOver`` handler the backend calls per finished op, as
+        ``handler(time, (rank, op_id))``; :meth:`start` hands it over."""
         return (
             self._on_complete if self._op_group is None else self._on_complete_grouped
         )
@@ -223,13 +227,14 @@ class GoalScheduler:
         """Verify completion after the event loop drained; assemble the result."""
         if self._completed != self._total_ops:
             raise self._deadlock_error()
-        if self._finish_time >= _CLOCK_LIMIT:
-            raise ValueError(f"{_CLOCK_OVERFLOW}: the run ends at {self._finish_time} ns")
+        finish_time = max(self._rank_finish)
+        if finish_time >= _CLOCK_LIMIT:
+            raise ValueError(f"{_CLOCK_OVERFLOW}: the run ends at {finish_time} ns")
 
         links = self.backend.collect_links()
         return SimulationResult(
-            finish_time_ns=self._finish_time,
-            rank_finish_times_ns=list(self.backend.rank_finish),
+            finish_time_ns=finish_time,
+            rank_finish_times_ns=list(self._rank_finish),
             stats=self.backend.collect_stats(links),
             message_records=self.backend.collect_message_records(),
             ops_completed=self._completed,
@@ -266,11 +271,13 @@ class GoalScheduler:
                 rank, peers[vertex], sizes[vertex], tags[vertex], cpus[vertex], op_id, ready_time
             )
 
-    def _on_complete(self, time: int, rank: int, op_id: int) -> None:
-        """``eventOver``: unlock and issue successors of a finished vertex."""
+    def _on_complete(self, time: int, payload: Tuple[int, int]) -> None:
+        """``eventOver``: op ``(rank, op_id)`` finished at ``time``; unlock
+        and issue the successors of its vertex."""
+        rank, op_id = payload
         self._completed += 1
-        if time > self._finish_time:
-            self._finish_time = time
+        if time > self._rank_finish[rank]:
+            self._rank_finish[rank] = time
         table = self._tables[rank]
         offset = self._offsets[rank]
         vertex = op_id - offset
@@ -303,12 +310,12 @@ class GoalScheduler:
                     rank, peers[succ], sizes[succ], tags[succ], cpus[succ], offset + succ, time
                 )
 
-    def _on_complete_grouped(self, time: int, rank: int, op_id: int) -> None:
+    def _on_complete_grouped(self, time: int, payload: Tuple[int, int]) -> None:
         """``eventOver`` variant that additionally tracks per-group finish times."""
-        group = self._op_group[op_id]
+        group = self._op_group[payload[1]]
         if group >= 0 and time > self._group_finish.get(group, -1):
             self._group_finish[group] = time
-        self._on_complete(time, rank, op_id)
+        self._on_complete(time, payload)
 
     def _deadlock_error(self) -> SchedulerDeadlockError:
         stuck: Dict[int, int] = {}

@@ -263,6 +263,12 @@ def _cells(side):
     return lambda cells: {k: side(cell) for k, cell in enumerate(cells)}
 
 
+def _packet_cells(side):
+    """``_cells`` less each cell's ``events``: the event-per-transmission
+    oracle executes more by construction."""
+    return _cells(lambda sim: {k: v for k, v in side(sim).items() if k != "events"})
+
+
 def _list_path(spied):
     """What the record list was: one backend's list, or the shards' lists
     concatenated in shard order and stably sorted on the merge key."""
@@ -416,11 +422,12 @@ def _issue_for_later(backend_cls):
         backend = backend_cls()
         backend.setup(2, config)
         done = []
+        backend.on_complete = handler = lambda time, payload: done.append((time, *payload))
         backend.issue_send(0, 1, 64, 0, 0, 0, 5_000)  # same CPU stream as the next
         backend.issue_send(0, 1, 64, 1, 0, 1, 0)
         backend.issue_recv(1, 0, 64, 0, 0, 2, 0)
         backend.issue_recv(1, 0, 64, 1, 0, 3, 0)
-        backend.run(lambda time, rank, op_id: done.append((time, rank, op_id)))
+        backend.run(handler)
         return {"done": done, "records": tuple(backend.records)}
 
     return side
@@ -469,6 +476,8 @@ SIDES: Dict[str, Callable[[object], object]] = {
     "five-event": lambda sim: _simulate(FiveEventLogGOPSBackend(), sim),
     "lgs cells": _cells(lambda sim: _simulate("lgs", sim)),
     "five-event cells": _cells(lambda sim: _simulate(FiveEventLogGOPSBackend(), sim)),
+    "htsim cells": _packet_cells(lambda sim: _simulate("htsim", sim)),
+    "per-transmission cells": _packet_cells(_per_transmission),
     "lgs api": _issue_for_later(LogGOPSBackend),
     "five-event api": _issue_for_later(FiveEventLogGOPSBackend),
     **{
@@ -508,6 +517,7 @@ PACKET = Pair(
     frozenset({"events"}),
     ("ledger-retires-at-departure", "turnaround-drops-ecn-echo", "load-view-skips-drain"),
 )
+PACKET_CELLS = Pair("htsim cells", "per-transmission cells", mutants=("ready-jumps-heap",))
 LOGGOPS = Pair("lgs", "five-event", mutants=("seq-blind-ready-queue",))
 LOGGOPS_CELLS = Pair("lgs cells", "five-event cells", mutants=("seq-blind-ready-queue",))
 LOGGOPS_API = Pair("lgs api", "five-event api")
@@ -813,11 +823,12 @@ for _protocol, _params in _PROTOCOLS.items():
     )
 
 
-def _random_dag(rng: random.Random):
+def _random_dag(rng: random.Random, ops=(4, 14)):
     """A few ranks of calcs and matched send/recv pairs on two CPU streams,
     each op depending on up to three earlier ops of its rank — durations and
     latencies in whole microseconds, so many events share an instant.
-    Cross-rank dependency cycles (deadlocks) are allowed."""
+    Cross-rank dependency cycles (deadlocks) are allowed.  ``ops`` bounds
+    the number of draws (a draw is a calc or a send/recv pair)."""
     ranks = rng.randint(2, 4)
     b = GoalBuilder(ranks)
     handles = [[] for _ in range(ranks)]
@@ -827,7 +838,7 @@ def _random_dag(rng: random.Random):
             return []
         return rng.sample(handles[r], min(len(handles[r]), rng.randint(1, 3)))
 
-    for _ in range(rng.randint(4, 14)):
+    for _ in range(rng.randint(*ops)):
         cpu = rng.randint(0, 1)
         if rng.random() < 0.35:
             r = rng.randrange(ranks)
@@ -861,6 +872,31 @@ for _seed in range(8):
         f"loggops/tie-heavy-fuzz-{_seed}",
         lambda s=_seed: _fuzz_cells(s),
         Row(LOGGOPS_CELLS, lambda out: any("deadlock" not in cell for cell in out.values())),
+    )
+
+
+# The packet engine on bigger random DAGs: host overheads of 0 or 1 us tie
+# with the whole-us calcs, so a completion, a calc reserving a CPU stream
+# and a send's overhead on that stream often share an instant; links are
+# 1 ns (the oracle's scope) or 1 us.
+def _packet_fuzz_cells(seed, cells=25):
+    rng = random.Random(seed)
+    return [
+        Sim(
+            _random_dag(rng, ops=(30, 60)),
+            SimulationConfig(
+                nodes_per_tor=2, host_overhead=rng.choice((0, 1000)), link_latency=rng.choice((1, 1000))
+            ),
+        )
+        for _ in range(cells)
+    ]
+
+
+for _seed in range(4):
+    register(
+        f"packet/tie-heavy-fuzz-{_seed}",
+        lambda s=_seed: _packet_fuzz_cells(s),
+        Row(PACKET_CELLS, lambda out: any("deadlock" not in cell for cell in out.values())),
     )
 register(
     "loggops/issued-for-later",

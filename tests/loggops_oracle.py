@@ -1,12 +1,12 @@
 """Five-heap-event oracle for the LogGOPS backend (test-only).
 
-The shipped engine posts every send and receive on the event queue's
-same-instant ready queue and runs each message through four flattened
-handlers.  This file keeps the *textbook* formulation of the same model —
-the message path as it was written before those changes — as the oracle
-the differential suite compares the engine against
-(``tests/test_loggops_oracle.py``): ``issue_send`` / ``issue_recv`` push a
-heap event each, ``_start_send`` reserves the sender's CPU through
+The shipped engine posts every send, receive and zero-cost calc that is
+due now on the event queue's same-instant ready queue and runs each message
+through four flattened handlers.  This file keeps the *textbook* formulation
+of the same model — the message path as it was written before those changes
+— as the oracle the differential suite compares the engine against
+(``tests/test_loggops_oracle.py``): ``issue_send`` / ``issue_recv`` /
+``issue_calc`` push a heap event each, ``_start_send`` reserves the sender's CPU through
 :meth:`HostCompute.reserve` and charges the NICs through ``_transfer``, and
 the receive side matches through :class:`MessageMatcher` with one
 bookkeeping object per posted receive and per unexpected arrival.  An eager
@@ -15,8 +15,9 @@ post receive, receive completes), every one of them on the plain heap.
 
 Nothing in ``src/`` knows about it: :class:`FiveEventLogGOPSBackend` is a
 :class:`~repro.network.loggops.LogGOPSBackend` that overrides the message
-path, routed latency included, and inherits everything else (fabric
-bring-up, faults and the ``gamma`` ramps, completion and stats).  Pass an instance as
+path, routed latency included, and issuing, and inherits everything else
+(fabric bring-up, faults and the ``gamma`` ramps, and stats).  Its events
+complete an op through the scheduler's handler, as the engine's do.  Pass an instance as
 ``simulate(..., backend=FiveEventLogGOPSBackend())``.
 """
 from __future__ import annotations
@@ -70,6 +71,10 @@ class _PendingRendezvous:
 class FiveEventLogGOPSBackend(LogGOPSBackend):
     """The LogGOPS message path with one heap event per step."""
 
+    def issue_calc(self, rank, stream, duration_ns, op_id, ready_time):
+        _, end = self.host.reserve(rank, stream, ready_time, duration_ns)
+        self.events.schedule(end, self.on_complete, (rank, op_id))
+
     def issue_send(self, rank, dst, size, tag, stream, op_id, ready_time):
         events = self.events
         heapq.heappush(
@@ -100,7 +105,7 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
         if size <= p.S or p.S == 0:
             # Eager protocol: transfer proceeds regardless of the receive.
             arrival = self._transfer(rank, dst, size, cpu_end, op_id)
-            self.events.schedule(cpu_end, self._complete_op, (rank, op_id))
+            self.events.schedule(cpu_end, self.on_complete, (rank, op_id))
             self.events.schedule(arrival, self._on_arrival, (rank, dst, size, tag, cpu_start, op_id))
         else:
             # Rendezvous: wait for the matching receive before transferring.
@@ -191,10 +196,10 @@ class FiveEventLogGOPSBackend(LogGOPSBackend):
         arrival = self._transfer(src, dst, size, handshake_done, send_op_id)
         self._message_delivered(src, dst, size, tag, sender_post_time, arrival, send_op_id)
         # The send op completes when the transfer completes (sender blocks).
-        self.events.schedule(arrival, self._complete_op, (src, send_op_id))
+        self.events.schedule(arrival, self.on_complete, (src, send_op_id))
         self._complete_recv(recv, arrival)
 
     def _complete_recv(self, recv, arrival_time):
         earliest = max(arrival_time, recv.post_time)
         _, end = self.host.reserve(recv.rank, recv.stream, earliest, self._cpu_cost(recv.size))
-        self.events.schedule(end, self._complete_op, (recv.rank, recv.op_id))
+        self.events.schedule(end, self.on_complete, (recv.rank, recv.op_id))

@@ -111,6 +111,20 @@ def _turnaround_drops_ecn_echo(patch):
     patch.setattr(backend.PacketBackend, "_run_merged", namespace["_run_merged"])
 
 
+def _ready_jumps_heap(patch):
+    """The packet loop runs a ready entry ahead of an older same-instant heap
+    entry: ``_run_merged`` recompiled with ``if ready:`` for the sequence
+    test ``if ready and not (heap and heap[0] < ready[0]):``."""
+    source = textwrap.dedent(inspect.getsource(backend.PacketBackend._run_merged))
+    source, n = re.subn(
+        r"^( +)if ready and not \(heap and heap\[0\] < ready\[0\]\):$", r"\1if ready:", source, flags=re.M
+    )
+    assert n == 1, "the ready queue's sequence test moved"
+    namespace = {}
+    exec(source, vars(backend), namespace)
+    patch.setattr(backend.PacketBackend, "_run_merged", namespace["_run_merged"])
+
+
 def _load_view_skips_drain(patch):
     """The occupancy view reads a queue's ledger without draining it, so a
     load-reading pick counts bytes that have already left the link."""
@@ -230,6 +244,9 @@ MUTANTS = {
     ),
     "turnaround-drops-ecn-echo": Mutant(
         _turnaround_drops_ecn_echo, lambda: differential.check("packet/incast12-mprdma")
+    ),
+    "ready-jumps-heap": Mutant(
+        _ready_jumps_heap, _every_row(*(f"packet/tie-heavy-fuzz-{seed}" for seed in range(4)))
     ),
     "load-view-skips-drain": Mutant(
         _load_view_skips_drain, lambda: differential.check("packet/allreduce128x64K-adaptive")

@@ -12,7 +12,9 @@ against.
 Nothing in ``src/`` knows about it: :class:`PerTransmissionBackend` is a
 :class:`~repro.network.packet.backend.PacketBackend` whose ``setup`` swaps
 the queue objects before any traffic exists (the trick the sharded engine
-uses for its boundary queues) and whose ``run`` drains the plain event heap.
+uses for its boundary queues), whose ``issue_*`` post every op on the heap
+(the engine posts what is due now on the ready queue) and whose ``run``
+drains the plain event heap.
 Pass an instance as ``simulate(..., backend=PerTransmissionBackend())``.
 
 Its per-packet transport is the textbook one too.  The engine turns an
@@ -230,6 +232,17 @@ class PerTransmissionBackend(PacketBackend):
             for q in self.queues
         ]
 
+    # every op is a heap event, never a ready entry
+    def issue_calc(self, rank, stream, duration_ns, op_id, ready_time):
+        _, end = self.host.reserve(rank, stream, ready_time, duration_ns)
+        self.events.schedule(end, self.on_complete, (rank, op_id))
+
+    def issue_send(self, rank, dst, size, tag, stream, op_id, ready_time):
+        self.events.schedule(ready_time, self._start_send, (rank, dst, size, tag, stream, op_id))
+
+    def issue_recv(self, rank, src, size, tag, stream, op_id, ready_time):
+        self.events.schedule(ready_time, self._post_recv, (rank, src, size, tag, stream, op_id))
+
     def _link_load_view(self):
         return np.array([q.queued_bytes for q in self.queues], dtype=np.int64)
 
@@ -300,7 +313,7 @@ class PerTransmissionBackend(PacketBackend):
             self._handle_data_drop(packet, now)
         if not flow.send_op_completed and not _has_unsent_data(flow) and not _has_retransmissions(flow):
             flow.send_op_completed = True
-            self._complete_op(now, (flow.src, flow.op_id))
+            self.on_complete(now, (flow.src, flow.op_id))
 
     def _handle_data_arrival(self, packet, now):
         flow = packet.flow
@@ -338,5 +351,5 @@ class PerTransmissionBackend(PacketBackend):
 
     def run(self, on_complete):
         self._require_setup()
-        self._on_complete = on_complete
+        self.on_complete = on_complete
         return self.events.run()

@@ -267,10 +267,11 @@ class ListScheduler(GoalScheduler):
         else:
             self._issue_recv(rank, op.peer, op.size, op.tag, op.cpu, op_id, ready_time)
 
-    def _on_complete(self, time, rank, op_id):
+    def _on_complete(self, time, payload):
+        rank, op_id = payload
         vertex = op_id - self._offsets[rank]
         self._completed += 1
-        self._finish_time = max(self._finish_time, time)
+        self._rank_finish[rank] = max(self._rank_finish[rank], time)
         indegree = self._list_indegree[rank]
         for succ in self._list_succ[rank][vertex]:
             indegree[succ] -= 1

@@ -34,7 +34,7 @@ LATENCY = 1_000
 
 
 class FixedLatencyBackend(NetworkBackend):
-    """Every message arrives ``LATENCY`` ns after its send; nothing else is modelled."""
+    """Every message arrives ``LATENCY`` ns after its send starts; nothing else is modelled."""
 
     name = "toy"
 
@@ -42,31 +42,25 @@ class FixedLatencyBackend(NetworkBackend):
         super().setup(num_ranks, config)
         self._bring_up_fabric()
 
-    def issue_send(self, rank, dst, size, tag, stream, op_id, ready_time):
-        self.events.schedule(ready_time, self._complete_op, (rank, op_id))
-        self.events.schedule(
-            ready_time + LATENCY, self._arrive, (rank, dst, size, tag, ready_time, op_id)
-        )
-
-    def issue_recv(self, rank, src, size, tag, stream, op_id, ready_time):
-        self.events.schedule(ready_time, self._post_recv, (src, rank, tag, op_id))
-
-    def _arrive(self, time, payload):
-        src, dst, size, tag, post_time, op_id = payload
-        self.routing.select_route(src, dst, size)  # timing ignores it; caches count it
-        self._message_delivered(src, dst, size, tag, post_time, time, op_id)
-        recv_op = self.matcher.post_arrival(src, dst, tag, time)
+    def _start_send(self, time, payload):
+        rank, dst, size, tag, stream, op_id = payload
+        self.on_complete(time, (rank, op_id))
+        self.routing.select_route(rank, dst, size)  # timing ignores it; caches count it
+        arrival = time + LATENCY
+        self._message_delivered(rank, dst, size, tag, time, arrival, op_id)
+        recv_op = self.matcher.post_arrival(rank, dst, tag, arrival)
         if recv_op is not None:
-            self._complete_op(time, (dst, recv_op))
+            self.events.schedule(arrival, self.on_complete, (dst, recv_op))
 
     def _post_recv(self, time, payload):
-        src, rank, tag, op_id = payload
-        if self.matcher.post_recv(src, rank, tag, op_id) is not None:
-            self._complete_op(time, (rank, op_id))
+        rank, src, size, tag, stream, op_id = payload
+        arrival = self.matcher.post_recv(src, rank, tag, op_id)
+        if arrival is not None:
+            self.events.schedule(max(arrival, time), self.on_complete, (rank, op_id))
 
     def run(self, on_complete):
         self._require_setup()
-        self._on_complete = on_complete
+        self.on_complete = on_complete
         return self.events.run()
 
 
@@ -87,6 +81,29 @@ class TestToyBackend:
         assert len(result.message_records) == result.stats.messages_delivered > 0
         assert {m.completion_latency for m in result.message_records} == {LATENCY}
         assert result.stats.bytes_delivered == sum(m.size for m in result.message_records)
+
+    def test_a_bare_backend_completes_through_the_handler_handed_over(self):
+        # the one rule a caller without a scheduler keeps: hand the
+        # completion handler over right after setup, before issuing
+        backend = FixedLatencyBackend()
+        backend.setup(2, _config())
+        done = []
+        backend.on_complete = handler = lambda time, payload: done.append((time, payload))
+        backend.issue_calc(0, 0, 500, 0, 0)
+        backend.issue_calc(1, 0, 0, 1, 0)  # a zero-cost join completes now
+        backend.issue_send(0, 1, 64, 7, 1, 2, 0)
+        backend.issue_recv(1, 0, 64, 7, 0, 3, 0)
+        assert backend.run(handler) == LATENCY
+        assert done == [(0, (1, 1)), (0, (0, 2)), (500, (0, 0)), (LATENCY, (1, 3))]
+        # the join, the send and the receive were posted as ready entries,
+        # the 500 ns calc and the receive's completion on the heap
+        assert backend.events.executed == 5
+        # an op issued before the handover fails when it finishes, naming it
+        backend = FixedLatencyBackend()
+        backend.setup(2, _config())
+        backend.issue_calc(1, 0, 500, 4, 0)
+        with pytest.raises(RuntimeError, match="op 4 of rank 1 finished with no completion handler"):
+            backend.run(handler)
 
     def test_requires_setup_and_positive_ranks(self):
         backend = FixedLatencyBackend()

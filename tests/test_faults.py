@@ -452,8 +452,8 @@ class TestPacketBackendFaults:
 
         class Recording(PacketBackend):
             # flows leave ``live_flows`` on delivery, so keep them as they start
-            def _start_flow(self, time, payload):
-                started.append(super()._start_flow(time, payload))
+            def _start_send(self, time, payload):
+                started.append(super()._start_send(time, payload))
 
         backend = Recording()
         result = GoalScheduler(schedule, backend=backend, config=config).run()

@@ -244,8 +244,8 @@ class _PeakTracking(PacketBackend):
         super().setup(num_ranks, config)
         self.peak_live = 0
 
-    def _start_flow(self, time, payload):
-        flow = super()._start_flow(time, payload)
+    def _start_send(self, time, payload):
+        flow = super()._start_send(time, payload)
         self.peak_live = max(self.peak_live, len(self.live_flows))
         return flow
 
@@ -294,8 +294,8 @@ def test_lean_flows_allocate_loss_state_on_first_loss():
     flows = []
 
     class Recording(PacketBackend):
-        def _start_flow(self, time, payload):
-            flows.append(super()._start_flow(time, payload))
+        def _start_send(self, time, payload):
+            flows.append(super()._start_send(time, payload))
 
     result = GoalScheduler(
         all_to_all(16, 1 << 17), backend=Recording(), config=config
